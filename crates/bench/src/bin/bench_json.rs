@@ -4,12 +4,16 @@
 //!
 //! Usage:
 //! `cargo run --release -p ttsv-bench --bin bench_json [-- PATH [--check COMMITTED]]`
-//! (default output: `BENCH_10.json` in the current directory). With
-//! `--check COMMITTED`, the freshly measured medians are compared against
-//! the committed recording and the process exits nonzero if any shared
-//! row regressed more than 1.5× — the CI regression guard. See the
-//! `ttsv-bench` crate docs for the bench → paper mapping.
+//! (default output: `BENCH_N.json` in the current directory, `N` one past
+//! the highest-numbered recording present at the repository root). The
+//! recording embeds the medians of the newest `BENCH_M.json` present
+//! there with `M < N` as its baseline. With `--check COMMITTED`, the freshly
+//! measured medians are compared against the committed recording and the
+//! process exits nonzero if any shared row regressed more than 1.5× — the
+//! CI regression guard. See the `ttsv-bench` crate docs for the bench →
+//! paper mapping.
 
+use std::path::Path;
 use std::time::{Duration, Instant};
 
 use ttsv::core::model_b::LadderSolver;
@@ -17,7 +21,10 @@ use ttsv::fem::{FemPreconditioner, FemSolver};
 use ttsv::linalg::{MultigridConfig, MultigridHierarchy, MultigridPreconditioner, Preconditioner};
 use ttsv::prelude::*;
 use ttsv::validate::sweep::run_sweep;
-use ttsv_bench::{block, gradient_floorplan, hotspot_floorplan, mg_box_matrix};
+use ttsv_bench::{
+    bench_number, block, gradient_floorplan, hotspot_floorplan, mg_box_matrix, newest_bench_json,
+    repo_root, section_integers,
+};
 
 /// Wall-clock budget per benchmark (after the warm-up call).
 const TIME_BUDGET: Duration = Duration::from_secs(2);
@@ -27,44 +34,6 @@ const TARGET_SAMPLES: usize = 15;
 /// committed` fails CI.
 const CHECK_HEADROOM_NUM: u128 = 3;
 const CHECK_HEADROOM_DEN: u128 = 2;
-
-/// PR-9 numbers for the carried-over workloads (the medians recorded in
-/// the committed `BENCH_9.json`) — the baseline the PR-10 acceptance
-/// criteria compare against. Every `serve/*` row recorded here was
-/// measured on a server with persistence off, so they price exactly
-/// what the write-ahead journal must not regress when it is disabled;
-/// `serve/warm_delta_journaled` is new in PR 10 and has no earlier
-/// baseline (its pin is same-run: < 2× `serve/warm_delta_response`).
-const BASELINE_PR9_NS: &[(&str, u128)] = &[
-    ("fig4_radius_sweep/fem_coarse", 676_613),
-    ("fig4_radius_sweep/model_b_100", 77_122),
-    ("table1_segments/B(500)", 64_986),
-    ("table1_segments/B(1000)", 172_017),
-    ("table1_segments/banded_lu/1000", 305_070),
-    ("ablation_fem_precond/ssor/coarse", 1_684_448),
-    ("ablation_fem_precond/multigrid/coarse", 892_173),
-    ("ablation_fem_precond/multigrid_cheby/coarse", 1_030_382),
-    ("ablation_fem_precond/direct_banded/coarse", 96_795),
-    ("mg_hierarchy/build/box32k", 6_578_039),
-    ("mg_hierarchy/refresh/box32k", 1_585_385),
-    ("mg_hierarchy/refresh_flat/box32k", 6_375_282),
-    ("mg_vcycle/jacobi/box32k", 871_143),
-    ("mg_vcycle/chebyshev3/box32k", 2_260_219),
-    ("fem_mg_sweep/rebuild", 93_949_634),
-    ("fem_mg_sweep/reuse", 73_632_158),
-    ("floorplan_chip/hotspot32/model_b100", 122_667),
-    ("floorplan_chip/hotspot32/model_b100/no_dedup", 14_810_663),
-    ("floorplan_chip/gradient32/model_b100", 15_519_996),
-    ("floorplan_chip/gradient32/factor_shared", 2_649_204),
-    ("sweep_runner/fig4_quick", 832_982),
-    ("serve/cold_session", 3_668_501),
-    ("serve/warm_delta", 161_472),
-    ("serve/warm_delta_response", 151_863),
-    ("serve/sustained_32req", 4_749_031),
-    ("serve/sustained_fanout", 6_250_026),
-    ("serve/parked_request", 49_313),
-    ("serve/parked_request_sweep", 207_822),
-];
 
 struct Sampler {
     results: Vec<(String, u128, usize)>,
@@ -103,8 +72,10 @@ impl Sampler {
         self.results.push((name.to_string(), median, samples.len()));
     }
 
-    fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"ttsv-bench-json/1\",\n  \"pr\": 10,\n");
+    /// Renders the recording for PR `pr`, embedding the medians of the
+    /// committed `BENCH_{baseline_pr}.json` as its baseline.
+    fn to_json(&self, pr: u64, baseline_pr: u64, baseline: &[(String, u128)]) -> String {
+        let mut out = format!("{{\n  \"schema\": \"ttsv-bench-json/1\",\n  \"pr\": {pr},\n");
         out.push_str(
             "  \"generated_by\": \"cargo run --release -p ttsv-bench --bin bench_json\",\n",
         );
@@ -115,49 +86,16 @@ impl Sampler {
                 "    \"{name}\": {{\"median_ns\": {median}, \"samples\": {samples}}}{comma}\n"
             ));
         }
-        out.push_str("  },\n  \"baseline_pr9_ns\": {\n");
-        for (i, (name, ns)) in BASELINE_PR9_NS.iter().enumerate() {
-            let comma = if i + 1 < BASELINE_PR9_NS.len() {
-                ","
-            } else {
-                ""
-            };
+        out.push_str(&format!(
+            "  }},\n  \"baseline_pr\": {baseline_pr},\n  \"baseline_ns\": {{\n"
+        ));
+        for (i, (name, ns)) in baseline.iter().enumerate() {
+            let comma = if i + 1 < baseline.len() { "," } else { "" };
             out.push_str(&format!("    \"{name}\": {ns}{comma}\n"));
         }
         out.push_str("  }\n}\n");
         out
     }
-}
-
-/// Extracts `(key, median_ns)` pairs from a committed `bench_json` file's
-/// `"benches"` section (same line-oriented shape the crate's schema test
-/// parses — no JSON dependency offline).
-fn committed_medians(json: &str) -> Vec<(String, u128)> {
-    let Some(start) = json.find("\"benches\"") else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for line in json[start..].lines().skip(1) {
-        let line = line.trim().trim_end_matches(',');
-        if line.starts_with('}') {
-            break;
-        }
-        let Some((key, rest)) = line.split_once(':') else {
-            continue;
-        };
-        let Some(pos) = rest.find("\"median_ns\"") else {
-            continue;
-        };
-        let digits: String = rest[pos..]
-            .chars()
-            .skip_while(|c| !c.is_ascii_digit())
-            .take_while(char::is_ascii_digit)
-            .collect();
-        if let Ok(ns) = digits.parse() {
-            out.push((key.trim().trim_matches('"').to_string(), ns));
-        }
-    }
-    out
 }
 
 fn fig4_scenarios() -> Vec<Scenario> {
@@ -185,11 +123,22 @@ fn main() {
         .enumerate()
         .find(|&(i, a)| !a.starts_with("--") && Some(i) != check_pos.map(|c| c + 1))
         .map(|(_, a)| a.clone())
-        .unwrap_or_else(|| "BENCH_10.json".into());
+        .unwrap_or_else(|| {
+            let newest = newest_bench_json(&repo_root(), None).map_or(0, |(n, _)| n);
+            format!("BENCH_{}.json", newest + 1)
+        });
     if check_against.as_deref() == Some(path.as_str()) {
         eprintln!("--check target and output path are the same file ({path}) — refusing");
         std::process::exit(2);
     }
+    // The baseline is the newest recording *before* this one, so
+    // re-recording an existing BENCH_N.json keeps its baseline.
+    let pr = bench_number(Path::new(&path));
+    let (baseline_pr, baseline_path) = newest_bench_json(&repo_root(), pr)
+        .expect("an earlier BENCH_N.json at the repository root");
+    let baseline = std::fs::read_to_string(&baseline_path)
+        .unwrap_or_else(|e| panic!("read baseline {}: {e}", baseline_path.display()));
+    let baseline = section_integers(&baseline, "benches", Some("median_ns"));
     let mut sampler = Sampler {
         results: Vec::new(),
     };
@@ -356,7 +305,7 @@ fn main() {
     {
         use ttsv::serve::client::{trace_power_body, Client};
         use ttsv::serve::protocol::render_register_body;
-        use ttsv::serve::server::{ReadinessBackend, Server, ServerConfig};
+        use ttsv::serve::server::{Server, ServerConfig};
         const GRID: usize = 12;
         const FANOUT: usize = 32;
         // A never-seen chip configuration per id: per-session power scale
@@ -378,17 +327,11 @@ fn main() {
             let body = render_register_body(GRID, GRID, &planes, density);
             format!("{},\"segments\":[10,1000]}}", &body[..body.len() - 1])
         };
-        // Pinned to the poll(2) backend so the serve rows (and especially
-        // `serve/parked_request`) price the readiness backend, not
-        // whatever TTSV_SERVE_READINESS happens to be set to. On hosts
-        // without poll(2) the server falls back to sweep at startup and
-        // the two parked rows converge.
         let config = ServerConfig::default()
             .with_workers(2)
             .with_max_sessions(128)
             .with_max_connections(2 * FANOUT)
-            .with_queue_capacity(2 * FANOUT)
-            .with_readiness(ReadinessBackend::Poll);
+            .with_queue_capacity(2 * FANOUT);
         let server = Server::start("127.0.0.1:0", config).expect("bind ephemeral port");
         let addr = server.addr().to_string();
         let mut client = Client::connect(&addr).expect("connect");
@@ -482,14 +425,11 @@ fn main() {
             last
         });
 
-        // The idle-connection rows: park a keep-alive connection past the
+        // The idle-connection row: park a keep-alive connection past the
         // event loops' 200 µs spin window (untimed, via bench_prepared),
-        // then time one /healthz round-trip on it. On the poll(2) backend
-        // the parked loop blocks in poll and the socket itself wakes it,
-        // so the row sits in the microseconds; the sweep fallback only
-        // notices parked sockets on its 1 ms idle tick, which quantizes
-        // the same round-trip to the tick — the latency floor the
-        // readiness backend exists to remove.
+        // then time one /healthz round-trip on it. The parked loop blocks
+        // in poll(2) and the socket itself wakes it, so the row sits in
+        // the microseconds rather than on a millisecond tick.
         let park = Duration::from_millis(1);
         let mut parked = Client::connect(&addr).expect("connect parked client");
         sampler.bench_prepared(
@@ -503,27 +443,6 @@ fn main() {
         );
         drop(parked);
         server.shutdown();
-
-        let sweep_server = Server::start(
-            "127.0.0.1:0",
-            ServerConfig::default()
-                .with_workers(2)
-                .with_readiness(ReadinessBackend::Sweep),
-        )
-        .expect("bind sweep server");
-        let sweep_addr = sweep_server.addr().to_string();
-        let mut parked = Client::connect(&sweep_addr).expect("connect parked sweep client");
-        sampler.bench_prepared(
-            "serve/parked_request_sweep",
-            || std::thread::sleep(park),
-            || {
-                let (status, body) = parked.request("GET", "/healthz", "").expect("healthz");
-                assert_eq!(status, 200, "{body}");
-                body
-            },
-        );
-        drop(parked);
-        sweep_server.shutdown();
 
         // Durable sessions (PR 10): the same warm delta against a server
         // that journals every mutation to a write-ahead log under a
@@ -539,7 +458,6 @@ fn main() {
             "127.0.0.1:0",
             ServerConfig::default()
                 .with_workers(2)
-                .with_readiness(ReadinessBackend::Poll)
                 .with_persist(PersistConfig::new(&state_dir)),
         )
         .expect("bind journaled server");
@@ -573,14 +491,14 @@ fn main() {
         let _ = std::fs::remove_dir_all(&state_dir);
     }
 
-    let json = sampler.to_json();
+    let json = sampler.to_json(pr.unwrap_or(baseline_pr + 1), baseline_pr, &baseline);
     std::fs::write(&path, &json).expect("write BENCH json");
     println!("wrote {path}");
 
     if let Some(committed_path) = check_against {
         let committed = std::fs::read_to_string(&committed_path)
             .unwrap_or_else(|e| panic!("read committed {committed_path}: {e}"));
-        let committed = committed_medians(&committed);
+        let committed = section_integers(&committed, "benches", Some("median_ns"));
         let mut regressions = Vec::new();
         for (name, fresh, _) in &sampler.results {
             if let Some((_, recorded)) = committed.iter().find(|(k, _)| k == name) {

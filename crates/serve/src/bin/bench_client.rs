@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --release -p ttsv-serve --bin bench-client -- \
 //!     --spawn [--trace SESSIONS:ROUNDS:GRID] [--check] [--chaos SEED] \
-//!     [--readiness poll|sweep] [--state-dir PATH]
+//!     [--state-dir PATH]
 //! cargo run --release -p ttsv-serve --bin bench-client -- \
 //!     --addr 127.0.0.1:7071 [--sessions N | --fanout N] [--rounds N] \
 //!     [--grid N] [--delta]
@@ -37,9 +37,7 @@
 //! flight), which fails if connections are served one at a time — and
 //! the replay itself already fails on any shed or wrong response.
 //! `--delta` switches the power rounds from `?full=1` full reports to
-//! the server's default delta responses. `--readiness` (only with
-//! `--spawn`) forwards the readiness backend to the spawned server, so
-//! CI can smoke both the `poll(2)` backend and the sweep fallback.
+//! the server's default delta responses.
 //! `--state-dir` (only with `--spawn`) forwards the durable-session
 //! state directory, so the replay exercises the journaled hot path.
 //! `--probe ID` (only with `--addr`) is the restart-recovery smoke:
@@ -67,7 +65,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: bench-client (--addr HOST:PORT | --spawn) \
          [--trace SESSIONS:ROUNDS:GRID] [--sessions N | --fanout N] [--rounds N] \
-         [--grid N] [--delta] [--check] [--chaos SEED] [--readiness poll|sweep] \
+         [--grid N] [--delta] [--check] [--chaos SEED] \
          [--state-dir PATH] [--probe SESSION_ID]"
     );
     std::process::exit(2);
@@ -153,10 +151,10 @@ fn parse_flag<T: std::str::FromStr>(args: &mut std::env::Args, flag: &str) -> T 
 
 /// Spawns the sibling `serve` binary on an ephemeral port and reads the
 /// bound address from its `listening on <addr>` stdout line.
-fn spawn_server(readiness: Option<&str>, state_dir: Option<&str>) -> (Child, String) {
+fn spawn_server(state_dir: Option<&str>) -> (Child, String) {
     let serve = std::env::current_exe()
         .expect("current exe path")
-        .with_file_name(if cfg!(windows) { "serve.exe" } else { "serve" });
+        .with_file_name("serve");
     let mut command = Command::new(&serve);
     // Raised caps: a wide --fanout replay must multiplex, not shed.
     command.args([
@@ -169,9 +167,6 @@ fn spawn_server(readiness: Option<&str>, state_dir: Option<&str>) -> (Child, Str
         "--max-sessions",
         "256",
     ]);
-    if let Some(readiness) = readiness {
-        command.args(["--readiness", readiness]);
-    }
     if let Some(state_dir) = state_dir {
         command.args(["--state-dir", state_dir]);
     }
@@ -197,7 +192,6 @@ fn main() {
     let mut spawn = false;
     let mut check = false;
     let mut fanout = false;
-    let mut readiness: Option<String> = None;
     let mut state_dir: Option<String> = None;
     let mut probe: Option<u64> = None;
     let mut config = TraceConfig::default();
@@ -219,16 +213,6 @@ fn main() {
             "--grid" => config.grid = parse_flag(&mut args, "--grid"),
             "--delta" => config.full_reports = false,
             "--chaos" => config.chaos = Some(parse_flag(&mut args, "--chaos")),
-            "--readiness" => {
-                // Validate here (same names the server accepts), so a
-                // typo fails fast instead of inside the spawned child.
-                let value: String = parse_flag(&mut args, "--readiness");
-                if value.parse::<ttsv_serve::ReadinessBackend>().is_err() {
-                    eprintln!("--readiness {value:?} is not \"poll\" or \"sweep\"");
-                    usage();
-                }
-                readiness = Some(value);
-            }
             "--trace" => {
                 let spec: String = parse_flag(&mut args, "--trace");
                 let parts: Vec<&str> = spec.split(':').collect();
@@ -263,10 +247,6 @@ fn main() {
         usage();
     }
 
-    if readiness.is_some() && !spawn {
-        eprintln!("--readiness only makes sense with --spawn (it configures the spawned server)");
-        usage();
-    }
     if state_dir.is_some() && !spawn {
         eprintln!("--state-dir only makes sense with --spawn (it configures the spawned server)");
         usage();
@@ -289,7 +269,7 @@ fn main() {
     let addr = match (addr, spawn) {
         (Some(addr), false) => addr,
         (None, true) => {
-            let (spawned, addr) = spawn_server(readiness.as_deref(), state_dir.as_deref());
+            let (spawned, addr) = spawn_server(state_dir.as_deref());
             child = Some(spawned);
             addr
         }

@@ -5,7 +5,7 @@
 //!     [--addr 127.0.0.1:7071] [--workers N] [--event-loops N] \
 //!     [--max-sessions N] [--session-shards N] [--max-tiles N] \
 //!     [--queue-capacity N] [--max-connections N] [--max-pending-updates N] \
-//!     [--request-deadline-ms MS] [--write-timeout-ms MS] [--readiness poll|sweep] \
+//!     [--request-deadline-ms MS] [--write-timeout-ms MS] \
 //!     [--state-dir PATH] [--fsync always|interval[:MS]|never]
 //! ```
 //!
@@ -24,16 +24,12 @@ use std::time::Duration;
 use ttsv_serve::persist::FsyncPolicy;
 use ttsv_serve::server::{Server, ServerConfig};
 
-// `--readiness` defaults to poll on unix, sweep elsewhere; the
-// `TTSV_SERVE_READINESS` environment variable overrides the default and
-// the flag overrides both (see `ServerConfig::readiness`).
-
 fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--workers N] [--event-loops N] \
          [--max-sessions N] [--session-shards N] [--max-tiles N] \
          [--queue-capacity N] [--max-connections N] [--max-pending-updates N] \
-         [--request-deadline-ms MS] [--write-timeout-ms MS] [--readiness poll|sweep] \
+         [--request-deadline-ms MS] [--write-timeout-ms MS] \
          [--state-dir PATH] [--fsync always|interval[:MS]|never]"
     );
     std::process::exit(2);
@@ -96,9 +92,6 @@ fn main() {
                     "--write-timeout-ms",
                 )));
             }
-            "--readiness" => {
-                config = config.with_readiness(parse_flag(&mut args, "--readiness"));
-            }
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag {other:?}");
@@ -124,7 +117,7 @@ fn main() {
     let server = match Server::start(&addr, config) {
         Ok(server) => server,
         Err(e) => {
-            eprintln!("failed to bind {addr}: {e}");
+            eprintln!("failed to start on {addr}: {e}");
             std::process::exit(1);
         }
     };

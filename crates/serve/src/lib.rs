@@ -23,8 +23,8 @@
 //!   table with quotas, transactional power updates (staged, rolled
 //!   back on failure), `GET /metrics`,
 //! * [`poller`] — real `poll(2)` readiness for the event loops (a
-//!   hand-rolled std-only binding plus a self-pipe waker; unix-gated,
-//!   with the portable sweep loop as fallback),
+//!   hand-rolled std-only binding plus a self-pipe waker; the crate
+//!   builds only on Unix),
 //! * [`persist`] — the per-server write-ahead journal (`--state-dir`):
 //!   CRC32-framed records for registrations, power updates, deletions,
 //!   and eviction tombstones; torn-tail-tolerant crash recovery that
@@ -104,4 +104,4 @@ pub use http::{HttpError, Request, RequestParser, Response};
 pub use lru::LruCache;
 pub use metrics::Metrics;
 pub use persist::{FsyncPolicy, PersistConfig};
-pub use server::{ReadinessBackend, Server, ServerConfig};
+pub use server::{Server, ServerConfig};

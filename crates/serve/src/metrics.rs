@@ -44,10 +44,10 @@ pub struct Metrics {
     accept_errors: AtomicU64,
     /// Connections currently inside `handle_connection` (gauge).
     inflight: AtomicU64,
-    /// Blocked-`poll(2)` returns across all event loops (poll backend
-    /// only; the spin window and sweep backend never touch this). An
-    /// idle server should hold this near zero — that is the whole point
-    /// of the poll backend, and the CI idle smoke pins it.
+    /// Blocked-`poll(2)` returns across all event loops (the spin window
+    /// never touches this). An idle server should hold this near zero —
+    /// that is the whole point of blocking readiness, and the CI idle
+    /// smoke pins it.
     poll_wakeups: AtomicU64,
     /// Poll wakeups that reported socket readiness but whose service
     /// pass then made no progress with an empty inbox (readiness races,

@@ -860,16 +860,9 @@ impl Journal {
 }
 
 /// Best-effort directory fsync so a compaction rename is durable; not
-/// portable everywhere, so failures are ignored.
+/// every filesystem supports it, so failures are ignored.
 fn sync_dir(dir: &Path) {
-    #[cfg(unix)]
-    {
-        let _ = File::open(dir).and_then(|d| d.sync_all());
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = dir;
-    }
+    let _ = File::open(dir).and_then(|d| d.sync_all());
 }
 
 #[cfg(test)]

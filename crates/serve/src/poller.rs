@@ -1,16 +1,15 @@
 //! Real `poll(2)` readiness for the event loops — std-only, no libc.
 //!
-//! The event loops in [`crate::server`] multiplex nonblocking sockets.
-//! Until PR 9 they discovered readiness by *sweeping*: try every socket,
-//! collect `WouldBlock`, park on a condvar with a 1 ms tick. That costs
-//! a full tick of added latency for a request landing on a parked
-//! connection and wakes an idle server 1000×/s to do nothing. This
-//! module gives the loops genuine blocking readiness instead:
+//! The event loops in [`crate::server`] multiplex nonblocking sockets
+//! and learn which ones are ready only from this module. Blocking
+//! readiness (rather than a timed sweep over every socket) means a
+//! request landing on a parked connection is answered at once and an
+//! idle server makes no wakeups at all. It is built from:
 //!
 //! * a hand-rolled `extern "C"` binding to POSIX `poll(2)` over the raw
-//!   fds `std::os::fd` exposes (`#[cfg(unix)]`, no new dependencies —
-//!   the single `unsafe` block in the workspace lives here and is
-//!   scoped to that one call), and
+//!   fds `std::os::fd` exposes (no new dependencies — the single
+//!   `unsafe` block in the workspace lives here and is scoped to that
+//!   one call), and
 //! * a **self-pipe** (`std::os::unix::net::UnixStream::pair`) whose
 //!   read end sits in every
 //!   poll set: the accept thread and worker completions write one byte
@@ -21,36 +20,23 @@
 //!   inbox check and its `poll` call leaves the pipe readable, so the
 //!   `poll` returns at once instead of sleeping on a stale emptiness.
 //!
-//! On non-unix targets [`Poller::new`] reports `Unsupported` and the
-//! server falls back to the sweep backend (`--readiness sweep`), which
-//! remains fully supported everywhere — every serve suite runs against
-//! both backends.
+//! The server therefore builds only on Unix targets.
 
 #![allow(clippy::doc_markdown)]
+
+#[cfg(not(unix))]
+compile_error!("ttsv-serve needs a Unix target: its event loops block in POSIX poll(2)");
 
 use std::io;
 use std::time::Duration;
 
-#[cfg(unix)]
 pub use imp::{Poller, Waker};
-#[cfg(not(unix))]
-pub use stub::{Poller, Waker};
 
-/// The raw fd of a TCP stream, for interest submission. On non-unix
-/// targets — where the poll backend can never be active, so no interest
-/// is ever submitted — this returns a `-1` sentinel.
+/// The raw fd of a TCP stream, for interest submission.
 #[must_use]
 pub fn stream_fd(stream: &std::net::TcpStream) -> i32 {
-    #[cfg(unix)]
-    {
-        use std::os::fd::AsRawFd;
-        stream.as_raw_fd()
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = stream;
-        -1
-    }
+    use std::os::fd::AsRawFd;
+    stream.as_raw_fd()
 }
 
 /// One fd the caller wants readiness for, plus the directions of
@@ -80,7 +66,6 @@ pub struct WaitOutcome {
     pub woken: bool,
 }
 
-#[cfg(unix)]
 mod imp {
     use super::{io, Duration, PollInterest, WaitOutcome};
     use std::io::{Read, Write};
@@ -252,57 +237,7 @@ mod imp {
     }
 }
 
-#[cfg(not(unix))]
-mod stub {
-    use super::{io, Duration, PollInterest, WaitOutcome};
-
-    /// No-op waker for targets without `poll(2)`; the sweep backend's
-    /// condvar does the waking there.
-    #[derive(Debug, Clone)]
-    pub struct Waker;
-
-    impl Waker {
-        /// Nothing to wake: the sweep backend never blocks in `poll`.
-        pub fn wake(&self) {}
-    }
-
-    /// Placeholder so non-unix builds type-check; construction always
-    /// fails and the server falls back to the sweep backend.
-    #[derive(Debug)]
-    pub struct Poller;
-
-    impl Poller {
-        /// Always `Unsupported` off unix.
-        ///
-        /// # Errors
-        ///
-        /// Always.
-        pub fn new() -> io::Result<(Self, Waker)> {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "poll(2) readiness needs a unix target; use the sweep backend",
-            ))
-        }
-
-        /// Unreachable (construction fails), present for type parity.
-        ///
-        /// # Errors
-        ///
-        /// Always.
-        pub fn wait(
-            &mut self,
-            _interests: &[PollInterest],
-            _timeout: Option<Duration>,
-        ) -> io::Result<WaitOutcome> {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "poll(2) readiness needs a unix target",
-            ))
-        }
-    }
-}
-
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write;

@@ -20,20 +20,14 @@
 //! queued, in flight, or already inline — the loop evaluates right on
 //! its own thread, skipping two thread handoffs; concurrent load
 //! immediately shifts evaluation back to the pool.)
-//! Readiness comes from one of two backends
-//! ([`ServerConfig::readiness`]). On unix the default is **poll**: a
-//! short yield-spin window after the last progress keeps hot traffic at
-//! near-blocking latency, then the loop blocks in real `poll(2)` (via
-//! [`crate::poller`], std-only) over its connections' fds plus a
-//! self-pipe that the accept thread and worker completions write to, so
-//! inbox activity interrupts the block immediately. The poll timeout is
-//! derived from the nearest connection deadline, so an idle server
-//! makes *zero* wakeups instead of ticking every millisecond (the
-//! `/metrics` `readiness` block counts wakeups). Everywhere else — and
-//! under `--readiness sweep` — the loops fall back to **sweep**: try
-//! every socket, collect `WouldBlock`, park on a condvar with a
-//! millisecond tick for deadline enforcement. Both backends run the
-//! same service pass, so responses are bitwise identical across them.
+//! Readiness comes from `poll(2)`: a short yield-spin window after the
+//! last progress keeps hot traffic at near-blocking latency, then the
+//! loop blocks in real `poll(2)` (via [`crate::poller`], std-only) over
+//! its connections' fds plus a self-pipe that the accept thread and
+//! worker completions write to, so inbox activity interrupts the block
+//! immediately. The poll timeout is derived from the nearest connection
+//! deadline, so an idle server makes *zero* wakeups instead of ticking
+//! every millisecond (the `/metrics` `readiness` block counts wakeups).
 //!
 //! Every worker shares one [`ChipEngine`] whose two cache tiers are
 //! bounded by the config's caps — a warm power-delta request re-solves
@@ -101,9 +95,8 @@
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use ttsv_chip::{ChipEngine, ChipReport};
@@ -121,72 +114,12 @@ use crate::protocol::{self, SessionSpec};
 pub const RETRY_AFTER_SECS: u64 = 1;
 
 /// How long an event loop keeps yield-spinning after its last progress
-/// before parking on its condvar. Continuous traffic never leaves the
+/// before blocking in `poll(2)`. Continuous traffic never leaves the
 /// window, so the hot path stays at near-blocking latency.
 const SPIN_WINDOW: Duration = Duration::from_micros(200);
-/// The sweep backend's parked tick: deadline checks run at least this
-/// often there — and a request landing on a parked connection eats up
-/// to this much added latency, which is exactly what the poll backend
-/// eliminates (`tests/serve_readiness.rs` pins parked-request latency
-/// well under this on poll).
-pub const IDLE_TICK: Duration = Duration::from_millis(1);
-/// The sweep backend's parked tick with no connections at all to watch.
-const EMPTY_TICK: Duration = Duration::from_millis(100);
-
-/// How the event loops discover socket readiness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadinessBackend {
-    /// Block in real `poll(2)` with a deadline-derived timeout; woken by
-    /// a self-pipe on inbox activity. Unix only — requesting it
-    /// elsewhere (or when poller setup fails) falls back to sweep.
-    Poll,
-    /// Sweep every socket for `WouldBlock` and park on a condvar with a
-    /// millisecond tick. Works everywhere; costs up to [`IDLE_TICK`] of
-    /// added latency on parked connections and idle CPU.
-    Sweep,
-}
-
-impl ReadinessBackend {
-    /// The host default: poll where `poll(2)` exists, sweep elsewhere.
-    #[must_use]
-    pub fn host_default() -> Self {
-        if cfg!(unix) {
-            Self::Poll
-        } else {
-            Self::Sweep
-        }
-    }
-
-    /// The wire/CLI name (`"poll"` / `"sweep"`), as reported in the
-    /// `/metrics` `readiness` block.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Poll => "poll",
-            Self::Sweep => "sweep",
-        }
-    }
-}
-
-impl FromStr for ReadinessBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "poll" => Ok(Self::Poll),
-            "sweep" => Ok(Self::Sweep),
-            other => Err(format!(
-                "unknown readiness backend {other:?} (expected \"poll\" or \"sweep\")"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for ReadinessBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
+/// How long a loop parks when `poll(2)` itself fails, so the error
+/// path cannot spin the thread.
+const IDLE_TICK: Duration = Duration::from_millis(1);
 
 /// Locks a mutex, recovering from poisoning. Handler panics are caught
 /// at the request boundary, but a panic *while holding* a lock still
@@ -239,12 +172,6 @@ pub struct ServerConfig {
     /// Deterministic fault schedule for chaos testing (`None` in
     /// production: one `Option` check per request).
     pub faults: Option<Arc<ServerFaults>>,
-    /// How the event loops discover readiness. Defaults to the host
-    /// default (poll on unix, sweep elsewhere), overridable via the
-    /// `TTSV_SERVE_READINESS` environment variable (`poll` / `sweep` —
-    /// how CI forces the sweep leg) and the serve binary's
-    /// `--readiness` flag.
-    pub readiness: ReadinessBackend,
     /// Durable-session persistence (`None`: purely in-memory, the
     /// previous behavior). When set, every registration, applied power
     /// update, deletion, and LRU eviction appends to a write-ahead
@@ -275,10 +202,6 @@ impl Default for ServerConfig {
             max_connections: None,
             max_pending_updates: 8,
             faults: None,
-            readiness: std::env::var("TTSV_SERVE_READINESS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(ReadinessBackend::host_default),
             persist: std::env::var_os("TTSV_SERVE_STATE_DIR").map(|root| {
                 static UNIQUE: AtomicU64 = AtomicU64::new(0);
                 let sub = format!(
@@ -420,13 +343,6 @@ impl ServerConfig {
         self
     }
 
-    /// Overrides the readiness backend (see [`ReadinessBackend`]).
-    #[must_use]
-    pub fn with_readiness(mut self, readiness: ReadinessBackend) -> Self {
-        self.readiness = readiness;
-        self
-    }
-
     /// Enables durable sessions with default journal tuning: a
     /// write-ahead journal lives in `state_dir` (created if missing) and
     /// startup replays whatever journal it finds there.
@@ -457,7 +373,7 @@ struct ConnDeadlines {
 /// computed against).
 struct SessionState {
     spec: SessionSpec,
-    last_report: Option<ChipReport>,
+    last_report: ChipReport,
 }
 
 /// One registered session: the serialized state plus the flood-control
@@ -496,9 +412,6 @@ struct ServerState {
     /// cheaper, which is most of a warm request's latency — and this
     /// gauge routes concurrent work to the pool instead.
     inline_busy: AtomicUsize,
-    /// The readiness backend the loops actually run (after fallback),
-    /// reported in `/metrics`.
-    readiness: ReadinessBackend,
     /// The write-ahead journal (`None`: purely in-memory sessions).
     journal: Option<Arc<Journal>>,
     /// Journal counters for the `/metrics` `persistence` block — held
@@ -577,7 +490,7 @@ impl ServerState {
         let session = Arc::new(Session {
             state: Mutex::new(SessionState {
                 spec,
-                last_report: Some(report),
+                last_report: report,
             }),
             pending: AtomicUsize::new(0),
         });
@@ -649,17 +562,14 @@ impl ServerState {
                 if let Some(journal) = &self.journal {
                     journal.record_update(id, plane, body);
                 }
+                // `update_power_map` rejects a resized map, so the grid
+                // shape — and the delta baseline's length — never change.
                 let body = if full {
                     report.to_json()
                 } else {
-                    match &state.last_report {
-                        Some(prev) if prev.delta_t.len() == report.delta_t.len() => {
-                            protocol::render_delta(prev, &report)
-                        }
-                        _ => report.to_json(),
-                    }
+                    protocol::render_delta(&state.last_report, &report)
                 };
-                state.last_report = Some(report);
+                state.last_report = report;
                 Response::json(200, body)
             }
             Err(resp) => {
@@ -716,7 +626,7 @@ impl ServerState {
              \"requests_per_sec\":{:.3},\"latency_ns\":{{\"p50\":{},\"p99\":{},\"samples\":{}}},\
              \"overload\":{{\"shed_503\":{},\"rate_limited_429\":{},\"timeouts_408\":{},\"panics\":{},\
              \"accept_errors\":{},\"inflight\":{},\"queue_depth\":{},\"busy_workers\":{}}},\
-             \"readiness\":{{\"backend\":\"{}\",\"poll_wakeups\":{},\"spurious_wakeups\":{},\"adopt_errors\":{}}},\
+             \"readiness\":{{\"poll_wakeups\":{},\"spurious_wakeups\":{},\"adopt_errors\":{}}},\
              \"persistence\":{{\"enabled\":{persist_enabled},\"records_written\":{},\"bytes_written\":{},\
              \"records_replayed\":{},\"recovered_sessions\":{},\"compactions\":{},\"write_errors\":{}}},\
              \"sessions\":{{\"live\":{},\"capacity\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\"shards\":[{shards}]}},\
@@ -739,7 +649,6 @@ impl ServerState {
             self.live_connections.load(Ordering::SeqCst),
             self.pool_monitor.queue_depth(),
             self.pool_monitor.in_flight(),
-            self.readiness.name(),
             snap.poll_wakeups,
             snap.poll_spurious,
             snap.adopt_errors,
@@ -860,7 +769,7 @@ struct Conn {
     close_after_flush: bool,
     /// The peer half-closed its sending side (read returned 0).
     read_closed: bool,
-    /// Remove the connection at the end of this sweep.
+    /// Remove the connection at the end of this pass.
     dead: bool,
     /// Whether this connection holds an admission slot
     /// (`live_connections`). Shed connections are adopted *past* the
@@ -903,7 +812,7 @@ impl Conn {
 /// A loop's mailbox: the accept thread pushes adopted streams (and
 /// over-cap streams owed a 503), workers push completed responses,
 /// shutdown raises `stop`; [`LoopShared::notify`] wakes the loop out of
-/// its idle park.
+/// its blocked `poll(2)`.
 #[derive(Default)]
 struct LoopInbox {
     incoming: Vec<TcpStream>,
@@ -916,8 +825,8 @@ struct LoopInbox {
 }
 
 impl LoopInbox {
-    /// Whether the loop has anything to pick up (parking would be
-    /// wrong).
+    /// Whether the loop has anything to pick up (blocking in `poll(2)`
+    /// would be wrong).
     fn has_work(&self) -> bool {
         !self.incoming.is_empty()
             || !self.shed.is_empty()
@@ -928,28 +837,36 @@ impl LoopInbox {
 
 struct LoopShared {
     inbox: Mutex<LoopInbox>,
-    wake: Condvar,
-    /// Self-pipe write side (poll backend only): interrupts the loop's
-    /// blocked `poll(2)`. The condvar above covers the sweep backend.
-    waker: Option<Waker>,
+    /// Self-pipe write side: interrupts the loop's blocked `poll(2)`.
+    waker: Waker,
 }
 
 impl LoopShared {
-    fn new(waker: Option<Waker>) -> Self {
+    fn new(waker: Waker) -> Self {
         Self {
             inbox: Mutex::new(LoopInbox::default()),
-            wake: Condvar::new(),
             waker,
         }
     }
 
-    /// Wakes the owning loop out of whichever park its backend uses.
-    /// Call after pushing into the inbox (and dropping the lock).
+    /// Wakes the owning loop out of its `poll(2)`. Call after pushing
+    /// into the inbox (and dropping the lock).
     fn notify(&self) {
-        self.wake.notify_all();
-        if let Some(waker) = &self.waker {
-            waker.wake();
-        }
+        self.waker.wake();
+    }
+}
+
+/// The `503` + `Retry-After` for a request or connection the server has
+/// no room for (a full job queue, or the live-connection cap).
+fn saturated_response() -> Response {
+    Response {
+        keep_alive: false,
+        ..Response::overloaded(
+            503,
+            "server saturated: every worker is busy and the connection queue is full; \
+             retry shortly",
+            RETRY_AFTER_SECS,
+        )
     }
 }
 
@@ -1034,16 +951,7 @@ fn dispatch_request(
         Ok(()) => conn.inflight = Some(pending),
         Err(_refused) => {
             state.metrics.record_shed(started.elapsed());
-            let response = Response {
-                keep_alive: false,
-                ..Response::overloaded(
-                    503,
-                    "server saturated: every worker is busy and the connection queue is full; \
-                     retry shortly",
-                    RETRY_AFTER_SECS,
-                )
-            };
-            stage_response(conn, response, false);
+            stage_response(conn, saturated_response(), false);
         }
     }
 }
@@ -1235,16 +1143,15 @@ fn conn_interest(conn: &Conn) -> Option<PollInterest> {
     })
 }
 
-/// An event loop: owns its connections, discovers readiness via its
-/// backend (a blocking `poll(2)` with deadline-derived timeout, or the
-/// sweep fallback's condvar tick), and runs the same service pass either
-/// way.
+/// An event loop: owns its connections, discovers readiness via a
+/// blocking `poll(2)` with a deadline-derived timeout, and runs the
+/// service pass over every connection after each wakeup.
 fn run_event_loop(
     state: &Arc<ServerState>,
     shared: &Arc<LoopShared>,
     pool: &WorkerPool,
     deadlines: ConnDeadlines,
-    mut backend: Option<Poller>,
+    mut poller: Poller,
 ) {
     let mut conns: Vec<Conn> = Vec::new();
     // Completion routing: conn id → slot in `conns`, rebuilt on reap —
@@ -1288,16 +1195,7 @@ fn run_event_loop(
             next_conn_id += 1;
             slots.insert(next_conn_id, conns.len());
             let mut conn = Conn::adopt(stream, next_conn_id, false, &state.metrics);
-            let response = Response {
-                keep_alive: false,
-                ..Response::overloaded(
-                    503,
-                    "server saturated: every worker is busy and the connection queue is full; \
-                     retry shortly",
-                    RETRY_AFTER_SECS,
-                )
-            };
-            stage_response(&mut conn, response, false);
+            stage_response(&mut conn, saturated_response(), false);
             conns.push(conn);
         }
         for (conn_id, response) in completions {
@@ -1355,49 +1253,28 @@ fn run_event_loop(
             std::thread::yield_now();
             continue;
         }
-        match backend.as_mut() {
-            Some(poller) => {
-                // Re-check the inbox under its lock before blocking; a
-                // wake issued after this check still ends the poll,
-                // because the wake byte stays queued in the self-pipe.
-                if lock(&shared.inbox).has_work() {
-                    continue;
-                }
-                interests.clear();
-                interests.extend(conns.iter().filter_map(conn_interest));
-                let timeout = conns
-                    .iter()
-                    .filter_map(|c| conn_deadline(c, &deadlines))
-                    .min()
-                    .map(|t| t.saturating_duration_since(now));
-                match poller.wait(&interests, timeout) {
-                    Ok(outcome) => {
-                        state.metrics.record_poll_wakeup();
-                        poll_reported_ready = outcome.ready > 0 && !outcome.woken;
-                    }
-                    Err(_) => {
-                        // poll(2) failing outright (ENOMEM and friends)
-                        // has no recovery that preserves blocking
-                        // semantics; degrade to the sweep tick for this
-                        // park rather than spin.
-                        let inbox = lock(&shared.inbox);
-                        if !inbox.has_work() {
-                            let _ = shared.wake.wait_timeout(inbox, IDLE_TICK);
-                        }
-                    }
-                }
+        // Re-check the inbox under its lock before blocking; a wake
+        // issued after this check still ends the poll, because the wake
+        // byte stays queued in the self-pipe.
+        if lock(&shared.inbox).has_work() {
+            continue;
+        }
+        interests.clear();
+        interests.extend(conns.iter().filter_map(conn_interest));
+        let timeout = conns
+            .iter()
+            .filter_map(|c| conn_deadline(c, &deadlines))
+            .min()
+            .map(|t| t.saturating_duration_since(now));
+        match poller.wait(&interests, timeout) {
+            Ok(outcome) => {
+                state.metrics.record_poll_wakeup();
+                poll_reported_ready = outcome.ready > 0 && !outcome.woken;
             }
-            None => {
-                let tick = if conns.is_empty() {
-                    EMPTY_TICK
-                } else {
-                    IDLE_TICK
-                };
-                let inbox = lock(&shared.inbox);
-                if !inbox.has_work() {
-                    let _ = shared.wake.wait_timeout(inbox, tick);
-                }
-            }
+            // poll(2) failing outright (ENOMEM and friends) has no
+            // recovery that preserves blocking semantics; park for a
+            // bounded tick rather than spin.
+            Err(_) => std::thread::sleep(IDLE_TICK),
         }
     }
 }
@@ -1491,7 +1368,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure (or a thread-spawn failure).
+    /// Propagates the bind failure, a failure to build an event loop's
+    /// `poll(2)` self-pipe (fd exhaustion), or a thread-spawn failure.
     pub fn start(addr: &str, config: ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
@@ -1502,28 +1380,11 @@ impl Server {
         let max_connections = config
             .max_connections
             .unwrap_or(config.workers + pool.queue_capacity());
-        let loop_count = config.event_loops.max(1);
-        // Resolve the readiness backend once, before anything spawns:
-        // the backend must be uniform across loops, so a poller that
-        // fails to build (non-unix, fd exhaustion) falls the whole
-        // server back to sweep rather than mixing.
-        let mut readiness = config.readiness;
-        let mut backends: Vec<(Option<Poller>, Option<Waker>)> = Vec::with_capacity(loop_count);
-        if readiness == ReadinessBackend::Poll {
-            for _ in 0..loop_count {
-                match Poller::new() {
-                    Ok((poller, waker)) => backends.push((Some(poller), Some(waker))),
-                    Err(_) => {
-                        readiness = ReadinessBackend::Sweep;
-                        break;
-                    }
-                }
-            }
-        }
-        if readiness == ReadinessBackend::Sweep {
-            backends.clear();
-            backends.resize_with(loop_count, || (None, None));
-        }
+        // Build every loop's poller before anything spawns, so a failure
+        // leaves no thread behind.
+        let pollers = (0..config.event_loops.max(1))
+            .map(|_| Poller::new())
+            .collect::<std::io::Result<Vec<_>>>()?;
         // Open the journal (and replay any previous run's records)
         // before the session table exists: the eviction hook has to be
         // installed while the table is still exclusively owned, and a
@@ -1569,7 +1430,6 @@ impl Server {
             faults: config.faults.clone(),
             live_connections: AtomicUsize::new(0),
             inline_busy: AtomicUsize::new(0),
-            readiness,
             journal: journal.clone(),
             persist: persist_stats,
         });
@@ -1592,7 +1452,7 @@ impl Server {
                             Arc::new(Session {
                                 state: Mutex::new(SessionState {
                                     spec: session.spec,
-                                    last_report: Some(report),
+                                    last_report: report,
                                 }),
                                 pending: AtomicUsize::new(0),
                             }),
@@ -1611,9 +1471,9 @@ impl Server {
             write_timeout: config.write_timeout,
             request_deadline: config.request_deadline,
         };
-        let mut loops = Vec::with_capacity(loop_count);
-        let mut loop_handles = Vec::with_capacity(loop_count);
-        for (i, (poller, waker)) in backends.into_iter().enumerate() {
+        let mut loops = Vec::with_capacity(pollers.len());
+        let mut loop_handles = Vec::with_capacity(pollers.len());
+        for (i, (poller, waker)) in pollers.into_iter().enumerate() {
             let shared = Arc::new(LoopShared::new(waker));
             let loop_state = Arc::clone(&state);
             let loop_shared = Arc::clone(&shared);

@@ -34,7 +34,7 @@ use proptest::prelude::*;
 use ttsv::serve::client::{trace_power_body, trace_register_body, Client, RetryPolicy};
 use ttsv::serve::faults::{FaultConfig, ServerFaults};
 use ttsv::serve::metrics::Metrics;
-use ttsv::serve::server::{ReadinessBackend, Server, ServerConfig, RETRY_AFTER_SECS};
+use ttsv::serve::server::{Server, ServerConfig, RETRY_AFTER_SECS};
 use ttsv_chip::ChipEngine;
 
 const GRID: usize = 4;
@@ -150,48 +150,38 @@ fn direct_session(session: usize) -> Vec<String> {
 /// Lossless transport storm: short reads, short writes, and delays on
 /// every client — yet each response is byte-identical to direct engine
 /// evaluation, and the server's totals reconcile exactly with the
-/// requests issued. Runs on both readiness backends (real `poll(2)` and
-/// the sweep fallback), which must behave identically: short writes are
-/// precisely what exercises partial-read wakeups.
+/// requests issued. Short writes are precisely what exercises
+/// partial-read wakeups.
 #[test]
 fn lossless_fault_storm_is_bitwise_transparent_and_metrics_reconcile() {
     const CLIENTS: usize = 3;
     let expected: Vec<Vec<String>> = (0..CLIENTS).map(direct_session).collect();
-    for readiness in [ReadinessBackend::Poll, ReadinessBackend::Sweep] {
-        let server = Server::start(
-            "127.0.0.1:0",
-            ServerConfig::default()
-                .with_workers(CLIENTS)
-                .with_readiness(readiness),
-        )
+    let server = Server::start("127.0.0.1:0", ServerConfig::default().with_workers(CLIENTS))
         .expect("bind ephemeral port");
-        let addr = server.addr().to_string();
-        let handles: Vec<_> = (0..CLIENTS)
-            .map(|s| {
-                let addr = addr.clone();
-                std::thread::spawn(move || drive_session(&addr, s, Some(0xC4A05 + s as u64)))
-            })
-            .collect();
-        for (s, handle) in handles.into_iter().enumerate() {
-            let got = handle.join().expect("chaos client thread");
-            assert_eq!(
-                got, expected[s],
-                "session {s} responses diverged under a lossless fault storm \
-                 on the {readiness} backend"
-            );
-        }
-        let doc = fetch_metrics(&addr);
-        let issued = CLIENTS * (1 + ROUNDS);
+    let addr = server.addr().to_string();
+    let handles: Vec<_> = (0..CLIENTS)
+        .map(|s| {
+            let addr = addr.clone();
+            std::thread::spawn(move || drive_session(&addr, s, Some(0xC4A05 + s as u64)))
+        })
+        .collect();
+    for (s, handle) in handles.into_iter().enumerate() {
+        let got = handle.join().expect("chaos client thread");
         assert_eq!(
-            doc.get("requests").and_then(serde::json::Value::as_usize),
-            Some(issued),
-            "every issued request must be answered and counted exactly once \
-             on the {readiness} backend"
+            got, expected[s],
+            "session {s} responses diverged under a lossless fault storm"
         );
-        assert_eq!(field(&doc, "responses", "ok_2xx"), issued);
-        assert_metrics_reconcile(&doc);
-        server.shutdown();
     }
+    let doc = fetch_metrics(&addr);
+    let issued = CLIENTS * (1 + ROUNDS);
+    assert_eq!(
+        doc.get("requests").and_then(serde::json::Value::as_usize),
+        Some(issued),
+        "every issued request must be answered and counted exactly once"
+    );
+    assert_eq!(field(&doc, "responses", "ok_2xx"), issued);
+    assert_metrics_reconcile(&doc);
+    server.shutdown();
 }
 
 /// One injected panic fires mid-evaluation of a power update — while the

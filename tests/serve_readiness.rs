@@ -1,41 +1,31 @@
-//! Readiness-backend suite for `ttsv-serve`: the poll(2) event loops'
-//! latency and idle-CPU properties, the nonblocking shed path, and
-//! backend reporting.
+//! Readiness suite for `ttsv-serve`: the poll(2) event loops' latency
+//! and idle-CPU properties, and the nonblocking shed path.
 //!
 //! The pinned invariants:
 //!
-//! * **No tick quantization** — on the poll backend, a request landing
-//!   on a *parked* idle keep-alive connection (well past the loops'
-//!   spin window) is answered well under `IDLE_TICK`, because the loop
-//!   blocks in `poll(2)` on the connection's fd instead of sleeping a
-//!   millisecond at a time. This is the tentpole's user-visible win.
+//! * **No tick quantization** — a request landing on a *parked* idle
+//!   keep-alive connection (well past the loops' spin window) is
+//!   answered well under [`PARKED_BOUND`], because the loop blocks in
+//!   `poll(2)` on the connection's fd instead of sleeping a millisecond
+//!   at a time.
 //! * **Idle means idle** — an idle server's per-loop wakeup counter
-//!   stays ≈ 0 over a one-second window (a sweep-style tick would make
+//!   stays ≈ 0 over a one-second window (a millisecond tick would make
 //!   ~1000/s per loop).
 //! * **Shedding never stalls admission** — a shed client that refuses
 //!   to read its 503 parks *in an event loop*, not on the accept
 //!   thread: concurrent connections keep being admitted or shed
 //!   promptly, and the stalled client's 503 still arrives.
-//! * **Backends are honest** — `/metrics` reports the backend actually
-//!   running, including the sweep fallback.
-//!
-//! The latency and idle tests are unix-only (`poll(2)` is); the shed
-//! and reporting tests run everywhere on whichever backend is native.
 
 use std::io::Read;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use ttsv::serve::client::Client;
-use ttsv::serve::server::{ReadinessBackend, Server, ServerConfig, IDLE_TICK, RETRY_AFTER_SECS};
+use ttsv::serve::server::{Server, ServerConfig, RETRY_AFTER_SECS};
 
-/// Reads `/metrics` through a clean client and parses it.
-fn fetch_metrics(addr: &str) -> serde::json::Value {
-    let mut client = Client::connect(addr).expect("connect for metrics");
-    let (status, body) = client.request("GET", "/metrics", "").expect("metrics");
-    assert_eq!(status, 200, "{body}");
-    serde::json::from_str(&body).expect("metrics endpoint emits valid JSON")
-}
+/// The parked-request latency bound: one millisecond, the tick a
+/// timed-park event loop would quantize every parked request to.
+const PARKED_BOUND: Duration = Duration::from_millis(1);
 
 fn field(doc: &serde::json::Value, block: &str, name: &str) -> usize {
     doc.get(block)
@@ -44,35 +34,16 @@ fn field(doc: &serde::json::Value, block: &str, name: &str) -> usize {
         .unwrap_or_else(|| panic!("metrics field {block}.{name} missing"))
 }
 
-fn backend_name(doc: &serde::json::Value) -> String {
-    doc.get("readiness")
-        .and_then(|r| r.get("backend"))
-        .and_then(serde::json::Value::as_str)
-        .expect("readiness.backend field")
-        .to_string()
-}
-
 /// A request on a parked idle keep-alive connection must be answered
-/// well under the sweep backend's `IDLE_TICK` on the poll backend: the
-/// owning loop is blocked in `poll(2)` on this very fd, so the wakeup
-/// is kernel-immediate, with no millisecond tick to quantize against.
-#[cfg(unix)]
+/// well under [`PARKED_BOUND`]: the owning loop is blocked in `poll(2)`
+/// on this very fd, so the wakeup is kernel-immediate, with no
+/// millisecond tick to quantize against.
 #[test]
 fn parked_keepalive_request_beats_the_idle_tick() {
     const SAMPLES: usize = 21;
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServerConfig::default()
-            .with_workers(2)
-            .with_readiness(ReadinessBackend::Poll),
-    )
-    .expect("bind ephemeral port");
+    let server = Server::start("127.0.0.1:0", ServerConfig::default().with_workers(2))
+        .expect("bind ephemeral port");
     let addr = server.addr().to_string();
-    assert_eq!(
-        backend_name(&fetch_metrics(&addr)),
-        "poll",
-        "requested poll, expected no fallback on unix"
-    );
 
     let mut client = Client::connect(&addr).expect("connect");
     // Warm up: the first request pays connection adoption.
@@ -96,15 +67,14 @@ fn parked_keepalive_request_beats_the_idle_tick() {
     samples_ns.sort_unstable();
     let median =
         Duration::from_nanos(u64::try_from(samples_ns[SAMPLES / 2]).expect("sub-second sample"));
-    // The sweep backend would add up to a full IDLE_TICK of park
-    // latency on top of the request itself; the poll backend's median
-    // must land clearly below the tick, i.e. no tick quantization at
-    // all. (Median, not max: one preemption on a loaded CI box must
-    // not fail the suite.)
+    // A ticking loop would add up to a full millisecond of park latency
+    // on top of the request itself; the median must land clearly below
+    // that, i.e. no tick quantization at all. (Median, not max: one
+    // preemption on a loaded CI box must not fail the suite.)
     assert!(
-        median < IDLE_TICK,
-        "parked-request median {median:?} is not under IDLE_TICK {IDLE_TICK:?} \
-         — the poll backend is ticking, not blocking (samples: {samples_ns:?})"
+        median < PARKED_BOUND,
+        "parked-request median {median:?} is not under {PARKED_BOUND:?} \
+         — the event loop is ticking, not blocking (samples: {samples_ns:?})"
     );
     server.shutdown();
 }
@@ -112,18 +82,12 @@ fn parked_keepalive_request_beats_the_idle_tick() {
 /// An idle server makes ≈ 0 poll wakeups: with every loop blocked on
 /// far-future deadlines, a one-second quiet window adds at most the
 /// couple of wakeups our own measurement requests cause — versus the
-/// ~1000/loop a ticking sweep would burn. This is the idle-CPU smoke CI
+/// ~1000/loop a ticking loop would burn. This is the idle-CPU smoke CI
 /// runs.
-#[cfg(unix)]
 #[test]
 fn idle_server_makes_almost_no_poll_wakeups() {
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServerConfig::default()
-            .with_workers(2)
-            .with_readiness(ReadinessBackend::Poll),
-    )
-    .expect("bind ephemeral port");
+    let server = Server::start("127.0.0.1:0", ServerConfig::default().with_workers(2))
+        .expect("bind ephemeral port");
     let addr = server.addr().to_string();
 
     // One parked keep-alive connection, so the idle window also covers
@@ -138,7 +102,6 @@ fn idle_server_makes_almost_no_poll_wakeups() {
     let (status, before) = observer.request("GET", "/metrics", "").expect("before");
     assert_eq!(status, 200);
     let before: serde::json::Value = serde::json::from_str(&before).expect("metrics JSON");
-    assert_eq!(backend_name(&before), "poll");
 
     std::thread::sleep(Duration::from_secs(1));
 
@@ -263,55 +226,4 @@ fn stalled_shed_client_does_not_stall_admission() {
     );
     assert_eq!(field(&doc, "readiness", "adopt_errors"), 0);
     server.shutdown();
-}
-
-/// `/metrics` reports the backend actually running: an explicit sweep
-/// request is honored everywhere, and the wakeup counters stay zero
-/// there (sweep never blocks in poll).
-#[test]
-fn sweep_backend_is_reported_and_never_counts_poll_wakeups() {
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServerConfig::default()
-            .with_workers(2)
-            .with_readiness(ReadinessBackend::Sweep),
-    )
-    .expect("bind ephemeral port");
-    let addr = server.addr().to_string();
-    let mut client = Client::connect(&addr).expect("connect");
-    for _ in 0..3 {
-        let (status, _) = client.request("GET", "/healthz", "").expect("request");
-        assert_eq!(status, 200);
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    let doc = fetch_metrics(&addr);
-    assert_eq!(backend_name(&doc), "sweep");
-    assert_eq!(
-        field(&doc, "readiness", "poll_wakeups"),
-        0,
-        "the sweep backend never blocks in poll(2)"
-    );
-    assert_eq!(field(&doc, "readiness", "spurious_wakeups"), 0);
-    server.shutdown();
-}
-
-/// The CLI surface round-trips: every name the `--readiness` flag
-/// accepts parses, unknown names are rejected, and the parsed backend
-/// displays back as the same name `/metrics` uses.
-#[test]
-fn readiness_backend_names_round_trip() {
-    assert_eq!(
-        "poll".parse::<ReadinessBackend>().expect("poll parses"),
-        ReadinessBackend::Poll
-    );
-    assert_eq!(
-        "sweep".parse::<ReadinessBackend>().expect("sweep parses"),
-        ReadinessBackend::Sweep
-    );
-    assert_eq!(ReadinessBackend::Poll.to_string(), "poll");
-    assert_eq!(ReadinessBackend::Sweep.to_string(), "sweep");
-    let err = "epoll"
-        .parse::<ReadinessBackend>()
-        .expect_err("unknown name");
-    assert!(err.contains("epoll"), "error names the bad input: {err}");
 }

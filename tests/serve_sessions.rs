@@ -17,7 +17,7 @@ use proptest::prelude::*;
 use ttsv::serve::client::{trace_power_body, trace_register_body, Client};
 use ttsv::serve::lru::LruCache;
 use ttsv::serve::protocol::{apply_delta, parse_power_update, parse_register};
-use ttsv::serve::server::{ReadinessBackend, Server, ServerConfig};
+use ttsv::serve::server::{Server, ServerConfig};
 use ttsv_chip::ChipEngine;
 
 const GRID: usize = 4;
@@ -167,43 +167,39 @@ fn delta_responses_reconcile_bitwise_with_full_reports() {
 
 /// The multiplexed path at 32 concurrent connections: responses stay
 /// bitwise deterministic no matter how many workers, event loops, or
-/// session shards serve them — and identically on both readiness
-/// backends (real `poll(2)` and the portable sweep fallback), since
-/// every body compares against the same direct-evaluation ground truth.
+/// session shards serve them, since every body compares against the same
+/// direct-evaluation ground truth.
 #[test]
 fn thirty_two_concurrent_connections_stay_deterministic() {
     const FANOUT: usize = 32;
     let expected: Vec<Vec<String>> = (0..FANOUT).map(direct_session).collect();
-    for readiness in [ReadinessBackend::Poll, ReadinessBackend::Sweep] {
-        for (workers, event_loops, shards) in [(1, 1, 1), (2, 2, 8), (4, 3, 5)] {
-            let server = Server::start(
-                "127.0.0.1:0",
-                ServerConfig::default()
-                    .with_workers(workers)
-                    .with_event_loops(event_loops)
-                    .with_session_shards(shards)
-                    .with_max_connections(2 * FANOUT)
-                    .with_queue_capacity(2 * FANOUT)
-                    .with_readiness(readiness),
-            )
-            .expect("bind ephemeral port");
-            let addr = server.addr().to_string();
-            let handles: Vec<_> = (0..FANOUT)
-                .map(|s| {
-                    let addr = addr.clone();
-                    std::thread::spawn(move || drive_session(&addr, s))
-                })
-                .collect();
-            for (s, handle) in handles.into_iter().enumerate() {
-                let got = handle.join().expect("client thread");
-                assert_eq!(
-                    got, expected[s],
-                    "session {s} diverged at {workers} workers / {event_loops} loops / \
-                     {shards} shards on the {readiness} backend"
-                );
-            }
-            server.shutdown();
+    for (workers, event_loops, shards) in [(1, 1, 1), (2, 2, 8), (4, 3, 5)] {
+        let server = Server::start(
+            "127.0.0.1:0",
+            ServerConfig::default()
+                .with_workers(workers)
+                .with_event_loops(event_loops)
+                .with_session_shards(shards)
+                .with_max_connections(2 * FANOUT)
+                .with_queue_capacity(2 * FANOUT),
+        )
+        .expect("bind ephemeral port");
+        let addr = server.addr().to_string();
+        let handles: Vec<_> = (0..FANOUT)
+            .map(|s| {
+                let addr = addr.clone();
+                std::thread::spawn(move || drive_session(&addr, s))
+            })
+            .collect();
+        for (s, handle) in handles.into_iter().enumerate() {
+            let got = handle.join().expect("client thread");
+            assert_eq!(
+                got, expected[s],
+                "session {s} diverged at {workers} workers / {event_loops} loops / \
+                 {shards} shards"
+            );
         }
+        server.shutdown();
     }
 }
 
