@@ -301,7 +301,10 @@ fn main() {
     // `sustained_32req` prices a 32-request warm burst on one
     // connection (requests/sec ≈ 32e9 / median_ns); `sustained_fanout`
     // prices the same 32 updates arriving concurrently on 32 keep-alive
-    // connections through the multiplexed event loops.
+    // connections through the multiplexed event loops;
+    // `warm_delta_response/grid{12,32,64}` repeat the delta-response
+    // update on sessions of growing size — a warm update costs what it
+    // changes, so the curve stays flat.
     {
         use ttsv::serve::client::{trace_power_body, Client};
         use ttsv::serve::protocol::render_register_body;
@@ -312,21 +315,22 @@ fn main() {
         // and via density (both cache tiers miss), solved with the
         // paper's deep B(1000) model — the same model warm deltas then
         // reuse, so the cold/warm gap prices the caching, not the model.
-        let register_body = |session: usize| -> String {
-            let tiles = (GRID * GRID) as f64;
+        let register_grid = |grid: usize, session: usize| -> String {
+            let tiles = (grid * grid) as f64;
             let scale = 1.0 + session as f64 * 0.01;
             let planes: Vec<Vec<f64>> = [70.0, 7.0, 7.0]
                 .iter()
                 .map(|&total| {
-                    (0..GRID * GRID)
+                    (0..grid * grid)
                         .map(|i| scale * (total / tiles) * (0.5 + i as f64 / tiles))
                         .collect()
                 })
                 .collect();
             let density = 0.004 + session as f64 * 1e-5;
-            let body = render_register_body(GRID, GRID, &planes, density);
+            let body = render_register_body(grid, grid, &planes, density);
             format!("{},\"segments\":[10,1000]}}", &body[..body.len() - 1])
         };
+        let register_body = |session: usize| register_grid(GRID, session);
         let config = ServerConfig::default()
             .with_workers(2)
             .with_max_sessions(128)
@@ -344,15 +348,15 @@ fn main() {
             assert_eq!(status, 201, "{body}");
             body
         });
-        let (status, body) = client
-            .request("POST", "/sessions", &register_body(session + 1))
-            .expect("register");
-        assert_eq!(status, 201, "{body}");
-        let warm_id: u64 = body
-            .strip_prefix("{\"session\":")
-            .and_then(|rest| rest.split(',').next())
-            .and_then(|id| id.parse().ok())
-            .expect("session id in register response");
+        let register = |client: &mut Client, body: &str| -> u64 {
+            let (status, body) = client.request("POST", "/sessions", body).expect("register");
+            assert_eq!(status, 201, "{body}");
+            body.strip_prefix("{\"session\":")
+                .and_then(|rest| rest.split(',').next())
+                .and_then(|id| id.parse().ok())
+                .expect("session id in register response")
+        };
+        let warm_id = register(&mut client, &register_body(session + 1));
         let warm_session = session + 1;
         // `?full=1` keeps warm_delta and sustained_32req on the PR-6
         // wire format (full report per update) so their baselines still
@@ -379,6 +383,20 @@ fn main() {
             }
             warm_post(&mut client, &full_path)
         });
+        for grid in [12, 32, 64] {
+            let session = 3000 + grid;
+            let id = register(&mut client, &register_grid(grid, session));
+            let path = format!("/sessions/{id}/power");
+            let mut round = 0usize;
+            sampler.bench(&format!("serve/warm_delta_response/grid{grid}"), || {
+                round += 1;
+                let (status, body) = client
+                    .request("POST", &path, &trace_power_body(grid, session, round))
+                    .expect("power update");
+                assert_eq!(status, 200, "{body}");
+                body
+            });
+        }
         // 32 live sessions on 32 keep-alive connections; each sample
         // fires one delta per connection concurrently, so the row prices
         // the event loops' ability to overlap requests, not one socket's
@@ -386,16 +404,7 @@ fn main() {
         let mut fan: Vec<(u64, Client)> = (0..FANOUT)
             .map(|i| {
                 let mut c = Client::connect(&addr).expect("connect fanout client");
-                let (status, body) = c
-                    .request("POST", "/sessions", &register_body(1000 + i))
-                    .expect("register fanout session");
-                assert_eq!(status, 201, "{body}");
-                let id: u64 = body
-                    .strip_prefix("{\"session\":")
-                    .and_then(|rest| rest.split(',').next())
-                    .and_then(|id| id.parse().ok())
-                    .expect("session id in register response");
-                (id, c)
+                (register(&mut c, &register_body(1000 + i)), c)
             })
             .collect();
         let mut fan_round = 0usize;
@@ -463,15 +472,7 @@ fn main() {
         .expect("bind journaled server");
         let journaled_addr = journaled_server.addr().to_string();
         let mut journaled = Client::connect(&journaled_addr).expect("connect journaled client");
-        let (status, body) = journaled
-            .request("POST", "/sessions", &register_body(2000))
-            .expect("register journaled session");
-        assert_eq!(status, 201, "{body}");
-        let journaled_id: u64 = body
-            .strip_prefix("{\"session\":")
-            .and_then(|rest| rest.split(',').next())
-            .and_then(|id| id.parse().ok())
-            .expect("session id in register response");
+        let journaled_id = register(&mut journaled, &register_body(2000));
         let journaled_path = format!("/sessions/{journaled_id}/power");
         let mut journaled_round = 0usize;
         sampler.bench("serve/warm_delta_journaled", || {

@@ -20,6 +20,11 @@
 //!   scenario tier) collapses onto one factorization per distinct via
 //!   density.
 //!
+//! [`ChipEngine::evaluate_live`] runs the factored evaluation once and
+//! returns a [`LiveChip`]; its sparse updates send only the changed
+//! tiles through both tiers, so a serving update never re-keys the
+//! whole chip.
+//!
 //! Both tiers are transparent: for deterministic models every cached
 //! value is bit-identical to a fresh solve (the property suites compare
 //! the paths bitwise), so caching changes cost, never results. The
@@ -40,6 +45,7 @@ use ttsv_units::Power;
 use ttsv_validate::sweep::{default_workers, run_batch_with_workers};
 
 use crate::floorplan::{CellKey, Floorplan};
+use crate::live::{key_hash, CellCounts, LiveChip};
 use crate::report::ChipReport;
 
 /// A cross-call cache key: the model's cache tag (interned per call)
@@ -67,7 +73,7 @@ impl std::hash::Hash for EngineKey {
 /// wide margin on the per-tile hot path (keys are exact — the hash only
 /// picks buckets, equality still compares every bit).
 #[derive(Default)]
-struct KeyHasher(u64);
+pub(crate) struct KeyHasher(u64);
 
 impl Hasher for KeyHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -104,7 +110,7 @@ impl Hasher for KeyHasher {
     }
 }
 
-type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
+pub(crate) type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
 /// The engine's persistent caches (behind one mutex — all bookkeeping
 /// happens on the coordinating thread, workers only solve).
@@ -335,63 +341,83 @@ impl ChipEngine {
         (caches.scenario.len(), caches.matrix.len())
     }
 
-    /// Gathers the distinct unit cells of a plan: per tile the index into
-    /// the distinct list, plus each distinct cell's representative tile
-    /// and full cache key.
-    #[allow(clippy::type_complexity)]
+    /// Gathers the distinct unit cells among `tiles` (row-major indices):
+    /// per tile the index into the distinct list, each distinct cell's
+    /// representative tile and full cache key, and (with dedup on) the
+    /// cell-key → distinct-index map.
     fn distinct_cells(
         &self,
         plan: &Floorplan,
         tag: &Arc<str>,
-    ) -> (Vec<usize>, Vec<((usize, usize), EngineKey)>, f64) {
-        let (nx, ny) = (plan.nx(), plan.ny());
+        tiles: impl ExactSizeIterator<Item = usize>,
+    ) -> DistinctCells {
+        let nx = plan.nx();
         let geometry = plan.geometry_bits();
-        let mut cell_of = Vec::with_capacity(nx * ny);
-        let mut distinct: Vec<((usize, usize), EngineKey)> = Vec::new();
-        let mut seen: KeyMap<CellKey, usize> = KeyMap::default();
-        seen.reserve(nx * ny);
-        let mut total_vias = 0.0;
-        for iy in 0..ny {
-            for ix in 0..nx {
-                total_vias += plan.cells_in_tile(ix, iy);
-                let key = plan.cell_key(ix, iy);
-                let index = if self.dedup {
-                    match seen.entry(key) {
-                        Entry::Occupied(entry) => *entry.get(),
-                        Entry::Vacant(entry) => {
-                            let index = distinct.len();
-                            let mut bits =
-                                Vec::with_capacity(geometry.len() + entry.key().bits().len());
-                            bits.extend_from_slice(&geometry);
-                            bits.extend_from_slice(entry.key().bits());
-                            distinct.push((
-                                (ix, iy),
-                                EngineKey {
-                                    tag: tag.clone(),
-                                    bits,
-                                },
-                            ));
-                            entry.insert(index);
-                            index
-                        }
+        let engine_key = |key: &CellKey| {
+            let mut bits = Vec::with_capacity(geometry.len() + key.bits().len());
+            bits.extend_from_slice(&geometry);
+            bits.extend_from_slice(key.bits());
+            EngineKey {
+                tag: tag.clone(),
+                bits,
+            }
+        };
+        let mut out = DistinctCells {
+            cell_of: Vec::with_capacity(tiles.len()),
+            cells: Vec::new(),
+            seen: KeyMap::default(),
+        };
+        if self.dedup {
+            out.seen.reserve(tiles.len());
+        }
+        for t in tiles {
+            let (ix, iy) = (t % nx, t / nx);
+            let key = plan.cell_key(ix, iy);
+            let index = if self.dedup {
+                match out.seen.entry(key) {
+                    Entry::Occupied(entry) => *entry.get(),
+                    Entry::Vacant(entry) => {
+                        let index = out.cells.len();
+                        out.cells.push(((ix, iy), engine_key(entry.key())));
+                        entry.insert(index);
+                        index
                     }
-                } else {
-                    let mut bits = Vec::with_capacity(geometry.len() + key.bits().len());
-                    bits.extend_from_slice(&geometry);
-                    bits.extend_from_slice(key.bits());
-                    distinct.push((
-                        (ix, iy),
-                        EngineKey {
-                            tag: tag.clone(),
-                            bits,
-                        },
-                    ));
-                    distinct.len() - 1
-                };
-                cell_of.push(index);
+                }
+            } else {
+                out.cells.push(((ix, iy), engine_key(&key)));
+                out.cells.len() - 1
+            };
+            out.cell_of.push(index);
+        }
+        out
+    }
+
+    /// The scenario-tier pass: each distinct cell's cached `ΔT` (`NaN`
+    /// where the tier misses) plus the indices still to solve. With dedup
+    /// off the tier is bypassed and every cell misses uncounted.
+    fn lookup_scenarios(&self, cells: &[((usize, usize), EngineKey)]) -> (Vec<f64>, Vec<usize>) {
+        let mut cell_delta_t = vec![f64::NAN; cells.len()];
+        if !self.dedup {
+            return (cell_delta_t, (0..cells.len()).collect());
+        }
+        let mut misses: Vec<usize> = Vec::new();
+        {
+            // Only cache lookups run under the lock; scenario and
+            // matrix-key construction happen after it drops, so
+            // concurrent evaluations on a shared engine don't serialize.
+            let caches = self.caches.lock().expect("engine cache lock");
+            for (i, (_, key)) in cells.iter().enumerate() {
+                match caches.scenario.get(key) {
+                    Some(&dt) => cell_delta_t[i] = dt,
+                    None => misses.push(i),
+                }
             }
         }
-        (cell_of, distinct, total_vias)
+        self.scenario_hits
+            .fetch_add(cells.len() - misses.len(), Ordering::Relaxed);
+        self.scenario_misses
+            .fetch_add(misses.len(), Ordering::Relaxed);
+        (cell_delta_t, misses)
     }
 
     /// Evaluates every tile's unit cell and assembles the chip `ΔT` map,
@@ -408,37 +434,12 @@ impl ChipEngine {
         model: &(dyn ThermalModel + Sync),
     ) -> Result<ChipReport, CoreError> {
         let tag: Arc<str> = Arc::from(model.cache_tag());
-        let (cell_of, distinct, total_vias) = self.distinct_cells(plan, &tag);
-        let distinct_count = distinct.len();
-
-        // Partition the distinct cells into cache hits and cells to
-        // solve. With dedup off the cache is bypassed entirely.
-        let mut cell_delta_t = vec![f64::NAN; distinct_count];
-        let mut misses: Vec<usize> = Vec::new();
-        {
-            // Only cache lookups run under the lock; scenario
-            // construction (allocation-heavy) happens after it drops, so
-            // concurrent evaluations on a shared engine don't serialize.
-            let caches = self.caches.lock().expect("engine cache lock");
-            for (i, (_, key)) in distinct.iter().enumerate() {
-                if self.dedup {
-                    if let Some(&dt) = caches.scenario.get(key) {
-                        cell_delta_t[i] = dt;
-                        continue;
-                    }
-                }
-                misses.push(i);
-            }
-        }
-        if self.dedup {
-            self.scenario_hits
-                .fetch_add(distinct_count - misses.len(), Ordering::Relaxed);
-            self.scenario_misses
-                .fetch_add(misses.len(), Ordering::Relaxed);
-        }
+        let distinct = self.distinct_cells(plan, &tag, 0..plan.tiles());
+        let distinct_count = distinct.cells.len();
+        let (mut cell_delta_t, misses) = self.lookup_scenarios(&distinct.cells);
         let mut to_solve: Vec<(usize, Scenario)> = Vec::with_capacity(misses.len());
         for i in misses {
-            let (ix, iy) = distinct[i].0;
+            let (ix, iy) = distinct.cells[i].0;
             to_solve.push((i, plan.tile_cell(ix, iy)?.scenario));
         }
 
@@ -454,17 +455,14 @@ impl ChipEngine {
         if self.dedup {
             // One pass moves every key into the cache (re-inserting a
             // hit rewrites the same value — harmless and branch-free).
-            self.cache_scenarios(distinct, &cell_delta_t, solved.len());
+            self.cache_scenarios(distinct.cells, &cell_delta_t, solved.len());
         }
-
-        let delta_t: Vec<f64> = cell_of.iter().map(|&i| cell_delta_t[i]).collect();
-        Ok(ChipReport::from_tiles(
+        Ok(assemble(
+            plan,
             model.name(),
-            plan.nx(),
-            plan.ny(),
-            delta_t,
+            &distinct.cell_of,
+            &cell_delta_t,
             distinct_count,
-            total_vias,
         ))
     }
 
@@ -485,43 +483,86 @@ impl ChipEngine {
         plan: &Floorplan,
         model: &M,
     ) -> Result<ChipReport, CoreError> {
+        self.evaluate_counted(plan, model, false)
+            .map(|(report, _)| report)
+    }
+
+    /// [`ChipEngine::evaluate_factored`], keeping what a later sparse
+    /// power update needs to patch the report in place: see
+    /// [`LiveChip`]. The report is the one `evaluate_factored` returns.
+    ///
+    /// # Errors
+    ///
+    /// As [`ChipEngine::evaluate_factored`].
+    pub fn evaluate_live<M: PowerSeparableModel + Sync>(
+        &self,
+        plan: &Floorplan,
+        model: &M,
+    ) -> Result<LiveChip, CoreError> {
+        let (report, key_counts) = self.evaluate_counted(plan, model, self.dedup)?;
+        Ok(LiveChip::new(report, key_counts))
+    }
+
+    /// The full factored evaluation, plus — when `count` is set and dedup
+    /// is on — the per-key tile counts a [`LiveChip`] holds. The counts
+    /// are built, and the transient key map dropped, before any solve
+    /// allocates.
+    fn evaluate_counted<M: PowerSeparableModel + Sync>(
+        &self,
+        plan: &Floorplan,
+        model: &M,
+        count: bool,
+    ) -> Result<(ChipReport, Option<CellCounts>), CoreError> {
         let tag: Arc<str> = Arc::from(model.cache_tag());
-        let (cell_of, distinct, total_vias) = self.distinct_cells(plan, &tag);
-        let distinct_count = distinct.len();
+        let DistinctCells {
+            cell_of,
+            cells,
+            seen,
+        } = self.distinct_cells(plan, &tag, 0..plan.tiles());
+        let key_counts = (count && self.dedup).then(|| CellCounts::new(&cell_of, seen, key_hash));
+        let distinct_count = cells.len();
+        let cell_delta_t = self.solve_factored(plan, model, &tag, cells)?;
+        let report = assemble(plan, model.name(), &cell_of, &cell_delta_t, distinct_count);
+        Ok((report, key_counts))
+    }
+
+    /// Re-solves the unit cells of `tiles` (row-major indices) through
+    /// both cache tiers, deduplicated and batched like a full
+    /// evaluation, returning each tile's `ΔT` — the k-tile solve behind
+    /// [`LiveChip::apply`].
+    pub(crate) fn solve_tiles<M: PowerSeparableModel + Sync>(
+        &self,
+        plan: &Floorplan,
+        model: &M,
+        tiles: &[usize],
+    ) -> Result<Vec<f64>, CoreError> {
+        let tag: Arc<str> = Arc::from(model.cache_tag());
+        let distinct = self.distinct_cells(plan, &tag, tiles.iter().copied());
+        let cell_delta_t = self.solve_factored(plan, model, &tag, distinct.cells)?;
+        Ok(distinct.cell_of.iter().map(|&i| cell_delta_t[i]).collect())
+    }
+
+    /// The factored pipeline over a set of distinct cells: scenario tier,
+    /// then the matrix tier for the misses, then batched
+    /// back-substitutions, publishing the new scenario entries. Returns
+    /// each distinct cell's `ΔT`.
+    fn solve_factored<M: PowerSeparableModel + Sync>(
+        &self,
+        plan: &Floorplan,
+        model: &M,
+        tag: &Arc<str>,
+        cells: Vec<((usize, usize), EngineKey)>,
+    ) -> Result<Vec<f64>, CoreError> {
         let geometry = plan.geometry_bits();
         let workers = self.workers.unwrap_or_else(default_workers);
-
-        // Scenario-tier pass: collect the distinct cells that still need
-        // a solve. Only cache lookups run under the lock (same convention
-        // as `evaluate`); matrix-key construction and grouping happen
-        // after it drops, so concurrent evaluations don't serialize.
-        let mut cell_delta_t = vec![f64::NAN; distinct_count];
-        let mut misses: Vec<usize> = Vec::new();
-        {
-            let caches = self.caches.lock().expect("engine cache lock");
-            for (i, (_, key)) in distinct.iter().enumerate() {
-                if self.dedup {
-                    if let Some(&dt) = caches.scenario.get(key) {
-                        cell_delta_t[i] = dt;
-                        continue;
-                    }
-                }
-                misses.push(i);
-            }
-        }
-        if self.dedup {
-            self.scenario_hits
-                .fetch_add(distinct_count - misses.len(), Ordering::Relaxed);
-            self.scenario_misses
-                .fetch_add(misses.len(), Ordering::Relaxed);
-        }
+        let (mut cell_delta_t, misses) = self.lookup_scenarios(&cells);
         let mut to_solve: Vec<(usize, (usize, usize))> = Vec::with_capacity(misses.len());
         let mut matrix_keys: Vec<EngineKey> = Vec::new();
         let mut matrix_index: KeyMap<EngineKey, usize> = KeyMap::default();
         let mut matrix_of: Vec<usize> = Vec::new();
         let mut matrix_rep: Vec<(usize, usize)> = Vec::new();
         for i in misses {
-            let (ix, iy) = distinct[i].0;
+            let (ix, iy) = cells[i].0;
             let mut bits = geometry.clone();
             bits.push(plan.matrix_bits(ix, iy));
             let mkey = EngineKey {
@@ -625,19 +666,42 @@ impl ChipEngine {
 
         if self.dedup {
             // One pass moves every key into the scenario cache.
-            self.cache_scenarios(distinct, &cell_delta_t, to_solve.len());
+            self.cache_scenarios(cells, &cell_delta_t, to_solve.len());
         }
-
-        let delta_t: Vec<f64> = cell_of.iter().map(|&i| cell_delta_t[i]).collect();
-        Ok(ChipReport::from_tiles(
-            model.name(),
-            plan.nx(),
-            plan.ny(),
-            delta_t,
-            distinct_count,
-            total_vias,
-        ))
+        Ok(cell_delta_t)
     }
+}
+
+/// The distinct unit cells among a set of tiles (see
+/// [`ChipEngine::distinct_cells`]).
+struct DistinctCells {
+    /// Per input tile, its index into `cells`.
+    cell_of: Vec<usize>,
+    /// Per distinct cell: a representative tile `(ix, iy)` and its cache
+    /// key.
+    cells: Vec<((usize, usize), EngineKey)>,
+    /// With dedup on, each distinct cell key → its index in `cells`.
+    seen: KeyMap<CellKey, usize>,
+}
+
+/// Scatters per-distinct-cell results back onto the tiles and builds the
+/// chip report.
+fn assemble(
+    plan: &Floorplan,
+    model: String,
+    cell_of: &[usize],
+    cell_delta_t: &[f64],
+    distinct_cells: usize,
+) -> ChipReport {
+    let delta_t: Vec<f64> = cell_of.iter().map(|&i| cell_delta_t[i]).collect();
+    ChipReport::from_tiles(
+        model,
+        plan.nx(),
+        plan.ny(),
+        delta_t,
+        distinct_cells,
+        plan.via_count(),
+    )
 }
 
 #[cfg(test)]

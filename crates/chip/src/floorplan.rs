@@ -52,6 +52,13 @@ impl CellKey {
     pub(crate) fn bits(&self) -> &[u64] {
         &self.0
     }
+
+    /// The same key with plane `plane`'s power replaced by `p`.
+    pub(crate) fn with_plane_power(&self, plane: usize, p: Power) -> Self {
+        let mut bits = self.0.clone();
+        bits[1 + plane] = p.as_watts().to_bits();
+        Self(bits)
+    }
 }
 
 impl Floorplan {
@@ -285,6 +292,13 @@ impl Floorplan {
         Ok(())
     }
 
+    /// Overwrites one tile (row-major `index`) of plane `plane` with an
+    /// already validated power, returning the previous value — the
+    /// in-place move behind [`LiveChip::apply`](crate::LiveChip::apply).
+    pub(crate) fn replace_tile_power(&mut self, plane: usize, index: usize, p: Power) -> Power {
+        self.plane_maps[plane].replace(index, p)
+    }
+
     /// The exact bit patterns of everything geometric the tile-cell
     /// construction reads besides per-tile maps: footprint, layer
     /// thicknesses, TSV configuration (radius, liner, count, material
@@ -314,6 +328,21 @@ impl Floorplan {
     /// tier.
     pub(crate) fn matrix_bits(&self, ix: usize, iy: usize) -> u64 {
         self.via_map.get(ix, iy).to_bits()
+    }
+
+    /// Whether row-major tile `index` holds `key` — [`Floorplan::cell_key`]
+    /// compared without building it.
+    pub(crate) fn tile_has_key(&self, index: usize, key: &CellKey) -> bool {
+        let (density, powers) = key
+            .bits()
+            .split_first()
+            .expect("a key starts with the density");
+        self.via_map.tiles()[index].to_bits() == *density
+            && self
+                .plane_maps
+                .iter()
+                .zip(powers)
+                .all(|(m, &p)| m.tiles()[index].as_watts().to_bits() == p)
     }
 
     /// The dedup key of tile `(ix, iy)`: the exact bit patterns of its

@@ -20,7 +20,10 @@
 //!   cross-call cache tiers**,
 //! * [`ChipReport`] — the full-chip `ΔT` map with hotspot statistics
 //!   (max / p99 / mean, argmax tile), JSON-serializable for downstream
-//!   serving.
+//!   serving,
+//! * [`LiveChip`] — a report held across sparse power updates: each
+//!   update re-solves only the tiles it changes and patches the report in
+//!   place, bit-identical to a full re-evaluation.
 //!
 //! # The two cache tiers
 //!
@@ -73,10 +76,12 @@
 
 pub mod engine;
 pub mod floorplan;
+pub mod live;
 pub mod map;
 pub mod report;
 
 pub use engine::ChipEngine;
 pub use floorplan::{Floorplan, TileCell};
+pub use live::LiveChip;
 pub use map::{PowerMap, ViaDensityMap};
 pub use report::ChipReport;

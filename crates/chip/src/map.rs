@@ -41,12 +41,24 @@ impl PowerMap {
     /// mismatch, or any negative / non-finite entry.
     pub fn new(nx: usize, ny: usize, tiles: Vec<Power>) -> Result<Self, CoreError> {
         check_grid("power map", nx, ny, tiles.len())?;
-        if let Some(p) = tiles.iter().find(|p| !p.is_finite() || p.as_watts() < 0.0) {
+        tiles.iter().try_for_each(|&p| Self::check_power(p))?;
+        Ok(Self { nx, ny, tiles })
+    }
+
+    /// Validates one tile power the way [`PowerMap::new`] validates every
+    /// entry — the shared check for sparse tile updates.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidFloorplan`] for a negative or
+    /// non-finite power.
+    pub fn check_power(p: Power) -> Result<(), CoreError> {
+        if !p.is_finite() || p.as_watts() < 0.0 {
             return Err(CoreError::InvalidFloorplan {
                 reason: format!("power-map entries must be finite and non-negative, got {p}"),
             });
         }
-        Ok(Self { nx, ny, tiles })
+        Ok(())
     }
 
     /// A uniform map dissipating `total` split evenly across the tiles.
@@ -119,6 +131,12 @@ impl PowerMap {
     #[must_use]
     pub fn tiles(&self) -> &[Power] {
         &self.tiles
+    }
+
+    /// Overwrites row-major tile `index` with an already validated power,
+    /// returning the previous value.
+    pub(crate) fn replace(&mut self, index: usize, p: Power) -> Power {
+        std::mem::replace(&mut self.tiles[index], p)
     }
 }
 

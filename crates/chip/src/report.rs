@@ -28,8 +28,11 @@ pub struct ChipReport {
     pub argmax_iy: usize,
     /// Total vias on the chip (fractional, per the density idealization).
     pub total_vias: f64,
-    /// Distinct unit cells actually solved (≤ `tiles`; equality means the
-    /// dedup cache found nothing to share).
+    /// Distinct unit cells in the plan — tiles with bit-identical via
+    /// density and per-plane powers count once, whether this evaluation
+    /// solved them or read them from the engine's caches (`≤ tiles`;
+    /// equality means no two tiles share a cell, and it always holds with
+    /// dedup disabled).
     pub distinct_cells: usize,
     /// Total tile count, `nx · ny`.
     pub tiles: usize,
@@ -54,32 +57,72 @@ impl ChipReport {
         let tiles = nx * ny;
         assert!(tiles > 0, "a chip report needs at least one tile");
         assert_eq!(delta_t.len(), tiles, "ΔT map must cover every tile");
+        let mut report = Self {
+            model,
+            nx,
+            ny,
+            max_delta_t: f64::NAN,
+            mean_delta_t: f64::NAN,
+            p99_delta_t: f64::NAN,
+            argmax_ix: 0,
+            argmax_iy: 0,
+            total_vias,
+            distinct_cells,
+            tiles,
+            delta_t,
+        };
+        report.summarize();
+        report
+    }
 
+    /// Writes new `ΔT` values into `tiles` (row-major indices) in place
+    /// and re-derives the summary statistics with the same pass
+    /// [`ChipReport::from_tiles`] runs, so the result is bit-identical to
+    /// a report assembled from scratch. Returns the indices whose value
+    /// changed bitwise, in the order of `tiles`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is outside the map.
+    pub(crate) fn patch(
+        &mut self,
+        tiles: &[usize],
+        values: &[f64],
+        distinct_cells: usize,
+    ) -> Vec<usize> {
+        let mut changed = Vec::new();
+        for (&t, &v) in tiles.iter().zip(values) {
+            if self.delta_t[t].to_bits() != v.to_bits() {
+                self.delta_t[t] = v;
+                changed.push(t);
+            }
+        }
+        if !changed.is_empty() {
+            self.summarize();
+        }
+        self.distinct_cells = distinct_cells;
+        changed
+    }
+
+    /// Max (first hit in row-major order), argmax, mean (row-major
+    /// summation) and nearest-rank p99 of the `ΔT` map.
+    fn summarize(&mut self) {
         let mut max_delta_t = f64::NEG_INFINITY;
         let mut argmax = 0;
         let mut sum = 0.0;
-        for (i, &dt) in delta_t.iter().enumerate() {
+        for (i, &dt) in self.delta_t.iter().enumerate() {
             sum += dt;
             if dt > max_delta_t {
                 max_delta_t = dt;
                 argmax = i;
             }
         }
-        let mut scratch = delta_t.clone();
-        Self {
-            model,
-            nx,
-            ny,
-            max_delta_t,
-            mean_delta_t: sum / tiles as f64,
-            p99_delta_t: percentile(&mut scratch, 0.99),
-            argmax_ix: argmax % nx,
-            argmax_iy: argmax / nx,
-            total_vias,
-            distinct_cells,
-            tiles,
-            delta_t,
-        }
+        let mut scratch = self.delta_t.clone();
+        self.max_delta_t = max_delta_t;
+        self.mean_delta_t = sum / self.tiles as f64;
+        self.p99_delta_t = percentile(&mut scratch, 0.99);
+        self.argmax_ix = argmax % self.nx;
+        self.argmax_iy = argmax / self.nx;
     }
 
     /// The `ΔT` of tile `(ix, iy)` in kelvin.

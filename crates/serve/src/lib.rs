@@ -20,8 +20,10 @@
 //!   to a bounded long-lived
 //!   [`WorkerPool`](ttsv_validate::pool::WorkerPool), shared capped
 //!   [`ChipEngine`](ttsv_chip::ChipEngine), sharded exact-LRU session
-//!   table with quotas, transactional power updates (staged, rolled
-//!   back on failure), `GET /metrics`,
+//!   table with quotas, per-session held reports
+//!   ([`LiveChip`](ttsv_chip::LiveChip)) that power updates patch in
+//!   place — re-solving only the changed tiles, staged and rolled back
+//!   on failure — and `GET /metrics`,
 //! * [`poller`] — real `poll(2)` readiness for the event loops (a
 //!   hand-rolled std-only binding plus a self-pipe waker; the crate
 //!   builds only on Unix),

@@ -10,7 +10,8 @@
 //! * **Power delta** (`POST /sessions/{id}/power`): `{"plane": j,
 //!   "tiles": [W…]}` replaces plane `j`'s whole map, or `{"plane": j,
 //!   "updates": [[ix, iy, W]…]}` patches individual tiles — the cheap
-//!   serving move: unchanged tiles stay cache-hot in the engine.
+//!   serving move: [`parse_power_sparse`] yields just the named tiles,
+//!   and only those re-solve.
 //!
 //! Every validation failure is a [`ProtocolError`] (HTTP 400 with the
 //! message in an `{"error": …}` body) — malformed JSON, wrong shapes,
@@ -161,17 +162,49 @@ pub fn parse_register(body: &[u8]) -> Result<SessionSpec, ProtocolError> {
     Ok(SessionSpec { plan, model })
 }
 
-/// Parses a `POST /sessions/{id}/power` delta body against the session's
-/// current floorplan, returning the plane index and its replacement map.
+/// A parsed `POST /sessions/{id}/power` body (see [`parse_power_sparse`]).
+#[derive(Debug, Clone, PartialEq)]
+pub enum PowerUpdate {
+    /// `"updates"`: the named tiles as `(row-major index, watts)` pairs in
+    /// ascending tile order, a repeated tile resolved last-wins.
+    Tiles(Vec<(usize, Power)>),
+    /// `"tiles"`: the plane's whole replacement map.
+    Map(PowerMap),
+}
+
+impl PowerUpdate {
+    /// The update as ascending `(tile, watts)` pairs against the plane's
+    /// `current` map: a whole-map replacement keeps only the tiles whose
+    /// watts differ bitwise.
+    #[must_use]
+    pub fn into_entries(self, current: &PowerMap) -> Vec<(usize, Power)> {
+        match self {
+            Self::Tiles(entries) => entries,
+            Self::Map(map) => map
+                .tiles()
+                .iter()
+                .zip(current.tiles())
+                .enumerate()
+                .filter(|(_, (new, old))| new.as_watts().to_bits() != old.as_watts().to_bits())
+                .map(|(tile, (new, _))| (tile, *new))
+                .collect(),
+        }
+    }
+}
+
+/// Parses a `POST /sessions/{id}/power` body against the session's
+/// current floorplan without copying its maps: the plane index plus
+/// either the named tiles or the whole replacement map. The one
+/// validator behind every power-update path.
 ///
 /// # Errors
 ///
 /// Returns a [`ProtocolError`] on malformed JSON, a plane or tile index
 /// outside the grid, or power values the map constructor rejects.
-pub fn parse_power_update(
+pub fn parse_power_sparse(
     body: &[u8],
     plan: &Floorplan,
-) -> Result<(usize, PowerMap), ProtocolError> {
+) -> Result<(usize, PowerUpdate), ProtocolError> {
     let doc = parse_body(body)?;
     let plane = usize_field(&doc, "plane")?;
     if plane >= plan.plane_count() {
@@ -185,13 +218,13 @@ pub fn parse_power_update(
     if let Some(tiles) = doc.get("tiles") {
         let watts = watts_array(tiles, nx * ny, "tiles")?;
         let map = PowerMap::new(nx, ny, watts).map_err(|e| err(e.to_string()))?;
-        return Ok((plane, map));
+        return Ok((plane, PowerUpdate::Map(map)));
     }
 
     let updates = field(&doc, "updates")?
         .as_array()
         .ok_or_else(|| err("field \"updates\" must be an array of [ix, iy, watts]"))?;
-    let mut tiles: Vec<Power> = plan.plane_maps()[plane].tiles().to_vec();
+    let mut entries: Vec<(usize, Power)> = Vec::with_capacity(updates.len());
     for u in updates {
         let triple = u
             .as_array()
@@ -211,15 +244,81 @@ pub fn parse_power_update(
                 "update tile ({ix}, {iy}) outside the {nx}\u{d7}{ny} grid"
             )));
         }
-        tiles[iy * nx + ix] = Power::from_watts(w);
+        entries.push((iy * nx + ix, Power::from_watts(w)));
     }
-    let map = PowerMap::new(nx, ny, tiles).map_err(|e| err(e.to_string()))?;
+    // The stable sort keeps a repeated tile's entries in body order, so
+    // keeping the last of each run is last-wins.
+    entries.sort_by_key(|&(tile, _)| tile);
+    entries.dedup_by(|next, kept| {
+        let repeat = next.0 == kept.0;
+        if repeat {
+            *kept = *next;
+        }
+        repeat
+    });
+    // Checked after repeats resolve and in tile order: the same first
+    // offender the whole-map check would report.
+    for &(_, w) in &entries {
+        PowerMap::check_power(w).map_err(|e| err(e.to_string()))?;
+    }
+    Ok((plane, PowerUpdate::Tiles(entries)))
+}
+
+/// Parses a `POST /sessions/{id}/power` body against the session's
+/// current floorplan, returning the plane index and its replacement map
+/// (the [`parse_power_sparse`] result folded onto the current map).
+///
+/// # Errors
+///
+/// As [`parse_power_sparse`].
+pub fn parse_power_update(
+    body: &[u8],
+    plan: &Floorplan,
+) -> Result<(usize, PowerMap), ProtocolError> {
+    let (plane, update) = parse_power_sparse(body, plan)?;
+    let map = match update {
+        PowerUpdate::Map(map) => map,
+        PowerUpdate::Tiles(entries) => {
+            let mut tiles = plan.plane_maps()[plane].tiles().to_vec();
+            for (tile, watts) in entries {
+                tiles[tile] = watts;
+            }
+            PowerMap::new(plan.nx(), plan.ny(), tiles).map_err(|e| err(e.to_string()))?
+        }
+    };
     Ok((plane, map))
 }
 
 /// Renders the delta-response body for a power update: only the tiles
 /// whose `ΔT` changed bitwise between `prev` and `next`, plus `next`'s
-/// full summary statistics.
+/// full summary statistics — [`render_delta_tiles`] with the changed
+/// list computed by a bitwise diff.
+///
+/// # Panics
+///
+/// Panics if the two reports cover different tile counts — a delta only
+/// makes sense within one session, whose grid is fixed at registration.
+#[must_use]
+pub fn render_delta(prev: &ChipReport, next: &ChipReport) -> String {
+    assert_eq!(
+        prev.delta_t.len(),
+        next.delta_t.len(),
+        "delta responses require a fixed grid"
+    );
+    let changed: Vec<usize> = prev
+        .delta_t
+        .iter()
+        .zip(&next.delta_t)
+        .enumerate()
+        .filter(|(_, (p, n))| p.to_bits() != n.to_bits())
+        .map(|(i, _)| i)
+        .collect();
+    render_delta_tiles(next, &changed)
+}
+
+/// Renders the delta-response body for `next` listing the tiles in
+/// `changed` (ascending row-major indices whose `ΔT` changed bitwise since
+/// the previous report), plus `next`'s full summary statistics.
 ///
 /// The wire format (`"delta":true` is the discriminator — full reports
 /// never carry it):
@@ -237,15 +336,9 @@ pub fn parse_power_update(
 ///
 /// # Panics
 ///
-/// Panics if the two reports cover different tile counts — a delta only
-/// makes sense within one session, whose grid is fixed at registration.
+/// Panics if an index in `changed` is outside the report.
 #[must_use]
-pub fn render_delta(prev: &ChipReport, next: &ChipReport) -> String {
-    assert_eq!(
-        prev.delta_t.len(),
-        next.delta_t.len(),
-        "delta responses require a fixed grid"
-    );
+pub fn render_delta_tiles(next: &ChipReport, changed: &[usize]) -> String {
     let mut body = format!(
         "{{\"delta\":true,\"model\":{},\"nx\":{},\"ny\":{},\"tiles\":{},\"changed\":[",
         serde::json::to_string(&next.model),
@@ -253,16 +346,14 @@ pub fn render_delta(prev: &ChipReport, next: &ChipReport) -> String {
         next.ny,
         next.tiles,
     );
-    let mut first = true;
-    for (i, (p, n)) in prev.delta_t.iter().zip(&next.delta_t).enumerate() {
-        if p.to_bits() == n.to_bits() {
-            continue;
-        }
-        if !first {
+    for (k, &i) in changed.iter().enumerate() {
+        if k > 0 {
             body.push(',');
         }
-        first = false;
-        body.push_str(&format!("[{i},{}]", serde::json::to_string(n)));
+        body.push_str(&format!(
+            "[{i},{}]",
+            serde::json::to_string(&next.delta_t[i])
+        ));
     }
     body.push_str(&format!(
         "],\"max_delta_t\":{},\"mean_delta_t\":{},\"p99_delta_t\":{},\"argmax_ix\":{},\"argmax_iy\":{},\"total_vias\":{},\"distinct_cells\":{}}}",
@@ -578,5 +669,56 @@ mod tests {
             let got = parse_power_update(body, &spec.plan).unwrap_err();
             assert!(got.0.contains(needle), "{got}");
         }
+    }
+
+    #[test]
+    fn a_tile_named_twice_resolves_last_wins() {
+        let spec = parse_register(register_body(2, 2).as_bytes()).unwrap();
+        let body = b"{\"plane\":0,\"updates\":[[1,0,5.0],[0,1,-1],[0,0,2.0],[1,0,7.5],[0,1,3]]}";
+        let (plane, update) = parse_power_sparse(body, &spec.plan).unwrap();
+        let w = Power::from_watts;
+        assert_eq!(plane, 0);
+        assert_eq!(
+            update,
+            PowerUpdate::Tiles(vec![(0, w(2.0)), (1, w(7.5)), (2, w(3.0))])
+        );
+        let (_, map) = parse_power_update(body, &spec.plan).unwrap();
+        assert_eq!(map.get(1, 0).as_watts(), 7.5);
+        assert_eq!(map.get(0, 1).as_watts(), 3.0);
+        // Rejected watts name the first offending tile in row-major order,
+        // as the whole-map check always has.
+        let bad = b"{\"plane\":0,\"updates\":[[1,1,-2],[1,0,-1]]}";
+        let got = parse_power_sparse(bad, &spec.plan).unwrap_err();
+        assert_eq!(got, parse_power_update(bad, &spec.plan).unwrap_err());
+        assert!(got.0.contains("non-negative, got -1"), "{got}");
+    }
+
+    #[test]
+    fn a_whole_map_update_keeps_only_bitwise_changed_tiles() {
+        let spec = parse_register(register_body(2, 1).as_bytes()).unwrap();
+        let current = &spec.plan.plane_maps()[0];
+        let same = current.tiles()[0].as_watts();
+        let body = format!("{{\"plane\":0,\"tiles\":[{same},9]}}");
+        let (_, update) = parse_power_sparse(body.as_bytes(), &spec.plan).unwrap();
+        assert_eq!(update.into_entries(current), [(1, Power::from_watts(9.0))]);
+    }
+
+    #[test]
+    fn a_same_watts_update_answers_an_empty_delta() {
+        let engine = ttsv_chip::ChipEngine::new().with_workers(1);
+        let mut spec = parse_register(register_body(3, 3).as_bytes()).unwrap();
+        let mut live = engine.evaluate_live(&spec.plan, &spec.model).unwrap();
+        let before = live.report().to_json();
+        let same = spec.plan.plane_maps()[2].get(1, 2).as_watts();
+        let body = format!("{{\"plane\":2,\"updates\":[[1,2,{same}]]}}");
+        let (plane, update) = parse_power_sparse(body.as_bytes(), &spec.plan).unwrap();
+        let entries = update.into_entries(&spec.plan.plane_maps()[plane]);
+        let changed = live
+            .apply(&engine, &mut spec.plan, &spec.model, plane, &entries)
+            .unwrap();
+        assert!(changed.is_empty());
+        let delta = render_delta_tiles(live.report(), &changed);
+        assert!(delta.contains("\"changed\":[]"), "{delta}");
+        assert_eq!(apply_delta(&before, &delta).unwrap(), before);
     }
 }

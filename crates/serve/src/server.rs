@@ -78,9 +78,10 @@
 //!   connection is reclaimed silently after the read timeout. A client
 //!   that stops reading its response is dropped once the write buffer
 //!   makes no progress for [`ServerConfig::write_timeout`].
-//! * **Failed updates roll back** — a power update stages its mutation
-//!   and restores the previous power map if evaluation fails (engine
-//!   error *or* contained panic), so a 500 leaves the session exactly
+//! * **Failed updates roll back** — a power update stages the tiles it
+//!   names and writes the previous watts back if their re-solve fails
+//!   (engine error *or* contained panic); the held report is patched
+//!   only after every solve succeeded. A 500 leaves the session exactly
 //!   as it was and a retry evaluates the same pre-update state.
 //! * **Panic containment** — every request handler runs under
 //!   `catch_unwind`; a panic maps to a typed `500` with the connection,
@@ -99,7 +100,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use ttsv_chip::{ChipEngine, ChipReport};
+use ttsv_chip::{ChipEngine, LiveChip};
+use ttsv_core::CoreError;
 use ttsv_validate::pool::{PoolMonitor, WorkerPool};
 
 use crate::faults::{FaultDirective, ServerFaults};
@@ -369,11 +371,11 @@ struct ConnDeadlines {
 }
 
 /// A session's serialized mutable state: the floorplan + model, and the
-/// last successfully evaluated report (the baseline delta responses are
-/// computed against).
+/// held evaluation of the floorplan — the report `GET` returns and
+/// power updates patch in place.
 struct SessionState {
     spec: SessionSpec,
-    last_report: ChipReport,
+    live: LiveChip,
 }
 
 /// One registered session: the serialized state plus the flood-control
@@ -420,34 +422,32 @@ struct ServerState {
     persist: Arc<PersistStats>,
 }
 
-impl ServerState {
-    fn evaluate(
-        &self,
-        spec: &SessionSpec,
-        directive: FaultDirective,
-    ) -> Result<ChipReport, Response> {
-        if let Some(delay) = directive.engine_delay {
-            std::thread::sleep(delay);
-        }
-        // The injected panic fires *here*, mid-evaluation — for a power
-        // update that means while the per-session lock is held, so the
-        // chaos suite proves poison recovery and not just the
-        // `catch_unwind` boundary.
-        assert!(
-            !directive.panic,
-            "injected fault: handler panic mid-evaluation"
-        );
-        if directive.engine_error {
-            return Err(Response::error(
-                500,
-                "evaluation failed: injected engine fault",
-            ));
-        }
-        self.engine
-            .evaluate_factored(&spec.plan, &spec.model)
-            .map_err(|e| Response::error(500, &format!("evaluation failed: {e}")))
+/// Runs a request's injected engine faults (stall, panic, error) where
+/// the engine work would start. For power updates and reads that is
+/// while the per-session lock is held, so the chaos suite proves poison
+/// recovery and not just the `catch_unwind` boundary.
+fn inject(directive: FaultDirective) -> Result<(), Response> {
+    if let Some(delay) = directive.engine_delay {
+        std::thread::sleep(delay);
     }
+    assert!(
+        !directive.panic,
+        "injected fault: handler panic mid-evaluation"
+    );
+    if directive.engine_error {
+        return Err(Response::error(
+            500,
+            "evaluation failed: injected engine fault",
+        ));
+    }
+    Ok(())
+}
 
+fn evaluation_failed(e: &CoreError) -> Response {
+    Response::error(500, &format!("evaluation failed: {e}"))
+}
+
+impl ServerState {
     fn session(&self, id: u64) -> Result<Arc<Session>, Response> {
         self.sessions.get(id).ok_or_else(|| {
             Response::error(
@@ -474,9 +474,12 @@ impl ServerState {
         }
         // Evaluate before publishing: a session is never visible in a
         // half-registered state, and the cold-session cost is all here.
-        let report = match self.evaluate(&spec, directive) {
-            Ok(report) => report,
-            Err(resp) => return resp,
+        if let Err(resp) = inject(directive) {
+            return resp;
+        }
+        let live = match self.engine.evaluate_live(&spec.plan, &spec.model) {
+            Ok(live) => live,
+            Err(e) => return evaluation_failed(&e),
         };
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         // Journal the raw wire body *before* publishing: if we crash
@@ -486,12 +489,9 @@ impl ServerState {
         if let Some(journal) = &self.journal {
             journal.record_register(id, body);
         }
-        let json = report.to_json();
+        let json = live.report().to_json();
         let session = Arc::new(Session {
-            state: Mutex::new(SessionState {
-                spec,
-                last_report: report,
-            }),
+            state: Mutex::new(SessionState { spec, live }),
             pending: AtomicUsize::new(0),
         });
         self.sessions.insert(id, session);
@@ -528,55 +528,40 @@ impl ServerState {
         // reflects exactly the plan it evaluated.
         let mut guard = lock(&session.state);
         let state = &mut *guard;
-        let (plane, map) = match protocol::parse_power_update(body, &state.spec.plan) {
-            Ok(update) => update,
+        let spec = &mut state.spec;
+        let (plane, update) = match protocol::parse_power_sparse(body, &spec.plan) {
+            Ok(parsed) => parsed,
             Err(e) => return Response::error(400, &e.0),
         };
-        // Stage the mutation: keep the previous map so *any* evaluation
-        // failure — injected fault, engine error, or a panic unwinding
-        // through — rolls the plan back. A 500 must leave the session
-        // bitwise where it was, or a retry silently evaluates different
-        // state.
-        let previous = state.spec.plan.plane_maps()[plane].clone();
-        if let Err(e) = state.spec.plan.update_power_map(plane, map) {
-            return Response::error(400, &e.to_string());
+        let updates = update.into_entries(&spec.plan.plane_maps()[plane]);
+        if let Err(resp) = inject(directive) {
+            return resp;
         }
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.evaluate(&state.spec, directive)
-        }));
-        let result = match outcome {
-            Ok(result) => result,
-            Err(panic) => {
-                let _ = state.spec.plan.update_power_map(plane, previous);
-                // Re-raise for the request-level boundary in `handle`,
-                // which owns the panic accounting and the typed 500.
-                std::panic::resume_unwind(panic);
-            }
+        // Re-solves only the changed tiles and patches the held report;
+        // any failure (or panic) leaves the plan and report exactly as
+        // they were, so a retry evaluates the same pre-update state.
+        let changed =
+            match state
+                .live
+                .apply(&self.engine, &mut spec.plan, &spec.model, plane, &updates)
+            {
+                Ok(changed) => changed,
+                Err(e) => return evaluation_failed(&e),
+            };
+        // The update is now applied state; journal its raw wire body
+        // under the session lock, so the journal's per-session update
+        // order is exactly the serialization order the responses
+        // reflect.
+        if let Some(journal) = &self.journal {
+            journal.record_update(id, plane, body);
+        }
+        let report = state.live.report();
+        let body = if full {
+            report.to_json()
+        } else {
+            protocol::render_delta_tiles(report, &changed)
         };
-        match result {
-            Ok(report) => {
-                // The update is now applied state; journal its raw wire
-                // body under the session lock, so the journal's
-                // per-session update order is exactly the serialization
-                // order the responses reflect.
-                if let Some(journal) = &self.journal {
-                    journal.record_update(id, plane, body);
-                }
-                // `update_power_map` rejects a resized map, so the grid
-                // shape — and the delta baseline's length — never change.
-                let body = if full {
-                    report.to_json()
-                } else {
-                    protocol::render_delta(&state.last_report, &report)
-                };
-                state.last_report = report;
-                Response::json(200, body)
-            }
-            Err(resp) => {
-                let _ = state.spec.plan.update_power_map(plane, previous);
-                resp
-            }
-        }
+        Response::json(200, body)
     }
 
     fn read_session(&self, id: u64, directive: FaultDirective) -> Response {
@@ -585,8 +570,8 @@ impl ServerState {
             Err(resp) => return resp,
         };
         let state = lock(&session.state);
-        match self.evaluate(&state.spec, directive) {
-            Ok(report) => Response::json(200, report.to_json()),
+        match inject(directive) {
+            Ok(()) => Response::json(200, state.live.report().to_json()),
             Err(resp) => resp,
         }
     }
@@ -1434,8 +1419,8 @@ impl Server {
             persist: persist_stats,
         });
         // Re-publish the recovered sessions before any thread can serve:
-        // each one is evaluated eagerly so its `last_report` baseline —
-        // and therefore its next delta response — is bitwise what the
+        // each one is evaluated eagerly so its held report — and
+        // therefore its next delta response — is bitwise what the
         // never-crashed server would have answered. Insertion order is
         // the journal's touch order, so LRU recency survives too (and an
         // over-quota recovery evicts the *stalest* sessions, journaling
@@ -1444,15 +1429,15 @@ impl Server {
             for session in recovered.sessions {
                 match state
                     .engine
-                    .evaluate_factored(&session.spec.plan, &session.spec.model)
+                    .evaluate_live(&session.spec.plan, &session.spec.model)
                 {
-                    Ok(report) => {
+                    Ok(live) => {
                         state.sessions.insert(
                             session.id,
                             Arc::new(Session {
                                 state: Mutex::new(SessionState {
                                     spec: session.spec,
-                                    last_report: report,
+                                    live,
                                 }),
                                 pending: AtomicUsize::new(0),
                             }),

@@ -15,7 +15,9 @@
 //!   byte-identical to a fault-free run.
 //! * **Rollback** — a power update whose evaluation fails (injected
 //!   engine error or contained panic) leaves the session bitwise
-//!   unchanged: the staged mutation is rolled back before the 500.
+//!   unchanged. Injected faults fire before the engine runs; the
+//!   staged-tile rollback of a failing or panicking solve itself is
+//!   pinned by the `ttsv-chip` `live` unit tests.
 //! * **Overload control** — a saturated pool sheds new connections with
 //!   `503` + `Retry-After` promptly; one session flooded past its
 //!   pending cap answers `429` + `Retry-After`; a slowloris half-request
@@ -191,7 +193,7 @@ fn lossless_fault_storm_is_bitwise_transparent_and_metrics_reconcile() {
 #[test]
 fn injected_panic_answers_500_then_serves_bitwise_correct_reports() {
     // Ordinal 1 is the registration; ordinal 2 (the round-0 power
-    // update) panics after its delta was applied but before evaluation.
+    // update) panics under the session lock, before its tiles re-solve.
     let faults = Arc::new(ServerFaults::new().panic_on(2));
     let server = Server::start(
         "127.0.0.1:0",
@@ -214,8 +216,8 @@ fn injected_panic_answers_500_then_serves_bitwise_correct_reports() {
     assert_eq!(status, 500, "{body}");
     assert!(body.contains("panicked"), "typed panic response: {body}");
 
-    // The panicked update's staged mutation was rolled back, so the
-    // session is bitwise back at its registered state; replaying round 0
+    // The panicked update left the session bitwise at its registered
+    // state; replaying round 0
     // applies the same absolute watt values and every report from here
     // on must match the fault-free ground truth.
     for round in 0..ROUNDS {
@@ -247,14 +249,14 @@ fn injected_panic_answers_500_then_serves_bitwise_correct_reports() {
 }
 
 /// A power update whose evaluation fails must leave the session exactly
-/// as it was: the staged mutation rolls back, so the next read is
-/// bitwise identical to the pre-update report and a clean retry
-/// evaluates the same state a fault-free server would.
+/// as it was: the next read returns the held pre-update report bitwise,
+/// and a clean retry evaluates the same state a fault-free server
+/// would.
 #[test]
 fn failed_update_rolls_back_session_state() {
     // Ordinal 1 registers, ordinal 2 is the baseline read; ordinal 3
-    // (the first power update) fails inside evaluation with an injected
-    // engine error *after* its mutation was staged.
+    // (the first power update) fails with an injected engine error
+    // after its body parsed, before its tiles re-solve.
     let faults = Arc::new(ServerFaults::new().engine_error_on(3));
     let server = Server::start(
         "127.0.0.1:0",
