@@ -1,16 +1,17 @@
-//! Ablation: the FEM reference's linear-solver options — plain CG,
-//! Jacobi-, SSOR-, and multigrid-preconditioned CG, and the direct banded
-//! factorization `FemSolver::Auto` picks on these meshes — at two mesh
-//! resolutions.
+//! Ablation: the FEM reference's two linear-solver paths — multigrid-
+//! preconditioned CG and the direct banded factorization `FemSolver::Auto`
+//! picks on these meshes — at two mesh resolutions.
 //!
-//! This is the evidence behind the PR-2 hot-path rework: iteration counts
-//! fall roughly 6× from SSOR to the smoothed-aggregation multigrid
-//! V-cycle, and the direct banded path beats them all while the
-//! lexicographic bandwidth stays small (every axisymmetric mesh).
+//! The direct banded path beats the iteration while the lexicographic
+//! bandwidth stays small (every axisymmetric mesh); multigrid-PCG is the
+//! route for the wide 3-D Cartesian boxes. The retired PCG variants were
+//! settled on the coarse mesh (BENCH_13): SSOR-PCG 1.68 ms and
+//! Chebyshev-smoothed multigrid 1.33 ms, against 1.05 ms for the
+//! Jacobi-smoothed multigrid kept here and 0.15 ms direct.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use ttsv::fem::{FemPreconditioner, FemSolver};
+use ttsv::fem::FemSolver;
 use ttsv::prelude::*;
 use ttsv_bench::block;
 
@@ -24,14 +25,7 @@ fn bench(c: &mut Criterion) {
     ] {
         let reference = FemReference::new().with_resolution(resolution);
         for (solver_label, solver) in [
-            ("identity", FemSolver::Pcg(FemPreconditioner::Identity)),
-            ("jacobi", FemSolver::Pcg(FemPreconditioner::Jacobi)),
-            ("ssor", FemSolver::Pcg(FemPreconditioner::ssor())),
-            ("multigrid", FemSolver::Pcg(FemPreconditioner::multigrid())),
-            (
-                "multigrid_cheby",
-                FemSolver::Pcg(FemPreconditioner::multigrid_chebyshev(2)),
-            ),
+            ("multigrid", FemSolver::Multigrid),
             ("direct_banded", FemSolver::DirectBanded),
         ] {
             let problem = {

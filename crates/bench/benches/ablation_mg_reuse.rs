@@ -1,21 +1,19 @@
 //! Ablation: amortizing multigrid setup across solves of one sparsity
 //! pattern.
 //!
-//! Three comparisons:
+//! On the one smoothed-aggregation hierarchy:
 //!
 //! * full `MultigridHierarchy::build` vs numeric-only `refresh` on the
-//!   32 k-cell box — the tentpole saving: aggregation,
-//!   prolongator/Galerkin pattern discovery, and the transpose adjacency
-//!   happen once per mesh;
-//! * one V-cycle under the Jacobi vs the degree-3 Chebyshev smoother —
-//!   the per-PCG-iteration cost of the stronger relaxation;
+//!   32 k-cell box — aggregation, prolongator/Galerkin pattern discovery,
+//!   and the transpose adjacency happen once per mesh;
+//! * one V-cycle — the per-PCG-iteration cost;
 //! * a radius sweep on the 3-D `CartesianReference` with a fresh
 //!   reference per run (every point re-aggregates) vs a shared one
 //!   (pooled hierarchies refreshed per point).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-use ttsv::linalg::{MultigridConfig, MultigridHierarchy, MultigridPreconditioner, Preconditioner};
+use ttsv::linalg::{MultigridHierarchy, MultigridPreconditioner, Preconditioner};
 use ttsv::prelude::*;
 use ttsv::validate::fem_adapter::CartesianReference;
 use ttsv_bench::{block, mg_box_matrix};
@@ -26,11 +24,10 @@ fn bench(c: &mut Criterion) {
 
     let a1 = mg_box_matrix(1.0);
     let a2 = mg_box_matrix(3.0);
-    let config = MultigridConfig::default();
     group.bench_function("hierarchy_build/box32k", |b| {
-        b.iter(|| MultigridHierarchy::build(black_box(&a1), &config).expect("coarsens"))
+        b.iter(|| MultigridHierarchy::build(black_box(&a1)).expect("coarsens"))
     });
-    let mut hierarchy = MultigridHierarchy::build(&a1, &config).expect("coarsens");
+    let mut hierarchy = MultigridHierarchy::build(&a1).expect("coarsens");
     group.bench_function("hierarchy_refresh/box32k", |b| {
         b.iter(|| hierarchy.refresh(black_box(&a2)).expect("same pattern"))
     });
@@ -38,14 +35,9 @@ fn bench(c: &mut Criterion) {
     let n = 32 * 32 * 32;
     let r: Vec<f64> = (0..n).map(|i| ((i % 17) as f64) - 8.0).collect();
     let mut z = vec![0.0; n];
-    let jacobi = MultigridPreconditioner::new(&a1, &config).expect("coarsens");
-    group.bench_function("vcycle_jacobi/box32k", |b| {
-        b.iter(|| jacobi.apply(black_box(&r), &mut z))
-    });
-    let cheby =
-        MultigridPreconditioner::new(&a1, &MultigridConfig::chebyshev(3)).expect("coarsens");
-    group.bench_function("vcycle_chebyshev3/box32k", |b| {
-        b.iter(|| cheby.apply(black_box(&r), &mut z))
+    let mg = MultigridPreconditioner::new(&a1).expect("coarsens");
+    group.bench_function("vcycle/box32k", |b| {
+        b.iter(|| mg.apply(black_box(&r), &mut z))
     });
 
     // End-to-end reuse on the workload where setup is a real fraction of

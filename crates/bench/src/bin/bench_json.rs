@@ -3,22 +3,23 @@
 //! against the recorded trajectory.
 //!
 //! Usage:
-//! `cargo run --release -p ttsv-bench --bin bench_json [-- PATH [--check COMMITTED]]`
+//! `cargo run --release -p ttsv-bench --bin bench_json [-- PATH [--check [COMMITTED]]]`
 //! (default output: `BENCH_N.json` in the current directory, `N` one past
 //! the highest-numbered recording present at the repository root). The
 //! recording embeds the medians of the newest `BENCH_M.json` present
 //! there with `M < N` as its baseline. With `--check COMMITTED`, the freshly
 //! measured medians are compared against the committed recording and the
 //! process exits nonzero if any shared row regressed more than 1.5× — the
-//! CI regression guard. See the `ttsv-bench` crate docs for the bench →
-//! paper mapping.
+//! CI regression guard. A bare `--check` compares against the newest
+//! `BENCH_N.json` at the repository root other than the output file. See
+//! the `ttsv-bench` crate docs for the bench → paper mapping.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use ttsv::core::model_b::LadderSolver;
-use ttsv::fem::{FemPreconditioner, FemSolver};
-use ttsv::linalg::{MultigridConfig, MultigridHierarchy, MultigridPreconditioner, Preconditioner};
+use ttsv::fem::FemSolver;
+use ttsv::linalg::{MultigridHierarchy, MultigridPreconditioner, Preconditioner};
 use ttsv::prelude::*;
 use ttsv::validate::sweep::run_sweep;
 use ttsv_bench::{
@@ -112,28 +113,81 @@ fn sweep_sum(model: &dyn ThermalModel, scenarios: &[Scenario]) -> f64 {
         .sum()
 }
 
+/// The parsed command line: where to write the recording, and which
+/// committed recording (if any) `--check` compares against.
+#[derive(Debug, PartialEq, Eq)]
+struct Cli {
+    out: PathBuf,
+    check: Option<PathBuf>,
+}
+
+/// Parses `[PATH] [--check [COMMITTED]]` against the recordings in `root`.
+/// The `--check` operand is never taken as the output path, so
+/// `--check BENCH_5.json` alone does not clobber the recording it checks
+/// against. A bare `--check` (last, or followed by another flag) resolves
+/// to the newest `BENCH_N.json` in `root` that is not the output file.
+fn parse_args(args: &[String], root: &Path) -> Result<Cli, String> {
+    let mut out = None;
+    let mut check = None;
+    let mut iter = args.iter().peekable();
+    while let Some(arg) = iter.next() {
+        if arg == "--check" {
+            check = Some(
+                iter.next_if(|next| !next.starts_with("--"))
+                    .map(PathBuf::from),
+            );
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown option {arg}"));
+        } else if out.is_none() {
+            out = Some(PathBuf::from(arg));
+        } else {
+            return Err(format!("unexpected extra argument {arg}"));
+        }
+    }
+    let out = out.unwrap_or_else(|| {
+        let newest = newest_bench_json(root, None).map_or(0, |(n, _)| n);
+        PathBuf::from(format!("BENCH_{}.json", newest + 1))
+    });
+    let same_file = |a: &Path, b: &Path| {
+        a == b || matches!((a.canonicalize(), b.canonicalize()), (Ok(x), Ok(y)) if x == y)
+    };
+    let check = match check {
+        None => None,
+        Some(Some(path)) if same_file(&path, &out) => {
+            return Err(format!(
+                "--check target and output path are the same file ({}) — refusing",
+                path.display()
+            ));
+        }
+        Some(Some(path)) => Some(path),
+        Some(None) => {
+            let (n, newest) = newest_bench_json(root, None)
+                .ok_or_else(|| format!("bare --check: no BENCH_N.json in {}", root.display()))?;
+            let newest = if same_file(&newest, &out) {
+                newest_bench_json(root, Some(n))
+                    .ok_or("bare --check: no committed recording besides the output")?
+                    .1
+            } else {
+                newest
+            };
+            Some(newest)
+        }
+    };
+    Ok(Cli { out, check })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let check_pos = args.iter().position(|a| a == "--check");
-    let check_against = check_pos.and_then(|i| args.get(i + 1)).cloned();
-    // The --check operand is not the output path — `--check BENCH_5.json`
-    // alone must not clobber the committed recording it checks against.
-    let path = args
-        .iter()
-        .enumerate()
-        .find(|&(i, a)| !a.starts_with("--") && Some(i) != check_pos.map(|c| c + 1))
-        .map(|(_, a)| a.clone())
-        .unwrap_or_else(|| {
-            let newest = newest_bench_json(&repo_root(), None).map_or(0, |(n, _)| n);
-            format!("BENCH_{}.json", newest + 1)
-        });
-    if check_against.as_deref() == Some(path.as_str()) {
-        eprintln!("--check target and output path are the same file ({path}) — refusing");
+    let Cli {
+        out: path,
+        check: check_against,
+    } = parse_args(&args, &repo_root()).unwrap_or_else(|e| {
+        eprintln!("bench_json: {e}\nusage: bench_json [PATH] [--check [COMMITTED]]");
         std::process::exit(2);
-    }
+    });
     // The baseline is the newest recording *before* this one, so
     // re-recording an existing BENCH_N.json keeps its baseline.
-    let pr = bench_number(Path::new(&path));
+    let pr = bench_number(&path);
     let (baseline_pr, baseline_path) = newest_bench_json(&repo_root(), pr)
         .expect("an earlier BENCH_N.json at the repository root");
     let baseline = std::fs::read_to_string(&baseline_path)
@@ -168,20 +222,12 @@ fn main() {
         sampler.bench(name, || model.max_delta_t(&table1).expect("solvable"));
     }
 
-    // ablation_fem_precond at the coarse mesh: one solve per option.
+    // ablation_fem_precond at the coarse mesh: one solve per path.
     let fem_problem = fem.build_problem(&scenarios[2]).expect("valid scenario");
     for (name, solver) in [
         (
-            "ablation_fem_precond/ssor/coarse",
-            FemSolver::Pcg(FemPreconditioner::ssor()),
-        ),
-        (
             "ablation_fem_precond/multigrid/coarse",
-            FemSolver::Pcg(FemPreconditioner::multigrid()),
-        ),
-        (
-            "ablation_fem_precond/multigrid_cheby/coarse",
-            FemSolver::Pcg(FemPreconditioner::multigrid_chebyshev(2)),
+            FemSolver::Multigrid,
         ),
         (
             "ablation_fem_precond/direct_banded/coarse",
@@ -193,36 +239,26 @@ fn main() {
         sampler.bench(name, || problem.solve().expect("solvable"));
     }
 
-    // Multigrid setup amortization on the 32 k-cell Cartesian box. The
-    // `build`/`refresh` rows measure the default configuration (since
-    // PR 5: plain aggregation — single-stream flat refresh sweeps);
-    // `refresh_flat` measures the flat contraction-list refresh of the
-    // *smoothed-aggregation* hierarchy, the like-for-like successor of
-    // the PR-3/4 scatter refresh recorded in the baseline. One V-cycle
-    // per smoother gives the per-PCG-iteration cost.
+    // Multigrid setup amortization on the 32 k-cell Cartesian box, on the
+    // one smoothed-aggregation hierarchy: full build, the flat
+    // contraction-list numeric refresh, and one V-cycle (the
+    // per-PCG-iteration cost). The `_sa`/`sa` names are new: the retired
+    // `build`/`vcycle/jacobi` rows timed the plain-aggregation hierarchy,
+    // so `--check` must not compare the two configurations.
     let a1 = mg_box_matrix(1.0);
     let a2 = mg_box_matrix(3.0);
-    let config = MultigridConfig::default();
-    sampler.bench("mg_hierarchy/build/box32k", || {
-        MultigridHierarchy::build(&a1, &config).expect("coarsens")
+    sampler.bench("mg_hierarchy/build_sa/box32k", || {
+        MultigridHierarchy::build(&a1).expect("coarsens")
     });
-    let mut hierarchy = MultigridHierarchy::build(&a1, &config).expect("coarsens");
-    sampler.bench("mg_hierarchy/refresh/box32k", || {
-        hierarchy.refresh(&a2).expect("same pattern");
-    });
-    let sa_config = MultigridConfig::smoothed_aggregation();
-    let mut sa_hierarchy = MultigridHierarchy::build(&a1, &sa_config).expect("coarsens");
+    let mut hierarchy = MultigridHierarchy::build(&a1).expect("coarsens");
     sampler.bench("mg_hierarchy/refresh_flat/box32k", || {
-        sa_hierarchy.refresh(&a2).expect("same pattern");
+        hierarchy.refresh(&a2).expect("same pattern");
     });
     let n = 32 * 32 * 32;
     let r: Vec<f64> = (0..n).map(|i| ((i % 17) as f64) - 8.0).collect();
     let mut z = vec![0.0; n];
-    let jacobi = MultigridPreconditioner::new(&a1, &config).expect("coarsens");
-    sampler.bench("mg_vcycle/jacobi/box32k", || jacobi.apply(&r, &mut z));
-    let cheby =
-        MultigridPreconditioner::new(&a1, &MultigridConfig::chebyshev(3)).expect("coarsens");
-    sampler.bench("mg_vcycle/chebyshev3/box32k", || cheby.apply(&r, &mut z));
+    let mg = MultigridPreconditioner::new(&a1).expect("coarsens");
+    sampler.bench("mg_vcycle/sa/box32k", || mg.apply(&r, &mut z));
 
     // Hierarchy reuse end to end: a 3-point radius sweep on the 3-D
     // Cartesian reference (the workload where multigrid setup is a real
@@ -494,11 +530,12 @@ fn main() {
 
     let json = sampler.to_json(pr.unwrap_or(baseline_pr + 1), baseline_pr, &baseline);
     std::fs::write(&path, &json).expect("write BENCH json");
-    println!("wrote {path}");
+    println!("wrote {}", path.display());
 
     if let Some(committed_path) = check_against {
         let committed = std::fs::read_to_string(&committed_path)
-            .unwrap_or_else(|e| panic!("read committed {committed_path}: {e}"));
+            .unwrap_or_else(|e| panic!("read committed {}: {e}", committed_path.display()));
+        let committed_path = committed_path.display();
         let committed = section_integers(&committed, "benches", Some("median_ns"));
         let mut regressions = Vec::new();
         for (name, fresh, _) in &sampler.results {
@@ -521,5 +558,68 @@ fn main() {
             }
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(ToString::to_string).collect()
+    }
+
+    /// A scratch directory holding empty `BENCH_3.json` and `BENCH_7.json`.
+    fn recordings() -> PathBuf {
+        let root = std::env::temp_dir().join(format!("bench-json-args-{}", std::process::id()));
+        std::fs::create_dir_all(&root).unwrap();
+        for n in [3, 7] {
+            std::fs::write(root.join(format!("BENCH_{n}.json")), "{}").unwrap();
+        }
+        root
+    }
+
+    #[test]
+    fn check_operand_and_bare_check_resolve_to_committed_recordings() {
+        let root = recordings();
+        let parse = |list: &[&str]| parse_args(&args(list), &root);
+
+        // No flag: default output one past the newest, no check.
+        let cli = parse(&[]).unwrap();
+        assert_eq!(cli.out, PathBuf::from("BENCH_8.json"));
+        assert_eq!(cli.check, None);
+
+        // A bare trailing --check means the newest committed recording,
+        // not "skip the check".
+        let cli = parse(&["/tmp/BENCH_ci.json", "--check"]).unwrap();
+        assert_eq!(cli.out, PathBuf::from("/tmp/BENCH_ci.json"));
+        assert_eq!(cli.check, Some(root.join("BENCH_7.json")));
+        assert_eq!(
+            parse(&["--check"]).unwrap().check,
+            Some(root.join("BENCH_7.json"))
+        );
+
+        // The operand is the check target, never the output path.
+        let cli = parse(&["--check", "BENCH_3.json"]).unwrap();
+        assert_eq!(cli.out, PathBuf::from("BENCH_8.json"));
+        assert_eq!(cli.check, Some(PathBuf::from("BENCH_3.json")));
+
+        // Re-recording the newest file: a bare check skips the output.
+        let newest = root.join("BENCH_7.json");
+        let cli = parse(&[newest.to_str().unwrap(), "--check"]).unwrap();
+        assert_eq!(cli.check, Some(root.join("BENCH_3.json")));
+
+        // Checking a file against itself, unknown flags, and a second
+        // positional are errors, not silent passes.
+        assert!(parse(&[
+            newest.to_str().unwrap(),
+            "--check",
+            newest.to_str().unwrap()
+        ])
+        .is_err());
+        assert!(parse(&["--check", "--bogus"]).is_err());
+        assert!(parse(&["a.json", "b.json"]).is_err());
+
+        std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -24,17 +24,17 @@
 //! | `ablation_axisym_vs_cart` | — | FEM axisymmetric vs full Cartesian discretization cost |
 //! | `ablation_fem_mesh` | — | FEM cost vs mesh resolution (coarse → fine) |
 //! | `ablation_modelb_solver` | — | Model B ladder solver: block tridiagonal vs banded LU vs conjugate gradient |
-//! | `ablation_fem_precond` | — | FEM linear solver: plain/Jacobi/SSOR/multigrid (Jacobi and Chebyshev smoothed) PCG vs direct banded, two mesh resolutions |
-//! | `ablation_mg_reuse` | — | multigrid setup amortization: hierarchy build vs numeric refresh, V-cycle per smoother, sweep with rebuilt vs pooled hierarchies |
+//! | `ablation_fem_precond` | — | FEM linear solver: smoothed-aggregation multigrid PCG vs direct banded, two mesh resolutions |
+//! | `ablation_mg_reuse` | — | multigrid setup amortization on the one smoothed-aggregation hierarchy: build vs numeric refresh, one V-cycle, sweep with rebuilt vs pooled hierarchies |
 //! | `floorplan_chip` | §IV-E generalized | full-chip 32×32 power-map evaluation through the batch engine: dedup vs no-dedup, hotspot vs all-distinct gradient maps, factor-once batched vs per-tile solves, warm cross-call cache (via [`hotspot_floorplan`]/[`gradient_floorplan`]) |
 //!
 //! # Machine-readable perf tracking
 //!
-//! `cargo run --release -p ttsv-bench --bin bench_json [-- PATH [--check COMMITTED]]`
+//! `cargo run --release -p ttsv-bench --bin bench_json [-- PATH [--check [COMMITTED]]]`
 //! times the headline workloads (the fig4 FEM sweep, Model B at deep
-//! segment counts, the preconditioner ablation, the hierarchy
-//! build/refresh split for both the plain-aggregation default and the
-//! smoothed-aggregation preset, the bounded sweep runner, the 32×32
+//! segment counts, multigrid-PCG vs direct banded on the coarse FEM mesh,
+//! the smoothed-aggregation hierarchy's build/refresh split and V-cycle,
+//! the bounded sweep runner, the 32×32
 //! floorplan-engine evaluations including the factor-once batched path,
 //! and the `ttsv-serve` session server timed over a real loopback socket:
 //! cold registration, warm two-tile power deltas in both full-report and
@@ -53,9 +53,9 @@
 //! absolute nanoseconds are machine-dependent). A default-path run from
 //! the repository root therefore adds the file both the next run and the
 //! schema test read; pass an explicit path elsewhere to keep a local
-//! measurement out of them. CI runs the emitter every push with
-//! `--check BENCH_12.json`, which fails the build if any row shared with
-//! that committed recording regresses past 1.5×.
+//! measurement out of them. CI runs the emitter every push with a bare
+//! `--check`, which compares against the newest committed recording and
+//! fails the build if any row shared with it regresses past 1.5×.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -359,11 +359,10 @@ mod tests {
             "fig4_radius_sweep/fem_coarse",
             "table1_segments/B(1000)",
             "ablation_fem_precond/multigrid/coarse",
-            "ablation_fem_precond/multigrid_cheby/coarse",
-            "mg_hierarchy/build/box32k",
-            "mg_hierarchy/refresh/box32k",
+            "ablation_fem_precond/direct_banded/coarse",
+            "mg_hierarchy/build_sa/box32k",
             "mg_hierarchy/refresh_flat/box32k",
-            "mg_vcycle/jacobi/box32k",
+            "mg_vcycle/sa/box32k",
             "fem_mg_sweep/reuse",
             "sweep_runner/fig4_quick",
             "floorplan_chip/hotspot32/model_b100",
@@ -390,7 +389,7 @@ mod tests {
         for key in [
             "fig4_radius_sweep/fem_coarse",
             "sweep_runner/fig4_quick",
-            "mg_hierarchy/refresh/box32k",
+            "mg_hierarchy/refresh_flat/box32k",
             "floorplan_chip/gradient32/factor_shared",
         ] {
             assert!(
@@ -455,8 +454,8 @@ mod tests {
         // anything less than a 10× win means dedup is broken), and the
         // shared factorization must beat per-tile solves on the same run.
         assert!(
-            median(&benches, "mg_hierarchy/refresh/box32k")
-                < median(&benches, "mg_hierarchy/build/box32k"),
+            median(&benches, "mg_hierarchy/refresh_flat/box32k")
+                < median(&benches, "mg_hierarchy/build_sa/box32k"),
             "refresh must be cheaper than a fresh hierarchy build"
         );
         assert!(

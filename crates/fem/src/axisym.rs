@@ -12,7 +12,7 @@ use ttsv_units::{Length, Power, PowerDensity, TemperatureDelta, ThermalConductiv
 
 use crate::error::FemError;
 use crate::mesh::Axis;
-use crate::solver::{solve_preconditioned, FemPreconditioner, FemSolver, MultigridContext};
+use crate::solver::{solve_multigrid, FemSolver, MultigridContext, SolverPath};
 
 /// Boundary condition at the bottom (`z = 0`) plane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -122,24 +122,22 @@ impl AxisymmetricProblem {
         self.solver = solver;
     }
 
-    /// Shorthand for [`AxisymmetricProblem::set_solver`] with
-    /// [`FemSolver::Pcg`] — selects the PCG preconditioner.
-    pub fn set_preconditioner(&mut self, precond: FemPreconditioner) {
-        self.solver = FemSolver::Pcg(precond);
-    }
-
     /// The configured linear solver.
     #[must_use]
     pub fn solver(&self) -> FemSolver {
         self.solver
     }
 
-    /// The solver [`FemSolver::Auto`] resolves to on this mesh (callers
-    /// use this to skip PCG-only work — warm-start guesses — when the
-    /// direct path will run).
+    /// The solver [`FemSolver::Auto`] resolves to on this mesh —
+    /// [`FemSolver::DirectBanded`] or [`FemSolver::Multigrid`] (callers use
+    /// this to skip PCG-only work — warm-start guesses — when the direct
+    /// path will run).
     #[must_use]
     pub fn resolved_solver(&self) -> FemSolver {
-        self.solver.resolve(self.nr())
+        match self.solver.resolve(self.nr()) {
+            SolverPath::DirectBanded => FemSolver::DirectBanded,
+            SolverPath::Multigrid => FemSolver::Multigrid,
+        }
     }
 
     /// The iteration budget and tolerance [`AxisymmetricProblem::solve`]
@@ -325,8 +323,8 @@ impl AxisymmetricProblem {
         self.solve_with(&self.default_config())
     }
 
-    /// Solves the finite-volume system with preconditioned CG (see
-    /// [`AxisymmetricProblem::set_preconditioner`]).
+    /// Solves the finite-volume system with the configured solver (see
+    /// [`AxisymmetricProblem::set_solver`]).
     ///
     /// # Errors
     ///
@@ -360,9 +358,8 @@ impl AxisymmetricProblem {
     /// reusing (or populating) the multigrid hierarchy in `mg` on the
     /// iterative path: repeated solves on this mesh shape — Picard
     /// iterations, sweep points — skip aggregation/Galerkin setup after
-    /// the first call. The context is ignored by the direct and
-    /// non-multigrid solvers; the converged result is identical either
-    /// way.
+    /// the first call. The direct banded solver ignores the context; the
+    /// converged result is identical either way.
     ///
     /// # Errors
     ///
@@ -416,12 +413,12 @@ impl AxisymmetricProblem {
         // banded factorization; the PCG path remains for the ablations and
         // as the large-problem route.
         let (solution, iterations) = match self.solver.resolve(nr) {
-            FemSolver::DirectBanded => {
+            SolverPath::DirectBanded => {
                 let mut banded = BandedMatrix::zeros(m, nr, nr);
                 self.assemble(&slot, &mut rhs, &mut |si, sj, g| banded.add(si, sj, g));
                 (banded.factorize()?.solve(&rhs)?, 0)
             }
-            FemSolver::Pcg(precond) => {
+            SolverPath::Multigrid => {
                 let mut coo = CooBuilder::with_capacity(m, m, 5 * m);
                 self.assemble(&slot, &mut rhs, &mut |si, sj, g| coo.add(si, sj, g));
                 let csr: CsrMatrix = coo.to_csr();
@@ -429,9 +426,8 @@ impl AxisymmetricProblem {
                 let guess_unknowns: Option<Vec<f64>> = guess
                     .filter(|g| g.len() == n)
                     .map(|g| cells.iter().map(|&i| g[i]).collect());
-                solve_preconditioned(&csr, &rhs, precond, config, guess_unknowns.as_deref(), mg)?
+                solve_multigrid(&csr, &rhs, config, guess_unknowns.as_deref(), mg)?
             }
-            FemSolver::Auto => unreachable!("resolve() never returns Auto"),
         };
 
         let mut temperatures = vec![0.0; n];
@@ -781,19 +777,16 @@ mod tests {
             prob
         };
         let reference = build().solve().unwrap().max_temperature().as_kelvin();
-        for precond in [
-            FemPreconditioner::Identity,
-            FemPreconditioner::Jacobi,
-            FemPreconditioner::ssor(),
-        ] {
-            let mut prob = build();
-            prob.set_preconditioner(precond);
-            let got = prob.solve().unwrap().max_temperature().as_kelvin();
-            assert!(
-                (got - reference).abs() < 1e-7 * reference,
-                "{precond:?}: {got} vs multigrid {reference}"
-            );
-        }
+        let mut prob = build();
+        assert_eq!(prob.resolved_solver(), FemSolver::DirectBanded);
+        prob.set_solver(FemSolver::Multigrid);
+        let got = prob.solve().unwrap();
+        assert!(got.iterations() > 0, "multigrid-PCG must iterate");
+        let got = got.max_temperature().as_kelvin();
+        assert!(
+            (got - reference).abs() < 1e-7 * reference,
+            "multigrid {got} vs direct banded {reference}"
+        );
     }
 
     #[test]
@@ -803,7 +796,7 @@ mod tests {
         let mut prob = AxisymmetricProblem::new(r, z, kk(100.0));
         prob.add_source((um(0.0), um(30.0)), (um(55.0), um(60.0)), wmm3(200.0));
         // Force the iterative path: the direct solver has no warm start.
-        prob.set_preconditioner(FemPreconditioner::multigrid());
+        prob.set_solver(FemSolver::Multigrid);
         let cold = prob.solve().unwrap();
         let warm = prob
             .solve_with_guess(

@@ -11,7 +11,7 @@ use ttsv_units::{Length, Power, PowerDensity, TemperatureDelta, ThermalConductiv
 
 use crate::error::FemError;
 use crate::mesh::Axis;
-use crate::solver::{solve_preconditioned, FemPreconditioner, FemSolver, MultigridContext};
+use crate::solver::{solve_multigrid, FemSolver, MultigridContext, SolverPath};
 
 /// A steady heat-conduction problem on a `[0,Lx] × [0,Ly] × [0,Lz]` box with
 /// a heat sink at `z = 0` and adiabatic walls elsewhere.
@@ -51,12 +51,6 @@ impl CartesianProblem {
     /// knob; the solution is identical to solver tolerance.
     pub fn set_solver(&mut self, solver: FemSolver) {
         self.solver = solver;
-    }
-
-    /// Shorthand for [`CartesianProblem::set_solver`] with
-    /// [`FemSolver::Pcg`] — selects the PCG preconditioner.
-    pub fn set_preconditioner(&mut self, precond: FemPreconditioner) {
-        self.solver = FemSolver::Pcg(precond);
     }
 
     /// The configured linear solver.
@@ -247,8 +241,8 @@ impl CartesianProblem {
         self.solve_with(&self.default_config())
     }
 
-    /// Solves the finite-volume system with preconditioned CG (see
-    /// [`CartesianProblem::set_preconditioner`]).
+    /// Solves the finite-volume system with the configured solver (see
+    /// [`CartesianProblem::set_solver`]).
     ///
     /// # Errors
     ///
@@ -279,18 +273,17 @@ impl CartesianProblem {
         // Lexicographic half-bandwidth is nx·ny: only the tiniest boxes
         // qualify for the direct path under `FemSolver::Auto`.
         let (temperatures, iterations) = match self.solver.resolve(nx * ny) {
-            FemSolver::DirectBanded => {
+            SolverPath::DirectBanded => {
                 let mut banded = BandedMatrix::zeros(n, nx * ny, nx * ny);
                 self.assemble(&mut rhs, &mut |i, j, g| banded.add(i, j, g));
                 (banded.factorize()?.solve(&rhs)?, 0)
             }
-            FemSolver::Pcg(precond) => {
+            SolverPath::Multigrid => {
                 let mut coo = CooBuilder::with_capacity(n, n, 7 * n);
                 self.assemble(&mut rhs, &mut |i, j, g| coo.add(i, j, g));
                 let guess = guess.filter(|g| g.len() == n);
-                solve_preconditioned(&coo.to_csr(), &rhs, precond, config, guess, mg)?
+                solve_multigrid(&coo.to_csr(), &rhs, config, guess, mg)?
             }
-            FemSolver::Auto => unreachable!("resolve() never returns Auto"),
         };
         Ok(CartesianSolution {
             problem: self.clone(),
@@ -535,16 +528,53 @@ mod tests {
             );
             prob
         };
+        // A 6×6 footprint has half-bandwidth 36, so `Auto` factorizes it
+        // directly; forcing multigrid must land on the same field.
         let reference = build().solve().unwrap().max_temperature().as_kelvin();
-        for precond in [FemPreconditioner::Jacobi, FemPreconditioner::ssor()] {
-            let mut prob = build();
-            prob.set_preconditioner(precond);
-            let got = prob.solve().unwrap().max_temperature().as_kelvin();
-            assert!(
-                (got - reference).abs() < 1e-6 * reference,
-                "{precond:?}: {got} vs multigrid {reference}"
-            );
-        }
+        let mut prob = build();
+        prob.set_solver(FemSolver::Multigrid);
+        let got = prob.solve().unwrap().max_temperature().as_kelvin();
+        assert!(
+            (got - reference).abs() < 1e-6 * reference,
+            "multigrid {got} vs direct banded {reference}"
+        );
+    }
+
+    #[test]
+    fn auto_sends_wide_boxes_to_multigrid_within_tolerance_of_direct() {
+        // A 9×9 footprint has half-bandwidth 81 > 64: `Auto` must take the
+        // multigrid-PCG path (nonzero iterations) and still agree with the
+        // banded factorization of the same system.
+        let x = Axis::builder().segment(um(45.0), 9).build();
+        let y = Axis::builder().segment(um(45.0), 9).build();
+        let z = Axis::builder().segment(um(30.0), 8).build();
+        let mut prob = CartesianProblem::new(x, y, z, kk(1.4));
+        prob.set_material_cylinder(
+            (um(22.5), um(22.5)),
+            um(8.0),
+            (um(0.0), um(30.0)),
+            kk(400.0),
+        );
+        prob.add_source(
+            (um(0.0), um(45.0)),
+            (um(0.0), um(45.0)),
+            (um(25.0), um(30.0)),
+            wmm3(40.0),
+        );
+        assert_eq!(prob.solver(), FemSolver::Auto);
+        let auto = prob.solve().unwrap();
+        assert!(
+            auto.iterations() > 0,
+            "Auto must iterate on a 9×9 footprint"
+        );
+        prob.set_solver(FemSolver::DirectBanded);
+        let direct = prob.solve().unwrap();
+        assert_eq!(direct.iterations(), 0);
+        let (a, d) = (
+            auto.max_temperature().as_kelvin(),
+            direct.max_temperature().as_kelvin(),
+        );
+        assert!((a - d).abs() <= 1e-7 * d, "auto {a} vs direct banded {d}");
     }
 
     #[test]

@@ -61,8 +61,7 @@ mod solver;
 
 pub use error::FemError;
 pub use mesh::Axis;
-pub use solver::{FemPreconditioner, FemSolver, MultigridContext};
-// Re-exported so callers can spell out multigrid knobs
-// (`FemPreconditioner::Multigrid(config)`) and park reusable hierarchies
-// without a ttsv-linalg import.
-pub use ttsv_linalg::{MgSmoother, MultigridConfig, MultigridHierarchy};
+pub use solver::{FemSolver, MultigridContext};
+// Re-exported so callers can park reusable hierarchies without a
+// ttsv-linalg import.
+pub use ttsv_linalg::MultigridHierarchy;

@@ -1,12 +1,12 @@
-//! Linear-solver configuration shared by the finite-volume problems.
+//! Linear-solver selection shared by the finite-volume problems.
 //!
 //! Both the axisymmetric and the Cartesian problems assemble symmetric
-//! positive-definite systems on structured grids and hand them to
-//! preconditioned conjugate gradients. The preconditioner is a knob
-//! ([`FemPreconditioner`]) so the ablation benches can compare the choices;
-//! the default is the geometric multigrid V-cycle, which cuts the
-//! iteration count by roughly an order of magnitude on the reference
-//! meshes.
+//! positive-definite systems on structured grids. Narrow-band meshes (every
+//! axisymmetric one) are factorized directly by banded LU; wide ones (the
+//! 3-D Cartesian boxes) are solved by conjugate gradients preconditioned
+//! with the smoothed-aggregation multigrid V-cycle of
+//! [`MultigridPreconditioner`] — the one iterative path. [`FemSolver::Auto`]
+//! picks between the two by half-bandwidth.
 //!
 //! Multigrid setup (aggregation, Galerkin products) is a one-time cost per
 //! sparsity pattern: callers that solve many systems on one mesh — Picard
@@ -16,99 +16,50 @@
 //! instead of rebuilding it.
 
 use ttsv_linalg::{
-    solve_pcg_into, CsrMatrix, IdentityPreconditioner, IterativeConfig, JacobiPreconditioner,
-    LinalgError, MgSmoother, MultigridConfig, MultigridHierarchy, MultigridPreconditioner,
-    PcgWorkspace, SsorPreconditioner,
+    solve_pcg_into, CsrMatrix, IterativeConfig, LinalgError, MultigridHierarchy,
+    MultigridPreconditioner, PcgWorkspace,
 };
 
-/// Which preconditioner backs the finite-volume PCG solves.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FemPreconditioner {
-    /// No preconditioning (plain CG) — the ablation baseline.
-    Identity,
-    /// Diagonal scaling.
-    Jacobi,
-    /// Symmetric SOR sweeps with the given relaxation factor (the solver
-    /// the seed shipped with, at `ω = 1.5`).
-    Ssor {
-        /// Relaxation factor in `(0, 2)`.
-        omega: f64,
-    },
-    /// Smoothed-aggregation geometric multigrid V-cycle with the given
-    /// hierarchy/smoother knobs (default configuration — fastest on every
-    /// mesh the reference sweeps use). Construct via
-    /// [`FemPreconditioner::multigrid`] /
-    /// [`FemPreconditioner::multigrid_chebyshev`] for the common choices.
-    Multigrid(MultigridConfig),
-}
-
-impl Default for FemPreconditioner {
-    fn default() -> Self {
-        FemPreconditioner::multigrid()
-    }
-}
-
-impl FemPreconditioner {
-    /// The SSOR variant at the relaxation factor the seed solver used.
-    #[must_use]
-    pub fn ssor() -> Self {
-        FemPreconditioner::Ssor { omega: 1.5 }
-    }
-
-    /// Multigrid in the smoothed-aggregation configuration
-    /// ([`MultigridConfig::smoothed_aggregation`]). The FEM solves are
-    /// iteration-count-dominated, so they keep the fully smoothed
-    /// prolongators (≈2.5× fewer PCG iterations than the plain-
-    /// aggregation [`MultigridConfig::default`]) and amortize the heavier
-    /// setup through the pooled-hierarchy refresh path.
-    #[must_use]
-    pub fn multigrid() -> Self {
-        FemPreconditioner::Multigrid(MultigridConfig::smoothed_aggregation())
-    }
-
-    /// Multigrid with a degree-`degree` Chebyshev polynomial smoother on
-    /// the smoothed-aggregation hierarchy — the stronger per-cycle
-    /// relaxation for boxes past
-    /// [`CHEBYSHEV_BREAK_EVEN_UNKNOWNS`](ttsv_linalg::CHEBYSHEV_BREAK_EVEN_UNKNOWNS)
-    /// unknowns; profiled as a net loss below that size, so it stays an
-    /// explicit opt-in (see ROADMAP).
-    #[must_use]
-    pub fn multigrid_chebyshev(degree: usize) -> Self {
-        FemPreconditioner::Multigrid(MultigridConfig {
-            smoother: MgSmoother::Chebyshev { degree },
-            ..MultigridConfig::smoothed_aggregation()
-        })
-    }
-}
+/// The widest lexicographic half-bandwidth [`FemSolver::Auto`] still sends
+/// to banded LU: a direct `O(n·b²)` factorization beats any iteration on
+/// the axisymmetric meshes (measured on the coarse Fig. 4 mesh: 0.15 ms vs
+/// 1.05 ms for multigrid-PCG).
+const AUTO_MAX_BANDED_HALF_BANDWIDTH: usize = 64;
 
 /// How a finite-volume problem solves its assembled SPD system.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FemSolver {
     /// Pick automatically: banded LU when the lexicographic half-bandwidth
-    /// is small (the axisymmetric meshes — a direct `O(n·b²)` factorization
-    /// beats any iteration there), multigrid-PCG otherwise (the large 3-D
-    /// Cartesian boxes).
+    /// is at most 64 (the axisymmetric meshes), multigrid-PCG otherwise
+    /// (the large 3-D Cartesian boxes).
     #[default]
     Auto,
     /// Direct banded LU on the lexicographic numbering (exact; reported
     /// iteration count is 0).
     DirectBanded,
-    /// Preconditioned conjugate gradients.
-    Pcg(FemPreconditioner),
+    /// Conjugate gradients preconditioned by the smoothed-aggregation
+    /// multigrid V-cycle.
+    Multigrid,
+}
+
+/// The concrete path a [`FemSolver`] resolves to on one mesh.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum SolverPath {
+    DirectBanded,
+    Multigrid,
 }
 
 impl FemSolver {
-    /// Resolves `Auto` against the problem's lexicographic half-bandwidth.
-    pub(crate) fn resolve(self, half_bandwidth: usize) -> FemSolver {
+    /// Resolves `Auto` against the problem's lexicographic half-bandwidth;
+    /// the explicit variants pass through.
+    pub(crate) fn resolve(self, half_bandwidth: usize) -> SolverPath {
         match self {
-            FemSolver::Auto => {
-                if half_bandwidth <= 64 {
-                    FemSolver::DirectBanded
-                } else {
-                    FemSolver::Pcg(FemPreconditioner::multigrid())
-                }
+            FemSolver::DirectBanded => SolverPath::DirectBanded,
+            FemSolver::Multigrid => SolverPath::Multigrid,
+            FemSolver::Auto if half_bandwidth <= AUTO_MAX_BANDED_HALF_BANDWIDTH => {
+                SolverPath::DirectBanded
             }
-            other => other,
+            FemSolver::Auto => SolverPath::Multigrid,
         }
     }
 }
@@ -169,14 +120,13 @@ impl MultigridContext {
         self.refreshes
     }
 
-    /// Builds or refreshes the preconditioner for `a` under `config`,
-    /// reusing the cached hierarchy when the sparsity pattern (and config)
-    /// still match.
-    fn prepare(&mut self, a: &CsrMatrix, config: &MultigridConfig) -> Result<(), LinalgError> {
+    /// Builds or refreshes the preconditioner for `a`, reusing the cached
+    /// hierarchy when the sparsity pattern still matches.
+    fn prepare(&mut self, a: &CsrMatrix) -> Result<(), LinalgError> {
         let reusable = self
             .pre
             .as_ref()
-            .is_some_and(|p| p.hierarchy().config() == config && p.hierarchy().pattern_matches(a));
+            .is_some_and(|p| p.hierarchy().pattern_matches(a));
         if reusable {
             self.pre
                 .as_mut()
@@ -184,21 +134,20 @@ impl MultigridContext {
                 .refresh(a)?;
             self.refreshes += 1;
         } else {
-            self.pre = Some(MultigridPreconditioner::new(a, config)?);
+            self.pre = Some(MultigridPreconditioner::new(a)?);
             self.builds += 1;
         }
         Ok(())
     }
 }
 
-/// Solves the assembled SPD system with PCG under the selected
-/// preconditioner, warm-starting from `guess` when one is supplied and
-/// reusing (or populating) the multigrid hierarchy in `mg` when one is
-/// provided. Returns the solution and the iteration count.
-pub(crate) fn solve_preconditioned(
+/// Solves the assembled SPD system with multigrid-preconditioned CG,
+/// warm-starting from `guess` when one is supplied and reusing (or
+/// populating) the multigrid hierarchy in `mg` when one is provided.
+/// Returns the solution and the iteration count.
+pub(crate) fn solve_multigrid(
     a: &CsrMatrix,
     rhs: &[f64],
-    choice: FemPreconditioner,
     config: &IterativeConfig,
     guess: Option<&[f64]>,
     mg: Option<&mut MultigridContext>,
@@ -207,38 +156,19 @@ pub(crate) fn solve_preconditioned(
         Some(g) if g.len() == rhs.len() => g.to_vec(),
         _ => vec![0.0; rhs.len()],
     };
-    let mut workspace = PcgWorkspace::new();
-    let stats = match choice {
-        FemPreconditioner::Identity => solve_pcg_into(
-            a,
-            rhs,
-            &IdentityPreconditioner,
-            config,
-            &mut x,
-            &mut workspace,
-        )?,
-        FemPreconditioner::Jacobi => {
-            let pre = JacobiPreconditioner::new(a);
-            solve_pcg_into(a, rhs, &pre, config, &mut x, &mut workspace)?
+    let stats = match mg {
+        Some(ctx) => {
+            ctx.prepare(a)?;
+            // Split the context borrow so the cached PCG workspace is
+            // reused alongside the prepared preconditioner.
+            let MultigridContext { pre, workspace, .. } = ctx;
+            let pre = pre.as_ref().expect("just prepared");
+            solve_pcg_into(a, rhs, pre, config, &mut x, workspace)?
         }
-        FemPreconditioner::Ssor { omega } => {
-            let pre = SsorPreconditioner::new(a, omega);
-            solve_pcg_into(a, rhs, &pre, config, &mut x, &mut workspace)?
+        None => {
+            let pre = MultigridPreconditioner::new(a)?;
+            solve_pcg_into(a, rhs, &pre, config, &mut x, &mut PcgWorkspace::new())?
         }
-        FemPreconditioner::Multigrid(mg_config) => match mg {
-            Some(ctx) => {
-                ctx.prepare(a, &mg_config)?;
-                // Split the context borrow so the cached PCG workspace is
-                // reused alongside the prepared preconditioner.
-                let MultigridContext { pre, workspace, .. } = ctx;
-                let pre = pre.as_ref().expect("just prepared");
-                solve_pcg_into(a, rhs, pre, config, &mut x, workspace)?
-            }
-            None => {
-                let pre = MultigridPreconditioner::new(a, &mg_config)?;
-                solve_pcg_into(a, rhs, &pre, config, &mut x, &mut workspace)?
-            }
-        },
     };
     Ok((x, stats.iterations))
 }
@@ -249,21 +179,22 @@ mod tests {
 
     #[test]
     fn default_is_multigrid() {
-        assert_eq!(
-            FemPreconditioner::default(),
-            FemPreconditioner::Multigrid(MultigridConfig::smoothed_aggregation())
-        );
-        assert_eq!(
-            FemPreconditioner::ssor(),
-            FemPreconditioner::Ssor { omega: 1.5 }
-        );
-        assert_eq!(
-            FemPreconditioner::multigrid_chebyshev(2),
-            FemPreconditioner::Multigrid(MultigridConfig {
-                smoother: MgSmoother::Chebyshev { degree: 2 },
-                ..MultigridConfig::smoothed_aggregation()
-            })
-        );
+        // The default is `Auto`, which means multigrid once the band is
+        // wider than 64 and banded LU up to that; the explicit variants
+        // pass through at any bandwidth.
+        assert_eq!(FemSolver::default(), FemSolver::Auto);
+        assert_eq!(FemSolver::Auto.resolve(64), SolverPath::DirectBanded);
+        assert_eq!(FemSolver::Auto.resolve(65), SolverPath::Multigrid);
+        for half_bandwidth in [1, 64, 65, 10_000] {
+            assert_eq!(
+                FemSolver::DirectBanded.resolve(half_bandwidth),
+                SolverPath::DirectBanded
+            );
+            assert_eq!(
+                FemSolver::Multigrid.resolve(half_bandwidth),
+                SolverPath::Multigrid
+            );
+        }
     }
 
     #[test]
@@ -286,24 +217,8 @@ mod tests {
         let b = vec![1.0; 128];
         let a1 = assemble(1.0);
         let a2 = assemble(4.0);
-        let (x1, _) = solve_preconditioned(
-            &a1,
-            &b,
-            FemPreconditioner::multigrid(),
-            &cfg,
-            None,
-            Some(&mut ctx),
-        )
-        .unwrap();
-        let (x2, _) = solve_preconditioned(
-            &a2,
-            &b,
-            FemPreconditioner::multigrid(),
-            &cfg,
-            None,
-            Some(&mut ctx),
-        )
-        .unwrap();
+        let (x1, _) = solve_multigrid(&a1, &b, &cfg, None, Some(&mut ctx)).unwrap();
+        let (x2, _) = solve_multigrid(&a2, &b, &cfg, None, Some(&mut ctx)).unwrap();
         assert_eq!((ctx.builds(), ctx.refreshes()), (1, 1));
         assert!(a1.residual_norm(&x1, &b).unwrap() < 1e-7);
         assert!(a2.residual_norm(&x2, &b).unwrap() < 1e-7);

@@ -342,7 +342,7 @@ pub fn solve_sor(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::precond::{JacobiPreconditioner, SsorPreconditioner};
+    use crate::precond::{Preconditioner, SsorPreconditioner};
     use crate::sparse::CooBuilder;
 
     /// 1-D Poisson matrix: SPD, tridiagonal.
@@ -406,9 +406,18 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| (i as f64 / 7.0).cos()).collect();
         let cfg = IterativeConfig::default();
         let x1 = solve_cg(&a, &b, &cfg).unwrap().solution;
-        let x2 = solve_pcg(&a, &b, &JacobiPreconditioner::new(&a), &cfg)
-            .unwrap()
-            .solution;
+        // Diagonal scaling `M = diag(A)`, built here: PCG under any SPD
+        // preconditioner must land on the plain-CG solution.
+        struct Jacobi(Vec<f64>);
+        impl Preconditioner for Jacobi {
+            fn apply(&self, r: &[f64], z: &mut [f64]) {
+                for ((zi, ri), inv) in z.iter_mut().zip(r).zip(&self.0) {
+                    *zi = ri * inv;
+                }
+            }
+        }
+        let jacobi = Jacobi(a.diagonal().iter().map(|d| 1.0 / d).collect());
+        let x2 = solve_pcg(&a, &b, &jacobi, &cfg).unwrap().solution;
         for (a, b) in x1.iter().zip(&x2) {
             assert!((a - b).abs() < 1e-7);
         }

@@ -12,10 +12,9 @@
 //!   are banded SPD systems, solved `O(n)` by the dedicated block kernel.
 //! * [`CsrMatrix`] sparse storage with [conjugate-gradient](solve_cg)
 //!   solvers ([allocation-free and warm-startable](solve_pcg_into) via
-//!   [`PcgWorkspace`]), [Jacobi](JacobiPreconditioner)/[SSOR](SsorPreconditioner)
-//!   preconditioning, and a geometric [multigrid](MultigridPreconditioner)
-//!   V-cycle for the structured finite-volume grids — the reference solver's
-//!   hot path.
+//!   [`PcgWorkspace`]), [SSOR](SsorPreconditioner) preconditioning, and a
+//!   smoothed-aggregation [multigrid](MultigridPreconditioner) V-cycle for
+//!   the structured finite-volume grids — the reference solver's hot path.
 //! * Derivative-free optimizers ([`nelder_mead`], [`golden_section`]) — the
 //!   k₁/k₂ fitting-coefficient calibration.
 //!
@@ -59,16 +58,11 @@ pub use iterative::{
     PcgWorkspace, SolveReport, SolveStats,
 };
 pub use lu::LuDecomposition;
-pub use multigrid::{
-    ChebyshevSmoother, MgSmoother, MultigridConfig, MultigridHierarchy, MultigridPreconditioner,
-    CHEBYSHEV_BREAK_EVEN_UNKNOWNS,
-};
+pub use multigrid::{MultigridHierarchy, MultigridPreconditioner};
 pub use optimize::{
     golden_section, nelder_mead, GoldenSectionResult, NelderMeadConfig, NelderMeadResult,
 };
-pub use precond::{
-    IdentityPreconditioner, JacobiPreconditioner, Preconditioner, SsorPreconditioner,
-};
+pub use precond::{IdentityPreconditioner, Preconditioner, SsorPreconditioner};
 pub use qr::QrDecomposition;
 pub use sparse::{CooBuilder, CsrMatrix};
 pub use tridiagonal::Tridiagonal;

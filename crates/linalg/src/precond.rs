@@ -25,54 +25,13 @@ impl Preconditioner for IdentityPreconditioner {
     }
 }
 
-/// Jacobi (diagonal) preconditioner: `M = diag(A)`.
-///
-/// Cheap and effective for the strongly diagonally dominant matrices that
-/// finite-volume heat stencils produce.
-#[derive(Debug, Clone)]
-pub struct JacobiPreconditioner {
-    inv_diag: Vec<f64>,
-}
-
-impl JacobiPreconditioner {
-    /// Builds the preconditioner from the diagonal of `a`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `a` is not square or has a zero diagonal entry.
-    #[must_use]
-    pub fn new(a: &CsrMatrix) -> Self {
-        let diag = a.diagonal();
-        assert!(
-            diag.iter().all(|&d| d != 0.0),
-            "Jacobi preconditioner requires a nonzero diagonal"
-        );
-        Self {
-            inv_diag: diag.iter().map(|d| 1.0 / d).collect(),
-        }
-    }
-}
-
-impl Preconditioner for JacobiPreconditioner {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        assert_eq!(
-            r.len(),
-            self.inv_diag.len(),
-            "Jacobi: wrong residual length"
-        );
-        assert_eq!(z.len(), self.inv_diag.len(), "Jacobi: wrong output length");
-        for i in 0..r.len() {
-            z[i] = r[i] * self.inv_diag[i];
-        }
-    }
-}
-
 /// Symmetric SOR preconditioner
 /// `M = (D/ω + L) · (D/ω)⁻¹ · (D/ω + Lᵀ) · ω/(2−ω)`
 /// applied via one forward and one backward triangular sweep.
 ///
-/// Noticeably fewer CG iterations than Jacobi on the FEM systems at the cost
-/// of two triangular solves per iteration. Requires a symmetric matrix.
+/// Noticeably fewer CG iterations than diagonal scaling on the FEM systems
+/// at the cost of two triangular solves per iteration. Requires a symmetric
+/// matrix.
 #[derive(Debug, Clone)]
 pub struct SsorPreconditioner {
     a: CsrMatrix,
@@ -166,15 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn jacobi_divides_by_diagonal() {
-        let a = spd_ladder(3);
-        let p = JacobiPreconditioner::new(&a);
-        let mut z = vec![0.0; 3];
-        p.apply(&[4.0, 8.0, -4.0], &mut z);
-        assert_eq!(z, vec![1.0, 2.0, -1.0]);
-    }
-
-    #[test]
     fn ssor_apply_is_symmetric_positive() {
         // A valid CG preconditioner application must itself be an SPD
         // operator: check symmetry ⟨M⁻¹u, v⟩ = ⟨u, M⁻¹v⟩ and positivity on a
@@ -200,14 +150,5 @@ mod tests {
     fn ssor_rejects_bad_omega() {
         let a = spd_ladder(2);
         let _ = SsorPreconditioner::new(&a, 2.5);
-    }
-
-    #[test]
-    #[should_panic(expected = "nonzero diagonal")]
-    fn jacobi_rejects_zero_diagonal() {
-        let mut coo = CooBuilder::new(2, 2);
-        coo.add(0, 1, 1.0);
-        coo.add(1, 0, 1.0);
-        let _ = JacobiPreconditioner::new(&coo.to_csr());
     }
 }

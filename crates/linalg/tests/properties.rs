@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use ttsv_linalg::{
     solve_cg, solve_pcg, BandedMatrix, BlockTridiagonal, CooBuilder, CsrMatrix, DenseMatrix,
-    IterativeConfig, MultigridConfig, MultigridPreconditioner, SsorPreconditioner, Tridiagonal,
+    IterativeConfig, MultigridPreconditioner, SsorPreconditioner, Tridiagonal,
 };
 
 /// A random finite-volume-style SPD system on an `nx × ny × nz` box:
@@ -271,7 +271,7 @@ proptest! {
         let ssor = solve_pcg(&a, &b, &SsorPreconditioner::new(&a, 1.5), &cfg)
             .unwrap()
             .solution;
-        let mg = MultigridPreconditioner::new(&a, &MultigridConfig::default()).unwrap();
+        let mg = MultigridPreconditioner::new(&a).unwrap();
         let mg_x = solve_pcg(&a, &b, &mg, &cfg).unwrap().solution;
         let scale = plain.iter().fold(1e-30f64, |m, v| m.max(v.abs()));
         for i in 0..plain.len() {
@@ -299,9 +299,9 @@ proptest! {
         prop_assert!(a1.same_pattern(&a2), "perturbation must keep the pattern");
 
         let cfg = IterativeConfig::new(50_000, 1e-11);
-        let mut refreshed = MultigridPreconditioner::new(&a1, &MultigridConfig::default()).unwrap();
+        let mut refreshed = MultigridPreconditioner::new(&a1).unwrap();
         refreshed.refresh(&a2).unwrap();
-        let fresh = MultigridPreconditioner::new(&a2, &MultigridConfig::default()).unwrap();
+        let fresh = MultigridPreconditioner::new(&a2).unwrap();
 
         let x_refreshed = solve_pcg(&a2, &b, &refreshed, &cfg).unwrap().solution;
         let x_fresh = solve_pcg(&a2, &b, &fresh, &cfg).unwrap().solution;
@@ -317,133 +317,6 @@ proptest! {
     }
 
     #[test]
-    fn refresh_is_bitwise_identical_to_a_fresh_build_on_perturbed_boxes(
-        (dims, k, r) in box_system(),
-        scale in 0.2..5.0f64,
-    ) {
-        // The flat contraction-list refresh re-runs every numeric kernel
-        // in the same per-entry accumulation order as the scatter-based
-        // build. Under a uniform conductivity scaling the build-time
-        // pattern decisions (strength classification, aggregation) are
-        // unchanged, so refreshing a hierarchy onto the scaled matrix must
-        // reproduce a freshly built one bit for bit — V-cycle outputs
-        // compared via `to_bits`, on both the serial and the threaded
-        // sweep path.
-        let a1 = random_box_matrix(dims, &k);
-        let k2: Vec<f64> = k.iter().map(|&v| v * scale).collect();
-        let a2 = random_box_matrix(dims, &k2);
-        prop_assert!(a1.same_pattern(&a2));
-        // Cover every numeric-refresh path: the plain-aggregation default
-        // (single-stream sums), classic smoothed aggregation (pair lists
-        // + prolongator refresh), and a truncated/capped smoothed config
-        // (the rescale branch) — each serial and threaded.
-        let presets = [
-            MultigridConfig::default(),
-            MultigridConfig::smoothed_aggregation(),
-            MultigridConfig {
-                prolongator_truncation: 0.15,
-                prolongator_max_entries: 3,
-                ..MultigridConfig::smoothed_aggregation()
-            },
-        ];
-        for (preset, threshold) in presets
-            .iter()
-            .flat_map(|p| [usize::MAX, 1].map(|t| (*p, t)))
-        {
-            let cfg = MultigridConfig {
-                parallel_threshold: threshold,
-                ..preset
-            };
-            let fresh = MultigridPreconditioner::new(&a2, &cfg).unwrap();
-            let mut refreshed = MultigridPreconditioner::new(&a1, &cfg).unwrap();
-            refreshed.refresh(&a2).unwrap();
-            let n = a2.rows();
-            let mut z_fresh = vec![0.0; n];
-            let mut z_refreshed = vec![0.0; n];
-            ttsv_linalg::Preconditioner::apply(&fresh, &r, &mut z_fresh);
-            ttsv_linalg::Preconditioner::apply(&refreshed, &r, &mut z_refreshed);
-            for i in 0..n {
-                prop_assert!(
-                    z_fresh[i].to_bits() == z_refreshed[i].to_bits(),
-                    "refresh diverged from fresh build at {i} ({cfg:?}): {} vs {}",
-                    z_fresh[i],
-                    z_refreshed[i]
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn chebyshev_vcycle_reduces_energy_error_monotonically_on_random_boxes(
-        (dims, k, x_star) in box_system(),
-    ) {
-        // The Chebyshev-smoothed V-cycle must also be an energy-norm
-        // contraction (the guarantee CG preconditioning rests on).
-        let a = random_box_matrix(dims, &k);
-        let b = a.matvec(&x_star).unwrap();
-        let mg = MultigridPreconditioner::new(&a, &MultigridConfig::chebyshev(2)).unwrap();
-        let n = b.len();
-        let energy = |x: &[f64]| {
-            let e: Vec<f64> = x_star.iter().zip(x).map(|(s, v)| s - v).collect();
-            ttsv_linalg::dot(&e, &a.matvec(&e).unwrap()).max(0.0).sqrt()
-        };
-        let mut x = vec![0.0; n];
-        let mut prev = energy(&x);
-        let floor = 1e-10 * prev.max(1e-30);
-        for cycle in 0..8 {
-            if prev <= floor {
-                break; // already at rounding level
-            }
-            let ax = a.matvec(&x).unwrap();
-            let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
-            let mut dz = vec![0.0; n];
-            ttsv_linalg::Preconditioner::apply(&mg, &r, &mut dz);
-            for i in 0..n {
-                x[i] += dz[i];
-            }
-            let now = energy(&x);
-            prop_assert!(
-                now < prev,
-                "cycle {cycle}: Chebyshev energy error grew from {prev:.3e} to {now:.3e}"
-            );
-            prev = now;
-        }
-    }
-
-    #[test]
-    fn threaded_and_serial_vcycles_agree_on_random_boxes(
-        (dims, k, r) in box_system(),
-    ) {
-        // Row-chunked threading must not change the V-cycle output beyond
-        // reassociation-free floating point (the chunk arithmetic is
-        // identical, so the agreement is in fact exact; assert 1e-12).
-        let a = random_box_matrix(dims, &k);
-        let n = a.rows();
-        let serial_cfg = MultigridConfig {
-            parallel_threshold: usize::MAX,
-            ..MultigridConfig::default()
-        };
-        let threaded_cfg = MultigridConfig {
-            parallel_threshold: 1,
-            ..MultigridConfig::default()
-        };
-        let serial = MultigridPreconditioner::new(&a, &serial_cfg).unwrap();
-        let threaded = MultigridPreconditioner::new(&a, &threaded_cfg).unwrap();
-        let mut z_serial = vec![0.0; n];
-        let mut z_threaded = vec![0.0; n];
-        ttsv_linalg::Preconditioner::apply(&serial, &r, &mut z_serial);
-        ttsv_linalg::Preconditioner::apply(&threaded, &r, &mut z_threaded);
-        for i in 0..n {
-            prop_assert!(
-                (z_serial[i] - z_threaded[i]).abs() <= 1e-12 * z_serial[i].abs().max(1.0),
-                "threaded V-cycle diverged at {i}: {} vs {}",
-                z_serial[i],
-                z_threaded[i]
-            );
-        }
-    }
-
-    #[test]
     fn vcycle_reduces_energy_error_monotonically_on_random_boxes(
         (dims, k, x_star) in box_system(),
     ) {
@@ -451,7 +324,7 @@ proptest! {
         // norm ‖e‖_A every cycle until rounding-level convergence.
         let a = random_box_matrix(dims, &k);
         let b = a.matvec(&x_star).unwrap();
-        let mg = MultigridPreconditioner::new(&a, &MultigridConfig::default()).unwrap();
+        let mg = MultigridPreconditioner::new(&a).unwrap();
         let n = b.len();
         let energy = |x: &[f64]| {
             let e: Vec<f64> = x_star.iter().zip(x).map(|(s, v)| s - v).collect();

@@ -334,7 +334,7 @@ impl FemReference {
         // The warm-start and hierarchy caches only matter on the iterative
         // path; the direct banded solver (the `Auto` resolution on every
         // standard mesh) ignores them, so skip the lock-and-clone entirely.
-        let iterative = matches!(prob.resolved_solver(), FemSolver::Pcg(_));
+        let iterative = prob.resolved_solver() == FemSolver::Multigrid;
         let key = (prob.nr(), prob.nz());
         let (guess, mut mg) = if iterative {
             let guess = self
@@ -723,15 +723,13 @@ mod tests {
 
     #[test]
     fn sweep_over_one_mesh_builds_the_hierarchy_once() {
-        use ttsv_fem::FemPreconditioner;
-
         // Force the iterative path (Auto picks direct banded on these
         // meshes) and walk a Fig. 4-style radius sweep: every point has
         // the same mesh shape, so aggregation/Galerkin setup must run
         // exactly once — later points only refresh numeric values.
         let fem = FemReference::new()
             .with_resolution(FemResolution::coarse())
-            .with_solver(FemSolver::Pcg(FemPreconditioner::multigrid()));
+            .with_solver(FemSolver::Multigrid);
         let radii = [3.0, 5.0, 8.0, 12.0];
         let direct = FemReference::new().with_resolution(FemResolution::coarse());
         for &r in &radii {

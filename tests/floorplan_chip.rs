@@ -104,7 +104,7 @@ fn serving_loop_re_solves_only_the_power_delta() {
 
 #[test]
 fn fem_reference_reuses_one_hierarchy_across_distinct_cells() {
-    use ttsv::fem::{FemPreconditioner, FemSolver};
+    use ttsv::fem::FemSolver;
 
     // Two distinct power levels on a 3×3 grid; force the iterative
     // multigrid path (Auto picks direct banded on these meshes) and run
@@ -128,7 +128,7 @@ fn fem_reference_reuses_one_hierarchy_across_distinct_cells() {
 
     let fem = FemReference::new()
         .with_resolution(FemResolution::coarse())
-        .with_solver(FemSolver::Pcg(FemPreconditioner::multigrid()));
+        .with_solver(FemSolver::Multigrid);
     let report = ChipEngine::new()
         .with_workers(1)
         .evaluate(&plan, &fem)
