@@ -1,9 +1,7 @@
 //! Full-chip floorplan-engine benchmark (§IV-E generalized to
 //! non-uniform maps): a 32×32 hotspot map (3 distinct unit cells after
 //! dedup) and a 32×32 gradient map (every cell distinct) evaluated
-//! through Model B(100), plus the dedup-off ablation showing what the
-//! scenario-hash cache saves on the hotspot map (1024 solves vs 3), the
-//! factor-once batched path (one ladder factorization shared by all 1024
+//! through Model B(100), plus the factor-once batched path (one ladder factorization shared by all 1024
 //! distinct-power tiles), and the warm cross-call cache (the serving
 //! steady state).
 //!
@@ -26,14 +24,6 @@ fn bench_floorplan(c: &mut Criterion) {
     group.bench_function("hotspot_32x32/model_b100", |b| {
         b.iter(|| {
             ChipEngine::new()
-                .evaluate(&hotspot, &model)
-                .expect("solvable")
-        });
-    });
-    group.bench_function("hotspot_32x32/model_b100/no_dedup", |b| {
-        b.iter(|| {
-            ChipEngine::new()
-                .with_dedup(false)
                 .evaluate(&hotspot, &model)
                 .expect("solvable")
         });

@@ -1,13 +1,12 @@
 //! Table I's runtime row: Model B solve time vs segment count.
 //!
 //! The paper reports 1 ms / 3 ms / 32 ms / 2475 ms for B(1) … B(500) (2010
-//! hardware, dense solver). Our banded LU scales linearly, so the absolute
-//! numbers are far smaller, but the growth with segment count is the
-//! reproducible shape.
+//! hardware, dense solver). Our block-tridiagonal kernel scales linearly,
+//! so the absolute numbers are far smaller, but the growth with segment
+//! count is the reproducible shape.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use ttsv::core::model_b::LadderSolver;
 use ttsv::prelude::*;
 use ttsv_bench::block;
 
@@ -25,20 +24,6 @@ fn bench(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(label), &model, |b, m| {
             b.iter(|| m.max_delta_t(black_box(&scenario)).expect("solvable"))
         });
-    }
-    // Ladder-solver variants at the deepest segment counts: the dedicated
-    // block-tridiagonal kernel (the default above) vs the generic banded
-    // LU it replaced.
-    for segments in [500usize, 1000] {
-        for (label, solver) in [
-            ("block_tridiag", LadderSolver::BlockTridiagonal),
-            ("banded_lu", LadderSolver::BandedLu),
-        ] {
-            let model = ModelB::with_segments(50, segments).with_solver(solver);
-            group.bench_with_input(BenchmarkId::new(label, segments), &model, |b, m| {
-                b.iter(|| m.max_delta_t(black_box(&scenario)).expect("solvable"))
-            });
-        }
     }
     // The comparison rows of Table I.
     let a = ModelA::with_coefficients(FittingCoefficients::paper_block());

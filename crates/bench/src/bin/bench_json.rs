@@ -17,7 +17,6 @@
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use ttsv::core::model_b::LadderSolver;
 use ttsv::fem::FemSolver;
 use ttsv::linalg::{MultigridHierarchy, MultigridPreconditioner, Preconditioner};
 use ttsv::prelude::*;
@@ -214,10 +213,6 @@ fn main() {
     for (name, model) in [
         ("table1_segments/B(500)", ModelB::paper_b500()),
         ("table1_segments/B(1000)", ModelB::paper_b1000()),
-        (
-            "table1_segments/banded_lu/1000",
-            ModelB::paper_b1000().with_solver(LadderSolver::BandedLu),
-        ),
     ] {
         sampler.bench(name, || model.max_delta_t(&table1).expect("solvable"));
     }
@@ -280,8 +275,8 @@ fn main() {
     sampler.bench("fem_mg_sweep/reuse", || sweep_sum(&warm, &mg_points));
 
     // The floorplan engine on the 32×32 §IV-E maps: the hotspot map
-    // dedups 1024 tiles to 3 Model B solves; the dedup-off ablation and
-    // the all-distinct gradient map price the batch path itself, and
+    // dedups 1024 tiles to 3 Model B solves; the all-distinct gradient
+    // map prices the batch path itself, and
     // `factor_shared` prices the matrix-tier path (one ladder
     // factorization + 1024 four-lane back-substitutions). The engine
     // caches results across calls, so every row constructs a fresh engine
@@ -290,12 +285,6 @@ fn main() {
     let gradient = gradient_floorplan(32);
     sampler.bench("floorplan_chip/hotspot32/model_b100", || {
         ChipEngine::new()
-            .evaluate(&hotspot, &b100)
-            .expect("solvable")
-    });
-    sampler.bench("floorplan_chip/hotspot32/model_b100/no_dedup", || {
-        ChipEngine::new()
-            .with_dedup(false)
             .evaluate(&hotspot, &b100)
             .expect("solvable")
     });

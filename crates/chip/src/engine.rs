@@ -42,7 +42,8 @@ use std::sync::{Arc, Mutex};
 use ttsv_core::scenario::{PowerSeparableModel, Scenario, ThermalModel};
 use ttsv_core::CoreError;
 use ttsv_units::Power;
-use ttsv_validate::sweep::{default_workers, run_batch_with_workers};
+use ttsv_validate::pool::scoped_batch;
+use ttsv_validate::sweep::default_workers;
 
 use crate::floorplan::{CellKey, Floorplan};
 use crate::live::{key_hash, CellCounts, LiveChip};
@@ -130,15 +131,14 @@ struct EngineCaches {
 /// tier for power-separable models — see the module docs for when each
 /// tier fires.
 ///
-/// Dedup and the worker count are observability/performance knobs only:
-/// for deterministic models the report is bit-identical for every setting
-/// (the property suite enforces it).
+/// The worker count is a performance knob only: for deterministic models
+/// the report is bit-identical for every setting, and bit-identical to
+/// solving each tile on its own (the property suite enforces both).
 ///
 /// Cloning an engine starts with cold caches and zeroed counters.
 #[derive(Debug)]
 pub struct ChipEngine {
     workers: Option<usize>,
-    dedup: bool,
     scenario_cache_cap: usize,
     matrix_cache_cap: usize,
     caches: Mutex<EngineCaches>,
@@ -172,7 +172,6 @@ impl Clone for ChipEngine {
     fn clone(&self) -> Self {
         Self {
             workers: self.workers,
-            dedup: self.dedup,
             scenario_cache_cap: self.scenario_cache_cap,
             matrix_cache_cap: self.matrix_cache_cap,
             caches: Mutex::new(EngineCaches::default()),
@@ -192,13 +191,12 @@ impl Default for ChipEngine {
 }
 
 impl ChipEngine {
-    /// An engine with dedup enabled, cold caches, and the default worker
-    /// pool (`available_parallelism()`).
+    /// An engine with cold caches and the default worker pool
+    /// (`available_parallelism()`).
     #[must_use]
     pub fn new() -> Self {
         Self {
             workers: None,
-            dedup: true,
             scenario_cache_cap: DEFAULT_SCENARIO_CACHE_CAP,
             matrix_cache_cap: DEFAULT_MATRIX_CACHE_CAP,
             caches: Mutex::new(EngineCaches::default()),
@@ -283,15 +281,6 @@ impl ChipEngine {
         }
     }
 
-    /// Enables or disables dedup *and* the cross-call caches (enabled by
-    /// default; disabling evaluates every tile fresh — the transparency
-    /// tests compare both paths bitwise).
-    #[must_use]
-    pub fn with_dedup(mut self, dedup: bool) -> Self {
-        self.dedup = dedup;
-        self
-    }
-
     /// Model solves this engine has actually performed (cache misses),
     /// cumulative across calls. A repeat evaluation of an unchanged plan
     /// adds zero; a power-delta update adds exactly the changed tiles.
@@ -307,15 +296,15 @@ impl ChipEngine {
         self.factorizations.load(Ordering::Relaxed)
     }
 
-    /// Scenario-tier cache hits, cumulative across calls (only counted
-    /// while dedup is enabled — with dedup off the caches are bypassed).
+    /// Scenario-tier cache hits (distinct cells whose `ΔT` was read back
+    /// from an earlier solve), cumulative across calls.
     #[must_use]
     pub fn scenario_hits(&self) -> usize {
         self.scenario_hits.load(Ordering::Relaxed)
     }
 
-    /// Scenario-tier cache misses, cumulative across calls (only counted
-    /// while dedup is enabled).
+    /// Scenario-tier cache misses (distinct cells sent to the model),
+    /// cumulative across calls.
     #[must_use]
     pub fn scenario_misses(&self) -> usize {
         self.scenario_misses.load(Ordering::Relaxed)
@@ -343,8 +332,8 @@ impl ChipEngine {
 
     /// Gathers the distinct unit cells among `tiles` (row-major indices):
     /// per tile the index into the distinct list, each distinct cell's
-    /// representative tile and full cache key, and (with dedup on) the
-    /// cell-key → distinct-index map.
+    /// representative tile and full cache key, and the cell-key →
+    /// distinct-index map.
     fn distinct_cells(
         &self,
         plan: &Floorplan,
@@ -367,25 +356,17 @@ impl ChipEngine {
             cells: Vec::new(),
             seen: KeyMap::default(),
         };
-        if self.dedup {
-            out.seen.reserve(tiles.len());
-        }
+        out.seen.reserve(tiles.len());
         for t in tiles {
             let (ix, iy) = (t % nx, t / nx);
-            let key = plan.cell_key(ix, iy);
-            let index = if self.dedup {
-                match out.seen.entry(key) {
-                    Entry::Occupied(entry) => *entry.get(),
-                    Entry::Vacant(entry) => {
-                        let index = out.cells.len();
-                        out.cells.push(((ix, iy), engine_key(entry.key())));
-                        entry.insert(index);
-                        index
-                    }
+            let index = match out.seen.entry(plan.cell_key(ix, iy)) {
+                Entry::Occupied(entry) => *entry.get(),
+                Entry::Vacant(entry) => {
+                    let index = out.cells.len();
+                    out.cells.push(((ix, iy), engine_key(entry.key())));
+                    entry.insert(index);
+                    index
                 }
-            } else {
-                out.cells.push(((ix, iy), engine_key(&key)));
-                out.cells.len() - 1
             };
             out.cell_of.push(index);
         }
@@ -393,13 +374,9 @@ impl ChipEngine {
     }
 
     /// The scenario-tier pass: each distinct cell's cached `ΔT` (`NaN`
-    /// where the tier misses) plus the indices still to solve. With dedup
-    /// off the tier is bypassed and every cell misses uncounted.
+    /// where the tier misses) plus the indices still to solve.
     fn lookup_scenarios(&self, cells: &[((usize, usize), EngineKey)]) -> (Vec<f64>, Vec<usize>) {
         let mut cell_delta_t = vec![f64::NAN; cells.len()];
-        if !self.dedup {
-            return (cell_delta_t, (0..cells.len()).collect());
-        }
         let mut misses: Vec<usize> = Vec::new();
         {
             // Only cache lookups run under the lock; scenario and
@@ -421,8 +398,7 @@ impl ChipEngine {
     }
 
     /// Evaluates every tile's unit cell and assembles the chip `ΔT` map,
-    /// using the scenario-tier cache (when dedup is enabled) across
-    /// calls.
+    /// using the scenario-tier cache across calls.
     ///
     /// # Errors
     ///
@@ -444,7 +420,7 @@ impl ChipEngine {
         }
 
         let workers = self.workers.unwrap_or_else(default_workers);
-        let solved = run_batch_with_workers(to_solve.len(), workers, |k| {
+        let solved = scoped_batch(to_solve.len(), workers, |k| {
             model.max_delta_t(&to_solve[k].1).map(|t| t.as_kelvin())
         })?;
         self.solves.fetch_add(to_solve.len(), Ordering::Relaxed);
@@ -452,11 +428,9 @@ impl ChipEngine {
             cell_delta_t[*i] = *dt;
         }
 
-        if self.dedup {
-            // One pass moves every key into the cache (re-inserting a
-            // hit rewrites the same value — harmless and branch-free).
-            self.cache_scenarios(distinct.cells, &cell_delta_t, solved.len());
-        }
+        // One pass moves every key into the cache (re-inserting a hit
+        // rewrites the same value — harmless and branch-free).
+        self.cache_scenarios(distinct.cells, &cell_delta_t, solved.len());
         Ok(assemble(
             plan,
             model.name(),
@@ -483,13 +457,24 @@ impl ChipEngine {
         plan: &Floorplan,
         model: &M,
     ) -> Result<ChipReport, CoreError> {
-        self.evaluate_counted(plan, model, false)
-            .map(|(report, _)| report)
+        let tag: Arc<str> = Arc::from(model.cache_tag());
+        let distinct = self.distinct_cells(plan, &tag, 0..plan.tiles());
+        let distinct_count = distinct.cells.len();
+        let cell_delta_t = self.solve_factored(plan, model, &tag, distinct.cells)?;
+        Ok(assemble(
+            plan,
+            model.name(),
+            &distinct.cell_of,
+            &cell_delta_t,
+            distinct_count,
+        ))
     }
 
     /// [`ChipEngine::evaluate_factored`], keeping what a later sparse
     /// power update needs to patch the report in place: see
     /// [`LiveChip`]. The report is the one `evaluate_factored` returns.
+    /// The per-key tile counts are built, and the transient key map
+    /// dropped, before any solve allocates.
     ///
     /// # Errors
     ///
@@ -499,31 +484,17 @@ impl ChipEngine {
         plan: &Floorplan,
         model: &M,
     ) -> Result<LiveChip, CoreError> {
-        let (report, key_counts) = self.evaluate_counted(plan, model, self.dedup)?;
-        Ok(LiveChip::new(report, key_counts))
-    }
-
-    /// The full factored evaluation, plus — when `count` is set and dedup
-    /// is on — the per-key tile counts a [`LiveChip`] holds. The counts
-    /// are built, and the transient key map dropped, before any solve
-    /// allocates.
-    fn evaluate_counted<M: PowerSeparableModel + Sync>(
-        &self,
-        plan: &Floorplan,
-        model: &M,
-        count: bool,
-    ) -> Result<(ChipReport, Option<CellCounts>), CoreError> {
         let tag: Arc<str> = Arc::from(model.cache_tag());
         let DistinctCells {
             cell_of,
             cells,
             seen,
         } = self.distinct_cells(plan, &tag, 0..plan.tiles());
-        let key_counts = (count && self.dedup).then(|| CellCounts::new(&cell_of, seen, key_hash));
+        let key_counts = CellCounts::new(&cell_of, seen, key_hash);
         let distinct_count = cells.len();
         let cell_delta_t = self.solve_factored(plan, model, &tag, cells)?;
         let report = assemble(plan, model.name(), &cell_of, &cell_delta_t, distinct_count);
-        Ok((report, key_counts))
+        Ok(LiveChip::new(report, key_counts))
     }
 
     /// Re-solves the unit cells of `tiles` (row-major indices) through
@@ -590,14 +561,14 @@ impl ChipEngine {
         {
             let caches = self.caches.lock().expect("engine cache lock");
             for (mi, mkey) in matrix_keys.iter().enumerate() {
-                let cached = self.dedup.then(|| caches.matrix.get(mkey)).flatten();
+                let cached = caches.matrix.get(mkey);
                 match cached.and_then(|any| any.clone().downcast::<M::Factorization>().ok()) {
                     Some(fact) => factorizations[mi] = Some(fact),
                     None => missing.push(mi),
                 }
             }
         }
-        let built = run_batch_with_workers(missing.len(), workers, |k| {
+        let built = scoped_batch(missing.len(), workers, |k| {
             let (ix, iy) = matrix_rep[missing[k]];
             let cell = plan.tile_cell(ix, iy)?;
             model.factorize_geometry(&cell.scenario).map(Arc::new)
@@ -609,7 +580,7 @@ impl ChipEngine {
             // Same generational bound as the scenario tier: a working set
             // past the cap is not cached; one that no longer fits beside
             // the existing entries clears the tier (counted as evictions).
-            let cache_matrices = self.dedup && missing.len() <= self.matrix_cache_cap;
+            let cache_matrices = missing.len() <= self.matrix_cache_cap;
             if cache_matrices && caches.matrix.len() + missing.len() > self.matrix_cache_cap {
                 self.evictions
                     .fetch_add(caches.matrix.len(), Ordering::Relaxed);
@@ -639,7 +610,7 @@ impl ChipEngine {
             .enumerate()
             .flat_map(|(mi, ks)| ks.chunks(JOB_TILES).map(move |c| (mi, c)))
             .collect();
-        let solved_jobs = run_batch_with_workers(jobs.len(), workers, |j| {
+        let solved_jobs = scoped_batch(jobs.len(), workers, |j| {
             let (mi, ks) = jobs[j];
             let fact = factorizations[mi]
                 .as_ref()
@@ -664,10 +635,8 @@ impl ChipEngine {
         }
         drop(jobs);
 
-        if self.dedup {
-            // One pass moves every key into the scenario cache.
-            self.cache_scenarios(cells, &cell_delta_t, to_solve.len());
-        }
+        // One pass moves every key into the scenario cache.
+        self.cache_scenarios(cells, &cell_delta_t, to_solve.len());
         Ok(cell_delta_t)
     }
 }
@@ -680,7 +649,7 @@ struct DistinctCells {
     /// Per distinct cell: a representative tile `(ix, iy)` and its cache
     /// key.
     cells: Vec<((usize, usize), EngineKey)>,
-    /// With dedup on, each distinct cell key → its index in `cells`.
+    /// Each distinct cell key → its index in `cells`.
     seen: KeyMap<CellKey, usize>,
 }
 
@@ -832,23 +801,6 @@ mod tests {
             plan.update_power_map(0, PowerMap::uniform(3, 2, Power::from_watts(1.0)).unwrap()),
             Err(CoreError::InvalidFloorplan { .. })
         ));
-    }
-
-    #[test]
-    fn factored_path_refuses_ablation_solvers() {
-        // Cached ΔT values key on the model's cache_tag; the ablation
-        // solvers agree with the block-tridiagonal kernel only to
-        // tolerance, so letting them through the factored path would
-        // poison the per-solver caches with foreign bits.
-        use ttsv_core::model_b::LadderSolver;
-        let plan = Floorplan::uniform(&CaseStudy::paper(), 2, 2).unwrap();
-        let model = ModelB::paper_b20().with_solver(LadderSolver::ConjugateGradient);
-        let engine = ChipEngine::new();
-        assert!(matches!(
-            engine.evaluate_factored(&plan, &model),
-            Err(CoreError::InvalidScenario { .. })
-        ));
-        assert_eq!(engine.solves(), 0);
     }
 
     #[test]

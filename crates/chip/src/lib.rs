@@ -8,7 +8,7 @@
 //! cells under the same adiabatic-wall approximation, deduplicated by a
 //! scenario-hash cache, and batch-evaluated through any
 //! [`ThermalModel`](ttsv_core::scenario::ThermalModel) on the bounded
-//! self-scheduling worker pool of `ttsv_validate::sweep`.
+//! self-scheduling worker pool of `ttsv_validate::pool`.
 //!
 //! * [`PowerMap`] — per-plane tile powers (finite, non-negative),
 //! * [`ViaDensityMap`] — per-tile TTSV area density in `(0, 1)`,

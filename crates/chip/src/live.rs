@@ -28,9 +28,8 @@ use crate::report::ChipReport;
 pub struct LiveChip {
     report: ChipReport,
     /// Tiles per distinct cell key, which keeps `distinct_cells` exact
-    /// across updates. `None` when the building engine had dedup off:
-    /// every tile then counts as its own cell.
-    key_counts: Option<CellCounts>,
+    /// across updates.
+    key_counts: CellCounts,
 }
 
 /// How many tiles hold each distinct cell key, without storing the keys:
@@ -190,7 +189,7 @@ fn invalid(reason: String) -> CoreError {
 }
 
 impl LiveChip {
-    pub(crate) fn new(report: ChipReport, key_counts: Option<CellCounts>) -> Self {
+    pub(crate) fn new(report: ChipReport, key_counts: CellCounts) -> Self {
         Self { report, key_counts }
     }
 
@@ -277,11 +276,9 @@ impl LiveChip {
         let delta_t = engine.solve_tiles(staged.plan, model, &touched)?;
 
         // Every solve succeeded: commit the key counts and the report.
-        if let Some(counts) = &mut self.key_counts {
-            counts.update(staged.plan, plane, &staged.old, key_hash);
-        }
-        let distinct = self.key_counts.as_ref().map_or(tiles, CellCounts::len);
-        let changed = self.report.patch(&touched, &delta_t, distinct);
+        self.key_counts
+            .update(staged.plan, plane, &staged.old, key_hash);
+        let changed = self.report.patch(&touched, &delta_t, self.key_counts.len());
         staged.armed = false;
         Ok(changed)
     }

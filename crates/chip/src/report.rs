@@ -31,8 +31,7 @@ pub struct ChipReport {
     /// Distinct unit cells in the plan — tiles with bit-identical via
     /// density and per-plane powers count once, whether this evaluation
     /// solved them or read them from the engine's caches (`≤ tiles`;
-    /// equality means no two tiles share a cell, and it always holds with
-    /// dedup disabled).
+    /// equality means no two tiles share a cell).
     pub distinct_cells: usize,
     /// Total tile count, `nx · ny`.
     pub tiles: usize,

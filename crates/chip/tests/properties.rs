@@ -3,6 +3,8 @@
 //! batch runner — randomized over grid shapes, plane counts, quantized
 //! power levels, and via densities.
 
+use std::collections::HashSet;
+
 use proptest::prelude::*;
 use ttsv_chip::{ChipEngine, Floorplan, PowerMap, ViaDensityMap};
 use ttsv_core::full_chip::CaseStudy;
@@ -73,6 +75,42 @@ fn model() -> ModelA {
     ModelA::with_coefficients(CaseStudy::paper_fitting())
 }
 
+/// Every tile's `ΔT` in kelvin, solved on its own unit cell (row-major) —
+/// the reference the engine's dedup and caches must reproduce bitwise.
+fn per_tile_delta_t(plan: &Floorplan, model: &dyn ThermalModel) -> Vec<f64> {
+    let mut out = Vec::with_capacity(plan.tiles());
+    for iy in 0..plan.ny() {
+        for ix in 0..plan.nx() {
+            let cell = plan.tile_cell(ix, iy).expect("valid tile");
+            out.push(
+                model
+                    .max_delta_t(&cell.scenario)
+                    .expect("solvable")
+                    .as_kelvin(),
+            );
+        }
+    }
+    out
+}
+
+/// The exact number of distinct tiles: distinct bit patterns of (via
+/// density, per-plane watts).
+fn distinct_tiles(plan: &Floorplan) -> usize {
+    let mut seen: HashSet<Vec<u64>> = HashSet::new();
+    for iy in 0..plan.ny() {
+        for ix in 0..plan.nx() {
+            let mut bits = vec![plan.via_map().get(ix, iy).to_bits()];
+            bits.extend(
+                plan.plane_maps()
+                    .iter()
+                    .map(|m| m.get(ix, iy).as_watts().to_bits()),
+            );
+            seen.insert(bits);
+        }
+    }
+    seen.len()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -102,28 +140,21 @@ proptest! {
         }
     }
 
-    /// The dedup cache is transparent: cached and uncached evaluations of
-    /// the same plan are bit-identical, and dedup never solves more cells
-    /// than tiles.
+    /// The dedup cache is transparent: every tile's `ΔT` is bit-identical
+    /// to solving that tile on its own, and the engine solves exactly the
+    /// distinct tiles — no more, no fewer.
     #[test]
     fn dedup_is_bitwise_transparent(p in plan_params()) {
         let plan = build(&p);
         let model = model();
-        let cached = ChipEngine::new().evaluate(&plan, &model).expect("solvable");
-        let uncached = ChipEngine::new()
-            .with_dedup(false)
-            .evaluate(&plan, &model)
-            .expect("solvable");
-        prop_assert_eq!(&cached.delta_t, &uncached.delta_t);
-        prop_assert_eq!(cached.max_delta_t.to_bits(), uncached.max_delta_t.to_bits());
-        prop_assert_eq!(cached.mean_delta_t.to_bits(), uncached.mean_delta_t.to_bits());
-        prop_assert_eq!(cached.p99_delta_t.to_bits(), uncached.p99_delta_t.to_bits());
-        prop_assert_eq!(
-            (cached.argmax_ix, cached.argmax_iy),
-            (uncached.argmax_ix, uncached.argmax_iy)
-        );
-        prop_assert!(cached.distinct_cells <= uncached.distinct_cells);
-        prop_assert_eq!(uncached.distinct_cells, plan.tiles());
+        let engine = ChipEngine::new();
+        let cached = engine.evaluate(&plan, &model).expect("solvable");
+        let reference = per_tile_delta_t(&plan, &model);
+        for (t, (got, want)) in cached.delta_t.iter().zip(&reference).enumerate() {
+            prop_assert!(got.to_bits() == want.to_bits(), "tile {t}: {got} vs {want}");
+        }
+        prop_assert_eq!(cached.distinct_cells, distinct_tiles(&plan));
+        prop_assert_eq!(engine.solves(), cached.distinct_cells);
     }
 
     /// The factor-once batched path is equivalent to per-tile solves:
@@ -135,13 +166,11 @@ proptest! {
     fn factored_batch_matches_per_tile_solves(p in plan_params()) {
         let plan = build(&p);
         let model = ModelB::paper_b20();
-        let per_tile = ChipEngine::new()
-            .with_dedup(false)
-            .evaluate(&plan, &model)
-            .expect("solvable");
+        let per_tile = per_tile_delta_t(&plan, &model);
         let engine = ChipEngine::new();
         let factored = engine.evaluate_factored(&plan, &model).expect("solvable");
-        for (ft, pt) in factored.delta_t.iter().zip(&per_tile.delta_t) {
+        prop_assert_eq!(factored.distinct_cells, distinct_tiles(&plan));
+        for (ft, pt) in factored.delta_t.iter().zip(&per_tile) {
             prop_assert!(
                 ft.to_bits() == pt.to_bits(),
                 "factored {ft} vs per-tile {pt}"

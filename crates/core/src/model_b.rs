@@ -8,11 +8,10 @@
 //! resulting KCL system `A·T = b` (eq. 19) is symmetric positive-definite
 //! and, with interleaved bulk/via numbering, block tridiagonal with 2×2
 //! blocks — solved in `O(n)` by the dedicated
-//! [`BlockTridiagonal`] kernel (the generic banded LU and a CG path remain
-//! as ablation cross-checks).
+//! [`BlockTridiagonal`] kernel. A generic banded LU and a CG path over
+//! the same ladder remain in the tests as independent cross-checks.
 
-use ttsv_linalg::{BandedMatrix, BlockTridiagonal, BlockTridiagonalLu};
-use ttsv_network::{SolverChoice, Terminal, ThermalNetwork};
+use ttsv_linalg::{BlockTridiagonal, BlockTridiagonalLu};
 use ttsv_units::{Power, TemperatureDelta, ThermalResistance};
 
 use crate::error::CoreError;
@@ -108,22 +107,6 @@ impl Segmentation {
     }
 }
 
-/// Which linear solver Model B uses (ablation knob; results are identical
-/// to solver tolerance).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LadderSolver {
-    /// Dedicated 2×2 block-tridiagonal elimination over the interleaved
-    /// numbering (default; `O(n)` with flat per-block arithmetic — no
-    /// per-entry band bookkeeping).
-    #[default]
-    BlockTridiagonal,
-    /// Generic banded LU over the interleaved numbering (`O(n)`, but pays
-    /// per-entry offset arithmetic; the pre-block-kernel default).
-    BandedLu,
-    /// SSOR-preconditioned conjugate gradients via the generic network.
-    ConjugateGradient,
-}
-
 /// The distributed analytical TTSV model (no fitting coefficients).
 ///
 /// ```
@@ -138,7 +121,6 @@ pub enum LadderSolver {
 pub struct ModelB {
     first_plane_segments: usize,
     upper_plane_segments: usize,
-    solver: LadderSolver,
 }
 
 impl ModelB {
@@ -153,7 +135,6 @@ impl ModelB {
         Self {
             first_plane_segments: first,
             upper_plane_segments: others,
-            solver: LadderSolver::default(),
         }
     }
 
@@ -188,13 +169,6 @@ impl ModelB {
         Self::with_segments(50, 1000)
     }
 
-    /// Selects the linear solver (ablation knob).
-    #[must_use]
-    pub fn with_solver(mut self, solver: LadderSolver) -> Self {
-        self.solver = solver;
-        self
-    }
-
     /// Segments per upper plane (used in display names, e.g. "Model B
     /// (100)").
     #[must_use]
@@ -220,10 +194,8 @@ impl ModelB {
     /// KCL matrix (eq. 19) depends on the stack, the TSV, and the segment
     /// scheme but not on the plane powers, so the returned
     /// [`ModelBFactorization`] solves any power vector on the same
-    /// geometry with one `O(n)` back-substitution. Always uses the
-    /// dedicated block-tridiagonal kernel (the default
-    /// [`LadderSolver::BlockTridiagonal`] path, which the result is
-    /// bit-for-bit identical to).
+    /// geometry with one `O(n)` back-substitution, bit-for-bit identical
+    /// to [`ModelB::solve`] (both run the block-tridiagonal kernel).
     ///
     /// # Errors
     ///
@@ -251,13 +223,7 @@ impl ModelB {
     ) -> Result<ModelBSolution, CoreError> {
         let segments = build_segments(scenario, segmentation)?;
         let rs = substrate_resistance(scenario);
-        match self.solver {
-            LadderSolver::BlockTridiagonal => {
-                solve_block_tridiag(scenario, segmentation, &segments, rs)
-            }
-            LadderSolver::BandedLu => solve_banded(scenario, segmentation, &segments, rs),
-            LadderSolver::ConjugateGradient => solve_network(scenario, segmentation, &segments, rs),
-        }
+        solve_block_tridiag(scenario, segmentation, &segments, rs)
     }
 }
 
@@ -271,11 +237,11 @@ impl ThermalModel for ModelB {
     }
 
     fn cache_tag(&self) -> String {
-        // The display name omits the first-plane segment count and the
-        // solver ablation knob; both change the output bits.
+        // The display name omits the first-plane segment count, which
+        // changes the output bits.
         format!(
-            "Model B[{},{},{:?}]",
-            self.first_plane_segments, self.upper_plane_segments, self.solver
+            "Model B[{},{}]",
+            self.first_plane_segments, self.upper_plane_segments
         )
     }
 }
@@ -284,20 +250,6 @@ impl crate::scenario::PowerSeparableModel for ModelB {
     type Factorization = ModelBFactorization;
 
     fn factorize_geometry(&self, scenario: &Scenario) -> Result<ModelBFactorization, CoreError> {
-        // The factorization is always the block-tridiagonal kernel, but a
-        // result cache keyed on this model's `cache_tag` (the chip
-        // engine's) must never mix factored results into a non-default
-        // solver's tag — the ablation solvers agree only to tolerance,
-        // not bitwise — so the power-separable path refuses them.
-        if self.solver != LadderSolver::BlockTridiagonal {
-            return Err(CoreError::InvalidScenario {
-                reason: format!(
-                    "the factor-once path requires the default BlockTridiagonal ladder solver, \
-                     got {:?} (an ablation knob whose results differ by solver tolerance)",
-                    self.solver
-                ),
-            });
-        }
         self.factorize(scenario)
     }
 
@@ -318,13 +270,13 @@ impl crate::scenario::PowerSeparableModel for ModelB {
     }
 }
 
-/// One π-segment: resistances in K/W, heat in W.
+/// One π-segment's resistances in K/W (the heat inputs live in the
+/// factorization's right-hand-side recipe).
 #[derive(Debug, Clone, Copy)]
 struct Segment {
     r_bulk: f64,
     r_fill: f64,
     r_lat: f64,
-    heat: f64,
 }
 
 /// Unfitted lumped substrate resistance `R_s` (eq. 16 with `k₁ = 1`).
@@ -334,8 +286,8 @@ fn substrate_resistance(scenario: &Scenario) -> f64 {
         / (stack.k_si().as_watts_per_meter_kelvin() * stack.footprint().as_square_meters())
 }
 
-/// Materializes the per-segment resistances (eq. 21) and heat inputs
-/// (eq. 20), bottom → top across all planes.
+/// Materializes the per-segment resistances (eq. 21), bottom → top across
+/// all planes.
 fn build_segments(
     scenario: &Scenario,
     segmentation: &Segmentation,
@@ -353,7 +305,6 @@ fn build_segments(
     let mut segments = Vec::with_capacity(segmentation.total());
     for (j, seg) in segmentation.per_plane().iter().enumerate() {
         let d = distributed_plane_resistances(stack, scenario.tsv(), j);
-        let q = scenario.plane_powers()[j].as_watts();
         let n = seg.total();
         if n == 0 {
             return Err(CoreError::InvalidScenario {
@@ -369,7 +320,6 @@ fn build_segments(
                 r_bulk: (d.bond + d.silicon + d.ild).as_kelvin_per_watt(),
                 r_fill,
                 r_lat,
-                heat: q,
             });
             continue;
         }
@@ -390,7 +340,6 @@ fn build_segments(
                 r_bulk,
                 r_fill,
                 r_lat,
-                heat: 0.0,
             });
         }
         for i in 0..seg.ild {
@@ -403,7 +352,6 @@ fn build_segments(
                 r_bulk,
                 r_fill,
                 r_lat,
-                heat: q / seg.ild as f64,
             });
         }
     }
@@ -512,8 +460,8 @@ fn factorize_block_tridiag(
 }
 
 /// Index of each plane's topmost segment — shared by the factorization
-/// and [`ModelBSolution::from_node_temps`] so the two solve paths can
-/// never disagree on the plane layout.
+/// and the reference ladder solvers in the tests, so they can never
+/// disagree on the plane layout.
 fn plane_top_segments(segmentation: &Segmentation) -> Vec<usize> {
     let mut tops = Vec::with_capacity(segmentation.per_plane().len());
     let mut acc = 0;
@@ -542,8 +490,7 @@ struct HeatSlot {
 ///
 /// Produced by [`ModelB::factorize`]; [`ModelBFactorization::solve_rhs`]
 /// with the originating scenario's powers is bit-for-bit identical to
-/// [`ModelB::solve`] on the default block-tridiagonal path (the property
-/// suites assert it).
+/// [`ModelB::solve`] (the property suites assert it).
 #[derive(Debug, Clone)]
 pub struct ModelBFactorization {
     lu: BlockTridiagonalLu,
@@ -630,7 +577,7 @@ impl ModelBFactorization {
 
     /// Batched hotspot metric: four right-hand sides share each pass over
     /// the factors
-    /// ([`BlockTridiagonalLu::solve_in_place_x4`]), which is what makes a
+    /// ([`BlockTridiagonalLu::solve_interleaved_x4`]), which is what makes a
     /// thousand same-geometry tiles nearly free. Per-vector results are
     /// bit-identical to [`ModelBFactorization::max_delta_t`].
     ///
@@ -700,109 +647,6 @@ impl ModelBFactorization {
     }
 }
 
-/// Generic banded assembly: unknowns `[T0, B₁, V₁, B₂, V₂, ...]`, bandwidth 2.
-fn solve_banded(
-    scenario: &Scenario,
-    segmentation: &Segmentation,
-    segments: &[Segment],
-    rs: f64,
-) -> Result<ModelBSolution, CoreError> {
-    let n_seg = segments.len();
-    let n = 1 + 2 * n_seg;
-    let mut m = BandedMatrix::zeros(n, 2, 2);
-    let mut rhs = vec![0.0; n];
-
-    let bulk_node = |s: usize| 1 + 2 * s;
-    let via_node = |s: usize| 2 + 2 * s;
-
-    // T0 → ground through Rs.
-    m.add(0, 0, 1.0 / rs);
-
-    let couple = |m: &mut BandedMatrix, i: usize, j: usize, g: f64| {
-        m.add(i, i, g);
-        m.add(j, j, g);
-        m.add(i, j, -g);
-        m.add(j, i, -g);
-    };
-
-    for (s, seg) in segments.iter().enumerate() {
-        let (below_bulk, below_via) = if s == 0 {
-            (0, 0)
-        } else {
-            (bulk_node(s - 1), via_node(s - 1))
-        };
-        couple(&mut m, bulk_node(s), below_bulk, 1.0 / seg.r_bulk);
-        couple(&mut m, via_node(s), below_via, 1.0 / seg.r_fill);
-        couple(&mut m, bulk_node(s), via_node(s), 1.0 / seg.r_lat);
-        rhs[bulk_node(s)] += seg.heat;
-    }
-
-    let t = m.solve(&rhs)?;
-    Ok(ModelBSolution::from_node_temps(
-        scenario,
-        segmentation,
-        &t,
-        segments.len(),
-    ))
-}
-
-/// Cross-check path: the same ladder expressed through the generic
-/// [`ThermalNetwork`] and solved with conjugate gradients.
-fn solve_network(
-    scenario: &Scenario,
-    segmentation: &Segmentation,
-    segments: &[Segment],
-    rs: f64,
-) -> Result<ModelBSolution, CoreError> {
-    let mut net = ThermalNetwork::new();
-    let t0 = net.add_node("T0");
-    net.add_resistor(
-        t0,
-        Terminal::Ground,
-        ThermalResistance::from_kelvin_per_watt(rs),
-    );
-    let mut bulk_nodes = Vec::with_capacity(segments.len());
-    let mut via_nodes = Vec::with_capacity(segments.len());
-    for (s, seg) in segments.iter().enumerate() {
-        let b = net.add_node(format!("seg{s}.bulk"));
-        let v = net.add_node(format!("seg{s}.via"));
-        let (below_b, below_v) = if s == 0 {
-            (t0, t0)
-        } else {
-            (bulk_nodes[s - 1], via_nodes[s - 1])
-        };
-        net.add_resistor(
-            b,
-            below_b,
-            ThermalResistance::from_kelvin_per_watt(seg.r_bulk),
-        );
-        net.add_resistor(
-            v,
-            below_v,
-            ThermalResistance::from_kelvin_per_watt(seg.r_fill),
-        );
-        net.add_resistor(b, v, ThermalResistance::from_kelvin_per_watt(seg.r_lat));
-        if seg.heat != 0.0 {
-            net.add_source(b, Power::from_watts(seg.heat));
-        }
-        bulk_nodes.push(b);
-        via_nodes.push(v);
-    }
-    let sol = net.solve_with(SolverChoice::ConjugateGradient)?;
-    let mut t = Vec::with_capacity(1 + 2 * segments.len());
-    t.push(sol.temperature(t0).as_kelvin());
-    for s in 0..segments.len() {
-        t.push(sol.temperature(bulk_nodes[s]).as_kelvin());
-        t.push(sol.temperature(via_nodes[s]).as_kelvin());
-    }
-    Ok(ModelBSolution::from_node_temps(
-        scenario,
-        segmentation,
-        &t,
-        segments.len(),
-    ))
-}
-
 /// A solved distributed ladder.
 #[derive(Debug, Clone)]
 pub struct ModelBSolution {
@@ -817,15 +661,6 @@ pub struct ModelBSolution {
 }
 
 impl ModelBSolution {
-    fn from_node_temps(
-        _scenario: &Scenario,
-        segmentation: &Segmentation,
-        t: &[f64],
-        n_seg: usize,
-    ) -> Self {
-        Self::from_parts(t, n_seg, plane_top_segments(segmentation))
-    }
-
     fn from_parts(t: &[f64], n_seg: usize, plane_top_segment: Vec<usize>) -> Self {
         let t0 = TemperatureDelta::from_kelvin(t[0]);
         let mut bulk = Vec::with_capacity(n_seg);
@@ -886,6 +721,8 @@ mod tests {
     use crate::fitting::FittingCoefficients;
     use crate::geometry::TtsvConfig;
     use crate::model_a::ModelA;
+    use ttsv_linalg::BandedMatrix;
+    use ttsv_network::{SolverChoice, Terminal, ThermalNetwork};
     use ttsv_units::Length;
 
     fn um(v: f64) -> Length {
@@ -898,6 +735,125 @@ mod tests {
             .with_ild_thickness(um(7.0))
             .build()
             .unwrap()
+    }
+
+    /// Each segment's heat input (eq. 20), derived independently of the
+    /// factorization's right-hand-side recipe: a lumped plane takes its
+    /// whole power, an ILD segment `q_j / n_D`, a silicon segment none.
+    fn segment_heats(scenario: &Scenario, segmentation: &Segmentation) -> Vec<f64> {
+        let mut heats = Vec::with_capacity(segmentation.total());
+        for (seg, q) in segmentation.per_plane().iter().zip(scenario.plane_powers()) {
+            let q = q.as_watts();
+            if seg.total() == 1 {
+                heats.push(q);
+            } else {
+                heats.extend(std::iter::repeat_n(0.0, seg.silicon));
+                heats.extend(std::iter::repeat_n(q / seg.ild as f64, seg.ild));
+            }
+        }
+        heats
+    }
+
+    /// The same ladder through generic banded LU: unknowns
+    /// `[T0, B₁, V₁, B₂, V₂, ...]`, bandwidth 2.
+    fn solve_banded(
+        segmentation: &Segmentation,
+        segments: &[Segment],
+        heats: &[f64],
+        rs: f64,
+    ) -> Result<ModelBSolution, CoreError> {
+        let n_seg = segments.len();
+        let n = 1 + 2 * n_seg;
+        let mut m = BandedMatrix::zeros(n, 2, 2);
+        let mut rhs = vec![0.0; n];
+
+        let bulk_node = |s: usize| 1 + 2 * s;
+        let via_node = |s: usize| 2 + 2 * s;
+
+        // T0 → ground through Rs.
+        m.add(0, 0, 1.0 / rs);
+
+        let couple = |m: &mut BandedMatrix, i: usize, j: usize, g: f64| {
+            m.add(i, i, g);
+            m.add(j, j, g);
+            m.add(i, j, -g);
+            m.add(j, i, -g);
+        };
+
+        for (s, seg) in segments.iter().enumerate() {
+            let (below_bulk, below_via) = if s == 0 {
+                (0, 0)
+            } else {
+                (bulk_node(s - 1), via_node(s - 1))
+            };
+            couple(&mut m, bulk_node(s), below_bulk, 1.0 / seg.r_bulk);
+            couple(&mut m, via_node(s), below_via, 1.0 / seg.r_fill);
+            couple(&mut m, bulk_node(s), via_node(s), 1.0 / seg.r_lat);
+            rhs[bulk_node(s)] += heats[s];
+        }
+
+        let t = m.solve(&rhs)?;
+        Ok(ModelBSolution::from_parts(
+            &t,
+            segments.len(),
+            plane_top_segments(segmentation),
+        ))
+    }
+
+    /// The same ladder expressed through the generic
+    /// [`ThermalNetwork`] and solved with conjugate gradients.
+    fn solve_network(
+        segmentation: &Segmentation,
+        segments: &[Segment],
+        heats: &[f64],
+        rs: f64,
+    ) -> Result<ModelBSolution, CoreError> {
+        let mut net = ThermalNetwork::new();
+        let t0 = net.add_node("T0");
+        net.add_resistor(
+            t0,
+            Terminal::Ground,
+            ThermalResistance::from_kelvin_per_watt(rs),
+        );
+        let mut bulk_nodes = Vec::with_capacity(segments.len());
+        let mut via_nodes = Vec::with_capacity(segments.len());
+        for (s, seg) in segments.iter().enumerate() {
+            let b = net.add_node(format!("seg{s}.bulk"));
+            let v = net.add_node(format!("seg{s}.via"));
+            let (below_b, below_v) = if s == 0 {
+                (t0, t0)
+            } else {
+                (bulk_nodes[s - 1], via_nodes[s - 1])
+            };
+            net.add_resistor(
+                b,
+                below_b,
+                ThermalResistance::from_kelvin_per_watt(seg.r_bulk),
+            );
+            net.add_resistor(
+                v,
+                below_v,
+                ThermalResistance::from_kelvin_per_watt(seg.r_fill),
+            );
+            net.add_resistor(b, v, ThermalResistance::from_kelvin_per_watt(seg.r_lat));
+            if heats[s] != 0.0 {
+                net.add_source(b, Power::from_watts(heats[s]));
+            }
+            bulk_nodes.push(b);
+            via_nodes.push(v);
+        }
+        let sol = net.solve_with(SolverChoice::ConjugateGradient)?;
+        let mut t = Vec::with_capacity(1 + 2 * segments.len());
+        t.push(sol.temperature(t0).as_kelvin());
+        for s in 0..segments.len() {
+            t.push(sol.temperature(bulk_nodes[s]).as_kelvin());
+            t.push(sol.temperature(via_nodes[s]).as_kelvin());
+        }
+        Ok(ModelBSolution::from_parts(
+            &t,
+            segments.len(),
+            plane_top_segments(segmentation),
+        ))
     }
 
     #[test]
@@ -944,14 +900,12 @@ mod tests {
     fn all_three_ladder_solvers_agree() {
         let s = scenario();
         let block = ModelB::paper_b100().solve(&s).unwrap();
-        let banded = ModelB::paper_b100()
-            .with_solver(LadderSolver::BandedLu)
-            .solve(&s)
-            .unwrap();
-        let cg = ModelB::paper_b100()
-            .with_solver(LadderSolver::ConjugateGradient)
-            .solve(&s)
-            .unwrap();
+        let seg = Segmentation::paper_scheme(&s, 10, 100);
+        let segments = build_segments(&s, &seg).unwrap();
+        let heats = segment_heats(&s, &seg);
+        let rs = substrate_resistance(&s);
+        let banded = solve_banded(&seg, &segments, &heats, rs).unwrap();
+        let cg = solve_network(&seg, &segments, &heats, rs).unwrap();
         let reference = block.max_delta_t().as_kelvin();
         // The two direct eliminations agree to rounding; CG to its
         // tolerance.

@@ -307,55 +307,16 @@ impl BlockTridiagonalLu {
         Ok(x)
     }
 
-    /// Solves four right-hand sides with a single pass over the factors:
-    /// each factor block is loaded once and applied to four independent
-    /// elimination chains, which both amortizes the memory traffic and
-    /// gives the core four dependency chains to overlap — the
-    /// multi-right-hand-side shape the chip engine's factor-once batches
-    /// produce. Every lane runs exactly the arithmetic of
+    /// Solves four right-hand sides with a single pass over the factors.
+    /// `z` holds them lane-interleaved — global unknown `i` of lane `l` at
+    /// slot `4·i + l` — so each factor block is loaded once and applied to
+    /// four independent elimination chains over contiguous values: a
+    /// vectorizable stride-1 micro-kernel that amortizes the memory
+    /// traffic and gives the core four dependency chains to overlap (the
+    /// multi-right-hand-side shape of Model B's batched ladder solves).
+    /// Every lane runs exactly the arithmetic of
     /// [`BlockTridiagonalLu::solve_in_place`], so lane results are
     /// bit-identical to four separate solves.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::DimensionMismatch`] if any lane's length
-    /// mismatches.
-    pub fn solve_in_place_x4(&self, xs: [&mut [f64]; 4]) -> Result<(), LinalgError> {
-        for x in &xs {
-            if x.len() != self.dim() {
-                return Err(LinalgError::DimensionMismatch {
-                    operation: "block-tridiagonal multi-RHS solve",
-                    expected: self.dim(),
-                    actual: x.len(),
-                });
-            }
-        }
-        let [x0, x1, x2, x3] = xs;
-        let n = self.dim();
-        let mut z = vec![0.0; 4 * n];
-        for i in 0..n {
-            z[4 * i] = x0[i];
-            z[4 * i + 1] = x1[i];
-            z[4 * i + 2] = x2[i];
-            z[4 * i + 3] = x3[i];
-        }
-        self.solve_interleaved_x4(&mut z)?;
-        for i in 0..n {
-            x0[i] = z[4 * i];
-            x1[i] = z[4 * i + 1];
-            x2[i] = z[4 * i + 2];
-            x3[i] = z[4 * i + 3];
-        }
-        Ok(())
-    }
-
-    /// The lane-interleaved core of
-    /// [`BlockTridiagonalLu::solve_in_place_x4`]: `z` holds four
-    /// right-hand sides with global unknown `i` of lane `l` at slot
-    /// `4·i + l`, so every per-lane operation runs over four contiguous
-    /// values — a vectorizable stride-1 micro-kernel with no marshalling.
-    /// Callers that can assemble and read results in this layout (Model
-    /// B's batched ladder solves) skip the transposes entirely.
     ///
     /// # Errors
     ///
@@ -520,7 +481,7 @@ mod tests {
         let m = ladder(23);
         let lu = m.factorize().unwrap();
         let n = lu.dim();
-        let mut lanes: Vec<Vec<f64>> = (0..4)
+        let lanes: Vec<Vec<f64>> = (0..4)
             .map(|l| {
                 (0..n)
                     .map(|i| ((i * 3 + l * 7) as f64).sin() * 2.0)
@@ -528,15 +489,27 @@ mod tests {
             })
             .collect();
         let singles: Vec<Vec<f64>> = lanes.iter().map(|b| lu.solve(b).unwrap()).collect();
-        let [a, b, c, d] = &mut lanes[..] else {
-            unreachable!()
-        };
-        lu.solve_in_place_x4([a, b, c, d]).unwrap();
-        for (lane, single) in lanes.iter().zip(&singles) {
-            for (x, y) in lane.iter().zip(single) {
-                assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
+        let mut z = vec![0.0; 4 * n];
+        for (l, lane) in lanes.iter().enumerate() {
+            for (i, &v) in lane.iter().enumerate() {
+                z[4 * i + l] = v;
             }
         }
+        lu.solve_interleaved_x4(&mut z).unwrap();
+        for (l, single) in singles.iter().enumerate() {
+            for (i, y) in single.iter().enumerate() {
+                let x = z[4 * i + l];
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "lane {l}, unknown {i}: {x} vs {y}"
+                );
+            }
+        }
+        assert!(matches!(
+            lu.solve_interleaved_x4(&mut z[1..]),
+            Err(LinalgError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]

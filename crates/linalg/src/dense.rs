@@ -2,7 +2,6 @@
 
 use crate::error::LinalgError;
 use crate::lu::LuDecomposition;
-use crate::qr::QrDecomposition;
 
 /// A dense row-major `rows × cols` matrix of `f64`.
 ///
@@ -195,15 +194,6 @@ impl DenseMatrix {
     /// [`LinalgError::InvalidInput`] for non-square input.
     pub fn lu(&self) -> Result<LuDecomposition, LinalgError> {
         LuDecomposition::new(self)
-    }
-
-    /// Householder QR factorization (also works for tall matrices).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LinalgError::InvalidInput`] if `rows < cols`.
-    pub fn qr(&self) -> Result<QrDecomposition, LinalgError> {
-        QrDecomposition::new(self)
     }
 
     /// Convenience: solve `A·x = b` through LU.

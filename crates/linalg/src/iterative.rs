@@ -252,93 +252,6 @@ pub fn solve_pcg_into<P: Preconditioner + ?Sized>(
     }
 }
 
-/// Solves `A·x = b` by Gauss–Seidel sweeps (SOR with `ω = 1`).
-///
-/// Slower than CG on large systems; retained as an independent
-/// cross-check and for matrices that are diagonally dominant but not
-/// symmetric.
-///
-/// # Errors
-///
-/// Same contract as [`solve_sor`].
-pub fn solve_gauss_seidel(
-    a: &CsrMatrix,
-    b: &[f64],
-    config: &IterativeConfig,
-) -> Result<SolveReport, LinalgError> {
-    solve_sor(a, b, 1.0, config)
-}
-
-/// Solves `A·x = b` by successive over-relaxation with factor
-/// `omega ∈ (0, 2)`.
-///
-/// # Errors
-///
-/// * [`LinalgError::InvalidInput`] for malformed systems, `ω ∉ (0, 2)`, or a
-///   zero diagonal.
-/// * [`LinalgError::NotConverged`] if the iteration budget runs out.
-pub fn solve_sor(
-    a: &CsrMatrix,
-    b: &[f64],
-    omega: f64,
-    config: &IterativeConfig,
-) -> Result<SolveReport, LinalgError> {
-    check_system(a, b)?;
-    if !(omega > 0.0 && omega < 2.0) {
-        return Err(LinalgError::InvalidInput {
-            reason: format!("SOR relaxation factor must be in (0, 2), got {omega}"),
-        });
-    }
-    let n = b.len();
-    let diag = a.diagonal();
-    if diag.contains(&0.0) {
-        return Err(LinalgError::InvalidInput {
-            reason: "SOR requires a nonzero diagonal".to_string(),
-        });
-    }
-    let b_norm = norm2(b);
-    if b_norm == 0.0 {
-        return Ok(SolveReport {
-            solution: vec![0.0; n],
-            iterations: 0,
-            residual_norm: 0.0,
-        });
-    }
-    let target = config.relative_tolerance * b_norm;
-
-    let mut x = vec![0.0; n];
-    for iter in 1..=config.max_iterations {
-        for i in 0..n {
-            let mut sigma = 0.0;
-            for (j, v) in a.row_entries(i) {
-                if j != i {
-                    sigma += v * x[j];
-                }
-            }
-            let gs = (b[i] - sigma) / diag[i];
-            x[i] += omega * (gs - x[i]);
-        }
-        let residual = a
-            .residual_norm(&x, b)
-            .expect("dimensions already validated");
-        if residual <= target {
-            return Ok(SolveReport {
-                solution: x,
-                iterations: iter,
-                residual_norm: residual,
-            });
-        }
-    }
-    let residual = a
-        .residual_norm(&x, b)
-        .expect("dimensions already validated");
-    Err(LinalgError::NotConverged {
-        iterations: config.max_iterations,
-        residual,
-        tolerance: target,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,37 +334,6 @@ mod tests {
         for (a, b) in x1.iter().zip(&x2) {
             assert!((a - b).abs() < 1e-7);
         }
-    }
-
-    #[test]
-    fn gauss_seidel_agrees_with_cg() {
-        let n = 25;
-        let a = poisson(n);
-        let b = vec![0.5; n];
-        let cfg = IterativeConfig::new(100_000, 1e-10);
-        let cg = solve_cg(&a, &b, &cfg).unwrap().solution;
-        let gs = solve_gauss_seidel(&a, &b, &cfg).unwrap().solution;
-        for (x, y) in cg.iter().zip(&gs) {
-            assert!((x - y).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn sor_with_good_omega_beats_gauss_seidel() {
-        let n = 60;
-        let a = poisson(n);
-        let b = vec![1.0; n];
-        let cfg = IterativeConfig::new(200_000, 1e-8);
-        let gs = solve_gauss_seidel(&a, &b, &cfg).unwrap();
-        // Optimal SOR omega for 1-D Poisson is 2/(1+sin(π/(n+1))) ≈ close to 2.
-        let w = 2.0 / (1.0 + (std::f64::consts::PI / (n as f64 + 1.0)).sin());
-        let sor = solve_sor(&a, &b, w, &cfg).unwrap();
-        assert!(
-            sor.iterations < gs.iterations / 2,
-            "SOR {} vs GS {}",
-            sor.iterations,
-            gs.iterations
-        );
     }
 
     #[test]
@@ -542,14 +424,5 @@ mod tests {
             LinalgError::NotConverged { iterations, .. } => assert_eq!(iterations, 2),
             other => panic!("expected NotConverged, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn sor_rejects_bad_omega() {
-        let a = poisson(3);
-        assert!(matches!(
-            solve_sor(&a, &[1.0; 3], 2.0, &IterativeConfig::default()),
-            Err(LinalgError::InvalidInput { .. })
-        ));
     }
 }

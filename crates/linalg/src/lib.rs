@@ -4,9 +4,8 @@
 //! scientific-computing stack, so everything the thermal models need is
 //! implemented here from scratch:
 //!
-//! * [`DenseMatrix`] with [LU](DenseMatrix::lu) (partial pivoting) and
-//!   [QR](DenseMatrix::qr) (Householder) factorizations — Model A's small KCL
-//!   systems and least-squares fitting.
+//! * [`DenseMatrix`] with an [LU](DenseMatrix::lu) (partial pivoting)
+//!   factorization — Model A's small KCL systems.
 //! * [`Tridiagonal`] (Thomas algorithm), [`BandedMatrix`] (banded LU), and
 //!   [`BlockTridiagonal`] (2×2 block Thomas) — Model B's π-segment ladders
 //!   are banded SPD systems, solved `O(n)` by the dedicated block kernel.
@@ -44,7 +43,6 @@ mod lu;
 mod multigrid;
 mod optimize;
 mod precond;
-mod qr;
 mod sparse;
 mod tridiagonal;
 mod vector;
@@ -54,8 +52,7 @@ pub use block_tridiag::{BlockTridiagonal, BlockTridiagonalLu};
 pub use dense::DenseMatrix;
 pub use error::LinalgError;
 pub use iterative::{
-    solve_cg, solve_gauss_seidel, solve_pcg, solve_pcg_into, solve_sor, IterativeConfig,
-    PcgWorkspace, SolveReport, SolveStats,
+    solve_cg, solve_pcg, solve_pcg_into, IterativeConfig, PcgWorkspace, SolveReport, SolveStats,
 };
 pub use lu::LuDecomposition;
 pub use multigrid::{MultigridHierarchy, MultigridPreconditioner};
@@ -63,7 +60,6 @@ pub use optimize::{
     golden_section, nelder_mead, GoldenSectionResult, NelderMeadConfig, NelderMeadResult,
 };
 pub use precond::{IdentityPreconditioner, Preconditioner, SsorPreconditioner};
-pub use qr::QrDecomposition;
 pub use sparse::{CooBuilder, CsrMatrix};
 pub use tridiagonal::Tridiagonal;
 pub use vector::{axpy, dot, norm2, norm_inf, scale, sub};

@@ -368,28 +368,4 @@ proptest! {
             prop_assert!((s - d).abs() < 1e-10);
         }
     }
-
-    #[test]
-    fn qr_least_squares_residual_is_orthogonal(
-        cols in prop::collection::vec((-2.0..2.0f64, -2.0..2.0f64), 6),
-        b in rhs(6),
-    ) {
-        // Residual of the LS solution must be orthogonal to the column space.
-        let a = DenseMatrix::from_fn(6, 2, |i, j| if j == 0 { 1.0 } else { cols[i].0 + 0.1 * cols[i].1 });
-        let qr = match a.qr() {
-            Ok(qr) => qr,
-            Err(_) => return Ok(()),
-        };
-        let x = match qr.solve_least_squares(&b) {
-            Ok(x) => x,
-            Err(_) => return Ok(()), // rank-deficient draw
-        };
-        let ax = a.matvec(&x).unwrap();
-        let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
-        for j in 0..2 {
-            let col: Vec<f64> = (0..6).map(|i| a[(i, j)]).collect();
-            let d = ttsv_linalg::dot(&col, &r);
-            prop_assert!(d.abs() < 1e-7, "residual not orthogonal: {d}");
-        }
-    }
 }

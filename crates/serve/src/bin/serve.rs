@@ -19,6 +19,7 @@
 //! socket is bound (port 0 resolves to the real ephemeral port), which
 //! is how `bench-client --spawn` discovers the address.
 
+use std::num::NonZeroUsize;
 use std::time::Duration;
 
 use ttsv_serve::persist::FsyncPolicy;
@@ -47,6 +48,12 @@ fn parse_flag<T: std::str::FromStr>(args: &mut std::env::Args, flag: &str) -> T 
     parsed
 }
 
+/// A count flag: a zero takes the same "not valid" + usage exit as any
+/// other unparsable value instead of reaching the config builder's assert.
+fn parse_count(args: &mut std::env::Args, flag: &str) -> usize {
+    parse_flag::<NonZeroUsize>(args, flag).get()
+}
+
 fn main() {
     let mut addr = "127.0.0.1:7071".to_string();
     let mut config = ServerConfig::default();
@@ -59,26 +66,26 @@ fn main() {
             "--addr" => addr = parse_flag(&mut args, "--addr"),
             "--state-dir" => state_dir = Some(parse_flag(&mut args, "--state-dir")),
             "--fsync" => fsync = Some(parse_flag(&mut args, "--fsync")),
-            "--workers" => config = config.with_workers(parse_flag(&mut args, "--workers")),
+            "--workers" => config = config.with_workers(parse_count(&mut args, "--workers")),
             "--event-loops" => {
-                config = config.with_event_loops(parse_flag(&mut args, "--event-loops"));
+                config = config.with_event_loops(parse_count(&mut args, "--event-loops"));
             }
             "--max-sessions" => {
-                config = config.with_max_sessions(parse_flag(&mut args, "--max-sessions"));
+                config = config.with_max_sessions(parse_count(&mut args, "--max-sessions"));
             }
             "--session-shards" => {
-                config = config.with_session_shards(parse_flag(&mut args, "--session-shards"));
+                config = config.with_session_shards(parse_count(&mut args, "--session-shards"));
             }
-            "--max-tiles" => config = config.with_max_tiles(parse_flag(&mut args, "--max-tiles")),
+            "--max-tiles" => config = config.with_max_tiles(parse_count(&mut args, "--max-tiles")),
             "--queue-capacity" => {
-                config = config.with_queue_capacity(parse_flag(&mut args, "--queue-capacity"));
+                config = config.with_queue_capacity(parse_count(&mut args, "--queue-capacity"));
             }
             "--max-connections" => {
-                config = config.with_max_connections(parse_flag(&mut args, "--max-connections"));
+                config = config.with_max_connections(parse_count(&mut args, "--max-connections"));
             }
             "--max-pending-updates" => {
-                config =
-                    config.with_max_pending_updates(parse_flag(&mut args, "--max-pending-updates"));
+                config = config
+                    .with_max_pending_updates(parse_count(&mut args, "--max-pending-updates"));
             }
             "--request-deadline-ms" => {
                 config = config.with_request_deadline(Duration::from_millis(parse_flag(

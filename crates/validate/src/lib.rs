@@ -6,12 +6,12 @@
 //!   [`Scenario`](ttsv_core::scenario::Scenario) onto the axisymmetric
 //!   finite-volume solver, playing the role COMSOL plays in the paper,
 //! * [`metrics`] — the max/average relative-error statistics of Table I,
-//! * [`sweep`] — the bounded self-scheduling worker pool: a generic batch
-//!   runner ([`sweep::run_batch_with_workers`], which the `ttsv-chip`
-//!   floorplan engine evaluates its unit cells on) plus the
-//!   parameter-sweep wrapper over it,
+//! * [`sweep`] — the parameter-sweep runner over the bounded
+//!   self-scheduling worker pool,
 //! * [`pool`] — the execution substrate behind [`sweep`]: the scoped
-//!   borrow-friendly batch core plus the long-lived bounded
+//!   borrow-friendly batch core ([`pool::scoped_batch`], which the
+//!   `ttsv-chip` floorplan engine also evaluates its unit cells on) plus
+//!   the long-lived bounded
 //!   [`WorkerPool`](pool::WorkerPool) the `ttsv-serve` session server
 //!   hands its connections to,
 //! * [`calibrate`] — fits Model A's `k₁`/`k₂` against the FEM reference,

@@ -10,8 +10,8 @@
 //!   thread that outlives the call, which is exactly why the borrowed
 //!   batch path below stays scoped.
 //! * [`scoped_batch`] — the self-scheduling *scoped* batch runner behind
-//!   [`run_batch_with_workers`](crate::sweep::run_batch_with_workers):
-//!   workers claim job indices from a shared atomic counter, results come
+//!   [`run_sweep_with_workers`](crate::sweep::run_sweep_with_workers) and
+//!   the `ttsv-chip` floorplan engine: workers claim job indices from a shared atomic counter, results come
 //!   back in job order, and the closure may borrow freely from the caller.
 //!   `workers == 1` runs inline on the caller's thread — no spawn at all —
 //!   which is the fast path the serving layer pins its per-request engine
@@ -123,12 +123,6 @@ impl WorkerPool {
         Self { shared, handles }
     }
 
-    /// Number of worker threads.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.handles.len()
-    }
-
     /// Enqueues a job, blocking while the queue is at capacity.
     ///
     /// # Panics
@@ -192,60 +186,6 @@ impl WorkerPool {
         while !state.queue.is_empty() || state.in_flight > 0 {
             state = wait_on(&self.shared.job_done, state);
         }
-    }
-
-    /// Runs `count` owned jobs on the persistent workers and returns the
-    /// results in job order — [`scoped_batch`] for `'static` closures,
-    /// without spawning. The caller blocks until the batch completes.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (by job order) error any job produced.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from `eval` (the batch is abandoned).
-    pub fn run_batch<T, E, F>(&self, count: usize, eval: F) -> Result<Vec<T>, E>
-    where
-        T: Send + 'static,
-        E: Send + 'static,
-        F: Fn(usize) -> Result<T, E> + Send + Sync + 'static,
-    {
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        let eval = Arc::new(eval);
-        let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<T, E>)>();
-        let jobs = count.min(self.workers().max(1) * 2);
-        let next = Arc::new(AtomicUsize::new(0));
-        for _ in 0..jobs {
-            let eval = Arc::clone(&eval);
-            let tx = tx.clone();
-            let next = Arc::clone(&next);
-            // Each submitted job is itself self-scheduling: it keeps
-            // claiming indices until the batch is drained, so `count`
-            // jobs never flood the bounded queue.
-            self.submit(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= count {
-                    break;
-                }
-                if tx.send((i, eval(i))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-        let mut results: Vec<Option<Result<T, E>>> = Vec::new();
-        results.resize_with(count, || None);
-        for (i, result) in rx {
-            results[i] = Some(result);
-        }
-        let mut out = Vec::with_capacity(count);
-        for slot in results {
-            out.push(slot.expect("every batch job evaluated")?);
-        }
-        Ok(out)
     }
 }
 
@@ -428,30 +368,6 @@ mod tests {
             (1..=2).contains(&distinct),
             "64 jobs ran on {distinct} threads; expected the 2 pool workers"
         );
-    }
-
-    #[test]
-    fn pool_batch_returns_results_in_job_order() {
-        let pool = WorkerPool::new(3);
-        let got = pool
-            .run_batch::<_, String, _>(50, |i| Ok(i * i))
-            .expect("no failures");
-        assert_eq!(got, (0..50).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn pool_batch_propagates_the_first_error_by_job_order() {
-        let pool = WorkerPool::new(2);
-        let err = pool
-            .run_batch(10, |i| {
-                if i >= 4 {
-                    Err(format!("job {i} failed"))
-                } else {
-                    Ok(i)
-                }
-            })
-            .unwrap_err();
-        assert_eq!(err, "job 4 failed");
     }
 
     #[test]

@@ -6,10 +6,9 @@
 //! problem: run `count` independent jobs on a bounded pool of worker
 //! threads, at most `available_parallelism()` of them, that claim jobs one
 //! at a time from a shared atomic queue (self-scheduling work
-//! distribution). [`run_batch_with_workers`] is that primitive — since
-//! PR 6 a thin wrapper over [`crate::pool::scoped_batch`], which also runs
-//! single-worker batches inline (no spawn at all, the serving fast path);
-//! the long-lived [`crate::pool::WorkerPool`] shares the same
+//! distribution). [`crate::pool::scoped_batch`] is that primitive, and it
+//! also runs single-worker batches inline (no spawn at all, the serving
+//! fast path); the long-lived [`crate::pool::WorkerPool`] shares the same
 //! self-scheduling core for `'static` jobs such as a server's connections.
 //! [`run_sweep`] is the figure-shaped wrapper on top. Dense batches
 //! of 100+ jobs therefore never oversubscribe the machine, and expensive
@@ -20,6 +19,8 @@
 
 use ttsv_core::scenario::{Scenario, ThermalModel};
 use ttsv_core::CoreError;
+
+use crate::pool::scoped_batch;
 
 /// One evaluated sweep point.
 #[derive(Debug, Clone)]
@@ -61,47 +62,6 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs `count` independent jobs on a bounded self-scheduling worker pool
-/// and returns the results in job order. This is the generic primitive
-/// behind [`run_sweep`], delegating to [`crate::pool::scoped_batch`]:
-/// workers claim job indices one at a time from a shared atomic counter,
-/// so expensive jobs load-balance and the pool never oversubscribes, and
-/// `workers == 1` evaluates inline on the caller's thread (no spawn).
-/// `eval(i)` must be safe to call from any worker (jobs are independent);
-/// for deterministic `eval`, the returned vector is identical for every
-/// `workers` value.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero, or propagates a panic from `eval`.
-///
-/// # Errors
-///
-/// Returns the first (by job order) error any job produced.
-pub fn run_batch_with_workers<T, E, F>(count: usize, workers: usize, eval: F) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    crate::pool::scoped_batch(count, workers, eval)
-}
-
-/// [`run_batch_with_workers`] at the default pool size
-/// (`available_parallelism()`).
-///
-/// # Errors
-///
-/// Returns the first (by job order) error any job produced.
-pub fn run_batch<T, E, F>(count: usize, eval: F) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    run_batch_with_workers(count, default_workers(), eval)
-}
-
 /// Evaluates every `(x, scenario)` pair with every model, in parallel over
 /// points on a bounded worker pool (at most `available_parallelism()`
 /// workers).
@@ -139,7 +99,7 @@ pub fn run_sweep_with_workers(
     models: &[&(dyn ThermalModel + Sync)],
     workers: usize,
 ) -> Result<Vec<SweepPoint>, CoreError> {
-    run_batch_with_workers(points.len(), workers, |i| {
+    scoped_batch(points.len(), workers, |i| {
         let (x, scenario) = &points[i];
         evaluate_point(*x, scenario, models)
     })
@@ -251,7 +211,7 @@ mod tests {
 
     #[test]
     fn batch_returns_results_in_job_order() {
-        let squares = run_batch_with_workers::<_, CoreError, _>(100, 4, |i| Ok(i * i)).unwrap();
+        let squares = scoped_batch::<_, CoreError, _>(100, 4, |i| Ok(i * i)).unwrap();
         assert_eq!(squares.len(), 100);
         for (i, sq) in squares.iter().enumerate() {
             assert_eq!(*sq, i * i);
@@ -260,7 +220,7 @@ mod tests {
 
     #[test]
     fn batch_propagates_the_first_error_by_job_order() {
-        let err = run_batch_with_workers(10, 3, |i| {
+        let err = scoped_batch(10, 3, |i| {
             if i >= 4 {
                 Err(format!("job {i} failed"))
             } else {
@@ -273,14 +233,14 @@ mod tests {
 
     #[test]
     fn empty_batch_is_fine() {
-        let out = run_batch::<usize, CoreError, _>(0, |_| unreachable!()).unwrap();
+        let out = scoped_batch::<usize, CoreError, _>(0, 4, |_| unreachable!()).unwrap();
         assert!(out.is_empty());
     }
 
     #[test]
     #[should_panic(expected = "at least one batch worker")]
     fn zero_workers_rejected() {
-        let _ = run_batch_with_workers::<usize, CoreError, _>(3, 0, Ok);
+        let _ = scoped_batch::<usize, CoreError, _>(3, 0, Ok);
     }
 
     #[test]

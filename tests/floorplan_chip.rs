@@ -13,13 +13,17 @@ use ttsv_bench::{gradient_floorplan, hotspot_floorplan};
 #[test]
 fn hotspot_32x32_dedups_to_far_fewer_cells_than_tiles() {
     let plan = hotspot_floorplan(32);
-    let report = ChipEngine::new()
-        .evaluate(&plan, &ModelB::paper_b100())
-        .unwrap();
+    let engine = ChipEngine::new();
+    let report = engine.evaluate(&plan, &ModelB::paper_b100()).unwrap();
     assert_eq!(report.tiles, 1024);
     assert_eq!(report.delta_t.len(), 1024);
     // The dedup counter: solves ≪ cells (3 power levels → 3 solves).
     assert_eq!(report.distinct_cells, 3);
+    assert_eq!(
+        engine.solves(),
+        3,
+        "dedup must solve each distinct cell once"
+    );
     assert!(
         report.distinct_cells * 100 <= report.tiles,
         "dedup must collapse the batch: {} solves for {} tiles",
