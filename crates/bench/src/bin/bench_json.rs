@@ -8,9 +8,11 @@
 //! the highest-numbered recording present at the repository root). The
 //! recording embeds the medians of the newest `BENCH_M.json` present
 //! there with `M < N` as its baseline. With `--check COMMITTED`, the freshly
-//! measured medians are compared against the committed recording and the
-//! process exits nonzero if any shared row regressed more than 1.5× — the
-//! CI regression guard. A bare `--check` compares against the newest
+//! measured medians must satisfy the same-run invariants
+//! ([`ttsv_bench::same_run_violations`]) and are compared against the
+//! committed recording; the process prints every violation and exits 1
+//! if any invariant fails or any shared row regressed more than 1.5× —
+//! the CI regression guard. A bare `--check` compares against the newest
 //! `BENCH_N.json` at the repository root other than the output file. See
 //! the `ttsv-bench` crate docs for the bench → paper mapping.
 
@@ -23,7 +25,7 @@ use ttsv::prelude::*;
 use ttsv::validate::sweep::run_sweep;
 use ttsv_bench::{
     bench_number, block, gradient_floorplan, hotspot_floorplan, mg_box_matrix, newest_bench_json,
-    repo_root, section_integers,
+    repo_root, same_run_violations, section_integers,
 };
 
 /// Wall-clock budget per benchmark (after the warm-up call).
@@ -526,6 +528,12 @@ fn main() {
             .unwrap_or_else(|e| panic!("read committed {}: {e}", committed_path.display()));
         let committed_path = committed_path.display();
         let committed = section_integers(&committed, "benches", Some("median_ns"));
+        let fresh: Vec<(String, u128)> = sampler
+            .results
+            .iter()
+            .map(|(name, median, _)| (name.clone(), *median))
+            .collect();
+        let violations = same_run_violations(&fresh);
         let mut regressions = Vec::new();
         for (name, fresh, _) in &sampler.results {
             if let Some((_, recorded)) = committed.iter().find(|(k, _)| k == name) {
@@ -536,14 +544,18 @@ fn main() {
                 }
             }
         }
-        if regressions.is_empty() {
+        if regressions.is_empty() && violations.is_empty() {
             println!(
-                "--check: no committed-baseline bench regressed past 1.5× of {committed_path}"
+                "--check: every same-run invariant holds, and no committed-baseline bench \
+                 regressed past 1.5× of {committed_path}"
             );
         } else {
-            eprintln!("--check FAILED against {committed_path}:");
+            eprintln!("--check FAILED:");
+            for v in &violations {
+                eprintln!("  same-run: {v}");
+            }
             for r in &regressions {
-                eprintln!("  {r}");
+                eprintln!("  against {committed_path}: {r}");
             }
             std::process::exit(1);
         }

@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p ttsv-serve --bin serve -- \
 //!     [--addr 127.0.0.1:7071] [--workers N] [--event-loops N] \
-//!     [--max-sessions N] [--session-shards N] [--max-tiles N] \
+//!     [--max-sessions N] [--max-tiles N] \
 //!     [--queue-capacity N] [--max-connections N] [--max-pending-updates N] \
 //!     [--request-deadline-ms MS] [--write-timeout-ms MS] \
 //!     [--state-dir PATH] [--fsync always|interval[:MS]|never]
@@ -17,7 +17,7 @@
 //!
 //! Prints exactly one `listening on <addr>` line to stdout once the
 //! socket is bound (port 0 resolves to the real ephemeral port), which
-//! is how `bench-client --spawn` discovers the address.
+//! is how a spawning script or load driver discovers the address.
 
 use std::num::NonZeroUsize;
 use std::time::Duration;
@@ -28,7 +28,7 @@ use ttsv_serve::server::{Server, ServerConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--workers N] [--event-loops N] \
-         [--max-sessions N] [--session-shards N] [--max-tiles N] \
+         [--max-sessions N] [--max-tiles N] \
          [--queue-capacity N] [--max-connections N] [--max-pending-updates N] \
          [--request-deadline-ms MS] [--write-timeout-ms MS] \
          [--state-dir PATH] [--fsync always|interval[:MS]|never]"
@@ -72,9 +72,6 @@ fn main() {
             }
             "--max-sessions" => {
                 config = config.with_max_sessions(parse_count(&mut args, "--max-sessions"));
-            }
-            "--session-shards" => {
-                config = config.with_session_shards(parse_count(&mut args, "--session-shards"));
             }
             "--max-tiles" => config = config.with_max_tiles(parse_count(&mut args, "--max-tiles")),
             "--queue-capacity" => {
@@ -129,7 +126,7 @@ fn main() {
         }
     };
     println!("listening on {}", server.addr());
-    // Flush eagerly: a spawning bench-client reads this line through a pipe.
+    // Flush eagerly: a spawning process reads this line through a pipe.
     use std::io::Write;
     let _ = std::io::stdout().flush();
     // Serve until the process is killed.

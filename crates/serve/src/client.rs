@@ -1,20 +1,18 @@
 //! A minimal blocking keep-alive HTTP/1.1 client plus the deterministic
-//! power-trace replay the bench client and CI smoke test share.
+//! request bodies the integration suites and `bench_json` replay.
 //!
-//! The client exists so the integration suite and `bench-client` can
-//! exercise the server over real sockets with zero external
-//! dependencies. The trace is fully deterministic (no RNG): session `s`
-//! registers a gradient power map scaled by `s`, then each round patches
-//! a couple of tiles with values that cycle through a small set — so a
-//! replay is reproducible byte-for-byte and the warm rounds genuinely
-//! hit the engine's scenario cache, which is the behavior the
-//! cold-vs-warm latency gate measures. Power rounds replay either the
-//! full-report wire format (`?full=1`, the default here, comparable
-//! across bench history) or the server's default delta responses.
+//! The client exists so the suites and benches can exercise the server
+//! over real sockets with zero external dependencies. The trace bodies
+//! are fully deterministic (no RNG): session `s` registers a gradient
+//! power map scaled by `s`, then each round patches a couple of tiles
+//! with values that cycle through a small set — so a replay is
+//! reproducible byte-for-byte and the warm rounds genuinely hit the
+//! engine's scenario cache, which is what the cold-vs-warm bench rows
+//! price.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use crate::faults::{FaultConfig, FaultyStream};
 use crate::protocol::render_register_body;
@@ -347,83 +345,6 @@ impl Client {
     }
 }
 
-/// Shape of a deterministic replay: `sessions` clients, each registering
-/// a `grid × grid` floorplan and streaming `rounds` power deltas.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceConfig {
-    /// Concurrent sessions to register.
-    pub sessions: usize,
-    /// Power-delta rounds per session.
-    pub rounds: usize,
-    /// Tiles per side of each session's floorplan.
-    pub grid: usize,
-    /// When set, replay through a seeded *lossless* [`FaultyStream`]
-    /// (short reads/writes and delays, no injected errors): every
-    /// response must still come back correct, just over a mangled
-    /// transport. Each session derives its own sub-seed.
-    pub chaos: Option<u64>,
-    /// When set, power updates request `?full=1` (the complete
-    /// `ChipReport` per round, the pre-delta wire format) instead of the
-    /// default delta responses. Defaults to `true` so latency numbers
-    /// stay comparable across bench history; flip it off to measure the
-    /// delta wire format.
-    pub full_reports: bool,
-}
-
-impl Default for TraceConfig {
-    fn default() -> Self {
-        Self {
-            sessions: 4,
-            rounds: 25,
-            grid: 12,
-            chaos: None,
-            full_reports: true,
-        }
-    }
-}
-
-/// Latencies gathered by a replay, split by request kind.
-#[derive(Debug, Clone, Default)]
-pub struct TraceOutcome {
-    /// Cold-session registration latencies (ns), one per session.
-    pub cold_ns: Vec<u128>,
-    /// Warm power-delta latencies (ns), `sessions × rounds` of them.
-    pub warm_ns: Vec<u128>,
-    /// Total wall-clock of the replay.
-    pub elapsed: Duration,
-}
-
-impl TraceOutcome {
-    /// Total requests the replay issued.
-    #[must_use]
-    pub fn requests(&self) -> usize {
-        self.cold_ns.len() + self.warm_ns.len()
-    }
-
-    /// Sustained requests per second over the replay.
-    #[must_use]
-    pub fn requests_per_sec(&self) -> f64 {
-        #[allow(clippy::cast_precision_loss)]
-        let n = self.requests() as f64;
-        n / self.elapsed.as_secs_f64().max(1e-9)
-    }
-}
-
-/// Nearest-rank percentile of `samples` (not required to be sorted).
-///
-/// # Panics
-///
-/// Panics if `samples` is empty.
-#[must_use]
-pub fn percentile_ns(samples: &[u128], q: f64) -> u128 {
-    assert!(!samples.is_empty(), "percentile of an empty sample set");
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 /// The registration body session `s` sends: three planes of a gradient
 /// map (every tile distinct) scaled per session, so no two sessions
 /// share cache entries, plus a per-session via density and the paper's
@@ -469,88 +390,12 @@ pub fn trace_power_body(grid: usize, session: usize, round: usize) -> String {
     )
 }
 
-/// Replays the trace against a running server, one thread per session,
-/// and gathers per-request latencies.
-///
-/// # Errors
-///
-/// Propagates the first socket or protocol failure any session hit.
-pub fn run_trace(addr: &str, config: TraceConfig) -> io::Result<TraceOutcome> {
-    let started = Instant::now();
-    let mut handles = Vec::new();
-    for s in 0..config.sessions {
-        let addr = addr.to_string();
-        handles.push(std::thread::spawn(
-            move || -> io::Result<(u128, Vec<u128>)> {
-                let mut client = match config.chaos {
-                    Some(seed) => Client::connect_with_faults(
-                        &addr,
-                        FaultConfig::lossless(),
-                        seed.wrapping_add((s as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    )?,
-                    None => Client::connect(&addr)?,
-                };
-                let bad = |status: u16, body: &str| {
-                    io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("session {s}: unexpected status {status}: {body}"),
-                    )
-                };
-                let t = Instant::now();
-                let (status, body) =
-                    client.request("POST", "/sessions", &trace_register_body(config.grid, s))?;
-                let cold = t.elapsed().as_nanos();
-                if status != 201 {
-                    return Err(bad(status, &body));
-                }
-                let id = body
-                    .split_once("\"session\":")
-                    .and_then(|(_, rest)| {
-                        rest.split(|c: char| !c.is_ascii_digit())
-                            .next()?
-                            .parse::<u64>()
-                            .ok()
-                    })
-                    .ok_or_else(|| bad(status, &body))?;
-                let power_path = if config.full_reports {
-                    format!("/sessions/{id}/power?full=1")
-                } else {
-                    format!("/sessions/{id}/power")
-                };
-                let mut warm = Vec::with_capacity(config.rounds);
-                for round in 0..config.rounds {
-                    let t = Instant::now();
-                    let (status, body) = client.request(
-                        "POST",
-                        &power_path,
-                        &trace_power_body(config.grid, s, round),
-                    )?;
-                    warm.push(t.elapsed().as_nanos());
-                    if status != 200 {
-                        return Err(bad(status, &body));
-                    }
-                }
-                Ok((cold, warm))
-            },
-        ));
-    }
-    let mut outcome = TraceOutcome::default();
-    for handle in handles {
-        let (cold, warm) = handle
-            .join()
-            .map_err(|_| io::Error::other("trace session thread panicked"))??;
-        outcome.cold_ns.push(cold);
-        outcome.warm_ns.extend(warm);
-    }
-    outcome.elapsed = started.elapsed();
-    Ok(outcome)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
+    use std::time::Instant;
 
     #[test]
     fn half_sent_requests_are_never_retried() {
@@ -667,15 +512,6 @@ mod tests {
             .collect();
         assert_eq!(got, [10, 20, 40, 70, 70]);
         assert_eq!(RetryPolicy::none().max_retries, 0);
-    }
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        let samples: Vec<u128> = (1..=100).collect();
-        assert_eq!(percentile_ns(&samples, 0.5), 50);
-        assert_eq!(percentile_ns(&samples, 0.99), 99);
-        assert_eq!(percentile_ns(&samples, 1.0), 100);
-        assert_eq!(percentile_ns(&[42], 0.99), 42);
     }
 
     #[test]

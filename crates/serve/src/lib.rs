@@ -19,7 +19,7 @@
 //!   multiplexed across a few event-loop threads that hand evaluations
 //!   to a bounded long-lived
 //!   [`WorkerPool`](ttsv_validate::pool::WorkerPool), shared capped
-//!   [`ChipEngine`](ttsv_chip::ChipEngine), sharded exact-LRU session
+//!   [`ChipEngine`](ttsv_chip::ChipEngine), one exact-LRU session
 //!   table with quotas, per-session held reports
 //!   ([`LiveChip`](ttsv_chip::LiveChip)) that power updates patch in
 //!   place — re-solving only the changed tiles, staged and rolled back
@@ -33,13 +33,12 @@
 //!   answers bitwise-identical reports after a restart; snapshot
 //!   compaction; configurable fsync policy; graceful degradation on
 //!   journal I/O errors,
-//! * [`lru`] / [`metrics`] — the sharded session cache and the request
+//! * [`lru`] / [`metrics`] — the session cache and the request
 //!   counters/latency histogram behind it,
 //! * [`client`] — a blocking keep-alive client plus the deterministic
-//!   power-trace replay `bench-client` and CI share.
+//!   trace bodies the integration suites and `bench_json` replay.
 //!
-//! Binaries: `serve` (run the server) and `bench-client` (replay a trace
-//! against one, reporting cold-session vs warm-delta latency).
+//! Binary: `serve` (run the server).
 //!
 //! # Quick start
 //!
@@ -100,7 +99,7 @@ pub mod poller;
 pub mod protocol;
 pub mod server;
 
-pub use client::{Client, RetryPolicy, TraceConfig, TraceOutcome};
+pub use client::{Client, RetryPolicy};
 pub use faults::{FaultConfig, FaultyStream, ServerFaults, SplitMix64};
 pub use http::{HttpError, Request, RequestParser, Response};
 pub use lru::LruCache;

@@ -1,6 +1,5 @@
 //! An exact least-recently-used cache with hit/miss/eviction counters —
-//! the session table's quota enforcement — plus a sharded wrapper that
-//! splits one logical LRU across N independently locked shards.
+//! the session table's quota enforcement.
 //!
 //! The floorplan engine's own tiers are *generational* (cheap clear-all
 //! on overflow, keyed on bit patterns); sessions are few, long-lived, and
@@ -10,18 +9,8 @@
 //! touch, which is the right trade at session-table sizes (tens to
 //! hundreds) and keeps the structure trivially auditable by the property
 //! suite.
-//!
-//! [`ShardedLru`] exists for the multiplexed server: with one global
-//! `Mutex<LruCache>` every session lookup from every event loop and
-//! worker serializes on a single lock. Sharding by `key % shards` keeps
-//! each shard an *exact* LRU over the sessions it owns (quota split
-//! across shards, remainder to the low shards) while lookups for
-//! different sessions proceed in parallel. Recency — and therefore
-//! eviction order — is per-shard, which is the standard trade sharded
-//! caches make.
 
 use std::collections::VecDeque;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// An exact-LRU map bounded to `capacity` entries.
 #[derive(Debug)]
@@ -139,157 +128,6 @@ impl<K: Eq + Clone, V> LruCache<K, V> {
     }
 }
 
-/// A point-in-time view of one shard's counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardStats {
-    /// Live entries in the shard.
-    pub live: usize,
-    /// The shard's slice of the total capacity.
-    pub capacity: usize,
-    /// Lookups that found their key.
-    pub hits: u64,
-    /// Lookups that missed.
-    pub misses: u64,
-    /// Entries evicted by capacity pressure.
-    pub evictions: u64,
-}
-
-/// Called with the key of every entry a [`ShardedLru`] evicts under
-/// capacity pressure — the journal's hook for eviction tombstones.
-pub type EvictionHook = Box<dyn Fn(u64) + Send + Sync>;
-
-/// `u64`-keyed exact-LRU cache split across independently locked shards.
-///
-/// The shard for a key is `key % shards`; the total `capacity` is divided
-/// evenly across shards with the remainder going to the lowest-numbered
-/// ones, so shard capacities always sum to exactly `capacity`.
-pub struct ShardedLru<V> {
-    shards: Vec<Mutex<LruCache<u64, V>>>,
-    eviction_hook: Option<EvictionHook>,
-}
-
-impl<V> std::fmt::Debug for ShardedLru<V> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ShardedLru")
-            .field("shards", &self.shards.len())
-            .field("eviction_hook", &self.eviction_hook.is_some())
-            .finish_non_exhaustive()
-    }
-}
-
-impl<V: Clone> ShardedLru<V> {
-    /// A sharded cache bounded to `capacity` total entries. `shards` is
-    /// clamped to `capacity` so every shard holds at least one entry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` or `shards` is zero.
-    #[must_use]
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        assert!(capacity > 0, "a sharded LRU needs positive capacity");
-        assert!(shards > 0, "a sharded LRU needs at least one shard");
-        let shards = shards.min(capacity);
-        let base = capacity / shards;
-        let remainder = capacity % shards;
-        let shards = (0..shards)
-            .map(|i| {
-                let cap = base + usize::from(i < remainder);
-                Mutex::new(LruCache::new(cap))
-            })
-            .collect();
-        Self {
-            shards,
-            eviction_hook: None,
-        }
-    }
-
-    /// Installs a callback invoked (outside any shard lock) with the key
-    /// of every entry evicted by capacity pressure. Explicit
-    /// [`ShardedLru::remove`] calls do not fire it. Install before the
-    /// cache is shared: the hook is part of construction, not runtime
-    /// reconfiguration.
-    pub fn set_eviction_hook(&mut self, hook: EvictionHook) {
-        self.eviction_hook = Some(hook);
-    }
-
-    fn shard(&self, key: u64) -> MutexGuard<'_, LruCache<u64, V>> {
-        #[allow(clippy::cast_possible_truncation)]
-        let i = (key % self.shards.len() as u64) as usize;
-        self.shards[i]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The number of shards.
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Looks `key` up in its shard, cloning the value out so the shard
-    /// lock is released before the caller does real work.
-    #[must_use]
-    pub fn get(&self, key: u64) -> Option<V> {
-        self.shard(key).get(&key).cloned()
-    }
-
-    /// Inserts `key` as most-recently used in its shard, returning the
-    /// entry that shard evicted to stay within its slice of the quota.
-    /// A capacity eviction fires the eviction hook (after the shard
-    /// lock is released, so the hook may take unrelated locks freely).
-    pub fn insert(&self, key: u64, value: V) -> Option<(u64, V)> {
-        let evicted = self.shard(key).insert(key, value);
-        if let (Some((victim, _)), Some(hook)) = (&evicted, &self.eviction_hook) {
-            hook(*victim);
-        }
-        evicted
-    }
-
-    /// Removes `key` from its shard (not counted as an eviction).
-    pub fn remove(&self, key: u64) -> Option<V> {
-        self.shard(key).remove(&key)
-    }
-
-    /// Per-shard counters, in shard order.
-    #[must_use]
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shards
-            .iter()
-            .map(|s| {
-                let s = s.lock().unwrap_or_else(PoisonError::into_inner);
-                ShardStats {
-                    live: s.len(),
-                    capacity: s.capacity(),
-                    hits: s.hits(),
-                    misses: s.misses(),
-                    evictions: s.evictions(),
-                }
-            })
-            .collect()
-    }
-
-    /// Counters summed across shards: `(live, capacity, hits, misses,
-    /// evictions)`.
-    #[must_use]
-    pub fn aggregate_stats(&self) -> ShardStats {
-        let mut total = ShardStats {
-            live: 0,
-            capacity: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        };
-        for s in self.shard_stats() {
-            total.live += s.live;
-            total.capacity += s.capacity;
-            total.hits += s.hits;
-            total.misses += s.misses;
-            total.evictions += s.evictions;
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,67 +184,5 @@ mod tests {
     #[should_panic(expected = "positive capacity")]
     fn zero_capacity_rejected() {
         let _ = LruCache::<u64, ()>::new(0);
-    }
-
-    #[test]
-    fn shard_capacities_sum_to_the_quota() {
-        for (capacity, shards) in [(2, 8), (7, 3), (64, 8), (1, 1), (5, 5)] {
-            let lru = ShardedLru::<u64>::new(capacity, shards);
-            assert_eq!(lru.shard_count(), shards.min(capacity));
-            let stats = lru.shard_stats();
-            assert_eq!(stats.iter().map(|s| s.capacity).sum::<usize>(), capacity);
-            assert!(stats.iter().all(|s| s.capacity >= 1));
-            // Low shards absorb the remainder, never differing by > 1.
-            let caps: Vec<usize> = stats.iter().map(|s| s.capacity).collect();
-            assert!(caps.windows(2).all(|w| w[0] >= w[1] && w[0] - w[1] <= 1));
-        }
-    }
-
-    #[test]
-    fn sharded_eviction_is_exact_within_each_shard() {
-        // Quota 2 over 2 shards: keys 1 and 3 share shard 1; inserting 3
-        // evicts 1 while shard 0's key 2 is untouched.
-        let lru = ShardedLru::new(2, 8);
-        assert_eq!(lru.shard_count(), 2);
-        assert!(lru.insert(1, "a").is_none());
-        assert!(lru.insert(2, "b").is_none());
-        assert_eq!(lru.insert(3, "c"), Some((1, "a")));
-        assert_eq!(lru.get(1), None);
-        assert_eq!(lru.get(2), Some("b"));
-        assert_eq!(lru.get(3), Some("c"));
-        let total = lru.aggregate_stats();
-        assert_eq!(total.live, 2);
-        assert_eq!(total.capacity, 2);
-        assert_eq!(total.evictions, 1);
-        assert_eq!((total.hits, total.misses), (2, 1));
-    }
-
-    #[test]
-    fn eviction_hook_sees_capacity_evictions_only() {
-        use std::sync::Arc;
-
-        let evicted = Arc::new(Mutex::new(Vec::new()));
-        let log = Arc::clone(&evicted);
-        let mut lru = ShardedLru::new(1, 1);
-        lru.set_eviction_hook(Box::new(move |key| {
-            log.lock().unwrap().push(key);
-        }));
-        lru.insert(1, "a");
-        lru.insert(2, "b"); // evicts 1
-        assert_eq!(lru.remove(2), Some("b")); // explicit: no hook
-        lru.insert(3, "c"); // fits: no hook
-        lru.insert(4, "d"); // evicts 3
-        assert_eq!(*evicted.lock().unwrap(), vec![1, 3]);
-    }
-
-    #[test]
-    fn sharded_remove_frees_the_slot_without_an_eviction() {
-        let lru = ShardedLru::new(4, 2);
-        lru.insert(10, 1);
-        assert_eq!(lru.remove(10), Some(1));
-        assert_eq!(lru.remove(10), None);
-        let total = lru.aggregate_stats();
-        assert_eq!(total.live, 0);
-        assert_eq!(total.evictions, 0);
     }
 }

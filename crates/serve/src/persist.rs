@@ -1,7 +1,7 @@
 //! Durable sessions: an append-only, CRC-framed write-ahead journal.
 //!
 //! A crash or restart used to lose every registered floorplan, because
-//! sessions lived only in the [`ShardedLru`](crate::lru::ShardedLru).
+//! sessions lived only in the in-memory [`LruCache`](crate::lru::LruCache).
 //! But the engine is bitwise-deterministic, so a session is *fully*
 //! determined by its registration body plus its ordered power-update
 //! bodies — exactly the shape a small write-ahead journal captures.

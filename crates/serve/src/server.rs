@@ -37,15 +37,15 @@
 //! carrying the changed tiles and updated summary statistics
 //! (`?full=1` opts back into the full report; see `docs/PROTOCOL.md`).
 //!
-//! Sessions live in a [`ShardedLru`]: N independently locked exact-LRU
-//! shards keyed by session id, so lookups for different sessions never
-//! serialize on one global lock. Registering past `max_sessions` evicts
-//! the least-recently-used session in the new session's shard (counted,
-//! and visible per shard in `GET /metrics`); a later request against an
-//! evicted id is a clean 404. Per-session work is serialized by a
-//! per-session mutex, so one session's responses form a deterministic
-//! sequence no matter how many workers or loops run — the integration
-//! suite pins responses bitwise against direct engine evaluation.
+//! Sessions live in one exact [`LruCache`] behind one mutex, held only
+//! for the lookup, insert, or remove itself — never across an
+//! evaluation. Registering past `max_sessions` evicts the
+//! least-recently-used live session (counted in `GET /metrics`); a
+//! later request against an evicted id is a clean 404. Per-session work
+//! is serialized by a per-session mutex, so one session's responses form
+//! a deterministic sequence no matter how many workers or loops run —
+//! the integration suite pins responses bitwise against direct engine
+//! evaluation.
 //!
 //! # Overload control and failure containment
 //!
@@ -106,7 +106,7 @@ use ttsv_validate::pool::{PoolMonitor, WorkerPool};
 
 use crate::faults::{FaultDirective, ServerFaults};
 use crate::http::{Method, Request, RequestParser, Response, WriteBuffer};
-use crate::lru::ShardedLru;
+use crate::lru::LruCache;
 use crate::metrics::{Metrics, PersistStats};
 use crate::persist::{Journal, PersistConfig};
 use crate::poller::{self, PollInterest, Poller, Waker};
@@ -142,9 +142,6 @@ pub struct ServerConfig {
     pub event_loops: usize,
     /// Live-session quota; registering past it LRU-evicts.
     pub max_sessions: usize,
-    /// Session-table shards (clamped to `max_sessions`; each shard is an
-    /// independently locked exact LRU over its slice of the quota).
-    pub session_shards: usize,
     /// Per-session tile quota (`nx · ny` at registration).
     pub max_tiles: usize,
     /// Scenario-tier cache cap handed to the shared engine.
@@ -193,7 +190,6 @@ impl Default for ServerConfig {
             workers: ttsv_validate::sweep::default_workers(),
             event_loops: 2,
             max_sessions: 64,
-            session_shards: 8,
             max_tiles: 64 * 64,
             scenario_cache_cap: 1 << 16,
             matrix_cache_cap: 1 << 10,
@@ -251,19 +247,6 @@ impl ServerConfig {
     pub fn with_max_sessions(mut self, max_sessions: usize) -> Self {
         assert!(max_sessions > 0, "need room for at least one session");
         self.max_sessions = max_sessions;
-        self
-    }
-
-    /// Overrides the session-table shard count (clamped to the session
-    /// quota at startup).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    #[must_use]
-    pub fn with_session_shards(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "need at least one session shard");
-        self.session_shards = shards;
         self
     }
 
@@ -398,7 +381,7 @@ impl Drop for PendingGuard<'_> {
 /// State shared by the accept thread, event loops, and workers.
 struct ServerState {
     engine: ChipEngine,
-    sessions: ShardedLru<Arc<Session>>,
+    sessions: Mutex<LruCache<u64, Arc<Session>>>,
     next_id: AtomicU64,
     metrics: Metrics,
     max_tiles: usize,
@@ -449,12 +432,22 @@ fn evaluation_failed(e: &CoreError) -> Response {
 
 impl ServerState {
     fn session(&self, id: u64) -> Result<Arc<Session>, Response> {
-        self.sessions.get(id).ok_or_else(|| {
+        lock(&self.sessions).get(&id).cloned().ok_or_else(|| {
             Response::error(
                 404,
                 &format!("no session {id} (expired or never registered)"),
             )
         })
+    }
+
+    /// Inserts `session` as most-recently used. Past the quota this
+    /// evicts the least-recently-used session, whose tombstone is
+    /// journaled after the table lock drops.
+    fn publish(&self, id: u64, session: Arc<Session>) {
+        let evicted = lock(&self.sessions).insert(id, session);
+        if let (Some((victim, _)), Some(journal)) = (evicted, &self.journal) {
+            journal.record_evict(victim);
+        }
     }
 
     fn register(&self, body: &[u8], directive: FaultDirective) -> Response {
@@ -494,7 +487,7 @@ impl ServerState {
             state: Mutex::new(SessionState { spec, live }),
             pending: AtomicUsize::new(0),
         });
-        self.sessions.insert(id, session);
+        self.publish(id, session);
         Response::json(201, format!("{{\"session\":{id},\"report\":{json}}}"))
     }
 
@@ -577,7 +570,8 @@ impl ServerState {
     }
 
     fn delete_session(&self, id: u64) -> Response {
-        match self.sessions.remove(id) {
+        let removed = lock(&self.sessions).remove(&id);
+        match removed {
             Some(_) => {
                 // Tombstone so recovery never resurrects it; an explicit
                 // delete outlives the process.
@@ -592,17 +586,16 @@ impl ServerState {
 
     fn metrics_json(&self) -> String {
         let snap = self.metrics.snapshot();
-        let total = self.sessions.aggregate_stats();
-        let mut shards = String::new();
-        for (i, s) in self.sessions.shard_stats().iter().enumerate() {
-            if i > 0 {
-                shards.push(',');
-            }
-            shards.push_str(&format!(
-                "{{\"live\":{},\"capacity\":{},\"hits\":{},\"misses\":{},\"evictions\":{}}}",
-                s.live, s.capacity, s.hits, s.misses, s.evictions
-            ));
-        }
+        let (live, capacity, hits, misses, evictions) = {
+            let table = lock(&self.sessions);
+            (
+                table.len(),
+                table.capacity(),
+                table.hits(),
+                table.misses(),
+                table.evictions(),
+            )
+        };
         let (scenario_entries, matrix_entries) = self.engine.cache_entries();
         let persist = self.persist.snapshot();
         let persist_enabled = self.journal.as_ref().is_some_and(|j| j.is_enabled());
@@ -614,7 +607,7 @@ impl ServerState {
              \"readiness\":{{\"poll_wakeups\":{},\"spurious_wakeups\":{},\"adopt_errors\":{}}},\
              \"persistence\":{{\"enabled\":{persist_enabled},\"records_written\":{},\"bytes_written\":{},\
              \"records_replayed\":{},\"recovered_sessions\":{},\"compactions\":{},\"write_errors\":{}}},\
-             \"sessions\":{{\"live\":{},\"capacity\":{},\"hits\":{},\"misses\":{},\"evictions\":{},\"shards\":[{shards}]}},\
+             \"sessions\":{{\"live\":{},\"capacity\":{},\"hits\":{},\"misses\":{},\"evictions\":{}}},\
              \"engine\":{{\"solves\":{},\"factorizations\":{},\"scenario_hits\":{},\"scenario_misses\":{},\"evictions\":{},\
              \"scenario_entries\":{scenario_entries},\"matrix_entries\":{matrix_entries}}}}}",
             snap.uptime_s,
@@ -643,11 +636,11 @@ impl ServerState {
             persist.recovered_sessions,
             persist.compactions,
             persist.write_errors,
-            total.live,
-            total.capacity,
-            total.hits,
-            total.misses,
-            total.evictions,
+            live,
+            capacity,
+            hits,
+            misses,
+            evictions,
             self.engine.solves(),
             self.engine.factorizations(),
             self.engine.scenario_hits(),
@@ -1371,10 +1364,9 @@ impl Server {
             .map(|_| Poller::new())
             .collect::<std::io::Result<Vec<_>>>()?;
         // Open the journal (and replay any previous run's records)
-        // before the session table exists: the eviction hook has to be
-        // installed while the table is still exclusively owned, and a
-        // journal that fails to open degrades to in-memory serving —
-        // never a startup failure.
+        // before the session table exists, so every eviction — recovery's
+        // included — can journal its tombstone; a journal that fails to
+        // open degrades to in-memory serving, never a startup failure.
         let persist_stats = Arc::new(PersistStats::default());
         let mut recovery = None;
         let journal = match config.persist.clone() {
@@ -1396,17 +1388,12 @@ impl Server {
             }
             None => None,
         };
-        let mut sessions = ShardedLru::new(config.max_sessions, config.session_shards);
-        if let Some(journal) = &journal {
-            let hook = Arc::clone(journal);
-            sessions.set_eviction_hook(Box::new(move |id| hook.record_evict(id)));
-        }
         let state = Arc::new(ServerState {
             engine: ChipEngine::new()
                 .with_workers(1)
                 .with_scenario_cache_cap(config.scenario_cache_cap)
                 .with_matrix_cache_cap(config.matrix_cache_cap),
-            sessions,
+            sessions: Mutex::new(LruCache::new(config.max_sessions)),
             next_id: AtomicU64::new(recovery.as_ref().map_or(1, |r| r.next_id)),
             metrics: Metrics::new(),
             max_tiles: config.max_tiles,
@@ -1424,7 +1411,7 @@ impl Server {
         // never-crashed server would have answered. Insertion order is
         // the journal's touch order, so LRU recency survives too (and an
         // over-quota recovery evicts the *stalest* sessions, journaling
-        // their tombstones through the hook like any other eviction).
+        // their tombstones like any other eviction).
         if let Some(recovered) = recovery {
             for session in recovered.sessions {
                 match state
@@ -1432,7 +1419,7 @@ impl Server {
                     .evaluate_live(&session.spec.plan, &session.spec.model)
                 {
                     Ok(live) => {
-                        state.sessions.insert(
+                        state.publish(
                             session.id,
                             Arc::new(Session {
                                 state: Mutex::new(SessionState {

@@ -9,7 +9,6 @@ fn zero_counts_are_usage_errors_not_panics() {
         "--workers",
         "--event-loops",
         "--max-sessions",
-        "--session-shards",
         "--max-tiles",
         "--queue-capacity",
         "--max-connections",

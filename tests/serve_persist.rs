@@ -15,7 +15,8 @@
 //!   a valid prefix, with the replayed record count monotone in the
 //!   truncation point.
 //! * **Tombstones are respected** — a session that was LRU-evicted or
-//!   explicitly `DELETE`d before the crash stays gone after recovery.
+//!   explicitly `DELETE`d before the crash, or evicted by a recovery
+//!   into a smaller quota, stays gone after the next recovery.
 //! * **Write faults degrade, not kill** — a journal whose writes fail
 //!   disables persistence (counted in `/metrics`) while serving
 //!   continues bitwise-correct.
@@ -312,6 +313,53 @@ fn eviction_and_delete_tombstones_survive_restart() {
     let (status, body) = client.request("GET", "/sessions/3", "").expect("read");
     assert_eq!(status, 200, "{body}");
     assert_eq!(body, expected[0], "the survivor answers bitwise");
+    drop(client);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A restart into a smaller quota evicts the stalest recovered sessions
+/// and journals their tombstones, so a later restart with room for all
+/// of them still recovers only the survivor.
+#[test]
+fn over_quota_recovery_journals_its_evictions() {
+    let dir = state_dir("overquota");
+    let start = |max_sessions: usize| {
+        Server::start(
+            "127.0.0.1:0",
+            ServerConfig::default()
+                .with_workers(1)
+                .with_max_sessions(max_sessions)
+                .with_state_dir(&dir),
+        )
+        .expect("bind ephemeral port")
+    };
+    let server = start(3);
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    for s in 0..3 {
+        seed_session(&mut client, s, 0);
+    }
+    drop(client);
+    server.abort();
+
+    // Recovery into a 1-session quota keeps session 3, the most recently
+    // touched, and evicts 1 and 2.
+    start(1).abort();
+
+    let server = start(3);
+    let addr = server.addr().to_string();
+    assert_eq!(
+        persist_field(&persistence_metrics(&addr), "recovered_sessions"),
+        1,
+        "the recovery evictions were journaled as tombstones"
+    );
+    let mut client = Client::connect(&addr).expect("reconnect");
+    for (id, expected) in [(1, 404), (2, 404), (3, 200)] {
+        let (status, body) = client
+            .request("GET", &format!("/sessions/{id}"), "")
+            .expect("read session");
+        assert_eq!(status, expected, "session {id}: {body}");
+    }
     drop(client);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);

@@ -166,20 +166,19 @@ fn delta_responses_reconcile_bitwise_with_full_reports() {
 }
 
 /// The multiplexed path at 32 concurrent connections: responses stay
-/// bitwise deterministic no matter how many workers, event loops, or
-/// session shards serve them, since every body compares against the same
+/// bitwise deterministic no matter how many workers or event loops
+/// serve them, since every body compares against the same
 /// direct-evaluation ground truth.
 #[test]
 fn thirty_two_concurrent_connections_stay_deterministic() {
     const FANOUT: usize = 32;
     let expected: Vec<Vec<String>> = (0..FANOUT).map(direct_session).collect();
-    for (workers, event_loops, shards) in [(1, 1, 1), (2, 2, 8), (4, 3, 5)] {
+    for (workers, event_loops) in [(1, 1), (2, 2), (4, 3)] {
         let server = Server::start(
             "127.0.0.1:0",
             ServerConfig::default()
                 .with_workers(workers)
                 .with_event_loops(event_loops)
-                .with_session_shards(shards)
                 .with_max_connections(2 * FANOUT)
                 .with_queue_capacity(2 * FANOUT),
         )
@@ -195,8 +194,7 @@ fn thirty_two_concurrent_connections_stay_deterministic() {
             let got = handle.join().expect("client thread");
             assert_eq!(
                 got, expected[s],
-                "session {s} diverged at {workers} workers / {event_loops} loops / \
-                 {shards} shards"
+                "session {s} diverged at {workers} workers / {event_loops} loops"
             );
         }
         server.shutdown();
@@ -287,6 +285,57 @@ fn lru_quota_evicts_oldest_session_and_metrics_report_it() {
         .is_some());
     assert!(doc.get("latency_ns").and_then(|l| l.get("p99")).is_some());
     server.shutdown();
+}
+
+/// The quota counts live sessions across the whole table, and a
+/// registration past it evicts the least-recently-used one: a deleted
+/// session frees its slot without an eviction, and a read promotes its
+/// session past an older registration.
+#[test]
+fn quota_counts_live_sessions_and_evicts_the_least_recently_used() {
+    let request = |client: &mut Client, method: &str, target: &str, body: &str| {
+        client.request(method, target, body).expect("request")
+    };
+    for read_first in [false, true] {
+        let server = Server::start(
+            "127.0.0.1:0",
+            ServerConfig::default()
+                .with_workers(1)
+                .with_max_sessions(2)
+                .with_max_tiles(GRID * GRID),
+        )
+        .expect("bind ephemeral port");
+        let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+        for s in 0..2 {
+            let register = trace_register_body(GRID, s);
+            assert_eq!(request(&mut client, "POST", "/sessions", &register).0, 201);
+        }
+        if read_first {
+            // Reading 1 makes 2 the least-recently-used session.
+            assert_eq!(request(&mut client, "GET", "/sessions/1", "").0, 200);
+        } else {
+            // Deleting 2 leaves one live session, so no eviction is due.
+            assert_eq!(request(&mut client, "DELETE", "/sessions/2", "").0, 204);
+        }
+        let register = trace_register_body(GRID, 2);
+        assert_eq!(request(&mut client, "POST", "/sessions", &register).0, 201);
+        let (status, body) = request(&mut client, "GET", "/sessions/2", "");
+        assert_eq!(status, 404, "read_first={read_first}: {body}");
+        for id in [1, 3] {
+            let (status, body) = request(&mut client, "GET", &format!("/sessions/{id}"), "");
+            assert_eq!(status, 200, "read_first={read_first}, session {id}: {body}");
+        }
+        let (_, metrics) = request(&mut client, "GET", "/metrics", "");
+        let doc = serde::json::from_str(&metrics).expect("metrics endpoint emits valid JSON");
+        let sessions = doc.get("sessions").expect("sessions block");
+        let count = |key: &str| sessions.get(key).and_then(|v| v.as_usize());
+        assert_eq!(
+            (count("live"), count("evictions")),
+            (Some(2), Some(usize::from(read_first))),
+            "read_first={read_first}"
+        );
+        server.shutdown();
+    }
 }
 
 #[test]
