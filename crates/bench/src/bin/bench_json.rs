@@ -276,13 +276,39 @@ fn main() {
     let warm = cart();
     sampler.bench("fem_mg_sweep/reuse", || sweep_sum(&warm, &mg_points));
 
+    // The Model B hotspot kernel on the servebench cold geometry (tile
+    // (0,0) of a `cold_register_32` registration: B(1000) with 10
+    // first-plane segments, 4,021 ladder nodes): `factorize` prices the
+    // ladder factorization, the unit-response pass and the kernel build;
+    // `hotspot_1024` the 1,024 tiles' `max_delta_t` against one kernel.
+    {
+        use ttsv::serve::client::trace_register_body;
+        use ttsv::serve::protocol::parse_register;
+        let spec = parse_register(trace_register_body(32, 1).as_bytes()).expect("valid body");
+        let cell = spec.plan.tile_cell(0, 0).expect("valid tile");
+        sampler.bench("model_b/factorize/b10_1000", || {
+            spec.model.factorize(&cell.scenario).expect("solvable")
+        });
+        let kernel = spec.model.factorize(&cell.scenario).expect("solvable");
+        let nx = spec.plan.nx();
+        let tiles: Vec<Vec<Power>> = (0..spec.plan.tiles())
+            .map(|t| spec.plan.tile_cell_powers(t % nx, t / nx))
+            .collect();
+        sampler.bench("model_b/hotspot_1024/b10_1000", || {
+            tiles
+                .iter()
+                .map(|p| kernel.max_delta_t(p).expect("valid powers").as_kelvin())
+                .sum::<f64>()
+        });
+    }
+
     // The floorplan engine on the 32×32 §IV-E maps: the hotspot map
     // dedups 1024 tiles to 3 Model B solves; the all-distinct gradient
-    // map prices the batch path itself, and
-    // `factor_shared` prices the matrix-tier path (one ladder
-    // factorization + 1024 four-lane back-substitutions). The engine
-    // caches results across calls, so every row constructs a fresh engine
-    // per sample to measure the cold path.
+    // map prices the per-tile path itself, and `factor_shared` prices
+    // the matrix-tier path (one ladder factorization and kernel build +
+    // 1024 kernel evaluations). The engine caches results across calls,
+    // so every row constructs a fresh engine per sample to measure the
+    // cold path.
     let hotspot = hotspot_floorplan(32);
     let gradient = gradient_floorplan(32);
     sampler.bench("floorplan_chip/hotspot32/model_b100", || {
@@ -371,6 +397,18 @@ fn main() {
             session += 1;
             let (status, body) = client
                 .request("POST", "/sessions", &register_body(session))
+                .expect("register");
+            assert_eq!(status, 201, "{body}");
+            body
+        });
+        // The same cold registration at servebench's 64×64 chip size
+        // (4,096 all-distinct tiles, one factorization): the schema's
+        // warm/cold ratio is taken here.
+        let mut session64 = 4000usize;
+        sampler.bench("serve/cold_session/grid64", || {
+            session64 += 1;
+            let (status, body) = client
+                .request("POST", "/sessions", &register_grid(64, session64))
                 .expect("register");
             assert_eq!(status, 201, "{body}");
             body

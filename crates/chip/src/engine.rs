@@ -14,11 +14,18 @@
 //!   [`ChipEngine::evaluate_factored`]) — keyed on the *geometry* bits
 //!   only (powers excluded). For a [`PowerSeparableModel`] such as
 //!   [`ModelB`](ttsv_core::model_b::ModelB), tiles that differ only in
-//!   power share one matrix factorization, and each distinct power vector
-//!   costs a single `O(n)` back-substitution instead of an assembly +
-//!   factorization. An all-distinct power map (the worst case for the
-//!   scenario tier) collapses onto one factorization per distinct via
-//!   density.
+//!   power share one factorization, and each distinct power vector costs
+//!   one evaluation against it instead of an assembly + factorization.
+//!   An all-distinct power map (the worst case for the scenario tier)
+//!   collapses onto one factorization per distinct via density. For
+//!   Model B the cached entry is only the
+//!   [`ModelBFactorization`](ttsv_core::model_b::ModelBFactorization)
+//!   hotspot kernel — the unit responses of the nodes that can be
+//!   hottest, ≈ 50 KB at the serving `B(1000)` geometry — and a tile
+//!   costs a few hundred nanoseconds; the ladder's LU factors and full
+//!   response basis are dropped once the kernel is built. Distinct
+//!   geometries factor on the worker pool; the tiles are then evaluated
+//!   in one loop on the calling thread.
 //!
 //! [`ChipEngine::evaluate_live`] runs the factored evaluation once and
 //! returns a [`LiveChip`]; its sparse updates send only the changed
@@ -41,7 +48,6 @@ use std::sync::{Arc, Mutex};
 
 use ttsv_core::scenario::{PowerSeparableModel, Scenario, ThermalModel};
 use ttsv_core::CoreError;
-use ttsv_units::Power;
 use ttsv_validate::pool::scoped_batch;
 use ttsv_validate::sweep::default_workers;
 
@@ -128,8 +134,9 @@ struct EngineCaches {
 /// batch-solves the distinct unit cells on the bounded self-scheduling
 /// worker pool, and scatters the results back into a full-chip
 /// [`ChipReport`]. [`ChipEngine::evaluate_factored`] adds the matrix
-/// tier for power-separable models — see the module docs for when each
-/// tier fires.
+/// tier for power-separable models, factoring each distinct geometry on
+/// the pool and evaluating the tiles on the calling thread — see the
+/// module docs for when each tier fires.
 ///
 /// The worker count is a performance knob only: for deterministic models
 /// the report is bit-identical for every setting, and bit-identical to
@@ -443,7 +450,7 @@ impl ChipEngine {
     /// Like [`ChipEngine::evaluate`], but for [`PowerSeparableModel`]s:
     /// distinct cells that miss the scenario tier are solved through the
     /// matrix tier — one factorization per distinct geometry (via
-    /// density), one back-substitution per distinct power vector — and no
+    /// density), one kernel evaluation per distinct power vector — and no
     /// full [`Scenario`] is even built for tiles whose matrix is already
     /// cached. Results are bit-identical to [`ChipEngine::evaluate`] on
     /// the model's default solver path (property-tested).
@@ -498,8 +505,8 @@ impl ChipEngine {
     }
 
     /// Re-solves the unit cells of `tiles` (row-major indices) through
-    /// both cache tiers, deduplicated and batched like a full
-    /// evaluation, returning each tile's `ΔT` — the k-tile solve behind
+    /// both cache tiers, deduplicated like a full evaluation, returning
+    /// each tile's `ΔT` — the k-tile solve behind
     /// [`LiveChip::apply`].
     pub(crate) fn solve_tiles<M: PowerSeparableModel + Sync>(
         &self,
@@ -514,9 +521,9 @@ impl ChipEngine {
     }
 
     /// The factored pipeline over a set of distinct cells: scenario tier,
-    /// then the matrix tier for the misses, then batched
-    /// back-substitutions, publishing the new scenario entries. Returns
-    /// each distinct cell's `ΔT`.
+    /// then the matrix tier for the misses, then one
+    /// [`PowerSeparableModel::solve_with_powers`] per miss, publishing the
+    /// new scenario entries. Returns each distinct cell's `ΔT`.
     fn solve_factored<M: PowerSeparableModel + Sync>(
         &self,
         plan: &Floorplan,
@@ -594,46 +601,17 @@ impl ChipEngine {
             }
         }
 
-        // Back-substitution per distinct power vector: cells are grouped
-        // by shared matrix and handed to the model in batches, so a
-        // multi-RHS kernel (Model B's four-lane back-substitution) can
-        // amortize each pass over the factors. Job order is
-        // deterministic, and batching is bitwise-transparent by the
-        // `solve_with_powers_batch` contract.
-        const JOB_TILES: usize = 32;
-        let mut grouped: Vec<Vec<usize>> = vec![Vec::new(); matrix_keys.len()];
-        for (k, &mi) in matrix_of.iter().enumerate() {
-            grouped[mi].push(k);
-        }
-        let jobs: Vec<(usize, &[usize])> = grouped
-            .iter()
-            .enumerate()
-            .flat_map(|(mi, ks)| ks.chunks(JOB_TILES).map(move |c| (mi, c)))
-            .collect();
-        let solved_jobs = scoped_batch(jobs.len(), workers, |j| {
-            let (mi, ks) = jobs[j];
+        // One kernel evaluation per distinct power vector, in cell order
+        // on the calling thread: at a few hundred nanoseconds a tile,
+        // handing tiles to workers would cost more than it saves.
+        for (&(i, (ix, iy)), &mi) in to_solve.iter().zip(&matrix_of) {
             let fact = factorizations[mi]
                 .as_ref()
                 .expect("every needed matrix was factorized");
-            let powers: Vec<Vec<Power>> = ks
-                .iter()
-                .map(|&k| {
-                    let (_, (ix, iy)) = &to_solve[k];
-                    plan.tile_cell_powers(*ix, *iy)
-                })
-                .collect();
-            model
-                .solve_with_powers_batch(fact, &powers)
-                .map(|ts| ts.into_iter().map(|t| t.as_kelvin()).collect::<Vec<_>>())
-        })?;
-        self.solves.fetch_add(to_solve.len(), Ordering::Relaxed);
-
-        for ((_, ks), dts) in jobs.iter().zip(&solved_jobs) {
-            for (&k, dt) in ks.iter().zip(dts) {
-                cell_delta_t[to_solve[k].0] = *dt;
-            }
+            let powers = plan.tile_cell_powers(ix, iy);
+            cell_delta_t[i] = model.solve_with_powers(fact, &powers)?.as_kelvin();
         }
-        drop(jobs);
+        self.solves.fetch_add(to_solve.len(), Ordering::Relaxed);
 
         // One pass moves every key into the scenario cache.
         self.cache_scenarios(cells, &cell_delta_t, to_solve.len());

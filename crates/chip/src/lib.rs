@@ -43,10 +43,9 @@
 //!   [`PowerSeparableModel`](ttsv_core::scenario::PowerSeparableModel)s
 //!   (Model B): fires when tiles differ *only in power*, where the
 //!   scenario tier is useless. Each distinct geometry is factorized
-//!   once; every distinct power vector then costs one `O(n)`
-//!   back-substitution (batched four right-hand sides per pass over the
-//!   factors), collapsing an all-distinct gradient map to a single
-//!   factorization.
+//!   once, into Model B's hotspot kernel; every distinct power vector
+//!   then costs one kernel evaluation (a few hundred nanoseconds),
+//!   collapsing an all-distinct gradient map to a single factorization.
 //!
 //! The [`ChipEngine::solves`] and [`ChipEngine::factorizations`]
 //! counters expose what actually ran; the property suites assert both

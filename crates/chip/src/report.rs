@@ -70,7 +70,7 @@ impl ChipReport {
             tiles,
             delta_t,
         };
-        report.summarize();
+        report.summarize(true);
         report
     }
 
@@ -79,6 +79,11 @@ impl ChipReport {
     /// [`ChipReport::from_tiles`] runs, so the result is bit-identical to
     /// a report assembled from scratch. Returns the indices whose value
     /// changed bitwise, in the order of `tiles`.
+    ///
+    /// The p99 selection is skipped when every changed tile stays on the
+    /// same strict side of the current p99 (in `total_cmp` order): the
+    /// counts of values below and equal to it are then unchanged, so it
+    /// still sits at the nearest rank.
     ///
     /// # Panics
     ///
@@ -89,23 +94,29 @@ impl ChipReport {
         values: &[f64],
         distinct_cells: usize,
     ) -> Vec<usize> {
+        let p99 = self.p99_delta_t;
+        let side = |v: f64| v.total_cmp(&p99);
+        let mut p99_holds = true;
         let mut changed = Vec::new();
         for (&t, &v) in tiles.iter().zip(values) {
-            if self.delta_t[t].to_bits() != v.to_bits() {
+            let old = self.delta_t[t];
+            if old.to_bits() != v.to_bits() {
+                p99_holds &= side(old) == side(v) && side(v).is_ne();
                 self.delta_t[t] = v;
                 changed.push(t);
             }
         }
         if !changed.is_empty() {
-            self.summarize();
+            self.summarize(!p99_holds);
         }
         self.distinct_cells = distinct_cells;
         changed
     }
 
     /// Max (first hit in row-major order), argmax, mean (row-major
-    /// summation) and nearest-rank p99 of the `ΔT` map.
-    fn summarize(&mut self) {
+    /// summation) and, when `select_p99`, the nearest-rank p99 of the `ΔT`
+    /// map.
+    fn summarize(&mut self, select_p99: bool) {
         let mut max_delta_t = f64::NEG_INFINITY;
         let mut argmax = 0;
         let mut sum = 0.0;
@@ -116,10 +127,11 @@ impl ChipReport {
                 argmax = i;
             }
         }
-        let mut scratch = self.delta_t.clone();
         self.max_delta_t = max_delta_t;
         self.mean_delta_t = sum / self.tiles as f64;
-        self.p99_delta_t = percentile(&mut scratch, 0.99);
+        if select_p99 {
+            self.p99_delta_t = percentile(&mut self.delta_t.clone(), 0.99);
+        }
         self.argmax_ix = argmax % self.nx;
         self.argmax_iy = argmax / self.nx;
     }

@@ -157,11 +157,12 @@ proptest! {
         prop_assert_eq!(engine.solves(), cached.distinct_cells);
     }
 
-    /// The factor-once batched path is equivalent to per-tile solves:
-    /// one factorization per distinct via density, one back-substitution
-    /// per distinct power vector — and the resulting map matches the
-    /// assemble-factorize-solve-per-tile path bitwise (so trivially
-    /// within the 1e-15 relative bound the serving contract promises).
+    /// The factor-once path is equivalent to per-tile solves: one
+    /// factorization per distinct via density, one hotspot-kernel
+    /// evaluation per distinct power vector — and the resulting map
+    /// matches the assemble-factorize-solve-per-tile path bitwise (so
+    /// trivially within the 1e-15 relative bound the serving contract
+    /// promises).
     #[test]
     fn factored_batch_matches_per_tile_solves(p in plan_params()) {
         let plan = build(&p);

@@ -7,9 +7,21 @@
 //! plane heat enters the ILD bulk nodes as `q_j/n_D` (eq. 20). The
 //! resulting KCL system `A·T = b` (eq. 19) is symmetric positive-definite
 //! and, with interleaved bulk/via numbering, block tridiagonal with 2×2
-//! blocks — solved in `O(n)` by the dedicated
-//! [`BlockTridiagonal`] kernel. A generic banded LU and a CG path over
-//! the same ladder remain in the tests as independent cross-checks.
+//! blocks — factored in `O(n)` by the dedicated [`BlockTridiagonal`]
+//! kernel. A generic banded LU and a CG path over the same ladder remain
+//! in the tests as independent cross-checks.
+//!
+//! The matrix depends only on geometry and the right-hand side is linear
+//! in the plane powers, so every path solves the `n_planes` unit
+//! right-hand sides once and superposes: node `i` sits at
+//! `Σ_p P_p·u_p[i]`, always evaluated by one shared expression.
+//! [`ModelB::solve`] superposes every node into a [`ModelBSolution`];
+//! [`ModelB::factorize`] prunes the unit responses into a
+//! [`ModelBFactorization`] hotspot kernel that answers a power vector
+//! with a few hundred multiply-adds, bitwise equal to the full solve's
+//! maximum.
+
+use std::cell::RefCell;
 
 use ttsv_linalg::{BlockTridiagonal, BlockTridiagonalLu};
 use ttsv_units::{Power, TemperatureDelta, ThermalResistance};
@@ -182,33 +194,34 @@ impl ModelB {
     ///
     /// Propagates solver failures as [`CoreError`].
     pub fn solve(&self, scenario: &Scenario) -> Result<ModelBSolution, CoreError> {
-        let segmentation = Segmentation::paper_scheme(
-            scenario,
-            self.first_plane_segments,
-            self.upper_plane_segments,
-        );
-        self.solve_segmented(scenario, &segmentation)
+        self.solve_segmented(scenario, &self.segmentation(scenario))
     }
 
-    /// Factorizes the ladder matrix for this scenario's *geometry*: the
-    /// KCL matrix (eq. 19) depends on the stack, the TSV, and the segment
-    /// scheme but not on the plane powers, so the returned
-    /// [`ModelBFactorization`] solves any power vector on the same
-    /// geometry with one `O(n)` back-substitution, bit-for-bit identical
-    /// to [`ModelB::solve`] (both run the block-tridiagonal kernel).
+    /// Factorizes the ladder for this scenario's *geometry* into a
+    /// [`ModelBFactorization`] hotspot kernel: the KCL matrix (eq. 19)
+    /// depends on the stack, the TSV, and the segment scheme but not on
+    /// the plane powers, so the kernel answers any power vector on the
+    /// same geometry bit-for-bit identically to [`ModelB::solve`]'s
+    /// [`ModelBSolution::max_delta_t`].
     ///
     /// # Errors
     ///
     /// Propagates segmentation/solver failures as [`CoreError`].
     pub fn factorize(&self, scenario: &Scenario) -> Result<ModelBFactorization, CoreError> {
-        let segmentation = Segmentation::paper_scheme(
-            scenario,
-            self.first_plane_segments,
-            self.upper_plane_segments,
-        );
-        let segments = build_segments(scenario, &segmentation)?;
-        let rs = substrate_resistance(scenario);
-        factorize_block_tridiag(&segmentation, &segments, rs)
+        self.factorize_segmented(scenario, &self.segmentation(scenario))
+    }
+
+    /// [`ModelB::factorize`] with an explicit segmentation.
+    ///
+    /// # Errors
+    ///
+    /// Propagates segmentation/solver failures as [`CoreError`].
+    pub fn factorize_segmented(
+        &self,
+        scenario: &Scenario,
+        segmentation: &Segmentation,
+    ) -> Result<ModelBFactorization, CoreError> {
+        ResponseBasis::with(scenario, segmentation, ModelBFactorization::from_basis)
     }
 
     /// Solves with an explicit segmentation.
@@ -221,9 +234,18 @@ impl ModelB {
         scenario: &Scenario,
         segmentation: &Segmentation,
     ) -> Result<ModelBSolution, CoreError> {
-        let segments = build_segments(scenario, segmentation)?;
-        let rs = substrate_resistance(scenario);
-        solve_block_tridiag(scenario, segmentation, &segments, rs)
+        ResponseBasis::with(scenario, segmentation, |basis| {
+            basis.solution(scenario.plane_powers())
+        })?
+    }
+
+    /// This model's *(first, others)* scheme materialized for a stack.
+    fn segmentation(&self, scenario: &Scenario) -> Segmentation {
+        Segmentation::paper_scheme(
+            scenario,
+            self.first_plane_segments,
+            self.upper_plane_segments,
+        )
     }
 }
 
@@ -260,18 +282,10 @@ impl crate::scenario::PowerSeparableModel for ModelB {
     ) -> Result<TemperatureDelta, CoreError> {
         factorization.max_delta_t(plane_powers)
     }
-
-    fn solve_with_powers_batch(
-        &self,
-        factorization: &ModelBFactorization,
-        batch: &[Vec<Power>],
-    ) -> Result<Vec<TemperatureDelta>, CoreError> {
-        factorization.max_delta_t_batch(batch)
-    }
 }
 
 /// One π-segment's resistances in K/W (the heat inputs live in the
-/// factorization's right-hand-side recipe).
+/// unit right-hand sides of [`ResponseBasis::with`]).
 #[derive(Debug, Clone, Copy)]
 struct Segment {
     r_bulk: f64,
@@ -358,110 +372,52 @@ fn build_segments(
     Ok(segments)
 }
 
-/// Dedicated `O(n)` path: the ladder's natural 2×2 block-tridiagonal
-/// structure, solved by block Thomas elimination.
+/// Assembles and factorizes the ladder matrix (geometry only — the heat
+/// inputs live entirely in the right-hand side) in its natural 2×2
+/// block-tridiagonal form, for block Thomas elimination.
 ///
 /// Unknowns are padded to an even count — block 0 is `(T₀, dummy)` with a
 /// decoupled unit-diagonal dummy, block `s + 1` is `(B_s, V_s)` — so T₀'s
 /// coupling to both first-segment nodes lands in the single off-diagonal
 /// block between blocks 0 and 1.
-fn solve_block_tridiag(
-    scenario: &Scenario,
-    segmentation: &Segmentation,
-    segments: &[Segment],
-    rs: f64,
-) -> Result<ModelBSolution, CoreError> {
-    let fact = factorize_block_tridiag(segmentation, segments, rs)?;
-    fact.solve_rhs(scenario.plane_powers())
-}
-
-/// Assembles and factorizes the ladder matrix (geometry only — the heat
-/// inputs live entirely in the right-hand side).
-fn factorize_block_tridiag(
-    segmentation: &Segmentation,
-    segments: &[Segment],
-    rs: f64,
-) -> Result<ModelBFactorization, CoreError> {
+fn factorize_ladder(segments: &[Segment], rs: f64) -> Result<BlockTridiagonalLu, CoreError> {
     let n_seg = segments.len();
     let nb = n_seg + 1;
-
-    // Per-segment conductances, computed once (the assembly below reads
-    // each one twice: once for its own block, once as the coupling into
-    // the block above).
-    let gb: Vec<f64> = segments.iter().map(|s| 1.0 / s.r_bulk).collect();
-    let gf: Vec<f64> = segments.iter().map(|s| 1.0 / s.r_fill).collect();
 
     // Assemble the blocks directly — the ladder stencil is known, so no
     // per-entry indexing: D[0] holds T₀ (grounded through Rs and coupled
     // to both first-segment nodes) plus the decoupled dummy; D[s+1] holds
     // (B_s, V_s) with the lateral liner rung on the off-diagonal; the
     // inter-block coupling blocks are diagonal (bulk→bulk, via→via),
-    // except the first, where T₀ reaches both chains.
+    // except the first, where T₀ reaches both chains. Each segment's
+    // conductances are computed once and carried to the next block,
+    // where they couple it to the one below.
+    let conductances = |seg: &Segment| (1.0 / seg.r_bulk, 1.0 / seg.r_fill);
     let mut diag = Vec::with_capacity(nb);
     let mut lower = Vec::with_capacity(nb - 1);
     let mut upper = Vec::with_capacity(nb - 1);
 
-    diag.push([1.0 / rs + gb[0] + gf[0], 0.0, 0.0, 1.0]);
-    upper.push([-gb[0], -gf[0], 0.0, 0.0]);
-    lower.push([-gb[0], 0.0, -gf[0], 0.0]);
+    let (mut gb, mut gf) = conductances(&segments[0]);
+    diag.push([1.0 / rs + gb + gf, 0.0, 0.0, 1.0]);
+    upper.push([-gb, -gf, 0.0, 0.0]);
+    lower.push([-gb, 0.0, -gf, 0.0]);
     for (s, seg) in segments.iter().enumerate() {
-        let (up_b, up_f) = if s + 1 < n_seg {
-            (gb[s + 1], gf[s + 1])
-        } else {
-            (0.0, 0.0)
-        };
+        let (up_b, up_f) = segments.get(s + 1).map_or((0.0, 0.0), conductances);
         let lat = 1.0 / seg.r_lat;
-        diag.push([gb[s] + lat + up_b, -lat, -lat, gf[s] + lat + up_f]);
+        diag.push([gb + lat + up_b, -lat, -lat, gf + lat + up_f]);
         if s + 1 < n_seg {
             upper.push([-up_b, 0.0, 0.0, -up_f]);
             lower.push([-up_b, 0.0, 0.0, -up_f]);
         }
+        (gb, gf) = (up_b, up_f);
     }
 
-    let m = BlockTridiagonal::from_blocks(diag, lower, upper);
-    let lu = m.factorize()?;
-
-    // The RHS recipe: which segments receive heat, from which plane, and
-    // by what divisor — the heat itself stays out of the factorization.
-    let mut heat_slots = Vec::new();
-    let mut s = 0;
-    for (j, seg) in segmentation.per_plane().iter().enumerate() {
-        let n = seg.total();
-        if n == 1 {
-            // Lumped plane: the single segment carries the whole plane
-            // heat (`q / 1.0` is exactly `q`).
-            heat_slots.push(HeatSlot {
-                segment: s,
-                plane: j,
-                divisor: 1.0,
-            });
-            s += 1;
-            continue;
-        }
-        s += seg.silicon;
-        for _ in 0..seg.ild {
-            heat_slots.push(HeatSlot {
-                segment: s,
-                plane: j,
-                divisor: seg.ild as f64,
-            });
-            s += 1;
-        }
-    }
-    debug_assert_eq!(s, n_seg);
-
-    Ok(ModelBFactorization {
-        lu,
-        n_seg,
-        n_planes: segmentation.per_plane().len(),
-        heat_slots,
-        plane_top_segment: plane_top_segments(segmentation),
-    })
+    Ok(BlockTridiagonal::from_blocks(diag, lower, upper).factorize()?)
 }
 
-/// Index of each plane's topmost segment — shared by the factorization
-/// and the reference ladder solvers in the tests, so they can never
-/// disagree on the plane layout.
+/// Index of each plane's topmost segment — shared by the solution and
+/// the reference ladder solvers in the tests, so they can never disagree
+/// on the plane layout.
 fn plane_top_segments(segmentation: &Segmentation) -> Vec<usize> {
     let mut tops = Vec::with_capacity(segmentation.per_plane().len());
     let mut acc = 0;
@@ -472,178 +428,361 @@ fn plane_top_segments(segmentation: &Segmentation) -> Vec<usize> {
     tops
 }
 
-/// One heated segment of the ladder RHS: segment `segment` receives
-/// `plane_powers[plane] / divisor` watts.
-#[derive(Debug, Clone, Copy)]
-struct HeatSlot {
-    segment: usize,
-    plane: usize,
-    divisor: f64,
+/// The `Σ_p P_p·u_p` superposition — summed in plane order from `0.0`,
+/// with `response[p]` the node's response to one watt on plane `p` — that
+/// every Model B path evaluates, so they all agree bitwise.
+///
+/// Powers are validated finite and non-negative, and rounded products
+/// and sums are monotone, so `u ≤ v` componentwise implies
+/// `superpose(P, u) ≤ superpose(P, v)` in floating point, not just in real
+/// arithmetic. The hotspot kernel's pruning rests on exactly that.
+#[inline]
+fn superpose(powers: &[Power], response: &[f64]) -> f64 {
+    let mut t = 0.0;
+    for (power, u) in powers.iter().zip(response) {
+        t += power.as_watts() * u;
+    }
+    t
 }
 
-/// A factorized Model B ladder: the block-LU factors of the KCL matrix
-/// plus the RHS recipe. The matrix depends only on the scenario's
-/// *geometry* (stack, TSV, via density) — plane powers enter the
-/// right-hand side alone — so scenarios that differ only in power share
-/// one factorization and each extra solve is a single `O(n)`
-/// back-substitution via [`ModelBFactorization::solve_rhs`].
-///
-/// Produced by [`ModelB::factorize`]; [`ModelBFactorization::solve_rhs`]
-/// with the originating scenario's powers is bit-for-bit identical to
-/// [`ModelB::solve`] (the property suites assert it).
-#[derive(Debug, Clone)]
-pub struct ModelBFactorization {
-    lu: BlockTridiagonalLu,
+/// Entries per block of the hotspot kernel's scan.
+const BLOCK: usize = 16;
+
+/// [`superpose`] for the `BLOCK` consecutive entries at `start` of a
+/// plane-major array (`soa[p * stride + i]`): each lane runs the same
+/// operations in the same order, so lane `k` is bitwise [`superpose`] of
+/// entry `start + k`, and the plane loop vectorizes across the lanes.
+#[inline]
+fn superpose_block(powers: &[Power], soa: &[f64], stride: usize, start: usize) -> [f64; BLOCK] {
+    let mut acc = [0.0; BLOCK];
+    for (p, power) in powers.iter().enumerate() {
+        let w = power.as_watts();
+        for (a, u) in acc.iter_mut().zip(&soa[p * stride + start..][..BLOCK]) {
+            *a += w * u;
+        }
+    }
+    acc
+}
+
+/// The power-vector validation shared by every solve entry point.
+fn validate_powers(n_planes: usize, plane_powers: &[Power]) -> Result<(), CoreError> {
+    if plane_powers.len() != n_planes {
+        return Err(CoreError::InvalidScenario {
+            reason: format!(
+                "factorization covers {n_planes} planes, got {} powers",
+                plane_powers.len()
+            ),
+        });
+    }
+    if let Some(p) = plane_powers
+        .iter()
+        .find(|p| !p.as_watts().is_finite() || p.as_watts() < 0.0)
+    {
+        return Err(CoreError::InvalidScenario {
+            reason: format!("plane power must be finite and non-negative, got {p}"),
+        });
+    }
+    Ok(())
+}
+
+thread_local! {
+    /// This thread's lane-interleaved unit-response buffer, reused across
+    /// factorizations: at the serving geometry it is 128 KB, and touching
+    /// that much fresh memory per factorization costs more in page faults
+    /// than the solve that fills it.
+    static RESPONSES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The ladder's unit responses: every node temperature under one watt on
+/// each plane (eq. 20's `q_j / n_D` per heated ILD segment), from a
+/// single factorization. Transient — [`ModelB::solve`] superposes it into
+/// a [`ModelBSolution`], [`ModelB::factorize`] prunes it into a
+/// [`ModelBFactorization`].
+struct ResponseBasis<'a> {
     n_seg: usize,
     n_planes: usize,
-    heat_slots: Vec<HeatSlot>,
+    /// Planes rounded up to whole four-lane passes.
+    width: usize,
+    /// Node-major responses over the padded unknowns:
+    /// `u[i * width + p]` is unknown `i`'s response to one watt on plane
+    /// `p`, zero in the lanes past `n_planes`. See
+    /// [`ResponseBasis::node`].
+    u: &'a [f64],
     plane_top_segment: Vec<usize>,
 }
 
-impl ModelBFactorization {
-    /// Number of π-segments in the factored ladder.
-    #[must_use]
-    pub fn segment_count(&self) -> usize {
-        self.n_seg
+impl ResponseBasis<'_> {
+    /// Factorizes the ladder, solves the `n_planes` unit right-hand sides
+    /// four lanes per pass over the factors
+    /// ([`BlockTridiagonalLu::solve_interleaved_x4`]), and hands the basis
+    /// to `f`.
+    fn with<T>(
+        scenario: &Scenario,
+        segmentation: &Segmentation,
+        f: impl FnOnce(&ResponseBasis<'_>) -> T,
+    ) -> Result<T, CoreError> {
+        let segments = build_segments(scenario, segmentation)?;
+        let lu = factorize_ladder(&segments, substrate_resistance(scenario))?;
+        let n_seg = segments.len();
+        let n_planes = segmentation.per_plane().len();
+        let passes = n_planes.div_ceil(4);
+        let pass_len = 4 * lu.dim();
+        RESPONSES.with_borrow_mut(|lanes| {
+            lanes.clear();
+            lanes.resize(passes * pass_len, 0.0);
+            // The heated segments: a lumped plane's single segment takes
+            // the whole plane power (`1 / 1.0` is exactly 1), an ILD
+            // segment `1 / n_D` of it, a silicon segment none. Block
+            // `s + 1` of the padded unknowns holds `(B_s, V_s)`.
+            let mut s = 0;
+            for (j, seg) in segmentation.per_plane().iter().enumerate() {
+                let (silicon, heated) = if seg.total() == 1 {
+                    (0, 1)
+                } else {
+                    (seg.silicon, seg.ild)
+                };
+                s += silicon;
+                for _ in 0..heated {
+                    lanes[(j / 4) * pass_len + 4 * (2 * s + 2) + j % 4] = 1.0 / heated as f64;
+                    s += 1;
+                }
+            }
+            debug_assert_eq!(s, n_seg);
+            for z in lanes.chunks_exact_mut(pass_len) {
+                lu.solve_interleaved_x4(z)?;
+            }
+
+            // One pass is already node-major; more are interleaved side
+            // by side.
+            let width = 4 * passes;
+            let interleaved;
+            let u = if passes == 1 {
+                &lanes[..]
+            } else {
+                let mut u = vec![0.0; lanes.len()];
+                for (pass, z) in lanes.chunks_exact(pass_len).enumerate() {
+                    for (i, lane) in z.chunks_exact(4).enumerate() {
+                        u[i * width + 4 * pass..][..4].copy_from_slice(lane);
+                    }
+                }
+                interleaved = u;
+                &interleaved[..]
+            };
+            Ok(f(&ResponseBasis {
+                n_seg,
+                n_planes,
+                width,
+                u,
+                plane_top_segment: plane_top_segments(segmentation),
+            }))
+        })
     }
 
-    /// Number of planes the RHS expects powers for.
-    #[must_use]
-    pub fn plane_count(&self) -> usize {
-        self.n_planes
+    fn n_nodes(&self) -> usize {
+        1 + 2 * self.n_seg
     }
 
-    /// Solves the factored ladder for one per-plane power vector — a
-    /// single back-substitution, no re-assembly, no re-factorization.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidScenario`] when the power count does
-    /// not match the factored plane count, or a negative/non-finite power
-    /// is supplied; propagates solver failures.
-    pub fn solve_rhs(&self, plane_powers: &[Power]) -> Result<ModelBSolution, CoreError> {
-        let mut x = self.assemble_rhs(plane_powers)?;
-        self.lu.solve_in_place(&mut x)?;
+    /// Ladder node `k`'s responses, one per lane (`width` of them), in
+    /// `[T0, B₁, V₁, B₂, V₂, …]` order: T0 is unknown 0, node `k ≥ 1`
+    /// unknown `k + 1` — unknown 1 is the decoupled dummy.
+    fn node(&self, k: usize) -> &[f64] {
+        &self.u[(k + usize::from(k > 0)) * self.width..][..self.width]
+    }
 
-        // Strip the dummy back out into the `[T0, B₁, V₁, …]` layout.
-        let mut t = Vec::with_capacity(1 + 2 * self.n_seg);
-        t.push(x[0]);
-        for s in 0..self.n_seg {
-            t.push(x[2 * s + 2]);
-            t.push(x[2 * s + 3]);
-        }
+    /// Every node temperature under `plane_powers`, by [`superpose`].
+    fn solution(&self, plane_powers: &[Power]) -> Result<ModelBSolution, CoreError> {
+        validate_powers(self.n_planes, plane_powers)?;
+        let t: Vec<f64> = (0..self.n_nodes())
+            .map(|k| superpose(plane_powers, self.node(k)))
+            .collect();
         Ok(ModelBSolution::from_parts(
             &t,
             self.n_seg,
             self.plane_top_segment.clone(),
         ))
     }
+}
 
-    /// Validates a power vector and assembles the padded ladder RHS.
-    fn assemble_rhs(&self, plane_powers: &[Power]) -> Result<Vec<f64>, CoreError> {
-        self.validate_powers(plane_powers)?;
-        let mut x = vec![0.0; 2 * (self.n_seg + 1)];
-        for slot in &self.heat_slots {
-            x[2 * (slot.segment + 1)] = plane_powers[slot.plane].as_watts() / slot.divisor;
+/// A factored Model B ladder, reduced to its hotspot kernel. The KCL
+/// matrix depends only on the scenario's *geometry* (stack, TSV, via
+/// density) — plane powers enter the right-hand side alone — so every
+/// node temperature is the superposition `Σ_p P_p·u_p[i]` of the
+/// `n_planes` unit responses, and a tile's hotspot is the largest of
+/// them. The kernel keeps only the nodes that can be that largest:
+///
+/// * **candidates** — the argmax under each unit direction and under the
+///   all-ones direction;
+/// * **kept nodes** — every node the all-ones candidate does not
+///   dominate componentwise, stored plane-major in blocks of 16 with each
+///   block's componentwise maximum `U_B`.
+///
+/// [`ModelBFactorization::max_delta_t`] takes `m` as the max over the
+/// candidates, then scans only the blocks whose bound `P·U_B` exceeds
+/// `m`. Powers are validated finite and non-negative, and rounded
+/// products and sums are monotone, so `u_i ≤ u_j` componentwise implies
+/// `fl(P·u_i) ≤ fl(P·u_j)` for the one shared evaluation order. A
+/// dominated node or a skipped block can therefore never beat `m`, and
+/// the pruned max is **bitwise** the max over all nodes — what
+/// [`ModelB::solve`]'s [`ModelBSolution::max_delta_t`] returns (the
+/// property suites assert it). The ladder's LU factors and its full
+/// response basis are dropped once the kernel is built.
+///
+/// On the serving geometry (`B(1000)` with 10 first-plane segments,
+/// 3 planes, 4,021 nodes) the kernel keeps ~2,000 nodes, ≈ 50 KB: the
+/// flat region above each heated plane differs from the candidates only
+/// by rounding noise, so about half its nodes cannot be pruned exactly.
+#[derive(Debug, Clone)]
+pub struct ModelBFactorization {
+    n_seg: usize,
+    n_planes: usize,
+    /// Candidate responses, node-major: `candidates[c * n_planes + p]`.
+    candidates: Vec<f64>,
+    /// Kept responses, plane-major and padded to whole blocks by
+    /// repeating the last kept node: `kept[p * kept_len + i]`.
+    kept: Vec<f64>,
+    kept_len: usize,
+    /// Per-block componentwise maxima, plane-major and padded to whole
+    /// blocks with `−∞` (a padded bound superposes to `−∞` or NaN, never
+    /// above a real max): `bounds[p * bounds_len + b]`.
+    bounds: Vec<f64>,
+    bounds_len: usize,
+}
+
+impl ModelBFactorization {
+    /// Prunes a response basis to its hotspot kernel: one pass picks the
+    /// candidates, a second keeps every node the all-ones candidate does
+    /// not dominate. Which nodes are picked affects only how much is
+    /// pruned, never the result.
+    fn from_basis(basis: &ResponseBasis<'_>) -> Self {
+        let n_planes = basis.n_planes;
+        let n_nodes = basis.n_nodes();
+        // Node `k`'s responses in four-lane chunks (the lanes past
+        // `n_planes` are zero).
+        let node = |k: usize| basis.node(k).as_chunks::<4>().0;
+
+        // Candidates: the argmax under each unit direction and under the
+        // all-ones direction, in one pass of fixed four-lane steps (the
+        // zero lanes' argmaxes are never read).
+        let mut top = vec![([f64::NEG_INFINITY; 4], [0; 4]); basis.width / 4];
+        let mut top_all_ones = (f64::NEG_INFINITY, 0);
+        for k in 0..n_nodes {
+            let mut all_ones = 0.0;
+            for ((top, arg), u) in top.iter_mut().zip(node(k)) {
+                for l in 0..4 {
+                    if u[l] > top[l] {
+                        top[l] = u[l];
+                        arg[l] = k;
+                    }
+                    all_ones += u[l];
+                }
+            }
+            if all_ones > top_all_ones.0 {
+                top_all_ones = (all_ones, k);
+            }
         }
-        Ok(x)
+        let mut picks = vec![top_all_ones.1];
+        for &k in top.iter().flat_map(|(_, arg)| arg).take(n_planes) {
+            if !picks.contains(&k) {
+                picks.push(k);
+            }
+        }
+
+        // Kept: every node the all-ones argmax does not dominate — it
+        // dominates nearly all the nodes any candidate does (on the
+        // serving ladder, checking the others too prunes 16 more nodes of
+        // 4,021 for twice the scan). Compares and compaction are
+        // branch-free: in the flat regions nodes differ from the
+        // candidate by rounding noise, so a branch per node would
+        // mispredict half the time.
+        let dominator = node(top_all_ones.1);
+        let mut kept_nodes = vec![0; n_nodes];
+        let mut kept_count = 0;
+        for k in 0..n_nodes {
+            let above = node(k).iter().zip(dominator).fold(false, |any, (u, v)| {
+                any | (u[0] > v[0]) | (u[1] > v[1]) | (u[2] > v[2]) | (u[3] > v[3])
+            });
+            kept_nodes[kept_count] = k;
+            kept_count += usize::from(above);
+        }
+        kept_nodes.truncate(kept_count);
+
+        // The kept nodes, plane-major, padded to whole blocks by repeating
+        // the last one, and each block's componentwise maximum `U_B`.
+        if let Some(&last) = kept_nodes.last() {
+            kept_nodes.resize(kept_nodes.len().next_multiple_of(BLOCK), last);
+        }
+        let kept_len = kept_nodes.len();
+        let mut kept = vec![0.0; n_planes * kept_len];
+        for (i, &k) in kept_nodes.iter().enumerate() {
+            for (p, &u) in basis.node(k)[..n_planes].iter().enumerate() {
+                kept[p * kept_len + i] = u;
+            }
+        }
+        let bounds_len = (kept_len / BLOCK).next_multiple_of(BLOCK);
+        let mut bounds = vec![f64::NEG_INFINITY; n_planes * bounds_len];
+        for (p, column) in kept.chunks_exact(kept_len.max(1)).enumerate() {
+            for (b, block) in column.chunks_exact(BLOCK).enumerate() {
+                let bound = &mut bounds[p * bounds_len + b];
+                for &u in block {
+                    if u > *bound {
+                        *bound = u;
+                    }
+                }
+            }
+        }
+        Self {
+            n_seg: basis.n_seg,
+            n_planes,
+            candidates: picks
+                .iter()
+                .flat_map(|&k| basis.node(k)[..n_planes].to_vec())
+                .collect(),
+            kept,
+            kept_len,
+            bounds,
+            bounds_len,
+        }
     }
 
-    /// Maximum node temperature of a solved (padded) ladder vector —
-    /// `max` is order-independent over real temperatures, so this matches
-    /// [`ModelBSolution::max_delta_t`] exactly without materializing the
-    /// solution.
-    fn max_of_solution(&self, x: &[f64]) -> TemperatureDelta {
-        let mut max = x[0];
-        for s in 0..self.n_seg {
-            max = max.max(x[2 * s + 2]);
-            max = max.max(x[2 * s + 3]);
-        }
-        TemperatureDelta::from_kelvin(max)
+    /// Number of π-segments in the factored ladder.
+    #[must_use]
+    pub fn segment_count(&self) -> usize {
+        self.n_seg
     }
 
-    /// [`ModelBFactorization::solve_rhs`] reduced to the hotspot metric —
-    /// no solution object is built, just the back-substitution and a max
-    /// scan.
+    /// Number of planes the kernel expects powers for.
+    #[must_use]
+    pub fn plane_count(&self) -> usize {
+        self.n_planes
+    }
+
+    /// The hotspot — the maximum node temperature rise — under one
+    /// per-plane power vector: the candidates' max, then a scan of only
+    /// the blocks whose bound exceeds it. Bitwise equal to
+    /// [`ModelBSolution::max_delta_t`] of the same powers on the same
+    /// geometry.
     ///
     /// # Errors
     ///
-    /// See [`ModelBFactorization::solve_rhs`].
+    /// Returns [`CoreError::InvalidScenario`] when the power count does
+    /// not match the factored plane count, or a negative/non-finite power
+    /// is supplied.
     pub fn max_delta_t(&self, plane_powers: &[Power]) -> Result<TemperatureDelta, CoreError> {
-        let mut x = self.assemble_rhs(plane_powers)?;
-        self.lu.solve_in_place(&mut x)?;
-        Ok(self.max_of_solution(&x))
-    }
-
-    /// Batched hotspot metric: four right-hand sides share each pass over
-    /// the factors
-    /// ([`BlockTridiagonalLu::solve_interleaved_x4`]), which is what makes a
-    /// thousand same-geometry tiles nearly free. Per-vector results are
-    /// bit-identical to [`ModelBFactorization::max_delta_t`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ModelBFactorization::solve_rhs`].
-    pub fn max_delta_t_batch(
-        &self,
-        batch: &[Vec<Power>],
-    ) -> Result<Vec<TemperatureDelta>, CoreError> {
-        let mut out = Vec::with_capacity(batch.len());
-        let n = 2 * (self.n_seg + 1);
-        // Lane-interleaved buffer (unknown i of lane l at 4·i + l),
-        // reused across quads: assembly, solve, and max scan all run in
-        // this layout, so nothing is ever transposed.
-        let mut z = vec![0.0; 4 * n];
-        let mut quads = batch.chunks_exact(4);
-        for quad in &mut quads {
-            z.fill(0.0);
-            for (l, powers) in quad.iter().enumerate() {
-                self.validate_powers(powers)?;
-                for slot in &self.heat_slots {
-                    z[4 * (2 * (slot.segment + 1)) + l] =
-                        powers[slot.plane].as_watts() / slot.divisor;
+        validate_powers(self.n_planes, plane_powers)?;
+        let mut max = f64::NEG_INFINITY;
+        for c in self.candidates.chunks_exact(self.n_planes) {
+            max = max.max(superpose(plane_powers, c));
+        }
+        for first in (0..self.bounds_len).step_by(BLOCK) {
+            let bounds = superpose_block(plane_powers, &self.bounds, self.bounds_len, first);
+            for (b, bound) in (first..).zip(bounds) {
+                if bound > max {
+                    let block = superpose_block(plane_powers, &self.kept, self.kept_len, b * BLOCK);
+                    max = block.into_iter().fold(max, f64::max);
                 }
             }
-            self.lu.solve_interleaved_x4(&mut z)?;
-            for l in 0..4 {
-                // Max over T0 and every bulk/via node of lane `l`,
-                // skipping the dummy unknown. `max` is exact (no
-                // rounding), so accumulation order cannot change the
-                // result.
-                let mut max = z[l];
-                for s in 0..self.n_seg {
-                    max = max.max(z[4 * (2 * s + 2) + l]);
-                    max = max.max(z[4 * (2 * s + 3) + l]);
-                }
-                out.push(TemperatureDelta::from_kelvin(max));
-            }
         }
-        for powers in quads.remainder() {
-            out.push(self.max_delta_t(powers)?);
-        }
-        Ok(out)
-    }
-
-    /// The power-vector validation shared by every solve entry point.
-    fn validate_powers(&self, plane_powers: &[Power]) -> Result<(), CoreError> {
-        if plane_powers.len() != self.n_planes {
-            return Err(CoreError::InvalidScenario {
-                reason: format!(
-                    "factorization covers {} planes, got {} powers",
-                    self.n_planes,
-                    plane_powers.len()
-                ),
-            });
-        }
-        if let Some(p) = plane_powers
-            .iter()
-            .find(|p| !p.as_watts().is_finite() || p.as_watts() < 0.0)
-        {
-            return Err(CoreError::InvalidScenario {
-                reason: format!("plane power must be finite and non-negative, got {p}"),
-            });
-        }
-        Ok(())
+        Ok(TemperatureDelta::from_kelvin(max))
     }
 }
 
@@ -929,33 +1068,14 @@ mod tests {
     }
 
     #[test]
-    fn factorize_then_solve_rhs_is_bitwise_identical_to_solve() {
-        let s = scenario();
-        let model = ModelB::paper_b100();
-        let direct = model.solve(&s).unwrap();
-        let fact = model.factorize(&s).unwrap();
-        let via_fact = fact.solve_rhs(s.plane_powers()).unwrap();
-        assert_eq!(
-            direct.t0().as_kelvin().to_bits(),
-            via_fact.t0().as_kelvin().to_bits()
-        );
-        for (a, b) in direct.bulk_profile().iter().zip(via_fact.bulk_profile()) {
-            assert_eq!(a.as_kelvin().to_bits(), b.as_kelvin().to_bits());
-        }
-        for (a, b) in direct.via_profile().iter().zip(via_fact.via_profile()) {
-            assert_eq!(a.as_kelvin().to_bits(), b.as_kelvin().to_bits());
-        }
-        assert_eq!(fact.plane_count(), 3);
-        assert_eq!(fact.segment_count(), 210);
-    }
-
-    #[test]
     fn one_factorization_serves_many_power_vectors() {
         // Scale every plane power: the matrix is power-independent, so the
         // shared factorization must reproduce fresh solves exactly.
         let s = scenario();
         let model = ModelB::paper_b20();
         let fact = model.factorize(&s).unwrap();
+        assert_eq!(fact.plane_count(), 3);
+        assert_eq!(fact.segment_count(), 42);
         for scale in [0.5, 1.0, 2.25, 7.0] {
             let powers: Vec<Power> = s
                 .plane_powers()
@@ -980,11 +1100,42 @@ mod tests {
     }
 
     #[test]
+    fn kernel_block_scan_finds_a_winner_that_is_no_candidate() {
+        // At 1 W / 10 W / 1 W no candidate (per-plane or all-ones argmax)
+        // is the hottest node, so only the block scan can find it — and
+        // must find exactly the full profile's maximum.
+        let s = scenario();
+        let model = ModelB::paper_b100();
+        let fact = model.factorize(&s).unwrap();
+        let kernel_nodes = fact.candidates.len() / 3 + fact.kept_len;
+        assert!(
+            kernel_nodes < 1 + 2 * fact.segment_count(),
+            "dominance pruning dropped nothing"
+        );
+        let powers: Vec<Power> = [1.0, 10.0, 1.0].map(Power::from_watts).to_vec();
+        let candidates = fact
+            .candidates
+            .chunks_exact(3)
+            .map(|u| superpose(&powers, u))
+            .fold(f64::NEG_INFINITY, f64::max);
+        let scaled = Scenario::new(
+            s.stack().clone(),
+            s.tsv().clone(),
+            &crate::geometry::HeatLoad::PerPlane(powers.clone()),
+        )
+        .unwrap();
+        let every_node = model.solve(&scaled).unwrap().max_delta_t().as_kelvin();
+        assert!(candidates < every_node, "{candidates} vs {every_node}");
+        let kernel = fact.max_delta_t(&powers).unwrap().as_kelvin();
+        assert_eq!(kernel.to_bits(), every_node.to_bits());
+    }
+
+    #[test]
     fn factorization_rejects_wrong_power_count_and_bad_powers() {
         let s = scenario();
         let fact = ModelB::paper_b20().factorize(&s).unwrap();
         assert!(matches!(
-            fact.solve_rhs(&[Power::from_watts(1.0)]),
+            fact.max_delta_t(&[Power::from_watts(1.0)]),
             Err(CoreError::InvalidScenario { .. })
         ));
         let bad = vec![
@@ -993,7 +1144,7 @@ mod tests {
             Power::from_watts(1.0),
         ];
         assert!(matches!(
-            fact.solve_rhs(&bad),
+            fact.max_delta_t(&bad),
             Err(CoreError::InvalidScenario { .. })
         ));
     }

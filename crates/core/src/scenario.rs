@@ -133,15 +133,21 @@ pub trait ThermalModel {
 
 /// A model whose linear system depends only on the scenario's *geometry*
 /// (stack, TSV, segmentation) — plane powers enter the right-hand side
-/// alone. Such models factorize once per geometry and solve each power
-/// vector with a cheap back-substitution, which is what lets the chip
-/// engine's matrix-tier cache collapse an all-distinct power map onto a
-/// handful of factorizations.
+/// alone. Such models factorize once per geometry and answer each power
+/// vector from that factorization, which is what lets the chip engine's
+/// matrix-tier cache collapse an all-distinct power map onto a handful of
+/// factorizations. [`ModelB`](crate::model_b::ModelB)'s factorization is
+/// a hotspot kernel: the ladder's unit responses pruned to the nodes that
+/// can be hottest (see
+/// [`ModelBFactorization`](crate::model_b::ModelBFactorization)), so a
+/// power vector costs a few hundred multiply-adds and the cached entry
+/// ~50 KB at the serving geometry.
 ///
 /// Contract: for any scenario `s`,
 /// `solve_with_powers(&factorize(&s)?, s.plane_powers())` must equal
-/// `max_delta_t(&s)` **bitwise** on the model's default solver path (the
-/// property suites assert it for [`ModelB`](crate::model_b::ModelB)).
+/// `max_delta_t(&s)` **bitwise** (the property suites assert it for
+/// [`ModelB`](crate::model_b::ModelB), including that the kernel's
+/// pruned max equals the max over every node).
 pub trait PowerSeparableModel: ThermalModel {
     /// The reusable geometry factorization.
     type Factorization: Send + Sync + 'static;
@@ -166,25 +172,6 @@ pub trait PowerSeparableModel: ThermalModel {
         factorization: &Self::Factorization,
         plane_powers: &[Power],
     ) -> Result<TemperatureDelta, CoreError>;
-
-    /// Solves many power vectors against one factorization. The default
-    /// loops over [`PowerSeparableModel::solve_with_powers`]; models with
-    /// a multi-right-hand-side kernel override it (each result must stay
-    /// bitwise equal to the single-vector call).
-    ///
-    /// # Errors
-    ///
-    /// See [`PowerSeparableModel::solve_with_powers`].
-    fn solve_with_powers_batch(
-        &self,
-        factorization: &Self::Factorization,
-        batch: &[Vec<Power>],
-    ) -> Result<Vec<TemperatureDelta>, CoreError> {
-        batch
-            .iter()
-            .map(|powers| self.solve_with_powers(factorization, powers))
-            .collect()
-    }
 }
 
 /// Builder for the paper's §IV block with per-figure knobs; see

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 use ttsv_core::geometry::HeatLoad;
+use ttsv_core::model_b::PlaneSegments;
 use ttsv_core::prelude::*;
 
 fn um(v: f64) -> Length {
@@ -34,6 +35,41 @@ fn block_params() -> impl Strategy<Value = BlockParams> {
                 ild_um,
                 tsi_um,
                 planes,
+            },
+        )
+}
+
+/// A Model B ladder with a random explicit segmentation and a batch of
+/// power vectors for it: 2–5 planes (a stack needs two), each lumped (one segment) a quarter
+/// of the time, otherwise 0–29 silicon and 1–29 ILD segments (so ladder
+/// lengths are rarely a multiple of anything); each power an exact zero a
+/// quarter of the time, otherwise log-uniform over 1e-6–1e3 W.
+#[derive(Debug, Clone)]
+struct KernelParams {
+    radius_um: f64,
+    liner_um: f64,
+    planes: usize,
+    segments: Vec<(usize, usize, usize)>,
+    powers: Vec<Vec<(usize, f64)>>,
+}
+
+fn kernel_params() -> impl Strategy<Value = KernelParams> {
+    let segment = (0usize..4, 0usize..30, 1usize..30);
+    let power = (0usize..4, -6.0..3.0f64);
+    (
+        1.0..20.0f64,
+        0.2..3.0f64,
+        2usize..6,
+        prop::collection::vec(segment, 5),
+        prop::collection::vec(prop::collection::vec(power, 5), 12),
+    )
+        .prop_map(
+            |(radius_um, liner_um, planes, segments, powers)| KernelParams {
+                radius_um,
+                liner_um,
+                planes,
+                segments,
+                powers,
             },
         )
 }
@@ -268,6 +304,53 @@ proptest! {
             let dt_fewer = model.max_delta_t(&fewer).unwrap().as_kelvin();
             let dt_more = model.max_delta_t(&more).unwrap().as_kelvin();
             prop_assert!(dt_more > dt_fewer, "{}: {dt_fewer} vs {dt_more}", model.name());
+        }
+    }
+    /// The hotspot kernel's pruned max is bitwise the max over every
+    /// superposed ladder node — the full `ModelB::solve_segmented`
+    /// profile — for every power vector a factorization serves.
+    #[test]
+    fn model_b_kernel_max_is_bitwise_the_max_over_every_node(p in kernel_params()) {
+        let segmentation = Segmentation::explicit(
+            p.segments[..p.planes]
+                .iter()
+                .map(|&(kind, silicon, ild)| match kind {
+                    0 => PlaneSegments { silicon: 0, ild: 1 },
+                    _ => PlaneSegments { silicon, ild },
+                })
+                .collect(),
+        );
+        let scenario = |watts: &[(usize, f64)]| {
+            let powers = watts[..p.planes]
+                .iter()
+                .map(|&(zero, exp)| Power::from_watts(if zero == 0 { 0.0 } else { 10f64.powf(exp) }))
+                .collect();
+            Scenario::paper_block()
+                .with_tsv(TtsvConfig::new(um(p.radius_um), um(p.liner_um)))
+                .with_planes(p.planes)
+                .with_load(HeatLoad::PerPlane(powers))
+                .build()
+                .expect("strategy produces valid scenarios")
+        };
+        let model = ModelB::paper_b100();
+        let kernel = model
+            .factorize_segmented(&scenario(&p.powers[0]), &segmentation)
+            .unwrap();
+        for watts in &p.powers {
+            let s = scenario(watts);
+            let sol = model.solve_segmented(&s, &segmentation).unwrap();
+            let every_node = sol
+                .bulk_profile()
+                .iter()
+                .chain(sol.via_profile())
+                .fold(sol.t0(), |m, &t| m.max(t))
+                .as_kelvin();
+            let pruned = kernel.max_delta_t(s.plane_powers()).unwrap().as_kelvin();
+            prop_assert!(
+                pruned.to_bits() == every_node.to_bits(),
+                "kernel {pruned} vs every node {every_node} at {:?}",
+                s.plane_powers()
+            );
         }
     }
 }

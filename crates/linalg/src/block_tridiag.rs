@@ -222,50 +222,61 @@ impl BlockTridiagonal {
         let nb = self.nb;
         // SPD-oriented scale reference: the largest diagonal magnitude
         // (cheap, and for the resistive ladders the diagonal always
-        // carries the row's dominant entry).
-        let scale = self
-            .diag
-            .iter()
-            .flatten()
-            .fold(0.0f64, |m, v| m.max(v.abs()))
+        // carries the row's dominant entry). One running maximum per
+        // block entry keeps the scan's chains independent; `max` is
+        // exact, so the order cannot change the result.
+        let mut entry_max = [0.0f64; 4];
+        for d in &self.diag {
+            for (m, v) in entry_max.iter_mut().zip(d) {
+                if v.abs() > *m {
+                    *m = v.abs();
+                }
+            }
+        }
+        let scale = entry_max
+            .into_iter()
+            .fold(0.0f64, f64::max)
             .max(f64::MIN_POSITIVE);
         let tiny = 1e-26 * scale * scale;
-        let singular = |block: usize| LinalgError::Singular { pivot: 2 * block };
+        let invert = |block: usize, pivot: &Block| {
+            let singular = LinalgError::Singular { pivot: 2 * block };
+            let det = pivot[0] * pivot[3] - pivot[1] * pivot[2];
+            if det.abs() <= tiny {
+                return Err(singular);
+            }
+            block_inv(pivot).ok_or(singular)
+        };
 
         // In-place elimination: `diag[b]` is overwritten by the inverted
         // pivot block, `lower[b−1]` by the elimination factor
-        // `Lᵇ = lower[b−1]·inv(pivot_{b−1})`; `upper` is read-only.
-        let mut pivot = self.diag[0];
-        for b in 0..nb {
-            if b > 0 {
-                // Resistive-ladder off-diagonal blocks are themselves
-                // diagonal (bulk couples to bulk, via to via), so the
-                // specialised 4-multiply products cover almost every block;
-                // the generic 2×2 product handles the rest.
-                let l = &self.lower[b - 1];
-                let inv: &Block = &self.diag[b - 1];
-                let lf = if l[1] == 0.0 && l[2] == 0.0 {
-                    [l[0] * inv[0], l[0] * inv[1], l[3] * inv[2], l[3] * inv[3]]
-                } else {
-                    block_mul(l, inv)
-                };
-                let u = &self.upper[b - 1];
-                let lu = if u[1] == 0.0 && u[2] == 0.0 {
-                    [lf[0] * u[0], lf[1] * u[3], lf[2] * u[0], lf[3] * u[3]]
-                } else {
-                    block_mul(&lf, u)
-                };
-                pivot = self.diag[b];
-                for e in 0..4 {
-                    pivot[e] -= lu[e];
-                }
-                self.lower[b - 1] = lf;
+        // `Lᵇ = lower[b−1]·inv(pivot_{b−1})`; `upper` is read-only. The
+        // previous inverse is carried in registers, off the store→load
+        // path.
+        let mut inv = invert(0, &self.diag[0])?;
+        self.diag[0] = inv;
+        let rest = self.lower.iter_mut().zip(&self.upper);
+        for (b, (d, (l, u))) in (1..).zip(self.diag[1..].iter_mut().zip(rest)) {
+            // Resistive-ladder off-diagonal blocks are themselves
+            // diagonal (bulk couples to bulk, via to via), so the
+            // specialised 4-multiply products cover almost every block;
+            // the generic 2×2 product handles the rest.
+            let lf = if l[1] == 0.0 && l[2] == 0.0 {
+                [l[0] * inv[0], l[0] * inv[1], l[3] * inv[2], l[3] * inv[3]]
+            } else {
+                block_mul(l, &inv)
+            };
+            let lu = if u[1] == 0.0 && u[2] == 0.0 {
+                [lf[0] * u[0], lf[1] * u[3], lf[2] * u[0], lf[3] * u[3]]
+            } else {
+                block_mul(&lf, u)
+            };
+            let mut pivot = *d;
+            for e in 0..4 {
+                pivot[e] -= lu[e];
             }
-            let det = pivot[0] * pivot[3] - pivot[1] * pivot[2];
-            if det.abs() <= tiny {
-                return Err(singular(b));
-            }
-            self.diag[b] = block_inv(&pivot).ok_or_else(|| singular(b))?;
+            *l = lf;
+            inv = invert(b, &pivot)?;
+            *d = inv;
         }
 
         Ok(BlockTridiagonalLu {
@@ -330,38 +341,39 @@ impl BlockTridiagonalLu {
                 actual: z.len(),
             });
         }
+        // One 8-slot chunk per block: `[u₀ of lanes 0–3, u₁ of lanes
+        // 0–3]`. Each sweep carries the neighbouring block in registers,
+        // off the store→load path.
+        let (blocks, _) = z.as_chunks_mut::<8>();
         // Forward: y_b = b_b − Lᵇ·y_{b−1}, four lanes per factor load.
-        for b in 1..self.nb {
-            let lf = &self.lower_fact[b - 1];
-            let (prev, cur) = z.split_at_mut(4 * (2 * b));
-            let p = &prev[4 * (2 * b - 2)..];
+        let mut prev = blocks[0];
+        for (cur, lf) in blocks[1..].iter_mut().zip(&self.lower_fact) {
             for l in 0..4 {
-                let (p0, p1) = (p[l], p[4 + l]);
+                let (p0, p1) = (prev[l], prev[4 + l]);
                 cur[l] -= lf[0] * p0 + lf[1] * p1;
                 cur[4 + l] -= lf[2] * p0 + lf[3] * p1;
             }
+            prev = *cur;
         }
         // Backward: x_b = (D'_b)⁻¹ · (y_b − U_b·x_{b+1}).
-        for b in (0..self.nb).rev() {
-            let inv = &self.inv_pivot[b];
-            if b + 1 < self.nb {
-                let u = &self.upper[b];
-                let (cur, next) = z[4 * (2 * b)..].split_at_mut(8);
-                for l in 0..4 {
-                    let (c0, c1) = (next[l], next[4 + l]);
-                    let t0 = cur[l] - (u[0] * c0 + u[1] * c1);
-                    let t1 = cur[4 + l] - (u[2] * c0 + u[3] * c1);
-                    cur[l] = inv[0] * t0 + inv[1] * t1;
-                    cur[4 + l] = inv[2] * t0 + inv[3] * t1;
-                }
-            } else {
-                let cur = &mut z[4 * (2 * b)..4 * (2 * b) + 8];
-                for l in 0..4 {
-                    let (t0, t1) = (cur[l], cur[4 + l]);
-                    cur[l] = inv[0] * t0 + inv[1] * t1;
-                    cur[4 + l] = inv[2] * t0 + inv[3] * t1;
-                }
+        let (last, below) = blocks.split_last_mut().expect("at least one block");
+        let inv = &self.inv_pivot[self.nb - 1];
+        for l in 0..4 {
+            let (t0, t1) = (last[l], last[4 + l]);
+            last[l] = inv[0] * t0 + inv[1] * t1;
+            last[4 + l] = inv[2] * t0 + inv[3] * t1;
+        }
+        let mut next = *last;
+        let factors = self.inv_pivot.iter().zip(&self.upper);
+        for (cur, (inv, u)) in below.iter_mut().zip(factors).rev() {
+            for l in 0..4 {
+                let (c0, c1) = (next[l], next[4 + l]);
+                let t0 = cur[l] - (u[0] * c0 + u[1] * c1);
+                let t1 = cur[4 + l] - (u[2] * c0 + u[3] * c1);
+                cur[l] = inv[0] * t0 + inv[1] * t1;
+                cur[4 + l] = inv[2] * t0 + inv[3] * t1;
             }
+            next = *cur;
         }
         Ok(())
     }

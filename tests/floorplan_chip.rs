@@ -54,7 +54,7 @@ fn gradient_32x32_factored_path_shares_one_factorization_bitwise() {
     // All 1024 tiles carry distinct powers at uniform via density: the
     // scenario-hash dedup can share nothing, but the matrix tier
     // collapses the whole chip onto ONE ladder factorization + 1024
-    // back-substitutions — bit-identical to per-tile solves.
+    // hotspot-kernel evaluations — bit-identical to per-tile solves.
     let plan = gradient_floorplan(32);
     let model = ModelB::paper_b100();
     let engine = ChipEngine::new();
