@@ -2,12 +2,12 @@
 //! non-uniform maps): a 32×32 hotspot map (3 distinct unit cells after
 //! dedup) and a 32×32 gradient map (every cell distinct) evaluated
 //! through Model B(100), plus the factor-once batched path (one ladder factorization shared by all 1024
-//! distinct-power tiles), and the warm cross-call cache (the serving
-//! steady state).
+//! distinct-power tiles), and the same path against a warm matrix tier
+//! (1024 kernel calls, no factorization).
 //!
-//! The engine's caches persist across calls, so every cold-path row
+//! The matrix tier keeps kernels across calls, so every cold-path row
 //! constructs a fresh engine per iteration — otherwise the second
-//! iteration would measure cache hits, not solves.
+//! iteration would skip the factorization.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ttsv::prelude::*;

@@ -305,10 +305,12 @@ fn main() {
     // The floorplan engine on the 32×32 §IV-E maps: the hotspot map
     // dedups 1024 tiles to 3 Model B solves; the all-distinct gradient
     // map prices the per-tile path itself, and `factor_shared` prices
-    // the matrix-tier path (one ladder factorization and kernel build +
-    // 1024 kernel evaluations). The engine caches results across calls,
-    // so every row constructs a fresh engine per sample to measure the
-    // cold path.
+    // the factored path (one ladder factorization and kernel build +
+    // 1024 kernel evaluations). The matrix tier keeps kernels across
+    // calls, so these rows construct a fresh engine per sample to
+    // measure the cold path; `full64/factored` is the warm one: the
+    // 64×64 gradient map against an engine that already holds its
+    // kernel, i.e. 4,096 kernel calls and the report.
     let hotspot = hotspot_floorplan(32);
     let gradient = gradient_floorplan(32);
     sampler.bench("floorplan_chip/hotspot32/model_b100", || {
@@ -324,6 +326,16 @@ fn main() {
     sampler.bench("floorplan_chip/gradient32/factor_shared", || {
         ChipEngine::new()
             .evaluate_factored(&gradient, &b100)
+            .expect("solvable")
+    });
+    let gradient64 = gradient_floorplan(64);
+    let warm_engine = ChipEngine::new();
+    warm_engine
+        .evaluate_factored(&gradient64, &b100)
+        .expect("solvable");
+    sampler.bench("floorplan_chip/full64/factored", || {
+        warm_engine
+            .evaluate_factored(&gradient64, &b100)
             .expect("solvable")
     });
 
@@ -344,11 +356,12 @@ fn main() {
     // server on an ephemeral loopback port, timed through a keep-alive
     // HTTP client. `cold_session` registers a never-seen chip
     // configuration per sample — distinct power maps AND a distinct via
-    // density, so both engine cache tiers miss (fresh ladder
-    // factorization plus per-tile solves); `warm_delta` patches two
-    // tiles of a live session whose power levels cycle through the
-    // scenario cache, answered with the full report (`?full=1`, the
-    // PR-6 wire format, so the row stays comparable to its baseline);
+    // density, so the matrix tier misses (fresh ladder factorization
+    // plus one kernel call per tile); `warm_delta` patches two tiles of
+    // a live session with power levels from a small cycle, re-solving
+    // them against its cached kernel, answered with the full report
+    // (`?full=1`, the original wire format, so the row stays comparable
+    // to its baseline);
     // `warm_delta_response` is the same update answered with the
     // default delta response (changed tiles + summary stats only);
     // `sustained_32req` prices a 32-request warm burst on one
@@ -365,7 +378,7 @@ fn main() {
         const GRID: usize = 12;
         const FANOUT: usize = 32;
         // A never-seen chip configuration per id: per-session power scale
-        // and via density (both cache tiers miss), solved with the
+        // and via density (the matrix tier misses), solved with the
         // paper's deep B(1000) model — the same model warm deltas then
         // reuse, so the cold/warm gap prices the caching, not the model.
         let register_grid = |grid: usize, session: usize| -> String {

@@ -25,7 +25,7 @@
 //! | `ablation_fem_mesh` | — | FEM cost vs mesh resolution (coarse → fine) |
 //! | `ablation_fem_precond` | — | FEM linear solver: smoothed-aggregation multigrid PCG vs direct banded, two mesh resolutions |
 //! | `ablation_mg_reuse` | — | multigrid setup amortization on the one smoothed-aggregation hierarchy: build vs numeric refresh, one V-cycle, sweep with rebuilt vs pooled hierarchies |
-//! | `floorplan_chip` | §IV-E generalized | full-chip 32×32 power-map evaluation through the batch engine: hotspot vs all-distinct gradient maps, factor-once hotspot kernel vs per-tile solves, warm cross-call cache (via [`hotspot_floorplan`]/[`gradient_floorplan`]) |
+//! | `floorplan_chip` | §IV-E generalized | full-chip 32×32 power-map evaluation through the batch engine: hotspot vs all-distinct gradient maps, factor-once hotspot kernel vs per-tile solves, warm matrix tier (via [`hotspot_floorplan`]/[`gradient_floorplan`]) |
 //!
 //! # Machine-readable perf tracking
 //!
@@ -147,7 +147,7 @@ pub fn mg_box_matrix(amp: f64) -> ttsv::linalg::CsrMatrix {
 /// An `n × n` hotspot floorplan on the §IV-E chip: the µP plane carries a
 /// central 4×4-tile hotspot at 8× the background tile power inside a
 /// 10×10 warm ring at 2× (power levels quantized to three values, so the
-/// dedup cache collapses the chip to 3 distinct unit cells), the DRAM
+/// dedup collapses the chip to 3 distinct unit cells), the DRAM
 /// planes stay uniform-per-plane with the same quantization, and the via
 /// density is the paper's uniform 0.5 %. The `floorplan_chip` bench and
 /// `bench_json` share this workload.
@@ -384,9 +384,9 @@ const SAME_RUN: [SameRun; 8] = [
         rhs: (2, "serve/warm_delta_response"),
         why: "the write-ahead journal must not double the warm delta hot path",
     },
-    // A warm two-tile update re-solves and re-keys only the tiles it
-    // names, so its cost may not scale with the chip: 28× the tiles
-    // stays within 2× of the 12×12 row.
+    // A warm two-tile update re-solves only the tiles it names, so its
+    // cost may not scale with the chip: 28× the tiles stays within 2× of
+    // the 12×12 row.
     SameRun {
         lhs: (1, "serve/warm_delta_response/grid64"),
         strict: false,
@@ -493,6 +493,7 @@ mod tests {
             "floorplan_chip/hotspot32/model_b100",
             "floorplan_chip/gradient32/model_b100",
             "floorplan_chip/gradient32/factor_shared",
+            "floorplan_chip/full64/factored",
             "model_b/factorize/b10_1000",
             "model_b/hotspot_1024/b10_1000",
             "serve/cold_session",

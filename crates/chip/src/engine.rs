@@ -1,192 +1,96 @@
-//! Batched evaluation of a floorplan's distinct unit cells, with
-//! cross-call result caching on two tiers.
+//! Evaluation of a floorplan's tiles, with one cross-call cache: the
+//! matrix tier.
 //!
-//! # The two cache tiers
+//! # Two paths
 //!
-//! * **Scenario tier** — keyed on the full bit pattern of a tile's unit
-//!   cell (floorplan geometry + via density + per-plane powers) plus the
-//!   model's cache tag. A hit skips the model entirely: the tile's `ΔT`
-//!   is read back from an earlier solve, in this call or any previous
-//!   call on the same engine. This is what makes the serving loop cheap —
-//!   after [`Floorplan::update_power_map`] only the tiles whose power
-//!   bits actually changed miss the cache.
-//! * **Matrix tier** (the factored path,
-//!   [`ChipEngine::evaluate_factored`]) — keyed on the *geometry* bits
-//!   only (powers excluded). For a [`PowerSeparableModel`] such as
-//!   [`ModelB`](ttsv_core::model_b::ModelB), tiles that differ only in
-//!   power share one factorization, and each distinct power vector costs
-//!   one evaluation against it instead of an assembly + factorization.
-//!   An all-distinct power map (the worst case for the scenario tier)
-//!   collapses onto one factorization per distinct via density. For
-//!   Model B the cached entry is only the
-//!   [`ModelBFactorization`](ttsv_core::model_b::ModelBFactorization)
-//!   hotspot kernel — the unit responses of the nodes that can be
-//!   hottest, ≈ 50 KB at the serving `B(1000)` geometry — and a tile
-//!   costs a few hundred nanoseconds; the ladder's LU factors and full
-//!   response basis are dropped once the kernel is built. Distinct
-//!   geometries factor on the worker pool; the tiles are then evaluated
-//!   in one loop on the calling thread.
+//! * **Generic** ([`ChipEngine::evaluate`]) — any [`ThermalModel`], and
+//!   the per-tile reference. Tiles with bit-identical unit cells (via
+//!   density and per-plane powers) are deduplicated *within the call*,
+//!   because a FEM tile costs milliseconds; the distinct cells are solved
+//!   on the bounded worker pool. Nothing is cached across calls.
+//! * **Factored** ([`ChipEngine::evaluate_factored`]) — for a
+//!   [`PowerSeparableModel`] such as
+//!   [`ModelB`](ttsv_core::model_b::ModelB). Each distinct geometry (via
+//!   density) is factorized once, into Model B's hotspot kernel
+//!   ([`ModelBFactorization`](ttsv_core::model_b::ModelBFactorization):
+//!   the unit responses of the nodes that can be hottest, ≈ 50 KB at the
+//!   serving `B(1000)` geometry). Kernels persist across calls in the
+//!   **matrix tier**, keyed on the geometry bits and bounded by
+//!   [`ChipEngine::with_matrix_cache_cap`]. Every tile then costs one
+//!   kernel call (0.08–0.33 µs) on the calling thread — no dedup, since
+//!   hashing a tile's key costs about as much as evaluating it.
 //!
 //! [`ChipEngine::evaluate_live`] runs the factored evaluation once and
-//! returns a [`LiveChip`]; its sparse updates send only the changed
-//! tiles through both tiers, so a serving update never re-keys the
-//! whole chip.
+//! returns a [`LiveChip`]; its sparse updates evaluate only the changed
+//! tiles, so a serving update costs what it changes.
 //!
-//! Both tiers are transparent: for deterministic models every cached
-//! value is bit-identical to a fresh solve (the property suites compare
-//! the paths bitwise), so caching changes cost, never results. The
-//! [`ChipEngine::solves`] / [`ChipEngine::factorizations`] counters make
-//! the cost observable — the serving tests assert that a power delta
-//! re-solves exactly the changed tiles.
+//! The matrix tier is transparent: for deterministic models a cached
+//! kernel gives the bits a fresh factorization would (the property suites
+//! compare the paths bitwise), so caching changes cost, never results.
+//! [`ChipEngine::factorizations`] and [`ChipEngine::solves`] make the
+//! cost observable — the serving tests assert that a power update
+//! factorizes nothing and re-solves exactly the changed tiles.
 
 use std::any::Any;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
-use ttsv_core::scenario::{PowerSeparableModel, Scenario, ThermalModel};
+use ttsv_core::scenario::{PowerSeparableModel, ThermalModel};
 use ttsv_core::CoreError;
 use ttsv_validate::pool::scoped_batch;
 use ttsv_validate::sweep::default_workers;
 
 use crate::floorplan::{CellKey, Floorplan};
-use crate::live::{key_hash, CellCounts, LiveChip};
+use crate::live::LiveChip;
 use crate::report::ChipReport;
 
-/// A cross-call cache key: the model's cache tag (interned per call)
-/// plus the exact bit pattern of everything that determines the cached
-/// value. Hashing covers only the bit payload — the tag still takes part
-/// in equality (hash collisions across models just share a bucket), so
-/// the per-tile hot path never re-hashes the tag string.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct EngineKey {
+/// A matrix-tier key: the model's cache tag plus the exact bit pattern
+/// of the plan geometry and one via density.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct MatrixKey {
     tag: Arc<str>,
     bits: Vec<u64>,
 }
 
-impl std::hash::Hash for EngineKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        for &b in &self.bits {
-            state.write_u64(b);
-        }
-    }
-}
+/// The matrix tier: geometry → type-erased model factorization.
+type MatrixTier = HashMap<MatrixKey, Arc<dyn Any + Send + Sync>>;
 
-/// A Fowler–Noll–Vo-style word hasher for the engine's key maps: the
-/// keys are short arrays of already-well-mixed `f64` bit patterns, so a
-/// multiply-xor word hash beats the DoS-resistant SipHash default by a
-/// wide margin on the per-tile hot path (keys are exact — the hash only
-/// picks buckets, equality still compares every bit).
-#[derive(Default)]
-pub(crate) struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            let word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            self.0 = (self.0 ^ word).wrapping_mul(0x100_0000_01b3);
-        }
-        for &b in chunks.remainder() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, word: u64) {
-        self.0 = (self.0 ^ word).wrapping_mul(0x100_0000_01b3);
-    }
-
-    fn write_usize(&mut self, word: usize) {
-        self.write_u64(word as u64);
-    }
-
-    fn write_u8(&mut self, b: u8) {
-        self.write_u64(u64::from(b));
-    }
-
-    fn finish(&self) -> u64 {
-        // Final avalanche so sequential bit patterns spread across
-        // buckets.
-        let mut h = self.0;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 33;
-        h
-    }
-}
-
-pub(crate) type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
-
-/// The engine's persistent caches (behind one mutex — all bookkeeping
-/// happens on the coordinating thread, workers only solve).
-#[derive(Default)]
-struct EngineCaches {
-    /// Scenario tier: full unit-cell bits → `ΔT` in kelvin.
-    scenario: KeyMap<EngineKey, f64>,
-    /// Matrix tier: geometry bits → type-erased model factorization.
-    matrix: KeyMap<EngineKey, Arc<dyn Any + Send + Sync>>,
-}
-
-/// Evaluates a [`Floorplan`] through any [`ThermalModel`]: deduplicates
-/// identical tiles with a scenario-hash cache (persistent across calls),
-/// batch-solves the distinct unit cells on the bounded self-scheduling
-/// worker pool, and scatters the results back into a full-chip
-/// [`ChipReport`]. [`ChipEngine::evaluate_factored`] adds the matrix
-/// tier for power-separable models, factoring each distinct geometry on
-/// the pool and evaluating the tiles on the calling thread — see the
-/// module docs for when each tier fires.
+/// Evaluates a [`Floorplan`] through any [`ThermalModel`] and scatters
+/// the results into a full-chip [`ChipReport`]: the generic path
+/// deduplicates identical tiles within the call and batch-solves them on
+/// the bounded self-scheduling worker pool;
+/// [`ChipEngine::evaluate_factored`] adds the cross-call matrix tier for
+/// power-separable models — see the module docs.
 ///
 /// The worker count is a performance knob only: for deterministic models
 /// the report is bit-identical for every setting, and bit-identical to
 /// solving each tile on its own (the property suite enforces both).
 ///
-/// Cloning an engine starts with cold caches and zeroed counters.
+/// Cloning an engine starts with a cold matrix tier and zeroed counters.
 #[derive(Debug)]
 pub struct ChipEngine {
     workers: Option<usize>,
-    scenario_cache_cap: usize,
     matrix_cache_cap: usize,
-    caches: Mutex<EngineCaches>,
+    matrices: Mutex<MatrixTier>,
     solves: AtomicUsize,
     factorizations: AtomicUsize,
-    scenario_hits: AtomicUsize,
-    scenario_misses: AtomicUsize,
+    matrix_hits: AtomicUsize,
+    matrix_misses: AtomicUsize,
     evictions: AtomicUsize,
 }
 
-/// Default bound on scenario-tier entries (~100 MB of keys at typical
-/// floorplan key widths) — see [`ChipEngine::with_scenario_cache_cap`].
-const DEFAULT_SCENARIO_CACHE_CAP: usize = 1 << 20;
-
-/// Default bound on matrix-tier entries. Factorizations are orders of
-/// magnitude heavier than scenario entries, and the tier is keyed on
-/// geometry only, so thousands of distinct geometries already indicates a
+/// Default bound on matrix-tier entries. The tier is keyed on geometry
+/// only, so thousands of distinct geometries already indicates a
 /// pathological workload — see [`ChipEngine::with_matrix_cache_cap`].
 const DEFAULT_MATRIX_CACHE_CAP: usize = 1 << 12;
-
-impl std::fmt::Debug for EngineCaches {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EngineCaches")
-            .field("scenario_entries", &self.scenario.len())
-            .field("matrix_entries", &self.matrix.len())
-            .finish()
-    }
-}
 
 impl Clone for ChipEngine {
     fn clone(&self) -> Self {
         Self {
             workers: self.workers,
-            scenario_cache_cap: self.scenario_cache_cap,
             matrix_cache_cap: self.matrix_cache_cap,
-            caches: Mutex::new(EngineCaches::default()),
-            solves: AtomicUsize::new(0),
-            factorizations: AtomicUsize::new(0),
-            scenario_hits: AtomicUsize::new(0),
-            scenario_misses: AtomicUsize::new(0),
-            evictions: AtomicUsize::new(0),
+            ..Self::new()
         }
     }
 }
@@ -198,19 +102,18 @@ impl Default for ChipEngine {
 }
 
 impl ChipEngine {
-    /// An engine with cold caches and the default worker pool
+    /// An engine with a cold matrix tier and the default worker pool
     /// (`available_parallelism()`).
     #[must_use]
     pub fn new() -> Self {
         Self {
             workers: None,
-            scenario_cache_cap: DEFAULT_SCENARIO_CACHE_CAP,
             matrix_cache_cap: DEFAULT_MATRIX_CACHE_CAP,
-            caches: Mutex::new(EngineCaches::default()),
+            matrices: Mutex::new(MatrixTier::new()),
             solves: AtomicUsize::new(0),
             factorizations: AtomicUsize::new(0),
-            scenario_hits: AtomicUsize::new(0),
-            scenario_misses: AtomicUsize::new(0),
+            matrix_hits: AtomicUsize::new(0),
+            matrix_misses: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
         }
     }
@@ -227,29 +130,29 @@ impl ChipEngine {
         self
     }
 
-    /// Bounds the scenario-tier cache (default: 2²⁰ entries). A serving
-    /// loop that streams continuously varying power maps would otherwise
-    /// accumulate one permanent entry per distinct tile bit-pattern; when
-    /// an evaluation would push the tier past the cap, the tier is
-    /// cleared first (generational eviction — the current working set
-    /// repopulates it, and eviction only costs re-solves, never
-    /// correctness). Evicted entries count into [`ChipEngine::evictions`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
+    /// Does nothing: the engine no longer caches per-tile results. Kept
+    /// only so the external serving benchmark, which still calls it,
+    /// compiles.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_scenario_cache_cap(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "the scenario cache cap must be positive");
-        self.scenario_cache_cap = cap;
+    pub fn with_scenario_cache_cap(self, _cap: usize) -> Self {
         self
     }
 
-    /// Bounds the matrix (factorization) tier the same generational way
-    /// (default: 2¹² entries). Factorizations dominate the engine's
-    /// resident memory, so a serving layer bounds this tier to its
-    /// session quota budget. Evicted factorizations count into
-    /// [`ChipEngine::evictions`].
+    /// Bounds the matrix tier (default: 2¹² entries). Kernels dominate
+    /// the engine's resident memory, so a serving layer bounds this tier
+    /// to its session quota budget. When one evaluation's new kernels
+    /// would push the tier past the cap, the tier is cleared first
+    /// (generational eviction, counted into [`ChipEngine::evictions`]);
+    /// an evaluation that needs more new kernels than the cap caches none
+    /// of them.
+    ///
+    /// A plan with more distinct via densities than the cap is therefore
+    /// never held whole: its full evaluation caches nothing, and each
+    /// [`LiveChip::apply`] factorizes the densities among its changed
+    /// tiles that the tier does not hold. Results never change — only
+    /// [`ChipEngine::factorizations`] grows (tested bitwise against a
+    /// fresh evaluation).
     ///
     /// # Panics
     ///
@@ -261,151 +164,71 @@ impl ChipEngine {
         self
     }
 
-    /// Inserts this evaluation's keys, keeping the tier within
-    /// [`ChipEngine::with_scenario_cache_cap`]: a working set larger
-    /// than the cap is not cached at all, and one that no longer fits
-    /// beside the existing entries clears the tier first (`new_entries`
-    /// counts this call's cache misses, so steady-state hits don't get
-    /// double-counted into spurious clears).
-    fn cache_scenarios(
-        &self,
-        distinct: Vec<((usize, usize), EngineKey)>,
-        cell_delta_t: &[f64],
-        new_entries: usize,
-    ) {
-        if distinct.len() > self.scenario_cache_cap {
-            return;
-        }
-        let mut caches = self.caches.lock().expect("engine cache lock");
-        if caches.scenario.len() + new_entries > self.scenario_cache_cap {
-            self.evictions
-                .fetch_add(caches.scenario.len(), Ordering::Relaxed);
-            caches.scenario.clear();
-        }
-        caches.scenario.reserve(distinct.len());
-        for (i, (_, key)) in distinct.into_iter().enumerate() {
-            caches.scenario.insert(key, cell_delta_t[i]);
-        }
-    }
-
-    /// Model solves this engine has actually performed (cache misses),
-    /// cumulative across calls. A repeat evaluation of an unchanged plan
-    /// adds zero; a power-delta update adds exactly the changed tiles.
+    /// Unit-cell solves performed, cumulative across calls: one per
+    /// distinct cell [`ChipEngine::evaluate`] sends to the model, and one
+    /// per tile a [`LiveChip::apply`] re-evaluates. A full
+    /// [`ChipEngine::evaluate_factored`] or [`ChipEngine::evaluate_live`]
+    /// always costs one kernel call per tile, so it adds nothing here:
+    /// its variable cost is [`ChipEngine::factorizations`]. A power
+    /// update therefore adds exactly the tiles whose watts changed.
     #[must_use]
     pub fn solves(&self) -> usize {
         self.solves.load(Ordering::Relaxed)
     }
 
-    /// Matrix factorizations performed by the factored path, cumulative
-    /// across calls.
+    /// Kernel factorizations performed by the factored paths (matrix-tier
+    /// misses), cumulative across calls.
     #[must_use]
     pub fn factorizations(&self) -> usize {
         self.factorizations.load(Ordering::Relaxed)
     }
 
-    /// Scenario-tier cache hits (distinct cells whose `ΔT` was read back
-    /// from an earlier solve), cumulative across calls.
+    /// Matrix-tier hits: one per distinct geometry a factored evaluation
+    /// or update needs whose kernel was already cached, cumulative. The
+    /// name predates the matrix tier's being the only cache; it is kept
+    /// for the external serving benchmark.
     #[must_use]
     pub fn scenario_hits(&self) -> usize {
-        self.scenario_hits.load(Ordering::Relaxed)
+        self.matrix_hits.load(Ordering::Relaxed)
     }
 
-    /// Scenario-tier cache misses (distinct cells sent to the model),
-    /// cumulative across calls.
+    /// Matrix-tier misses: one per distinct geometry a factored
+    /// evaluation or update needs whose kernel had to be factorized,
+    /// cumulative. Named like [`ChipEngine::scenario_hits`], for the same
+    /// reason.
     #[must_use]
     pub fn scenario_misses(&self) -> usize {
-        self.scenario_misses.load(Ordering::Relaxed)
+        self.matrix_misses.load(Ordering::Relaxed)
     }
 
-    /// Entries evicted from either cache tier by the generational caps,
-    /// cumulative across calls. Eviction never changes results — evicted
-    /// work just re-solves on the next touch (property-tested).
+    /// Kernels evicted from the matrix tier by its generational cap,
+    /// cumulative across calls. Eviction never changes results — an
+    /// evicted kernel is factorized again on its next use
+    /// (property-tested).
     #[must_use]
     pub fn evictions(&self) -> usize {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Current live entry counts, `(scenario tier, matrix tier)` — the
-    /// serving layer's memory observability hook.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the internal cache lock is poisoned.
+    /// Kernels currently held by the matrix tier — the serving layer's
+    /// memory observability hook.
     #[must_use]
-    pub fn cache_entries(&self) -> (usize, usize) {
-        let caches = self.caches.lock().expect("engine cache lock");
-        (caches.scenario.len(), caches.matrix.len())
+    pub fn cache_entries(&self) -> usize {
+        self.matrices().len()
     }
 
-    /// Gathers the distinct unit cells among `tiles` (row-major indices):
-    /// per tile the index into the distinct list, each distinct cell's
-    /// representative tile and full cache key, and the cell-key →
-    /// distinct-index map.
-    fn distinct_cells(
-        &self,
-        plan: &Floorplan,
-        tag: &Arc<str>,
-        tiles: impl ExactSizeIterator<Item = usize>,
-    ) -> DistinctCells {
-        let nx = plan.nx();
-        let geometry = plan.geometry_bits();
-        let engine_key = |key: &CellKey| {
-            let mut bits = Vec::with_capacity(geometry.len() + key.bits().len());
-            bits.extend_from_slice(&geometry);
-            bits.extend_from_slice(key.bits());
-            EngineKey {
-                tag: tag.clone(),
-                bits,
-            }
-        };
-        let mut out = DistinctCells {
-            cell_of: Vec::with_capacity(tiles.len()),
-            cells: Vec::new(),
-            seen: KeyMap::default(),
-        };
-        out.seen.reserve(tiles.len());
-        for t in tiles {
-            let (ix, iy) = (t % nx, t / nx);
-            let index = match out.seen.entry(plan.cell_key(ix, iy)) {
-                Entry::Occupied(entry) => *entry.get(),
-                Entry::Vacant(entry) => {
-                    let index = out.cells.len();
-                    out.cells.push(((ix, iy), engine_key(entry.key())));
-                    entry.insert(index);
-                    index
-                }
-            };
-            out.cell_of.push(index);
-        }
-        out
+    /// The matrix tier, locked. Only lookups and inserts run under the
+    /// lock, so concurrent evaluations on a shared engine don't
+    /// serialize; a poisoned lock is recovered, as every critical section
+    /// leaves the map consistent.
+    fn matrices(&self) -> MutexGuard<'_, MatrixTier> {
+        self.matrices
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// The scenario-tier pass: each distinct cell's cached `ΔT` (`NaN`
-    /// where the tier misses) plus the indices still to solve.
-    fn lookup_scenarios(&self, cells: &[((usize, usize), EngineKey)]) -> (Vec<f64>, Vec<usize>) {
-        let mut cell_delta_t = vec![f64::NAN; cells.len()];
-        let mut misses: Vec<usize> = Vec::new();
-        {
-            // Only cache lookups run under the lock; scenario and
-            // matrix-key construction happen after it drops, so
-            // concurrent evaluations on a shared engine don't serialize.
-            let caches = self.caches.lock().expect("engine cache lock");
-            for (i, (_, key)) in cells.iter().enumerate() {
-                match caches.scenario.get(key) {
-                    Some(&dt) => cell_delta_t[i] = dt,
-                    None => misses.push(i),
-                }
-            }
-        }
-        self.scenario_hits
-            .fetch_add(cells.len() - misses.len(), Ordering::Relaxed);
-        self.scenario_misses
-            .fetch_add(misses.len(), Ordering::Relaxed);
-        (cell_delta_t, misses)
-    }
-
-    /// Evaluates every tile's unit cell and assembles the chip `ΔT` map,
-    /// using the scenario-tier cache across calls.
+    /// Evaluates every tile's unit cell and assembles the chip `ΔT` map.
+    /// Bit-identical tiles are solved once per call.
     ///
     /// # Errors
     ///
@@ -416,72 +239,68 @@ impl ChipEngine {
         plan: &Floorplan,
         model: &(dyn ThermalModel + Sync),
     ) -> Result<ChipReport, CoreError> {
-        let tag: Arc<str> = Arc::from(model.cache_tag());
-        let distinct = self.distinct_cells(plan, &tag, 0..plan.tiles());
-        let distinct_count = distinct.cells.len();
-        let (mut cell_delta_t, misses) = self.lookup_scenarios(&distinct.cells);
-        let mut to_solve: Vec<(usize, Scenario)> = Vec::with_capacity(misses.len());
-        for i in misses {
-            let (ix, iy) = distinct.cells[i].0;
-            to_solve.push((i, plan.tile_cell(ix, iy)?.scenario));
-        }
+        let nx = plan.nx();
+        let mut seen: HashMap<CellKey, usize> = HashMap::with_capacity(plan.tiles());
+        let mut cells: Vec<usize> = Vec::new();
+        let cell_of: Vec<usize> = (0..plan.tiles())
+            .map(|t| {
+                *seen.entry(plan.cell_key(t)).or_insert_with(|| {
+                    cells.push(t);
+                    cells.len() - 1
+                })
+            })
+            .collect();
+        let scenarios = cells
+            .iter()
+            .map(|&t| plan.tile_cell(t % nx, t / nx).map(|cell| cell.scenario))
+            .collect::<Result<Vec<_>, _>>()?;
 
         let workers = self.workers.unwrap_or_else(default_workers);
-        let solved = scoped_batch(to_solve.len(), workers, |k| {
-            model.max_delta_t(&to_solve[k].1).map(|t| t.as_kelvin())
+        let solved = scoped_batch(scenarios.len(), workers, |k| {
+            model.max_delta_t(&scenarios[k]).map(|t| t.as_kelvin())
         })?;
-        self.solves.fetch_add(to_solve.len(), Ordering::Relaxed);
-        for ((i, _), dt) in to_solve.iter().zip(&solved) {
-            cell_delta_t[*i] = *dt;
-        }
-
-        // One pass moves every key into the cache (re-inserting a hit
-        // rewrites the same value — harmless and branch-free).
-        self.cache_scenarios(distinct.cells, &cell_delta_t, solved.len());
-        Ok(assemble(
-            plan,
+        self.solves.fetch_add(solved.len(), Ordering::Relaxed);
+        let geometries: HashSet<u64> = cells.iter().map(|&t| plan.matrix_bits(t)).collect();
+        Ok(ChipReport::from_tiles(
             model.name(),
-            &distinct.cell_of,
-            &cell_delta_t,
-            distinct_count,
+            nx,
+            plan.ny(),
+            cell_of.iter().map(|&i| solved[i]).collect(),
+            geometries.len(),
+            plan.via_count(),
         ))
     }
 
     /// Like [`ChipEngine::evaluate`], but for [`PowerSeparableModel`]s:
-    /// distinct cells that miss the scenario tier are solved through the
-    /// matrix tier — one factorization per distinct geometry (via
-    /// density), one kernel evaluation per distinct power vector — and no
-    /// full [`Scenario`] is even built for tiles whose matrix is already
-    /// cached. Results are bit-identical to [`ChipEngine::evaluate`] on
-    /// the model's default solver path (property-tested).
+    /// one kernel per distinct geometry (via density), from the matrix
+    /// tier or factorized on the worker pool, then one kernel call per
+    /// tile. No full [`Scenario`](ttsv_core::scenario::Scenario) is built
+    /// for a tile whose kernel is cached. Results are bit-identical to
+    /// [`ChipEngine::evaluate`] on the model's default solver path
+    /// (property-tested).
     ///
     /// # Errors
     ///
     /// Propagates tile validation/factorization failures and the first
-    /// (by distinct-cell order) model error.
+    /// (by tile order) model error.
     pub fn evaluate_factored<M: PowerSeparableModel + Sync>(
         &self,
         plan: &Floorplan,
         model: &M,
     ) -> Result<ChipReport, CoreError> {
-        let tag: Arc<str> = Arc::from(model.cache_tag());
-        let distinct = self.distinct_cells(plan, &tag, 0..plan.tiles());
-        let distinct_count = distinct.cells.len();
-        let cell_delta_t = self.solve_factored(plan, model, &tag, distinct.cells)?;
-        Ok(assemble(
-            plan,
+        let (delta_t, geometries) = self.kernel_pass(plan, model, 0..plan.tiles())?;
+        Ok(ChipReport::from_tiles(
             model.name(),
-            &distinct.cell_of,
-            &cell_delta_t,
-            distinct_count,
+            plan.nx(),
+            plan.ny(),
+            delta_t,
+            geometries,
+            plan.via_count(),
         ))
     }
 
-    /// [`ChipEngine::evaluate_factored`], keeping what a later sparse
-    /// power update needs to patch the report in place: see
-    /// [`LiveChip`]. The report is the one `evaluate_factored` returns.
-    /// The per-key tile counts are built, and the transient key map
-    /// dropped, before any solve allocates.
+    /// [`ChipEngine::evaluate_factored`], held as a [`LiveChip`] that
+    /// later sparse power updates patch in place.
     ///
     /// # Errors
     ///
@@ -491,164 +310,113 @@ impl ChipEngine {
         plan: &Floorplan,
         model: &M,
     ) -> Result<LiveChip, CoreError> {
-        let tag: Arc<str> = Arc::from(model.cache_tag());
-        let DistinctCells {
-            cell_of,
-            cells,
-            seen,
-        } = self.distinct_cells(plan, &tag, 0..plan.tiles());
-        let key_counts = CellCounts::new(&cell_of, seen, key_hash);
-        let distinct_count = cells.len();
-        let cell_delta_t = self.solve_factored(plan, model, &tag, cells)?;
-        let report = assemble(plan, model.name(), &cell_of, &cell_delta_t, distinct_count);
-        Ok(LiveChip::new(report, key_counts))
+        self.evaluate_factored(plan, model).map(LiveChip::new)
     }
 
-    /// Re-solves the unit cells of `tiles` (row-major indices) through
-    /// both cache tiers, deduplicated like a full evaluation, returning
-    /// each tile's `ΔT` — the k-tile solve behind
-    /// [`LiveChip::apply`].
+    /// Evaluates `tiles` (row-major indices) through the matrix tier,
+    /// returning each tile's `ΔT` — the k-tile solve behind
+    /// [`LiveChip::apply`], counted into [`ChipEngine::solves`].
     pub(crate) fn solve_tiles<M: PowerSeparableModel + Sync>(
         &self,
         plan: &Floorplan,
         model: &M,
         tiles: &[usize],
     ) -> Result<Vec<f64>, CoreError> {
-        let tag: Arc<str> = Arc::from(model.cache_tag());
-        let distinct = self.distinct_cells(plan, &tag, tiles.iter().copied());
-        let cell_delta_t = self.solve_factored(plan, model, &tag, distinct.cells)?;
-        Ok(distinct.cell_of.iter().map(|&i| cell_delta_t[i]).collect())
+        let (delta_t, _) = self.kernel_pass(plan, model, tiles.iter().copied())?;
+        self.solves.fetch_add(tiles.len(), Ordering::Relaxed);
+        Ok(delta_t)
     }
 
-    /// The factored pipeline over a set of distinct cells: scenario tier,
-    /// then the matrix tier for the misses, then one
-    /// [`PowerSeparableModel::solve_with_powers`] per miss, publishing the
-    /// new scenario entries. Returns each distinct cell's `ΔT`.
-    fn solve_factored<M: PowerSeparableModel + Sync>(
+    /// The factored pipeline over `tiles`: group them by via density,
+    /// fetch each group's kernel from the matrix tier or factorize it
+    /// (in parallel, publishing the new kernels within the cap), then
+    /// call the kernel once per tile, in tile order on the calling
+    /// thread — at a few hundred nanoseconds a tile, handing tiles to
+    /// workers would cost more than it saves. Returns each tile's `ΔT`
+    /// and the number of distinct geometries among the tiles.
+    fn kernel_pass<M: PowerSeparableModel + Sync>(
         &self,
         plan: &Floorplan,
         model: &M,
-        tag: &Arc<str>,
-        cells: Vec<((usize, usize), EngineKey)>,
-    ) -> Result<Vec<f64>, CoreError> {
-        let geometry = plan.geometry_bits();
-        let workers = self.workers.unwrap_or_else(default_workers);
-        let (mut cell_delta_t, misses) = self.lookup_scenarios(&cells);
-        let mut to_solve: Vec<(usize, (usize, usize))> = Vec::with_capacity(misses.len());
-        let mut matrix_keys: Vec<EngineKey> = Vec::new();
-        let mut matrix_index: KeyMap<EngineKey, usize> = KeyMap::default();
-        let mut matrix_of: Vec<usize> = Vec::new();
-        let mut matrix_rep: Vec<(usize, usize)> = Vec::new();
-        for i in misses {
-            let (ix, iy) = cells[i].0;
-            let mut bits = geometry.clone();
-            bits.push(plan.matrix_bits(ix, iy));
-            let mkey = EngineKey {
-                tag: tag.clone(),
-                bits,
-            };
-            let mi = match matrix_index.entry(mkey) {
-                Entry::Occupied(entry) => *entry.get(),
-                Entry::Vacant(entry) => {
-                    let mi = matrix_keys.len();
-                    matrix_keys.push(entry.key().clone());
-                    matrix_rep.push((ix, iy));
-                    entry.insert(mi);
-                    mi
-                }
-            };
-            matrix_of.push(mi);
-            to_solve.push((i, (ix, iy)));
-        }
+        tiles: impl Iterator<Item = usize> + Clone,
+    ) -> Result<(Vec<f64>, usize), CoreError> {
+        let nx = plan.nx();
+        // Per tile its geometry index; per geometry a representative tile.
+        let mut index: HashMap<u64, usize> = HashMap::new();
+        let mut reps: Vec<usize> = Vec::new();
+        let geometry_of: Vec<usize> = tiles
+            .clone()
+            .map(|t| {
+                *index.entry(plan.matrix_bits(t)).or_insert_with(|| {
+                    reps.push(t);
+                    reps.len() - 1
+                })
+            })
+            .collect();
 
-        // Matrix tier: factorize every distinct geometry not already
-        // cached (in parallel), then publish the new factorizations.
-        let mut factorizations: Vec<Option<Arc<M::Factorization>>> = vec![None; matrix_keys.len()];
-        let mut missing: Vec<usize> = Vec::new();
-        {
-            let caches = self.caches.lock().expect("engine cache lock");
-            for (mi, mkey) in matrix_keys.iter().enumerate() {
-                let cached = caches.matrix.get(mkey);
-                match cached.and_then(|any| any.clone().downcast::<M::Factorization>().ok()) {
-                    Some(fact) => factorizations[mi] = Some(fact),
-                    None => missing.push(mi),
+        let tag: Arc<str> = Arc::from(model.cache_tag());
+        let geometry = plan.geometry_bits();
+        let keys: Vec<MatrixKey> = reps
+            .iter()
+            .map(|&t| {
+                let mut bits = Vec::with_capacity(geometry.len() + 1);
+                bits.extend_from_slice(&geometry);
+                bits.push(plan.matrix_bits(t));
+                MatrixKey {
+                    tag: Arc::clone(&tag),
+                    bits,
                 }
-            }
-        }
+            })
+            .collect();
+        let mut kernels: Vec<Option<Arc<M::Factorization>>> = {
+            let tier = self.matrices();
+            keys.iter()
+                .map(|key| tier.get(key).and_then(|any| any.clone().downcast().ok()))
+                .collect()
+        };
+        let missing: Vec<usize> = (0..keys.len()).filter(|&g| kernels[g].is_none()).collect();
+        self.matrix_hits
+            .fetch_add(keys.len() - missing.len(), Ordering::Relaxed);
+        self.matrix_misses
+            .fetch_add(missing.len(), Ordering::Relaxed);
+
+        let workers = self.workers.unwrap_or_else(default_workers);
         let built = scoped_batch(missing.len(), workers, |k| {
-            let (ix, iy) = matrix_rep[missing[k]];
-            let cell = plan.tile_cell(ix, iy)?;
+            let t = reps[missing[k]];
+            let cell = plan.tile_cell(t % nx, t / nx)?;
             model.factorize_geometry(&cell.scenario).map(Arc::new)
         })?;
         self.factorizations
             .fetch_add(missing.len(), Ordering::Relaxed);
-        {
-            let mut caches = self.caches.lock().expect("engine cache lock");
-            // Same generational bound as the scenario tier: a working set
-            // past the cap is not cached; one that no longer fits beside
-            // the existing entries clears the tier (counted as evictions).
-            let cache_matrices = missing.len() <= self.matrix_cache_cap;
-            if cache_matrices && caches.matrix.len() + missing.len() > self.matrix_cache_cap {
-                self.evictions
-                    .fetch_add(caches.matrix.len(), Ordering::Relaxed);
-                caches.matrix.clear();
+        if !missing.is_empty() && missing.len() <= self.matrix_cache_cap {
+            let mut tier = self.matrices();
+            if tier.len() + missing.len() > self.matrix_cache_cap {
+                self.evictions.fetch_add(tier.len(), Ordering::Relaxed);
+                tier.clear();
             }
-            for (mi, fact) in missing.iter().zip(built) {
-                if cache_matrices {
-                    caches.matrix.insert(matrix_keys[*mi].clone(), fact.clone());
-                }
-                factorizations[*mi] = Some(fact);
+            for (&g, kernel) in missing.iter().zip(&built) {
+                tier.insert(keys[g].clone(), kernel.clone());
             }
         }
-
-        // One kernel evaluation per distinct power vector, in cell order
-        // on the calling thread: at a few hundred nanoseconds a tile,
-        // handing tiles to workers would cost more than it saves.
-        for (&(i, (ix, iy)), &mi) in to_solve.iter().zip(&matrix_of) {
-            let fact = factorizations[mi]
-                .as_ref()
-                .expect("every needed matrix was factorized");
-            let powers = plan.tile_cell_powers(ix, iy);
-            cell_delta_t[i] = model.solve_with_powers(fact, &powers)?.as_kelvin();
+        for (&g, kernel) in missing.iter().zip(built) {
+            kernels[g] = Some(kernel);
         }
-        self.solves.fetch_add(to_solve.len(), Ordering::Relaxed);
 
-        // One pass moves every key into the scenario cache.
-        self.cache_scenarios(cells, &cell_delta_t, to_solve.len());
-        Ok(cell_delta_t)
+        let mut powers = Vec::with_capacity(plan.plane_count());
+        let delta_t = tiles
+            .zip(&geometry_of)
+            .map(|(t, &g)| {
+                let kernel = kernels[g]
+                    .as_ref()
+                    .expect("every kernel was fetched or built");
+                plan.fill_tile_cell_powers(t, &mut powers);
+                model
+                    .solve_with_powers(kernel, &powers)
+                    .map(|dt| dt.as_kelvin())
+            })
+            .collect::<Result<Vec<f64>, _>>()?;
+        Ok((delta_t, reps.len()))
     }
-}
-
-/// The distinct unit cells among a set of tiles (see
-/// [`ChipEngine::distinct_cells`]).
-struct DistinctCells {
-    /// Per input tile, its index into `cells`.
-    cell_of: Vec<usize>,
-    /// Per distinct cell: a representative tile `(ix, iy)` and its cache
-    /// key.
-    cells: Vec<((usize, usize), EngineKey)>,
-    /// Each distinct cell key → its index in `cells`.
-    seen: KeyMap<CellKey, usize>,
-}
-
-/// Scatters per-distinct-cell results back onto the tiles and builds the
-/// chip report.
-fn assemble(
-    plan: &Floorplan,
-    model: String,
-    cell_of: &[usize],
-    cell_delta_t: &[f64],
-    distinct_cells: usize,
-) -> ChipReport {
-    let delta_t: Vec<f64> = cell_of.iter().map(|&i| cell_delta_t[i]).collect();
-    ChipReport::from_tiles(
-        model,
-        plan.nx(),
-        plan.ny(),
-        delta_t,
-        distinct_cells,
-        plan.via_count(),
-    )
 }
 
 #[cfg(test)]
@@ -678,9 +446,10 @@ mod tests {
         assert_eq!(report.max_delta_t, report.mean_delta_t);
         assert_eq!(report.max_delta_t, report.p99_delta_t);
         assert!(report.max_delta_t > 0.0);
-        // Re-evaluating the same plan is a pure cache hit.
+        // The generic path caches nothing across calls: a repeat solves
+        // the one distinct cell again, bit-identically.
         let again = engine.evaluate(&plan, &model_a()).unwrap();
-        assert_eq!(engine.solves(), 1);
+        assert_eq!(engine.solves(), 2);
         assert_eq!(again.delta_t, report.delta_t);
     }
 
@@ -702,8 +471,10 @@ mod tests {
         let maps = vec![hot(0.8, 70.0), hot(0.8, 7.0), hot(0.8, 7.0)];
         let via = ViaDensityMap::uniform(2, 1, cs.density).unwrap();
         let plan = Floorplan::new(&cs, maps, via).unwrap();
-        let report = ChipEngine::new().evaluate(&plan, &model_a()).unwrap();
-        assert_eq!(report.distinct_cells, 2);
+        let engine = ChipEngine::new();
+        let report = engine.evaluate(&plan, &model_a()).unwrap();
+        assert_eq!(engine.solves(), 2, "two distinct cells");
+        assert_eq!(report.distinct_cells, 1, "one via density");
         assert!(report.get(0, 0) > report.get(1, 0));
         assert_eq!((report.argmax_ix, report.argmax_iy), (0, 0));
         assert_eq!(report.max_delta_t, report.get(0, 0));
@@ -719,6 +490,7 @@ mod tests {
         let via = ViaDensityMap::new(2, 1, vec![0.005, 0.02]).unwrap();
         let plan = Floorplan::new(&cs, maps, via).unwrap();
         let report = ChipEngine::new().evaluate(&plan, &model_a()).unwrap();
+        assert_eq!(report.distinct_cells, 2);
         assert!(report.get(1, 0) < report.get(0, 0));
     }
 
@@ -737,9 +509,9 @@ mod tests {
         let model = ModelB::paper_b20();
         let engine = ChipEngine::new();
         let factored = engine.evaluate_factored(&plan, &model).unwrap();
-        assert_eq!(factored.distinct_cells, 3);
+        assert_eq!(factored.distinct_cells, 1);
         assert_eq!(engine.factorizations(), 1);
-        assert_eq!(engine.solves(), 3);
+        assert_eq!(engine.solves(), 0, "a full kernel pass counts no solves");
         // Bit-identical to the per-tile path.
         let plain = ChipEngine::new().evaluate(&plan, &model).unwrap();
         assert_eq!(factored.delta_t, plain.delta_t);
@@ -751,19 +523,15 @@ mod tests {
         let mut plan = Floorplan::uniform(&cs, 4, 4).unwrap();
         let model = ModelB::paper_b20();
         let engine = ChipEngine::new();
-        engine.evaluate_factored(&plan, &model).unwrap();
-        assert_eq!(engine.solves(), 1); // uniform → one distinct cell
+        let mut live = engine.evaluate_live(&plan, &model).unwrap();
         assert_eq!(engine.factorizations(), 1);
 
-        // Double one tile's power on the top plane: 2 distinct cells now,
-        // one of them already cached.
-        let mut tiles: Vec<Power> = plan.plane_maps()[2].tiles().to_vec();
-        tiles[5] = tiles[5] * 2.0;
-        plan.update_power_map(2, PowerMap::new(4, 4, tiles).unwrap())
+        // Double one tile's power on the top plane.
+        let doubled = plan.plane_maps()[2].tiles()[5] * 2.0;
+        live.apply(&engine, &mut plan, &model, 2, &[(5, doubled)])
             .unwrap();
-        let report = engine.evaluate_factored(&plan, &model).unwrap();
-        assert_eq!(report.distinct_cells, 2);
-        assert_eq!(engine.solves(), 2, "only the changed tile re-solves");
+        assert_eq!(live.report().distinct_cells, 1, "one via density");
+        assert_eq!(engine.solves(), 1, "only the changed tile re-solves");
         assert_eq!(engine.factorizations(), 1, "geometry unchanged");
     }
 
@@ -782,44 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn scenario_cache_is_bounded_by_generational_eviction() {
-        // Two successive single-cell evaluations under a cap of 1: the
-        // second insert clears the first generation, so the tier never
-        // exceeds the bound — and correctness is untouched (the evicted
-        // tile just re-solves).
-        let cs = CaseStudy::paper();
-        let plan_a = Floorplan::uniform(&cs, 2, 2).unwrap();
-        let mut cs_b = cs.clone();
-        cs_b.plane_powers[0] = cs.plane_powers[0] * 2.0;
-        let plan_b = Floorplan::uniform(&cs_b, 2, 2).unwrap();
-        let engine = ChipEngine::new().with_scenario_cache_cap(1);
-        let first = engine.evaluate(&plan_a, &model_a()).unwrap();
-        engine.evaluate(&plan_b, &model_a()).unwrap();
-        assert_eq!(engine.solves(), 2);
-        assert_eq!(engine.evictions(), 1, "plan_a's entry was evicted");
-        // plan_a was evicted: evaluating it again re-solves (cache still
-        // bounded), bit-identically.
-        let again = engine.evaluate(&plan_a, &model_a()).unwrap();
-        assert_eq!(engine.solves(), 3);
-        assert_eq!(first.delta_t, again.delta_t);
-        assert!(engine.cache_entries().0 <= 1, "tier stays within its cap");
-    }
-
-    #[test]
-    fn hit_and_miss_counters_track_the_scenario_tier() {
-        let plan = Floorplan::uniform(&CaseStudy::paper(), 4, 4).unwrap();
-        let engine = ChipEngine::new();
-        engine.evaluate(&plan, &model_a()).unwrap();
-        // 16 tiles dedup to 1 distinct cell: 1 miss, 0 hits.
-        assert_eq!(engine.scenario_misses(), 1);
-        assert_eq!(engine.scenario_hits(), 0);
-        engine.evaluate(&plan, &model_a()).unwrap();
-        assert_eq!(engine.scenario_misses(), 1);
-        assert_eq!(engine.scenario_hits(), 1);
-        assert_eq!(engine.evictions(), 0);
-    }
-
-    #[test]
     fn matrix_cache_is_bounded_and_eviction_preserves_results() {
         let cs = CaseStudy::paper();
         let model = ModelB::paper_b20();
@@ -834,41 +564,31 @@ mod tests {
         };
         let (plan_a, plan_b) = (plan_at(0.005), plan_at(0.01));
         let engine = ChipEngine::new().with_matrix_cache_cap(1);
+        let first = engine.evaluate_factored(&plan_a, &model).unwrap();
         engine.evaluate_factored(&plan_a, &model).unwrap();
+        assert_eq!(engine.factorizations(), 1, "a repeat reuses the kernel");
+        assert_eq!((engine.scenario_hits(), engine.scenario_misses()), (1, 1));
         engine.evaluate_factored(&plan_b, &model).unwrap();
         assert_eq!(engine.factorizations(), 2);
         assert_eq!(engine.evictions(), 1, "plan_a's matrix was evicted");
-        // Force a re-factorization of plan_a by changing its power bits
-        // (a pure scenario-tier hit would never touch the matrix tier).
-        let mut plan_a2 = plan_a;
-        let tiles: Vec<Power> = plan_a2.plane_maps()[0]
-            .tiles()
-            .iter()
-            .map(|p| *p * 1.5)
-            .collect();
-        plan_a2
-            .update_power_map(0, PowerMap::new(2, 1, tiles).unwrap())
-            .unwrap();
-        let refac = engine.evaluate_factored(&plan_a2, &model).unwrap();
+        let refac = engine.evaluate_factored(&plan_a, &model).unwrap();
         assert_eq!(engine.factorizations(), 3, "evicted matrix re-factorizes");
-        // Same geometry solved through a fresh engine agrees bitwise.
-        let fresh = ChipEngine::new()
-            .evaluate_factored(&plan_a2, &model)
-            .unwrap();
-        assert_eq!(refac.delta_t, fresh.delta_t);
-        assert!(engine.cache_entries().1 <= 1, "matrix tier stays bounded");
+        assert_eq!((engine.scenario_hits(), engine.scenario_misses()), (1, 3));
+        assert_eq!(refac.delta_t, first.delta_t);
+        assert_eq!(engine.cache_entries(), 1, "matrix tier stays bounded");
     }
 
     #[test]
     fn cloned_engines_start_cold() {
         let plan = Floorplan::uniform(&CaseStudy::paper(), 2, 2).unwrap();
+        let model = ModelB::paper_b20();
         let engine = ChipEngine::new();
-        engine.evaluate(&plan, &model_a()).unwrap();
-        assert_eq!(engine.solves(), 1);
+        engine.evaluate_factored(&plan, &model).unwrap();
+        assert_eq!(engine.factorizations(), 1);
         let fresh = engine.clone();
-        assert_eq!(fresh.solves(), 0);
-        fresh.evaluate(&plan, &model_a()).unwrap();
-        assert_eq!(fresh.solves(), 1);
+        assert_eq!((fresh.factorizations(), fresh.cache_entries()), (0, 0));
+        fresh.evaluate_factored(&plan, &model).unwrap();
+        assert_eq!(fresh.factorizations(), 1);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! `A_tile / A_cell` (fractional) such cells with adiabatic side walls,
 //! and the tile's per-plane power splits evenly across them. Tiles with
 //! identical `(density, plane powers)` produce bit-identical scenarios —
-//! the dedup invariant [`ChipEngine`](crate::engine::ChipEngine) exploits.
+//! the within-call dedup of [`ChipEngine::evaluate`](crate::ChipEngine::evaluate)
+//! — and tiles with the same density share one geometry, whose kernel the
+//! factored path caches.
 
 use serde::{Deserialize, Serialize};
 use ttsv_core::full_chip::CaseStudy;
@@ -43,23 +45,10 @@ pub struct TileCell {
 }
 
 /// Everything that distinguishes one tile's unit cell from another's,
-/// as exact bit patterns — the scenario-hash dedup key.
+/// as exact bit patterns (density first, then per-plane powers) — the
+/// generic path's dedup key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct CellKey(Vec<u64>);
-
-impl CellKey {
-    /// The raw bit patterns (density first, then per-plane powers).
-    pub(crate) fn bits(&self) -> &[u64] {
-        &self.0
-    }
-
-    /// The same key with plane `plane`'s power replaced by `p`.
-    pub(crate) fn with_plane_power(&self, plane: usize, p: Power) -> Self {
-        let mut bits = self.0.clone();
-        bits[1 + plane] = p.as_watts().to_bits();
-        Self(bits)
-    }
-}
 
 impl Floorplan {
     /// Builds a floorplan from a case study's stack geometry (footprint,
@@ -243,25 +232,38 @@ impl Floorplan {
     /// operations [`Floorplan::tile_cell`] performs, so the vector is
     /// bit-identical to the scenario's `plane_powers()`. The factored
     /// engine path uses this to skip building full scenarios for tiles
-    /// that share a cached matrix factorization.
+    /// whose kernel is cached.
     ///
     /// # Panics
     ///
     /// Panics if the index is outside the grid.
     #[must_use]
     pub fn tile_cell_powers(&self, ix: usize, iy: usize) -> Vec<Power> {
-        let cells = self.tile_area() / self.cell_area_at(self.via_map.get(ix, iy));
-        self.plane_maps
-            .iter()
-            .map(|m| m.get(ix, iy) * (1.0 / cells))
-            .collect()
+        assert!(
+            ix < self.nx() && iy < self.ny(),
+            "tile ({ix}, {iy}) outside the grid"
+        );
+        let mut powers = Vec::with_capacity(self.plane_count());
+        self.fill_tile_cell_powers(iy * self.nx() + ix, &mut powers);
+        powers
     }
 
-    /// Replaces one plane's power map — the serving move: a power-delta
-    /// update leaves the geometry (and therefore every cached matrix
-    /// factorization) intact, so a re-evaluation through a caching
-    /// [`ChipEngine`](crate::engine::ChipEngine) re-solves only the tiles
-    /// whose power actually changed.
+    /// [`Floorplan::tile_cell_powers`] of row-major tile `index`, written
+    /// into `out` — the factored engine path reuses one buffer per pass.
+    pub(crate) fn fill_tile_cell_powers(&self, index: usize, out: &mut Vec<Power>) {
+        let cells = self.tile_area() / self.cell_area_at(self.via_map.tiles()[index]);
+        out.clear();
+        out.extend(
+            self.plane_maps
+                .iter()
+                .map(|m| m.tiles()[index] * (1.0 / cells)),
+        );
+    }
+
+    /// Replaces one plane's power map. A power update leaves the geometry
+    /// intact, so every kernel the engine's matrix tier holds for this
+    /// plan stays valid; [`LiveChip::apply`](crate::LiveChip::apply) is
+    /// the sparse form that re-solves only the changed tiles.
     ///
     /// # Errors
     ///
@@ -302,8 +304,8 @@ impl Floorplan {
     /// The exact bit patterns of everything geometric the tile-cell
     /// construction reads besides per-tile maps: footprint, layer
     /// thicknesses, TSV configuration (radius, liner, count, material
-    /// conductivities), and the plane count. Combined with per-tile
-    /// density/power bits these form the engine's cross-call cache keys.
+    /// conductivities), the plane count and the tile count. Combined with
+    /// a tile's density bits this forms the engine's matrix-tier key.
     pub(crate) fn geometry_bits(&self) -> Vec<u64> {
         vec![
             self.footprint.as_square_meters().to_bits(),
@@ -322,39 +324,24 @@ impl Floorplan {
         ]
     }
 
-    /// The *matrix* bits of tile `(ix, iy)`: geometry-relevant per-tile
-    /// state (via density) without the powers. Tiles sharing these bits
-    /// share a ladder matrix — the key of the engine's factorization
-    /// tier.
-    pub(crate) fn matrix_bits(&self, ix: usize, iy: usize) -> u64 {
-        self.via_map.get(ix, iy).to_bits()
+    /// The *matrix* bits of row-major tile `index`: geometry-relevant
+    /// per-tile state (via density) without the powers. Tiles sharing
+    /// these bits share a ladder matrix — with
+    /// [`Floorplan::geometry_bits`], the key of the engine's matrix tier.
+    pub(crate) fn matrix_bits(&self, index: usize) -> u64 {
+        self.via_map.tiles()[index].to_bits()
     }
 
-    /// Whether row-major tile `index` holds `key` — [`Floorplan::cell_key`]
-    /// compared without building it.
-    pub(crate) fn tile_has_key(&self, index: usize, key: &CellKey) -> bool {
-        let (density, powers) = key
-            .bits()
-            .split_first()
-            .expect("a key starts with the density");
-        self.via_map.tiles()[index].to_bits() == *density
-            && self
-                .plane_maps
-                .iter()
-                .zip(powers)
-                .all(|(m, &p)| m.tiles()[index].as_watts().to_bits() == p)
-    }
-
-    /// The dedup key of tile `(ix, iy)`: the exact bit patterns of its
-    /// density and per-plane powers. Equal keys imply the tile-cell
+    /// The dedup key of row-major tile `index`: the exact bit patterns of
+    /// its density and per-plane powers. Equal keys imply the tile-cell
     /// construction runs the same float operations on the same inputs,
     /// so the scenarios — and any deterministic model's output — are
     /// bit-identical.
-    pub(crate) fn cell_key(&self, ix: usize, iy: usize) -> CellKey {
+    pub(crate) fn cell_key(&self, index: usize) -> CellKey {
         let mut bits = Vec::with_capacity(self.plane_maps.len() + 1);
-        bits.push(self.via_map.get(ix, iy).to_bits());
+        bits.push(self.matrix_bits(index));
         for m in &self.plane_maps {
-            bits.push(m.get(ix, iy).as_watts().to_bits());
+            bits.push(m.tiles()[index].as_watts().to_bits());
         }
         CellKey(bits)
     }
@@ -414,9 +401,9 @@ mod tests {
         }
         let via = ViaDensityMap::uniform(2, 2, 0.005).unwrap();
         let plan = Floorplan::new(&cs, maps, via).unwrap();
-        assert_eq!(plan.cell_key(0, 0), plan.cell_key(0, 1));
-        assert_eq!(plan.cell_key(1, 0), plan.cell_key(1, 1));
-        assert_ne!(plan.cell_key(0, 0), plan.cell_key(1, 0));
+        assert_eq!(plan.cell_key(0), plan.cell_key(2));
+        assert_eq!(plan.cell_key(1), plan.cell_key(3));
+        assert_ne!(plan.cell_key(0), plan.cell_key(1));
     }
 
     #[test]

@@ -1,166 +1,34 @@
 //! Held evaluation state for serving: a [`LiveChip`] keeps a plan's
 //! [`ChipReport`] current under sparse power updates, at a cost that
 //! scales with the tiles an update names rather than the tiles the chip
-//! holds.
-
-use std::hash::Hasher;
+//! holds. An update is three steps: stage the changed tiles in the plan,
+//! evaluate those tiles through the engine's matrix tier, patch the
+//! report.
 
 use ttsv_core::scenario::PowerSeparableModel;
 use ttsv_core::CoreError;
 use ttsv_units::Power;
 
-use crate::engine::{ChipEngine, KeyHasher, KeyMap};
-use crate::floorplan::{CellKey, Floorplan};
+use crate::engine::ChipEngine;
+use crate::floorplan::Floorplan;
 use crate::map::PowerMap;
 use crate::report::ChipReport;
 
 /// A floorplan's evaluated report held across power updates, built by
 /// [`ChipEngine::evaluate_live`].
 ///
-/// [`LiveChip::apply`] re-solves only the tiles an update changes (through
-/// the engine's scenario and matrix tiers, so the engine's cache caps
-/// still bound memory) and patches the report in place. After every
-/// update the held report is bit-identical to
+/// [`LiveChip::apply`] re-solves only the tiles an update changes (one
+/// kernel call each, through the engine's matrix tier, so the engine's
+/// cache cap still bounds memory) and patches the report in place. After
+/// every update the held report is bit-identical to
 /// [`ChipEngine::evaluate_factored`] on a fresh engine for the same plan:
 /// same `ΔT` bits, `distinct_cells`, `total_vias`, row-major `mean`,
-/// nearest-rank p99 and first-hit argmax.
+/// nearest-rank p99 and first-hit argmax. A power update never changes a
+/// tile's via density, so `distinct_cells` (the plan's distinct
+/// geometries) and `total_vias` hold without any bookkeeping.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LiveChip {
     report: ChipReport,
-    /// Tiles per distinct cell key, which keeps `distinct_cells` exact
-    /// across updates.
-    key_counts: CellCounts,
-}
-
-/// How many tiles hold each distinct cell key, without storing the keys:
-/// one `(key hash, representative tile, tile count)` entry per key,
-/// sorted by hash. Keys are read back from the plan through the
-/// representative, so the count stays exact when hashes collide
-/// (colliding keys sit side by side). Holding the keys themselves cost
-/// ~240 KB per 32×32 session; this costs 16 bytes per distinct key.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct CellCounts {
-    entries: Vec<(u64, u32, u32)>,
-}
-
-/// The production key hash (the engine's word hasher over the key bits).
-pub(crate) fn key_hash(key: &CellKey) -> u64 {
-    let mut hasher = KeyHasher::default();
-    for &word in key.bits() {
-        hasher.write_u64(word);
-    }
-    hasher.finish()
-}
-
-fn tile_u32(tile: usize) -> u32 {
-    u32::try_from(tile).expect("a floorplan's tile indices fit in u32")
-}
-
-impl CellCounts {
-    /// Counts from a full evaluation: `cell_of` maps each tile to its
-    /// distinct cell, `keys` each cell key to that cell's index.
-    pub(crate) fn new(
-        cell_of: &[usize],
-        keys: KeyMap<CellKey, usize>,
-        hash: fn(&CellKey) -> u64,
-    ) -> Self {
-        let mut held = vec![(0u32, 0u32); keys.len()];
-        // Backwards, so each representative is the cell's first tile.
-        for (tile, &cell) in cell_of.iter().enumerate().rev() {
-            held[cell] = (tile_u32(tile), held[cell].1 + 1);
-        }
-        let mut entries: Vec<(u64, u32, u32)> = keys
-            .into_iter()
-            .map(|(key, cell)| (hash(&key), held[cell].0, held[cell].1))
-            .collect();
-        entries.sort_unstable_by_key(|&(h, _, _)| h);
-        Self { entries }
-    }
-
-    /// The number of distinct keys.
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// The entry of the key with hash `h` whose representative `holds`
-    /// accepts.
-    fn find(&self, h: u64, holds: impl Fn(usize) -> bool) -> Option<usize> {
-        let start = self.entries.partition_point(|&(eh, _, _)| eh < h);
-        self.entries[start..]
-            .iter()
-            .take_while(|&&(eh, _, _)| eh == h)
-            .position(|&(_, rep, _)| holds(rep as usize))
-            .map(|i| start + i)
-    }
-
-    /// Moves each tile of `old` — ascending `(tile, watts it held on
-    /// plane)` pairs; `plan` already holds the new watts — from its old
-    /// key to its new one. All tiles leave before any joins, so every
-    /// representative consulted holds the key of its entry.
-    pub(crate) fn update(
-        &mut self,
-        plan: &Floorplan,
-        plane: usize,
-        old: &[(usize, Power)],
-        hash: fn(&CellKey) -> u64,
-    ) {
-        let nx = plan.nx();
-        let new_keys: Vec<CellKey> = old
-            .iter()
-            .map(|&(t, _)| plan.cell_key(t % nx, t / nx))
-            .collect();
-        let old_keys: Vec<CellKey> = new_keys
-            .iter()
-            .zip(old)
-            .map(|(key, &(_, watts))| key.with_plane_power(plane, watts))
-            .collect();
-        let touched = |u: usize| old.binary_search_by_key(&u, |&(t, _)| t);
-        // Whether tile `u` held `key` before this update.
-        let held = |u: usize, key: &CellKey| match touched(u) {
-            Ok(j) => old_keys[j] == *key,
-            Err(_) => plan.tile_has_key(u, key),
-        };
-        for (j, (key, &(tile, _))) in old_keys.iter().zip(old).enumerate() {
-            let i = self
-                .find(hash(key), |r| held(r, key))
-                .expect("a held key is counted");
-            let (h, rep, count) = self.entries[i];
-            if count == 1 {
-                self.entries.remove(i);
-                continue;
-            }
-            // The representative leaves: hand the entry to a tile still
-            // holding the key — a later tile of this update, else an
-            // untouched one.
-            let rep = if rep as usize == tile {
-                let later = old_keys[j + 1..]
-                    .iter()
-                    .position(|k| k == key)
-                    .map(|p| old[j + 1 + p].0);
-                tile_u32(
-                    later
-                        .or_else(|| {
-                            (0..plan.tiles())
-                                .find(|&u| plan.tile_has_key(u, key) && touched(u).is_err())
-                        })
-                        .expect("a key held by several tiles has another"),
-                )
-            } else {
-                rep
-            };
-            self.entries[i] = (h, rep, count - 1);
-        }
-        for (key, &(tile, _)) in new_keys.iter().zip(old) {
-            let h = hash(key);
-            match self.find(h, |r| plan.tile_has_key(r, key)) {
-                Some(i) => self.entries[i].2 += 1,
-                None => {
-                    let at = self.entries.partition_point(|&(eh, _, _)| eh <= h);
-                    self.entries.insert(at, (h, tile_u32(tile), 1));
-                }
-            }
-        }
-    }
 }
 
 /// A power update's staged tiles: the plan already holds the new watts,
@@ -189,8 +57,8 @@ fn invalid(reason: String) -> CoreError {
 }
 
 impl LiveChip {
-    pub(crate) fn new(report: ChipReport, key_counts: CellCounts) -> Self {
-        Self { report, key_counts }
+    pub(crate) fn new(report: ChipReport) -> Self {
+        Self { report }
     }
 
     /// The held report.
@@ -275,10 +143,8 @@ impl LiveChip {
         let touched: Vec<usize> = staged.old.iter().map(|&(tile, _)| tile).collect();
         let delta_t = engine.solve_tiles(staged.plan, model, &touched)?;
 
-        // Every solve succeeded: commit the key counts and the report.
-        self.key_counts
-            .update(staged.plan, plane, &staged.old, key_hash);
-        let changed = self.report.patch(&touched, &delta_t, self.key_counts.len());
+        // Every solve succeeded: commit the plan and patch the report.
+        let changed = self.report.patch(&touched, &delta_t);
         staged.armed = false;
         Ok(changed)
     }
@@ -383,10 +249,10 @@ mod tests {
         let w = Power::from_watts;
         for (plane, updates) in [
             (0, vec![(1, w(9.0)), (7, w(0.0))]),
-            // Tile 4 gets tile 0's watts: a cell that already exists.
+            // Tile 4 gets tile 0's watts.
             (1, vec![(4, plan.plane_maps()[1].tiles()[0])]),
             (2, vec![(0, w(3.5)), (5, w(3.5)), (11, w(0.25))]),
-            // Restore tile 1: its old cell key comes back.
+            // Restore tile 1's watts.
             (0, vec![(1, plan.plane_maps()[0].tiles()[1])]),
         ] {
             let before = live.report().clone();
@@ -408,25 +274,28 @@ mod tests {
         let model = ModelB::paper_b20();
         let engine = ChipEngine::new().with_workers(1);
         let mut live = engine.evaluate_live(&plan, &model).unwrap();
-        let lookups = || engine.scenario_hits() + engine.scenario_misses();
-        let (keyed, solved) = (lookups(), engine.solves());
+        let work = || (engine.solves(), engine.factorizations());
+        let (solved, factored) = work();
         let w = Power::from_watts;
         let changed = live
             .apply(&engine, &mut plan, &model, 0, &[(3, w(1.0)), (200, w(2.0))])
             .unwrap();
         assert_eq!(changed, [3, 200]);
-        assert_eq!(lookups() - keyed, 2, "only the two named tiles are keyed");
-        assert_eq!(engine.solves() - solved, 2);
-        assert_eq!(live.report().distinct_cells, 3);
+        assert_eq!(
+            work(),
+            (solved + 2, factored),
+            "only the two named tiles are solved, against the cached kernel"
+        );
+        assert_eq!(live.report().distinct_cells, 1);
 
         let same = plan.plane_maps()[0].tiles()[3];
-        let (keyed, solved) = (lookups(), engine.solves());
+        let (solved, factored) = work();
         let held = live.clone();
         let changed = live
             .apply(&engine, &mut plan, &model, 0, &[(3, same)])
             .unwrap();
         assert!(changed.is_empty());
-        assert_eq!((lookups(), engine.solves()), (keyed, solved));
+        assert_eq!(work(), (solved, factored));
         assert_eq!(live, held);
     }
 
@@ -469,59 +338,41 @@ mod tests {
         assert_eq!(live.report().to_json(), fresh_json(&plan));
     }
 
-    /// The exact distinct-key count of `plan` with each tile's cell index.
-    fn exact_cells(plan: &Floorplan) -> (Vec<usize>, KeyMap<CellKey, usize>) {
-        let mut keys: KeyMap<CellKey, usize> = KeyMap::default();
-        let cell_of = (0..plan.tiles())
-            .map(|t| {
-                let next = keys.len();
-                *keys
-                    .entry(plan.cell_key(t % plan.nx(), t / plan.nx()))
-                    .or_insert(next)
-            })
-            .collect();
-        (cell_of, keys)
-    }
-
-    /// With every key hashing alike, all keys share one salt chain; the
-    /// count must still follow the plan exactly as tiles move between
-    /// shared, fresh and vanishing keys (representatives included).
+    /// A plan with more distinct via densities than the matrix cap is
+    /// never cached whole: each update factorizes exactly the densities
+    /// among its changed tiles that the tier does not hold, and stays
+    /// bitwise equal to a fresh evaluation.
     #[test]
-    fn cell_counts_stay_exact_when_every_hash_collides() {
-        let mut plan = Floorplan::uniform(&CaseStudy::paper(), 6, 1).unwrap();
-        let (cell_of, keys) = exact_cells(&plan);
-        let mut colliding = CellCounts::new(&cell_of, keys.clone(), |_| 0);
-        let mut hashed = CellCounts::new(&cell_of, keys, key_hash);
+    fn updates_past_the_matrix_cap_factorize_only_the_changed_densities() {
+        // 4×3 grid, one via density per column: 4 geometries, cap 1.
+        let cs = CaseStudy::paper();
+        let maps = (0..3)
+            .map(|j| PowerMap::uniform(4, 3, cs.plane_powers[j]).unwrap())
+            .collect();
+        let densities = [0.004, 0.005, 0.008, 0.01];
+        let via = ViaDensityMap::new(4, 3, (0..12).map(|t| densities[t % 4]).collect()).unwrap();
+        let mut plan = Floorplan::new(&cs, maps, via).unwrap();
+        let model = ModelB::paper_b20();
+        let engine = ChipEngine::new().with_workers(1).with_matrix_cache_cap(1);
+        let mut live = engine.evaluate_live(&plan, &model).unwrap();
+        assert_eq!(live.report().distinct_cells, 4);
+        assert_eq!(engine.factorizations(), 4);
+        assert_eq!(engine.cache_entries(), 0, "4 kernels never fit a cap of 1");
         let w = Power::from_watts;
-        for (plane, updates) in [
-            (0, vec![(0, w(1.0)), (3, w(2.0))]),
-            (0, vec![(1, w(1.0)), (2, w(2.0)), (5, w(1.0))]),
-            (1, vec![(0, w(7.0))]),
-            (0, vec![(0, w(2.0)), (1, w(2.0)), (3, w(1.0))]),
-            (
-                0,
-                vec![
-                    (0, w(0.5)),
-                    (1, w(0.5)),
-                    (2, w(0.5)),
-                    (3, w(0.5)),
-                    (4, w(0.5)),
-                    (5, w(0.5)),
-                ],
-            ),
-            (1, vec![(0, plan.plane_maps()[1].tiles()[1])]),
+        // (updates, columns they touch, kernels cached afterwards). No
+        // update reuses the one kernel the tier holds before it.
+        for (updates, columns, cached) in [
+            (vec![(0, w(1.0)), (5, w(2.0))], 2, 0),
+            (vec![(2, w(1.0)), (6, w(1.5))], 1, 1),
+            (vec![(3, w(0.5)), (7, w(0.5))], 1, 1),
+            (vec![(4, w(3.0)), (9, w(0.25)), (10, w(0.1))], 3, 1),
         ] {
-            let mut old = Vec::new();
-            for (tile, watts) in updates {
-                let previous = plan.replace_tile_power(plane, tile, watts);
-                if previous.as_watts().to_bits() != watts.as_watts().to_bits() {
-                    old.push((tile, previous));
-                }
-            }
-            colliding.update(&plan, plane, &old, |_| 0);
-            hashed.update(&plan, plane, &old, key_hash);
-            let exact = exact_cells(&plan).1.len();
-            assert_eq!((colliding.len(), hashed.len()), (exact, exact));
+            let (solved, factored) = (engine.solves(), engine.factorizations());
+            live.apply(&engine, &mut plan, &model, 0, &updates).unwrap();
+            assert_eq!(engine.factorizations() - factored, columns);
+            assert_eq!(engine.solves() - solved, updates.len());
+            assert_eq!(engine.cache_entries(), cached);
+            assert_eq!(live.report().to_json(), fresh_json(&plan));
         }
     }
 

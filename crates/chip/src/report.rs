@@ -28,10 +28,11 @@ pub struct ChipReport {
     pub argmax_iy: usize,
     /// Total vias on the chip (fractional, per the density idealization).
     pub total_vias: f64,
-    /// Distinct unit cells in the plan — tiles with bit-identical via
-    /// density and per-plane powers count once, whether this evaluation
-    /// solved them or read them from the engine's caches (`≤ tiles`;
-    /// equality means no two tiles share a cell).
+    /// Distinct via-density geometries in the plan — tiles with
+    /// bit-identical via density count once, whatever their powers. This
+    /// is the number of factorizations a cold factored evaluation needs,
+    /// and it is the same on every engine path. A power update never
+    /// changes it.
     pub distinct_cells: usize,
     /// Total tile count, `nx · ny`.
     pub tiles: usize,
@@ -77,8 +78,9 @@ impl ChipReport {
     /// Writes new `ΔT` values into `tiles` (row-major indices) in place
     /// and re-derives the summary statistics with the same pass
     /// [`ChipReport::from_tiles`] runs, so the result is bit-identical to
-    /// a report assembled from scratch. Returns the indices whose value
-    /// changed bitwise, in the order of `tiles`.
+    /// a report assembled from scratch (a power update leaves
+    /// `distinct_cells` and `total_vias` as they are). Returns the
+    /// indices whose value changed bitwise, in the order of `tiles`.
     ///
     /// The p99 selection is skipped when every changed tile stays on the
     /// same strict side of the current p99 (in `total_cmp` order): the
@@ -88,12 +90,7 @@ impl ChipReport {
     /// # Panics
     ///
     /// Panics if an index is outside the map.
-    pub(crate) fn patch(
-        &mut self,
-        tiles: &[usize],
-        values: &[f64],
-        distinct_cells: usize,
-    ) -> Vec<usize> {
+    pub(crate) fn patch(&mut self, tiles: &[usize], values: &[f64]) -> Vec<usize> {
         let p99 = self.p99_delta_t;
         let side = |v: f64| v.total_cmp(&p99);
         let mut p99_holds = true;
@@ -109,7 +106,6 @@ impl ChipReport {
         if !changed.is_empty() {
             self.summarize(!p99_holds);
         }
-        self.distinct_cells = distinct_cells;
         changed
     }
 

@@ -121,8 +121,8 @@ pub trait ThermalModel {
 
     /// A string identifying this model *instance's results*: two models
     /// with equal tags must produce identical outputs on identical
-    /// scenarios, because cross-call result caches (the chip engine's)
-    /// key on it. Defaults to [`ThermalModel::name`]; models whose
+    /// scenarios, because cross-call caches (the chip engine's matrix
+    /// tier) key on it. Defaults to [`ThermalModel::name`]; models whose
     /// display name omits result-relevant knobs (fitting coefficients,
     /// solver choices, mesh resolutions) must override it to include
     /// them.

@@ -6,9 +6,9 @@
 //! are fully deterministic (no RNG): session `s` registers a gradient
 //! power map scaled by `s`, then each round patches a couple of tiles
 //! with values that cycle through a small set — so a replay is
-//! reproducible byte-for-byte and the warm rounds genuinely hit the
-//! engine's scenario cache, which is what the cold-vs-warm bench rows
-//! price.
+//! reproducible byte-for-byte, and a warm round re-solves only the tiles
+//! it changes against a cached kernel, which is what the cold-vs-warm
+//! bench rows price.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;

@@ -1,7 +1,7 @@
 //! An exact least-recently-used cache with hit/miss/eviction counters —
 //! the session table's quota enforcement.
 //!
-//! The floorplan engine's own tiers are *generational* (cheap clear-all
+//! The floorplan engine's matrix tier is *generational* (cheap clear-all
 //! on overflow, keyed on bit patterns); sessions are few, long-lived, and
 //! expensive to rebuild, so the session table wants exact LRU instead:
 //! registering past the capacity evicts precisely the session touched

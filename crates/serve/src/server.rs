@@ -29,9 +29,9 @@
 //! deadline, so an idle server makes *zero* wakeups instead of ticking
 //! every millisecond (the `/metrics` `readiness` block counts wakeups).
 //!
-//! Every worker shares one [`ChipEngine`] whose two cache tiers are
-//! bounded by the config's caps — a warm power-delta request re-solves
-//! only the tiles whose bits changed, which is the entire point of
+//! Every worker shares one [`ChipEngine`] whose matrix tier of Model B
+//! kernels is bounded by the config's `matrix_cache_cap` — a warm
+//! power-delta request re-solves only the tiles whose bits changed, which is the entire point of
 //! serving sessions instead of stateless requests. By default a warm
 //! update also *answers* with only what changed: a delta response
 //! carrying the changed tiles and updated summary statistics
@@ -144,7 +144,9 @@ pub struct ServerConfig {
     pub max_sessions: usize,
     /// Per-session tile quota (`nx · ny` at registration).
     pub max_tiles: usize,
-    /// Scenario-tier cache cap handed to the shared engine.
+    /// Does nothing: the engine no longer has a scenario tier. Kept only
+    /// so the external serving benchmark, which still reads it, compiles.
+    #[doc(hidden)]
     pub scenario_cache_cap: usize,
     /// Matrix-tier cache cap handed to the shared engine.
     pub matrix_cache_cap: usize,
@@ -191,7 +193,7 @@ impl Default for ServerConfig {
             event_loops: 2,
             max_sessions: 64,
             max_tiles: 64 * 64,
-            scenario_cache_cap: 1 << 16,
+            scenario_cache_cap: 0,
             matrix_cache_cap: 1 << 10,
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
@@ -596,7 +598,7 @@ impl ServerState {
                 table.evictions(),
             )
         };
-        let (scenario_entries, matrix_entries) = self.engine.cache_entries();
+        let matrix_entries = self.engine.cache_entries();
         let persist = self.persist.snapshot();
         let persist_enabled = self.journal.as_ref().is_some_and(|j| j.is_enabled());
         format!(
@@ -609,7 +611,7 @@ impl ServerState {
              \"records_replayed\":{},\"recovered_sessions\":{},\"compactions\":{},\"write_errors\":{}}},\
              \"sessions\":{{\"live\":{},\"capacity\":{},\"hits\":{},\"misses\":{},\"evictions\":{}}},\
              \"engine\":{{\"solves\":{},\"factorizations\":{},\"scenario_hits\":{},\"scenario_misses\":{},\"evictions\":{},\
-             \"scenario_entries\":{scenario_entries},\"matrix_entries\":{matrix_entries}}}}}",
+             \"matrix_entries\":{matrix_entries}}}}}",
             snap.uptime_s,
             snap.requests,
             snap.ok_2xx,
@@ -1391,7 +1393,6 @@ impl Server {
         let state = Arc::new(ServerState {
             engine: ChipEngine::new()
                 .with_workers(1)
-                .with_scenario_cache_cap(config.scenario_cache_cap)
                 .with_matrix_cache_cap(config.matrix_cache_cap),
             sessions: Mutex::new(LruCache::new(config.max_sessions)),
             next_id: AtomicU64::new(recovery.as_ref().map_or(1, |r| r.next_id)),

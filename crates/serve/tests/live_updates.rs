@@ -6,7 +6,7 @@
 //! list must be exactly the tiles `render_delta(prev, next)` emits.
 //!
 //! Watts and via densities come from small level sets, so sequences
-//! revisit cell keys (cache hits, restored keys, bitwise no-ops), and
+//! revisit earlier tile values (restored watts, bitwise no-ops), and
 //! per-tile densities keep several ladder matrices in play. Bodies mix
 //! sparse updates that name a tile more than once, same-watts no-ops and
 //! full-plane `"tiles"` replacements.
@@ -156,11 +156,12 @@ fn run_sequence(engine: &ChipEngine, nx: usize, ny: usize, seed: u64) -> Result<
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Every grid, on a default engine and on one whose cache tiers hold
-    /// a single entry each (so the k-tile solves evict and re-factorize).
+    /// Every grid, on a default engine and on one whose matrix tier
+    /// holds a single kernel (so the k-tile solves evict and
+    /// re-factorize).
     #[test]
     fn live_updates_track_a_fresh_full_evaluation(seed in 0u64..u64::MAX) {
-        let capped = ChipEngine::new().with_scenario_cache_cap(1).with_matrix_cache_cap(1);
+        let capped = ChipEngine::new().with_matrix_cache_cap(1);
         for (nx, ny) in GRIDS {
             run_sequence(&ChipEngine::new(), nx, ny, seed)?;
             run_sequence(&capped, nx, ny, seed ^ 0x5eed)?;

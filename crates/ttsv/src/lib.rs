@@ -73,7 +73,7 @@
 //!
 //!     let report = ChipEngine::new().evaluate(&plan, &ModelB::paper_b100())?;
 //!     assert_eq!(report.tiles, 256);
-//!     assert!(report.distinct_cells <= 2); // dedup: 2 power levels → ≤ 2 solves
+//!     assert_eq!(report.distinct_cells, 1); // one via density → one geometry
 //!     println!("hotspot ΔT {:.1} K at ({}, {}); JSON: {} bytes",
 //!         report.max_delta_t, report.argmax_ix, report.argmax_iy,
 //!         report.to_json().len());

@@ -47,11 +47,17 @@ fn main() -> Result<(), CoreError> {
     )?;
 
     let model = ModelB::paper_b100();
-    let report = ChipEngine::new().evaluate(&plan, &model)?;
+    let engine = ChipEngine::new();
+    let report = engine.evaluate(&plan, &model)?;
 
     println!(
-        "{} on a {}×{} floorplan: {} tiles, {} distinct unit cells solved (dedup)\n",
-        report.model, report.nx, report.ny, report.tiles, report.distinct_cells
+        "{} on a {}×{} floorplan: {} tiles, {} distinct unit cells solved (dedup), distinct via densities: {}\n",
+        report.model,
+        report.nx,
+        report.ny,
+        report.tiles,
+        engine.solves(),
+        report.distinct_cells
     );
 
     // ASCII heat map, one glyph per tile.

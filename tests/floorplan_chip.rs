@@ -17,17 +17,18 @@ fn hotspot_32x32_dedups_to_far_fewer_cells_than_tiles() {
     let report = engine.evaluate(&plan, &ModelB::paper_b100()).unwrap();
     assert_eq!(report.tiles, 1024);
     assert_eq!(report.delta_t.len(), 1024);
-    // The dedup counter: solves ≪ cells (3 power levels → 3 solves).
-    assert_eq!(report.distinct_cells, 3);
+    // One via density: one geometry. The dedup counter: solves ≪
+    // tiles (3 power levels → 3 solves).
+    assert_eq!(report.distinct_cells, 1);
     assert_eq!(
         engine.solves(),
         3,
         "dedup must solve each distinct cell once"
     );
     assert!(
-        report.distinct_cells * 100 <= report.tiles,
+        engine.solves() * 100 <= report.tiles,
         "dedup must collapse the batch: {} solves for {} tiles",
-        report.distinct_cells,
+        engine.solves(),
         report.tiles
     );
     // The hotspot is the argmax and visibly hotter than the background.
@@ -52,16 +53,16 @@ fn hotspot_32x32_dedups_to_far_fewer_cells_than_tiles() {
 #[test]
 fn gradient_32x32_factored_path_shares_one_factorization_bitwise() {
     // All 1024 tiles carry distinct powers at uniform via density: the
-    // scenario-hash dedup can share nothing, but the matrix tier
+    // generic path's dedup can share nothing, but the factored path
     // collapses the whole chip onto ONE ladder factorization + 1024
     // hotspot-kernel evaluations — bit-identical to per-tile solves.
     let plan = gradient_floorplan(32);
     let model = ModelB::paper_b100();
     let engine = ChipEngine::new();
     let factored = engine.evaluate_factored(&plan, &model).unwrap();
-    assert_eq!(factored.distinct_cells, 1024);
+    assert_eq!(factored.distinct_cells, 1);
     assert_eq!(engine.factorizations(), 1, "uniform density → one matrix");
-    assert_eq!(engine.solves(), 1024);
+    assert_eq!(engine.solves(), 0, "a full kernel pass counts no solves");
     let per_tile = ChipEngine::new().evaluate(&plan, &model).unwrap();
     assert_eq!(factored.delta_t, per_tile.delta_t);
     assert_eq!(
@@ -72,38 +73,40 @@ fn gradient_32x32_factored_path_shares_one_factorization_bitwise() {
 
 #[test]
 fn serving_loop_re_solves_only_the_power_delta() {
-    // The serving workload: evaluate, update one plane's power map in a
-    // few tiles, re-evaluate on the SAME engine — the cross-call
-    // scenario cache must confine the new solves to the changed tiles,
-    // and the factorization must be reused outright.
+    // The serving workload: evaluate once into a live chip, then update
+    // one plane's power in a few tiles on the SAME engine — the update
+    // must solve exactly the changed tiles against the cached kernel.
     let mut plan = gradient_floorplan(16);
     let model = ModelB::paper_b100();
     let engine = ChipEngine::new();
-    let first = engine.evaluate_factored(&plan, &model).unwrap();
-    assert_eq!(engine.solves(), 256);
+    let mut live = engine.evaluate_live(&plan, &model).unwrap();
+    let first = live.report().clone();
     assert_eq!(engine.factorizations(), 1);
 
     // Bump 5 tiles of the top plane by 10 %.
-    let mut tiles: Vec<Power> = plan.plane_maps()[2].tiles().to_vec();
-    for t in tiles.iter_mut().take(5) {
-        *t = *t * 1.1;
-    }
-    plan.update_power_map(2, PowerMap::new(16, 16, tiles).unwrap())
-        .unwrap();
-    let second = engine.evaluate_factored(&plan, &model).unwrap();
+    let updates: Vec<(usize, Power)> = plan.plane_maps()[2].tiles()[..5]
+        .iter()
+        .enumerate()
+        .map(|(t, &p)| (t, p * 1.1))
+        .collect();
+    let changed = live.apply(&engine, &mut plan, &model, 2, &updates).unwrap();
+    assert_eq!(changed, [0, 1, 2, 3, 4]);
     assert_eq!(
         engine.solves(),
-        256 + 5,
+        5,
         "exactly the five changed tiles re-solve"
     );
     assert_eq!(engine.factorizations(), 1, "geometry unchanged");
     // Unchanged tiles keep their exact values; changed tiles got hotter.
+    let second = live.report();
     for i in 5..256 {
         assert_eq!(first.delta_t[i].to_bits(), second.delta_t[i].to_bits());
     }
     for i in 0..5 {
         assert!(second.delta_t[i] > first.delta_t[i]);
     }
+    let fresh = ChipEngine::new().evaluate_factored(&plan, &model).unwrap();
+    assert_eq!(second.to_json(), fresh.to_json());
 }
 
 #[test]
@@ -133,11 +136,10 @@ fn fem_reference_reuses_one_hierarchy_across_distinct_cells() {
     let fem = FemReference::new()
         .with_resolution(FemResolution::coarse())
         .with_solver(FemSolver::Multigrid);
-    let report = ChipEngine::new()
-        .with_workers(1)
-        .evaluate(&plan, &fem)
-        .unwrap();
-    assert_eq!(report.distinct_cells, 2);
+    let engine = ChipEngine::new().with_workers(1);
+    let report = engine.evaluate(&plan, &fem).unwrap();
+    assert_eq!(report.distinct_cells, 1, "one via density");
+    assert_eq!(engine.solves(), 2, "two power levels → two FEM solves");
     assert_eq!(
         fem.multigrid_builds(),
         1,

@@ -295,7 +295,7 @@ fn floorplan_uniform_map_matches_the_case_study_pin() {
 
     let b1000 = ModelB::paper_b1000();
     let report = engine.evaluate(&plan, &b1000).unwrap();
-    // Uniform chip: one distinct cell, flat map, pinned to the case study.
+    // Uniform chip: one geometry, flat map, pinned to the case study.
     assert_eq!(report.tiles, 64);
     assert_eq!(report.distinct_cells, 1);
     assert_golden(

@@ -340,14 +340,13 @@ fn quota_counts_live_sessions_and_evicts_the_least_recently_used() {
 
 #[test]
 fn tiny_engine_caches_change_cost_never_results() {
-    // Squeeze both engine tiers to one entry: every request thrashes the
-    // caches, yet the responses must stay byte-identical to the
+    // Squeeze the engine's matrix tier to one kernel: every request
+    // thrashes it, yet the responses must stay byte-identical to the
     // default-cap server and the direct evaluation.
     let expected = direct_session(0);
     let server = Server::start(
         "127.0.0.1:0",
         ServerConfig {
-            scenario_cache_cap: 1,
             matrix_cache_cap: 1,
             ..ServerConfig::default().with_workers(1)
         },
