@@ -3,7 +3,8 @@
 //! dedup) and a 32×32 gradient map (every cell distinct) evaluated
 //! through Model B(100), plus the factor-once batched path (one ladder factorization shared by all 1024
 //! distinct-power tiles), and the same path against a warm matrix tier
-//! (1024 kernel calls, no factorization).
+//! (1024 kernel calls, no factorization). Model A runs the same factored
+//! path on its one-segment-per-plane ladder.
 //!
 //! The matrix tier keeps kernels across calls, so every cold-path row
 //! constructs a fresh engine per iteration — otherwise the second
@@ -57,7 +58,7 @@ fn bench_floorplan(c: &mut Criterion) {
         let model = ModelA::with_coefficients(FittingCoefficients::paper_case_study());
         b.iter(|| {
             ChipEngine::new()
-                .evaluate(&hotspot, &model)
+                .evaluate_factored(&hotspot, &model)
                 .expect("solvable")
         });
     });

@@ -328,6 +328,14 @@ fn main() {
             .evaluate_factored(&gradient, &b100)
             .expect("solvable")
     });
+    // Model A on the same all-distinct map, on its one-segment-per-plane
+    // ladder: one kernel, then 1024 kernel calls.
+    let model_a = ModelA::with_coefficients(CaseStudy::paper_fitting());
+    sampler.bench("floorplan_chip/gradient32/model_a", || {
+        ChipEngine::new()
+            .evaluate_factored(&gradient, &model_a)
+            .expect("solvable")
+    });
     let gradient64 = gradient_floorplan(64);
     let warm_engine = ChipEngine::new();
     warm_engine

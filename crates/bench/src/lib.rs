@@ -25,7 +25,7 @@
 //! | `ablation_fem_mesh` | — | FEM cost vs mesh resolution (coarse → fine) |
 //! | `ablation_fem_precond` | — | FEM linear solver: smoothed-aggregation multigrid PCG vs direct banded, two mesh resolutions |
 //! | `ablation_mg_reuse` | — | multigrid setup amortization on the one smoothed-aggregation hierarchy: build vs numeric refresh, one V-cycle, sweep with rebuilt vs pooled hierarchies |
-//! | `floorplan_chip` | §IV-E generalized | full-chip 32×32 power-map evaluation through the batch engine: hotspot vs all-distinct gradient maps, factor-once hotspot kernel vs per-tile solves, warm matrix tier (via [`hotspot_floorplan`]/[`gradient_floorplan`]) |
+//! | `floorplan_chip` | §IV-E generalized | full-chip 32×32 power-map evaluation through the batch engine: hotspot vs all-distinct gradient maps, factor-once hotspot kernel vs per-tile solves (Model B, and Model A on its one-segment-per-plane ladder), warm matrix tier (via [`hotspot_floorplan`]/[`gradient_floorplan`]) |
 //!
 //! # Machine-readable perf tracking
 //!
@@ -493,6 +493,7 @@ mod tests {
             "floorplan_chip/hotspot32/model_b100",
             "floorplan_chip/gradient32/model_b100",
             "floorplan_chip/gradient32/factor_shared",
+            "floorplan_chip/gradient32/model_a",
             "floorplan_chip/full64/factored",
             "model_b/factorize/b10_1000",
             "model_b/hotspot_1024/b10_1000",

@@ -3,18 +3,20 @@
 //!
 //! # Two paths
 //!
-//! * **Generic** ([`ChipEngine::evaluate`]) — any [`ThermalModel`], and
-//!   the per-tile reference. Tiles with bit-identical unit cells (via
-//!   density and per-plane powers) are deduplicated *within the call*,
-//!   because a FEM tile costs milliseconds; the distinct cells are solved
-//!   on the bounded worker pool. Nothing is cached across calls.
+//! * **Generic** ([`ChipEngine::evaluate`]) — for models that are not
+//!   power-separable (the FEM reference and the 1-D baseline), and the
+//!   per-tile reference the property suites compare the factored path
+//!   against. Tiles with bit-identical unit cells (via density and
+//!   per-plane powers) are deduplicated *within the call*, because a FEM
+//!   tile costs milliseconds; the distinct cells are solved on the
+//!   bounded worker pool. Nothing is cached across calls.
 //! * **Factored** ([`ChipEngine::evaluate_factored`]) — for a
-//!   [`PowerSeparableModel`] such as
-//!   [`ModelB`](ttsv_core::model_b::ModelB). Each distinct geometry (via
-//!   density) is factorized once, into Model B's hotspot kernel
-//!   ([`ModelBFactorization`](ttsv_core::model_b::ModelBFactorization):
-//!   the unit responses of the nodes that can be hottest, ≈ 50 KB at the
-//!   serving `B(1000)` geometry). Kernels persist across calls in the
+//!   [`PowerSeparableModel`]: [`ModelB`](ttsv_core::model_b::ModelB) and
+//!   [`ModelA`](ttsv_core::model_a::ModelA). Each distinct geometry (via
+//!   density) is factorized once, into the ladder's hotspot kernel
+//!   ([`LadderKernel`](ttsv_core::ladder::LadderKernel): the unit
+//!   responses of the nodes that can be hottest, ≈ 50 KB at the serving
+//!   `B(1000)` geometry). Kernels persist across calls in the
 //!   **matrix tier**, keyed on the geometry bits and bounded by
 //!   [`ChipEngine::with_matrix_cache_cap`]. Every tile then costs one
 //!   kernel call (0.08–0.33 µs) on the calling thread — no dedup, since
@@ -36,10 +38,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use ttsv_core::batch::{default_workers, scoped_batch};
 use ttsv_core::scenario::{PowerSeparableModel, ThermalModel};
 use ttsv_core::CoreError;
-use ttsv_validate::pool::scoped_batch;
-use ttsv_validate::sweep::default_workers;
 
 use crate::floorplan::{CellKey, Floorplan};
 use crate::live::LiveChip;
@@ -228,7 +229,11 @@ impl ChipEngine {
     }
 
     /// Evaluates every tile's unit cell and assembles the chip `ΔT` map.
-    /// Bit-identical tiles are solved once per call.
+    /// Bit-identical tiles are solved once per call. This path serves
+    /// models that are not power-separable (the FEM reference and the 1-D
+    /// baseline) and is the per-tile reference of the property suites;
+    /// power-separable models belong on
+    /// [`ChipEngine::evaluate_factored`].
     ///
     /// # Errors
     ///
@@ -589,6 +594,29 @@ mod tests {
         assert_eq!((fresh.factorizations(), fresh.cache_entries()), (0, 0));
         fresh.evaluate_factored(&plan, &model).unwrap();
         assert_eq!(fresh.factorizations(), 1);
+    }
+
+    #[test]
+    fn model_a_fits_differing_only_in_lateral_spreading_share_no_kernel() {
+        // `c` scales every non-top plane's liner, so the two fits need
+        // two kernels on one geometry.
+        let plan = Floorplan::uniform(&CaseStudy::paper(), 2, 2).unwrap();
+        let case = CaseStudy::paper_fitting();
+        let unit_c = FittingCoefficients::new(case.k1(), case.k2());
+        assert_ne!(case.lateral_spreading(), unit_c.lateral_spreading());
+        let engine = ChipEngine::new();
+        let reports: Vec<_> = [case, unit_c]
+            .into_iter()
+            .map(|fit| {
+                let model = ModelA::with_coefficients(fit);
+                let shared = engine.evaluate_factored(&plan, &model).unwrap();
+                let fresh = ChipEngine::new().evaluate_factored(&plan, &model).unwrap();
+                assert_eq!(shared, fresh);
+                shared
+            })
+            .collect();
+        assert_eq!(engine.factorizations(), 2);
+        assert_ne!(reports[0].delta_t, reports[1].delta_t);
     }
 
     #[test]

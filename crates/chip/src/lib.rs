@@ -25,15 +25,16 @@
 //!
 //! # Two paths, one cache
 //!
-//! * [`ChipEngine::evaluate`] runs any model. It deduplicates
-//!   bit-identical tiles within the call (a 32×32 hotspot map with 3
-//!   power levels costs 3 solves, not 1024) and solves the distinct cells
-//!   on the bounded self-scheduling worker pool of
-//!   `ttsv_validate::pool`. It is also the per-tile reference.
+//! * [`ChipEngine::evaluate`] runs any model, for those that are not
+//!   power-separable (the FEM reference, the 1-D baseline). It
+//!   deduplicates bit-identical tiles within the call (a 32×32 hotspot
+//!   map with 3 power levels costs 3 solves, not 1024) and solves the
+//!   distinct cells on the bounded self-scheduling batch runner of
+//!   `ttsv_core::batch`. It is also the per-tile reference.
 //! * [`ChipEngine::evaluate_factored`] runs
 //!   [`PowerSeparableModel`](ttsv_core::scenario::PowerSeparableModel)s
-//!   (Model B). Each distinct geometry (via density) is factorized once
-//!   into Model B's hotspot kernel, which the **matrix tier** keeps
+//!   (Model A and Model B). Each distinct geometry (via density) is
+//!   factorized once into the ladder's hotspot kernel, which the **matrix tier** keeps
 //!   across calls (keyed on exact geometry bits plus the model's
 //!   [`cache_tag`](ttsv_core::scenario::ThermalModel::cache_tag)). Every
 //!   tile then costs one kernel call of a few hundred nanoseconds, so an

@@ -19,6 +19,10 @@ pub struct ChipReport {
     /// Hottest tile's `ΔT` (K).
     pub max_delta_t: f64,
     /// Area-weighted mean `ΔT` over the tiles (K); tiles have equal area.
+    /// Computed as `t₀ + Σᵢ (tᵢ − t₀) / n`, with `t₀` the first tile and
+    /// the offsets summed left to right in row-major order, so a flat
+    /// map's mean is bitwise its tile value. It differs from the plain
+    /// `Σᵢ tᵢ / n` only by rounding.
     pub mean_delta_t: f64,
     /// 99th-percentile tile `ΔT` (K).
     pub p99_delta_t: f64,
@@ -109,22 +113,25 @@ impl ChipReport {
         changed
     }
 
-    /// Max (first hit in row-major order), argmax, mean (row-major
-    /// summation) and, when `select_p99`, the nearest-rank p99 of the `ΔT`
-    /// map.
+    /// Max (first hit in row-major order), argmax, mean and, when
+    /// `select_p99`, the nearest-rank p99 of the `ΔT` map. The mean sums
+    /// each tile's offset from tile 0 in row-major order, so a flat map's
+    /// mean is bitwise its tile value (a plain sum of equal values
+    /// rounds).
     fn summarize(&mut self, select_p99: bool) {
         let mut max_delta_t = f64::NEG_INFINITY;
         let mut argmax = 0;
-        let mut sum = 0.0;
+        let first = self.delta_t[0];
+        let mut offsets = 0.0;
         for (i, &dt) in self.delta_t.iter().enumerate() {
-            sum += dt;
+            offsets += dt - first;
             if dt > max_delta_t {
                 max_delta_t = dt;
                 argmax = i;
             }
         }
         self.max_delta_t = max_delta_t;
-        self.mean_delta_t = sum / self.tiles as f64;
+        self.mean_delta_t = first + offsets / self.tiles as f64;
         if select_p99 {
             self.p99_delta_t = percentile(&mut self.delta_t.clone(), 0.99);
         }

@@ -75,6 +75,35 @@ fn model() -> ModelA {
     ModelA::with_coefficients(CaseStudy::paper_fitting())
 }
 
+/// The body of `factored_batch_matches_per_tile_solves` for one model.
+fn check_factored_matches_per_tile<M: PowerSeparableModel + Sync>(
+    plan: &Floorplan,
+    model: &M,
+) -> Result<(), TestCaseError> {
+    let per_tile = per_tile_delta_t(plan, model);
+    let engine = ChipEngine::new();
+    let factored = engine.evaluate_factored(plan, model).expect("solvable");
+    prop_assert_eq!(factored.distinct_cells, distinct_densities(plan));
+    for (ft, pt) in factored.delta_t.iter().zip(&per_tile) {
+        prop_assert!(
+            ft.to_bits() == pt.to_bits(),
+            "{}: factored {ft} vs per-tile {pt}",
+            model.name()
+        );
+        let rel = (ft - pt).abs() / pt.abs().max(f64::MIN_POSITIVE);
+        prop_assert!(rel <= 1e-15);
+    }
+    // One factorization per distinct density; a full kernel pass counts
+    // no solves.
+    prop_assert_eq!(engine.factorizations(), distinct_densities(plan));
+    prop_assert_eq!(engine.solves(), 0);
+    // A repeat performs 0 factorizations and gives a bitwise-equal map.
+    let again = engine.evaluate_factored(plan, model).expect("solvable");
+    prop_assert_eq!(engine.factorizations(), distinct_densities(plan));
+    prop_assert_eq!(&again.delta_t, &factored.delta_t);
+    Ok(())
+}
+
 /// Every tile's `ΔT` in kelvin, solved on its own unit cell (row-major) —
 /// the reference the engine's dedup and matrix tier must reproduce
 /// bitwise.
@@ -166,36 +195,17 @@ proptest! {
         prop_assert_eq!(engine.solves(), distinct_tiles(&plan));
     }
 
-    /// The factor-once path is equivalent to per-tile solves: one
-    /// factorization per distinct via density, one hotspot-kernel
-    /// evaluation per tile — and the resulting map
-    /// matches the assemble-factorize-solve-per-tile path bitwise (so
-    /// trivially within the 1e-15 relative bound the serving contract
-    /// promises).
+    /// The factor-once path is equivalent to per-tile solves, for both
+    /// power-separable models: one factorization per distinct via
+    /// density, one hotspot-kernel evaluation per tile — and the
+    /// resulting map matches the assemble-factorize-solve-per-tile path
+    /// bitwise (so trivially within the 1e-15 relative bound the serving
+    /// contract promises).
     #[test]
     fn factored_batch_matches_per_tile_solves(p in plan_params()) {
         let plan = build(&p);
-        let model = ModelB::paper_b20();
-        let per_tile = per_tile_delta_t(&plan, &model);
-        let engine = ChipEngine::new();
-        let factored = engine.evaluate_factored(&plan, &model).expect("solvable");
-        prop_assert_eq!(factored.distinct_cells, distinct_densities(&plan));
-        for (ft, pt) in factored.delta_t.iter().zip(&per_tile) {
-            prop_assert!(
-                ft.to_bits() == pt.to_bits(),
-                "factored {ft} vs per-tile {pt}"
-            );
-            let rel = (ft - pt).abs() / pt.abs().max(f64::MIN_POSITIVE);
-            prop_assert!(rel <= 1e-15);
-        }
-        // One factorization per distinct density; a full kernel pass
-        // counts no solves.
-        prop_assert_eq!(engine.factorizations(), distinct_densities(&plan));
-        prop_assert_eq!(engine.solves(), 0);
-        // A repeat performs 0 factorizations and gives a bitwise-equal map.
-        let again = engine.evaluate_factored(&plan, &model).expect("solvable");
-        prop_assert_eq!(engine.factorizations(), distinct_densities(&plan));
-        prop_assert_eq!(&again.delta_t, &factored.delta_t);
+        check_factored_matches_per_tile(&plan, &ModelB::paper_b20())?;
+        check_factored_matches_per_tile(&plan, &model())?;
     }
 
     /// The batch runner is deterministic in the worker count: 1, 2, and

@@ -1,7 +1,6 @@
 //! Error type for the analytical models.
 
 use ttsv_linalg::LinalgError;
-use ttsv_network::NetworkError;
 
 /// Errors from building or solving the analytical TTSV models.
 #[derive(Debug, Clone, PartialEq)]
@@ -17,8 +16,6 @@ pub enum CoreError {
         /// Human-readable description of the invalid map or parameter.
         reason: String,
     },
-    /// The underlying resistive-network solve failed.
-    Network(NetworkError),
     /// A direct linear solve failed.
     Linalg(LinalgError),
 }
@@ -28,7 +25,6 @@ impl core::fmt::Display for CoreError {
         match self {
             CoreError::InvalidScenario { reason } => write!(f, "invalid scenario: {reason}"),
             CoreError::InvalidFloorplan { reason } => write!(f, "invalid floorplan: {reason}"),
-            CoreError::Network(e) => write!(f, "network solve failed: {e}"),
             CoreError::Linalg(e) => write!(f, "linear solve failed: {e}"),
         }
     }
@@ -37,16 +33,9 @@ impl core::fmt::Display for CoreError {
 impl std::error::Error for CoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CoreError::Network(e) => Some(e),
             CoreError::Linalg(e) => Some(e),
             CoreError::InvalidScenario { .. } | CoreError::InvalidFloorplan { .. } => None,
         }
-    }
-}
-
-impl From<NetworkError> for CoreError {
-    fn from(e: NetworkError) -> Self {
-        CoreError::Network(e)
     }
 }
 
@@ -72,9 +61,6 @@ mod tests {
         }
         .to_string()
         .contains("negative tile power"));
-        assert!(CoreError::Network(NetworkError::NoReference)
-            .to_string()
-            .contains("reference"));
         assert!(CoreError::Linalg(LinalgError::Singular { pivot: 2 })
             .to_string()
             .contains("singular"));

@@ -7,7 +7,8 @@
 //! * [`ModelA`](model_a::ModelA) — the compact per-plane resistive network
 //!   (paper §II, eqs. 1–16) with fitting coefficients `k₁`/`k₂`,
 //! * [`ModelB`](model_b::ModelB) — the distributed π-segment ladder
-//!   (paper §III, eqs. 17–21) with no fitting coefficients,
+//!   (paper §III, eqs. 17–21) with no fitting coefficients; both solve
+//!   the shared [`ladder`] down to one [`LadderKernel`](ladder::LadderKernel),
 //! * [`OneDModel`](one_d::OneDModel) — the traditional 1-D baseline the
 //!   paper argues against (effective-medium vertical stack, no lateral
 //!   liner path),
@@ -39,10 +40,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod batch;
 mod error;
 pub mod fitting;
 pub mod full_chip;
 pub mod geometry;
+pub mod ladder;
 pub mod model_a;
 pub mod model_b;
 pub mod one_d;
@@ -57,8 +60,9 @@ pub mod prelude {
     pub use crate::fitting::FittingCoefficients;
     pub use crate::full_chip::CaseStudy;
     pub use crate::geometry::{HeatLoad, Plane, Stack, TtsvConfig};
+    pub use crate::ladder::LadderKernel;
     pub use crate::model_a::ModelA;
-    pub use crate::model_b::{ModelB, ModelBFactorization, Segmentation};
+    pub use crate::model_b::{ModelB, Segmentation};
     pub use crate::one_d::OneDModel;
     pub use crate::package::{Package, WithPackage};
     pub use crate::scenario::{PowerSeparableModel, Scenario, ThermalModel};

@@ -6,14 +6,19 @@
 //! (eq. 1). Heat `q_j` enters at each plane's bulk node, and the whole
 //! stack drains through the lumped substrate resistance `R_s` (eq. 16),
 //! giving `T₀ = R_s·Σq` (eq. 6).
+//!
+//! That network is the [ladder](crate::ladder) with one segment per plane.
+//! Eq. 1's merged node is the top segment's `B_n`: its via node `V_n` links
+//! only `B_n` (`R_lat`) and `V_{n-1}` (`R_fill`) and carries no source, so
+//! `B_n`–`V_{n-1}` see exactly the series branch.
 
-use ttsv_network::{NodeId, Terminal, ThermalNetwork};
 use ttsv_units::{Power, TemperatureDelta};
 
 use crate::error::CoreError;
 use crate::fitting::FittingCoefficients;
+use crate::ladder::{LadderKernel, ResponseBasis, Segment};
 use crate::resistances::{model_a_resistances, ModelAResistances};
-use crate::scenario::{Scenario, ThermalModel};
+use crate::scenario::{PowerSeparableModel, Scenario, ThermalModel};
 
 /// The compact analytical TTSV model with fitting coefficients.
 ///
@@ -54,77 +59,30 @@ impl ModelA {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Network`] if the KCL solve fails (cannot happen
-    /// for validated scenarios) and propagates scenario validation errors.
+    /// Returns [`CoreError::InvalidScenario`] for a negative or
+    /// non-finite plane power and [`CoreError::Linalg`] if the ladder
+    /// factorization fails (cannot happen for validated scenarios).
     pub fn solve(&self, scenario: &Scenario) -> Result<ModelASolution, CoreError> {
         let resistances = model_a_resistances(scenario.stack(), scenario.tsv(), &self.fit);
-        let n = scenario.stack().plane_count();
-
-        let mut net = ThermalNetwork::new();
-        let t0 = net.add_node("substrate.top (T0)");
-        net.add_resistor(t0, Terminal::Ground, resistances.substrate);
-
-        // Bulk/via node per non-top plane; single merged node for the top.
-        let mut bulk: Vec<NodeId> = Vec::with_capacity(n);
-        let mut via: Vec<Option<NodeId>> = Vec::with_capacity(n);
-        for j in 0..n {
-            if j + 1 == n {
-                bulk.push(net.add_node(format!("plane{}.top", j + 1)));
-                via.push(None);
-            } else {
-                bulk.push(net.add_node(format!("plane{}.bulk", j + 1)));
-                via.push(Some(net.add_node(format!("plane{}.via", j + 1))));
-            }
-        }
-
-        for j in 0..n {
-            let r = &resistances.planes[j];
-            let (below_bulk, below_via) = if j == 0 {
-                (t0, t0)
-            } else {
-                (bulk[j - 1], via[j - 1].expect("below top"))
-            };
-            if let Some(v) = via[j] {
-                // Non-top plane: three separate resistors.
-                net.add_resistor(bulk[j], below_bulk, r.bulk);
-                net.add_resistor(v, below_via, r.fill);
-                net.add_resistor(bulk[j], v, r.liner_lateral);
-            } else {
-                // Top plane: bulk resistor plus the series via branch
-                // R_fill + R_lat from the merged node (eq. 1).
-                net.add_resistor(bulk[j], below_bulk, r.bulk);
-                net.add_resistor(bulk[j], below_via, r.fill + r.liner_lateral);
-            }
-            net.add_source(bulk[j], scenario.plane_powers()[j]);
-        }
-
-        let solution = net.solve()?;
-        let t0_val = solution.temperature(t0);
-        let bulk_temps: Vec<TemperatureDelta> =
-            bulk.iter().map(|b| solution.temperature(*b)).collect();
-        let via_temps: Vec<Option<TemperatureDelta>> = via
-            .iter()
-            .map(|v| v.map(|v| solution.temperature(v)))
-            .collect();
-        let max = bulk_temps
-            .iter()
-            .chain(via_temps.iter().flatten())
-            .chain(std::iter::once(&t0_val))
-            .copied()
-            .fold(TemperatureDelta::ZERO, TemperatureDelta::max);
-
+        let t = with_ladder(&resistances, |basis| {
+            basis.temperatures(scenario.plane_powers())
+        })??;
+        let n = resistances.planes.len();
+        let kelvin = TemperatureDelta::from_kelvin;
         Ok(ModelASolution {
+            t0: kelvin(t[0]),
+            bulk: (0..n).map(|j| kelvin(t[1 + 2 * j])).collect(),
+            via: (0..n)
+                .map(|j| (j + 1 < n).then(|| kelvin(t[2 + 2 * j])))
+                .collect(),
+            max: kelvin(t.iter().copied().fold(f64::NEG_INFINITY, f64::max)),
             resistances,
-            t0: t0_val,
-            bulk: bulk_temps,
-            via: via_temps,
-            max,
         })
     }
 
     /// Solves the three-plane system by direct transcription of the paper's
     /// eqs. (1)–(6) into a 5×5 linear system — an independent cross-check of
-    /// the network formulation used by [`ModelA::solve`].
+    /// the ladder formulation used by [`ModelA::solve`].
     ///
     /// # Errors
     ///
@@ -230,11 +188,50 @@ impl ThermalModel for ModelA {
         // The display name omits the fitting coefficients, which change
         // the results — fold their exact bits into the cache identity.
         format!(
-            "Model A[k1={:016x},k2={:016x}]",
+            "Model A[k1={:016x},k2={:016x},c={:016x}]",
             self.fit.k1().to_bits(),
-            self.fit.k2().to_bits()
+            self.fit.k2().to_bits(),
+            self.fit.lateral_spreading().to_bits()
         )
     }
+}
+
+impl PowerSeparableModel for ModelA {
+    type Factorization = LadderKernel;
+
+    fn factorize_geometry(&self, scenario: &Scenario) -> Result<LadderKernel, CoreError> {
+        let resistances = model_a_resistances(scenario.stack(), scenario.tsv(), &self.fit);
+        with_ladder(&resistances, LadderKernel::from_basis)
+    }
+
+    fn solve_with_powers(
+        &self,
+        factorization: &LadderKernel,
+        plane_powers: &[Power],
+    ) -> Result<TemperatureDelta, CoreError> {
+        factorization.max_delta_t(plane_powers)
+    }
+}
+
+/// Hands `f` the unit-response basis of Model A's ladder: one segment per
+/// plane with its bulk, fill and liner resistances, grounded through the
+/// fitted `R_s`, each plane's power entering its bulk node.
+fn with_ladder<T>(
+    resistances: &ModelAResistances,
+    f: impl FnOnce(&ResponseBasis<'_>) -> T,
+) -> Result<T, CoreError> {
+    let segments: Vec<Segment> = resistances
+        .planes
+        .iter()
+        .map(|r| Segment {
+            r_bulk: r.bulk.as_kelvin_per_watt(),
+            r_fill: r.fill.as_kelvin_per_watt(),
+            r_lat: r.liner_lateral.as_kelvin_per_watt(),
+        })
+        .collect();
+    let heated: Vec<_> = (0..segments.len()).map(|p| p..p + 1).collect();
+    let rs = resistances.substrate.as_kelvin_per_watt();
+    ResponseBasis::with(&segments, rs, &heated, f)
 }
 
 /// Model A node temperatures and the resistances that produced them.
@@ -294,7 +291,9 @@ impl ModelASolution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::TtsvConfig;
+    use crate::geometry::{HeatLoad, TtsvConfig};
+    use proptest::prelude::*;
+    use ttsv_network::{NodeId, Terminal, ThermalNetwork};
     use ttsv_units::Length;
 
     fn um(v: f64) -> Length {
@@ -309,22 +308,109 @@ mod tests {
             .unwrap()
     }
 
+    /// The paper's network (Fig. 2, eq. 1) assembled node by node in the
+    /// generic [`ThermalNetwork`]: a bulk and a via node per non-top
+    /// plane, one merged top node with the series `R_fill + R_lat` branch.
+    fn network_solve(model: &ModelA, scenario: &Scenario) -> ModelASolution {
+        let resistances = model_a_resistances(scenario.stack(), scenario.tsv(), &model.fit);
+        let n = resistances.planes.len();
+        let mut net = ThermalNetwork::new();
+        let t0 = net.add_node("T0");
+        net.add_resistor(t0, Terminal::Ground, resistances.substrate);
+        let bulk: Vec<NodeId> = (0..n).map(|j| net.add_node(format!("B{j}"))).collect();
+        let via: Vec<Option<NodeId>> = (0..n)
+            .map(|j| (j + 1 < n).then(|| net.add_node(format!("V{j}"))))
+            .collect();
+        for (j, r) in resistances.planes.iter().enumerate() {
+            let (below_bulk, below_via) = match j {
+                0 => (t0, t0),
+                _ => (bulk[j - 1], via[j - 1].expect("below the top")),
+            };
+            net.add_resistor(bulk[j], below_bulk, r.bulk);
+            match via[j] {
+                Some(v) => {
+                    net.add_resistor(v, below_via, r.fill);
+                    net.add_resistor(bulk[j], v, r.liner_lateral);
+                }
+                None => {
+                    net.add_resistor(bulk[j], below_via, r.fill + r.liner_lateral);
+                }
+            }
+            net.add_source(bulk[j], scenario.plane_powers()[j]);
+        }
+        let sol = net.solve().unwrap();
+        let bulk: Vec<_> = bulk.iter().map(|&b| sol.temperature(b)).collect();
+        let via: Vec<_> = via.iter().map(|v| v.map(|v| sol.temperature(v))).collect();
+        let max = bulk
+            .iter()
+            .chain(via.iter().flatten())
+            .fold(sol.temperature(t0), |m, &t| m.max(t));
+        ModelASolution {
+            resistances,
+            t0: sol.temperature(t0),
+            bulk,
+            via,
+            max,
+        }
+    }
+
+    proptest! {
+        /// The ladder is the paper's network: t0, every bulk node, every
+        /// non-top via node and the max agree with the generic network
+        /// solve to rounding, over random stacks, loads and fits.
+        #[test]
+        fn ladder_matches_the_network_reference(
+            (r, tl, t_si, planes) in (1.0..20.0f64, 0.1..3.0f64, 5.0..80.0f64, 2usize..6),
+            watts in prop::collection::vec(0.0..50.0f64, 5),
+            (k1, k2, c) in (0.5..2.0f64, 0.5..2.0f64, 0.5..3.0f64),
+        ) {
+            let s = Scenario::paper_block()
+                .with_tsv(TtsvConfig::new(um(r), um(tl)))
+                .with_upper_si_thickness(um(t_si))
+                .with_planes(planes)
+                .with_load(HeatLoad::PerPlane(
+                    watts[..planes].iter().map(|&w| Power::from_watts(w)).collect(),
+                ))
+                .build()
+                .unwrap();
+            let model =
+                ModelA::with_coefficients(FittingCoefficients::with_lateral_spreading(k1, k2, c));
+            let ladder = model.solve(&s).unwrap();
+            let net = network_solve(&model, &s);
+            let close = |a: TemperatureDelta, b: TemperatureDelta| {
+                let (a, b) = (a.as_kelvin(), b.as_kelvin());
+                (a - b).abs() <= 1e-12 * b.abs()
+            };
+            prop_assert!(close(ladder.t0(), net.t0()), "t0 {} vs {}", ladder.t0(), net.t0());
+            prop_assert!(close(ladder.max_delta_t(), net.max_delta_t()));
+            for (a, b) in ladder.bulk_temperatures().iter().zip(net.bulk_temperatures()) {
+                prop_assert!(close(*a, *b), "bulk {a} vs {b}");
+            }
+            for (a, b) in ladder.via_temperatures().iter().zip(net.via_temperatures()) {
+                match (a, b) {
+                    (Some(a), Some(b)) => prop_assert!(close(*a, *b), "via {a} vs {b}"),
+                    (a, b) => prop_assert!(a.is_none() && b.is_none()),
+                }
+            }
+        }
+    }
+
     #[test]
-    fn network_and_direct_transcription_agree() {
+    fn ladder_and_direct_transcription_agree() {
         let model = ModelA::with_coefficients(FittingCoefficients::paper_block());
         for (r, tl) in [(5.0, 0.5), (5.0, 3.0), (10.0, 1.0), (2.0, 0.5)] {
             let s = fig5_scenario(r, tl);
-            let net = model.solve(&s).unwrap();
+            let ladder = model.solve(&s).unwrap();
             let direct = model.solve_three_plane_direct(&s).unwrap();
             assert!(
-                (net.max_delta_t().as_kelvin() - direct.max_delta_t().as_kelvin()).abs()
-                    < 1e-9 * net.max_delta_t().as_kelvin(),
-                "r={r} tl={tl}: network {} vs direct {}",
-                net.max_delta_t(),
+                (ladder.max_delta_t().as_kelvin() - direct.max_delta_t().as_kelvin()).abs()
+                    < 1e-9 * ladder.max_delta_t().as_kelvin(),
+                "r={r} tl={tl}: ladder {} vs direct {}",
+                ladder.max_delta_t(),
                 direct.max_delta_t()
             );
             for j in 0..3 {
-                let a = net.bulk_temperatures()[j].as_kelvin();
+                let a = ladder.bulk_temperatures()[j].as_kelvin();
                 let b = direct.bulk_temperatures()[j].as_kelvin();
                 assert!((a - b).abs() < 1e-9 * a.max(1.0), "plane {j}: {a} vs {b}");
             }

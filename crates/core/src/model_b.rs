@@ -4,29 +4,14 @@
 //! the bottom (the first carries the bonding-layer resistance), ILD segments
 //! on top. Every segment contributes a vertical bulk resistor, a vertical
 //! via-fill resistor (`R_M/n`), and a lateral liner resistor (`n·R_L`);
-//! plane heat enters the ILD bulk nodes as `q_j/n_D` (eq. 20). The
-//! resulting KCL system `A·T = b` (eq. 19) is symmetric positive-definite
-//! and, with interleaved bulk/via numbering, block tridiagonal with 2×2
-//! blocks — factored in `O(n)` by the dedicated [`BlockTridiagonal`]
-//! kernel. A generic banded LU and a CG path over the same ladder remain
-//! in the tests as independent cross-checks.
-//!
-//! The matrix depends only on geometry and the right-hand side is linear
-//! in the plane powers, so every path solves the `n_planes` unit
-//! right-hand sides once and superposes: node `i` sits at
-//! `Σ_p P_p·u_p[i]`, always evaluated by one shared expression.
-//! [`ModelB::solve`] superposes every node into a [`ModelBSolution`];
-//! [`ModelB::factorize`] prunes the unit responses into a
-//! [`ModelBFactorization`] hotspot kernel that answers a power vector
-//! with a few hundred multiply-adds, bitwise equal to the full solve's
-//! maximum.
+//! plane heat enters the ILD bulk nodes as `q_j/n_D` (eq. 20). The KCL
+//! system (eq. 19) is the shared [ladder](crate::ladder); a generic banded
+//! LU and a CG path over it remain in the tests as cross-checks.
 
-use std::cell::RefCell;
-
-use ttsv_linalg::{BlockTridiagonal, BlockTridiagonalLu};
 use ttsv_units::{Power, TemperatureDelta, ThermalResistance};
 
 use crate::error::CoreError;
+use crate::ladder::{LadderKernel, ResponseBasis, Segment};
 use crate::resistances::distributed_plane_resistances;
 use crate::scenario::{Scenario, ThermalModel};
 
@@ -117,6 +102,19 @@ impl Segmentation {
     pub fn total(&self) -> usize {
         self.per_plane.iter().map(PlaneSegments::total).sum()
     }
+
+    /// Each plane's heated segments — its ILD segments, at least one per
+    /// plane (eq. 20) — as ladder indices, bottom → top.
+    fn heated(&self) -> Vec<std::ops::Range<usize>> {
+        let mut end = 0;
+        self.per_plane
+            .iter()
+            .map(|seg| {
+                end += seg.total();
+                end - seg.ild..end
+            })
+            .collect()
+    }
 }
 
 /// The distributed analytical TTSV model (no fitting coefficients).
@@ -198,7 +196,7 @@ impl ModelB {
     }
 
     /// Factorizes the ladder for this scenario's *geometry* into a
-    /// [`ModelBFactorization`] hotspot kernel: the KCL matrix (eq. 19)
+    /// [`LadderKernel`]: the KCL matrix (eq. 19)
     /// depends on the stack, the TSV, and the segment scheme but not on
     /// the plane powers, so the kernel answers any power vector on the
     /// same geometry bit-for-bit identically to [`ModelB::solve`]'s
@@ -207,7 +205,7 @@ impl ModelB {
     /// # Errors
     ///
     /// Propagates segmentation/solver failures as [`CoreError`].
-    pub fn factorize(&self, scenario: &Scenario) -> Result<ModelBFactorization, CoreError> {
+    pub fn factorize(&self, scenario: &Scenario) -> Result<LadderKernel, CoreError> {
         self.factorize_segmented(scenario, &self.segmentation(scenario))
     }
 
@@ -220,8 +218,10 @@ impl ModelB {
         &self,
         scenario: &Scenario,
         segmentation: &Segmentation,
-    ) -> Result<ModelBFactorization, CoreError> {
-        ResponseBasis::with(scenario, segmentation, ModelBFactorization::from_basis)
+    ) -> Result<LadderKernel, CoreError> {
+        let segments = build_segments(scenario, segmentation)?;
+        let (rs, heated) = (substrate_resistance(scenario), segmentation.heated());
+        ResponseBasis::with(&segments, rs, &heated, LadderKernel::from_basis)
     }
 
     /// Solves with an explicit segmentation.
@@ -234,9 +234,12 @@ impl ModelB {
         scenario: &Scenario,
         segmentation: &Segmentation,
     ) -> Result<ModelBSolution, CoreError> {
-        ResponseBasis::with(scenario, segmentation, |basis| {
-            basis.solution(scenario.plane_powers())
-        })?
+        let segments = build_segments(scenario, segmentation)?;
+        let rs = substrate_resistance(scenario);
+        let t = ResponseBasis::with(&segments, rs, &segmentation.heated(), |basis| {
+            basis.temperatures(scenario.plane_powers())
+        })??;
+        Ok(ModelBSolution::from_parts(&t, segmentation))
     }
 
     /// This model's *(first, others)* scheme materialized for a stack.
@@ -269,28 +272,19 @@ impl ThermalModel for ModelB {
 }
 
 impl crate::scenario::PowerSeparableModel for ModelB {
-    type Factorization = ModelBFactorization;
+    type Factorization = LadderKernel;
 
-    fn factorize_geometry(&self, scenario: &Scenario) -> Result<ModelBFactorization, CoreError> {
+    fn factorize_geometry(&self, scenario: &Scenario) -> Result<LadderKernel, CoreError> {
         self.factorize(scenario)
     }
 
     fn solve_with_powers(
         &self,
-        factorization: &ModelBFactorization,
+        factorization: &LadderKernel,
         plane_powers: &[Power],
     ) -> Result<TemperatureDelta, CoreError> {
         factorization.max_delta_t(plane_powers)
     }
-}
-
-/// One π-segment's resistances in K/W (the heat inputs live in the
-/// unit right-hand sides of [`ResponseBasis::with`]).
-#[derive(Debug, Clone, Copy)]
-struct Segment {
-    r_bulk: f64,
-    r_fill: f64,
-    r_lat: f64,
 }
 
 /// Unfitted lumped substrate resistance `R_s` (eq. 16 with `k₁ = 1`).
@@ -372,52 +366,7 @@ fn build_segments(
     Ok(segments)
 }
 
-/// Assembles and factorizes the ladder matrix (geometry only — the heat
-/// inputs live entirely in the right-hand side) in its natural 2×2
-/// block-tridiagonal form, for block Thomas elimination.
-///
-/// Unknowns are padded to an even count — block 0 is `(T₀, dummy)` with a
-/// decoupled unit-diagonal dummy, block `s + 1` is `(B_s, V_s)` — so T₀'s
-/// coupling to both first-segment nodes lands in the single off-diagonal
-/// block between blocks 0 and 1.
-fn factorize_ladder(segments: &[Segment], rs: f64) -> Result<BlockTridiagonalLu, CoreError> {
-    let n_seg = segments.len();
-    let nb = n_seg + 1;
-
-    // Assemble the blocks directly — the ladder stencil is known, so no
-    // per-entry indexing: D[0] holds T₀ (grounded through Rs and coupled
-    // to both first-segment nodes) plus the decoupled dummy; D[s+1] holds
-    // (B_s, V_s) with the lateral liner rung on the off-diagonal; the
-    // inter-block coupling blocks are diagonal (bulk→bulk, via→via),
-    // except the first, where T₀ reaches both chains. Each segment's
-    // conductances are computed once and carried to the next block,
-    // where they couple it to the one below.
-    let conductances = |seg: &Segment| (1.0 / seg.r_bulk, 1.0 / seg.r_fill);
-    let mut diag = Vec::with_capacity(nb);
-    let mut lower = Vec::with_capacity(nb - 1);
-    let mut upper = Vec::with_capacity(nb - 1);
-
-    let (mut gb, mut gf) = conductances(&segments[0]);
-    diag.push([1.0 / rs + gb + gf, 0.0, 0.0, 1.0]);
-    upper.push([-gb, -gf, 0.0, 0.0]);
-    lower.push([-gb, 0.0, -gf, 0.0]);
-    for (s, seg) in segments.iter().enumerate() {
-        let (up_b, up_f) = segments.get(s + 1).map_or((0.0, 0.0), conductances);
-        let lat = 1.0 / seg.r_lat;
-        diag.push([gb + lat + up_b, -lat, -lat, gf + lat + up_f]);
-        if s + 1 < n_seg {
-            upper.push([-up_b, 0.0, 0.0, -up_f]);
-            lower.push([-up_b, 0.0, 0.0, -up_f]);
-        }
-        (gb, gf) = (up_b, up_f);
-    }
-
-    Ok(BlockTridiagonal::from_blocks(diag, lower, upper).factorize()?)
-}
-
-/// Index of each plane's topmost segment — shared by the solution and
-/// the reference ladder solvers in the tests, so they can never disagree
-/// on the plane layout.
+/// Index of each plane's topmost segment.
 fn plane_top_segments(segmentation: &Segmentation) -> Vec<usize> {
     let mut tops = Vec::with_capacity(segmentation.per_plane().len());
     let mut acc = 0;
@@ -426,364 +375,6 @@ fn plane_top_segments(segmentation: &Segmentation) -> Vec<usize> {
         tops.push(acc - 1);
     }
     tops
-}
-
-/// The `Σ_p P_p·u_p` superposition — summed in plane order from `0.0`,
-/// with `response[p]` the node's response to one watt on plane `p` — that
-/// every Model B path evaluates, so they all agree bitwise.
-///
-/// Powers are validated finite and non-negative, and rounded products
-/// and sums are monotone, so `u ≤ v` componentwise implies
-/// `superpose(P, u) ≤ superpose(P, v)` in floating point, not just in real
-/// arithmetic. The hotspot kernel's pruning rests on exactly that.
-#[inline]
-fn superpose(powers: &[Power], response: &[f64]) -> f64 {
-    let mut t = 0.0;
-    for (power, u) in powers.iter().zip(response) {
-        t += power.as_watts() * u;
-    }
-    t
-}
-
-/// Entries per block of the hotspot kernel's scan.
-const BLOCK: usize = 16;
-
-/// [`superpose`] for the `BLOCK` consecutive entries at `start` of a
-/// plane-major array (`soa[p * stride + i]`): each lane runs the same
-/// operations in the same order, so lane `k` is bitwise [`superpose`] of
-/// entry `start + k`, and the plane loop vectorizes across the lanes.
-#[inline]
-fn superpose_block(powers: &[Power], soa: &[f64], stride: usize, start: usize) -> [f64; BLOCK] {
-    let mut acc = [0.0; BLOCK];
-    for (p, power) in powers.iter().enumerate() {
-        let w = power.as_watts();
-        for (a, u) in acc.iter_mut().zip(&soa[p * stride + start..][..BLOCK]) {
-            *a += w * u;
-        }
-    }
-    acc
-}
-
-/// The power-vector validation shared by every solve entry point.
-fn validate_powers(n_planes: usize, plane_powers: &[Power]) -> Result<(), CoreError> {
-    if plane_powers.len() != n_planes {
-        return Err(CoreError::InvalidScenario {
-            reason: format!(
-                "factorization covers {n_planes} planes, got {} powers",
-                plane_powers.len()
-            ),
-        });
-    }
-    if let Some(p) = plane_powers
-        .iter()
-        .find(|p| !p.as_watts().is_finite() || p.as_watts() < 0.0)
-    {
-        return Err(CoreError::InvalidScenario {
-            reason: format!("plane power must be finite and non-negative, got {p}"),
-        });
-    }
-    Ok(())
-}
-
-thread_local! {
-    /// This thread's lane-interleaved unit-response buffer, reused across
-    /// factorizations: at the serving geometry it is 128 KB, and touching
-    /// that much fresh memory per factorization costs more in page faults
-    /// than the solve that fills it.
-    static RESPONSES: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The ladder's unit responses: every node temperature under one watt on
-/// each plane (eq. 20's `q_j / n_D` per heated ILD segment), from a
-/// single factorization. Transient — [`ModelB::solve`] superposes it into
-/// a [`ModelBSolution`], [`ModelB::factorize`] prunes it into a
-/// [`ModelBFactorization`].
-struct ResponseBasis<'a> {
-    n_seg: usize,
-    n_planes: usize,
-    /// Planes rounded up to whole four-lane passes.
-    width: usize,
-    /// Node-major responses over the padded unknowns:
-    /// `u[i * width + p]` is unknown `i`'s response to one watt on plane
-    /// `p`, zero in the lanes past `n_planes`. See
-    /// [`ResponseBasis::node`].
-    u: &'a [f64],
-    plane_top_segment: Vec<usize>,
-}
-
-impl ResponseBasis<'_> {
-    /// Factorizes the ladder, solves the `n_planes` unit right-hand sides
-    /// four lanes per pass over the factors
-    /// ([`BlockTridiagonalLu::solve_interleaved_x4`]), and hands the basis
-    /// to `f`.
-    fn with<T>(
-        scenario: &Scenario,
-        segmentation: &Segmentation,
-        f: impl FnOnce(&ResponseBasis<'_>) -> T,
-    ) -> Result<T, CoreError> {
-        let segments = build_segments(scenario, segmentation)?;
-        let lu = factorize_ladder(&segments, substrate_resistance(scenario))?;
-        let n_seg = segments.len();
-        let n_planes = segmentation.per_plane().len();
-        let passes = n_planes.div_ceil(4);
-        let pass_len = 4 * lu.dim();
-        RESPONSES.with_borrow_mut(|lanes| {
-            lanes.clear();
-            lanes.resize(passes * pass_len, 0.0);
-            // The heated segments: a lumped plane's single segment takes
-            // the whole plane power (`1 / 1.0` is exactly 1), an ILD
-            // segment `1 / n_D` of it, a silicon segment none. Block
-            // `s + 1` of the padded unknowns holds `(B_s, V_s)`.
-            let mut s = 0;
-            for (j, seg) in segmentation.per_plane().iter().enumerate() {
-                let (silicon, heated) = if seg.total() == 1 {
-                    (0, 1)
-                } else {
-                    (seg.silicon, seg.ild)
-                };
-                s += silicon;
-                for _ in 0..heated {
-                    lanes[(j / 4) * pass_len + 4 * (2 * s + 2) + j % 4] = 1.0 / heated as f64;
-                    s += 1;
-                }
-            }
-            debug_assert_eq!(s, n_seg);
-            for z in lanes.chunks_exact_mut(pass_len) {
-                lu.solve_interleaved_x4(z)?;
-            }
-
-            // One pass is already node-major; more are interleaved side
-            // by side.
-            let width = 4 * passes;
-            let interleaved;
-            let u = if passes == 1 {
-                &lanes[..]
-            } else {
-                let mut u = vec![0.0; lanes.len()];
-                for (pass, z) in lanes.chunks_exact(pass_len).enumerate() {
-                    for (i, lane) in z.chunks_exact(4).enumerate() {
-                        u[i * width + 4 * pass..][..4].copy_from_slice(lane);
-                    }
-                }
-                interleaved = u;
-                &interleaved[..]
-            };
-            Ok(f(&ResponseBasis {
-                n_seg,
-                n_planes,
-                width,
-                u,
-                plane_top_segment: plane_top_segments(segmentation),
-            }))
-        })
-    }
-
-    fn n_nodes(&self) -> usize {
-        1 + 2 * self.n_seg
-    }
-
-    /// Ladder node `k`'s responses, one per lane (`width` of them), in
-    /// `[T0, B₁, V₁, B₂, V₂, …]` order: T0 is unknown 0, node `k ≥ 1`
-    /// unknown `k + 1` — unknown 1 is the decoupled dummy.
-    fn node(&self, k: usize) -> &[f64] {
-        &self.u[(k + usize::from(k > 0)) * self.width..][..self.width]
-    }
-
-    /// Every node temperature under `plane_powers`, by [`superpose`].
-    fn solution(&self, plane_powers: &[Power]) -> Result<ModelBSolution, CoreError> {
-        validate_powers(self.n_planes, plane_powers)?;
-        let t: Vec<f64> = (0..self.n_nodes())
-            .map(|k| superpose(plane_powers, self.node(k)))
-            .collect();
-        Ok(ModelBSolution::from_parts(
-            &t,
-            self.n_seg,
-            self.plane_top_segment.clone(),
-        ))
-    }
-}
-
-/// A factored Model B ladder, reduced to its hotspot kernel. The KCL
-/// matrix depends only on the scenario's *geometry* (stack, TSV, via
-/// density) — plane powers enter the right-hand side alone — so every
-/// node temperature is the superposition `Σ_p P_p·u_p[i]` of the
-/// `n_planes` unit responses, and a tile's hotspot is the largest of
-/// them. The kernel keeps only the nodes that can be that largest:
-///
-/// * **candidates** — the argmax under each unit direction and under the
-///   all-ones direction;
-/// * **kept nodes** — every node the all-ones candidate does not
-///   dominate componentwise, stored plane-major in blocks of 16 with each
-///   block's componentwise maximum `U_B`.
-///
-/// [`ModelBFactorization::max_delta_t`] takes `m` as the max over the
-/// candidates, then scans only the blocks whose bound `P·U_B` exceeds
-/// `m`. Powers are validated finite and non-negative, and rounded
-/// products and sums are monotone, so `u_i ≤ u_j` componentwise implies
-/// `fl(P·u_i) ≤ fl(P·u_j)` for the one shared evaluation order. A
-/// dominated node or a skipped block can therefore never beat `m`, and
-/// the pruned max is **bitwise** the max over all nodes — what
-/// [`ModelB::solve`]'s [`ModelBSolution::max_delta_t`] returns (the
-/// property suites assert it). The ladder's LU factors and its full
-/// response basis are dropped once the kernel is built.
-///
-/// On the serving geometry (`B(1000)` with 10 first-plane segments,
-/// 3 planes, 4,021 nodes) the kernel keeps ~2,000 nodes, ≈ 50 KB: the
-/// flat region above each heated plane differs from the candidates only
-/// by rounding noise, so about half its nodes cannot be pruned exactly.
-#[derive(Debug, Clone)]
-pub struct ModelBFactorization {
-    n_seg: usize,
-    n_planes: usize,
-    /// Candidate responses, node-major: `candidates[c * n_planes + p]`.
-    candidates: Vec<f64>,
-    /// Kept responses, plane-major and padded to whole blocks by
-    /// repeating the last kept node: `kept[p * kept_len + i]`.
-    kept: Vec<f64>,
-    kept_len: usize,
-    /// Per-block componentwise maxima, plane-major and padded to whole
-    /// blocks with `−∞` (a padded bound superposes to `−∞` or NaN, never
-    /// above a real max): `bounds[p * bounds_len + b]`.
-    bounds: Vec<f64>,
-    bounds_len: usize,
-}
-
-impl ModelBFactorization {
-    /// Prunes a response basis to its hotspot kernel: one pass picks the
-    /// candidates, a second keeps every node the all-ones candidate does
-    /// not dominate. Which nodes are picked affects only how much is
-    /// pruned, never the result.
-    fn from_basis(basis: &ResponseBasis<'_>) -> Self {
-        let n_planes = basis.n_planes;
-        let n_nodes = basis.n_nodes();
-        // Node `k`'s responses in four-lane chunks (the lanes past
-        // `n_planes` are zero).
-        let node = |k: usize| basis.node(k).as_chunks::<4>().0;
-
-        // Candidates: the argmax under each unit direction and under the
-        // all-ones direction, in one pass of fixed four-lane steps (the
-        // zero lanes' argmaxes are never read).
-        let mut top = vec![([f64::NEG_INFINITY; 4], [0; 4]); basis.width / 4];
-        let mut top_all_ones = (f64::NEG_INFINITY, 0);
-        for k in 0..n_nodes {
-            let mut all_ones = 0.0;
-            for ((top, arg), u) in top.iter_mut().zip(node(k)) {
-                for l in 0..4 {
-                    if u[l] > top[l] {
-                        top[l] = u[l];
-                        arg[l] = k;
-                    }
-                    all_ones += u[l];
-                }
-            }
-            if all_ones > top_all_ones.0 {
-                top_all_ones = (all_ones, k);
-            }
-        }
-        let mut picks = vec![top_all_ones.1];
-        for &k in top.iter().flat_map(|(_, arg)| arg).take(n_planes) {
-            if !picks.contains(&k) {
-                picks.push(k);
-            }
-        }
-
-        // Kept: every node the all-ones argmax does not dominate — it
-        // dominates nearly all the nodes any candidate does (on the
-        // serving ladder, checking the others too prunes 16 more nodes of
-        // 4,021 for twice the scan). Compares and compaction are
-        // branch-free: in the flat regions nodes differ from the
-        // candidate by rounding noise, so a branch per node would
-        // mispredict half the time.
-        let dominator = node(top_all_ones.1);
-        let mut kept_nodes = vec![0; n_nodes];
-        let mut kept_count = 0;
-        for k in 0..n_nodes {
-            let above = node(k).iter().zip(dominator).fold(false, |any, (u, v)| {
-                any | (u[0] > v[0]) | (u[1] > v[1]) | (u[2] > v[2]) | (u[3] > v[3])
-            });
-            kept_nodes[kept_count] = k;
-            kept_count += usize::from(above);
-        }
-        kept_nodes.truncate(kept_count);
-
-        // The kept nodes, plane-major, padded to whole blocks by repeating
-        // the last one, and each block's componentwise maximum `U_B`.
-        if let Some(&last) = kept_nodes.last() {
-            kept_nodes.resize(kept_nodes.len().next_multiple_of(BLOCK), last);
-        }
-        let kept_len = kept_nodes.len();
-        let mut kept = vec![0.0; n_planes * kept_len];
-        for (i, &k) in kept_nodes.iter().enumerate() {
-            for (p, &u) in basis.node(k)[..n_planes].iter().enumerate() {
-                kept[p * kept_len + i] = u;
-            }
-        }
-        let bounds_len = (kept_len / BLOCK).next_multiple_of(BLOCK);
-        let mut bounds = vec![f64::NEG_INFINITY; n_planes * bounds_len];
-        for (p, column) in kept.chunks_exact(kept_len.max(1)).enumerate() {
-            for (b, block) in column.chunks_exact(BLOCK).enumerate() {
-                let bound = &mut bounds[p * bounds_len + b];
-                for &u in block {
-                    if u > *bound {
-                        *bound = u;
-                    }
-                }
-            }
-        }
-        Self {
-            n_seg: basis.n_seg,
-            n_planes,
-            candidates: picks
-                .iter()
-                .flat_map(|&k| basis.node(k)[..n_planes].to_vec())
-                .collect(),
-            kept,
-            kept_len,
-            bounds,
-            bounds_len,
-        }
-    }
-
-    /// Number of π-segments in the factored ladder.
-    #[must_use]
-    pub fn segment_count(&self) -> usize {
-        self.n_seg
-    }
-
-    /// Number of planes the kernel expects powers for.
-    #[must_use]
-    pub fn plane_count(&self) -> usize {
-        self.n_planes
-    }
-
-    /// The hotspot — the maximum node temperature rise — under one
-    /// per-plane power vector: the candidates' max, then a scan of only
-    /// the blocks whose bound exceeds it. Bitwise equal to
-    /// [`ModelBSolution::max_delta_t`] of the same powers on the same
-    /// geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidScenario`] when the power count does
-    /// not match the factored plane count, or a negative/non-finite power
-    /// is supplied.
-    pub fn max_delta_t(&self, plane_powers: &[Power]) -> Result<TemperatureDelta, CoreError> {
-        validate_powers(self.n_planes, plane_powers)?;
-        let mut max = f64::NEG_INFINITY;
-        for c in self.candidates.chunks_exact(self.n_planes) {
-            max = max.max(superpose(plane_powers, c));
-        }
-        for first in (0..self.bounds_len).step_by(BLOCK) {
-            let bounds = superpose_block(plane_powers, &self.bounds, self.bounds_len, first);
-            for (b, bound) in (first..).zip(bounds) {
-                if bound > max {
-                    let block = superpose_block(plane_powers, &self.kept, self.kept_len, b * BLOCK);
-                    max = block.into_iter().fold(max, f64::max);
-                }
-            }
-        }
-        Ok(TemperatureDelta::from_kelvin(max))
-    }
 }
 
 /// A solved distributed ladder.
@@ -800,7 +391,8 @@ pub struct ModelBSolution {
 }
 
 impl ModelBSolution {
-    fn from_parts(t: &[f64], n_seg: usize, plane_top_segment: Vec<usize>) -> Self {
+    fn from_parts(t: &[f64], segmentation: &Segmentation) -> Self {
+        let n_seg = (t.len() - 1) / 2;
         let t0 = TemperatureDelta::from_kelvin(t[0]);
         let mut bulk = Vec::with_capacity(n_seg);
         let mut via = Vec::with_capacity(n_seg);
@@ -812,7 +404,7 @@ impl ModelBSolution {
             t0,
             bulk,
             via,
-            plane_top_segment,
+            plane_top_segment: plane_top_segments(segmentation),
         }
     }
 
@@ -859,6 +451,7 @@ mod tests {
     use super::*;
     use crate::fitting::FittingCoefficients;
     use crate::geometry::TtsvConfig;
+    use crate::ladder::superpose;
     use crate::model_a::ModelA;
     use ttsv_linalg::BandedMatrix;
     use ttsv_network::{SolverChoice, Terminal, ThermalNetwork};
@@ -932,11 +525,7 @@ mod tests {
         }
 
         let t = m.solve(&rhs)?;
-        Ok(ModelBSolution::from_parts(
-            &t,
-            segments.len(),
-            plane_top_segments(segmentation),
-        ))
+        Ok(ModelBSolution::from_parts(&t, segmentation))
     }
 
     /// The same ladder expressed through the generic
@@ -981,18 +570,16 @@ mod tests {
             bulk_nodes.push(b);
             via_nodes.push(v);
         }
-        let sol = net.solve_with(SolverChoice::ConjugateGradient)?;
+        let sol = net
+            .solve_with(SolverChoice::ConjugateGradient)
+            .expect("the CG reference converges");
         let mut t = Vec::with_capacity(1 + 2 * segments.len());
         t.push(sol.temperature(t0).as_kelvin());
         for s in 0..segments.len() {
             t.push(sol.temperature(bulk_nodes[s]).as_kelvin());
             t.push(sol.temperature(via_nodes[s]).as_kelvin());
         }
-        Ok(ModelBSolution::from_parts(
-            &t,
-            segments.len(),
-            plane_top_segments(segmentation),
-        ))
+        Ok(ModelBSolution::from_parts(&t, segmentation))
     }
 
     #[test]

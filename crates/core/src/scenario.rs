@@ -106,7 +106,8 @@ impl Scenario {
 }
 
 /// A thermal model that can score a scenario — implemented by Model A,
-/// Model B, the 1-D baseline, and (in `ttsv-validate`) the FEM reference.
+/// Model B, the 1-D baseline, the package wrapper, and (in
+/// `ttsv-validate`) the FEM reference.
 pub trait ThermalModel {
     /// Short display name, e.g. `"Model A"`.
     fn name(&self) -> String;
@@ -136,18 +137,17 @@ pub trait ThermalModel {
 /// alone. Such models factorize once per geometry and answer each power
 /// vector from that factorization, which is what lets the chip engine's
 /// matrix-tier cache collapse an all-distinct power map onto a handful of
-/// factorizations. [`ModelB`](crate::model_b::ModelB)'s factorization is
-/// a hotspot kernel: the ladder's unit responses pruned to the nodes that
-/// can be hottest (see
-/// [`ModelBFactorization`](crate::model_b::ModelBFactorization)), so a
-/// power vector costs a few hundred multiply-adds and the cached entry
-/// ~50 KB at the serving geometry.
+/// factorizations. [`ModelA`](crate::model_a::ModelA) and
+/// [`ModelB`](crate::model_b::ModelB) factorize their shared ladder into
+/// a hotspot kernel ([`LadderKernel`](crate::ladder::LadderKernel)): a
+/// power vector costs a few hundred multiply-adds, the cached entry
+/// ~50 KB at the serving Model B geometry.
 ///
 /// Contract: for any scenario `s`,
 /// `solve_with_powers(&factorize(&s)?, s.plane_powers())` must equal
-/// `max_delta_t(&s)` **bitwise** (the property suites assert it for
-/// [`ModelB`](crate::model_b::ModelB), including that the kernel's
-/// pruned max equals the max over every node).
+/// `max_delta_t(&s)` **bitwise** (the property suites assert it for both
+/// models, including that the kernel's pruned max equals the max over
+/// every node).
 pub trait PowerSeparableModel: ThermalModel {
     /// The reusable geometry factorization.
     type Factorization: Send + Sync + 'static;

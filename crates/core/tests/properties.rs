@@ -308,7 +308,9 @@ proptest! {
     }
     /// The hotspot kernel's pruned max is bitwise the max over every
     /// superposed ladder node — the full `ModelB::solve_segmented`
-    /// profile — for every power vector a factorization serves.
+    /// profile — for every power vector a factorization serves; and on
+    /// Model A's one-segment-per-plane ladder the kernel is bitwise
+    /// `ModelA::max_delta_t`.
     #[test]
     fn model_b_kernel_max_is_bitwise_the_max_over_every_node(p in kernel_params()) {
         let segmentation = Segmentation::explicit(
@@ -336,6 +338,8 @@ proptest! {
         let kernel = model
             .factorize_segmented(&scenario(&p.powers[0]), &segmentation)
             .unwrap();
+        let model_a = ModelA::with_coefficients(FittingCoefficients::paper_block());
+        let kernel_a = model_a.factorize_geometry(&scenario(&p.powers[0])).unwrap();
         for watts in &p.powers {
             let s = scenario(watts);
             let sol = model.solve_segmented(&s, &segmentation).unwrap();
@@ -349,6 +353,16 @@ proptest! {
             prop_assert!(
                 pruned.to_bits() == every_node.to_bits(),
                 "kernel {pruned} vs every node {every_node} at {:?}",
+                s.plane_powers()
+            );
+            let pruned_a = model_a
+                .solve_with_powers(&kernel_a, s.plane_powers())
+                .unwrap()
+                .as_kelvin();
+            let solved_a = model_a.max_delta_t(&s).unwrap().as_kelvin();
+            prop_assert!(
+                pruned_a.to_bits() == solved_a.to_bits(),
+                "Model A kernel {pruned_a} vs solve {solved_a} at {:?}",
                 s.plane_powers()
             );
         }

@@ -18,7 +18,7 @@
 //! * [`server`] — the session server: nonblocking connections
 //!   multiplexed across a few event-loop threads that hand evaluations
 //!   to a bounded long-lived
-//!   [`WorkerPool`](ttsv_validate::pool::WorkerPool), shared capped
+//!   [`WorkerPool`](pool::WorkerPool), shared capped
 //!   [`ChipEngine`](ttsv_chip::ChipEngine), one exact-LRU session
 //!   table with quotas, per-session held reports
 //!   ([`LiveChip`](ttsv_chip::LiveChip)) that power updates patch in
@@ -27,6 +27,8 @@
 //! * [`poller`] — real `poll(2)` readiness for the event loops (a
 //!   hand-rolled std-only binding plus a self-pipe waker; the crate
 //!   builds only on Unix),
+//! * [`pool`] — the bounded pool of long-lived worker threads the event
+//!   loops hand evaluations to,
 //! * [`persist`] — the per-server write-ahead journal (`--state-dir`):
 //!   CRC32-framed records for registrations, power updates, deletions,
 //!   and eviction tombstones; torn-tail-tolerant crash recovery that
@@ -96,6 +98,7 @@ pub mod lru;
 pub mod metrics;
 pub mod persist;
 pub mod poller;
+pub mod pool;
 pub mod protocol;
 pub mod server;
 

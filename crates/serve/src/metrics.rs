@@ -281,6 +281,7 @@ pub struct PersistStats {
     recovered_sessions: AtomicU64,
     compactions: AtomicU64,
     write_errors: AtomicU64,
+    unsynced_records: AtomicU64,
 }
 
 /// A point-in-time view of [`PersistStats`].
@@ -299,6 +300,8 @@ pub struct PersistSnapshot {
     /// Journal write/fsync failures. The first one disables persistence
     /// for the rest of the process (serving continues unjournaled).
     pub write_errors: u64,
+    /// Records appended since the journal's last fsync.
+    pub unsynced_records: u64,
 }
 
 impl PersistStats {
@@ -328,6 +331,16 @@ impl PersistStats {
         self.write_errors.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts one record appended but not yet fsynced.
+    pub fn add_unsynced(&self) {
+        self.unsynced_records.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records an fsync: every appended record is durable.
+    pub fn clear_unsynced(&self) {
+        self.unsynced_records.store(0, Ordering::Relaxed);
+    }
+
     /// Snapshots every counter at once.
     #[must_use]
     pub fn snapshot(&self) -> PersistSnapshot {
@@ -338,6 +351,7 @@ impl PersistStats {
             recovered_sessions: self.recovered_sessions.load(Ordering::Relaxed),
             compactions: self.compactions.load(Ordering::Relaxed),
             write_errors: self.write_errors.load(Ordering::Relaxed),
+            unsynced_records: self.unsynced_records.load(Ordering::Relaxed),
         }
     }
 }

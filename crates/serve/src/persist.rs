@@ -64,7 +64,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -269,9 +269,11 @@ pub fn scan(bytes: &[u8]) -> (Vec<Record>, usize) {
 pub enum FsyncPolicy {
     /// fsync after every appended record (most durable, slowest).
     Always,
-    /// fsync at most once per interval, piggybacked on appends — the
-    /// default, at 100 ms: bounded power-loss exposure at near-`Never`
-    /// latency.
+    /// fsync at most once per interval, yet every appended record within
+    /// the interval of its append: by the next append past the deadline,
+    /// or by an event loop when the server goes quiet
+    /// ([`Journal::sync_if_due`]) — the default, at 100 ms: bounded
+    /// power-loss exposure at near-`Never` latency.
     Interval(Duration),
     /// Never fsync (the OS decides; fastest).
     Never,
@@ -565,7 +567,21 @@ pub struct Journal {
     stats: Arc<PersistStats>,
     enabled: AtomicBool,
     inner: Mutex<Inner>,
+    /// The epoch `sync_deadline_ns` counts from.
+    opened: Instant,
+    /// Under `interval:MS`, nanoseconds after `opened` by which the
+    /// unsynced records must be fsynced; [`NO_DEADLINE`] when nothing is
+    /// unsynced. Written under the journal lock and read without it, so
+    /// an idle event loop never contends for the lock. `Relaxed` suffices:
+    /// a reader that finds a deadline re-checks it under the lock, and an
+    /// event loop learns of each request's append through its inbox
+    /// mutex (or appends itself), which orders the store before its next
+    /// load.
+    sync_deadline_ns: AtomicU64,
 }
+
+/// `Journal::sync_deadline_ns` when every appended record is synced.
+const NO_DEADLINE: u64 = u64::MAX;
 
 impl Journal {
     /// Opens (or creates) the journal under `config.state_dir` and
@@ -643,17 +659,20 @@ impl Journal {
             records_replayed: records.len() as u64,
             clean_shutdown,
         };
+        let opened = Instant::now();
         let journal = Journal {
             inner: Mutex::new(Inner {
                 media: config.wrap_media(file),
                 file_len,
                 total_records: records.len() as u64,
                 sessions: bookkeeping,
-                last_sync: Instant::now(),
+                last_sync: opened,
             }),
             config,
             stats,
             enabled: AtomicBool::new(true),
+            opened,
+            sync_deadline_ns: AtomicU64::new(NO_DEADLINE),
         };
         Ok((journal, recovery))
     }
@@ -731,15 +750,25 @@ impl Journal {
 
         let due = match self.config.fsync {
             FsyncPolicy::Always => true,
-            FsyncPolicy::Interval(interval) => inner.last_sync.elapsed() >= interval,
+            FsyncPolicy::Interval(interval) => match inner.last_sync.checked_add(interval) {
+                Some(deadline) => {
+                    let ns = deadline.duration_since(self.opened).as_nanos();
+                    let ns = u64::try_from(ns).unwrap_or(NO_DEADLINE - 1);
+                    self.sync_deadline_ns.store(ns, Ordering::Relaxed);
+                    Instant::now() >= deadline
+                }
+                // An interval past the clock's range never comes due.
+                None => false,
+            },
             FsyncPolicy::Never => false,
         };
         if due {
-            if let Err(e) = inner.media.sync() {
+            if let Err(e) = self.sync_locked(&mut inner) {
                 self.degrade("fsync", &e);
                 return;
             }
-            inner.last_sync = Instant::now();
+        } else {
+            self.stats.add_unsynced();
         }
 
         if inner.total_records >= self.config.compact_min_records
@@ -749,6 +778,50 @@ impl Journal {
                 self.degrade("compaction", &e);
             }
         }
+    }
+
+    /// When the unsynced records must be fsynced under `interval:MS`;
+    /// `None` when nothing is unsynced (or the policy is not an
+    /// interval). The event loops fold it into their poll timeout.
+    #[must_use]
+    pub fn sync_deadline(&self) -> Option<Instant> {
+        match self.sync_deadline_ns.load(Ordering::Relaxed) {
+            NO_DEADLINE => None,
+            ns => Some(self.opened + Duration::from_nanos(ns)),
+        }
+    }
+
+    /// Fsyncs the journal if [`Journal::sync_deadline`] has passed, so a
+    /// record acknowledged just before the server went quiet is still
+    /// synced within the interval. Takes the journal lock only when a
+    /// sync is due.
+    pub fn sync_if_due(&self) {
+        if self.sync_deadline().is_none_or(|d| d > Instant::now()) {
+            return;
+        }
+        let mut inner = lock(&self.inner);
+        // Another loop may have synced (or a write error degraded the
+        // journal) while this one waited for the lock.
+        if !self.is_enabled() || self.sync_deadline().is_none() {
+            return;
+        }
+        if let Err(e) = self.sync_locked(&mut inner) {
+            self.degrade("fsync", &e);
+        }
+    }
+
+    /// Fsyncs the media and records that nothing is left unsynced.
+    fn sync_locked(&self, inner: &mut Inner) -> io::Result<()> {
+        inner.media.sync()?;
+        self.synced(inner);
+        Ok(())
+    }
+
+    /// Everything appended so far is durable.
+    fn synced(&self, inner: &mut Inner) {
+        inner.last_sync = Instant::now();
+        self.sync_deadline_ns.store(NO_DEADLINE, Ordering::Relaxed);
+        self.stats.clear_unsynced();
     }
 
     /// Folds the journal file into its live snapshot (see the module
@@ -815,7 +888,9 @@ impl Journal {
         inner.file_len = out.len() as u64;
         inner.total_records = out_records;
         inner.sessions = bookkeeping;
-        inner.last_sync = Instant::now();
+        // The snapshot was fsynced before the rename: every live record
+        // is durable.
+        self.synced(inner);
         self.stats.add_compaction();
         Ok(())
     }
@@ -835,7 +910,7 @@ impl Journal {
             self.degrade("shutdown compaction", &e);
             return;
         }
-        if let Err(e) = inner.media.sync() {
+        if let Err(e) = self.sync_locked(&mut inner) {
             self.degrade("shutdown fsync", &e);
             return;
         }
@@ -851,6 +926,9 @@ impl Journal {
 
     fn degrade(&self, what: &str, err: &io::Error) {
         self.enabled.store(false, Ordering::Relaxed);
+        // Nothing will be synced any more; a stale deadline would keep
+        // the event loops' poll timeout at zero.
+        self.sync_deadline_ns.store(NO_DEADLINE, Ordering::Relaxed);
         self.stats.add_write_error();
         eprintln!(
             "ttsv-serve: persistence disabled after journal {what} error: {err} \

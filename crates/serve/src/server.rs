@@ -26,8 +26,11 @@
 //! its connections' fds plus a self-pipe that the accept thread and
 //! worker completions write to, so inbox activity interrupts the block
 //! immediately. The poll timeout is derived from the nearest connection
-//! deadline, so an idle server makes *zero* wakeups instead of ticking
-//! every millisecond (the `/metrics` `readiness` block counts wakeups).
+//! deadline and the journal's pending `interval:MS` fsync deadline
+//! ([`Journal::sync_deadline`]), so an idle server makes *zero* wakeups
+//! instead of ticking every millisecond (the `/metrics` `readiness` block
+//! counts wakeups), yet still syncs a write acknowledged just before it
+//! went quiet.
 //!
 //! Every worker shares one [`ChipEngine`] whose matrix tier of Model B
 //! kernels is bounded by the config's `matrix_cache_cap` — a warm
@@ -102,7 +105,6 @@ use std::time::{Duration, Instant};
 
 use ttsv_chip::{ChipEngine, LiveChip};
 use ttsv_core::CoreError;
-use ttsv_validate::pool::{PoolMonitor, WorkerPool};
 
 use crate::faults::{FaultDirective, ServerFaults};
 use crate::http::{Method, Request, RequestParser, Response, WriteBuffer};
@@ -110,6 +112,7 @@ use crate::lru::LruCache;
 use crate::metrics::{Metrics, PersistStats};
 use crate::persist::{Journal, PersistConfig};
 use crate::poller::{self, PollInterest, Poller, Waker};
+use crate::pool::{PoolMonitor, WorkerPool};
 use crate::protocol::{self, SessionSpec};
 
 /// The `Retry-After` hint (seconds) on overload responses (503/429).
@@ -189,7 +192,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            workers: ttsv_validate::sweep::default_workers(),
+            workers: ttsv_core::batch::default_workers(),
             event_loops: 2,
             max_sessions: 64,
             max_tiles: 64 * 64,
@@ -608,7 +611,8 @@ impl ServerState {
              \"accept_errors\":{},\"inflight\":{},\"queue_depth\":{},\"busy_workers\":{}}},\
              \"readiness\":{{\"poll_wakeups\":{},\"spurious_wakeups\":{},\"adopt_errors\":{}}},\
              \"persistence\":{{\"enabled\":{persist_enabled},\"records_written\":{},\"bytes_written\":{},\
-             \"records_replayed\":{},\"recovered_sessions\":{},\"compactions\":{},\"write_errors\":{}}},\
+             \"records_replayed\":{},\"recovered_sessions\":{},\"compactions\":{},\"write_errors\":{},\
+             \"unsynced_records\":{}}},\
              \"sessions\":{{\"live\":{},\"capacity\":{},\"hits\":{},\"misses\":{},\"evictions\":{}}},\
              \"engine\":{{\"solves\":{},\"factorizations\":{},\"scenario_hits\":{},\"scenario_misses\":{},\"evictions\":{},\
              \"matrix_entries\":{matrix_entries}}}}}",
@@ -638,6 +642,7 @@ impl ServerState {
             persist.recovered_sessions,
             persist.compactions,
             persist.write_errors,
+            persist.unsynced_records,
             live,
             capacity,
             hits,
@@ -1217,6 +1222,11 @@ fn run_event_loop(
                 slots.insert(conn.id, slot);
             }
         }
+        // One atomic load when nothing is unsynced; the journal lock only
+        // once an `interval:MS` deadline has passed.
+        if let Some(journal) = &state.journal {
+            journal.sync_if_due();
+        }
         if poll_reported_ready {
             poll_reported_ready = false;
             if !progress {
@@ -1244,6 +1254,7 @@ fn run_event_loop(
         let timeout = conns
             .iter()
             .filter_map(|c| conn_deadline(c, &deadlines))
+            .chain(state.journal.as_ref().and_then(|j| j.sync_deadline()))
             .min()
             .map(|t| t.saturating_duration_since(now));
         match poller.wait(&interests, timeout) {

@@ -9,12 +9,12 @@
 //! | [`units`] | `ttsv-units` | dimensional newtypes (µm, W, K/W, ...) |
 //! | [`materials`] | `ttsv-materials` | Si/Cu/SiO₂/polyimide presets, mixing rules |
 //! | [`linalg`] | `ttsv-linalg` | dense/banded/sparse solvers, optimizers |
-//! | [`network`] | `ttsv-network` | generic thermal resistive networks |
+//! | [`network`] | `ttsv-network` | generic thermal resistive networks: the reference the models' ladder is tested against, linked only by this facade and the tests |
 //! | [`fem`] | `ttsv-fem` | finite-volume reference solvers (the COMSOL stand-in) |
-//! | [`core`] | `ttsv-core` | Model A, Model B, the 1-D baseline, clustering, the DRAM-µP case study |
+//! | [`core`] | `ttsv-core` | Model A and Model B on one shared ladder, the 1-D baseline, clustering, the DRAM-µP case study, the scoped batch runner |
 //! | [`validate`] | `ttsv-validate` | FEM adapter, calibration, the paper's experiments |
 //! | [`chip`] | `ttsv-chip` | full-chip floorplan engine: power/via maps, batched cell evaluation |
-//! | [`serve`] | `ttsv-serve` | thermal-as-a-service: std-only HTTP session server over the chip engine |
+//! | [`serve`] | `ttsv-serve` | thermal-as-a-service: std-only HTTP session server over the chip engine, with its worker pool |
 //!
 //! # Quick start
 //!
@@ -71,7 +71,7 @@
 //!         ViaDensityMap::uniform(16, 16, cs.density)?,
 //!     )?;
 //!
-//!     let report = ChipEngine::new().evaluate(&plan, &ModelB::paper_b100())?;
+//!     let report = ChipEngine::new().evaluate_factored(&plan, &ModelB::paper_b100())?;
 //!     assert_eq!(report.tiles, 256);
 //!     assert_eq!(report.distinct_cells, 1); // one via density → one geometry
 //!     println!("hotspot ΔT {:.1} K at ({}, {}); JSON: {} bytes",

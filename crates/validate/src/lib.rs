@@ -7,13 +7,9 @@
 //!   finite-volume solver, playing the role COMSOL plays in the paper,
 //! * [`metrics`] — the max/average relative-error statistics of Table I,
 //! * [`sweep`] — the parameter-sweep runner over the bounded
-//!   self-scheduling worker pool,
-//! * [`pool`] — the execution substrate behind [`sweep`]: the scoped
-//!   borrow-friendly batch core ([`pool::scoped_batch`], which the
-//!   `ttsv-chip` floorplan engine also evaluates its unit cells on) plus
-//!   the long-lived bounded
-//!   [`WorkerPool`](pool::WorkerPool) the `ttsv-serve` session server
-//!   hands its connections to,
+//!   self-scheduling batch core
+//!   ([`scoped_batch`](ttsv_core::batch::scoped_batch), which the
+//!   `ttsv-chip` floorplan engine also evaluates its unit cells on),
 //! * [`calibrate`] — fits Model A's `k₁`/`k₂` against the FEM reference,
 //!   the way the paper fits against COMSOL,
 //! * [`experiments`] — one constructor per paper artifact (Figs. 4–7,
@@ -33,6 +29,5 @@ pub mod experiments;
 pub mod fem_adapter;
 pub mod metrics;
 pub mod paper_data;
-pub mod pool;
 pub mod report;
 pub mod sweep;

@@ -6,21 +6,18 @@
 //! problem: run `count` independent jobs on a bounded pool of worker
 //! threads, at most `available_parallelism()` of them, that claim jobs one
 //! at a time from a shared atomic queue (self-scheduling work
-//! distribution). [`crate::pool::scoped_batch`] is that primitive, and it
-//! also runs single-worker batches inline (no spawn at all, the serving
-//! fast path); the long-lived [`crate::pool::WorkerPool`] shares the same
-//! self-scheduling core for `'static` jobs such as a server's connections.
-//! [`run_sweep`] is the figure-shaped wrapper on top. Dense batches
+//! distribution). [`ttsv_core::batch::scoped_batch`] is that primitive,
+//! and it also runs single-worker batches inline (no spawn at all, the
+//! serving fast path). [`run_sweep`] is the figure-shaped wrapper on top. Dense batches
 //! of 100+ jobs therefore never oversubscribe the machine, and expensive
 //! jobs naturally load-balance across workers. Evaluation order within a
 //! batch is unspecified; the results come back in job order regardless,
 //! and models with internal warm-start caches (the FEM reference) share
 //! them across workers.
 
+use ttsv_core::batch::{default_workers, scoped_batch};
 use ttsv_core::scenario::{Scenario, ThermalModel};
 use ttsv_core::CoreError;
-
-use crate::pool::scoped_batch;
 
 /// One evaluated sweep point.
 #[derive(Debug, Clone)]
@@ -51,15 +48,6 @@ fn evaluate_point(
         delta_t,
         seconds,
     })
-}
-
-/// The default worker-pool size: `available_parallelism()`, falling back
-/// to one worker when the parallelism query fails.
-#[must_use]
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
 }
 
 /// Evaluates every `(x, scenario)` pair with every model, in parallel over

@@ -3,9 +3,10 @@
 //! The paper's §IV-E case study assumes uniform power, so the whole chip
 //! is one unit cell. Real processors have hotspots: this example puts a
 //! 4×4-tile hotspot (8× the background power density) on the µP plane of
-//! the DRAM-µP stack, evaluates the full 16×16 map through Model B with
-//! cell dedup, and prints the ΔT heat map, the hotspot statistics, and
-//! the JSON report a serving layer would consume.
+//! the DRAM-µP stack, evaluates the full 16×16 map through Model B's
+//! factored path (one hotspot kernel per via density, one kernel call per
+//! tile), and prints the ΔT heat map, the hotspot statistics, and the
+//! JSON report a serving layer would consume.
 //!
 //! ```text
 //! cargo run --release --example hotspot_map
@@ -48,15 +49,15 @@ fn main() -> Result<(), CoreError> {
 
     let model = ModelB::paper_b100();
     let engine = ChipEngine::new();
-    let report = engine.evaluate(&plan, &model)?;
+    let report = engine.evaluate_factored(&plan, &model)?;
 
     println!(
-        "{} on a {}×{} floorplan: {} tiles, {} distinct unit cells solved (dedup), distinct via densities: {}\n",
+        "{} on a {}×{} floorplan: {} tiles, {} kernel factorization(s), distinct via densities: {}\n",
         report.model,
         report.nx,
         report.ny,
         report.tiles,
-        engine.solves(),
+        engine.factorizations(),
         report.distinct_cells
     );
 
@@ -87,7 +88,7 @@ fn main() -> Result<(), CoreError> {
     println!("\nJSON report ({} bytes): {}...", json.len(), &json[..120]);
 
     // The uniform-map limit reproduces the single-cell case study.
-    let uniform = ChipEngine::new().evaluate(&Floorplan::uniform(&cs, n, n)?, &model)?;
+    let uniform = ChipEngine::new().evaluate_factored(&Floorplan::uniform(&cs, n, n)?, &model)?;
     let unit_cell = model.max_delta_t(&cs.unit_cell_scenario()?)?.as_kelvin();
     println!(
         "\nuniform-map check: floorplan max ΔT {:.6} °C vs unit cell {unit_cell:.6} °C",

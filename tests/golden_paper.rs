@@ -314,7 +314,7 @@ fn floorplan_uniform_map_matches_the_case_study_pin() {
     let a = ModelA::with_coefficients(CaseStudy::paper_fitting());
     assert_golden(
         "floorplan uniform Model A max",
-        engine.evaluate(&plan, &a).unwrap().max_delta_t,
+        engine.evaluate_factored(&plan, &a).unwrap().max_delta_t,
         1.259763445965e1,
         MODEL_RTOL,
     );

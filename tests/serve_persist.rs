@@ -20,12 +20,16 @@
 //! * **Write faults degrade, not kill** — a journal whose writes fail
 //!   disables persistence (counted in `/metrics`) while serving
 //!   continues bitwise-correct.
+//! * **The fsync interval holds when traffic stops** — under
+//!   `interval:MS` the last acknowledged write is fsynced within a few
+//!   intervals with no later write to carry the sync.
 //! * **Graceful shutdown round-trips** — `shutdown()` compacts and
 //!   stamps the clean marker; the next start replays the compacted
 //!   journal to the same bitwise state.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use ttsv::serve::client::{trace_power_body, trace_register_body, Client};
 use ttsv::serve::faults::JournalFaultConfig;
@@ -429,6 +433,49 @@ fn journal_write_faults_degrade_gracefully_while_serving_continues() {
     let mut client = Client::connect(&addr).expect("reconnect");
     let (status, _) = client.request("GET", "/sessions/1", "").expect("read");
     assert_eq!(status, 404, "the unjournaled session is gone");
+    drop(client);
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--fsync interval:MS` bounds the loss window on a quiet server too:
+/// the last write acknowledged before the traffic stops is fsynced within
+/// a few intervals, with no further write to carry the sync.
+#[test]
+fn interval_fsync_syncs_the_last_write_of_a_quiet_server() {
+    const INTERVAL: Duration = Duration::from_millis(50);
+    let dir = state_dir("quiet-fsync");
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig::default()
+            .with_workers(1)
+            .with_persist(PersistConfig::new(&dir).with_fsync(FsyncPolicy::Interval(INTERVAL))),
+    )
+    .expect("bind ephemeral port");
+    let addr = server.addr().to_string();
+    let mut client = Client::connect(&addr).expect("connect");
+    // More than an interval after the journal opened, the registration's
+    // own append syncs; the power update right behind it is then the
+    // record left unsynced when the traffic stops.
+    std::thread::sleep(2 * INTERVAL);
+    seed_session(&mut client, 0, 1);
+
+    // Only `/metrics` reads from here on: they append nothing.
+    let give_up = Instant::now() + 20 * INTERVAL;
+    loop {
+        let block = persistence_metrics(&addr);
+        assert_eq!(persist_field(&block, "records_written"), 2, "{block:?}");
+        let unsynced = persist_field(&block, "unsynced_records");
+        if unsynced == 0 {
+            break;
+        }
+        assert!(
+            Instant::now() < give_up,
+            "{unsynced} acknowledged record(s) still unsynced {:?} after the last write",
+            20 * INTERVAL
+        );
+        std::thread::sleep(INTERVAL / 5);
+    }
     drop(client);
     server.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
