@@ -306,11 +306,11 @@ fn main() {
     // dedups 1024 tiles to 3 Model B solves; the all-distinct gradient
     // map prices the per-tile path itself, and `factor_shared` prices
     // the factored path (one ladder factorization and kernel build +
-    // 1024 kernel evaluations). The matrix tier keeps kernels across
-    // calls, so these rows construct a fresh engine per sample to
-    // measure the cold path; `full64/factored` is the warm one: the
-    // 64×64 gradient map against an engine that already holds its
-    // kernel, i.e. 4,096 kernel calls and the report.
+    // 1024 kernel evaluations). These rows construct a fresh engine per
+    // sample, so nothing can share a kernel and they measure the cold
+    // path; `full64/factored` is the warm one: the 64×64 gradient map on
+    // an engine whose matrix tier shares the kernel a held `LiveChip` of
+    // the map keeps alive, i.e. 4,096 kernel calls and the report.
     let hotspot = hotspot_floorplan(32);
     let gradient = gradient_floorplan(32);
     sampler.bench("floorplan_chip/hotspot32/model_b100", || {
@@ -338,8 +338,8 @@ fn main() {
     });
     let gradient64 = gradient_floorplan(64);
     let warm_engine = ChipEngine::new();
-    warm_engine
-        .evaluate_factored(&gradient64, &b100)
+    let _held = warm_engine
+        .evaluate_live(&gradient64, &b100)
         .expect("solvable");
     sampler.bench("floorplan_chip/full64/factored", || {
         warm_engine

@@ -1,5 +1,5 @@
-//! Evaluation of a floorplan's tiles, with one cross-call cache: the
-//! matrix tier.
+//! Evaluation of a floorplan's tiles. Model kernels live with the chips
+//! that use them; the engine's matrix tier only indexes them.
 //!
 //! # Two paths
 //!
@@ -16,19 +16,29 @@
 //!   density) is factorized once, into the ladder's hotspot kernel
 //!   ([`LadderKernel`](ttsv_core::ladder::LadderKernel): the unit
 //!   responses of the nodes that can be hottest, ≈ 50 KB at the serving
-//!   `B(1000)` geometry). Kernels persist across calls in the
-//!   **matrix tier**, keyed on the geometry bits and bounded by
-//!   [`ChipEngine::with_matrix_cache_cap`]. Every tile then costs one
-//!   kernel call (0.08–0.33 µs) on the calling thread — no dedup, since
-//!   hashing a tile's key costs about as much as evaluating it.
+//!   `B(1000)` geometry). Every tile then costs one kernel call
+//!   (0.08–0.33 µs) on the calling thread — no dedup, since hashing a
+//!   tile's key costs about as much as evaluating it.
+//!
+//! # Kernels live with their chips
 //!
 //! [`ChipEngine::evaluate_live`] runs the factored evaluation once and
-//! returns a [`LiveChip`]; its sparse updates evaluate only the changed
-//! tiles, so a serving update costs what it changes.
+//! returns a [`LiveChip`] that holds its plan's kernels; its sparse
+//! updates call those kernels for the changed tiles only, without
+//! touching the engine, so a serving update costs what it changes.
 //!
-//! The matrix tier is transparent: for deterministic models a cached
-//! kernel gives the bits a fresh factorization would (the property suites
-//! compare the paths bitwise), so caching changes cost, never results.
+//! The **matrix tier** is a weak index of the kernels alive, keyed on the
+//! model's cache tag plus the geometry bits. It holds no kernel itself:
+//! it lets concurrent holders of one geometry (sessions registered with
+//! the same via density, or an evaluation running while a chip holds the
+//! kernel) share one kernel instead of factorizing their own. A kernel
+//! is freed when the last chip holding it drops, so resident kernels
+//! follow the live chips, not the geometries the engine has seen.
+//! [`ChipEngine::with_matrix_cache_cap`] bounds the kernels alive at once.
+//!
+//! Sharing is transparent: for deterministic models a shared kernel gives
+//! the bits a fresh factorization would (the property suites compare the
+//! paths bitwise), so it changes cost, never results.
 //! [`ChipEngine::factorizations`] and [`ChipEngine::solves`] make the
 //! cost observable — the serving tests assert that a power update
 //! factorizes nothing and re-solves exactly the changed tiles.
@@ -36,7 +46,7 @@
 use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 use ttsv_core::batch::{default_workers, scoped_batch};
 use ttsv_core::scenario::{PowerSeparableModel, ThermalModel};
@@ -46,6 +56,10 @@ use crate::floorplan::{CellKey, Floorplan};
 use crate::live::LiveChip;
 use crate::report::ChipReport;
 
+/// One geometry's kernel as chips hold it: type-erased, so one index
+/// serves every model.
+pub(crate) type SharedKernel = Arc<dyn Any + Send + Sync>;
+
 /// A matrix-tier key: the model's cache tag plus the exact bit pattern
 /// of the plan geometry and one via density.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -54,21 +68,35 @@ struct MatrixKey {
     bits: Vec<u64>,
 }
 
-/// The matrix tier: geometry → type-erased model factorization.
-type MatrixTier = HashMap<MatrixKey, Arc<dyn Any + Send + Sync>>;
+/// The matrix tier: geometry → the kernel some holder keeps alive, if any.
+type MatrixTier = HashMap<MatrixKey, Weak<dyn Any + Send + Sync>>;
+
+/// One factored pass over a set of tiles.
+struct KernelPass<K> {
+    /// Each tile's `ΔT`, in the order the tiles were named.
+    delta_t: Vec<f64>,
+    /// Per distinct geometry among the tiles: its via-density bits and
+    /// kernel.
+    kernels: Vec<(u64, Arc<K>)>,
+    /// Whether the matrix tier indexes every kernel, so a chip may hold
+    /// them within the cap.
+    indexed: bool,
+}
 
 /// Evaluates a [`Floorplan`] through any [`ThermalModel`] and scatters
 /// the results into a full-chip [`ChipReport`]: the generic path
 /// deduplicates identical tiles within the call and batch-solves them on
 /// the bounded self-scheduling worker pool;
-/// [`ChipEngine::evaluate_factored`] adds the cross-call matrix tier for
-/// power-separable models — see the module docs.
+/// [`ChipEngine::evaluate_factored`] evaluates power-separable models
+/// through one kernel per geometry, shared through the matrix tier with
+/// whatever [`LiveChip`] holds it — see the module docs.
 ///
 /// The worker count is a performance knob only: for deterministic models
 /// the report is bit-identical for every setting, and bit-identical to
 /// solving each tile on its own (the property suite enforces both).
 ///
-/// Cloning an engine starts with a cold matrix tier and zeroed counters.
+/// Cloning an engine starts with an empty matrix tier and zeroed
+/// counters.
 #[derive(Debug)]
 pub struct ChipEngine {
     workers: Option<usize>,
@@ -81,9 +109,10 @@ pub struct ChipEngine {
     evictions: AtomicUsize,
 }
 
-/// Default bound on matrix-tier entries. The tier is keyed on geometry
-/// only, so thousands of distinct geometries already indicates a
-/// pathological workload — see [`ChipEngine::with_matrix_cache_cap`].
+/// Default bound on the kernels alive at once. The tier is keyed on
+/// geometry only, so thousands of distinct live geometries already
+/// indicates a pathological workload — see
+/// [`ChipEngine::with_matrix_cache_cap`].
 const DEFAULT_MATRIX_CACHE_CAP: usize = 1 << 12;
 
 impl Clone for ChipEngine {
@@ -103,7 +132,7 @@ impl Default for ChipEngine {
 }
 
 impl ChipEngine {
-    /// An engine with a cold matrix tier and the default worker pool
+    /// An engine with an empty matrix tier and the default worker pool
     /// (`available_parallelism()`).
     #[must_use]
     pub fn new() -> Self {
@@ -140,18 +169,19 @@ impl ChipEngine {
         self
     }
 
-    /// Bounds the matrix tier (default: 2¹² entries). Kernels dominate
-    /// the engine's resident memory, so a serving layer bounds this tier
-    /// to its session quota budget. When one evaluation's new kernels
-    /// would push the tier past the cap, the tier is cleared first
-    /// (generational eviction, counted into [`ChipEngine::evictions`]);
-    /// an evaluation that needs more new kernels than the cap caches none
-    /// of them.
+    /// Bounds the kernels alive at once through the matrix tier (default:
+    /// 2¹²) — those [`LiveChip`]s hold, plus those a running evaluation
+    /// is using. Kernels dominate the engine's resident memory, so a
+    /// serving layer sets this to its memory budget.
     ///
-    /// A plan with more distinct via densities than the cap is therefore
-    /// never held whole: its full evaluation caches nothing, and each
-    /// [`LiveChip::apply`] factorizes the densities among its changed
-    /// tiles that the tier does not hold. Results never change — only
+    /// When the kernels alive plus one evaluation's new kernels would
+    /// pass the cap, the tier indexes none of the new ones (counted into
+    /// [`ChipEngine::evictions`]): the evaluation still uses them and
+    /// drops them when it returns, and the [`LiveChip`] it builds holds
+    /// no kernels. Each [`LiveChip::apply`] on such a chip then
+    /// factorizes the densities among its changed tiles that no live
+    /// holder shares. A plan with more distinct via densities than the
+    /// cap is therefore never held whole. Results never change — only
     /// [`ChipEngine::factorizations`] grows (tested bitwise against a
     /// fresh evaluation).
     ///
@@ -177,45 +207,54 @@ impl ChipEngine {
         self.solves.load(Ordering::Relaxed)
     }
 
-    /// Kernel factorizations performed by the factored paths (matrix-tier
-    /// misses), cumulative across calls.
+    /// Kernel factorizations performed by the factored paths (geometries
+    /// no live holder shared), cumulative across calls.
     #[must_use]
     pub fn factorizations(&self) -> usize {
         self.factorizations.load(Ordering::Relaxed)
     }
 
     /// Matrix-tier hits: one per distinct geometry a factored evaluation
-    /// or update needs whose kernel was already cached, cumulative. The
-    /// name predates the matrix tier's being the only cache; it is kept
-    /// for the external serving benchmark.
+    /// (or an update of a chip that holds no kernels) needs whose kernel
+    /// a live holder shared, cumulative. An update of a chip that holds
+    /// its kernels never looks the tier up, so it counts nothing here.
+    /// The name predates the matrix tier's being the only index; it is
+    /// kept for the external serving benchmark.
     #[must_use]
     pub fn scenario_hits(&self) -> usize {
         self.matrix_hits.load(Ordering::Relaxed)
     }
 
     /// Matrix-tier misses: one per distinct geometry a factored
-    /// evaluation or update needs whose kernel had to be factorized,
-    /// cumulative. Named like [`ChipEngine::scenario_hits`], for the same
-    /// reason.
+    /// evaluation (or an update of a chip that holds no kernels) needs
+    /// whose kernel had to be factorized, cumulative. Named like
+    /// [`ChipEngine::scenario_hits`], for the same reason.
     #[must_use]
     pub fn scenario_misses(&self) -> usize {
         self.matrix_misses.load(Ordering::Relaxed)
     }
 
-    /// Kernels evicted from the matrix tier by its generational cap,
-    /// cumulative across calls. Eviction never changes results — an
-    /// evicted kernel is factorized again on its next use
+    /// New kernels the matrix tier declined to index because the kernels
+    /// alive plus them would pass the cap, cumulative across calls. A
+    /// [`LiveChip`] built by such an evaluation holds no kernels, and
+    /// nothing can share them. Declining never changes results — a
+    /// declined kernel is factorized again on its next use
     /// (property-tested).
     #[must_use]
     pub fn evictions(&self) -> usize {
         self.evictions.load(Ordering::Relaxed)
     }
 
-    /// Kernels currently held by the matrix tier — the serving layer's
-    /// memory observability hook.
+    /// Kernels alive in the matrix tier now — those some [`LiveChip`] or
+    /// running evaluation holds. The serving layer's memory
+    /// observability hook: a kernel whose last holder dropped no longer
+    /// counts.
     #[must_use]
     pub fn cache_entries(&self) -> usize {
-        self.matrices().len()
+        self.matrices()
+            .values()
+            .filter(|kernel| kernel.strong_count() > 0)
+            .count()
     }
 
     /// The matrix tier, locked. Only lookups and inserts run under the
@@ -277,12 +316,18 @@ impl ChipEngine {
     }
 
     /// Like [`ChipEngine::evaluate`], but for [`PowerSeparableModel`]s:
-    /// one kernel per distinct geometry (via density), from the matrix
-    /// tier or factorized on the worker pool, then one kernel call per
-    /// tile. No full [`Scenario`](ttsv_core::scenario::Scenario) is built
-    /// for a tile whose kernel is cached. Results are bit-identical to
+    /// one kernel per distinct geometry (via density), shared from a live
+    /// holder through the matrix tier or factorized on the worker pool,
+    /// then one kernel call per tile. No full
+    /// [`Scenario`](ttsv_core::scenario::Scenario) is built for a tile
+    /// whose kernel is shared. Results are bit-identical to
     /// [`ChipEngine::evaluate`] on the model's default solver path
     /// (property-tested).
+    ///
+    /// The kernels are dropped when the call returns unless a
+    /// [`LiveChip`] holds them, so a repeat call reuses a kernel only
+    /// while some chip holds it; serving paths hold their kernels through
+    /// [`ChipEngine::evaluate_live`].
     ///
     /// # Errors
     ///
@@ -293,19 +338,14 @@ impl ChipEngine {
         plan: &Floorplan,
         model: &M,
     ) -> Result<ChipReport, CoreError> {
-        let (delta_t, geometries) = self.kernel_pass(plan, model, 0..plan.tiles())?;
-        Ok(ChipReport::from_tiles(
-            model.name(),
-            plan.nx(),
-            plan.ny(),
-            delta_t,
-            geometries,
-            plan.via_count(),
-        ))
+        let pass = self.kernel_pass(plan, model, 0..plan.tiles())?;
+        Ok(Self::report(plan, model, pass.delta_t, pass.kernels.len()))
     }
 
     /// [`ChipEngine::evaluate_factored`], held as a [`LiveChip`] that
-    /// later sparse power updates patch in place.
+    /// keeps the plan's kernels and that later sparse power updates patch
+    /// in place. The chip holds no kernels when the matrix tier declined
+    /// them for the cap (see [`ChipEngine::with_matrix_cache_cap`]).
     ///
     /// # Errors
     ///
@@ -315,36 +355,99 @@ impl ChipEngine {
         plan: &Floorplan,
         model: &M,
     ) -> Result<LiveChip, CoreError> {
-        self.evaluate_factored(plan, model).map(LiveChip::new)
+        let KernelPass {
+            delta_t,
+            kernels,
+            indexed,
+        } = self.kernel_pass(plan, model, 0..plan.tiles())?;
+        let report = Self::report(plan, model, delta_t, kernels.len());
+        let kernels = if indexed {
+            kernels
+                .into_iter()
+                .map(|(bits, kernel)| (bits, kernel as SharedKernel))
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Ok(LiveChip::new(
+            report,
+            model.cache_tag(),
+            plan.geometry_bits(),
+            kernels,
+        ))
     }
 
-    /// Evaluates `tiles` (row-major indices) through the matrix tier,
-    /// returning each tile's `ΔT` — the k-tile solve behind
-    /// [`LiveChip::apply`], counted into [`ChipEngine::solves`].
+    /// The report of a kernel pass over every tile of `plan`.
+    fn report<M: PowerSeparableModel>(
+        plan: &Floorplan,
+        model: &M,
+        delta_t: Vec<f64>,
+        geometries: usize,
+    ) -> ChipReport {
+        ChipReport::from_tiles(
+            model.name(),
+            plan.nx(),
+            plan.ny(),
+            delta_t,
+            geometries,
+            plan.via_count(),
+        )
+    }
+
+    /// Evaluates `tiles` (row-major indices), returning each tile's `ΔT`
+    /// — the k-tile solve behind [`LiveChip::apply`], counted into
+    /// [`ChipEngine::solves`]. `held` is the chip's kernels sorted by
+    /// via-density bits: a tile calls its kernel from there, without the
+    /// matrix tier. A chip that holds no kernels passes an empty slice,
+    /// and its tiles go through the tier like a factored evaluation.
     pub(crate) fn solve_tiles<M: PowerSeparableModel + Sync>(
         &self,
         plan: &Floorplan,
         model: &M,
         tiles: &[usize],
+        held: &[(u64, SharedKernel)],
     ) -> Result<Vec<f64>, CoreError> {
-        let (delta_t, _) = self.kernel_pass(plan, model, tiles.iter().copied())?;
+        let delta_t = if held.is_empty() {
+            self.kernel_pass(plan, model, tiles.iter().copied())?
+                .delta_t
+        } else {
+            let mut powers = Vec::with_capacity(plan.plane_count());
+            tiles
+                .iter()
+                .map(|&t| {
+                    let bits = plan.matrix_bits(t);
+                    let kernel = held
+                        .binary_search_by_key(&bits, |&(b, _)| b)
+                        .ok()
+                        .and_then(|i| held[i].1.downcast_ref::<M::Factorization>())
+                        .ok_or_else(|| CoreError::InvalidFloorplan {
+                            reason: format!(
+                                "tile {t}'s via density has no kernel of this model in the chip"
+                            ),
+                        })?;
+                    plan.fill_tile_cell_powers(t, &mut powers);
+                    model
+                        .solve_with_powers(kernel, &powers)
+                        .map(|dt| dt.as_kelvin())
+                })
+                .collect::<Result<Vec<f64>, _>>()?
+        };
         self.solves.fetch_add(tiles.len(), Ordering::Relaxed);
         Ok(delta_t)
     }
 
     /// The factored pipeline over `tiles`: group them by via density,
-    /// fetch each group's kernel from the matrix tier or factorize it
-    /// (in parallel, publishing the new kernels within the cap), then
-    /// call the kernel once per tile, in tile order on the calling
-    /// thread — at a few hundred nanoseconds a tile, handing tiles to
-    /// workers would cost more than it saves. Returns each tile's `ΔT`
-    /// and the number of distinct geometries among the tiles.
+    /// share each group's kernel from a live holder through the matrix
+    /// tier or factorize it (in parallel, indexing the new kernels within
+    /// the cap), then call the kernel once per tile, in tile order on the
+    /// calling thread — at a few hundred nanoseconds a tile, handing
+    /// tiles to workers would cost more than it saves.
     fn kernel_pass<M: PowerSeparableModel + Sync>(
         &self,
         plan: &Floorplan,
         model: &M,
         tiles: impl Iterator<Item = usize> + Clone,
-    ) -> Result<(Vec<f64>, usize), CoreError> {
+    ) -> Result<KernelPass<M::Factorization>, CoreError> {
         let nx = plan.nx();
         // Per tile its geometry index; per geometry a representative tile.
         let mut index: HashMap<u64, usize> = HashMap::new();
@@ -375,9 +478,7 @@ impl ChipEngine {
             .collect();
         let mut kernels: Vec<Option<Arc<M::Factorization>>> = {
             let tier = self.matrices();
-            keys.iter()
-                .map(|key| tier.get(key).and_then(|any| any.clone().downcast().ok()))
-                .collect()
+            keys.iter().map(|key| shared(&tier, key)).collect()
         };
         let missing: Vec<usize> = (0..keys.len()).filter(|&g| kernels[g].is_none()).collect();
         self.matrix_hits
@@ -393,35 +494,82 @@ impl ChipEngine {
         })?;
         self.factorizations
             .fetch_add(missing.len(), Ordering::Relaxed);
-        if !missing.is_empty() && missing.len() <= self.matrix_cache_cap {
-            let mut tier = self.matrices();
-            if tier.len() + missing.len() > self.matrix_cache_cap {
-                self.evictions.fetch_add(tier.len(), Ordering::Relaxed);
-                tier.clear();
-            }
-            for (&g, kernel) in missing.iter().zip(&built) {
-                tier.insert(keys[g].clone(), kernel.clone());
-            }
-        }
-        for (&g, kernel) in missing.iter().zip(built) {
-            kernels[g] = Some(kernel);
-        }
+        let indexed = missing.is_empty() || self.index(&keys, &missing, built, &mut kernels);
 
+        let kernels: Vec<(u64, Arc<M::Factorization>)> = reps
+            .iter()
+            .zip(kernels)
+            .map(|(&t, kernel)| {
+                let kernel = kernel.expect("every kernel was shared or built");
+                (plan.matrix_bits(t), kernel)
+            })
+            .collect();
         let mut powers = Vec::with_capacity(plan.plane_count());
         let delta_t = tiles
             .zip(&geometry_of)
             .map(|(t, &g)| {
-                let kernel = kernels[g]
-                    .as_ref()
-                    .expect("every kernel was fetched or built");
                 plan.fill_tile_cell_powers(t, &mut powers);
                 model
-                    .solve_with_powers(kernel, &powers)
+                    .solve_with_powers(&kernels[g].1, &powers)
                     .map(|dt| dt.as_kelvin())
             })
             .collect::<Result<Vec<f64>, _>>()?;
-        Ok((delta_t, reps.len()))
+        Ok(KernelPass {
+            delta_t,
+            kernels,
+            indexed,
+        })
     }
+
+    /// Indexes the kernels a pass built for the geometries `missing`
+    /// (indices into `keys`) and fills them into `kernels`. Returns
+    /// whether they were indexed: when the kernels alive plus the new
+    /// ones would pass the cap, none are (counted as evictions), and the
+    /// pass only uses them.
+    ///
+    /// Dead entries are pruned only when the tier looks full, so an
+    /// insert costs amortized O(1); a prune that frees nothing comes with
+    /// at least one factorization, which costs far more.
+    fn index<K: Send + Sync + 'static>(
+        &self,
+        keys: &[MatrixKey],
+        missing: &[usize],
+        built: Vec<Arc<K>>,
+        kernels: &mut [Option<Arc<K>>],
+    ) -> bool {
+        let cap = self.matrix_cache_cap;
+        let mut tier = self.matrices();
+        if tier.len() + missing.len() > cap {
+            tier.retain(|_, kernel| kernel.strong_count() > 0);
+        }
+        let indexed = tier.len() + missing.len() <= cap;
+        if !indexed {
+            self.evictions.fetch_add(missing.len(), Ordering::Relaxed);
+        }
+        for (&g, kernel) in missing.iter().zip(built) {
+            let key = &keys[g];
+            // A concurrent pass may have indexed this geometry since the
+            // lookup: share its kernel rather than keep a second one.
+            kernels[g] = Some(match shared(&tier, key) {
+                Some(live) => live,
+                None => {
+                    if indexed {
+                        let erased: SharedKernel = kernel.clone();
+                        tier.insert(key.clone(), Arc::downgrade(&erased));
+                    }
+                    kernel
+                }
+            });
+        }
+        indexed
+    }
+}
+
+/// The kernel `key` names, if a holder keeps it alive.
+fn shared<K: Send + Sync + 'static>(tier: &MatrixTier, key: &MatrixKey) -> Option<Arc<K>> {
+    tier.get(key)
+        .and_then(Weak::upgrade)
+        .and_then(|kernel| kernel.downcast().ok())
 }
 
 #[cfg(test)]
@@ -558,8 +706,8 @@ mod tests {
     fn matrix_cache_is_bounded_and_eviction_preserves_results() {
         let cs = CaseStudy::paper();
         let model = ModelB::paper_b20();
-        // Two distinct via densities → two distinct matrices, cap of 1:
-        // the second factorization evicts the first.
+        // Two distinct via densities → two distinct kernels, and a cap of
+        // one kernel alive at once.
         let plan_at = |density: f64| {
             let maps = (0..3)
                 .map(|j| PowerMap::uniform(2, 1, cs.plane_powers[j] * 0.5).unwrap())
@@ -568,19 +716,32 @@ mod tests {
             Floorplan::new(&cs, maps, via).unwrap()
         };
         let (plan_a, plan_b) = (plan_at(0.005), plan_at(0.01));
+        let fresh = |plan: &Floorplan| ChipEngine::new().evaluate_factored(plan, &model).unwrap();
         let engine = ChipEngine::new().with_matrix_cache_cap(1);
+        let held_a = engine.evaluate_live(&plan_a, &model).unwrap();
+        assert_eq!(engine.cache_entries(), 1, "the chip holds plan_a's kernel");
         let first = engine.evaluate_factored(&plan_a, &model).unwrap();
-        engine.evaluate_factored(&plan_a, &model).unwrap();
-        assert_eq!(engine.factorizations(), 1, "a repeat reuses the kernel");
+        assert_eq!(engine.factorizations(), 1, "a held kernel is shared");
         assert_eq!((engine.scenario_hits(), engine.scenario_misses()), (1, 1));
-        engine.evaluate_factored(&plan_b, &model).unwrap();
+        assert_eq!(first, fresh(&plan_a));
+
+        // plan_a's kernel is alive, so plan_b's would pass the cap: its
+        // chip holds none, and the tier keeps one kernel alive.
+        let held_b = engine.evaluate_live(&plan_b, &model).unwrap();
         assert_eq!(engine.factorizations(), 2);
-        assert_eq!(engine.evictions(), 1, "plan_a's matrix was evicted");
+        assert_eq!(engine.evictions(), 1, "plan_b's kernel was declined");
+        assert_eq!(engine.cache_entries(), 1, "the live kernels stay bounded");
+        assert_eq!(held_b.report(), &fresh(&plan_b));
+
+        // Dropping the holder frees plan_a's kernel: the next evaluation
+        // of plan_a factorizes again, bitwise the same.
+        drop(held_a);
+        assert_eq!(engine.cache_entries(), 0);
         let refac = engine.evaluate_factored(&plan_a, &model).unwrap();
-        assert_eq!(engine.factorizations(), 3, "evicted matrix re-factorizes");
+        assert_eq!(engine.factorizations(), 3, "a freed kernel re-factorizes");
         assert_eq!((engine.scenario_hits(), engine.scenario_misses()), (1, 3));
         assert_eq!(refac.delta_t, first.delta_t);
-        assert_eq!(engine.cache_entries(), 1, "matrix tier stays bounded");
+        assert_eq!(engine.cache_entries(), 0, "nothing holds plan_a's kernel");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! identical `(density, plane powers)` produce bit-identical scenarios —
 //! the within-call dedup of [`ChipEngine::evaluate`](crate::ChipEngine::evaluate)
 //! — and tiles with the same density share one geometry, whose kernel the
-//! factored path caches.
+//! factored path builds once.
 
 use serde::{Deserialize, Serialize};
 use ttsv_core::full_chip::CaseStudy;
@@ -232,7 +232,7 @@ impl Floorplan {
     /// operations [`Floorplan::tile_cell`] performs, so the vector is
     /// bit-identical to the scenario's `plane_powers()`. The factored
     /// engine path uses this to skip building full scenarios for tiles
-    /// whose kernel is cached.
+    /// whose kernel is already built.
     ///
     /// # Panics
     ///
@@ -261,8 +261,8 @@ impl Floorplan {
     }
 
     /// Replaces one plane's power map. A power update leaves the geometry
-    /// intact, so every kernel the engine's matrix tier holds for this
-    /// plan stays valid; [`LiveChip::apply`](crate::LiveChip::apply) is
+    /// intact, so every kernel a [`LiveChip`](crate::LiveChip) holds for
+    /// this plan stays valid; [`LiveChip::apply`](crate::LiveChip::apply) is
     /// the sparse form that re-solves only the changed tiles.
     ///
     /// # Errors
@@ -305,7 +305,8 @@ impl Floorplan {
     /// construction reads besides per-tile maps: footprint, layer
     /// thicknesses, TSV configuration (radius, liner, count, material
     /// conductivities), the plane count and the tile count. Combined with
-    /// a tile's density bits this forms the engine's matrix-tier key.
+    /// a tile's density bits this forms the engine's matrix-tier key; a
+    /// [`LiveChip`](crate::LiveChip) checks it before using its kernels.
     pub(crate) fn geometry_bits(&self) -> Vec<u64> {
         vec![
             self.footprint.as_square_meters().to_bits(),

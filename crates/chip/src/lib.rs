@@ -14,16 +14,18 @@
 //!   [`CaseStudy`](ttsv_core::full_chip::CaseStudy)) + maps → per-tile
 //!   unit-cell scenarios, with
 //!   [`Floorplan::update_power_map`] as the serving-loop delta move,
-//! * [`ChipEngine`] — batched evaluation, with **one cross-call cache**:
-//!   the matrix tier of Model B kernels,
+//! * [`ChipEngine`] — batched evaluation, with the **matrix tier**: a
+//!   weak index of the live Model B kernels, so chips of one geometry
+//!   share one,
 //! * [`ChipReport`] — the full-chip `ΔT` map with hotspot statistics
 //!   (max / p99 / mean, argmax tile), JSON-serializable for downstream
 //!   serving,
-//! * [`LiveChip`] — a report held across sparse power updates: each
-//!   update re-solves only the tiles it changes and patches the report in
-//!   place, bit-identical to a full re-evaluation.
+//! * [`LiveChip`] — a report held across sparse power updates, together
+//!   with its plan's kernels: each update re-solves only the tiles it
+//!   changes against them and patches the report in place, bit-identical
+//!   to a full re-evaluation.
 //!
-//! # Two paths, one cache
+//! # Two paths; kernels live with their chips
 //!
 //! * [`ChipEngine::evaluate`] runs any model, for those that are not
 //!   power-separable (the FEM reference, the 1-D baseline). It
@@ -34,13 +36,17 @@
 //! * [`ChipEngine::evaluate_factored`] runs
 //!   [`PowerSeparableModel`](ttsv_core::scenario::PowerSeparableModel)s
 //!   (Model A and Model B). Each distinct geometry (via density) is
-//!   factorized once into the ladder's hotspot kernel, which the **matrix tier** keeps
-//!   across calls (keyed on exact geometry bits plus the model's
-//!   [`cache_tag`](ttsv_core::scenario::ThermalModel::cache_tag)). Every
-//!   tile then costs one kernel call of a few hundred nanoseconds, so an
+//!   factorized once into the ladder's hotspot kernel. Every tile then
+//!   costs one kernel call of a few hundred nanoseconds, so an
 //!   all-distinct gradient map collapses to a single factorization.
+//!   [`ChipEngine::evaluate_live`] keeps the kernels in the [`LiveChip`]
+//!   it returns; the **matrix tier** indexes them weakly (keyed on exact
+//!   geometry bits plus the model's
+//!   [`cache_tag`](ttsv_core::scenario::ThermalModel::cache_tag)), so a
+//!   kernel is shared while some chip holds it and freed when the last
+//!   one drops.
 //!
-//! The matrix tier changes cost, never results. The
+//! Sharing kernels changes cost, never results. The
 //! [`ChipEngine::solves`] and [`ChipEngine::factorizations`] counters
 //! expose what actually ran; the property suites assert the factored
 //! path is bitwise-transparent.

@@ -2,33 +2,67 @@
 //! [`ChipReport`] current under sparse power updates, at a cost that
 //! scales with the tiles an update names rather than the tiles the chip
 //! holds. An update is three steps: stage the changed tiles in the plan,
-//! evaluate those tiles through the engine's matrix tier, patch the
+//! evaluate those tiles against the chip's own kernels, patch the
 //! report.
+
+use std::sync::Arc;
 
 use ttsv_core::scenario::PowerSeparableModel;
 use ttsv_core::CoreError;
 use ttsv_units::Power;
 
-use crate::engine::ChipEngine;
+use crate::engine::{ChipEngine, SharedKernel};
 use crate::floorplan::Floorplan;
 use crate::map::PowerMap;
 use crate::report::ChipReport;
 
 /// A floorplan's evaluated report held across power updates, built by
-/// [`ChipEngine::evaluate_live`].
+/// [`ChipEngine::evaluate_live`], together with the model kernels of the
+/// plan's distinct via densities.
+///
+/// The chip owns its kernels: they stay alive exactly as long as some
+/// chip holds them, and the engine's matrix tier only indexes them so
+/// that chips of one geometry share one kernel. Dropping the chip frees
+/// every kernel no other chip holds. A chip built past the engine's cap
+/// ([`ChipEngine::with_matrix_cache_cap`]) holds no kernels; its updates
+/// factorize the densities they touch through the engine.
 ///
 /// [`LiveChip::apply`] re-solves only the tiles an update changes (one
-/// kernel call each, through the engine's matrix tier, so the engine's
-/// cache cap still bounds memory) and patches the report in place. After
-/// every update the held report is bit-identical to
-/// [`ChipEngine::evaluate_factored`] on a fresh engine for the same plan:
-/// same `ΔT` bits, `distinct_cells`, `total_vias`, row-major `mean`,
-/// nearest-rank p99 and first-hit argmax. A power update never changes a
-/// tile's via density, so `distinct_cells` (the plan's distinct
-/// geometries) and `total_vias` hold without any bookkeeping.
-#[derive(Debug, Clone, PartialEq)]
+/// kernel call each, against the held kernels, without locking the
+/// engine) and patches the report in place. After every update the held
+/// report is bit-identical to [`ChipEngine::evaluate_factored`] on a
+/// fresh engine for the same plan: same `ΔT` bits, `distinct_cells`,
+/// `total_vias`, row-major `mean`, nearest-rank p99 and first-hit argmax.
+/// A power update never changes a tile's via density, so
+/// `distinct_cells` (the plan's distinct geometries) and `total_vias`
+/// hold without any bookkeeping.
+///
+/// Equality compares the reports, what the chip was evaluated with, and
+/// kernel identity.
+#[derive(Debug, Clone)]
 pub struct LiveChip {
     report: ChipReport,
+    /// The model's cache tag at evaluation.
+    tag: String,
+    /// The plan's geometry bits at evaluation.
+    geometry: Vec<u64>,
+    /// `(via-density bits, kernel)`, sorted by the bits; empty when the
+    /// matrix tier declined the kernels for its cap.
+    kernels: Vec<(u64, SharedKernel)>,
+}
+
+impl PartialEq for LiveChip {
+    fn eq(&self, other: &Self) -> bool {
+        self.report == other.report
+            && self.tag == other.tag
+            && self.geometry == other.geometry
+            && self.kernels.len() == other.kernels.len()
+            && self
+                .kernels
+                .iter()
+                .zip(&other.kernels)
+                .all(|((a, ka), (b, kb))| a == b && Arc::ptr_eq(ka, kb))
+    }
 }
 
 /// A power update's staged tiles: the plan already holds the new watts,
@@ -57,8 +91,19 @@ fn invalid(reason: String) -> CoreError {
 }
 
 impl LiveChip {
-    pub(crate) fn new(report: ChipReport) -> Self {
-        Self { report }
+    pub(crate) fn new(
+        report: ChipReport,
+        tag: String,
+        geometry: Vec<u64>,
+        mut kernels: Vec<(u64, SharedKernel)>,
+    ) -> Self {
+        kernels.sort_unstable_by_key(|&(bits, _)| bits);
+        Self {
+            report,
+            tag,
+            geometry,
+            kernels,
+        }
     }
 
     /// The held report.
@@ -83,10 +128,12 @@ impl LiveChip {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidFloorplan`] for a plan whose grid
-    /// differs from the report's, a plane or tile out of range, tiles out
-    /// of order, or watts [`PowerMap::check_power`] rejects; propagates
-    /// tile validation, factorization and solve failures.
+    /// Returns [`CoreError::InvalidFloorplan`] for a model whose cache tag
+    /// or a plan whose geometry differs from the ones the chip was
+    /// evaluated with (its held kernels would not fit them), a plan whose
+    /// grid differs from the report's, a plane or tile out of range,
+    /// tiles out of order, or watts [`PowerMap::check_power`] rejects;
+    /// propagates tile validation, factorization and solve failures.
     pub fn apply<M: PowerSeparableModel + Sync>(
         &mut self,
         engine: &ChipEngine,
@@ -95,6 +142,19 @@ impl LiveChip {
         plane: usize,
         updates: &[(usize, Power)],
     ) -> Result<Vec<usize>, CoreError> {
+        if model.cache_tag() != self.tag {
+            return Err(invalid(format!(
+                "a chip evaluated with {} cannot be updated with {}",
+                self.tag,
+                model.cache_tag()
+            )));
+        }
+        if plan.geometry_bits() != self.geometry {
+            return Err(invalid(
+                "the plan's stack or TSV geometry differs from the one the chip was evaluated with"
+                    .into(),
+            ));
+        }
         let (nx, tiles) = (self.report.nx, self.report.tiles);
         if plan.nx() != nx || plan.tiles() != tiles {
             return Err(invalid(format!(
@@ -141,7 +201,7 @@ impl LiveChip {
             }
         }
         let touched: Vec<usize> = staged.old.iter().map(|&(tile, _)| tile).collect();
-        let delta_t = engine.solve_tiles(staged.plan, model, &touched)?;
+        let delta_t = engine.solve_tiles(staged.plan, model, &touched, &self.kernels)?;
 
         // Every solve succeeded: commit the plan and patch the report.
         let changed = self.report.patch(&touched, &delta_t);
@@ -164,7 +224,11 @@ mod tests {
     /// A 4×3 plan with two via densities and a power gradient, so several
     /// matrices and many distinct cells are in play.
     fn plan() -> Floorplan {
-        let cs = CaseStudy::paper();
+        plan_on(&CaseStudy::paper())
+    }
+
+    /// [`plan`]'s maps on the stack of `cs`.
+    fn plan_on(cs: &CaseStudy) -> Floorplan {
         let maps = (0..3)
             .map(|j| {
                 PowerMap::from_fn(4, 3, |ix, iy| {
@@ -177,7 +241,7 @@ mod tests {
             .map(|i| if i % 4 < 2 { 0.005 } else { 0.01 })
             .collect();
         let via = ViaDensityMap::new(4, 3, densities).unwrap();
-        Floorplan::new(&cs, maps, via).unwrap()
+        Floorplan::new(cs, maps, via).unwrap()
     }
 
     fn fresh_json(plan: &Floorplan) -> String {
@@ -275,7 +339,8 @@ mod tests {
         let engine = ChipEngine::new().with_workers(1);
         let mut live = engine.evaluate_live(&plan, &model).unwrap();
         let work = || (engine.solves(), engine.factorizations());
-        let (solved, factored) = work();
+        let lookups = || (engine.scenario_hits(), engine.scenario_misses());
+        let ((solved, factored), looked_up) = (work(), lookups());
         let w = Power::from_watts;
         let changed = live
             .apply(&engine, &mut plan, &model, 0, &[(3, w(1.0)), (200, w(2.0))])
@@ -284,8 +349,9 @@ mod tests {
         assert_eq!(
             work(),
             (solved + 2, factored),
-            "only the two named tiles are solved, against the cached kernel"
+            "only the two named tiles are solved, against the held kernel"
         );
+        assert_eq!(lookups(), looked_up, "a held kernel skips the matrix tier");
         assert_eq!(live.report().distinct_cells, 1);
 
         let same = plan.plane_maps()[0].tiles()[3];
@@ -338,42 +404,104 @@ mod tests {
         assert_eq!(live.report().to_json(), fresh_json(&plan));
     }
 
-    /// A plan with more distinct via densities than the matrix cap is
-    /// never cached whole: each update factorizes exactly the densities
-    /// among its changed tiles that the tier does not hold, and stays
-    /// bitwise equal to a fresh evaluation.
+    /// Past the live-kernel cap a chip holds no kernels: each update
+    /// factorizes the densities among its changed tiles that no live chip
+    /// shares, and stays bitwise equal to a fresh evaluation.
     #[test]
     fn updates_past_the_matrix_cap_factorize_only_the_changed_densities() {
-        // 4×3 grid, one via density per column: 4 geometries, cap 1.
+        // 4×3 grid, one via density per column: 4 geometries. The cap
+        // allows one kernel alive, and a neighbour chip holds column 2's.
         let cs = CaseStudy::paper();
-        let maps = (0..3)
-            .map(|j| PowerMap::uniform(4, 3, cs.plane_powers[j]).unwrap())
-            .collect();
+        let maps = || {
+            (0..3)
+                .map(|j| PowerMap::uniform(4, 3, cs.plane_powers[j]).unwrap())
+                .collect::<Vec<_>>()
+        };
         let densities = [0.004, 0.005, 0.008, 0.01];
         let via = ViaDensityMap::new(4, 3, (0..12).map(|t| densities[t % 4]).collect()).unwrap();
-        let mut plan = Floorplan::new(&cs, maps, via).unwrap();
+        let mut plan = Floorplan::new(&cs, maps(), via).unwrap();
+        let neighbour_via = ViaDensityMap::uniform(4, 3, densities[2]).unwrap();
+        let neighbour_plan = Floorplan::new(&cs, maps(), neighbour_via).unwrap();
         let model = ModelB::paper_b20();
         let engine = ChipEngine::new().with_workers(1).with_matrix_cache_cap(1);
+        let neighbour = engine.evaluate_live(&neighbour_plan, &model).unwrap();
+        assert_eq!((engine.factorizations(), engine.cache_entries()), (1, 1));
         let mut live = engine.evaluate_live(&plan, &model).unwrap();
         assert_eq!(live.report().distinct_cells, 4);
-        assert_eq!(engine.factorizations(), 4);
-        assert_eq!(engine.cache_entries(), 0, "4 kernels never fit a cap of 1");
+        assert_eq!(engine.factorizations(), 4, "column 2's kernel is shared");
+        assert_eq!(engine.evictions(), 3, "3 new kernels never fit beside it");
+        assert_eq!(engine.cache_entries(), 1);
         let w = Power::from_watts;
-        // (updates, columns they touch, kernels cached afterwards). No
-        // update reuses the one kernel the tier holds before it.
-        for (updates, columns, cached) in [
-            (vec![(0, w(1.0)), (5, w(2.0))], 2, 0),
-            (vec![(2, w(1.0)), (6, w(1.5))], 1, 1),
-            (vec![(3, w(0.5)), (7, w(0.5))], 1, 1),
-            (vec![(4, w(3.0)), (9, w(0.25)), (10, w(0.1))], 3, 1),
+        // (updates, columns they touch other than column 2).
+        for (updates, columns) in [
+            (vec![(0, w(1.0)), (5, w(2.0))], 2),
+            (vec![(2, w(1.0)), (6, w(1.5))], 0),
+            (vec![(3, w(0.5)), (7, w(0.5))], 1),
+            (vec![(4, w(3.0)), (9, w(0.25)), (10, w(0.1))], 2),
         ] {
             let (solved, factored) = (engine.solves(), engine.factorizations());
             live.apply(&engine, &mut plan, &model, 0, &updates).unwrap();
             assert_eq!(engine.factorizations() - factored, columns);
             assert_eq!(engine.solves() - solved, updates.len());
-            assert_eq!(engine.cache_entries(), cached);
+            assert_eq!(engine.cache_entries(), 1, "only the neighbour's kernel");
             assert_eq!(live.report().to_json(), fresh_json(&plan));
         }
+        // Once the neighbour drops, column 2's kernel has no holder.
+        drop(neighbour);
+        assert_eq!(engine.cache_entries(), 0);
+        let factored = engine.factorizations();
+        live.apply(&engine, &mut plan, &model, 0, &[(6, w(0.75))])
+            .unwrap();
+        assert_eq!(engine.factorizations() - factored, 1);
+        assert_eq!(engine.cache_entries(), 0);
+        assert_eq!(live.report().to_json(), fresh_json(&plan));
+    }
+
+    /// A chip's kernels fit only the model and stack it was evaluated
+    /// with: another segmentation or another substrate thickness is
+    /// refused before anything is staged.
+    #[test]
+    fn held_kernels_cannot_be_misapplied() {
+        let mut plan = plan();
+        let model = ModelB::paper_b20();
+        let engine = ChipEngine::new().with_workers(1);
+        let mut live = engine.evaluate_live(&plan, &model).unwrap();
+        let (held_plan, held_live) = (watts(&plan), live.clone());
+        let update = [(2, Power::from_watts(6.0))];
+
+        let resegmented = ModelB::with_segments(3, 20);
+        assert_ne!(resegmented.cache_tag(), model.cache_tag());
+        let err = live
+            .apply(&engine, &mut plan, &resegmented, 0, &update)
+            .unwrap_err();
+        assert!(matches!(err, CoreError::InvalidFloorplan { .. }), "{err}");
+
+        let mut thicker = CaseStudy::paper();
+        thicker.t_si = Length::from_micrometers(450.0);
+        let mut other = plan_on(&thicker);
+        let err = live
+            .apply(&engine, &mut other, &model, 0, &update)
+            .unwrap_err();
+        assert!(matches!(err, CoreError::InvalidFloorplan { .. }), "{err}");
+        assert_eq!(watts(&other), held_plan, "nothing was staged");
+        assert_eq!(watts(&plan), held_plan);
+        assert_eq!(live, held_live);
+
+        live.apply(&engine, &mut plan, &model, 0, &update).unwrap();
+        assert_eq!(live.report().to_json(), fresh_json(&plan));
+    }
+
+    #[test]
+    fn dropping_the_chip_frees_its_kernels() {
+        let model = ModelB::paper_b20();
+        let engine = ChipEngine::new().with_workers(1);
+        let live = engine.evaluate_live(&plan(), &model).unwrap();
+        assert_eq!(engine.cache_entries(), 2, "one kernel per via density");
+        let copy = live.clone();
+        drop(live);
+        assert_eq!(engine.cache_entries(), 2, "the clone still holds them");
+        drop(copy);
+        assert_eq!(engine.cache_entries(), 0);
     }
 
     #[test]

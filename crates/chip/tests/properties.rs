@@ -97,10 +97,21 @@ fn check_factored_matches_per_tile<M: PowerSeparableModel + Sync>(
     // no solves.
     prop_assert_eq!(engine.factorizations(), distinct_densities(plan));
     prop_assert_eq!(engine.solves(), 0);
-    // A repeat performs 0 factorizations and gives a bitwise-equal map.
+    // While a live chip of the plan holds its kernels, a repeat performs
+    // 0 factorizations and gives a bitwise-equal map.
+    let live = engine.evaluate_live(plan, model).expect("solvable");
+    prop_assert_eq!(engine.factorizations(), 2 * distinct_densities(plan));
+    prop_assert_eq!(&live.report().delta_t, &factored.delta_t);
     let again = engine.evaluate_factored(plan, model).expect("solvable");
-    prop_assert_eq!(engine.factorizations(), distinct_densities(plan));
+    prop_assert_eq!(engine.factorizations(), 2 * distinct_densities(plan));
     prop_assert_eq!(&again.delta_t, &factored.delta_t);
+    // Once the chip drops, nothing holds the kernels: a repeat factorizes
+    // again, bitwise the same.
+    drop(live);
+    prop_assert_eq!(engine.cache_entries(), 0);
+    let refactored = engine.evaluate_factored(plan, model).expect("solvable");
+    prop_assert_eq!(engine.factorizations(), 3 * distinct_densities(plan));
+    prop_assert_eq!(&refactored.delta_t, &factored.delta_t);
     Ok(())
 }
 

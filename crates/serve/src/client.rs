@@ -7,7 +7,7 @@
 //! power map scaled by `s`, then each round patches a couple of tiles
 //! with values that cycle through a small set — so a replay is
 //! reproducible byte-for-byte, and a warm round re-solves only the tiles
-//! it changes against a cached kernel, which is what the cold-vs-warm
+//! it changes against its session's kernel, which is what the cold-vs-warm
 //! bench rows price.
 
 use std::io::{self, Read, Write};

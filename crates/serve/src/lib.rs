@@ -18,12 +18,12 @@
 //! * [`server`] — the session server: nonblocking connections
 //!   multiplexed across a few event-loop threads that hand evaluations
 //!   to a bounded long-lived
-//!   [`WorkerPool`](pool::WorkerPool), shared capped
-//!   [`ChipEngine`](ttsv_chip::ChipEngine), one exact-LRU session
-//!   table with quotas, per-session held reports
-//!   ([`LiveChip`](ttsv_chip::LiveChip)) that power updates patch in
-//!   place — re-solving only the changed tiles, staged and rolled back
-//!   on failure — and `GET /metrics`,
+//!   [`WorkerPool`](pool::WorkerPool), one shared
+//!   [`ChipEngine`](ttsv_chip::ChipEngine) indexing the live kernels,
+//!   one exact-LRU session table with quotas, per-session held reports
+//!   ([`LiveChip`](ttsv_chip::LiveChip), holding the session's kernels)
+//!   that power updates patch in place — re-solving only the changed
+//!   tiles, staged and rolled back on failure — and `GET /metrics`,
 //! * [`poller`] — real `poll(2)` readiness for the event loops (a
 //!   hand-rolled std-only binding plus a self-pipe waker; the crate
 //!   builds only on Unix),

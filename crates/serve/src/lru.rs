@@ -1,9 +1,8 @@
 //! An exact least-recently-used cache with hit/miss/eviction counters —
 //! the session table's quota enforcement.
 //!
-//! The floorplan engine's matrix tier is *generational* (cheap clear-all
-//! on overflow, keyed on bit patterns); sessions are few, long-lived, and
-//! expensive to rebuild, so the session table wants exact LRU instead:
+//! Sessions are few, long-lived, and expensive to rebuild (each holds its
+//! Model B kernels, freed with it), so the session table wants exact LRU:
 //! registering past the capacity evicts precisely the session touched
 //! longest ago. Recency order is a [`VecDeque`] of keys — `O(n)` on
 //! touch, which is the right trade at session-table sizes (tens to

@@ -32,13 +32,20 @@
 //! counts wakeups), yet still syncs a write acknowledged just before it
 //! went quiet.
 //!
-//! Every worker shares one [`ChipEngine`] whose matrix tier of Model B
-//! kernels is bounded by the config's `matrix_cache_cap` — a warm
-//! power-delta request re-solves only the tiles whose bits changed, which is the entire point of
-//! serving sessions instead of stateless requests. By default a warm
-//! update also *answers* with only what changed: a delta response
-//! carrying the changed tiles and updated summary statistics
-//! (`?full=1` opts back into the full report; see `docs/PROTOCOL.md`).
+//! Every session's [`LiveChip`] holds the Model B kernels of its via
+//! densities, so a warm power-delta request re-solves only the tiles
+//! whose bits changed against its own kernels — without touching the
+//! shared engine, which is the entire point of serving sessions instead
+//! of stateless requests. Kernels live exactly as long as the sessions
+//! that use them: when the LRU evicts or a `DELETE` removes a session,
+//! every kernel no other session shares is freed. The one shared
+//! [`ChipEngine`] only indexes the live kernels, so sessions with the
+//! same via density (and journal recovery) share one kernel, and it
+//! bounds the kernels alive at once by the config's `matrix_cache_cap`.
+//! By default a warm update also *answers* with only what changed: a
+//! delta response carrying the changed tiles and updated summary
+//! statistics (`?full=1` opts back into the full report; see
+//! `docs/PROTOCOL.md`).
 //!
 //! Sessions live in one exact [`LruCache`] behind one mutex, held only
 //! for the lookup, insert, or remove itself — never across an
@@ -151,7 +158,13 @@ pub struct ServerConfig {
     /// so the external serving benchmark, which still reads it, compiles.
     #[doc(hidden)]
     pub scenario_cache_cap: usize,
-    /// Matrix-tier cache cap handed to the shared engine.
+    /// Bound on the Model B kernels alive at once across every session
+    /// (the shared engine's
+    /// [`with_matrix_cache_cap`](ChipEngine::with_matrix_cache_cap)).
+    /// Each session holds one kernel per distinct via density, so memory
+    /// follows the live sessions; a registration whose new kernels would
+    /// pass the cap gets a session that holds none, whose updates
+    /// factorize the densities they touch. Results never change.
     pub matrix_cache_cap: usize,
     /// Per-connection read timeout (an idle keep-alive connection is
     /// dropped after this; a mid-request stall this long answers 408).

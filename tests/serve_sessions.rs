@@ -12,6 +12,8 @@
 //! * Post-eviction correctness: an engine squeezed to 1-entry caches
 //!   returns byte-identical responses (evictions change cost, never
 //!   results).
+//! * Kernels live with their sessions: an evicted session's kernel is
+//!   freed, so the live kernels never outnumber the live sessions.
 
 use proptest::prelude::*;
 use ttsv::serve::client::{trace_power_body, trace_register_body, Client};
@@ -354,6 +356,66 @@ fn tiny_engine_caches_change_cost_never_results() {
     .expect("bind ephemeral port");
     let got = drive_session(&server.addr().to_string(), 0);
     assert_eq!(got, expected, "eviction pressure changed a response");
+    server.shutdown();
+}
+
+/// Registering twice the session quota, each session with a via density
+/// no other uses, leaves at most one kernel alive per live session: an
+/// evicted session's kernel goes with it. Every live session still
+/// answers a two-tile update bitwise equal to a fresh evaluation.
+#[test]
+fn evicted_sessions_free_their_kernels() {
+    const MAX_SESSIONS: usize = 4;
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig::default()
+            .with_workers(1)
+            .with_max_sessions(MAX_SESSIONS),
+    )
+    .expect("bind ephemeral port");
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let ids: Vec<u64> = (0..2 * MAX_SESSIONS)
+        .map(|s| {
+            let (status, body) = client
+                .request("POST", "/sessions", &trace_register_body(GRID, s))
+                .expect("register");
+            assert_eq!(status, 201, "{body}");
+            body.strip_prefix("{\"session\":")
+                .and_then(|rest| rest.split(',').next())
+                .and_then(|id| id.parse().ok())
+                .expect("session id in register response")
+        })
+        .collect();
+
+    let (status, metrics) = client.request("GET", "/metrics", "").expect("metrics");
+    assert_eq!(status, 200);
+    let doc = serde::json::from_str(&metrics).expect("metrics endpoint emits valid JSON");
+    let live = doc
+        .get("sessions")
+        .and_then(|s| s.get("live"))
+        .and_then(|v| v.as_usize());
+    assert_eq!(live, Some(MAX_SESSIONS));
+    let kernels = doc
+        .get("engine")
+        .and_then(|e| e.get("matrix_entries"))
+        .and_then(|v| v.as_usize())
+        .expect("engine.matrix_entries");
+    assert!(
+        kernels <= MAX_SESSIONS,
+        "{kernels} kernels alive for {MAX_SESSIONS} live sessions"
+    );
+
+    for (s, id) in ids.iter().enumerate().skip(MAX_SESSIONS) {
+        let (status, body) = client
+            .request(
+                "POST",
+                &format!("/sessions/{id}/power?full=1"),
+                &trace_power_body(GRID, s, 0),
+            )
+            .expect("power update");
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(body, direct_session(s)[1], "session {id}");
+    }
     server.shutdown();
 }
 
