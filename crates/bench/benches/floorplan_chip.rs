@@ -45,7 +45,9 @@ fn bench_floorplan(c: &mut Criterion) {
     });
     group.bench_function("gradient_32x32/model_b100/warm_cache", |b| {
         let engine = ChipEngine::new();
-        let _held = engine.evaluate_live(&gradient, &model).expect("solvable");
+        let _held = engine
+            .evaluate_live(gradient.clone(), model.clone())
+            .expect("solvable");
         b.iter(|| {
             engine
                 .evaluate_factored(&gradient, &model)

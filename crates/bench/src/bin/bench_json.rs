@@ -339,7 +339,7 @@ fn main() {
     let gradient64 = gradient_floorplan(64);
     let warm_engine = ChipEngine::new();
     let _held = warm_engine
-        .evaluate_live(&gradient64, &b100)
+        .evaluate_live(gradient64.clone(), b100.clone())
         .expect("solvable");
     sampler.bench("floorplan_chip/full64/factored", || {
         warm_engine

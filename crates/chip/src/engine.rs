@@ -14,21 +14,24 @@
 //!   [`PowerSeparableModel`]: [`ModelB`](ttsv_core::model_b::ModelB) and
 //!   [`ModelA`](ttsv_core::model_a::ModelA). Each distinct geometry (via
 //!   density) is factorized once, into the ladder's hotspot kernel
-//!   ([`LadderKernel`](ttsv_core::ladder::LadderKernel): the unit
-//!   responses of the nodes that can be hottest, ≈ 50 KB at the serving
-//!   `B(1000)` geometry). Every tile then costs one kernel call
-//!   (0.08–0.33 µs) on the calling thread — no dedup, since hashing a
-//!   tile's key costs about as much as evaluating it.
+//!   ([`LadderKernel`]: the unit responses of the nodes that can be
+//!   hottest, ≈ 50 KB at the serving `B(1000)` geometry). Every tile then
+//!   costs one kernel call (0.08–0.33 µs) on the calling thread — no
+//!   dedup, since hashing a tile's key costs about as much as evaluating
+//!   it.
 //!
 //! # Kernels live with their chips
 //!
 //! [`ChipEngine::evaluate_live`] runs the factored evaluation once and
-//! returns a [`LiveChip`] that holds its plan's kernels; its sparse
-//! updates call those kernels for the changed tiles only, without
-//! touching the engine, so a serving update costs what it changes.
+//! returns a [`LiveChip`] that owns the plan, the model and the plan's
+//! kernels; its sparse updates call those kernels for the changed tiles
+//! only, without touching the matrix tier, so a serving update costs
+//! what it changes. Because the chip owns all three, an update cannot
+//! pair kernels with a plan or model they were not built from.
 //!
-//! The **matrix tier** is a weak index of the kernels alive, keyed on the
-//! model's cache tag plus the geometry bits. It holds no kernel itself:
+//! The **matrix tier** is a weak index of the kernels alive
+//! (`Weak<LadderKernel>`), keyed on the model's cache tag plus the
+//! geometry bits. It holds no kernel itself:
 //! it lets concurrent holders of one geometry (sessions registered with
 //! the same via density, or an evaluation running while a chip holds the
 //! kernel) share one kernel instead of factorizing their own. A kernel
@@ -43,22 +46,18 @@
 //! cost observable — the serving tests assert that a power update
 //! factorizes nothing and re-solves exactly the changed tiles.
 
-use std::any::Any;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 use ttsv_core::batch::{default_workers, scoped_batch};
+use ttsv_core::ladder::LadderKernel;
 use ttsv_core::scenario::{PowerSeparableModel, ThermalModel};
 use ttsv_core::CoreError;
 
 use crate::floorplan::{CellKey, Floorplan};
 use crate::live::LiveChip;
 use crate::report::ChipReport;
-
-/// One geometry's kernel as chips hold it: type-erased, so one index
-/// serves every model.
-pub(crate) type SharedKernel = Arc<dyn Any + Send + Sync>;
 
 /// A matrix-tier key: the model's cache tag plus the exact bit pattern
 /// of the plan geometry and one via density.
@@ -69,15 +68,15 @@ struct MatrixKey {
 }
 
 /// The matrix tier: geometry → the kernel some holder keeps alive, if any.
-type MatrixTier = HashMap<MatrixKey, Weak<dyn Any + Send + Sync>>;
+type MatrixTier = HashMap<MatrixKey, Weak<LadderKernel>>;
 
 /// One factored pass over a set of tiles.
-struct KernelPass<K> {
+struct KernelPass {
     /// Each tile's `ΔT`, in the order the tiles were named.
     delta_t: Vec<f64>,
     /// Per distinct geometry among the tiles: its via-density bits and
     /// kernel.
-    kernels: Vec<(u64, Arc<K>)>,
+    kernels: Vec<(u64, Arc<LadderKernel>)>,
     /// Whether the matrix tier indexes every kernel, so a chip may hold
     /// them within the cap.
     indexed: bool,
@@ -178,10 +177,13 @@ impl ChipEngine {
     /// pass the cap, the tier indexes none of the new ones (counted into
     /// [`ChipEngine::evictions`]): the evaluation still uses them and
     /// drops them when it returns, and the [`LiveChip`] it builds holds
-    /// no kernels. Each [`LiveChip::apply`] on such a chip then
-    /// factorizes the densities among its changed tiles that no live
-    /// holder shares. A plan with more distinct via densities than the
-    /// cap is therefore never held whole. Results never change — only
+    /// no kernels — it drops the kernels it shared from live holders
+    /// too, not only the new ones. Each [`LiveChip::apply`] on such a
+    /// chip then factorizes the densities among its changed tiles that no
+    /// live holder shares. A plan with more distinct via densities than
+    /// the cap is therefore never held whole. A declined chip never gets
+    /// its kernels back: its updates do not fill it in, even after other
+    /// chips drop and the cap has room. Results never change — only
     /// [`ChipEngine::factorizations`] grows (tested bitwise against a
     /// fresh evaluation).
     ///
@@ -343,38 +345,27 @@ impl ChipEngine {
     }
 
     /// [`ChipEngine::evaluate_factored`], held as a [`LiveChip`] that
-    /// keeps the plan's kernels and that later sparse power updates patch
-    /// in place. The chip holds no kernels when the matrix tier declined
-    /// them for the cap (see [`ChipEngine::with_matrix_cache_cap`]).
+    /// owns the plan, the model and the plan's kernels, and that later
+    /// sparse power updates patch in place. The chip holds no kernels
+    /// when the matrix tier declined them for the cap (see
+    /// [`ChipEngine::with_matrix_cache_cap`]).
     ///
     /// # Errors
     ///
     /// As [`ChipEngine::evaluate_factored`].
     pub fn evaluate_live<M: PowerSeparableModel + Sync>(
         &self,
-        plan: &Floorplan,
-        model: &M,
-    ) -> Result<LiveChip, CoreError> {
+        plan: Floorplan,
+        model: M,
+    ) -> Result<LiveChip<M>, CoreError> {
         let KernelPass {
             delta_t,
             kernels,
             indexed,
-        } = self.kernel_pass(plan, model, 0..plan.tiles())?;
-        let report = Self::report(plan, model, delta_t, kernels.len());
-        let kernels = if indexed {
-            kernels
-                .into_iter()
-                .map(|(bits, kernel)| (bits, kernel as SharedKernel))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        Ok(LiveChip::new(
-            report,
-            model.cache_tag(),
-            plan.geometry_bits(),
-            kernels,
-        ))
+        } = self.kernel_pass(&plan, &model, 0..plan.tiles())?;
+        let report = Self::report(&plan, &model, delta_t, kernels.len());
+        let kernels = if indexed { kernels } else { Vec::new() };
+        Ok(LiveChip::new(plan, model, report, kernels))
     }
 
     /// The report of a kernel pass over every tile of `plan`.
@@ -396,16 +387,17 @@ impl ChipEngine {
 
     /// Evaluates `tiles` (row-major indices), returning each tile's `ΔT`
     /// — the k-tile solve behind [`LiveChip::apply`], counted into
-    /// [`ChipEngine::solves`]. `held` is the chip's kernels sorted by
-    /// via-density bits: a tile calls its kernel from there, without the
-    /// matrix tier. A chip that holds no kernels passes an empty slice,
-    /// and its tiles go through the tier like a factored evaluation.
+    /// [`ChipEngine::solves`]. `held` is the kernels of every via density
+    /// of `plan`, sorted by the density bits: a tile calls its kernel
+    /// from there, without the matrix tier. A chip that holds no kernels
+    /// passes an empty slice, and its tiles go through the tier like a
+    /// factored evaluation.
     pub(crate) fn solve_tiles<M: PowerSeparableModel + Sync>(
         &self,
         plan: &Floorplan,
         model: &M,
         tiles: &[usize],
-        held: &[(u64, SharedKernel)],
+        held: &[(u64, Arc<LadderKernel>)],
     ) -> Result<Vec<f64>, CoreError> {
         let delta_t = if held.is_empty() {
             self.kernel_pass(plan, model, tiles.iter().copied())?
@@ -416,19 +408,11 @@ impl ChipEngine {
                 .iter()
                 .map(|&t| {
                     let bits = plan.matrix_bits(t);
-                    let kernel = held
+                    let i = held
                         .binary_search_by_key(&bits, |&(b, _)| b)
-                        .ok()
-                        .and_then(|i| held[i].1.downcast_ref::<M::Factorization>())
-                        .ok_or_else(|| CoreError::InvalidFloorplan {
-                            reason: format!(
-                                "tile {t}'s via density has no kernel of this model in the chip"
-                            ),
-                        })?;
+                        .expect("a chip holds the kernel of every via density in its plan");
                     plan.fill_tile_cell_powers(t, &mut powers);
-                    model
-                        .solve_with_powers(kernel, &powers)
-                        .map(|dt| dt.as_kelvin())
+                    held[i].1.max_delta_t(&powers).map(|dt| dt.as_kelvin())
                 })
                 .collect::<Result<Vec<f64>, _>>()?
         };
@@ -447,7 +431,7 @@ impl ChipEngine {
         plan: &Floorplan,
         model: &M,
         tiles: impl Iterator<Item = usize> + Clone,
-    ) -> Result<KernelPass<M::Factorization>, CoreError> {
+    ) -> Result<KernelPass, CoreError> {
         let nx = plan.nx();
         // Per tile its geometry index; per geometry a representative tile.
         let mut index: HashMap<u64, usize> = HashMap::new();
@@ -476,7 +460,7 @@ impl ChipEngine {
                 }
             })
             .collect();
-        let mut kernels: Vec<Option<Arc<M::Factorization>>> = {
+        let mut kernels: Vec<Option<Arc<LadderKernel>>> = {
             let tier = self.matrices();
             keys.iter().map(|key| shared(&tier, key)).collect()
         };
@@ -496,7 +480,7 @@ impl ChipEngine {
             .fetch_add(missing.len(), Ordering::Relaxed);
         let indexed = missing.is_empty() || self.index(&keys, &missing, built, &mut kernels);
 
-        let kernels: Vec<(u64, Arc<M::Factorization>)> = reps
+        let kernels: Vec<(u64, Arc<LadderKernel>)> = reps
             .iter()
             .zip(kernels)
             .map(|(&t, kernel)| {
@@ -509,9 +493,7 @@ impl ChipEngine {
             .zip(&geometry_of)
             .map(|(t, &g)| {
                 plan.fill_tile_cell_powers(t, &mut powers);
-                model
-                    .solve_with_powers(&kernels[g].1, &powers)
-                    .map(|dt| dt.as_kelvin())
+                kernels[g].1.max_delta_t(&powers).map(|dt| dt.as_kelvin())
             })
             .collect::<Result<Vec<f64>, _>>()?;
         Ok(KernelPass {
@@ -530,12 +512,12 @@ impl ChipEngine {
     /// Dead entries are pruned only when the tier looks full, so an
     /// insert costs amortized O(1); a prune that frees nothing comes with
     /// at least one factorization, which costs far more.
-    fn index<K: Send + Sync + 'static>(
+    fn index(
         &self,
         keys: &[MatrixKey],
         missing: &[usize],
-        built: Vec<Arc<K>>,
-        kernels: &mut [Option<Arc<K>>],
+        built: Vec<Arc<LadderKernel>>,
+        kernels: &mut [Option<Arc<LadderKernel>>],
     ) -> bool {
         let cap = self.matrix_cache_cap;
         let mut tier = self.matrices();
@@ -554,8 +536,7 @@ impl ChipEngine {
                 Some(live) => live,
                 None => {
                     if indexed {
-                        let erased: SharedKernel = kernel.clone();
-                        tier.insert(key.clone(), Arc::downgrade(&erased));
+                        tier.insert(key.clone(), Arc::downgrade(&kernel));
                     }
                     kernel
                 }
@@ -566,10 +547,8 @@ impl ChipEngine {
 }
 
 /// The kernel `key` names, if a holder keeps it alive.
-fn shared<K: Send + Sync + 'static>(tier: &MatrixTier, key: &MatrixKey) -> Option<Arc<K>> {
-    tier.get(key)
-        .and_then(Weak::upgrade)
-        .and_then(|kernel| kernel.downcast().ok())
+fn shared(tier: &MatrixTier, key: &MatrixKey) -> Option<Arc<LadderKernel>> {
+    tier.get(key).and_then(Weak::upgrade)
 }
 
 #[cfg(test)]
@@ -673,16 +652,14 @@ mod tests {
     #[test]
     fn power_delta_re_solves_only_changed_tiles() {
         let cs = CaseStudy::paper();
-        let mut plan = Floorplan::uniform(&cs, 4, 4).unwrap();
-        let model = ModelB::paper_b20();
+        let plan = Floorplan::uniform(&cs, 4, 4).unwrap();
         let engine = ChipEngine::new();
-        let mut live = engine.evaluate_live(&plan, &model).unwrap();
+        let mut live = engine.evaluate_live(plan, ModelB::paper_b20()).unwrap();
         assert_eq!(engine.factorizations(), 1);
 
         // Double one tile's power on the top plane.
-        let doubled = plan.plane_maps()[2].tiles()[5] * 2.0;
-        live.apply(&engine, &mut plan, &model, 2, &[(5, doubled)])
-            .unwrap();
+        let doubled = live.plan().plane_maps()[2].tiles()[5] * 2.0;
+        live.apply(&engine, 2, &[(5, doubled)]).unwrap();
         assert_eq!(live.report().distinct_cells, 1, "one via density");
         assert_eq!(engine.solves(), 1, "only the changed tile re-solves");
         assert_eq!(engine.factorizations(), 1, "geometry unchanged");
@@ -718,7 +695,7 @@ mod tests {
         let (plan_a, plan_b) = (plan_at(0.005), plan_at(0.01));
         let fresh = |plan: &Floorplan| ChipEngine::new().evaluate_factored(plan, &model).unwrap();
         let engine = ChipEngine::new().with_matrix_cache_cap(1);
-        let held_a = engine.evaluate_live(&plan_a, &model).unwrap();
+        let held_a = engine.evaluate_live(plan_a.clone(), model.clone()).unwrap();
         assert_eq!(engine.cache_entries(), 1, "the chip holds plan_a's kernel");
         let first = engine.evaluate_factored(&plan_a, &model).unwrap();
         assert_eq!(engine.factorizations(), 1, "a held kernel is shared");
@@ -727,7 +704,7 @@ mod tests {
 
         // plan_a's kernel is alive, so plan_b's would pass the cap: its
         // chip holds none, and the tier keeps one kernel alive.
-        let held_b = engine.evaluate_live(&plan_b, &model).unwrap();
+        let held_b = engine.evaluate_live(plan_b.clone(), model.clone()).unwrap();
         assert_eq!(engine.factorizations(), 2);
         assert_eq!(engine.evictions(), 1, "plan_b's kernel was declined");
         assert_eq!(engine.cache_entries(), 1, "the live kernels stay bounded");

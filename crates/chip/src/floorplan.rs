@@ -261,9 +261,9 @@ impl Floorplan {
     }
 
     /// Replaces one plane's power map. A power update leaves the geometry
-    /// intact, so every kernel a [`LiveChip`](crate::LiveChip) holds for
-    /// this plan stays valid; [`LiveChip::apply`](crate::LiveChip::apply) is
-    /// the sparse form that re-solves only the changed tiles.
+    /// intact, so the plan's kernels stay valid;
+    /// [`LiveChip::apply`](crate::LiveChip::apply) is the sparse form on
+    /// the plan a chip owns, re-solving only the changed tiles.
     ///
     /// # Errors
     ///
@@ -305,8 +305,7 @@ impl Floorplan {
     /// construction reads besides per-tile maps: footprint, layer
     /// thicknesses, TSV configuration (radius, liner, count, material
     /// conductivities), the plane count and the tile count. Combined with
-    /// a tile's density bits this forms the engine's matrix-tier key; a
-    /// [`LiveChip`](crate::LiveChip) checks it before using its kernels.
+    /// a tile's density bits this forms the engine's matrix-tier key.
     pub(crate) fn geometry_bits(&self) -> Vec<u64> {
         vec![
             self.footprint.as_square_meters().to_bits(),

@@ -20,10 +20,11 @@
 //! * [`ChipReport`] — the full-chip `ΔT` map with hotspot statistics
 //!   (max / p99 / mean, argmax tile), JSON-serializable for downstream
 //!   serving,
-//! * [`LiveChip`] — a report held across sparse power updates, together
-//!   with its plan's kernels: each update re-solves only the tiles it
-//!   changes against them and patches the report in place, bit-identical
-//!   to a full re-evaluation.
+//! * [`LiveChip`] — a report held across sparse power updates; the chip
+//!   owns its plan, its model and the plan's kernels, so an update names
+//!   only a plane and its tiles, re-solves only the tiles it changes
+//!   against the held kernels and patches the report in place,
+//!   bit-identical to a full re-evaluation.
 //!
 //! # Two paths; kernels live with their chips
 //!
@@ -36,11 +37,13 @@
 //! * [`ChipEngine::evaluate_factored`] runs
 //!   [`PowerSeparableModel`](ttsv_core::scenario::PowerSeparableModel)s
 //!   (Model A and Model B). Each distinct geometry (via density) is
-//!   factorized once into the ladder's hotspot kernel. Every tile then
+//!   factorized once into the ladder's hotspot kernel
+//!   ([`LadderKernel`](ttsv_core::ladder::LadderKernel)). Every tile then
 //!   costs one kernel call of a few hundred nanoseconds, so an
 //!   all-distinct gradient map collapses to a single factorization.
-//!   [`ChipEngine::evaluate_live`] keeps the kernels in the [`LiveChip`]
-//!   it returns; the **matrix tier** indexes them weakly (keyed on exact
+//!   [`ChipEngine::evaluate_live`] takes the plan and model by value and
+//!   keeps them, with the kernels, in the [`LiveChip`] it returns; the
+//!   **matrix tier** indexes the kernels weakly (keyed on exact
 //!   geometry bits plus the model's
 //!   [`cache_tag`](ttsv_core::scenario::ThermalModel::cache_tag)), so a
 //!   kernel is shared while some chip holds it and freed when the last

@@ -1,31 +1,53 @@
-//! Held evaluation state for serving: a [`LiveChip`] keeps a plan's
-//! [`ChipReport`] current under sparse power updates, at a cost that
-//! scales with the tiles an update names rather than the tiles the chip
-//! holds. An update is three steps: stage the changed tiles in the plan,
-//! evaluate those tiles against the chip's own kernels, patch the
-//! report.
+//! Held evaluation state for serving: a [`LiveChip`] owns a plan, its
+//! model and the model's kernels, and keeps the plan's [`ChipReport`]
+//! current under sparse power updates, at a cost that scales with the
+//! tiles an update names rather than the tiles the chip holds. An update
+//! is three steps: stage the changed tiles in the plan, evaluate those
+//! tiles against the chip's own kernels, patch the report.
 
 use std::sync::Arc;
 
+use ttsv_core::ladder::LadderKernel;
 use ttsv_core::scenario::PowerSeparableModel;
 use ttsv_core::CoreError;
 use ttsv_units::Power;
 
-use crate::engine::{ChipEngine, SharedKernel};
+use crate::engine::ChipEngine;
 use crate::floorplan::Floorplan;
 use crate::map::PowerMap;
 use crate::report::ChipReport;
 
 /// A floorplan's evaluated report held across power updates, built by
-/// [`ChipEngine::evaluate_live`], together with the model kernels of the
-/// plan's distinct via densities.
+/// [`ChipEngine::evaluate_live`]. The chip owns the plan, the model and
+/// the model's kernels of the plan's distinct via densities, so an update
+/// names only a plane and the tiles it changes.
 ///
-/// The chip owns its kernels: they stay alive exactly as long as some
-/// chip holds them, and the engine's matrix tier only indexes them so
-/// that chips of one geometry share one kernel. Dropping the chip frees
-/// every kernel no other chip holds. A chip built past the engine's cap
-/// ([`ChipEngine::with_matrix_cache_cap`]) holds no kernels; its updates
-/// factorize the densities they touch through the engine.
+/// ```
+/// use ttsv_chip::{ChipEngine, Floorplan};
+/// use ttsv_core::{full_chip::CaseStudy, model_b::ModelB, CoreError};
+/// use ttsv_units::Power;
+///
+/// fn main() -> Result<(), CoreError> {
+///     let plan = Floorplan::uniform(&CaseStudy::paper(), 16, 16)?;
+///     let engine = ChipEngine::new();
+///     let mut live = engine.evaluate_live(plan, ModelB::paper_b100())?; // one kernel pass
+///     let changed = live.apply(&engine, 2, &[(5, Power::from_watts(0.5))])?; // re-solves tile 5 only
+///     assert_eq!((changed, engine.solves()), (vec![5], 1));
+///     Ok(())
+/// }
+/// ```
+///
+/// The kernels stay alive exactly as long as some chip holds them, and
+/// the engine's matrix tier only indexes them so that chips of one
+/// geometry share one kernel. Dropping the chip frees every kernel no
+/// other chip holds.
+///
+/// A chip built past the engine's cap
+/// ([`ChipEngine::with_matrix_cache_cap`]) holds no kernels — neither
+/// the new ones the tier declined nor those it shared from live holders —
+/// and its updates factorize the densities they touch through the
+/// engine. It stays that way for its whole life: an update never fills
+/// it in, even once other chips have dropped and the cap has room.
 ///
 /// [`LiveChip::apply`] re-solves only the tiles an update changes (one
 /// kernel call each, against the held kernels, without locking the
@@ -37,25 +59,22 @@ use crate::report::ChipReport;
 /// `distinct_cells` (the plan's distinct geometries) and `total_vias`
 /// hold without any bookkeeping.
 ///
-/// Equality compares the reports, what the chip was evaluated with, and
-/// kernel identity.
+/// Equality compares the reports, the plans and kernel identity; the
+/// models are not compared.
 #[derive(Debug, Clone)]
-pub struct LiveChip {
+pub struct LiveChip<M> {
+    plan: Floorplan,
+    model: M,
     report: ChipReport,
-    /// The model's cache tag at evaluation.
-    tag: String,
-    /// The plan's geometry bits at evaluation.
-    geometry: Vec<u64>,
     /// `(via-density bits, kernel)`, sorted by the bits; empty when the
     /// matrix tier declined the kernels for its cap.
-    kernels: Vec<(u64, SharedKernel)>,
+    kernels: Vec<(u64, Arc<LadderKernel>)>,
 }
 
-impl PartialEq for LiveChip {
+impl<M> PartialEq for LiveChip<M> {
     fn eq(&self, other: &Self) -> bool {
         self.report == other.report
-            && self.tag == other.tag
-            && self.geometry == other.geometry
+            && self.plan == other.plan
             && self.kernels.len() == other.kernels.len()
             && self
                 .kernels
@@ -90,18 +109,18 @@ fn invalid(reason: String) -> CoreError {
     CoreError::InvalidFloorplan { reason }
 }
 
-impl LiveChip {
+impl<M: PowerSeparableModel + Sync> LiveChip<M> {
     pub(crate) fn new(
+        plan: Floorplan,
+        model: M,
         report: ChipReport,
-        tag: String,
-        geometry: Vec<u64>,
-        mut kernels: Vec<(u64, SharedKernel)>,
+        mut kernels: Vec<(u64, Arc<LadderKernel>)>,
     ) -> Self {
         kernels.sort_unstable_by_key(|&(bits, _)| bits);
         Self {
+            plan,
+            model,
             report,
-            tag,
-            geometry,
             kernels,
         }
     }
@@ -112,9 +131,15 @@ impl LiveChip {
         &self.report
     }
 
-    /// Applies a sparse power update to plane `plane` of `plan` — the plan
-    /// this chip was evaluated from, with the engine and model that
-    /// evaluated it — and patches the held report in place.
+    /// The held plan, with every update applied so far.
+    #[must_use]
+    pub fn plan(&self) -> &Floorplan {
+        &self.plan
+    }
+
+    /// Applies a sparse power update to plane `plane` of the chip's plan
+    /// through `engine` (the engine that evaluated the chip) and patches
+    /// the held report in place.
     ///
     /// `updates` lists `(row-major tile index, watts)` pairs in strictly
     /// ascending tile order. Entries whose watts are bit-identical to the
@@ -123,48 +148,28 @@ impl LiveChip {
     ///
     /// The update is transactional: the plan's changed tiles are staged
     /// and written back if any solve fails (or panics), and the report is
-    /// patched only after every solve succeeded. On `Err` the plan and
-    /// the chip are exactly as they were.
+    /// patched only after every solve succeeded. On `Err` the chip is
+    /// exactly as it was.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidFloorplan`] for a model whose cache tag
-    /// or a plan whose geometry differs from the ones the chip was
-    /// evaluated with (its held kernels would not fit them), a plan whose
-    /// grid differs from the report's, a plane or tile out of range,
-    /// tiles out of order, or watts [`PowerMap::check_power`] rejects;
-    /// propagates tile validation, factorization and solve failures.
-    pub fn apply<M: PowerSeparableModel + Sync>(
+    /// Returns [`CoreError::InvalidFloorplan`] for a plane or tile out of
+    /// range, tiles out of order, or watts [`PowerMap::check_power`]
+    /// rejects; on a chip that holds no kernels, propagates tile
+    /// validation and factorization failures.
+    pub fn apply(
         &mut self,
         engine: &ChipEngine,
-        plan: &mut Floorplan,
-        model: &M,
         plane: usize,
         updates: &[(usize, Power)],
     ) -> Result<Vec<usize>, CoreError> {
-        if model.cache_tag() != self.tag {
-            return Err(invalid(format!(
-                "a chip evaluated with {} cannot be updated with {}",
-                self.tag,
-                model.cache_tag()
-            )));
-        }
-        if plan.geometry_bits() != self.geometry {
-            return Err(invalid(
-                "the plan's stack or TSV geometry differs from the one the chip was evaluated with"
-                    .into(),
-            ));
-        }
-        let (nx, tiles) = (self.report.nx, self.report.tiles);
-        if plan.nx() != nx || plan.tiles() != tiles {
-            return Err(invalid(format!(
-                "a {}×{} plan cannot update a {}×{} report",
-                plan.nx(),
-                plan.ny(),
-                nx,
-                self.report.ny
-            )));
-        }
+        let Self {
+            plan,
+            model,
+            report,
+            kernels,
+        } = self;
+        let tiles = plan.tiles();
         if plane >= plan.plane_count() {
             return Err(invalid(format!(
                 "plane {plane} out of range for a {}-plane floorplan",
@@ -201,10 +206,10 @@ impl LiveChip {
             }
         }
         let touched: Vec<usize> = staged.old.iter().map(|&(tile, _)| tile).collect();
-        let delta_t = engine.solve_tiles(staged.plan, model, &touched, &self.kernels)?;
+        let delta_t = engine.solve_tiles(staged.plan, model, &touched, kernels)?;
 
         // Every solve succeeded: commit the plan and patch the report.
-        let changed = self.report.patch(&touched, &delta_t);
+        let changed = report.patch(&touched, &delta_t);
         staged.armed = false;
         Ok(changed)
     }
@@ -224,11 +229,7 @@ mod tests {
     /// A 4×3 plan with two via densities and a power gradient, so several
     /// matrices and many distinct cells are in play.
     fn plan() -> Floorplan {
-        plan_on(&CaseStudy::paper())
-    }
-
-    /// [`plan`]'s maps on the stack of `cs`.
-    fn plan_on(cs: &CaseStudy) -> Floorplan {
+        let cs = CaseStudy::paper();
         let maps = (0..3)
             .map(|j| {
                 PowerMap::from_fn(4, 3, |ix, iy| {
@@ -241,7 +242,7 @@ mod tests {
             .map(|i| if i % 4 < 2 { 0.005 } else { 0.01 })
             .collect();
         let via = ViaDensityMap::new(4, 3, densities).unwrap();
-        Floorplan::new(cs, maps, via).unwrap()
+        Floorplan::new(&cs, maps, via).unwrap()
     }
 
     fn fresh_json(plan: &Floorplan) -> String {
@@ -258,10 +259,11 @@ mod tests {
             .collect()
     }
 
-    /// Model B whose solves succeed, fail or panic on demand.
+    /// Model B whose factorizations succeed, fail or panic on demand.
+    #[derive(Debug, Clone)]
     struct Flaky {
         inner: ModelB,
-        mode: AtomicU8,
+        mode: Arc<AtomicU8>,
     }
 
     const OK: u8 = 0;
@@ -281,50 +283,35 @@ mod tests {
     }
 
     impl PowerSeparableModel for Flaky {
-        type Factorization = <ModelB as PowerSeparableModel>::Factorization;
-        fn factorize_geometry(
-            &self,
-            scenario: &Scenario,
-        ) -> Result<Self::Factorization, CoreError> {
-            self.inner.factorize_geometry(scenario)
-        }
-        fn solve_with_powers(
-            &self,
-            factorization: &Self::Factorization,
-            plane_powers: &[Power],
-        ) -> Result<TemperatureDelta, CoreError> {
+        fn factorize_geometry(&self, scenario: &Scenario) -> Result<LadderKernel, CoreError> {
             match self.mode.load(Ordering::SeqCst) {
                 FAIL => Err(CoreError::InvalidScenario {
-                    reason: "synthetic solve failure".into(),
+                    reason: "synthetic factorization failure".into(),
                 }),
-                PANIC => panic!("synthetic solve panic"),
-                _ => self.inner.solve_with_powers(factorization, plane_powers),
+                PANIC => panic!("synthetic factorization panic"),
+                _ => self.inner.factorize_geometry(scenario),
             }
         }
     }
 
     #[test]
     fn sparse_updates_match_a_fresh_full_evaluation() {
-        let mut plan = plan();
-        let model = ModelB::paper_b20();
         let engine = ChipEngine::new().with_workers(1);
-        let mut live = engine.evaluate_live(&plan, &model).unwrap();
-        assert_eq!(live.report().to_json(), fresh_json(&plan));
+        let mut live = engine.evaluate_live(plan(), ModelB::paper_b20()).unwrap();
+        assert_eq!(live.report().to_json(), fresh_json(live.plan()));
         let w = Power::from_watts;
         for (plane, updates) in [
             (0, vec![(1, w(9.0)), (7, w(0.0))]),
             // Tile 4 gets tile 0's watts.
-            (1, vec![(4, plan.plane_maps()[1].tiles()[0])]),
+            (1, vec![(4, live.plan().plane_maps()[1].tiles()[0])]),
             (2, vec![(0, w(3.5)), (5, w(3.5)), (11, w(0.25))]),
             // Restore tile 1's watts.
-            (0, vec![(1, plan.plane_maps()[0].tiles()[1])]),
+            (0, vec![(1, live.plan().plane_maps()[0].tiles()[1])]),
         ] {
             let before = live.report().clone();
-            let changed = live
-                .apply(&engine, &mut plan, &model, plane, &updates)
-                .unwrap();
-            assert_eq!(live.report().to_json(), fresh_json(&plan));
-            let diff: Vec<usize> = (0..plan.tiles())
+            let changed = live.apply(&engine, plane, &updates).unwrap();
+            assert_eq!(live.report().to_json(), fresh_json(live.plan()));
+            let diff: Vec<usize> = (0..live.plan().tiles())
                 .filter(|&i| before.delta_t[i].to_bits() != live.report().delta_t[i].to_bits())
                 .collect();
             assert_eq!(changed, diff);
@@ -334,16 +321,15 @@ mod tests {
     #[test]
     fn a_two_tile_update_keys_two_tiles_and_a_no_op_keys_none() {
         let cs = CaseStudy::paper();
-        let mut plan = Floorplan::uniform(&cs, 16, 16).unwrap();
-        let model = ModelB::paper_b20();
+        let plan = Floorplan::uniform(&cs, 16, 16).unwrap();
         let engine = ChipEngine::new().with_workers(1);
-        let mut live = engine.evaluate_live(&plan, &model).unwrap();
+        let mut live = engine.evaluate_live(plan, ModelB::paper_b20()).unwrap();
         let work = || (engine.solves(), engine.factorizations());
         let lookups = || (engine.scenario_hits(), engine.scenario_misses());
         let ((solved, factored), looked_up) = (work(), lookups());
         let w = Power::from_watts;
         let changed = live
-            .apply(&engine, &mut plan, &model, 0, &[(3, w(1.0)), (200, w(2.0))])
+            .apply(&engine, 0, &[(3, w(1.0)), (200, w(2.0))])
             .unwrap();
         assert_eq!(changed, [3, 200]);
         assert_eq!(
@@ -354,54 +340,59 @@ mod tests {
         assert_eq!(lookups(), looked_up, "a held kernel skips the matrix tier");
         assert_eq!(live.report().distinct_cells, 1);
 
-        let same = plan.plane_maps()[0].tiles()[3];
+        let same = live.plan().plane_maps()[0].tiles()[3];
         let (solved, factored) = work();
         let held = live.clone();
-        let changed = live
-            .apply(&engine, &mut plan, &model, 0, &[(3, same)])
-            .unwrap();
+        let changed = live.apply(&engine, 0, &[(3, same)]).unwrap();
         assert!(changed.is_empty());
         assert_eq!(work(), (solved, factored));
         assert_eq!(live, held);
     }
 
-    /// A solve that fails — or panics — leaves the plan's power maps and
-    /// the chip bitwise as they were, and a clean retry lands the
-    /// fault-free result.
+    /// On a chip past the kernel cap an update factorizes the densities it
+    /// touches; a factorization that fails — or panics — leaves the plan's
+    /// power maps and the chip bitwise as they were, and a clean retry
+    /// lands the fault-free result.
     #[test]
     fn failed_and_panicking_solves_roll_back() {
-        let mut plan = plan();
+        let mode = Arc::new(AtomicU8::new(OK));
         let model = Flaky {
             inner: ModelB::paper_b20(),
-            mode: AtomicU8::new(OK),
+            mode: Arc::clone(&mode),
         };
-        let engine = ChipEngine::new().with_workers(1);
-        let mut live = engine.evaluate_live(&plan, &model).unwrap();
+        let engine = ChipEngine::new().with_workers(1).with_matrix_cache_cap(1);
+        let mut live = engine.evaluate_live(plan(), model).unwrap();
+        assert_eq!(engine.evictions(), 2, "the chip holds neither kernel");
+        assert_eq!(engine.cache_entries(), 0);
         let update = [(2, Power::from_watts(6.0)), (9, Power::from_watts(0.5))];
-        let (held_plan, held_live) = (watts(&plan), live.clone());
+        let (held_plan, held_live) = (watts(live.plan()), live.clone());
 
-        model.mode.store(FAIL, Ordering::SeqCst);
-        let err = live.apply(&engine, &mut plan, &model, 1, &update);
+        mode.store(FAIL, Ordering::SeqCst);
+        let err = live.apply(&engine, 1, &update);
         assert!(err.is_err());
-        assert_eq!(watts(&plan), held_plan, "failed solve rolled the plan back");
+        assert_eq!(
+            watts(live.plan()),
+            held_plan,
+            "failed solve rolled the plan back"
+        );
         assert_eq!(live, held_live, "failed solve left the chip untouched");
 
-        model.mode.store(PANIC, Ordering::SeqCst);
+        mode.store(PANIC, Ordering::SeqCst);
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            live.apply(&engine, &mut plan, &model, 1, &update)
+            live.apply(&engine, 1, &update)
         }));
         assert!(unwound.is_err());
         assert_eq!(
-            watts(&plan),
+            watts(live.plan()),
             held_plan,
             "panicking solve rolled the plan back"
         );
         assert_eq!(live, held_live, "panicking solve left the chip untouched");
 
-        model.mode.store(OK, Ordering::SeqCst);
-        let changed = live.apply(&engine, &mut plan, &model, 1, &update).unwrap();
+        mode.store(OK, Ordering::SeqCst);
+        let changed = live.apply(&engine, 1, &update).unwrap();
         assert_eq!(changed, [2, 9]);
-        assert_eq!(live.report().to_json(), fresh_json(&plan));
+        assert_eq!(live.report().to_json(), fresh_json(live.plan()));
     }
 
     /// Past the live-kernel cap a chip holds no kernels: each update
@@ -419,14 +410,14 @@ mod tests {
         };
         let densities = [0.004, 0.005, 0.008, 0.01];
         let via = ViaDensityMap::new(4, 3, (0..12).map(|t| densities[t % 4]).collect()).unwrap();
-        let mut plan = Floorplan::new(&cs, maps(), via).unwrap();
+        let plan = Floorplan::new(&cs, maps(), via).unwrap();
         let neighbour_via = ViaDensityMap::uniform(4, 3, densities[2]).unwrap();
         let neighbour_plan = Floorplan::new(&cs, maps(), neighbour_via).unwrap();
         let model = ModelB::paper_b20();
         let engine = ChipEngine::new().with_workers(1).with_matrix_cache_cap(1);
-        let neighbour = engine.evaluate_live(&neighbour_plan, &model).unwrap();
+        let neighbour = engine.evaluate_live(neighbour_plan, model.clone()).unwrap();
         assert_eq!((engine.factorizations(), engine.cache_entries()), (1, 1));
-        let mut live = engine.evaluate_live(&plan, &model).unwrap();
+        let mut live = engine.evaluate_live(plan, model).unwrap();
         assert_eq!(live.report().distinct_cells, 4);
         assert_eq!(engine.factorizations(), 4, "column 2's kernel is shared");
         assert_eq!(engine.evictions(), 3, "3 new kernels never fit beside it");
@@ -440,62 +431,26 @@ mod tests {
             (vec![(4, w(3.0)), (9, w(0.25)), (10, w(0.1))], 2),
         ] {
             let (solved, factored) = (engine.solves(), engine.factorizations());
-            live.apply(&engine, &mut plan, &model, 0, &updates).unwrap();
+            live.apply(&engine, 0, &updates).unwrap();
             assert_eq!(engine.factorizations() - factored, columns);
             assert_eq!(engine.solves() - solved, updates.len());
             assert_eq!(engine.cache_entries(), 1, "only the neighbour's kernel");
-            assert_eq!(live.report().to_json(), fresh_json(&plan));
+            assert_eq!(live.report().to_json(), fresh_json(live.plan()));
         }
         // Once the neighbour drops, column 2's kernel has no holder.
         drop(neighbour);
         assert_eq!(engine.cache_entries(), 0);
         let factored = engine.factorizations();
-        live.apply(&engine, &mut plan, &model, 0, &[(6, w(0.75))])
-            .unwrap();
+        live.apply(&engine, 0, &[(6, w(0.75))]).unwrap();
         assert_eq!(engine.factorizations() - factored, 1);
         assert_eq!(engine.cache_entries(), 0);
-        assert_eq!(live.report().to_json(), fresh_json(&plan));
-    }
-
-    /// A chip's kernels fit only the model and stack it was evaluated
-    /// with: another segmentation or another substrate thickness is
-    /// refused before anything is staged.
-    #[test]
-    fn held_kernels_cannot_be_misapplied() {
-        let mut plan = plan();
-        let model = ModelB::paper_b20();
-        let engine = ChipEngine::new().with_workers(1);
-        let mut live = engine.evaluate_live(&plan, &model).unwrap();
-        let (held_plan, held_live) = (watts(&plan), live.clone());
-        let update = [(2, Power::from_watts(6.0))];
-
-        let resegmented = ModelB::with_segments(3, 20);
-        assert_ne!(resegmented.cache_tag(), model.cache_tag());
-        let err = live
-            .apply(&engine, &mut plan, &resegmented, 0, &update)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::InvalidFloorplan { .. }), "{err}");
-
-        let mut thicker = CaseStudy::paper();
-        thicker.t_si = Length::from_micrometers(450.0);
-        let mut other = plan_on(&thicker);
-        let err = live
-            .apply(&engine, &mut other, &model, 0, &update)
-            .unwrap_err();
-        assert!(matches!(err, CoreError::InvalidFloorplan { .. }), "{err}");
-        assert_eq!(watts(&other), held_plan, "nothing was staged");
-        assert_eq!(watts(&plan), held_plan);
-        assert_eq!(live, held_live);
-
-        live.apply(&engine, &mut plan, &model, 0, &update).unwrap();
-        assert_eq!(live.report().to_json(), fresh_json(&plan));
+        assert_eq!(live.report().to_json(), fresh_json(live.plan()));
     }
 
     #[test]
     fn dropping_the_chip_frees_its_kernels() {
-        let model = ModelB::paper_b20();
         let engine = ChipEngine::new().with_workers(1);
-        let live = engine.evaluate_live(&plan(), &model).unwrap();
+        let live = engine.evaluate_live(plan(), ModelB::paper_b20()).unwrap();
         assert_eq!(engine.cache_entries(), 2, "one kernel per via density");
         let copy = live.clone();
         drop(live);
@@ -506,11 +461,9 @@ mod tests {
 
     #[test]
     fn invalid_updates_are_rejected_before_staging() {
-        let mut plan = plan();
-        let model = ModelB::paper_b20();
         let engine = ChipEngine::new().with_workers(1);
-        let mut live = engine.evaluate_live(&plan, &model).unwrap();
-        let (held_plan, held_live) = (watts(&plan), live.clone());
+        let mut live = engine.evaluate_live(plan(), ModelB::paper_b20()).unwrap();
+        let (held_plan, held_live) = (watts(live.plan()), live.clone());
         let w = Power::from_watts;
         for (plane, updates, needle) in [
             (3, vec![(0, w(1.0))], "out of range"),
@@ -518,17 +471,10 @@ mod tests {
             (0, vec![(5, w(1.0)), (5, w(2.0))], "strictly ascending"),
             (0, vec![(0, w(1.0)), (1, w(-1.0))], "non-negative"),
         ] {
-            let err = live
-                .apply(&engine, &mut plan, &model, plane, &updates)
-                .unwrap_err();
+            let err = live.apply(&engine, plane, &updates).unwrap_err();
             assert!(err.to_string().contains(needle), "{err}");
         }
-        let other = Floorplan::uniform(&CaseStudy::paper(), 3, 4).unwrap();
-        let mut other_plan = other.clone();
-        assert!(live
-            .apply(&engine, &mut other_plan, &model, 0, &[])
-            .is_err());
-        assert_eq!(watts(&plan), held_plan);
+        assert_eq!(watts(live.plan()), held_plan);
         assert_eq!(live, held_live);
     }
 }

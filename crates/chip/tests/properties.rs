@@ -76,7 +76,7 @@ fn model() -> ModelA {
 }
 
 /// The body of `factored_batch_matches_per_tile_solves` for one model.
-fn check_factored_matches_per_tile<M: PowerSeparableModel + Sync>(
+fn check_factored_matches_per_tile<M: PowerSeparableModel + Sync + Clone>(
     plan: &Floorplan,
     model: &M,
 ) -> Result<(), TestCaseError> {
@@ -99,7 +99,9 @@ fn check_factored_matches_per_tile<M: PowerSeparableModel + Sync>(
     prop_assert_eq!(engine.solves(), 0);
     // While a live chip of the plan holds its kernels, a repeat performs
     // 0 factorizations and gives a bitwise-equal map.
-    let live = engine.evaluate_live(plan, model).expect("solvable");
+    let live = engine
+        .evaluate_live(plan.clone(), model.clone())
+        .expect("solvable");
     prop_assert_eq!(engine.factorizations(), 2 * distinct_densities(plan));
     prop_assert_eq!(&live.report().delta_t, &factored.delta_t);
     let again = engine.evaluate_factored(plan, model).expect("solvable");

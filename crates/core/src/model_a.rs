@@ -197,19 +197,9 @@ impl ThermalModel for ModelA {
 }
 
 impl PowerSeparableModel for ModelA {
-    type Factorization = LadderKernel;
-
     fn factorize_geometry(&self, scenario: &Scenario) -> Result<LadderKernel, CoreError> {
         let resistances = model_a_resistances(scenario.stack(), scenario.tsv(), &self.fit);
         with_ladder(&resistances, LadderKernel::from_basis)
-    }
-
-    fn solve_with_powers(
-        &self,
-        factorization: &LadderKernel,
-        plane_powers: &[Power],
-    ) -> Result<TemperatureDelta, CoreError> {
-        factorization.max_delta_t(plane_powers)
     }
 }
 

@@ -8,7 +8,7 @@
 //! system (eq. 19) is the shared [ladder](crate::ladder); a generic banded
 //! LU and a CG path over it remain in the tests as cross-checks.
 
-use ttsv_units::{Power, TemperatureDelta, ThermalResistance};
+use ttsv_units::{TemperatureDelta, ThermalResistance};
 
 use crate::error::CoreError;
 use crate::ladder::{LadderKernel, ResponseBasis, Segment};
@@ -272,18 +272,8 @@ impl ThermalModel for ModelB {
 }
 
 impl crate::scenario::PowerSeparableModel for ModelB {
-    type Factorization = LadderKernel;
-
     fn factorize_geometry(&self, scenario: &Scenario) -> Result<LadderKernel, CoreError> {
         self.factorize(scenario)
-    }
-
-    fn solve_with_powers(
-        &self,
-        factorization: &LadderKernel,
-        plane_powers: &[Power],
-    ) -> Result<TemperatureDelta, CoreError> {
-        factorization.max_delta_t(plane_powers)
     }
 }
 
@@ -455,7 +445,7 @@ mod tests {
     use crate::model_a::ModelA;
     use ttsv_linalg::BandedMatrix;
     use ttsv_network::{SolverChoice, Terminal, ThermalNetwork};
-    use ttsv_units::Length;
+    use ttsv_units::{Length, Power};
 
     fn um(v: f64) -> Length {
         Length::from_micrometers(v)

@@ -6,6 +6,7 @@ use ttsv_units::{Area, Length, Power, TemperatureDelta};
 
 use crate::error::CoreError;
 use crate::geometry::{HeatLoad, Plane, Stack, TtsvConfig};
+use crate::ladder::LadderKernel;
 
 /// A fully validated analysis scenario: the stack, the TTSV configuration,
 /// and the heat entering each plane.
@@ -134,44 +135,29 @@ pub trait ThermalModel {
 
 /// A model whose linear system depends only on the scenario's *geometry*
 /// (stack, TSV, segmentation) — plane powers enter the right-hand side
-/// alone. Such models factorize once per geometry and answer each power
-/// vector from that factorization, which is what lets the chip engine's
-/// matrix-tier cache collapse an all-distinct power map onto a handful of
-/// factorizations. [`ModelA`](crate::model_a::ModelA) and
-/// [`ModelB`](crate::model_b::ModelB) factorize their shared ladder into
-/// a hotspot kernel ([`LadderKernel`](crate::ladder::LadderKernel)): a
-/// power vector costs a few hundred multiply-adds, the cached entry
-/// ~50 KB at the serving Model B geometry.
+/// alone. Such a model factorizes each geometry once into the ladder's
+/// hotspot kernel ([`LadderKernel`]) and answers every power vector with
+/// one call on it, [`LadderKernel::max_delta_t`]: a few hundred
+/// multiply-adds, against a kernel of ~50 KB at the serving Model B
+/// geometry. That is what lets the chip engine collapse an all-distinct
+/// power map onto a handful of factorizations.
+/// [`ModelA`](crate::model_a::ModelA) and
+/// [`ModelB`](crate::model_b::ModelB) implement it on their shared
+/// ladder.
 ///
 /// Contract: for any scenario `s`,
-/// `solve_with_powers(&factorize(&s)?, s.plane_powers())` must equal
+/// `factorize_geometry(&s)?.max_delta_t(s.plane_powers())` must equal
 /// `max_delta_t(&s)` **bitwise** (the property suites assert it for both
 /// models, including that the kernel's pruned max equals the max over
 /// every node).
 pub trait PowerSeparableModel: ThermalModel {
-    /// The reusable geometry factorization.
-    type Factorization: Send + Sync + 'static;
-
-    /// Factorizes the scenario's geometry (powers are ignored).
+    /// Factorizes the scenario's geometry (powers are ignored) into its
+    /// hotspot kernel.
     ///
     /// # Errors
     ///
     /// Returns a [`CoreError`] when the geometry is invalid for the model.
-    fn factorize_geometry(&self, scenario: &Scenario) -> Result<Self::Factorization, CoreError>;
-
-    /// Solves one per-plane power vector against a factorization obtained
-    /// from [`PowerSeparableModel::factorize_geometry`] on the same
-    /// geometry.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CoreError`] when the power vector is incompatible with
-    /// the factorization or the solve fails.
-    fn solve_with_powers(
-        &self,
-        factorization: &Self::Factorization,
-        plane_powers: &[Power],
-    ) -> Result<TemperatureDelta, CoreError>;
+    fn factorize_geometry(&self, scenario: &Scenario) -> Result<LadderKernel, CoreError>;
 }
 
 /// Builder for the paper's §IV block with per-figure knobs; see

@@ -20,9 +20,10 @@
 //!   to a bounded long-lived
 //!   [`WorkerPool`](pool::WorkerPool), one shared
 //!   [`ChipEngine`](ttsv_chip::ChipEngine) indexing the live kernels,
-//!   one exact-LRU session table with quotas, per-session held reports
-//!   ([`LiveChip`](ttsv_chip::LiveChip), holding the session's kernels)
-//!   that power updates patch in place — re-solving only the changed
+//!   one exact-LRU session table with quotas, one
+//!   [`LiveChip`](ttsv_chip::LiveChip) per session (owning its plan,
+//!   model, kernels and held report) that power updates patch in place —
+//!   re-solving only the changed
 //!   tiles, staged and rolled back on failure — and `GET /metrics`,
 //! * [`poller`] — real `poll(2)` readiness for the event loops (a
 //!   hand-rolled std-only binding plus a self-pipe waker; the crate

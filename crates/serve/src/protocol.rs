@@ -38,10 +38,15 @@ fn err(msg: impl Into<String>) -> ProtocolError {
     ProtocolError(msg.into())
 }
 
-/// A registered session's immutable model and mutable floorplan.
+/// A parsed registration: the floorplan and the Model B configuration.
+/// The server moves both into the session's
+/// [`LiveChip`](ttsv_chip::LiveChip) (via
+/// [`ChipEngine::evaluate_live`](ttsv_chip::ChipEngine::evaluate_live)),
+/// which owns them for the session's life; power updates parse against
+/// the chip's [`plan`](ttsv_chip::LiveChip::plan).
 #[derive(Debug, Clone)]
 pub struct SessionSpec {
-    /// The floorplan power deltas will mutate.
+    /// The registered floorplan.
     pub plan: Floorplan,
     /// The Model B configuration every evaluation uses.
     pub model: ModelB,
@@ -706,16 +711,14 @@ mod tests {
     #[test]
     fn a_same_watts_update_answers_an_empty_delta() {
         let engine = ttsv_chip::ChipEngine::new().with_workers(1);
-        let mut spec = parse_register(register_body(3, 3).as_bytes()).unwrap();
-        let mut live = engine.evaluate_live(&spec.plan, &spec.model).unwrap();
+        let spec = parse_register(register_body(3, 3).as_bytes()).unwrap();
+        let mut live = engine.evaluate_live(spec.plan, spec.model).unwrap();
         let before = live.report().to_json();
-        let same = spec.plan.plane_maps()[2].get(1, 2).as_watts();
+        let same = live.plan().plane_maps()[2].get(1, 2).as_watts();
         let body = format!("{{\"plane\":2,\"updates\":[[1,2,{same}]]}}");
-        let (plane, update) = parse_power_sparse(body.as_bytes(), &spec.plan).unwrap();
-        let entries = update.into_entries(&spec.plan.plane_maps()[plane]);
-        let changed = live
-            .apply(&engine, &mut spec.plan, &spec.model, plane, &entries)
-            .unwrap();
+        let (plane, update) = parse_power_sparse(body.as_bytes(), live.plan()).unwrap();
+        let entries = update.into_entries(&live.plan().plane_maps()[plane]);
+        let changed = live.apply(&engine, plane, &entries).unwrap();
         assert!(changed.is_empty());
         let delta = render_delta_tiles(live.report(), &changed);
         assert!(delta.contains("\"changed\":[]"), "{delta}");

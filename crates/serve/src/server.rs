@@ -32,16 +32,20 @@
 //! counts wakeups), yet still syncs a write acknowledged just before it
 //! went quiet.
 //!
-//! Every session's [`LiveChip`] holds the Model B kernels of its via
-//! densities, so a warm power-delta request re-solves only the tiles
-//! whose bits changed against its own kernels — without touching the
-//! shared engine, which is the entire point of serving sessions instead
-//! of stateless requests. Kernels live exactly as long as the sessions
-//! that use them: when the LRU evicts or a `DELETE` removes a session,
-//! every kernel no other session shares is freed. The one shared
-//! [`ChipEngine`] only indexes the live kernels, so sessions with the
-//! same via density (and journal recovery) share one kernel, and it
-//! bounds the kernels alive at once by the config's `matrix_cache_cap`.
+//! A session's whole mutable state is one [`LiveChip<ModelB>`]: it owns
+//! the registered floorplan, the model and the Model B kernels of its
+//! via densities. A warm power-delta request parses against the chip's
+//! own plan and re-solves only the tiles whose bits changed against the
+//! chip's own kernels — without touching the shared engine's index,
+//! which is the entire point of serving sessions instead of stateless
+//! requests. Kernels live exactly as long as the sessions that use them:
+//! when the LRU evicts or a `DELETE` removes a session, every kernel no
+//! other session shares is freed. The one shared [`ChipEngine`] only
+//! indexes the live kernels, so sessions with the same via density (and
+//! journal recovery) share one kernel, and it bounds the kernels alive
+//! at once by the config's `matrix_cache_cap`. A session registered when
+//! its kernels would pass that cap holds none for its whole life; each
+//! of its updates factorizes the densities it touches.
 //! By default a warm update also *answers* with only what changed: a
 //! delta response carrying the changed tiles and updated summary
 //! statistics (`?full=1` opts back into the full report; see
@@ -111,6 +115,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use ttsv_chip::{ChipEngine, LiveChip};
+use ttsv_core::model_b::ModelB;
 use ttsv_core::CoreError;
 
 use crate::faults::{FaultDirective, ServerFaults};
@@ -120,7 +125,7 @@ use crate::metrics::{Metrics, PersistStats};
 use crate::persist::{Journal, PersistConfig};
 use crate::poller::{self, PollInterest, Poller, Waker};
 use crate::pool::{PoolMonitor, WorkerPool};
-use crate::protocol::{self, SessionSpec};
+use crate::protocol;
 
 /// The `Retry-After` hint (seconds) on overload responses (503/429).
 pub const RETRY_AFTER_SECS: u64 = 1;
@@ -371,18 +376,12 @@ struct ConnDeadlines {
     request_deadline: Duration,
 }
 
-/// A session's serialized mutable state: the floorplan + model, and the
-/// held evaluation of the floorplan — the report `GET` returns and
-/// power updates patch in place.
-struct SessionState {
-    spec: SessionSpec,
-    live: LiveChip,
-}
-
-/// One registered session: the serialized state plus the flood-control
-/// gauge counting requests currently targeting it.
+/// One registered session: its serialized state — the held evaluation
+/// that owns the floorplan, the model and its kernels, whose report
+/// `GET` returns and power updates patch in place — plus the
+/// flood-control gauge counting requests currently targeting it.
 struct Session {
-    state: Mutex<SessionState>,
+    live: Mutex<LiveChip<ModelB>>,
     pending: AtomicUsize,
 }
 
@@ -488,7 +487,7 @@ impl ServerState {
         if let Err(resp) = inject(directive) {
             return resp;
         }
-        let live = match self.engine.evaluate_live(&spec.plan, &spec.model) {
+        let live = match self.engine.evaluate_live(spec.plan, spec.model) {
             Ok(live) => live,
             Err(e) => return evaluation_failed(&e),
         };
@@ -502,7 +501,7 @@ impl ServerState {
         }
         let json = live.report().to_json();
         let session = Arc::new(Session {
-            state: Mutex::new(SessionState { spec, live }),
+            live: Mutex::new(live),
             pending: AtomicUsize::new(0),
         });
         self.publish(id, session);
@@ -537,28 +536,22 @@ impl ServerState {
         // Per-session serialization: deltas from concurrent clients on
         // the same session apply in some total order, and each response
         // reflects exactly the plan it evaluated.
-        let mut guard = lock(&session.state);
-        let state = &mut *guard;
-        let spec = &mut state.spec;
-        let (plane, update) = match protocol::parse_power_sparse(body, &spec.plan) {
+        let mut live = lock(&session.live);
+        let (plane, update) = match protocol::parse_power_sparse(body, live.plan()) {
             Ok(parsed) => parsed,
             Err(e) => return Response::error(400, &e.0),
         };
-        let updates = update.into_entries(&spec.plan.plane_maps()[plane]);
+        let updates = update.into_entries(&live.plan().plane_maps()[plane]);
         if let Err(resp) = inject(directive) {
             return resp;
         }
         // Re-solves only the changed tiles and patches the held report;
         // any failure (or panic) leaves the plan and report exactly as
         // they were, so a retry evaluates the same pre-update state.
-        let changed =
-            match state
-                .live
-                .apply(&self.engine, &mut spec.plan, &spec.model, plane, &updates)
-            {
-                Ok(changed) => changed,
-                Err(e) => return evaluation_failed(&e),
-            };
+        let changed = match live.apply(&self.engine, plane, &updates) {
+            Ok(changed) => changed,
+            Err(e) => return evaluation_failed(&e),
+        };
         // The update is now applied state; journal its raw wire body
         // under the session lock, so the journal's per-session update
         // order is exactly the serialization order the responses
@@ -566,7 +559,7 @@ impl ServerState {
         if let Some(journal) = &self.journal {
             journal.record_update(id, plane, body);
         }
-        let report = state.live.report();
+        let report = live.report();
         let body = if full {
             report.to_json()
         } else {
@@ -580,9 +573,9 @@ impl ServerState {
             Ok(s) => s,
             Err(resp) => return resp,
         };
-        let state = lock(&session.state);
+        let live = lock(&session.live);
         match inject(directive) {
-            Ok(()) => Response::json(200, state.live.report().to_json()),
+            Ok(()) => Response::json(200, live.report().to_json()),
             Err(resp) => resp,
         }
     }
@@ -1441,16 +1434,13 @@ impl Server {
             for session in recovered.sessions {
                 match state
                     .engine
-                    .evaluate_live(&session.spec.plan, &session.spec.model)
+                    .evaluate_live(session.spec.plan, session.spec.model)
                 {
                     Ok(live) => {
                         state.publish(
                             session.id,
                             Arc::new(Session {
-                                state: Mutex::new(SessionState {
-                                    spec: session.spec,
-                                    live,
-                                }),
+                                live: Mutex::new(live),
                                 pending: AtomicUsize::new(0),
                             }),
                         );

@@ -107,21 +107,19 @@ fn plane_watts(plan: &ttsv_chip::Floorplan) -> Vec<Vec<f64>> {
 fn run_sequence(engine: &ChipEngine, nx: usize, ny: usize, seed: u64) -> Result<(), TestCaseError> {
     let mut rng = Rng(seed);
     let register = register_body(nx, ny, &mut rng);
-    let mut spec = parse_register(register.as_bytes()).expect("valid register body");
+    let spec = parse_register(register.as_bytes()).expect("valid register body");
     // The mirror applies each body through the whole-map fold.
     let mut mirror = spec.clone();
     let mut live = engine
-        .evaluate_live(&spec.plan, &spec.model)
+        .evaluate_live(spec.plan, spec.model)
         .expect("solvable");
     for step in 0..STEPS {
-        let body = update_body(&plane_watts(&spec.plan), nx, ny, &mut rng);
+        let body = update_body(&plane_watts(live.plan()), nx, ny, &mut rng);
         let (plane, update) =
-            parse_power_sparse(body.as_bytes(), &spec.plan).expect("valid update body");
-        let entries = update.into_entries(&spec.plan.plane_maps()[plane]);
+            parse_power_sparse(body.as_bytes(), live.plan()).expect("valid update body");
+        let entries = update.into_entries(&live.plan().plane_maps()[plane]);
         let prev = live.report().clone();
-        let changed = live
-            .apply(engine, &mut spec.plan, &spec.model, plane, &entries)
-            .expect("solvable");
+        let changed = live.apply(engine, plane, &entries).expect("solvable");
 
         let (mirror_plane, map) =
             parse_power_update(body.as_bytes(), &mirror.plan).expect("valid update body");
@@ -129,7 +127,7 @@ fn run_sequence(engine: &ChipEngine, nx: usize, ny: usize, seed: u64) -> Result<
             .plan
             .update_power_map(mirror_plane, map)
             .expect("same grid");
-        prop_assert_eq!(plane_watts(&spec.plan), plane_watts(&mirror.plan));
+        prop_assert_eq!(plane_watts(live.plan()), plane_watts(&mirror.plan));
 
         let fresh = ChipEngine::new()
             .evaluate_factored(&mirror.plan, &mirror.model)

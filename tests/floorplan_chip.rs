@@ -76,20 +76,21 @@ fn serving_loop_re_solves_only_the_power_delta() {
     // The serving workload: evaluate once into a live chip, then update
     // one plane's power in a few tiles on the SAME engine — the update
     // must solve exactly the changed tiles against the cached kernel.
-    let mut plan = gradient_floorplan(16);
     let model = ModelB::paper_b100();
     let engine = ChipEngine::new();
-    let mut live = engine.evaluate_live(&plan, &model).unwrap();
+    let mut live = engine
+        .evaluate_live(gradient_floorplan(16), model.clone())
+        .unwrap();
     let first = live.report().clone();
     assert_eq!(engine.factorizations(), 1);
 
     // Bump 5 tiles of the top plane by 10 %.
-    let updates: Vec<(usize, Power)> = plan.plane_maps()[2].tiles()[..5]
+    let updates: Vec<(usize, Power)> = live.plan().plane_maps()[2].tiles()[..5]
         .iter()
         .enumerate()
         .map(|(t, &p)| (t, p * 1.1))
         .collect();
-    let changed = live.apply(&engine, &mut plan, &model, 2, &updates).unwrap();
+    let changed = live.apply(&engine, 2, &updates).unwrap();
     assert_eq!(changed, [0, 1, 2, 3, 4]);
     assert_eq!(
         engine.solves(),
@@ -105,7 +106,9 @@ fn serving_loop_re_solves_only_the_power_delta() {
     for i in 0..5 {
         assert!(second.delta_t[i] > first.delta_t[i]);
     }
-    let fresh = ChipEngine::new().evaluate_factored(&plan, &model).unwrap();
+    let fresh = ChipEngine::new()
+        .evaluate_factored(live.plan(), &model)
+        .unwrap();
     assert_eq!(second.to_json(), fresh.to_json());
 }
 

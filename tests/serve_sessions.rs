@@ -13,7 +13,8 @@
 //!   returns byte-identical responses (evictions change cost, never
 //!   results).
 //! * Kernels live with their sessions: an evicted session's kernel is
-//!   freed, so the live kernels never outnumber the live sessions.
+//!   freed, so the live kernels never outnumber the live sessions, and a
+//!   session past the kernel cap holds none and factorizes per update.
 
 use proptest::prelude::*;
 use ttsv::serve::client::{trace_power_body, trace_register_body, Client};
@@ -415,6 +416,80 @@ fn evicted_sessions_free_their_kernels() {
             .expect("power update");
         assert_eq!(status, 200, "{body}");
         assert_eq!(body, direct_session(s)[1], "session {id}");
+    }
+    server.shutdown();
+}
+
+/// A session past the kernel cap: a 4×4 session with 16 distinct via
+/// densities on a server that keeps at most 4 kernels alive holds none,
+/// so each update factorizes exactly the densities its changed tiles
+/// carry, and still answers bitwise what a fresh evaluation gives.
+#[test]
+fn a_session_past_the_kernel_cap_factorizes_what_each_update_touches() {
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig {
+            matrix_cache_cap: 4,
+            ..ServerConfig::default().with_workers(1)
+        },
+    )
+    .expect("bind ephemeral port");
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let engine_count = |client: &mut Client, key: &str| {
+        let (_, metrics) = client.request("GET", "/metrics", "").expect("metrics");
+        let doc = serde::json::from_str(&metrics).expect("metrics endpoint emits valid JSON");
+        doc.get("engine")
+            .and_then(|e| e.get(key))
+            .and_then(|v| v.as_usize())
+            .unwrap_or_else(|| panic!("engine.{key} in {metrics}"))
+    };
+
+    // Every tile its own density, so a tile's density is touched iff its
+    // watts change.
+    let densities: Vec<String> = (0..GRID * GRID)
+        .map(|i| format!("{}", 0.004 + i as f64 * 1e-4))
+        .collect();
+    let register = trace_register_body(GRID, 0).replace(
+        "\"via_density\":0.005,",
+        &format!("\"via_density\":[{}],", densities.join(",")),
+    );
+    let mut mirror = parse_register(register.as_bytes()).expect("register");
+    let (status, body) = client
+        .request("POST", "/sessions", &register)
+        .expect("register");
+    assert!(
+        status == 201 && body.starts_with("{\"session\":1,"),
+        "{body}"
+    );
+    assert_eq!(engine_count(&mut client, "evictions"), GRID * GRID);
+    assert_eq!(engine_count(&mut client, "matrix_entries"), 0);
+
+    for round in 0..3 {
+        let update = trace_power_body(GRID, 0, round);
+        let (plane, map) = parse_power_update(update.as_bytes(), &mirror.plan).expect("update");
+        let touched = (map.tiles().iter())
+            .zip(mirror.plan.plane_maps()[plane].tiles())
+            .filter(|(new, old)| new.as_watts().to_bits() != old.as_watts().to_bits())
+            .count();
+        assert_eq!(touched, 2, "round {round} changes two tiles");
+        mirror.plan.update_power_map(plane, map).expect("same grid");
+
+        let factored = engine_count(&mut client, "factorizations");
+        let (status, body) = client
+            .request("POST", "/sessions/1/power?full=1", &update)
+            .expect("power update");
+        assert_eq!(status, 200, "{body}");
+        let fresh = ChipEngine::new()
+            .with_workers(1)
+            .evaluate_factored(&mirror.plan, &mirror.model)
+            .expect("solvable");
+        assert_eq!(body, fresh.to_json(), "round {round}");
+        assert_eq!(
+            engine_count(&mut client, "factorizations") - factored,
+            touched,
+            "round {round} factorizes the densities it touches"
+        );
+        assert_eq!(engine_count(&mut client, "matrix_entries"), 0);
     }
     server.shutdown();
 }
