@@ -65,6 +65,7 @@
 
 use std::path::{Path, PathBuf};
 
+use serde::json::Value;
 use ttsv::prelude::*;
 
 /// The paper-block scenario with the given via radius and liner (µm).
@@ -262,65 +263,26 @@ pub fn newest_bench_json(dir: &Path, below: Option<u64>) -> Option<(u64, PathBuf
         .max_by_key(|&(n, _)| n)
 }
 
-/// Minimal extractor for the flat `"key": {"median_ns": N, ...}` /
-/// `"key": N` shapes `bench_json` emits (no JSON dependency offline):
-/// returns every `(key, integer)` pair found under `section`, reading
-/// `field` inside each entry's object (or the bare integer when `None`).
+/// Every `(key, integer)` pair under `section` of a `bench_json`
+/// recording, read from `field` inside each entry's object (or the bare
+/// integer when `None`); entries without that integer are skipped.
 ///
 /// # Panics
 ///
-/// Panics if `section` is missing.
+/// Panics if `json` does not parse or has no `section` object.
 #[must_use]
 pub fn section_integers(json: &str, section: &str, field: Option<&str>) -> Vec<(String, u128)> {
-    let start = json
-        .find(&format!("\"{section}\""))
-        .unwrap_or_else(|| panic!("section {section} missing"));
-    let open = json[start..].find('{').expect("section opens") + start + 1;
-    let mut depth = 1usize;
-    let mut end = open;
-    for (i, c) in json[open..].char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    end = open + i;
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let body = &json[open..end];
-    let mut out = Vec::new();
-    for line in body.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some((key, rest)) = line.split_once(':') else {
-            continue;
-        };
-        let key = key.trim().trim_matches('"').to_string();
-        let digits: String = match field {
-            Some(f) => {
-                let Some(pos) = rest.find(&format!("\"{f}\"")) else {
-                    continue;
-                };
-                rest[pos..]
-                    .chars()
-                    .skip_while(|c| !c.is_ascii_digit())
-                    .take_while(char::is_ascii_digit)
-                    .collect()
-            }
-            None => rest
-                .trim()
-                .chars()
-                .take_while(char::is_ascii_digit)
-                .collect(),
-        };
-        if !digits.is_empty() {
-            out.push((key, digits.parse().expect("integer fits u128")));
-        }
-    }
-    out
+    let doc = serde::json::from_str(json).unwrap_or_else(|e| panic!("recording: {e}"));
+    let Some(Value::Object(entries)) = doc.get(section) else {
+        panic!("section {section} missing");
+    };
+    entries
+        .iter()
+        .filter_map(|(key, entry)| {
+            let value = field.map_or(Some(entry), |f| entry.get(f))?;
+            Some((key.clone(), value.as_usize()? as u128))
+        })
+        .collect()
 }
 
 /// One same-run invariant over two medians of one recording:
@@ -556,6 +518,14 @@ mod tests {
             "{violations:#?}"
         );
         assert!(violations[1].contains("missing"), "{violations:#?}");
+    }
+
+    #[test]
+    fn section_integers_reads_every_median_of_a_recording() {
+        let json = std::fs::read_to_string(repo_root().join("BENCH_24.json")).expect("BENCH_24");
+        let benches = section_integers(&json, "benches", Some("median_ns"));
+        assert_eq!(benches.len(), json.matches("\"median_ns\"").count());
+        assert!(benches.contains(&("model_b/factorize/b10_1000".to_string(), 149_518)));
     }
 
     #[test]

@@ -399,15 +399,6 @@ impl Response {
         }
     }
 
-    /// Serializes the response to the wire.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from `w`.
-    pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        w.write_all(&self.to_bytes())
-    }
-
     /// Renders the full wire image (status line, headers, body) into one
     /// buffer — the form the nonblocking write path needs, where a
     /// response may leave the socket across many partial writes.
@@ -627,21 +618,17 @@ mod tests {
         assert_eq!(parse_all(&wire).unwrap_err().status, 431);
     }
 
+    fn wire(response: &Response) -> String {
+        String::from_utf8(response.to_bytes()).unwrap()
+    }
+
     #[test]
     fn responses_serialize_with_framing() {
-        let mut out = Vec::new();
-        Response::json(200, "{\"ok\":true}".into())
-            .write_to(&mut out)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = wire(&Response::json(200, "{\"ok\":true}".into()));
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"), "{text}");
         assert!(text.contains("content-length: 11\r\n"), "{text}");
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"), "{text}");
-        let mut err = Vec::new();
-        Response::from_error(&HttpError::new(400, "bad \"quote\""))
-            .write_to(&mut err)
-            .unwrap();
-        let err = String::from_utf8(err).unwrap();
+        let err = wire(&Response::from_error(&HttpError::new(400, "bad \"quote\"")));
         assert!(err.contains("connection: close"), "{err}");
         assert!(err.contains("{\"error\":\"bad \\\"quote\\\"\"}"), "{err}");
     }
@@ -682,11 +669,7 @@ mod tests {
 
     #[test]
     fn overload_responses_carry_retry_after() {
-        let mut out = Vec::new();
-        Response::overloaded(503, "saturated", 2)
-            .write_to(&mut out)
-            .unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = wire(&Response::overloaded(503, "saturated", 2));
         assert!(
             text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
             "{text}"
@@ -694,10 +677,6 @@ mod tests {
         assert!(text.contains("retry-after: 2\r\n"), "{text}");
         assert!(text.contains("\r\n\r\n{\"error\":\"saturated\"}"), "{text}");
         // Ordinary responses never emit the header.
-        let mut plain = Vec::new();
-        Response::json(200, "{}".into())
-            .write_to(&mut plain)
-            .unwrap();
-        assert!(!String::from_utf8(plain).unwrap().contains("retry-after"));
+        assert!(!wire(&Response::json(200, "{}".into())).contains("retry-after"));
     }
 }

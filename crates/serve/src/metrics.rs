@@ -10,15 +10,17 @@
 //!
 //! **Accounting invariant** (pinned by a property test in
 //! `tests/serve_chaos.rs`): every answered request increments `requests`,
-//! exactly one of the three status-class counters, and exactly one
-//! histogram bucket — so `requests == ok_2xx + client_4xx + server_5xx`
-//! and `requests == Σ histogram` at every instant. The overload/failure
-//! attributions (`shed`, `rate_limited`, `timeouts`, `panics`) cross-cut
-//! those classes: a shed request is *also* a 5xx, a deadline expiry is
-//! *also* a 4xx — they never double-count the totals.
+//! one status class and one histogram bucket, so once no request is
+//! mid-record `requests == responses.ok_2xx + responses.client_4xx +
+//! responses.server_5xx == latency_ns.samples` in the [`MetricsDoc`].
+//! The attributions `overload.shed_503`, `.rate_limited_429`,
+//! `.timeouts_408` and `.panics` cross-cut those classes: a shed request
+//! is *also* a 5xx, a deadline expiry *also* a 4xx — never double-counted.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
+
+use serde::{Content, Serialize};
 
 const BUCKETS: usize = 64;
 
@@ -26,87 +28,164 @@ const BUCKETS: usize = 64;
 #[derive(Debug)]
 pub struct Metrics {
     started: Instant,
+    counters: Counters,
+    latency: [AtomicU64; BUCKETS],
+}
+
+/// The plain counters of [`Metrics`], each documented at the
+/// [`MetricsDoc`] field it fills (in full in `docs/PROTOCOL.md`).
+#[derive(Debug, Default)]
+struct Counters {
     requests: AtomicU64,
     ok_2xx: AtomicU64,
     client_4xx: AtomicU64,
     server_5xx: AtomicU64,
-    /// 503s issued because the worker pool was saturated (load shed).
     shed: AtomicU64,
-    /// 429s issued because one session's update queue flooded.
     rate_limited: AtomicU64,
-    /// 408s issued because a request blew its deadline (slowloris,
-    /// slow reader, stalled body).
     timeouts: AtomicU64,
-    /// 500s issued because a handler panicked and was contained.
     panics: AtomicU64,
-    /// `accept(2)` failures observed by the accept loop (fd exhaustion,
-    /// aborted handshakes); each one also triggers a short backoff there.
     accept_errors: AtomicU64,
-    /// Connections currently inside `handle_connection` (gauge).
-    inflight: AtomicU64,
-    /// Blocked-`poll(2)` returns across all event loops (the spin window
-    /// never touches this). An idle server should hold this near zero —
-    /// that is the whole point of blocking readiness, and the CI idle
-    /// smoke pins it.
     poll_wakeups: AtomicU64,
-    /// Poll wakeups that reported socket readiness but whose service
-    /// pass then made no progress with an empty inbox (readiness races,
-    /// e.g. a peer reset between `poll` and `read`). Persistent growth
-    /// here means interest tracking is wrong.
     poll_spurious: AtomicU64,
-    /// Connections dropped at adoption because `set_nonblocking` /
-    /// `set_nodelay` failed — a socket left blocking would wedge its
-    /// whole event loop on the next read, so adoption failure is fatal
-    /// to the connection and counted here.
     adopt_errors: AtomicU64,
-    latency: [AtomicU64; BUCKETS],
 }
 
-/// A point-in-time view of the counters.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MetricsSnapshot {
+/// The `GET /metrics` document: field names are its JSON keys, in the
+/// order `docs/PROTOCOL.md` lists them, and `serde::json::to_string` its
+/// one renderer. [`Metrics::snapshot`] fills the request-side fields; the
+/// server fills the rest from the pool, journal, session table and engine.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+pub struct MetricsDoc {
     /// Seconds since the server started.
     pub uptime_s: f64,
     /// Requests answered (including error responses).
     pub requests: u64,
+    /// Answered requests by status class.
+    pub responses: Responses,
+    /// Requests per second of uptime.
+    pub requests_per_sec: f64,
+    /// The end-to-end latency histogram.
+    pub latency_ns: LatencyNs,
+    /// Overload attributions and admission gauges.
+    pub overload: Overload,
+    /// Event-loop health counters.
+    pub readiness: Readiness,
+    /// Write-ahead journal counters.
+    pub persistence: Persistence,
+    /// The session table.
+    pub sessions: Sessions,
+    /// The shared `ChipEngine`'s work and its matrix tier.
+    pub engine: Engine,
+}
+
+/// `/metrics` `responses`: answered requests by status class.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+pub struct Responses {
     /// 2xx responses.
     pub ok_2xx: u64,
     /// 4xx responses.
     pub client_4xx: u64,
     /// 5xx responses.
     pub server_5xx: u64,
-    /// Requests per second of uptime.
-    pub requests_per_sec: f64,
-    /// Median request latency in nanoseconds (bucket upper bound).
-    pub p50_latency_ns: u64,
-    /// 99th-percentile request latency in nanoseconds (bucket upper bound).
-    pub p99_latency_ns: u64,
-    /// Total histogram samples (equals `requests` by the accounting
-    /// invariant; exported so clients can verify reconciliation).
-    pub latency_samples: u64,
+}
+
+/// `/metrics` `latency_ns`: quantiles are their bucket's upper bound.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+pub struct LatencyNs {
+    /// Median request latency in nanoseconds.
+    pub p50: u64,
+    /// 99th-percentile request latency in nanoseconds.
+    pub p99: u64,
+    /// Histogram samples (equals `requests` by the accounting invariant).
+    pub samples: u64,
+}
+
+/// `/metrics` `overload`: attributions that cross-cut the status
+/// classes, plus the live admission and pool gauges.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+pub struct Overload {
     /// 503s shed at admission (subset of `server_5xx`).
-    pub shed: u64,
+    pub shed_503: u64,
     /// 429s from per-session update floods (subset of `client_4xx`).
-    pub rate_limited: u64,
+    pub rate_limited_429: u64,
     /// 408s from blown request deadlines (subset of `client_4xx`).
-    pub timeouts: u64,
+    pub timeouts_408: u64,
     /// Contained handler panics answered as 500 (subset of `server_5xx`).
     pub panics: u64,
-    /// Accept-loop errors (not requests: nothing was parsed or answered,
-    /// so these stay outside the accounting invariant).
+    /// Failed `accept(2)` calls (not requests: outside the invariant).
     pub accept_errors: u64,
-    /// Connections currently being handled (gauge, not a total).
-    pub inflight: u64,
-    /// Blocked-`poll(2)` returns across all event loops (outside the
-    /// accounting invariant: wakeups are not requests).
+    /// The admission gauge: connections the event loops hold, plus those
+    /// between accept and adoption.
+    pub inflight: usize,
+    /// Jobs waiting in the worker pool's queue.
+    pub queue_depth: usize,
+    /// Workers running a job.
+    pub busy_workers: usize,
+}
+
+/// `/metrics` `readiness`: event-loop health, outside the accounting
+/// invariant (wakeups and adoption failures are not requests).
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+pub struct Readiness {
+    /// Blocked-`poll(2)` returns across all event loops (~0 while idle).
     pub poll_wakeups: u64,
-    /// Poll wakeups whose readiness produced no progress (subset of
-    /// `poll_wakeups`).
-    pub poll_spurious: u64,
-    /// Connections dropped because adoption (`set_nonblocking` /
-    /// `set_nodelay`) failed — no request was parsed, so these stay
-    /// outside the accounting invariant, like `accept_errors`.
+    /// Poll wakeups whose readiness made no progress (subset of the above).
+    pub spurious_wakeups: u64,
+    /// Connections dropped because `set_nonblocking`/`set_nodelay` failed.
     pub adopt_errors: u64,
+}
+
+/// `/metrics` `persistence`: `enabled`, then the journal's counters
+/// flattened into the same object (the vendored derive has no `flatten`).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Persistence {
+    /// Whether the journal is open and has not failed.
+    pub enabled: bool,
+    /// The journal's counters.
+    pub journal: PersistSnapshot,
+}
+
+impl Serialize for Persistence {
+    fn to_content(&self) -> Content {
+        let Content::Struct(name, counters) = self.journal.to_content() else {
+            unreachable!("a derived named struct serializes as Content::Struct")
+        };
+        let mut fields = vec![("enabled", self.enabled.to_content())];
+        fields.extend(counters);
+        Content::Struct(name, fields)
+    }
+}
+
+/// `/metrics` `sessions`: the exact-LRU session table.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+pub struct Sessions {
+    /// Sessions held now.
+    pub live: usize,
+    /// The table's quota (`max_sessions`).
+    pub capacity: usize,
+    /// Lookups that found their id.
+    pub hits: u64,
+    /// Lookups that missed their id.
+    pub misses: u64,
+    /// Sessions evicted by quota pressure (a `DELETE` is not one).
+    pub evictions: u64,
+}
+
+/// `/metrics` `engine`: the shared `ChipEngine`'s counters.
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+pub struct Engine {
+    /// Tiles re-solved by power updates.
+    pub solves: usize,
+    /// Kernels built.
+    pub factorizations: usize,
+    /// Matrix-tier lookups that found a live kernel.
+    pub scenario_hits: usize,
+    /// Matrix-tier lookups that missed.
+    pub scenario_misses: usize,
+    /// New kernels the matrix tier declined at its cap.
+    pub evictions: usize,
+    /// Kernels alive now.
+    pub matrix_entries: usize,
 }
 
 impl Default for Metrics {
@@ -121,30 +200,18 @@ impl Metrics {
     pub fn new() -> Self {
         Self {
             started: Instant::now(),
-            requests: AtomicU64::new(0),
-            ok_2xx: AtomicU64::new(0),
-            client_4xx: AtomicU64::new(0),
-            server_5xx: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            rate_limited: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
-            accept_errors: AtomicU64::new(0),
-            inflight: AtomicU64::new(0),
-            poll_wakeups: AtomicU64::new(0),
-            poll_spurious: AtomicU64::new(0),
-            adopt_errors: AtomicU64::new(0),
+            counters: Counters::default(),
             latency: [(); BUCKETS].map(|()| AtomicU64::new(0)),
         }
     }
 
     /// Records one answered request.
     pub fn record(&self, status: u16, elapsed: Duration) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters.requests.fetch_add(1, Ordering::Relaxed);
         let class = match status {
-            200..=299 => &self.ok_2xx,
-            400..=499 => &self.client_4xx,
-            _ => &self.server_5xx,
+            200..=299 => &self.counters.ok_2xx,
+            400..=499 => &self.counters.client_4xx,
+            _ => &self.counters.server_5xx,
         };
         class.fetch_add(1, Ordering::Relaxed);
         let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
@@ -155,67 +222,54 @@ impl Metrics {
     /// Records a request shed at admission (a 503 + `Retry-After`).
     pub fn record_shed(&self, elapsed: Duration) {
         self.record(503, elapsed);
-        self.shed.fetch_add(1, Ordering::Relaxed);
+        self.counters.shed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a per-session flood rejection (a 429 + `Retry-After`).
     pub fn record_rate_limited(&self, elapsed: Duration) {
         self.record(429, elapsed);
-        self.rate_limited.fetch_add(1, Ordering::Relaxed);
+        self.counters.rate_limited.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a blown request deadline (a 408, connection closed).
     pub fn record_timeout(&self, elapsed: Duration) {
         self.record(408, elapsed);
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
+        self.counters.timeouts.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a contained handler panic (a 500; the request itself is
     /// recorded via [`Metrics::record`] like any other response).
     pub fn note_panic(&self) {
-        self.panics.fetch_add(1, Ordering::Relaxed);
+        self.counters.panics.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one failed `accept(2)` call. Accept errors are not
-    /// requests — no response was produced — so this touches neither
-    /// `requests` nor the histogram.
+    /// Records one failed `accept(2)` call: not a request, so neither
+    /// `requests` nor the histogram moves.
     pub fn record_accept_error(&self) {
-        self.accept_errors.fetch_add(1, Ordering::Relaxed);
+        self.counters.accept_errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records one blocked-`poll(2)` return on an event loop.
     pub fn record_poll_wakeup(&self) {
-        self.poll_wakeups.fetch_add(1, Ordering::Relaxed);
+        self.counters.poll_wakeups.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Records a poll wakeup that reported readiness but yielded no
     /// progress on the following service pass.
     pub fn record_poll_spurious(&self) {
-        self.poll_spurious.fetch_add(1, Ordering::Relaxed);
+        self.counters.poll_spurious.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one connection dropped because adoption failed. Like
-    /// accept errors, adoption failures are not requests — nothing was
-    /// parsed or answered — so this touches neither `requests` nor the
-    /// histogram.
+    /// Records one connection dropped because adoption failed: not a
+    /// request, so neither `requests` nor the histogram moves.
     pub fn record_adopt_error(&self) {
-        self.adopt_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Marks one connection entering service; the returned guard
-    /// decrements the gauge on drop (panic-safe: the worker's
-    /// `catch_unwind` runs destructors).
-    #[must_use]
-    pub fn inflight_guard(&self) -> InflightGuard<'_> {
-        self.inflight.fetch_add(1, Ordering::Relaxed);
-        InflightGuard { metrics: self }
+        self.counters.adopt_errors.fetch_add(1, Ordering::Relaxed);
     }
 
     /// The latency at quantile `q` (nearest-rank over the histogram,
     /// reported as the matched bucket's upper bound), or 0 before any
     /// request.
-    #[must_use]
-    pub fn latency_quantile_ns(&self, q: f64) -> u64 {
+    fn latency_quantile_ns(&self, q: f64) -> u64 {
         let counts: Vec<u64> = self
             .latency
             .iter()
@@ -237,32 +291,43 @@ impl Metrics {
         upper_bound_ns(BUCKETS - 1)
     }
 
-    /// Snapshots every counter at once.
+    /// The request-side fields of the `/metrics` document; the blocks
+    /// and gauges other owners fill are left at zero.
     #[must_use]
-    pub fn snapshot(&self) -> MetricsSnapshot {
+    pub fn snapshot(&self) -> MetricsDoc {
         let uptime_s = self.started.elapsed().as_secs_f64().max(1e-9);
-        let requests = self.requests.load(Ordering::Relaxed);
+        let c = &self.counters;
+        let requests = c.requests.load(Ordering::Relaxed);
         #[allow(clippy::cast_precision_loss)]
         let requests_per_sec = requests as f64 / uptime_s;
-        MetricsSnapshot {
+        MetricsDoc {
             uptime_s,
             requests,
-            ok_2xx: self.ok_2xx.load(Ordering::Relaxed),
-            client_4xx: self.client_4xx.load(Ordering::Relaxed),
-            server_5xx: self.server_5xx.load(Ordering::Relaxed),
+            responses: Responses {
+                ok_2xx: c.ok_2xx.load(Ordering::Relaxed),
+                client_4xx: c.client_4xx.load(Ordering::Relaxed),
+                server_5xx: c.server_5xx.load(Ordering::Relaxed),
+            },
             requests_per_sec,
-            p50_latency_ns: self.latency_quantile_ns(0.50),
-            p99_latency_ns: self.latency_quantile_ns(0.99),
-            latency_samples: self.latency.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
-            shed: self.shed.load(Ordering::Relaxed),
-            rate_limited: self.rate_limited.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            panics: self.panics.load(Ordering::Relaxed),
-            accept_errors: self.accept_errors.load(Ordering::Relaxed),
-            inflight: self.inflight.load(Ordering::Relaxed),
-            poll_wakeups: self.poll_wakeups.load(Ordering::Relaxed),
-            poll_spurious: self.poll_spurious.load(Ordering::Relaxed),
-            adopt_errors: self.adopt_errors.load(Ordering::Relaxed),
+            latency_ns: LatencyNs {
+                p50: self.latency_quantile_ns(0.50),
+                p99: self.latency_quantile_ns(0.99),
+                samples: self.latency.iter().map(|c| c.load(Ordering::Relaxed)).sum(),
+            },
+            overload: Overload {
+                shed_503: c.shed.load(Ordering::Relaxed),
+                rate_limited_429: c.rate_limited.load(Ordering::Relaxed),
+                timeouts_408: c.timeouts.load(Ordering::Relaxed),
+                panics: c.panics.load(Ordering::Relaxed),
+                accept_errors: c.accept_errors.load(Ordering::Relaxed),
+                ..Overload::default()
+            },
+            readiness: Readiness {
+                poll_wakeups: c.poll_wakeups.load(Ordering::Relaxed),
+                spurious_wakeups: c.poll_spurious.load(Ordering::Relaxed),
+                adopt_errors: c.adopt_errors.load(Ordering::Relaxed),
+            },
+            ..MetricsDoc::default()
         }
     }
 }
@@ -285,7 +350,7 @@ pub struct PersistStats {
 }
 
 /// A point-in-time view of [`PersistStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct PersistSnapshot {
     /// Records appended to the journal since startup.
     pub records_written: u64,
@@ -356,19 +421,6 @@ impl PersistStats {
     }
 }
 
-/// Decrements the in-flight gauge when the connection finishes (however
-/// it finishes).
-#[derive(Debug)]
-pub struct InflightGuard<'a> {
-    metrics: &'a Metrics,
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        self.metrics.inflight.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
 /// Upper bound of latency bucket `i` in nanoseconds.
 fn upper_bound_ns(i: usize) -> u64 {
     if i + 1 >= BUCKETS {
@@ -391,9 +443,9 @@ mod tests {
         m.record(500, Duration::from_nanos(100));
         let snap = m.snapshot();
         assert_eq!(snap.requests, 4);
-        assert_eq!(snap.ok_2xx, 2);
-        assert_eq!(snap.client_4xx, 1);
-        assert_eq!(snap.server_5xx, 1);
+        assert_eq!(snap.responses.ok_2xx, 2);
+        assert_eq!(snap.responses.client_4xx, 1);
+        assert_eq!(snap.responses.server_5xx, 1);
         assert!(snap.requests_per_sec > 0.0);
     }
 
@@ -431,18 +483,17 @@ mod tests {
         m.note_panic();
         let snap = m.snapshot();
         assert_eq!(snap.requests, 5);
-        assert_eq!(snap.ok_2xx, 1);
-        assert_eq!(snap.client_4xx, 2, "429 + 408");
-        assert_eq!(snap.server_5xx, 2, "503 + 500");
+        assert_eq!(snap.responses.ok_2xx, 1);
+        assert_eq!(snap.responses.client_4xx, 2, "429 + 408");
+        assert_eq!(snap.responses.server_5xx, 2, "503 + 500");
         assert_eq!(
             snap.requests,
-            snap.ok_2xx + snap.client_4xx + snap.server_5xx
+            snap.responses.ok_2xx + snap.responses.client_4xx + snap.responses.server_5xx
         );
-        assert_eq!(snap.latency_samples, snap.requests);
-        assert_eq!(
-            (snap.shed, snap.rate_limited, snap.timeouts, snap.panics),
-            (1, 1, 1, 1)
-        );
+        assert_eq!(snap.latency_ns.samples, snap.requests);
+        let o = &snap.overload;
+        let attributions = (o.shed_503, o.rate_limited_429, o.timeouts_408, o.panics);
+        assert_eq!(attributions, (1, 1, 1, 1));
     }
 
     #[test]
@@ -451,9 +502,9 @@ mod tests {
         m.record_accept_error();
         m.record_accept_error();
         let snap = m.snapshot();
-        assert_eq!(snap.accept_errors, 2);
+        assert_eq!(snap.overload.accept_errors, 2);
         assert_eq!(snap.requests, 0, "accept errors are not requests");
-        assert_eq!(snap.latency_samples, 0);
+        assert_eq!(snap.latency_ns.samples, 0);
     }
 
     #[test]
@@ -464,14 +515,14 @@ mod tests {
         m.record_poll_spurious();
         m.record_adopt_error();
         let snap = m.snapshot();
-        assert_eq!(snap.poll_wakeups, 2);
-        assert_eq!(snap.poll_spurious, 1);
-        assert_eq!(snap.adopt_errors, 1);
+        assert_eq!(snap.readiness.poll_wakeups, 2);
+        assert_eq!(snap.readiness.spurious_wakeups, 1);
+        assert_eq!(snap.readiness.adopt_errors, 1);
         assert_eq!(
             snap.requests, 0,
             "wakeups and adopt errors are not requests"
         );
-        assert_eq!(snap.latency_samples, 0);
+        assert_eq!(snap.latency_ns.samples, 0);
     }
 
     #[test]
@@ -479,23 +530,5 @@ mod tests {
         let m = Metrics::new();
         m.record(200, Duration::from_nanos(u64::MAX));
         assert_eq!(m.latency_quantile_ns(1.0), u64::MAX);
-    }
-
-    #[test]
-    fn inflight_gauge_tracks_guards_even_across_panics() {
-        let m = Metrics::new();
-        assert_eq!(m.snapshot().inflight, 0);
-        {
-            let _a = m.inflight_guard();
-            let _b = m.inflight_guard();
-            assert_eq!(m.snapshot().inflight, 2);
-        }
-        assert_eq!(m.snapshot().inflight, 0);
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _g = m.inflight_guard();
-            panic!("unwind through the guard");
-        }));
-        assert!(caught.is_err());
-        assert_eq!(m.snapshot().inflight, 0, "guard drops during unwind");
     }
 }

@@ -121,7 +121,7 @@ use ttsv_core::CoreError;
 use crate::faults::{FaultDirective, ServerFaults};
 use crate::http::{Method, Request, RequestParser, Response, WriteBuffer};
 use crate::lru::LruCache;
-use crate::metrics::{Metrics, PersistStats};
+use crate::metrics::{self, Metrics, MetricsDoc, PersistStats};
 use crate::persist::{Journal, PersistConfig};
 use crate::poller::{self, PollInterest, Poller, Waker};
 use crate::pool::{PoolMonitor, WorkerPool};
@@ -597,69 +597,38 @@ impl ServerState {
 
     fn metrics_json(&self) -> String {
         let snap = self.metrics.snapshot();
-        let (live, capacity, hits, misses, evictions) = {
-            let table = lock(&self.sessions);
-            (
-                table.len(),
-                table.capacity(),
-                table.hits(),
-                table.misses(),
-                table.evictions(),
-            )
+        let doc = MetricsDoc {
+            overload: metrics::Overload {
+                inflight: self.live_connections.load(Ordering::SeqCst),
+                queue_depth: self.pool_monitor.queue_depth(),
+                busy_workers: self.pool_monitor.in_flight(),
+                ..snap.overload
+            },
+            persistence: metrics::Persistence {
+                enabled: self.journal.as_ref().is_some_and(|j| j.is_enabled()),
+                journal: self.persist.snapshot(),
+            },
+            sessions: {
+                let table = lock(&self.sessions);
+                metrics::Sessions {
+                    live: table.len(),
+                    capacity: table.capacity(),
+                    hits: table.hits(),
+                    misses: table.misses(),
+                    evictions: table.evictions(),
+                }
+            },
+            engine: metrics::Engine {
+                solves: self.engine.solves(),
+                factorizations: self.engine.factorizations(),
+                scenario_hits: self.engine.scenario_hits(),
+                scenario_misses: self.engine.scenario_misses(),
+                evictions: self.engine.evictions(),
+                matrix_entries: self.engine.cache_entries(),
+            },
+            ..snap
         };
-        let matrix_entries = self.engine.cache_entries();
-        let persist = self.persist.snapshot();
-        let persist_enabled = self.journal.as_ref().is_some_and(|j| j.is_enabled());
-        format!(
-            "{{\"uptime_s\":{:.3},\"requests\":{},\"responses\":{{\"ok_2xx\":{},\"client_4xx\":{},\"server_5xx\":{}}},\
-             \"requests_per_sec\":{:.3},\"latency_ns\":{{\"p50\":{},\"p99\":{},\"samples\":{}}},\
-             \"overload\":{{\"shed_503\":{},\"rate_limited_429\":{},\"timeouts_408\":{},\"panics\":{},\
-             \"accept_errors\":{},\"inflight\":{},\"queue_depth\":{},\"busy_workers\":{}}},\
-             \"readiness\":{{\"poll_wakeups\":{},\"spurious_wakeups\":{},\"adopt_errors\":{}}},\
-             \"persistence\":{{\"enabled\":{persist_enabled},\"records_written\":{},\"bytes_written\":{},\
-             \"records_replayed\":{},\"recovered_sessions\":{},\"compactions\":{},\"write_errors\":{},\
-             \"unsynced_records\":{}}},\
-             \"sessions\":{{\"live\":{},\"capacity\":{},\"hits\":{},\"misses\":{},\"evictions\":{}}},\
-             \"engine\":{{\"solves\":{},\"factorizations\":{},\"scenario_hits\":{},\"scenario_misses\":{},\"evictions\":{},\
-             \"matrix_entries\":{matrix_entries}}}}}",
-            snap.uptime_s,
-            snap.requests,
-            snap.ok_2xx,
-            snap.client_4xx,
-            snap.server_5xx,
-            snap.requests_per_sec,
-            snap.p50_latency_ns,
-            snap.p99_latency_ns,
-            snap.latency_samples,
-            snap.shed,
-            snap.rate_limited,
-            snap.timeouts,
-            snap.panics,
-            snap.accept_errors,
-            self.live_connections.load(Ordering::SeqCst),
-            self.pool_monitor.queue_depth(),
-            self.pool_monitor.in_flight(),
-            snap.poll_wakeups,
-            snap.poll_spurious,
-            snap.adopt_errors,
-            persist.records_written,
-            persist.bytes_written,
-            persist.records_replayed,
-            persist.recovered_sessions,
-            persist.compactions,
-            persist.write_errors,
-            persist.unsynced_records,
-            live,
-            capacity,
-            hits,
-            misses,
-            evictions,
-            self.engine.solves(),
-            self.engine.factorizations(),
-            self.engine.scenario_hits(),
-            self.engine.scenario_misses(),
-            self.engine.evictions(),
-        )
+        serde::json::to_string(&doc)
     }
 
     /// Routes one parsed request, with the panic boundary: an unwinding

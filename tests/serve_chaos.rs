@@ -80,6 +80,44 @@ fn assert_metrics_reconcile(doc: &serde::json::Value) {
     assert!(field(doc, "overload", "timeouts_408") <= field(doc, "responses", "client_4xx"));
 }
 
+/// Every leaf's dotted path (`"overload.inflight"`), in document order.
+fn leaf_paths(doc: &serde::json::Value, prefix: &str) -> Vec<String> {
+    match doc {
+        serde::json::Value::Object(members) => members
+            .iter()
+            .flat_map(|(key, value)| leaf_paths(value, &format!("{prefix}{key}.")))
+            .collect(),
+        _ => vec![prefix.trim_end_matches('.').to_string()],
+    }
+}
+
+/// The `/metrics` document has exactly the keys, nesting and order that
+/// `docs/PROTOCOL.md` lists, and `overload.inflight` counts the
+/// connection the asking client holds.
+#[test]
+fn metrics_document_matches_the_protocol_listing() {
+    let listing = include_str!("../docs/PROTOCOL.md")
+        .split("### `GET /metrics`")
+        .nth(1)
+        .and_then(|section| section.split("```json\n").nth(1))
+        .and_then(|block| block.split("```").next())
+        .expect("PROTOCOL.md lists the /metrics document in a json block");
+    let documented = serde::json::from_str(listing).expect("the listing is valid JSON");
+    let server = Server::start("127.0.0.1:0", ServerConfig::default().with_workers(1))
+        .expect("bind ephemeral port");
+    let doc = fetch_metrics(&server.addr().to_string());
+    assert_eq!(
+        leaf_paths(&doc, ""),
+        leaf_paths(&documented, ""),
+        "/metrics keys drifted from PROTOCOL.md"
+    );
+    assert!(
+        field(&doc, "overload", "inflight") >= 1,
+        "the asking client's own connection is live"
+    );
+    server.shutdown();
+}
+
 /// One session replayed through a (possibly fault-wrapped) client:
 /// the register report plus one report per power round, as raw bodies.
 /// Every status must be clean — lossless faults may not change behavior.
@@ -720,13 +758,13 @@ proptest! {
             }
         }
         let snap = m.snapshot();
+        let (r, o) = (&snap.responses, &snap.overload);
         prop_assert_eq!(snap.requests, ok + c4 + s5);
-        prop_assert_eq!(snap.ok_2xx, ok);
-        prop_assert_eq!(snap.client_4xx, c4);
-        prop_assert_eq!(snap.server_5xx, s5);
-        prop_assert_eq!(snap.latency_samples, snap.requests);
-        prop_assert!(snap.shed + snap.panics <= snap.server_5xx);
-        prop_assert!(snap.rate_limited + snap.timeouts <= snap.client_4xx);
-        prop_assert_eq!(snap.inflight, 0);
+        prop_assert_eq!(r.ok_2xx, ok);
+        prop_assert_eq!(r.client_4xx, c4);
+        prop_assert_eq!(r.server_5xx, s5);
+        prop_assert_eq!(snap.latency_ns.samples, snap.requests);
+        prop_assert!(o.shed_503 + o.panics <= r.server_5xx);
+        prop_assert!(o.rate_limited_429 + o.timeouts_408 <= r.client_4xx);
     }
 }
