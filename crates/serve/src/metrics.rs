@@ -17,10 +17,10 @@
 //! `.timeouts_408` and `.panics` cross-cut those classes: a shed request
 //! is *also* a 5xx, a deadline expiry *also* a 4xx — never double-counted.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use serde::{Content, Serialize};
+use serde::Serialize;
 
 const BUCKETS: usize = 64;
 
@@ -70,8 +70,8 @@ pub struct MetricsDoc {
     pub overload: Overload,
     /// Event-loop health counters.
     pub readiness: Readiness,
-    /// Write-ahead journal counters.
-    pub persistence: Persistence,
+    /// Whether the write-ahead journal is live, and its counters.
+    pub persistence: PersistSnapshot,
     /// The session table.
     pub sessions: Sessions,
     /// The shared `ChipEngine`'s work and its matrix tier.
@@ -133,27 +133,6 @@ pub struct Readiness {
     pub spurious_wakeups: u64,
     /// Connections dropped because `set_nonblocking`/`set_nodelay` failed.
     pub adopt_errors: u64,
-}
-
-/// `/metrics` `persistence`: `enabled`, then the journal's counters
-/// flattened into the same object (the vendored derive has no `flatten`).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Persistence {
-    /// Whether the journal is open and has not failed.
-    pub enabled: bool,
-    /// The journal's counters.
-    pub journal: PersistSnapshot,
-}
-
-impl Serialize for Persistence {
-    fn to_content(&self) -> Content {
-        let Content::Struct(name, counters) = self.journal.to_content() else {
-            unreachable!("a derived named struct serializes as Content::Struct")
-        };
-        let mut fields = vec![("enabled", self.enabled.to_content())];
-        fields.extend(counters);
-        Content::Struct(name, fields)
-    }
 }
 
 /// `/metrics` `sessions`: the exact-LRU session table.
@@ -332,14 +311,16 @@ impl Metrics {
     }
 }
 
-/// Counters for the write-ahead journal (`crate::persist`), shared
-/// between the journal writer and the server's `/metrics` rendering.
+/// The write-ahead journal's (`crate::persist`) on/off flag and
+/// counters, shared between the journal writer and the server's
+/// `/metrics` rendering.
 ///
 /// Like `accept_errors` and the readiness counters, everything here
 /// lives **outside** the request accounting invariant: journal records
 /// are not requests, and a replayed record at boot answered nobody.
 #[derive(Debug, Default)]
 pub struct PersistStats {
+    enabled: AtomicBool,
     records_written: AtomicU64,
     bytes_written: AtomicU64,
     records_replayed: AtomicU64,
@@ -349,9 +330,13 @@ pub struct PersistStats {
     unsynced_records: AtomicU64,
 }
 
-/// A point-in-time view of [`PersistStats`].
+/// A point-in-time view of [`PersistStats`]: the `/metrics`
+/// `persistence` block.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct PersistSnapshot {
+    /// Whether the journal is open and has not failed: `false` with no
+    /// state dir, after a failed open, and once a write error degraded it.
+    pub enabled: bool,
     /// Records appended to the journal since startup.
     pub records_written: u64,
     /// Journal bytes appended since startup (frames, not payloads).
@@ -370,6 +355,18 @@ pub struct PersistSnapshot {
 }
 
 impl PersistStats {
+    /// Whether the journal is live: the one load every journal call
+    /// makes before it touches anything else.
+    #[must_use]
+    pub fn is_enabled(&self) -> bool {
+        self.enabled.load(Ordering::Relaxed)
+    }
+
+    /// Marks the journal live (a successful open) or off (a degrade).
+    pub(crate) fn set_enabled(&self, enabled: bool) {
+        self.enabled.store(enabled, Ordering::Relaxed);
+    }
+
     /// Counts `n` records appended, totalling `bytes` on the wire.
     pub fn add_written(&self, n: u64, bytes: u64) {
         self.records_written.fetch_add(n, Ordering::Relaxed);
@@ -410,6 +407,7 @@ impl PersistStats {
     #[must_use]
     pub fn snapshot(&self) -> PersistSnapshot {
         PersistSnapshot {
+            enabled: self.is_enabled(),
             records_written: self.records_written.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
             records_replayed: self.records_replayed.load(Ordering::Relaxed),

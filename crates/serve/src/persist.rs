@@ -36,10 +36,24 @@
 //!   disabled for the rest of the process, `persistence.write_errors`
 //!   is counted, a warning is printed, and serving continues
 //!   unjournaled. Durability is best-effort; availability is not.
-//! * **Clean shutdown.** [`Journal::clean_shutdown`] compacts, syncs,
-//!   and writes a `clean` marker recording the journal length; the next
-//!   boot uses a matching marker to trust the tail (and to report the
-//!   boot as clean) instead of assuming a crash.
+//! * **Clean shutdown.** [`Journal::clean_shutdown`] compacts, and the
+//!   snapshot is fsynced before it replaces the journal. Nothing marks
+//!   the shutdown as clean: the next boot runs the same scan and tail
+//!   truncation after a clean shutdown as after a crash.
+//!
+//! # States
+//!
+//! A server always holds one [`Journal`], in one of three states, and
+//! `persistence.enabled` in `/metrics` reads which:
+//!
+//! * **Off** — no state dir was configured, or opening it failed
+//!   (counted as one write error). There is no file.
+//! * **Live** — the journal is open and every mutation appends.
+//! * **Degraded** — a write or fsync failed; the file stays as it was.
+//!
+//! Off and degraded behave alike: each `record_*` call returns after one
+//! relaxed load of [`PersistStats::is_enabled`], before anything is
+//! copied, and no sync deadline is pending for the event loops.
 //!
 //! # Compaction
 //!
@@ -64,7 +78,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -84,6 +98,13 @@ const HEADER_LEN: usize = 12;
 const MAX_PAYLOAD: usize = 16 * 1024 * 1024;
 /// The smallest valid payload: kind byte + id.
 const MIN_PAYLOAD: usize = 9;
+
+/// Record kinds: the first payload byte.
+const REGISTER: u8 = 1;
+const POWER_UPDATE: u8 = 2;
+const DELETE: u8 = 3;
+const EVICT: u8 = 4;
+const META: u8 = 5;
 
 /// Hand-rolled IEEE CRC32 (the zlib/Ethernet polynomial, reflected
 /// form) — std ships no checksum, and the journal needs one to tell a
@@ -154,41 +175,34 @@ pub enum Record {
     },
 }
 
+/// One framed journal entry, `[len][crc32][kind][id][body]`, built in a
+/// single buffer straight from the borrowed body.
+fn frame(kind: u8, id: u64, body: &[u8]) -> Vec<u8> {
+    let len = MIN_PAYLOAD + body.len();
+    let mut frame = Vec::with_capacity(8 + len);
+    #[allow(clippy::cast_possible_truncation)]
+    frame.extend_from_slice(&(len as u32).to_le_bytes());
+    frame.extend_from_slice(&[0; 4]); // the CRC, once the payload is in
+    frame.push(kind);
+    frame.extend_from_slice(&id.to_le_bytes());
+    frame.extend_from_slice(body);
+    let crc = crc32(&frame[8..]);
+    frame[4..8].copy_from_slice(&crc.to_le_bytes());
+    frame
+}
+
 impl Record {
-    fn kind(&self) -> u8 {
-        match self {
-            Record::Register { .. } => 1,
-            Record::PowerUpdate { .. } => 2,
-            Record::Delete { .. } => 3,
-            Record::Evict { .. } => 4,
-            Record::Meta { .. } => 5,
-        }
-    }
-
-    fn payload(&self) -> Vec<u8> {
-        let (id, body): (u64, &[u8]) = match self {
-            Record::Register { id, body } | Record::PowerUpdate { id, body } => (*id, body),
-            Record::Delete { id } | Record::Evict { id } => (*id, &[]),
-            Record::Meta { next_id } => (*next_id, &[]),
-        };
-        let mut payload = Vec::with_capacity(MIN_PAYLOAD + body.len());
-        payload.push(self.kind());
-        payload.extend_from_slice(&id.to_le_bytes());
-        payload.extend_from_slice(body);
-        payload
-    }
-
     /// Encodes this record as one framed journal entry
     /// (`[len][crc32][payload]`).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let payload = self.payload();
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        #[allow(clippy::cast_possible_truncation)]
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame
+        match self {
+            Record::Register { id, body } => frame(REGISTER, *id, body),
+            Record::PowerUpdate { id, body } => frame(POWER_UPDATE, *id, body),
+            Record::Delete { id } => frame(DELETE, *id, &[]),
+            Record::Evict { id } => frame(EVICT, *id, &[]),
+            Record::Meta { next_id } => frame(META, *next_id, &[]),
+        }
     }
 
     fn decode(payload: &[u8]) -> Option<Record> {
@@ -198,17 +212,17 @@ impl Record {
         let id = u64::from_le_bytes(payload[1..9].try_into().ok()?);
         let body = &payload[9..];
         match (payload[0], body.is_empty()) {
-            (1, _) => Some(Record::Register {
+            (REGISTER, _) => Some(Record::Register {
                 id,
                 body: body.to_vec(),
             }),
-            (2, _) => Some(Record::PowerUpdate {
+            (POWER_UPDATE, _) => Some(Record::PowerUpdate {
                 id,
                 body: body.to_vec(),
             }),
-            (3, true) => Some(Record::Delete { id }),
-            (4, true) => Some(Record::Evict { id }),
-            (5, true) => Some(Record::Meta { next_id: id }),
+            (DELETE, true) => Some(Record::Delete { id }),
+            (EVICT, true) => Some(Record::Evict { id }),
+            (META, true) => Some(Record::Meta { next_id: id }),
             _ => None,
         }
     }
@@ -343,8 +357,8 @@ impl JournalMedia for Vec<u8> {
 /// Journal configuration: where state lives and how durable it is.
 #[derive(Debug, Clone)]
 pub struct PersistConfig {
-    /// Directory holding `journal.ttsv` and the `clean` marker
-    /// (created if absent). One server per directory.
+    /// Directory holding `journal.ttsv` (created if absent). One server
+    /// per directory.
     pub state_dir: PathBuf,
     /// When appended records are fsynced.
     pub fsync: FsyncPolicy,
@@ -394,12 +408,6 @@ impl PersistConfig {
         self.state_dir.join("journal.ttsv")
     }
 
-    /// The clean-shutdown marker file.
-    #[must_use]
-    pub fn marker_path(&self) -> PathBuf {
-        self.state_dir.join("clean")
-    }
-
     fn wrap_media(&self, file: File) -> Box<dyn JournalMedia> {
         match self.faults {
             Some(plan) => Box::new(FaultyJournal::new(file, plan.config, plan.seed)),
@@ -427,10 +435,6 @@ pub struct Recovery {
     pub sessions: Vec<RecoveredSession>,
     /// The next session id to allocate.
     pub next_id: u64,
-    /// How many journal records the scan replayed.
-    pub records_replayed: u64,
-    /// Whether the previous run wrote a matching clean-shutdown marker.
-    pub clean_shutdown: bool,
 }
 
 /// A session's journaled history after folding deletes/evictions.
@@ -511,12 +515,11 @@ fn rebuild_spec(folded: &FoldedSession) -> Result<(SessionSpec, BTreeSet<usize>)
     Ok((spec, planes))
 }
 
-/// Live-append bookkeeping: everything the compaction trigger needs
-/// without re-reading the file.
+/// An open journal file and its bookkeeping: everything the compaction
+/// trigger needs without re-reading the file.
 struct Inner {
+    config: PersistConfig,
     media: Box<dyn JournalMedia>,
-    /// Journal length in bytes (what a clean marker records).
-    file_len: u64,
     /// Records in the file, live or dead.
     total_records: u64,
     /// Live sessions → planes their surviving updates touch; a
@@ -538,7 +541,7 @@ impl Inner {
 impl std::fmt::Debug for Inner {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Inner")
-            .field("file_len", &self.file_len)
+            .field("state_dir", &self.config.state_dir)
             .field("total_records", &self.total_records)
             .field("sessions", &self.sessions.len())
             .finish_non_exhaustive()
@@ -554,8 +557,8 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The per-server write-ahead journal. All methods are `&self` and
-/// thread-safe; the server shares one behind an `Arc`.
+/// The per-server write-ahead journal: off, live or degraded (see the
+/// module docs). All methods are `&self` and thread-safe.
 ///
 /// Appends never return errors to the serving path: any journal
 /// write/fsync failure permanently degrades this journal (persistence
@@ -563,10 +566,10 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 /// the request that triggered it still succeeds.
 #[derive(Debug)]
 pub struct Journal {
-    config: PersistConfig,
+    /// The on/off flag and counters `/metrics` reports.
     stats: Arc<PersistStats>,
-    enabled: AtomicBool,
-    inner: Mutex<Inner>,
+    /// The open file; `None` when the journal is off.
+    inner: Option<Mutex<Inner>>,
     /// The epoch `sync_deadline_ns` counts from.
     opened: Instant,
     /// Under `interval:MS`, nanoseconds after `opened` by which the
@@ -594,8 +597,8 @@ impl Journal {
     /// # Errors
     ///
     /// Only environmental failures surface here (directory or file
-    /// cannot be created/read) — the caller treats that as "persistence
-    /// unavailable", not a fatal server error.
+    /// cannot be created/read) — [`Journal::open_or_off`] treats that as
+    /// "persistence unavailable", not a fatal server error.
     pub fn open(
         config: PersistConfig,
         stats: Arc<PersistStats>,
@@ -607,16 +610,7 @@ impl Journal {
             Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e),
         };
-        let marker_len: Option<u64> = fs::read_to_string(config.marker_path())
-            .ok()
-            .and_then(|s| s.trim().parse().ok());
-        // A marker only ever describes the *previous* run; consume it so
-        // a crash after this boot is never mistaken for a clean one.
-        let _ = fs::remove_file(config.marker_path());
-
         let (records, valid_len) = scan(&existing);
-        let clean_shutdown =
-            marker_len == Some(existing.len() as u64) && valid_len == existing.len();
 
         let mut file = OpenOptions::new()
             .read(true)
@@ -624,16 +618,14 @@ impl Journal {
             .create(true)
             .truncate(false)
             .open(&path)?;
-        let file_len = if valid_len == 0 {
+        if valid_len == 0 {
             // New file, or an unrecognizable header: start fresh.
             file.set_len(0)?;
             file.write_all(&header_bytes())?;
-            HEADER_LEN as u64
         } else {
             // Truncate any torn tail so appends extend a valid prefix.
             file.set_len(valid_len as u64)?;
-            valid_len as u64
-        };
+        }
         file.seek(SeekFrom::End(0))?;
 
         let folded = fold(&records);
@@ -652,103 +644,131 @@ impl Journal {
         }
         stats.add_replayed(records.len() as u64);
         stats.add_recovered_sessions(sessions.len() as u64);
+        stats.set_enabled(true);
 
-        let recovery = Recovery {
-            sessions,
-            next_id: folded.next_id,
-            records_replayed: records.len() as u64,
-            clean_shutdown,
-        };
         let opened = Instant::now();
         let journal = Journal {
-            inner: Mutex::new(Inner {
+            inner: Some(Mutex::new(Inner {
                 media: config.wrap_media(file),
-                file_len,
+                config,
                 total_records: records.len() as u64,
                 sessions: bookkeeping,
                 last_sync: opened,
-            }),
-            config,
+            })),
             stats,
-            enabled: AtomicBool::new(true),
             opened,
             sync_deadline_ns: AtomicU64::new(NO_DEADLINE),
+        };
+        let recovery = Recovery {
+            sessions,
+            next_id: folded.next_id,
         };
         Ok((journal, recovery))
     }
 
-    /// Whether persistence is still live (false after the journal has
-    /// degraded on a write/fsync error).
+    /// The server's journal: [`Journal::open`] on `config`, or an off
+    /// journal and an empty recovery when there is no config or the open
+    /// fails. A failed open counts one write error and prints a warning;
+    /// the server then serves from memory.
     #[must_use]
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+    pub fn open_or_off(config: Option<PersistConfig>) -> (Journal, Recovery) {
+        let stats = Arc::new(PersistStats::default());
+        if let Some(config) = config {
+            match Journal::open(config, Arc::clone(&stats)) {
+                Ok(opened) => return opened,
+                Err(e) => {
+                    eprintln!(
+                        "ttsv-serve: warning: persistence disabled: \
+                         opening the journal failed: {e}"
+                    );
+                    stats.add_write_error();
+                }
+            }
+        }
+        let off = Journal {
+            stats,
+            inner: None,
+            opened: Instant::now(),
+            sync_deadline_ns: AtomicU64::new(NO_DEADLINE),
+        };
+        let recovery = Recovery {
+            sessions: Vec::new(),
+            next_id: 1,
+        };
+        (off, recovery)
+    }
+
+    /// The journal's on/off flag ([`PersistStats::is_enabled`]: false
+    /// when off, and after a write/fsync error degraded it) and counters.
+    #[must_use]
+    pub fn stats(&self) -> &PersistStats {
+        &self.stats
     }
 
     /// Journals an accepted registration.
     pub fn record_register(&self, id: u64, body: &[u8]) {
-        self.append(
-            Record::Register {
-                id,
-                body: body.to_vec(),
-            },
-            None,
-        );
+        self.append(REGISTER, id, body, |sessions| {
+            sessions.insert(id, BTreeSet::new());
+        });
     }
 
     /// Journals an applied power update (`plane` is the index the
     /// server already parsed from `body`).
     pub fn record_update(&self, id: u64, plane: usize, body: &[u8]) {
-        self.append(
-            Record::PowerUpdate {
-                id,
-                body: body.to_vec(),
-            },
-            Some(plane),
-        );
+        self.append(POWER_UPDATE, id, body, |sessions| {
+            if let Some(planes) = sessions.get_mut(&id) {
+                planes.insert(plane);
+            }
+        });
     }
 
     /// Journals an explicit deletion.
     pub fn record_delete(&self, id: u64) {
-        self.append(Record::Delete { id }, None);
+        self.append(DELETE, id, &[], |sessions| {
+            sessions.remove(&id);
+        });
     }
 
     /// Journals an LRU-eviction tombstone.
     pub fn record_evict(&self, id: u64) {
-        self.append(Record::Evict { id }, None);
+        self.append(EVICT, id, &[], |sessions| {
+            sessions.remove(&id);
+        });
     }
 
-    fn append(&self, record: Record, plane: Option<usize>) {
-        if !self.is_enabled() {
+    /// The journal lock, or `None` when the journal is off or degraded.
+    /// The flag is read before the lock and again once it is held: a
+    /// write error may have degraded the journal while this call waited.
+    fn lock_live(&self) -> Option<MutexGuard<'_, Inner>> {
+        if !self.stats.is_enabled() {
+            return None;
+        }
+        let inner = lock(self.inner.as_ref()?);
+        self.stats.is_enabled().then_some(inner)
+    }
+
+    /// Appends one record; `track` updates the live-session bookkeeping
+    /// once the frame is written.
+    fn append(
+        &self,
+        kind: u8,
+        id: u64,
+        body: &[u8],
+        track: impl FnOnce(&mut HashMap<u64, BTreeSet<usize>>),
+    ) {
+        let Some(mut inner) = self.lock_live() else {
             return;
-        }
-        let mut inner = lock(&self.inner);
-        if !self.is_enabled() {
-            return; // degraded while we waited for the lock
-        }
-        let frame = record.encode();
+        };
+        let frame = frame(kind, id, body);
         if let Err(e) = inner.media.write_all(&frame) {
             self.degrade("write", &e);
             return;
         }
-        inner.file_len += frame.len() as u64;
         inner.total_records += 1;
-        match (&record, plane) {
-            (Record::Register { id, .. }, _) => {
-                inner.sessions.insert(*id, BTreeSet::new());
-            }
-            (Record::PowerUpdate { id, .. }, Some(plane)) => {
-                if let Some(planes) = inner.sessions.get_mut(id) {
-                    planes.insert(plane);
-                }
-            }
-            (Record::Delete { id } | Record::Evict { id }, _) => {
-                inner.sessions.remove(id);
-            }
-            _ => {}
-        }
+        track(&mut inner.sessions);
         self.stats.add_written(1, frame.len() as u64);
 
-        let due = match self.config.fsync {
+        let due = match inner.config.fsync {
             FsyncPolicy::Always => true,
             FsyncPolicy::Interval(interval) => match inner.last_sync.checked_add(interval) {
                 Some(deadline) => {
@@ -771,7 +791,7 @@ impl Journal {
             self.stats.add_unsynced();
         }
 
-        if inner.total_records >= self.config.compact_min_records
+        if inner.total_records >= inner.config.compact_min_records
             && inner.live_records() * 2 < inner.total_records
         {
             if let Err(e) = self.compact_locked(&mut inner) {
@@ -782,7 +802,8 @@ impl Journal {
 
     /// When the unsynced records must be fsynced under `interval:MS`;
     /// `None` when nothing is unsynced (or the policy is not an
-    /// interval). The event loops fold it into their poll timeout.
+    /// interval, or the journal is off). The event loops fold it into
+    /// their poll timeout.
     #[must_use]
     pub fn sync_deadline(&self) -> Option<Instant> {
         match self.sync_deadline_ns.load(Ordering::Relaxed) {
@@ -799,10 +820,11 @@ impl Journal {
         if self.sync_deadline().is_none_or(|d| d > Instant::now()) {
             return;
         }
-        let mut inner = lock(&self.inner);
-        // Another loop may have synced (or a write error degraded the
-        // journal) while this one waited for the lock.
-        if !self.is_enabled() || self.sync_deadline().is_none() {
+        let Some(mut inner) = self.lock_live() else {
+            return;
+        };
+        // Another loop may have synced while this one waited for the lock.
+        if self.sync_deadline().is_none() {
             return;
         }
         if let Err(e) = self.sync_locked(&mut inner) {
@@ -828,40 +850,24 @@ impl Journal {
     /// docs). Runs with the journal lock held and touches nothing else.
     fn compact_locked(&self, inner: &mut Inner) -> io::Result<()> {
         inner.media.flush()?;
-        let bytes = fs::read(self.config.journal_path())?;
+        let journal_path = inner.config.journal_path();
+        let bytes = fs::read(&journal_path)?;
         let (records, _) = scan(&bytes);
         let folded = fold(&records);
 
         let mut out = header_bytes();
         let mut out_records: u64 = 1;
-        out.extend_from_slice(
-            &Record::Meta {
-                next_id: folded.next_id,
-            }
-            .encode(),
-        );
+        out.extend_from_slice(&frame(META, folded.next_id, &[]));
         let mut bookkeeping = HashMap::new();
         for (id, folded_session) in &folded.sessions {
             match rebuild_spec(folded_session) {
                 Ok((spec, planes)) => {
-                    out.extend_from_slice(
-                        &Record::Register {
-                            id: *id,
-                            body: folded_session.register.clone(),
-                        }
-                        .encode(),
-                    );
+                    out.extend_from_slice(&frame(REGISTER, *id, &folded_session.register));
                     out_records += 1;
                     for &plane in &planes {
                         let body =
                             protocol::render_power_body_full(plane, &spec.plan.plane_maps()[plane]);
-                        out.extend_from_slice(
-                            &Record::PowerUpdate {
-                                id: *id,
-                                body: body.into_bytes(),
-                            }
-                            .encode(),
-                        );
+                        out.extend_from_slice(&frame(POWER_UPDATE, *id, body.as_bytes()));
                         out_records += 1;
                     }
                     bookkeeping.insert(*id, planes);
@@ -872,20 +878,17 @@ impl Journal {
             }
         }
 
-        let tmp = self.config.state_dir.join("journal.tmp");
+        let tmp = inner.config.state_dir.join("journal.tmp");
         {
             let mut f = File::create(&tmp)?;
             f.write_all(&out)?;
             f.sync_data()?;
         }
-        fs::rename(&tmp, self.config.journal_path())?;
-        sync_dir(&self.config.state_dir);
+        fs::rename(&tmp, &journal_path)?;
+        sync_dir(&inner.config.state_dir);
 
-        let file = OpenOptions::new()
-            .append(true)
-            .open(self.config.journal_path())?;
-        inner.media = self.config.wrap_media(file);
-        inner.file_len = out.len() as u64;
+        let file = OpenOptions::new().append(true).open(&journal_path)?;
+        inner.media = inner.config.wrap_media(file);
         inner.total_records = out_records;
         inner.sessions = bookkeeping;
         // The snapshot was fsynced before the rename: every live record
@@ -895,37 +898,22 @@ impl Journal {
         Ok(())
     }
 
-    /// Graceful-shutdown hook: compact, sync, and write the clean
-    /// marker. Crash simulation (`Server::abort`) skips this — that is
-    /// the whole difference between the two shutdowns.
+    /// Graceful-shutdown hook: compacts a live journal (the snapshot is
+    /// fsynced before it replaces the file); does nothing when the
+    /// journal is off or degraded. Crash simulation (`Server::abort`)
+    /// skips this — that is the whole difference between the two
+    /// shutdowns.
     pub fn clean_shutdown(&self) {
-        if !self.is_enabled() {
+        let Some(mut inner) = self.lock_live() else {
             return;
-        }
-        let mut inner = lock(&self.inner);
-        if !self.is_enabled() {
-            return;
-        }
+        };
         if let Err(e) = self.compact_locked(&mut inner) {
             self.degrade("shutdown compaction", &e);
-            return;
-        }
-        if let Err(e) = self.sync_locked(&mut inner) {
-            self.degrade("shutdown fsync", &e);
-            return;
-        }
-        let write_marker = || -> io::Result<()> {
-            let mut f = File::create(self.config.marker_path())?;
-            write!(f, "{}", inner.file_len)?;
-            f.sync_data()
-        };
-        if let Err(e) = write_marker() {
-            self.degrade("shutdown marker", &e);
         }
     }
 
     fn degrade(&self, what: &str, err: &io::Error) {
-        self.enabled.store(false, Ordering::Relaxed);
+        self.stats.set_enabled(false);
         // Nothing will be synced any more; a stale deadline would keep
         // the event loops' poll timeout at zero.
         self.sync_deadline_ns.store(NO_DEADLINE, Ordering::Relaxed);
@@ -946,7 +934,7 @@ fn sync_dir(dir: &Path) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use crate::metrics::PersistSnapshot;
 
     fn test_dir(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -1105,7 +1093,6 @@ mod tests {
             let (journal, recovery) =
                 Journal::open(config.clone(), Arc::new(PersistStats::default())).unwrap();
             assert!(recovery.sessions.is_empty());
-            assert!(!recovery.clean_shutdown);
             assert_eq!(recovery.next_id, 1);
             journal.record_register(1, &register_body(3, 2));
             journal.record_register(2, &register_body(3, 2));
@@ -1117,13 +1104,11 @@ mod tests {
             let (plane, map) = protocol::parse_power_update(update, &spec.plan).unwrap();
             spec.plan.update_power_map(plane, map).unwrap();
             plan_bits(&spec)
-            // journal dropped without clean_shutdown: a crash.
+            // journal dropped without `clean_shutdown()`: a crash.
         };
 
         let stats = Arc::new(PersistStats::default());
         let (journal, recovery) = Journal::open(config.clone(), Arc::clone(&stats)).unwrap();
-        assert!(!recovery.clean_shutdown, "no marker was written");
-        assert_eq!(recovery.records_replayed, 4);
         assert_eq!(recovery.next_id, 3);
         assert_eq!(recovery.sessions.len(), 1, "session 2 was deleted");
         assert_eq!(recovery.sessions[0].id, 1);
@@ -1131,11 +1116,9 @@ mod tests {
         assert_eq!(stats.snapshot().records_replayed, 4);
         assert_eq!(stats.snapshot().recovered_sessions, 1);
 
-        // Clean shutdown compacts and leaves a marker the next open
-        // recognizes.
+        // Clean shutdown compacts; the next open replays the snapshot.
         journal.clean_shutdown();
         let (_, recovery) = Journal::open(config, Arc::new(PersistStats::default())).unwrap();
-        assert!(recovery.clean_shutdown);
         assert_eq!(recovery.next_id, 3, "meta record preserves the watermark");
         assert_eq!(recovery.sessions.len(), 1);
         assert_eq!(plan_bits(&recovery.sessions[0].spec), expected);
@@ -1207,13 +1190,14 @@ mod tests {
         );
         drop(journal);
 
-        let (_, recovery) = Journal::open(config, Arc::new(PersistStats::default())).unwrap();
+        let stats = Arc::new(PersistStats::default());
+        let (_, recovery) = Journal::open(config, Arc::clone(&stats)).unwrap();
         assert_eq!(recovery.sessions.len(), 1);
         assert_eq!(plan_bits(&recovery.sessions[0].spec), plan_bits(&spec));
+        let replayed = stats.snapshot().records_replayed;
         assert!(
-            recovery.records_replayed <= 4,
-            "a folded session is register + one update per touched plane, got {}",
-            recovery.records_replayed
+            replayed <= 4,
+            "a folded session is register + one update per touched plane, got {replayed}"
         );
         assert_eq!(recovery.next_id, 2);
         let _ = fs::remove_dir_all(&dir);
@@ -1231,19 +1215,70 @@ mod tests {
             42,
         );
         let (journal, _) = Journal::open(config, Arc::clone(&stats)).unwrap();
-        assert!(journal.is_enabled());
+        assert!(journal.stats().is_enabled());
         journal.record_register(1, &register_body(2, 2));
-        assert!(!journal.is_enabled(), "first failed append degrades");
+        assert!(
+            !journal.stats().is_enabled(),
+            "first failed append degrades"
+        );
         assert_eq!(stats.snapshot().write_errors, 1);
         // Further appends are silent no-ops, and clean shutdown neither
-        // panics nor writes a marker.
-        journal.record_update(1, 0, b"{\"plane\":0,\"tiles\":[1,1,1,1]}");
+        // panics nor touches the state dir.
+        assert_records_nothing(&journal, &dir);
         assert_eq!(stats.snapshot().write_errors, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The files under `dir` with their lengths, sorted.
+    fn listing(dir: &Path) -> Vec<(PathBuf, u64)> {
+        let mut files: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let entry = entry.unwrap();
+                (entry.path(), entry.metadata().unwrap().len())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// Drives every entry point of an off or degraded journal: nothing
+    /// is written or counted, no sync deadline is left for the event
+    /// loops, and shutdown creates no file in `dir`.
+    fn assert_records_nothing(journal: &Journal, dir: &Path) {
+        let before = journal.stats().snapshot();
+        let files = listing(dir);
+        journal.record_register(1, &register_body(2, 2));
+        journal.record_update(1, 0, b"{\"plane\":0,\"updates\":[[0,0,9.5]]}");
+        journal.record_delete(1);
+        journal.record_evict(2);
+        journal.sync_if_due();
+        assert_eq!(journal.sync_deadline(), None);
         journal.clean_shutdown();
-        assert!(
-            !journal.config.marker_path().exists(),
-            "a degraded journal must not claim a clean shutdown"
-        );
+        assert!(!journal.stats().is_enabled());
+        assert_eq!(journal.stats().snapshot(), before, "no counter moved");
+        assert_eq!(listing(dir), files, "no file created or grown");
+    }
+
+    #[test]
+    fn off_journals_record_nothing() {
+        let dir = test_dir("off");
+        fs::create_dir_all(&dir).unwrap();
+        // No state dir configured.
+        let (journal, recovery) = Journal::open_or_off(None);
+        assert!(recovery.sessions.is_empty());
+        assert_eq!(recovery.next_id, 1);
+        assert_eq!(journal.stats().snapshot(), PersistSnapshot::default());
+        assert_records_nothing(&journal, &dir);
+
+        // A state dir that cannot be created: off, one write error.
+        let blocker = dir.join("blocker");
+        fs::write(&blocker, b"not a directory").unwrap();
+        let (journal, recovery) = Journal::open_or_off(Some(PersistConfig::new(&blocker)));
+        assert!(recovery.sessions.is_empty());
+        assert_eq!(recovery.next_id, 1);
+        assert_eq!(journal.stats().snapshot().write_errors, 1);
+        assert_records_nothing(&journal, &dir);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1263,11 +1298,12 @@ mod tests {
             Journal::open(config.clone(), Arc::new(PersistStats::default())).unwrap();
         journal.record_register(1, &register_body(2, 2));
         journal.record_update(1, 1, b"{\"plane\":1,\"updates\":[[0,1,3.5]]}");
-        assert!(journal.is_enabled(), "short writes are not errors");
+        assert!(journal.stats().is_enabled(), "short writes are not errors");
         drop(journal);
-        let (_, recovery) = Journal::open(config, Arc::new(PersistStats::default())).unwrap();
+        let stats = Arc::new(PersistStats::default());
+        let (_, recovery) = Journal::open(config, Arc::clone(&stats)).unwrap();
         assert_eq!(recovery.sessions.len(), 1);
-        assert_eq!(recovery.records_replayed, 2);
+        assert_eq!(stats.snapshot().records_replayed, 2);
         let _ = fs::remove_dir_all(&dir);
     }
 }

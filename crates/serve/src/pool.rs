@@ -23,16 +23,11 @@ fn lock_state(shared: &PoolShared) -> MutexGuard<'_, PoolState> {
     shared.state.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// `Condvar::wait` with the same poison recovery as [`lock_state`].
-fn wait_on<'a>(cv: &Condvar, guard: MutexGuard<'a, PoolState>) -> MutexGuard<'a, PoolState> {
-    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
-}
-
 /// What the queue holds between a submitter and the workers.
 struct PoolState {
     queue: VecDeque<Job>,
     shutting_down: bool,
-    /// Jobs popped but not yet finished (for [`WorkerPool::wait_idle`]).
+    /// Jobs popped but not yet finished (for [`PoolMonitor::in_flight`]).
     in_flight: usize,
 }
 
@@ -40,16 +35,13 @@ struct PoolShared {
     state: Mutex<PoolState>,
     /// Signaled when a job is pushed or shutdown begins (workers wait).
     job_ready: Condvar,
-    /// Signaled when a job is popped (submitters blocked on a full queue
-    /// wait) or finished (idle waiters wait).
-    job_done: Condvar,
     capacity: usize,
 }
 
 /// A bounded pool of long-lived worker threads.
 ///
-/// Jobs are closures that own their data; [`WorkerPool::submit`] blocks
-/// while the queue is at capacity (backpressure, so a flood of
+/// Jobs are closures that own their data; [`WorkerPool::try_submit`]
+/// refuses a job while the queue is at capacity (so a flood of
 /// connections cannot exhaust memory), and dropping the pool drains the
 /// queue before joining the workers.
 pub struct WorkerPool {
@@ -94,7 +86,6 @@ impl WorkerPool {
                 in_flight: 0,
             }),
             job_ready: Condvar::new(),
-            job_done: Condvar::new(),
             capacity: queue_capacity,
         });
         let handles = (0..workers)
@@ -107,23 +98,6 @@ impl WorkerPool {
             })
             .collect();
         Self { shared, handles }
-    }
-
-    /// Enqueues a job, blocking while the queue is at capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pool is already shutting down (jobs submitted from a
-    /// live pool handle never observe this).
-    pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        let mut state = lock_state(&self.shared);
-        while state.queue.len() >= self.shared.capacity && !state.shutting_down {
-            state = wait_on(&self.shared.job_done, state);
-        }
-        assert!(!state.shutting_down, "submit on a shut-down pool");
-        state.queue.push_back(Box::new(job));
-        drop(state);
-        self.shared.job_ready.notify_one();
     }
 
     /// Enqueues a job only if the queue has room, never blocking: the
@@ -164,15 +138,6 @@ impl WorkerPool {
     pub fn queue_capacity(&self) -> usize {
         self.shared.capacity
     }
-
-    /// Blocks until the queue is empty and no job is running — the pause
-    /// point the serving tests use to observe a quiescent server.
-    pub fn wait_idle(&self) {
-        let mut state = lock_state(&self.shared);
-        while !state.queue.is_empty() || state.in_flight > 0 {
-            state = wait_on(&self.shared.job_done, state);
-        }
-    }
 }
 
 /// A weak handle onto a [`WorkerPool`]'s load state, for metrics
@@ -208,7 +173,6 @@ impl Drop for WorkerPool {
             state.shutting_down = true;
         }
         self.shared.job_ready.notify_all();
-        self.shared.job_done.notify_all();
         for handle in self.handles.drain(..) {
             // A worker that panicked already reported; don't double-panic
             // in drop.
@@ -229,17 +193,19 @@ fn worker_loop(shared: &PoolShared) {
                 if state.shutting_down {
                     return;
                 }
-                state = wait_on(&shared.job_ready, state);
+                // Same poison recovery as `lock_state`.
+                state = shared
+                    .job_ready
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        shared.job_done.notify_all();
         // A panicking job must not take the worker thread (or the pool's
         // `in_flight` accounting) down with it — the server keeps serving.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
         let mut state = lock_state(shared);
         state.in_flight -= 1;
         drop(state);
-        shared.job_done.notify_all();
         if let Err(payload) = outcome {
             let msg = payload
                 .downcast_ref::<&str>()
@@ -255,38 +221,54 @@ fn worker_loop(shared: &PoolShared) {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    /// Submits a job the queue must have room for.
+    fn submit(pool: &WorkerPool, job: impl FnOnce() + Send + 'static) {
+        assert!(pool.try_submit(job).is_ok(), "the queue has room");
+    }
+
+    /// Spins until no job is queued or running, failing after 10 s.
+    fn wait_until_idle(monitor: &PoolMonitor) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while monitor.queue_depth() > 0 || monitor.in_flight() > 0 {
+            assert!(Instant::now() < give_up, "the pool never went idle");
+            std::thread::yield_now();
+        }
+    }
 
     #[test]
     fn persistent_pool_runs_submitted_jobs() {
-        let pool = WorkerPool::new(2);
-        let hits = Arc::new(AtomicU64::new(0));
+        let pool = WorkerPool::with_queue_capacity(2, 100);
+        let (done, finished) = mpsc::channel();
         for _ in 0..100 {
-            let hits = Arc::clone(&hits);
-            pool.submit(move || {
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
+            let done = done.clone();
+            submit(&pool, move || done.send(()).unwrap());
         }
-        pool.wait_idle();
-        assert_eq!(hits.load(Ordering::Relaxed), 100);
+        drop(done);
+        // Ends early only if a job was dropped without running.
+        assert_eq!(finished.iter().take(100).count(), 100);
     }
 
     #[test]
     fn persistent_pool_threads_are_reused() {
-        // Every job records its thread id; the distinct set must be
+        // Every job reports its thread id; the distinct set must be
         // bounded by the worker count — i.e., no spawn-per-job.
-        let pool = WorkerPool::new(2);
-        let ids = Arc::new(Mutex::new(std::collections::HashSet::new()));
+        let pool = WorkerPool::with_queue_capacity(2, 64);
+        let (ids, received) = mpsc::channel();
         for _ in 0..64 {
-            let ids = Arc::clone(&ids);
-            pool.submit(move || {
-                ids.lock().unwrap().insert(std::thread::current().id());
+            let ids = ids.clone();
+            submit(&pool, move || {
+                ids.send(std::thread::current().id()).unwrap()
             });
         }
-        pool.wait_idle();
-        let distinct = ids.lock().unwrap().len();
+        drop(ids);
+        let distinct: std::collections::HashSet<_> = received.iter().take(64).collect();
         assert!(
-            (1..=2).contains(&distinct),
-            "64 jobs ran on {distinct} threads; expected the 2 pool workers"
+            (1..=2).contains(&distinct.len()),
+            "64 jobs ran on {} threads; expected the 2 pool workers",
+            distinct.len()
         );
     }
 
@@ -297,7 +279,7 @@ mod tests {
             let pool = WorkerPool::with_queue_capacity(1, 8);
             for _ in 0..8 {
                 let hits = Arc::clone(&hits);
-                pool.submit(move || {
+                submit(&pool, move || {
                     hits.fetch_add(1, Ordering::Relaxed);
                 });
             }
@@ -306,74 +288,46 @@ mod tests {
     }
 
     #[test]
-    fn submit_applies_backpressure_but_completes() {
-        // Capacity 1, slow-ish jobs: submitters must block rather than
-        // grow the queue without bound, and every job still runs.
-        let pool = WorkerPool::with_queue_capacity(1, 1);
-        let hits = Arc::new(AtomicU64::new(0));
-        for _ in 0..16 {
-            let hits = Arc::clone(&hits);
-            pool.submit(move || {
-                std::thread::sleep(std::time::Duration::from_millis(1));
-                hits.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        pool.wait_idle();
-        assert_eq!(hits.load(Ordering::Relaxed), 16);
-    }
-
-    #[test]
     fn try_submit_reports_saturation_instead_of_blocking() {
         // One worker, queue of one. Park the worker on a gate, fill the
         // queue: the next try_submit must bounce immediately with the job
         // handed back, and after the gate opens the pool drains normally.
         let pool = WorkerPool::with_queue_capacity(1, 1);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let ran = Arc::new(AtomicU64::new(0));
+        let (gate_open, gate) = mpsc::channel::<()>();
+        let (ran, finished) = mpsc::channel();
 
-        let g = Arc::clone(&gate);
-        let r = Arc::clone(&ran);
-        pool.submit(move || {
-            let (lock, cv) = &*g;
-            let mut open = lock.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-            r.fetch_add(1, Ordering::Relaxed);
+        let r = ran.clone();
+        submit(&pool, move || {
+            gate.recv().unwrap();
+            r.send("gated").unwrap();
         });
         // Wait until the worker holds the gated job so the queue is free.
         while pool.monitor().in_flight() == 0 {
             std::thread::yield_now();
         }
-        let r = Arc::clone(&ran);
-        let admitted = pool.try_submit(move || {
-            r.fetch_add(1, Ordering::Relaxed);
-        });
+        let r = ran.clone();
+        let admitted = pool.try_submit(move || r.send("admitted").unwrap());
         assert!(admitted.is_ok(), "queue has room for one pending job");
-        let r = Arc::clone(&ran);
-        let rejected = pool.try_submit(move || {
-            r.fetch_add(1, Ordering::Relaxed);
-        });
+        let r = ran.clone();
+        let rejected = pool.try_submit(move || r.send("shed").unwrap());
         assert!(rejected.is_err(), "a full queue must shed, not block");
         assert_eq!(pool.monitor().queue_depth(), 1);
+        drop((ran, rejected));
 
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-        pool.wait_idle();
+        gate_open.send(()).unwrap();
         // The gated job + the one admitted try_submit ran; the shed job
         // (returned to us and dropped) did not.
-        assert_eq!(ran.load(Ordering::Relaxed), 2);
-        assert_eq!(pool.monitor().queue_depth(), 0);
-        assert_eq!(pool.monitor().in_flight(), 0);
+        assert_eq!(finished.iter().collect::<Vec<_>>(), ["gated", "admitted"]);
+        wait_until_idle(&pool.monitor());
     }
 
     #[test]
     fn monitor_outlives_the_pool_and_reads_idle() {
         let monitor = {
             let pool = WorkerPool::new(1);
-            pool.submit(|| {});
-            pool.wait_idle();
+            let (done, finished) = mpsc::channel();
+            submit(&pool, move || done.send(()).unwrap());
+            finished.recv().unwrap();
             pool.monitor()
         };
         assert_eq!(monitor.queue_depth(), 0);
@@ -386,15 +340,11 @@ mod tests {
         // accounting must survive (poison-recovering lock acquisition).
         let pool = WorkerPool::new(1);
         for _ in 0..2 {
-            pool.submit(|| panic!("injected job panic"));
+            submit(&pool, || panic!("injected job panic"));
         }
-        pool.wait_idle();
-        let hits = Arc::new(AtomicU64::new(0));
-        let h = Arc::clone(&hits);
-        pool.submit(move || {
-            h.fetch_add(1, Ordering::Relaxed);
-        });
-        pool.wait_idle();
-        assert_eq!(hits.load(Ordering::Relaxed), 1);
+        let (done, finished) = mpsc::channel();
+        submit(&pool, move || done.send(()).unwrap());
+        finished.recv().unwrap();
+        wait_until_idle(&pool.monitor());
     }
 }

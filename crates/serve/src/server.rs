@@ -121,7 +121,7 @@ use ttsv_core::CoreError;
 use crate::faults::{FaultDirective, ServerFaults};
 use crate::http::{Method, Request, RequestParser, Response, WriteBuffer};
 use crate::lru::LruCache;
-use crate::metrics::{self, Metrics, MetricsDoc, PersistStats};
+use crate::metrics::{self, Metrics, MetricsDoc};
 use crate::persist::{Journal, PersistConfig};
 use crate::poller::{self, PollInterest, Poller, Waker};
 use crate::pool::{PoolMonitor, WorkerPool};
@@ -414,12 +414,9 @@ struct ServerState {
     /// cheaper, which is most of a warm request's latency — and this
     /// gauge routes concurrent work to the pool instead.
     inline_busy: AtomicUsize,
-    /// The write-ahead journal (`None`: purely in-memory sessions).
-    journal: Option<Arc<Journal>>,
-    /// Journal counters for the `/metrics` `persistence` block — held
-    /// here (not just inside the journal) so the block renders zeros
-    /// when persistence is off or failed to open.
-    persist: Arc<PersistStats>,
+    /// The write-ahead journal: off, live or degraded, and the owner of
+    /// the `/metrics` `persistence` block in every state.
+    journal: Journal,
 }
 
 /// Runs a request's injected engine faults (stall, panic, error) where
@@ -462,8 +459,8 @@ impl ServerState {
     /// journaled after the table lock drops.
     fn publish(&self, id: u64, session: Arc<Session>) {
         let evicted = lock(&self.sessions).insert(id, session);
-        if let (Some((victim, _)), Some(journal)) = (evicted, &self.journal) {
-            journal.record_evict(victim);
+        if let Some((victim, _)) = evicted {
+            self.journal.record_evict(victim);
         }
     }
 
@@ -496,9 +493,7 @@ impl ServerState {
         // between the append and the insert, recovery resurrects a
         // session the client was never told about — harmless — whereas
         // the reverse order could lose an acknowledged session.
-        if let Some(journal) = &self.journal {
-            journal.record_register(id, body);
-        }
+        self.journal.record_register(id, body);
         let json = live.report().to_json();
         let session = Arc::new(Session {
             live: Mutex::new(live),
@@ -556,9 +551,7 @@ impl ServerState {
         // under the session lock, so the journal's per-session update
         // order is exactly the serialization order the responses
         // reflect.
-        if let Some(journal) = &self.journal {
-            journal.record_update(id, plane, body);
-        }
+        self.journal.record_update(id, plane, body);
         let report = live.report();
         let body = if full {
             report.to_json()
@@ -586,9 +579,7 @@ impl ServerState {
             Some(_) => {
                 // Tombstone so recovery never resurrects it; an explicit
                 // delete outlives the process.
-                if let Some(journal) = &self.journal {
-                    journal.record_delete(id);
-                }
+                self.journal.record_delete(id);
                 Response::json(204, String::new())
             }
             None => Response::error(404, &format!("no session {id}")),
@@ -604,10 +595,7 @@ impl ServerState {
                 busy_workers: self.pool_monitor.in_flight(),
                 ..snap.overload
             },
-            persistence: metrics::Persistence {
-                enabled: self.journal.as_ref().is_some_and(|j| j.is_enabled()),
-                journal: self.persist.snapshot(),
-            },
+            persistence: self.journal.stats().snapshot(),
             sessions: {
                 let table = lock(&self.sessions);
                 metrics::Sessions {
@@ -1199,9 +1187,7 @@ fn run_event_loop(
         }
         // One atomic load when nothing is unsynced; the journal lock only
         // once an `interval:MS` deadline has passed.
-        if let Some(journal) = &state.journal {
-            journal.sync_if_due();
-        }
+        state.journal.sync_if_due();
         if poll_reported_ready {
             poll_reported_ready = false;
             if !progress {
@@ -1229,7 +1215,7 @@ fn run_event_loop(
         let timeout = conns
             .iter()
             .filter_map(|c| conn_deadline(c, &deadlines))
-            .chain(state.journal.as_ref().and_then(|j| j.sync_deadline()))
+            .chain(state.journal.sync_deadline())
             .min()
             .map(|t| t.saturating_duration_since(now));
         match poller.wait(&interests, timeout) {
@@ -1314,10 +1300,10 @@ pub struct Server {
     /// Dropped last in shutdown so queued evaluations drain after the
     /// loops exit.
     pool: Option<Arc<WorkerPool>>,
-    /// The write-ahead journal; taken at shutdown so the clean-shutdown
-    /// path runs at most once.
-    journal: Option<Arc<Journal>>,
-    /// Whether shutdown compacts + marks the journal clean. Cleared by
+    /// Reaches the journal at shutdown.
+    state: Arc<ServerState>,
+    /// Whether the next shutdown compacts the journal. Cleared by the
+    /// first shutdown, so compaction runs at most once, and by
     /// [`Server::abort`] to simulate a crash in-process.
     graceful: bool,
 }
@@ -1354,34 +1340,14 @@ impl Server {
         // Open the journal (and replay any previous run's records)
         // before the session table exists, so every eviction — recovery's
         // included — can journal its tombstone; a journal that fails to
-        // open degrades to in-memory serving, never a startup failure.
-        let persist_stats = Arc::new(PersistStats::default());
-        let mut recovery = None;
-        let journal = match config.persist.clone() {
-            Some(persist_config) => {
-                match Journal::open(persist_config, Arc::clone(&persist_stats)) {
-                    Ok((journal, recovered)) => {
-                        recovery = Some(recovered);
-                        Some(Arc::new(journal))
-                    }
-                    Err(e) => {
-                        eprintln!(
-                            "ttsv-serve: warning: persistence disabled: \
-                             opening the journal failed: {e}"
-                        );
-                        persist_stats.add_write_error();
-                        None
-                    }
-                }
-            }
-            None => None,
-        };
+        // open is off, never a startup failure.
+        let (journal, recovery) = Journal::open_or_off(config.persist.clone());
         let state = Arc::new(ServerState {
             engine: ChipEngine::new()
                 .with_workers(1)
                 .with_matrix_cache_cap(config.matrix_cache_cap),
             sessions: Mutex::new(LruCache::new(config.max_sessions)),
-            next_id: AtomicU64::new(recovery.as_ref().map_or(1, |r| r.next_id)),
+            next_id: AtomicU64::new(recovery.next_id),
             metrics: Metrics::new(),
             max_tiles: config.max_tiles,
             max_pending_updates: config.max_pending_updates,
@@ -1389,8 +1355,7 @@ impl Server {
             faults: config.faults.clone(),
             live_connections: AtomicUsize::new(0),
             inline_busy: AtomicUsize::new(0),
-            journal: journal.clone(),
-            persist: persist_stats,
+            journal,
         });
         // Re-publish the recovered sessions before any thread can serve:
         // each one is evaluated eagerly so its held report — and
@@ -1399,27 +1364,25 @@ impl Server {
         // the journal's touch order, so LRU recency survives too (and an
         // over-quota recovery evicts the *stalest* sessions, journaling
         // their tombstones like any other eviction).
-        if let Some(recovered) = recovery {
-            for session in recovered.sessions {
-                match state
-                    .engine
-                    .evaluate_live(session.spec.plan, session.spec.model)
-                {
-                    Ok(live) => {
-                        state.publish(
-                            session.id,
-                            Arc::new(Session {
-                                live: Mutex::new(live),
-                                pending: AtomicUsize::new(0),
-                            }),
-                        );
-                    }
-                    Err(e) => eprintln!(
-                        "ttsv-serve: warning: dropping recovered session {}: \
-                         evaluation failed: {e}",
-                        session.id
-                    ),
+        for session in recovery.sessions {
+            match state
+                .engine
+                .evaluate_live(session.spec.plan, session.spec.model)
+            {
+                Ok(live) => {
+                    state.publish(
+                        session.id,
+                        Arc::new(Session {
+                            live: Mutex::new(live),
+                            pending: AtomicUsize::new(0),
+                        }),
+                    );
                 }
+                Err(e) => eprintln!(
+                    "ttsv-serve: warning: dropping recovered session {}: \
+                     evaluation failed: {e}",
+                    session.id
+                ),
             }
         }
         let deadlines = ConnDeadlines {
@@ -1465,7 +1428,7 @@ impl Server {
             loop_handles,
             loops,
             pool: Some(pool),
-            journal,
+            state,
             graceful: true,
         })
     }
@@ -1477,17 +1440,15 @@ impl Server {
     }
 
     /// Stops accepting, closes the event loops, drains in-flight
-    /// evaluations, and joins every background thread. With persistence
-    /// on, the journal is compacted, synced, and stamped with the
-    /// clean-shutdown marker — the next start replays it without the
-    /// "recovering from crash" path.
+    /// evaluations, and joins every background thread. A live journal
+    /// is then compacted, so the next start replays the folded snapshot.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     /// Shuts down *without* the clean-shutdown path: threads are joined
     /// (so the process stays reusable) but the journal gets no final
-    /// compaction, fsync, or marker — exactly the on-disk state a
+    /// compaction — exactly the on-disk state a
     /// `SIGKILL` after the last completed append would leave. The
     /// crash-recovery suite restarts from the same state dir and pins
     /// recovered responses bitwise.
@@ -1515,12 +1476,10 @@ impl Server {
         // before shutdown returns.
         self.pool = None;
         // Only after every thread that could append has exited: compact
-        // and stamp the journal clean (skipped by `abort`, and skipped
-        // automatically once a write error degraded the journal).
-        if let Some(journal) = self.journal.take() {
-            if self.graceful {
-                journal.clean_shutdown();
-            }
+        // the journal (skipped by `abort`, by a second call from `drop`,
+        // and by the journal itself when it is off or degraded).
+        if std::mem::take(&mut self.graceful) {
+            self.state.journal.clean_shutdown();
         }
     }
 }

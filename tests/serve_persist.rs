@@ -6,7 +6,7 @@
 //!
 //! * **Crash recovery is bitwise** — kill a server without shutdown
 //!   (`Server::abort`, the in-process stand-in for `SIGKILL`: no final
-//!   compaction, fsync, or clean marker), restart from the same
+//!   compaction), restart from the same
 //!   `--state-dir`, and every surviving session's next report is
 //!   byte-identical to direct `ChipEngine` evaluation of the same
 //!   floorplan history. Session ids keep counting where they left off.
@@ -17,15 +17,14 @@
 //! * **Tombstones are respected** — a session that was LRU-evicted or
 //!   explicitly `DELETE`d before the crash, or evicted by a recovery
 //!   into a smaller quota, stays gone after the next recovery.
-//! * **Write faults degrade, not kill** — a journal whose writes fail
-//!   disables persistence (counted in `/metrics`) while serving
-//!   continues bitwise-correct.
+//! * **Write faults degrade, not kill** — a journal whose writes fail,
+//!   or whose state dir cannot be opened, disables persistence (counted
+//!   in `/metrics`) while serving continues bitwise-correct.
 //! * **The fsync interval holds when traffic stops** — under
 //!   `interval:MS` the last acknowledged write is fsynced within a few
 //!   intervals with no later write to carry the sync.
-//! * **Graceful shutdown round-trips** — `shutdown()` compacts and
-//!   stamps the clean marker; the next start replays the compacted
-//!   journal to the same bitwise state.
+//! * **Graceful shutdown round-trips** — `shutdown()` compacts; the
+//!   next start replays the compacted journal to the same bitwise state.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -152,7 +151,7 @@ fn crash_recovery_restores_sessions_bitwise() {
         .collect();
     assert_eq!(ids, vec![1, 2]);
     drop(client);
-    // No shutdown(): no final compaction, no fsync, no clean marker.
+    // No shutdown(): no final compaction.
     server.abort();
 
     let server = Server::start(
@@ -250,15 +249,15 @@ fn torn_tail_truncation_recovers_a_valid_prefix_at_every_byte() {
         std::fs::create_dir_all(&torn).expect("state dir");
         std::fs::write(torn.join("journal.ttsv"), &bytes[..cut]).expect("write truncated");
         let stats = Arc::new(PersistStats::default());
-        let (journal, recovery) = Journal::open(PersistConfig::new(&torn), Arc::clone(&stats))
+        let opened = Journal::open(PersistConfig::new(&torn), Arc::clone(&stats))
             .expect("a torn tail must never fail recovery");
+        let replayed = stats.snapshot().records_replayed;
         assert!(
-            recovery.records_replayed >= last_replayed,
+            replayed >= last_replayed,
             "cut {cut}: replayed count regressed"
         );
-        assert!(!recovery.clean_shutdown, "no marker was ever written");
-        last_replayed = recovery.records_replayed;
-        drop(journal);
+        last_replayed = replayed;
+        drop(opened);
     }
     assert_eq!(last_replayed, full as u64);
     let _ = std::fs::remove_dir_all(&dir);
@@ -438,6 +437,46 @@ fn journal_write_faults_degrade_gracefully_while_serving_continues() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A state dir that cannot be opened (here: an existing regular file)
+/// leaves persistence off, counted as one write error, and the server
+/// still serves: its first registration answers 201 bitwise what direct
+/// evaluation gives.
+#[test]
+fn unopenable_state_dir_serves_in_memory() {
+    let blocker = state_dir("not-a-dir");
+    std::fs::write(&blocker, b"a regular file, not a directory").expect("write blocker");
+    let expected = direct_session(0);
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig::default()
+            .with_workers(1)
+            .with_state_dir(&blocker),
+    )
+    .expect("a failed journal open must not fail startup");
+    let addr = server.addr().to_string();
+    let mut client = Client::connect(&addr).expect("connect");
+    let (status, body) = client
+        .request("POST", "/sessions", &trace_register_body(GRID, 0))
+        .expect("register");
+    assert_eq!(status, 201, "{body}");
+    assert_eq!(
+        body,
+        format!("{{\"session\":1,\"report\":{}}}", expected[0]),
+        "the in-memory server answers bitwise"
+    );
+    let block = persistence_metrics(&addr);
+    assert!(
+        matches!(block.get("enabled"), Some(serde::json::Value::Bool(false))),
+        "a failed open leaves persistence off: {block:?}"
+    );
+    assert_eq!(persist_field(&block, "write_errors"), 1, "{block:?}");
+    assert_eq!(persist_field(&block, "records_written"), 0, "{block:?}");
+    drop(client);
+    server.shutdown();
+    assert!(blocker.is_file(), "the blocking file is left as it was");
+    let _ = std::fs::remove_file(&blocker);
+}
+
 /// `--fsync interval:MS` bounds the loss window on a quiet server too:
 /// the last write acknowledged before the traffic stops is fsynced within
 /// a few intervals, with no further write to carry the sync.
@@ -481,8 +520,8 @@ fn interval_fsync_syncs_the_last_write_of_a_quiet_server() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The graceful path: `shutdown()` compacts the journal and stamps the
-/// clean marker; restarting replays the compacted snapshot to the same
+/// The graceful path: `shutdown()` compacts the journal; restarting
+/// replays the compacted snapshot to the same
 /// bitwise state, and a tightened compaction threshold actually folds
 /// the dead update records away.
 #[test]
