@@ -45,7 +45,7 @@
 //!   keeps them, with the kernels, in the [`LiveChip`] it returns; the
 //!   **matrix tier** indexes the kernels weakly (keyed on exact
 //!   geometry bits plus the model's
-//!   [`cache_tag`](ttsv_core::scenario::ThermalModel::cache_tag)), so a
+//!   [`cache_tag`](ttsv_core::scenario::PowerSeparableModel::cache_tag)), so a
 //!   kernel is shared while some chip holds it and freed when the last
 //!   one drops.
 //!

@@ -274,9 +274,6 @@ mod tests {
         fn name(&self) -> String {
             self.inner.name()
         }
-        fn cache_tag(&self) -> String {
-            self.inner.cache_tag()
-        }
         fn max_delta_t(&self, scenario: &Scenario) -> Result<TemperatureDelta, CoreError> {
             self.inner.max_delta_t(scenario)
         }
@@ -291,6 +288,9 @@ mod tests {
                 PANIC => panic!("synthetic factorization panic"),
                 _ => self.inner.factorize_geometry(scenario),
             }
+        }
+        fn cache_tag(&self) -> String {
+            self.inner.cache_tag()
         }
     }
 

@@ -183,6 +183,13 @@ impl ThermalModel for ModelA {
     fn max_delta_t(&self, scenario: &Scenario) -> Result<TemperatureDelta, CoreError> {
         Ok(self.solve(scenario)?.max_delta_t())
     }
+}
+
+impl PowerSeparableModel for ModelA {
+    fn factorize_geometry(&self, scenario: &Scenario) -> Result<LadderKernel, CoreError> {
+        let resistances = model_a_resistances(scenario.stack(), scenario.tsv(), &self.fit);
+        with_ladder(&resistances, LadderKernel::from_basis)
+    }
 
     fn cache_tag(&self) -> String {
         // The display name omits the fitting coefficients, which change
@@ -193,13 +200,6 @@ impl ThermalModel for ModelA {
             self.fit.k2().to_bits(),
             self.fit.lateral_spreading().to_bits()
         )
-    }
-}
-
-impl PowerSeparableModel for ModelA {
-    fn factorize_geometry(&self, scenario: &Scenario) -> Result<LadderKernel, CoreError> {
-        let resistances = model_a_resistances(scenario.stack(), scenario.tsv(), &self.fit);
-        with_ladder(&resistances, LadderKernel::from_basis)
     }
 }
 

@@ -260,6 +260,12 @@ impl ThermalModel for ModelB {
     fn max_delta_t(&self, scenario: &Scenario) -> Result<TemperatureDelta, CoreError> {
         Ok(self.solve(scenario)?.max_delta_t())
     }
+}
+
+impl crate::scenario::PowerSeparableModel for ModelB {
+    fn factorize_geometry(&self, scenario: &Scenario) -> Result<LadderKernel, CoreError> {
+        self.factorize(scenario)
+    }
 
     fn cache_tag(&self) -> String {
         // The display name omits the first-plane segment count, which
@@ -268,12 +274,6 @@ impl ThermalModel for ModelB {
             "Model B[{},{}]",
             self.first_plane_segments, self.upper_plane_segments
         )
-    }
-}
-
-impl crate::scenario::PowerSeparableModel for ModelB {
-    fn factorize_geometry(&self, scenario: &Scenario) -> Result<LadderKernel, CoreError> {
-        self.factorize(scenario)
     }
 }
 

@@ -120,17 +120,6 @@ pub trait ThermalModel {
     /// Returns a [`CoreError`] when the scenario is incompatible with the
     /// model or the underlying solve fails.
     fn max_delta_t(&self, scenario: &Scenario) -> Result<TemperatureDelta, CoreError>;
-
-    /// A string identifying this model *instance's results*: two models
-    /// with equal tags must produce identical outputs on identical
-    /// scenarios, because cross-call caches (the chip engine's matrix
-    /// tier) key on it. Defaults to [`ThermalModel::name`]; models whose
-    /// display name omits result-relevant knobs (fitting coefficients,
-    /// solver choices, mesh resolutions) must override it to include
-    /// them.
-    fn cache_tag(&self) -> String {
-        self.name()
-    }
 }
 
 /// A model whose linear system depends only on the scenario's *geometry*
@@ -158,6 +147,16 @@ pub trait PowerSeparableModel: ThermalModel {
     ///
     /// Returns a [`CoreError`] when the geometry is invalid for the model.
     fn factorize_geometry(&self, scenario: &Scenario) -> Result<LadderKernel, CoreError>;
+
+    /// A string identifying this model *instance's kernels*: two models
+    /// with equal tags must factorize identical geometries into identical
+    /// kernels, because the chip engine's matrix tier keys on it.
+    /// Defaults to [`ThermalModel::name`]; models whose display name
+    /// omits result-relevant knobs (fitting coefficients, segment
+    /// counts) must override it to include them.
+    fn cache_tag(&self) -> String {
+        self.name()
+    }
 }
 
 /// Builder for the paper's §IV block with per-figure knobs; see

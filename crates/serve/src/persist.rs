@@ -515,6 +515,33 @@ fn rebuild_spec(folded: &FoldedSession) -> Result<(SessionSpec, BTreeSet<usize>)
     Ok((spec, planes))
 }
 
+/// A folded session's id, journaled history and rebuilt spec.
+type Rebuilt<'a> = (u64, &'a FoldedSession, SessionSpec);
+
+/// Rebuilds every folded session (see [`rebuild_spec`]) in touch order,
+/// with the bookkeeping [`Inner::sessions`] keeps: the planes each one's
+/// updates touched. A session whose bodies no longer parse is dropped
+/// with a warning naming the `pass` (recovery or compaction).
+fn rebuild_sessions<'a>(
+    folded: &'a Folded,
+    pass: &str,
+) -> (Vec<Rebuilt<'a>>, HashMap<u64, BTreeSet<usize>>) {
+    let mut rebuilt = Vec::new();
+    let mut bookkeeping = HashMap::new();
+    for (id, session) in &folded.sessions {
+        match rebuild_spec(session) {
+            Ok((spec, planes)) => {
+                bookkeeping.insert(*id, planes);
+                rebuilt.push((*id, session, spec));
+            }
+            Err(e) => eprintln!(
+                "ttsv-serve: journal {pass} dropping session {id} (body no longer parses: {e})"
+            ),
+        }
+    }
+    (rebuilt, bookkeeping)
+}
+
 /// An open journal file and its bookkeeping: everything the compaction
 /// trigger needs without re-reading the file.
 struct Inner {
@@ -629,19 +656,11 @@ impl Journal {
         file.seek(SeekFrom::End(0))?;
 
         let folded = fold(&records);
-        let mut sessions = Vec::new();
-        let mut bookkeeping = HashMap::new();
-        for (id, folded_session) in &folded.sessions {
-            match rebuild_spec(folded_session) {
-                Ok((spec, planes)) => {
-                    bookkeeping.insert(*id, planes);
-                    sessions.push(RecoveredSession { id: *id, spec });
-                }
-                Err(e) => eprintln!(
-                    "ttsv-serve: journal recovery dropping session {id} (body no longer parses: {e})"
-                ),
-            }
-        }
+        let (rebuilt, bookkeeping) = rebuild_sessions(&folded, "recovery");
+        let sessions: Vec<RecoveredSession> = rebuilt
+            .into_iter()
+            .map(|(id, _, spec)| RecoveredSession { id, spec })
+            .collect();
         stats.add_replayed(records.len() as u64);
         stats.add_recovered_sessions(sessions.len() as u64);
         stats.set_enabled(true);
@@ -858,23 +877,14 @@ impl Journal {
         let mut out = header_bytes();
         let mut out_records: u64 = 1;
         out.extend_from_slice(&frame(META, folded.next_id, &[]));
-        let mut bookkeeping = HashMap::new();
-        for (id, folded_session) in &folded.sessions {
-            match rebuild_spec(folded_session) {
-                Ok((spec, planes)) => {
-                    out.extend_from_slice(&frame(REGISTER, *id, &folded_session.register));
-                    out_records += 1;
-                    for &plane in &planes {
-                        let body =
-                            protocol::render_power_body_full(plane, &spec.plan.plane_maps()[plane]);
-                        out.extend_from_slice(&frame(POWER_UPDATE, *id, body.as_bytes()));
-                        out_records += 1;
-                    }
-                    bookkeeping.insert(*id, planes);
-                }
-                Err(e) => eprintln!(
-                    "ttsv-serve: journal compaction dropping session {id} (body no longer parses: {e})"
-                ),
+        let (rebuilt, bookkeeping) = rebuild_sessions(&folded, "compaction");
+        for (id, session, spec) in &rebuilt {
+            out.extend_from_slice(&frame(REGISTER, *id, &session.register));
+            out_records += 1;
+            for &plane in &bookkeeping[id] {
+                let body = protocol::render_power_body_full(plane, &spec.plan.plane_maps()[plane]);
+                out.extend_from_slice(&frame(POWER_UPDATE, *id, body.as_bytes()));
+                out_records += 1;
             }
         }
 

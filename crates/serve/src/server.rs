@@ -84,14 +84,17 @@
 //!   [`ServerConfig::max_pending_updates`] concurrent requests against
 //!   one session answer `429 Too Many Requests` + `Retry-After` instead
 //!   of piling onto the session's serialization lock.
-//! * **Deadlines** — once a request's first byte arrives, the whole
+//! * **Deadlines** — once a request's first byte arrives (for a
+//!   pipelined request: once its predecessor is popped), the whole
 //!   request must parse within [`ServerConfig::request_deadline`] (and
 //!   may never stall longer than the read timeout) or the connection is
 //!   answered `408 Request Timeout` and closed; the latency histogram
-//!   measures from that same first-byte instant. An idle keep-alive
-//!   connection is reclaimed silently after the read timeout. A client
-//!   that stops reading its response is dropped once the write buffer
-//!   makes no progress for [`ServerConfig::write_timeout`].
+//!   measures from that same instant. An idle keep-alive connection is
+//!   reclaimed silently after the read timeout. A client that stops
+//!   reading its response is dropped once the write buffer makes no
+//!   progress for [`ServerConfig::write_timeout`]. Each connection's
+//!   `next_deadline` is the one rule for all of these: the poll timeout
+//!   sleeps until the nearest one and the service pass acts on it.
 //! * **Failed updates roll back** — a power update stages the tiles it
 //!   names and writes the previous watts back if their re-solve fails
 //!   (engine error *or* contained panic); the held report is patched
@@ -385,6 +388,17 @@ struct Session {
     pending: AtomicUsize,
 }
 
+impl Session {
+    /// A session holding `live`, with no request pending against it —
+    /// how both registration and journal recovery publish one.
+    fn new(live: LiveChip<ModelB>) -> Arc<Self> {
+        Arc::new(Self {
+            live: Mutex::new(live),
+            pending: AtomicUsize::new(0),
+        })
+    }
+}
+
 /// Decrements a session's pending-request gauge on drop — panic-safe,
 /// so a contained handler panic can never leak a flood-control slot.
 struct PendingGuard<'a>(&'a AtomicUsize);
@@ -495,11 +509,7 @@ impl ServerState {
         // the reverse order could lose an acknowledged session.
         self.journal.record_register(id, body);
         let json = live.report().to_json();
-        let session = Arc::new(Session {
-            live: Mutex::new(live),
-            pending: AtomicUsize::new(0),
-        });
-        self.publish(id, session);
+        self.publish(id, Session::new(live));
         Response::json(201, format!("{{\"session\":{id},\"report\":{json}}}"))
     }
 
@@ -619,16 +629,22 @@ impl ServerState {
         serde::json::to_string(&doc)
     }
 
-    /// Routes one parsed request, with the panic boundary: an unwinding
+    /// Answers one routed request, with the panic boundary: an unwinding
     /// handler (or an injected fault panic) becomes a typed 500 and the
     /// connection, session table, and metrics stay healthy.
-    fn handle(&self, request: &Request) -> Response {
+    fn handle(&self, route: Route) -> Response {
         let directive = self
             .faults
             .as_ref()
             .map_or_else(FaultDirective::default, |f| f.begin_request());
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.route(request, directive)
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match route {
+            Route::Metrics => Response::json(200, self.metrics_json()),
+            Route::Healthz => Response::json(200, "{\"ok\":true}".into()),
+            Route::Register(body) => self.register(&body, directive),
+            Route::Power { id, full, body } => self.power_update(id, &body, full, directive),
+            Route::Read(id) => self.read_session(id, directive),
+            Route::Delete(id) => self.delete_session(id),
+            Route::Reject(status, message) => Response::error(status, &message),
         }));
         outcome.unwrap_or_else(|_| {
             self.metrics.note_panic();
@@ -638,63 +654,88 @@ impl ServerState {
             )
         })
     }
+}
 
-    fn route(&self, request: &Request, directive: FaultDirective) -> Response {
-        let (path, query) = match request.target.split_once('?') {
-            Some((p, q)) => (p, q),
-            None => (request.target.as_str(), ""),
-        };
-        let full = query.split('&').any(|kv| kv == "full=1");
-        match (request.method, path) {
-            (Method::Get, "/metrics") => Response::json(200, self.metrics_json()),
-            (Method::Get, "/healthz") => Response::json(200, "{\"ok\":true}".into()),
-            (Method::Post, "/sessions") => self.register(&request.body, directive),
-            (method, path) if path.starts_with("/sessions/") => {
-                let rest = &path["/sessions/".len()..];
-                let (id_text, tail) = match rest.split_once('/') {
-                    Some((id, tail)) => (id, Some(tail)),
-                    None => (rest, None),
-                };
-                let Ok(id) = id_text.parse::<u64>() else {
-                    return Response::error(404, &format!("malformed session id {id_text:?}"));
-                };
-                match (method, tail) {
-                    (Method::Post, Some("power")) => {
-                        self.power_update(id, &request.body, full, directive)
-                    }
-                    (Method::Get, None) => self.read_session(id, directive),
-                    (Method::Delete, None) => self.delete_session(id),
-                    (_, Some(other)) => {
-                        Response::error(404, &format!("unknown session endpoint {other:?}"))
-                    }
-                    _ => Response::error(405, "method not allowed on this session endpoint"),
+/// What a request asks for, parsed once from its method and target: the
+/// event loop picks inline or pool by it, and [`ServerState::handle`]
+/// picks the handler.
+enum Route {
+    Metrics,
+    Healthz,
+    Register(Vec<u8>),
+    Power {
+        id: u64,
+        full: bool,
+        body: Vec<u8>,
+    },
+    Read(u64),
+    Delete(u64),
+    /// An unknown endpoint, a malformed session id or a method the
+    /// endpoint does not take: answered with this error status and
+    /// message.
+    Reject(u16, String),
+}
+
+impl Route {
+    fn parse(request: Request) -> Self {
+        let (path, query) = request
+            .target
+            .split_once('?')
+            .unwrap_or((&request.target, ""));
+        let Some(rest) = path.strip_prefix("/sessions/") else {
+            return match (request.method, path) {
+                (Method::Get, "/metrics") => Self::Metrics,
+                (Method::Get, "/healthz") => Self::Healthz,
+                (Method::Post, "/sessions") => Self::Register(request.body),
+                (_, "/metrics" | "/healthz" | "/sessions") => {
+                    Self::Reject(405, "method not allowed on this endpoint".into())
                 }
-            }
-            (_, "/metrics" | "/healthz" | "/sessions") => {
-                Response::error(405, "method not allowed on this endpoint")
-            }
-            _ => Response::error(404, &format!("unknown endpoint {path:?}")),
+                _ => Self::Reject(404, format!("unknown endpoint {path:?}")),
+            };
+        };
+        let (id_text, tail) = rest
+            .split_once('/')
+            .map_or((rest, None), |(id, tail)| (id, Some(tail)));
+        let Ok(id) = id_text.parse::<u64>() else {
+            return Self::Reject(404, format!("malformed session id {id_text:?}"));
+        };
+        match (request.method, tail) {
+            (Method::Post, Some("power")) => Self::Power {
+                id,
+                full: query.split('&').any(|kv| kv == "full=1"),
+                body: request.body,
+            },
+            (Method::Get, None) => Self::Read(id),
+            (Method::Delete, None) => Self::Delete(id),
+            (_, Some(other)) => Self::Reject(404, format!("unknown session endpoint {other:?}")),
+            _ => Self::Reject(405, "method not allowed on this session endpoint".into()),
         }
     }
-}
 
-/// Whether a request carries evaluation work (worth a pool slot) or is
-/// cheap enough to answer inline on the event loop.
-fn needs_pool(request: &Request) -> bool {
-    let path = request.target.split('?').next().unwrap_or("");
-    match (request.method, path) {
-        (Method::Post, "/sessions") => true,
-        (Method::Post | Method::Get, p) => p.starts_with("/sessions/"),
-        _ => false,
+    /// Whether the request carries evaluation work (worth a pool slot)
+    /// or is cheap enough to answer inline on the event loop.
+    fn evaluates(&self) -> bool {
+        matches!(self, Self::Register(_) | Self::Power { .. } | Self::Read(_))
     }
 }
 
-/// A request dispatched to the pool and not yet answered: the first-byte
+/// A request dispatched to the pool and not yet answered: its start
 /// instant (the honest latency origin) and the request's keep-alive
 /// disposition.
 struct Pending {
     started: Instant,
     keep_alive: bool,
+}
+
+/// What a connection's nearest deadline does when it passes.
+#[derive(Clone, Copy)]
+enum Expiry {
+    /// The client stopped reading its response: drop the connection.
+    SlowReader,
+    /// The request started at this instant is late or stalled: 408.
+    RequestTimeout(Instant),
+    /// A quiet keep-alive connection: reap it silently.
+    Idle,
 }
 
 /// One nonblocking connection owned by an event loop.
@@ -707,8 +748,10 @@ struct Conn {
     last_activity: Instant,
     /// Last time the write buffer drained any bytes (slow-reader clock).
     last_write_progress: Instant,
-    /// First-byte instant of the request currently being parsed; while
-    /// set, the whole request must finish within the request deadline.
+    /// The request clock: `Some` exactly while the parser holds bytes of
+    /// an unanswered request, set when its first byte is read — or, for
+    /// a pipelined request, when its predecessor is popped. The request
+    /// deadline runs from it and its latency is measured from it.
     request_started: Option<Instant>,
     /// The one request currently evaluating on the pool, if any.
     inflight: Option<Pending>,
@@ -755,19 +798,50 @@ impl Conn {
             counted,
         }
     }
+
+    /// Whether the connection takes in its next request: none in flight
+    /// on the pool (one at a time bounds buffering) and no close pending.
+    fn accepts_requests(&self) -> bool {
+        self.inflight.is_none() && !self.close_after_flush
+    }
+
+    /// The nearest deadline and what it does: the slow-reader clock while
+    /// the write buffer has bytes and, while the connection accepts
+    /// requests, the request deadline and read-stall clock of a request
+    /// being parsed, or else the idle clock of a quiet keep-alive
+    /// connection. `None` when nothing is timed (e.g. the request is in
+    /// flight on the pool — its completion arrives via the waker).
+    fn next_deadline(&self, deadlines: &ConnDeadlines) -> Option<(Instant, Expiry)> {
+        if self.dead {
+            return None;
+        }
+        let unread = self.last_write_progress + deadlines.write_timeout;
+        let slow_reader = (!self.write.is_empty()).then_some((unread, Expiry::SlowReader));
+        let stall = self.last_activity + deadlines.read_timeout;
+        let reading = match self.request_started {
+            _ if !self.accepts_requests() => None,
+            Some(started) => Some((
+                stall.min(started + deadlines.request_deadline),
+                Expiry::RequestTimeout(started),
+            )),
+            None if self.write.is_empty() => Some((stall, Expiry::Idle)),
+            None => None,
+        };
+        slow_reader
+            .into_iter()
+            .chain(reading)
+            .min_by_key(|&(at, _)| at)
+    }
 }
 
-/// A loop's mailbox: the accept thread pushes adopted streams (and
-/// over-cap streams owed a 503), workers push completed responses,
-/// shutdown raises `stop`; [`LoopShared::notify`] wakes the loop out of
-/// its blocked `poll(2)`.
+/// A loop's mailbox: the accept thread pushes accepted streams with
+/// their admission flag (a stream shed at admission is adopted uncounted
+/// with its 503 staged, so the accept thread never blocks on a slow
+/// client), workers push completed responses, shutdown raises `stop`;
+/// [`LoopShared::notify`] wakes the loop out of its blocked `poll(2)`.
 #[derive(Default)]
 struct LoopInbox {
-    incoming: Vec<TcpStream>,
-    /// Connections shed at admission: the loop adopts them uncounted,
-    /// stages the 503, and lets the normal write/timeout machinery
-    /// deliver it — the accept thread never blocks on a slow client.
-    shed: Vec<TcpStream>,
+    incoming: Vec<(TcpStream, bool)>,
     completions: Vec<(u64, Response)>,
     stop: bool,
 }
@@ -776,10 +850,7 @@ impl LoopInbox {
     /// Whether the loop has anything to pick up (blocking in `poll(2)`
     /// would be wrong).
     fn has_work(&self) -> bool {
-        !self.incoming.is_empty()
-            || !self.shed.is_empty()
-            || !self.completions.is_empty()
-            || self.stop
+        !self.incoming.is_empty() || !self.completions.is_empty() || self.stop
     }
 }
 
@@ -790,13 +861,6 @@ struct LoopShared {
 }
 
 impl LoopShared {
-    fn new(waker: Waker) -> Self {
-        Self {
-            inbox: Mutex::new(LoopInbox::default()),
-            waker,
-        }
-    }
-
     /// Wakes the owning loop out of its `poll(2)`. Call after pushing
     /// into the inbox (and dropping the lock).
     fn notify(&self) {
@@ -805,17 +869,15 @@ impl LoopShared {
 }
 
 /// The `503` + `Retry-After` for a request or connection the server has
-/// no room for (a full job queue, or the live-connection cap).
+/// no room for (a full job queue, or the live-connection cap); staged
+/// with the connection closing after it.
 fn saturated_response() -> Response {
-    Response {
-        keep_alive: false,
-        ..Response::overloaded(
-            503,
-            "server saturated: every worker is busy and the connection queue is full; \
-             retry shortly",
-            RETRY_AFTER_SECS,
-        )
-    }
+    Response::overloaded(
+        503,
+        "server saturated: every worker is busy and the connection queue is full; \
+         retry shortly",
+        RETRY_AFTER_SECS,
+    )
 }
 
 /// Records one answered request and stages its response behind the
@@ -864,8 +926,9 @@ fn dispatch_request(
         started,
         keep_alive: request.keep_alive,
     };
-    if !needs_pool(&request) {
-        let response = state.handle(&request);
+    let route = Route::parse(request);
+    if !route.evaluates() {
+        let response = state.handle(route);
         finish_request(conn, state, response, &pending);
         return;
     }
@@ -880,7 +943,7 @@ fn dispatch_request(
     if idle {
         state.inline_busy.fetch_add(1, Ordering::SeqCst);
         // `handle` contains its own catch_unwind, so this cannot leak.
-        let response = state.handle(&request);
+        let response = state.handle(route);
         state.inline_busy.fetch_sub(1, Ordering::SeqCst);
         finish_request(conn, state, response, &pending);
         return;
@@ -889,7 +952,7 @@ fn dispatch_request(
     let job_state = Arc::clone(state);
     let job_shared = Arc::clone(shared);
     let submitted = pool.try_submit(move || {
-        let response = job_state.handle(&request);
+        let response = job_state.handle(route);
         let mut inbox = lock(&job_shared.inbox);
         inbox.completions.push((conn_id, response));
         drop(inbox);
@@ -905,8 +968,8 @@ fn dispatch_request(
 }
 
 /// One service pass over a connection: flush writes, read fresh bytes,
-/// pop/dispatch requests, enforce deadlines. Returns whether any
-/// progress was made (the loop's spin-window signal).
+/// pop/dispatch requests, then act on a deadline that has passed.
+/// Returns whether any progress was made (the loop's spin-window signal).
 fn service_conn(
     conn: &mut Conn,
     state: &Arc<ServerState>,
@@ -923,12 +986,7 @@ fn service_conn(
     // 1. Drain the write buffer as far as the socket allows.
     if !conn.write.is_empty() {
         match conn.write.flush(&mut conn.stream) {
-            Ok(0) => {
-                if conn.last_write_progress.elapsed() >= deadlines.write_timeout {
-                    conn.dead = true; // slow reader
-                    return true;
-                }
-            }
+            Ok(0) => {}
             Ok(_) => {
                 progress = true;
                 let now = Instant::now();
@@ -946,9 +1004,8 @@ fn service_conn(
         return true;
     }
 
-    // 2. Read whatever has arrived — only when able to act on it (one
-    //    request in flight per connection bounds buffering).
-    if conn.inflight.is_none() && !conn.close_after_flush && !conn.read_closed {
+    // 2. Read whatever has arrived — only when able to act on it.
+    if conn.accepts_requests() && !conn.read_closed {
         loop {
             match conn.stream.read(chunk) {
                 Ok(0) => {
@@ -960,9 +1017,7 @@ fn service_conn(
                     conn.parser.feed(&chunk[..n]);
                     let now = Instant::now();
                     conn.last_activity = now;
-                    if conn.request_started.is_none() {
-                        conn.request_started = Some(now);
-                    }
+                    conn.request_started.get_or_insert(now);
                     progress = true;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
@@ -975,14 +1030,17 @@ fn service_conn(
         }
     }
 
-    // 3. Pop buffered requests (pipelining) until one needs the pool.
-    while conn.inflight.is_none() && !conn.close_after_flush && !conn.dead {
-        let started = conn.request_started;
+    // 3. Pop buffered requests (pipelining) until one needs the pool. A
+    //    pop that leaves bytes behind re-arms the request clock for the
+    //    request they start, before this one is dispatched.
+    while conn.accepts_requests() {
+        let Some(started) = conn.request_started else {
+            break;
+        };
         match conn.parser.next_request() {
             Ok(Some(request)) => {
                 progress = true;
-                conn.request_started = None;
-                let started = started.unwrap_or_else(Instant::now);
+                conn.request_started = (conn.parser.buffered() > 0).then(Instant::now);
                 dispatch_request(conn, request, started, state, shared, pool);
             }
             Ok(None) => break,
@@ -990,12 +1048,8 @@ fn service_conn(
                 progress = true;
                 conn.request_started = None;
                 let response = Response::from_error(&e);
-                state.metrics.record(
-                    response.status,
-                    started.map_or(Duration::ZERO, |s| s.elapsed()),
-                );
+                state.metrics.record(response.status, started.elapsed());
                 stage_response(conn, response, false);
-                break;
             }
         }
     }
@@ -1008,65 +1062,25 @@ fn service_conn(
         return true;
     }
 
-    // 5. Deadlines: a partial request must beat both the request
-    //    deadline (slowloris) and the read timeout since its last byte;
-    //    an idle keep-alive connection is reclaimed silently.
-    if conn.inflight.is_none() && !conn.close_after_flush {
-        if let Some(started) = conn.request_started {
-            if started.elapsed() >= deadlines.request_deadline
-                || conn.last_activity.elapsed() >= deadlines.read_timeout
-            {
-                progress = true;
+    // 5. A passed deadline drops a slow reader, answers a late or
+    //    stalled request 408, or reaps an idle keep-alive connection.
+    let now = Instant::now();
+    if let Some((_, expiry)) = conn.next_deadline(deadlines).filter(|&(at, _)| at <= now) {
+        progress = true;
+        match expiry {
+            Expiry::SlowReader | Expiry::Idle => conn.dead = true,
+            Expiry::RequestTimeout(started) => {
                 conn.request_started = None;
                 state.metrics.record_timeout(started.elapsed());
-                let response = Response {
-                    keep_alive: false,
-                    ..Response::error(
-                        408,
-                        "request did not complete within the server's request deadline",
-                    )
-                };
+                let response = Response::error(
+                    408,
+                    "request did not complete within the server's request deadline",
+                );
                 stage_response(conn, response, false);
             }
-        } else if conn.write.is_empty()
-            && conn.parser.buffered() == 0
-            && conn.last_activity.elapsed() >= deadlines.read_timeout
-        {
-            progress = true;
-            conn.dead = true;
         }
     }
     progress
-}
-
-/// The nearest future instant at which `service_conn` would take a
-/// deadline action on `conn`, mirroring its checks exactly: the
-/// slow-reader clock while the write buffer is non-empty, the request
-/// deadline and read-stall clock while a request is being parsed, and
-/// the idle-reclaim clock on a quiet keep-alive connection. `None` when
-/// no deadline applies (e.g. the request is in flight on the pool — its
-/// completion arrives via the waker, not a timeout).
-fn conn_deadline(conn: &Conn, deadlines: &ConnDeadlines) -> Option<Instant> {
-    if conn.dead {
-        return None;
-    }
-    let mut nearest: Option<Instant> = None;
-    let mut consider = |t: Instant| match nearest {
-        Some(n) if n <= t => {}
-        _ => nearest = Some(t),
-    };
-    if !conn.write.is_empty() {
-        consider(conn.last_write_progress + deadlines.write_timeout);
-    }
-    if conn.inflight.is_none() && !conn.close_after_flush {
-        if let Some(started) = conn.request_started {
-            consider(started + deadlines.request_deadline);
-            consider(conn.last_activity + deadlines.read_timeout);
-        } else if conn.write.is_empty() && conn.parser.buffered() == 0 {
-            consider(conn.last_activity + deadlines.read_timeout);
-        }
-    }
-    nearest
 }
 
 /// The directions `service_conn` can currently act on for `conn`: read
@@ -1079,7 +1093,7 @@ fn conn_interest(conn: &Conn) -> Option<PollInterest> {
     if conn.dead {
         return None;
     }
-    let read = conn.inflight.is_none() && !conn.close_after_flush && !conn.read_closed;
+    let read = conn.accepts_requests() && !conn.read_closed;
     let write = !conn.write.is_empty();
     if !read && !write {
         return None;
@@ -1115,11 +1129,10 @@ fn run_event_loop(
     // spurious (e.g. a peer reset between poll and read) and is counted.
     let mut poll_reported_ready = false;
     loop {
-        let (incoming, shed, completions, stop) = {
+        let (incoming, completions, stop) = {
             let mut inbox = lock(&shared.inbox);
             (
                 std::mem::take(&mut inbox.incoming),
-                std::mem::take(&mut inbox.shed),
                 std::mem::take(&mut inbox.completions),
                 inbox.stop,
             )
@@ -1129,21 +1142,16 @@ fn run_event_loop(
             state.live_connections.fetch_sub(counted, Ordering::SeqCst);
             return;
         }
-        let mut progress = !incoming.is_empty() || !shed.is_empty() || !completions.is_empty();
-        for stream in incoming {
+        let mut progress = !incoming.is_empty() || !completions.is_empty();
+        for (stream, admitted) in incoming {
             next_conn_id += 1;
             slots.insert(next_conn_id, conns.len());
-            conns.push(Conn::adopt(stream, next_conn_id, true, &state.metrics));
-        }
-        for stream in shed {
-            // An over-cap connection owed its 503: adopt it *uncounted*
-            // (it must not consume or release an admission slot) with
-            // the response already staged; the normal nonblocking write
-            // path — and its slow-reader timeout — delivers it.
-            next_conn_id += 1;
-            slots.insert(next_conn_id, conns.len());
-            let mut conn = Conn::adopt(stream, next_conn_id, false, &state.metrics);
-            stage_response(&mut conn, saturated_response(), false);
+            let mut conn = Conn::adopt(stream, next_conn_id, admitted, &state.metrics);
+            if !admitted {
+                // Owed its 503: the normal nonblocking write path — and
+                // its slow-reader timeout — delivers it.
+                stage_response(&mut conn, saturated_response(), false);
+            }
             conns.push(conn);
         }
         for (conn_id, response) in completions {
@@ -1214,7 +1222,7 @@ fn run_event_loop(
         interests.extend(conns.iter().filter_map(conn_interest));
         let timeout = conns
             .iter()
-            .filter_map(|c| conn_deadline(c, &deadlines))
+            .filter_map(|c| c.next_deadline(&deadlines).map(|(at, _)| at))
             .chain(state.journal.sync_deadline())
             .min()
             .map(|t| t.saturating_duration_since(now));
@@ -1231,20 +1239,11 @@ fn run_event_loop(
     }
 }
 
-/// Load-sheds one connection at admission: the `503` + `Retry-After` is
-/// counted here, but *written* by an event loop (uncounted nonblocking
-/// adoption), so a stalled or slow shed client can never serialize the
-/// accept thread — admission keeps flowing while the 503 drains.
-fn shed_connection(stream: TcpStream, state: &ServerState, started: Instant, target: &LoopShared) {
-    state.metrics.record_shed(started.elapsed());
-    let mut inbox = lock(&target.inbox);
-    inbox.shed.push(stream);
-    drop(inbox);
-    target.notify();
-}
-
 /// The accept loop: admission control, accept-error backoff, and
-/// round-robin handoff to the event loops.
+/// round-robin handoff to the event loops. A connection past the cap is
+/// shed: its `503` + `Retry-After` is counted here but *written* by the
+/// event loop that adopts it uncounted, so a stalled or slow shed client
+/// can never serialize the accept thread.
 fn accept_loop(
     listener: &TcpListener,
     state: &Arc<ServerState>,
@@ -1277,13 +1276,14 @@ fn accept_loop(
         let started = Instant::now();
         let target = &loops[next_loop % loops.len()];
         next_loop = next_loop.wrapping_add(1);
-        if state.live_connections.load(Ordering::SeqCst) >= max_connections {
-            shed_connection(stream, state, started, target);
-            continue;
+        let admitted = state.live_connections.load(Ordering::SeqCst) < max_connections;
+        if admitted {
+            state.live_connections.fetch_add(1, Ordering::SeqCst);
+        } else {
+            state.metrics.record_shed(started.elapsed());
         }
-        state.live_connections.fetch_add(1, Ordering::SeqCst);
         let mut inbox = lock(&target.inbox);
-        inbox.incoming.push(stream);
+        inbox.incoming.push((stream, admitted));
         drop(inbox);
         target.notify();
     }
@@ -1369,15 +1369,7 @@ impl Server {
                 .engine
                 .evaluate_live(session.spec.plan, session.spec.model)
             {
-                Ok(live) => {
-                    state.publish(
-                        session.id,
-                        Arc::new(Session {
-                            live: Mutex::new(live),
-                            pending: AtomicUsize::new(0),
-                        }),
-                    );
-                }
+                Ok(live) => state.publish(session.id, Session::new(live)),
                 Err(e) => eprintln!(
                     "ttsv-serve: warning: dropping recovered session {}: \
                      evaluation failed: {e}",
@@ -1393,7 +1385,10 @@ impl Server {
         let mut loops = Vec::with_capacity(pollers.len());
         let mut loop_handles = Vec::with_capacity(pollers.len());
         for (i, (poller, waker)) in pollers.into_iter().enumerate() {
-            let shared = Arc::new(LoopShared::new(waker));
+            let shared = Arc::new(LoopShared {
+                inbox: Mutex::default(),
+                waker,
+            });
             let loop_state = Arc::clone(&state);
             let loop_shared = Arc::clone(&shared);
             let loop_pool = Arc::clone(&pool);

@@ -387,15 +387,6 @@ impl ThermalModel for FemReference {
     fn max_delta_t(&self, scenario: &Scenario) -> Result<TemperatureDelta, CoreError> {
         Ok(self.solve(scenario)?.max_temperature())
     }
-
-    fn cache_tag(&self) -> String {
-        // Resolution, device thickness, and solver all change the
-        // discrete answer; the display name carries none of them.
-        format!(
-            "FEM[{:?},{:?},{:?}]",
-            self.resolution, self.device_thickness, self.solver
-        )
-    }
 }
 
 /// A second, independent reference: the same unit cell solved in full 3-D
@@ -572,13 +563,6 @@ impl CartesianReference {
 impl ThermalModel for CartesianReference {
     fn name(&self) -> String {
         "FEM (3-D Cartesian)".to_string()
-    }
-
-    fn cache_tag(&self) -> String {
-        format!(
-            "FEM-cart[{},{:?},{:?},{:?}]",
-            self.lateral_cells, self.resolution, self.device_thickness, self.solver
-        )
     }
 
     fn max_delta_t(&self, scenario: &Scenario) -> Result<TemperatureDelta, CoreError> {

@@ -27,6 +27,8 @@
 //!   `/metrics` stays internally consistent, and shutdown mid-storm
 //!   drains cleanly.
 
+pub mod common;
+
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -37,10 +39,8 @@ use ttsv::serve::client::{trace_power_body, trace_register_body, Client, RetryPo
 use ttsv::serve::faults::{FaultConfig, ServerFaults};
 use ttsv::serve::metrics::Metrics;
 use ttsv::serve::server::{Server, ServerConfig, RETRY_AFTER_SECS};
-use ttsv_chip::ChipEngine;
 
-const GRID: usize = 4;
-const ROUNDS: usize = 5;
+use common::{direct_session, field, GRID, ROUNDS};
 
 /// Reads `/metrics` through a clean client and parses it.
 fn fetch_metrics(addr: &str) -> serde::json::Value {
@@ -48,13 +48,6 @@ fn fetch_metrics(addr: &str) -> serde::json::Value {
     let (status, body) = client.request("GET", "/metrics", "").expect("metrics");
     assert_eq!(status, 200, "{body}");
     serde::json::from_str(&body).expect("metrics endpoint emits valid JSON")
-}
-
-fn field(doc: &serde::json::Value, block: &str, name: &str) -> usize {
-    doc.get(block)
-        .and_then(|b| b.get(name))
-        .and_then(serde::json::Value::as_usize)
-        .unwrap_or_else(|| panic!("metrics field {block}.{name} missing"))
 }
 
 /// Asserts the accounting invariant on a quiescent server: answered
@@ -155,34 +148,6 @@ fn drive_session(addr: &str, session: usize, chaos_seed: Option<u64>) -> Vec<Str
             .expect("power update");
         assert_eq!(status, 200, "{body}");
         reports.push(body);
-    }
-    reports
-}
-
-/// Ground truth: the same session replayed directly against a fresh
-/// single-worker engine, no sockets involved.
-fn direct_session(session: usize) -> Vec<String> {
-    let engine = ChipEngine::new().with_workers(1);
-    let mut spec =
-        ttsv::serve::protocol::parse_register(trace_register_body(GRID, session).as_bytes())
-            .expect("register");
-    let mut reports = vec![engine
-        .evaluate_factored(&spec.plan, &spec.model)
-        .expect("solvable")
-        .to_json()];
-    for round in 0..ROUNDS {
-        let (plane, map) = ttsv::serve::protocol::parse_power_update(
-            trace_power_body(GRID, session, round).as_bytes(),
-            &spec.plan,
-        )
-        .expect("power update");
-        spec.plan.update_power_map(plane, map).expect("same grid");
-        reports.push(
-            engine
-                .evaluate_factored(&spec.plan, &spec.model)
-                .expect("solvable")
-                .to_json(),
-        );
     }
     reports
 }

@@ -26,6 +26,8 @@
 //! * **Graceful shutdown round-trips** — `shutdown()` compacts; the
 //!   next start replays the compacted journal to the same bitwise state.
 
+pub mod common;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -35,10 +37,8 @@ use ttsv::serve::faults::JournalFaultConfig;
 use ttsv::serve::metrics::PersistStats;
 use ttsv::serve::persist::{self, FsyncPolicy, Journal, PersistConfig};
 use ttsv::serve::server::{Server, ServerConfig};
-use ttsv_chip::ChipEngine;
 
-const GRID: usize = 4;
-const ROUNDS: usize = 5;
+use common::{direct_session, GRID, ROUNDS};
 
 /// A fresh state directory under the system temp dir, unique per test
 /// *and* per process so concurrent `cargo test` runs never collide.
@@ -51,34 +51,6 @@ fn state_dir(tag: &str) -> std::path::PathBuf {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     dir
-}
-
-/// Ground truth: the same session replayed directly against a fresh
-/// single-worker engine, no sockets and no journal involved.
-fn direct_session(session: usize) -> Vec<String> {
-    let engine = ChipEngine::new().with_workers(1);
-    let mut spec =
-        ttsv::serve::protocol::parse_register(trace_register_body(GRID, session).as_bytes())
-            .expect("register");
-    let mut reports = vec![engine
-        .evaluate_factored(&spec.plan, &spec.model)
-        .expect("solvable")
-        .to_json()];
-    for round in 0..ROUNDS {
-        let (plane, map) = ttsv::serve::protocol::parse_power_update(
-            trace_power_body(GRID, session, round).as_bytes(),
-            &spec.plan,
-        )
-        .expect("power update");
-        spec.plan.update_power_map(plane, map).expect("same grid");
-        reports.push(
-            engine
-                .evaluate_factored(&spec.plan, &spec.model)
-                .expect("solvable")
-                .to_json(),
-        );
-    }
-    reports
 }
 
 /// Registers `session`'s floorplan and applies rounds `0..upto`,

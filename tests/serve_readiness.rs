@@ -15,24 +15,28 @@
 //!   to read its 503 parks *in an event loop*, not on the accept
 //!   thread: concurrent connections keep being admitted or shed
 //!   promptly, and the stalled client's 503 still arrives.
+//! * **Pipelined requests keep the request clock** — a request that
+//!   arrives behind another in one write is held to the request
+//!   deadline and timed from when its predecessor was popped: a
+//!   partial follower gets its 408, and a follower's latency includes
+//!   its wait behind a slow predecessor.
 
-use std::io::Read;
+pub mod common;
+
+use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ttsv::serve::client::Client;
+use ttsv::serve::client::{trace_register_body, Client};
+use ttsv::serve::faults::ServerFaults;
 use ttsv::serve::server::{Server, ServerConfig, RETRY_AFTER_SECS};
+
+use common::{field, GRID};
 
 /// The parked-request latency bound: one millisecond, the tick a
 /// timed-park event loop would quantize every parked request to.
 const PARKED_BOUND: Duration = Duration::from_millis(1);
-
-fn field(doc: &serde::json::Value, block: &str, name: &str) -> usize {
-    doc.get(block)
-        .and_then(|b| b.get(name))
-        .and_then(serde::json::Value::as_usize)
-        .unwrap_or_else(|| panic!("metrics field {block}.{name} missing"))
-}
 
 /// A request on a parked idle keep-alive connection must be answered
 /// well under [`PARKED_BOUND`]: the owning loop is blocked in `poll(2)`
@@ -75,6 +79,112 @@ fn parked_keepalive_request_beats_the_idle_tick() {
         median < PARKED_BOUND,
         "parked-request median {median:?} is not under {PARKED_BOUND:?} \
          — the event loop is ticking, not blocking (samples: {samples_ns:?})"
+    );
+    server.shutdown();
+}
+
+/// A partial request pipelined behind a complete one is held to the
+/// request deadline like a lone partial: the complete request gets its
+/// 200, then the partial one its 408, and the connection closes — it
+/// does not sit on its admission slot forever.
+#[test]
+fn pipelined_partial_request_answers_408_at_the_deadline() {
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig::default()
+            .with_workers(2)
+            .with_read_timeout(Duration::from_millis(300))
+            .with_request_deadline(Duration::from_millis(300)),
+    )
+    .expect("bind ephemeral port");
+    let addr = server.addr().to_string();
+
+    let started = Instant::now();
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\n\r\nGET /heal")
+        .expect("send a request and a partial follower in one write");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(3)))
+        .expect("read timeout");
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .expect("the server answers the partial follower 408 and closes");
+    let elapsed = started.elapsed();
+    assert!(
+        response.starts_with("HTTP/1.1 200 "),
+        "the complete request is answered first: {response:?}"
+    );
+    assert!(
+        response.contains("HTTP/1.1 408 "),
+        "the partial follower is answered 408: {response:?}"
+    );
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "the follower's deadline must fire promptly, took {elapsed:?}"
+    );
+
+    let mut client = Client::connect(&addr).expect("connect for metrics");
+    let (status, body) = client.request("GET", "/metrics", "").expect("metrics");
+    assert_eq!(status, 200, "{body}");
+    let doc: serde::json::Value = serde::json::from_str(&body).expect("metrics JSON");
+    assert_eq!(field(&doc, "overload", "timeouts_408"), 1);
+    server.shutdown();
+}
+
+/// A request pipelined behind a slow one is timed from when its
+/// predecessor left the parser, not from its own pop: both reads behind
+/// a 300 ms evaluation stall record at least that stall, so the median
+/// over register + two reads lands in the 2²⁸ ns bucket or above.
+#[test]
+fn pipelined_request_latency_counts_its_wait_behind_the_predecessor() {
+    const STALL: Duration = Duration::from_millis(300);
+    // Ordinal 1 registers; ordinal 2 (the first pipelined read) stalls
+    // inside evaluation.
+    let faults = Arc::new(ServerFaults::new().engine_delay_on(2, STALL));
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig::default().with_workers(2).with_faults(faults),
+    )
+    .expect("bind ephemeral port");
+    let addr = server.addr().to_string();
+
+    let mut client = Client::connect(&addr).expect("connect");
+    let (status, body) = client
+        .request("POST", "/sessions", &trace_register_body(GRID, 0))
+        .expect("register");
+    assert_eq!(status, 201, "{body}");
+
+    let mut stream = TcpStream::connect(&addr).expect("connect pipelined");
+    stream
+        .write_all(
+            b"GET /sessions/1 HTTP/1.1\r\n\r\n\
+              GET /sessions/1 HTTP/1.1\r\nconnection: close\r\n\r\n",
+        )
+        .expect("send two pipelined reads in one write");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("read timeout");
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .expect("read both responses to EOF");
+    assert_eq!(
+        response.matches("HTTP/1.1 200 ").count(),
+        2,
+        "both pipelined reads answer 200: {response:?}"
+    );
+
+    let (status, body) = client.request("GET", "/metrics", "").expect("metrics");
+    assert_eq!(status, 200, "{body}");
+    let doc: serde::json::Value = serde::json::from_str(&body).expect("metrics JSON");
+    assert_eq!(field(&doc, "latency_ns", "samples"), 3);
+    let p50 = field(&doc, "latency_ns", "p50");
+    assert!(
+        p50 >= 1 << 28,
+        "latency p50 {p50} ns: a read pipelined behind a {STALL:?} stall \
+         was recorded without its wait"
     );
     server.shutdown();
 }

@@ -16,6 +16,8 @@
 //!   freed, so the live kernels never outnumber the live sessions, and a
 //!   session past the kernel cap holds none and factorizes per update.
 
+pub mod common;
+
 use proptest::prelude::*;
 use ttsv::serve::client::{trace_power_body, trace_register_body, Client};
 use ttsv::serve::lru::LruCache;
@@ -23,8 +25,8 @@ use ttsv::serve::protocol::{apply_delta, parse_power_update, parse_register};
 use ttsv::serve::server::{Server, ServerConfig};
 use ttsv_chip::ChipEngine;
 
-const GRID: usize = 4;
-const ROUNDS: usize = 5;
+use common::{direct_session, GRID, ROUNDS};
+
 const CLIENTS: usize = 4;
 
 /// What one client's session produced: the register report plus one
@@ -59,32 +61,6 @@ fn drive_session(addr: &str, session: usize) -> Vec<String> {
             .expect("power update");
         assert_eq!(status, 200, "{body}");
         reports.push(body);
-    }
-    reports
-}
-
-/// The ground truth: the same session replayed directly against a fresh
-/// single-worker engine, no sockets involved.
-fn direct_session(session: usize) -> Vec<String> {
-    let engine = ChipEngine::new().with_workers(1);
-    let mut spec = parse_register(trace_register_body(GRID, session).as_bytes()).expect("register");
-    let mut reports = vec![engine
-        .evaluate_factored(&spec.plan, &spec.model)
-        .expect("solvable")
-        .to_json()];
-    for round in 0..ROUNDS {
-        let (plane, map) = parse_power_update(
-            trace_power_body(GRID, session, round).as_bytes(),
-            &spec.plan,
-        )
-        .expect("power update");
-        spec.plan.update_power_map(plane, map).expect("same grid");
-        reports.push(
-            engine
-                .evaluate_factored(&spec.plan, &spec.model)
-                .expect("solvable")
-                .to_json(),
-        );
     }
     reports
 }
