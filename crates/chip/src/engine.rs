@@ -15,10 +15,10 @@
 //!   [`ModelA`](ttsv_core::model_a::ModelA). Each distinct geometry (via
 //!   density) is factorized once, into the ladder's hotspot kernel
 //!   ([`LadderKernel`]: the unit responses of the nodes that can be
-//!   hottest, ≈ 50 KB at the serving `B(1000)` geometry). Every tile then
-//!   costs one kernel call (0.08–0.33 µs) on the calling thread — no
-//!   dedup, since hashing a tile's key costs about as much as evaluating
-//!   it.
+//!   hottest, ≈ 52 KB at the serving `B(1000)` geometry). Every tile then
+//!   costs one kernel call (≈ 0.1 µs at that geometry) on the calling
+//!   thread — no dedup, since hashing a tile's key costs about as much as
+//!   evaluating it.
 //!
 //! # Kernels live with their chips
 //!
@@ -424,8 +424,9 @@ impl ChipEngine {
     /// share each group's kernel from a live holder through the matrix
     /// tier or factorize it (in parallel, indexing the new kernels within
     /// the cap), then call the kernel once per tile, in tile order on the
-    /// calling thread — at a few hundred nanoseconds a tile, handing
-    /// tiles to workers would cost more than it saves.
+    /// calling thread — at ≈ 100 ns a tile on the serving geometry
+    /// (`model_b/hotspot_1024/b10_1000`), handing tiles to workers would
+    /// cost more than it saves.
     fn kernel_pass<M: PowerSeparableModel + Sync>(
         &self,
         plan: &Floorplan,

@@ -39,7 +39,7 @@
 //!   (Model A and Model B). Each distinct geometry (via density) is
 //!   factorized once into the ladder's hotspot kernel
 //!   ([`LadderKernel`](ttsv_core::ladder::LadderKernel)). Every tile then
-//!   costs one kernel call of a few hundred nanoseconds, so an
+//!   costs one kernel call of about a hundred nanoseconds, so an
 //!   all-distinct gradient map collapses to a single factorization.
 //!   [`ChipEngine::evaluate_live`] takes the plan and model by value and
 //!   keeps them, with the kernels, in the [`LiveChip`] it returns; the

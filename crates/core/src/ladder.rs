@@ -108,6 +108,34 @@ fn superpose_block(powers: &[Power], soa: &[f64], stride: usize, start: usize) -
     acc
 }
 
+/// One level of the hotspot kernel's bound tree: `len` entries per plane
+/// (a multiple of `BLOCK`), plane-major, `values[p * len + i]`.
+#[derive(Debug, Clone)]
+pub(crate) struct Level {
+    pub(crate) values: Vec<f64>,
+    pub(crate) len: usize,
+}
+
+impl Level {
+    /// The level above: each block's componentwise maximum, padded to
+    /// whole blocks with `−∞` (a padded bound superposes to `−∞` or NaN,
+    /// never above a real max).
+    fn block_maxima(&self) -> Level {
+        let len = (self.len / BLOCK).next_multiple_of(BLOCK);
+        let mut values = Vec::with_capacity(self.values.len() / self.len.max(1) * len);
+        for column in self.values.chunks_exact(self.len.max(1)) {
+            let start = values.len();
+            values.extend(
+                column
+                    .chunks_exact(BLOCK)
+                    .map(|block| block.iter().copied().fold(f64::NEG_INFINITY, f64::max)),
+            );
+            values.resize(start + len, f64::NEG_INFINITY);
+        }
+        Level { values, len }
+    }
+}
+
 /// The power-vector validation shared by every solve entry point.
 fn validate_powers(n_planes: usize, plane_powers: &[Power]) -> Result<(), CoreError> {
     if plane_powers.len() != n_planes {
@@ -242,41 +270,43 @@ impl ResponseBasis<'_> {
 /// * **candidates** — the argmax under each unit direction and under the
 ///   all-ones direction;
 /// * **kept nodes** — every node the all-ones candidate does not
-///   dominate componentwise, stored plane-major in blocks of 16 with each
-///   block's componentwise maximum `U_B`.
+///   dominate componentwise, stored plane-major in blocks of 16 under a
+///   bound tree of fan-out 16: each block's componentwise maximum `U_B`,
+///   each 16 blocks' componentwise maximum `U_SB`, and so on up to a
+///   level that fits in one block.
 ///
 /// [`LadderKernel::max_delta_t`] takes `m` as the max over the
-/// candidates, then scans only the blocks whose bound `P·U_B` exceeds
-/// `m`. Powers are validated finite and non-negative, and rounded
-/// products and sums are monotone, so `u_i ≤ u_j` componentwise implies
-/// `fl(P·u_i) ≤ fl(P·u_j)` for the one shared evaluation order. A
-/// dominated node or a skipped block can therefore never beat `m`, and
-/// the pruned max is **bitwise** the max over all nodes — what
+/// candidates, then descends the tree from its top level into only the
+/// entries whose superposed bound (`P·U_SB`, then `P·U_B`) exceeds `m`,
+/// and scans the blocks it reaches. Powers are validated finite and
+/// non-negative, and rounded products and sums are monotone, so
+/// `u_i ≤ u_j` componentwise implies `fl(P·u_i) ≤ fl(P·u_j)` for the one
+/// shared evaluation order. A dominated node or a skipped subtree can
+/// therefore never beat `m`, and the pruned max is **bitwise** the max
+/// over all nodes — what
 /// [`ModelB::solve`](crate::model_b::ModelB::solve) and
 /// [`ModelA::solve`](crate::model_a::ModelA::solve) return as the
 /// maximum (the property suites assert it). The ladder's LU factors and
 /// its full response basis are dropped once the kernel is built.
 ///
 /// On the serving geometry (Model B `B(1000)` with 10 first-plane
-/// segments, 3 planes, 4,021 nodes) the kernel keeps ~2,000 nodes,
-/// ≈ 50 KB: the flat region above each heated plane differs from the
-/// candidates only by rounding noise, so about half its nodes cannot be
-/// pruned exactly. A Model A ladder has only `2·n_planes + 1` nodes.
+/// segments, 3 planes, 4,021 nodes) the kernel keeps ~2,000 nodes in 126
+/// blocks under 8 super-bounds, ≈ 52 KB: the flat region above each
+/// heated plane differs from the candidates only by rounding noise, so
+/// about half its nodes cannot be pruned exactly. A kernel of at most 16
+/// blocks has only the `U_B` level, and a Model A ladder (`2·n_planes + 1`
+/// nodes) keeps at most one block and no bounds.
 #[derive(Debug, Clone)]
 pub struct LadderKernel {
     n_seg: usize,
     n_planes: usize,
     /// Candidate responses, node-major: `candidates[c * n_planes + p]`.
     pub(crate) candidates: Vec<f64>,
-    /// Kept responses, plane-major and padded to whole blocks by
-    /// repeating the last kept node: `kept[p * kept_len + i]`.
-    kept: Vec<f64>,
-    pub(crate) kept_len: usize,
-    /// Per-block componentwise maxima, plane-major and padded to whole
-    /// blocks with `−∞` (a padded bound superposes to `−∞` or NaN, never
-    /// above a real max): `bounds[p * bounds_len + b]`.
-    bounds: Vec<f64>,
-    bounds_len: usize,
+    /// The kept responses and the bound tree above them, finest first:
+    /// `tree[0]` holds the kept responses, padded to whole blocks by
+    /// repeating the last kept node; each further level holds the
+    /// per-block maxima of the one below; the last fits in one block.
+    pub(crate) tree: Vec<Level>,
 }
 
 impl LadderKernel {
@@ -338,7 +368,7 @@ impl LadderKernel {
         kept_nodes.truncate(kept_count);
 
         // The kept nodes, plane-major, padded to whole blocks by repeating
-        // the last one, and each block's componentwise maximum `U_B`.
+        // the last one, then the bound tree's levels up to one block.
         if let Some(&last) = kept_nodes.last() {
             kept_nodes.resize(kept_nodes.len().next_multiple_of(BLOCK), last);
         }
@@ -349,17 +379,13 @@ impl LadderKernel {
                 kept[p * kept_len + i] = u;
             }
         }
-        let bounds_len = (kept_len / BLOCK).next_multiple_of(BLOCK);
-        let mut bounds = vec![f64::NEG_INFINITY; n_planes * bounds_len];
-        for (p, column) in kept.chunks_exact(kept_len.max(1)).enumerate() {
-            for (b, block) in column.chunks_exact(BLOCK).enumerate() {
-                let bound = &mut bounds[p * bounds_len + b];
-                for &u in block {
-                    if u > *bound {
-                        *bound = u;
-                    }
-                }
-            }
+        let mut tree = vec![Level {
+            values: kept,
+            len: kept_len,
+        }];
+        while let Some(top) = tree.last().filter(|top| top.len > BLOCK) {
+            let above = top.block_maxima();
+            tree.push(above);
         }
         Self {
             n_seg: basis.n_seg,
@@ -368,10 +394,7 @@ impl LadderKernel {
                 .iter()
                 .flat_map(|&k| basis.node(k)[..n_planes].to_vec())
                 .collect(),
-            kept,
-            kept_len,
-            bounds,
-            bounds_len,
+            tree,
         }
     }
 
@@ -388,10 +411,10 @@ impl LadderKernel {
     }
 
     /// The hotspot — the maximum node temperature rise — under one
-    /// per-plane power vector: the candidates' max, then a scan of only
-    /// the blocks whose bound exceeds it. Bitwise equal to the maximum
-    /// over every node of the full solve of the same powers on the same
-    /// geometry.
+    /// per-plane power vector: the candidates' max, then a descent of the
+    /// bound tree into only the super-blocks and blocks whose bound
+    /// exceeds it. Bitwise equal to the maximum over every node of the
+    /// full solve of the same powers on the same geometry.
     ///
     /// # Errors
     ///
@@ -404,15 +427,28 @@ impl LadderKernel {
         for c in self.candidates.chunks_exact(self.n_planes) {
             max = max.max(superpose(plane_powers, c));
         }
-        for first in (0..self.bounds_len).step_by(BLOCK) {
-            let bounds = superpose_block(plane_powers, &self.bounds, self.bounds_len, first);
-            for (b, bound) in (first..).zip(bounds) {
-                if bound > max {
-                    let block = superpose_block(plane_powers, &self.kept, self.kept_len, b * BLOCK);
-                    max = block.into_iter().fold(max, f64::max);
+        let top = self.tree.len() - 1;
+        if self.tree[top].len > 0 {
+            self.descend(plane_powers, top, 0, &mut max);
+        }
+        Ok(TemperatureDelta::from_kelvin(max))
+    }
+
+    /// Raises `max` to the hottest kept node under the block of tree
+    /// `level` that starts at entry `first`, descending only into the
+    /// entries whose superposed bound exceeds `max` (a padded bound
+    /// superposes to `−∞` or NaN, and neither does).
+    fn descend(&self, plane_powers: &[Power], level: usize, first: usize, max: &mut f64) {
+        let Level { values, len } = &self.tree[level];
+        let sums = superpose_block(plane_powers, values, *len, first);
+        if level == 0 {
+            *max = sums.into_iter().fold(*max, f64::max);
+        } else {
+            for (i, sum) in (first..).zip(sums) {
+                if sum > *max {
+                    self.descend(plane_powers, level - 1, i * BLOCK, max);
                 }
             }
         }
-        Ok(TemperatureDelta::from_kelvin(max))
     }
 }

@@ -679,12 +679,12 @@ mod tests {
     #[test]
     fn kernel_block_scan_finds_a_winner_that_is_no_candidate() {
         // At 1 W / 10 W / 1 W no candidate (per-plane or all-ones argmax)
-        // is the hottest node, so only the block scan can find it — and
+        // is the hottest node, so only the bound tree can find it — and
         // must find exactly the full profile's maximum.
         let s = scenario();
         let model = ModelB::paper_b100();
         let fact = model.factorize(&s).unwrap();
-        let kernel_nodes = fact.candidates.len() / 3 + fact.kept_len;
+        let kernel_nodes = fact.candidates.len() / 3 + fact.tree[0].len;
         assert!(
             kernel_nodes < 1 + 2 * fact.segment_count(),
             "dominance pruning dropped nothing"
@@ -703,6 +703,54 @@ mod tests {
         .unwrap();
         let every_node = model.solve(&scaled).unwrap().max_delta_t().as_kelvin();
         assert!(candidates < every_node, "{candidates} vs {every_node}");
+        let kernel = fact.max_delta_t(&powers).unwrap().as_kelvin();
+        assert_eq!(kernel.to_bits(), every_node.to_bits());
+    }
+
+    #[test]
+    fn kernel_tree_finds_a_winner_past_the_first_super_block() {
+        // On the case-study cell at the serving segmentation, B(10, 1000),
+        // the kernel keeps ~2,000 nodes: over 100 blocks under 8
+        // super-bounds of 16 blocks each. At 0 W / 3 W / 0.1 W no
+        // candidate is the hottest node and the hottest kept node lies
+        // past the first super-block, so only a descent into a later
+        // super-block finds it — and must find exactly the full profile's
+        // maximum. The zero-power plane also superposes the padded `−∞`
+        // bounds to NaN, which the descent must skip.
+        let s = crate::full_chip::CaseStudy::paper()
+            .unit_cell_scenario()
+            .unwrap();
+        let model = ModelB::with_segments(10, 1000);
+        let fact = model.factorize(&s).unwrap();
+        let powers: Vec<Power> = [0.0, 3.0, 0.1].map(Power::from_watts).to_vec();
+        assert_eq!(fact.tree.len(), 3, "kept nodes, U_B and U_SB");
+        let kept = &fact.tree[0];
+        let node = |i: usize| {
+            let u: Vec<f64> = (0..3).map(|p| kept.values[p * kept.len + i]).collect();
+            superpose(&powers, &u)
+        };
+        let winner = (0..kept.len)
+            .max_by(|&a, &b| node(a).total_cmp(&node(b)))
+            .unwrap();
+        assert!(
+            winner >= 16 * 16,
+            "winner {winner} of {} kept lies in the first super-block",
+            kept.len
+        );
+        let candidates = fact
+            .candidates
+            .chunks_exact(3)
+            .map(|u| superpose(&powers, u))
+            .fold(f64::NEG_INFINITY, f64::max);
+        let scaled = Scenario::new(
+            s.stack().clone(),
+            s.tsv().clone(),
+            &crate::geometry::HeatLoad::PerPlane(powers.clone()),
+        )
+        .unwrap();
+        let every_node = model.solve(&scaled).unwrap().max_delta_t().as_kelvin();
+        assert!(candidates < every_node, "{candidates} vs {every_node}");
+        assert_eq!(node(winner).to_bits(), every_node.to_bits());
         let kernel = fact.max_delta_t(&powers).unwrap().as_kelvin();
         assert_eq!(kernel.to_bits(), every_node.to_bits());
     }

@@ -127,7 +127,7 @@ pub trait ThermalModel {
 /// alone. Such a model factorizes each geometry once into the ladder's
 /// hotspot kernel ([`LadderKernel`]) and answers every power vector with
 /// one call on it, [`LadderKernel::max_delta_t`]: a few hundred
-/// multiply-adds, against a kernel of ~50 KB at the serving Model B
+/// multiply-adds, against a kernel of ~52 KB at the serving Model B
 /// geometry. That is what lets the chip engine collapse an all-distinct
 /// power map onto a handful of factorizations.
 /// [`ModelA`](crate::model_a::ModelA) and

@@ -43,7 +43,9 @@ fn block_params() -> impl Strategy<Value = BlockParams> {
 /// power vectors for it: 2–5 planes (a stack needs two), each lumped (one segment) a quarter
 /// of the time, otherwise 0–29 silicon and 1–29 ILD segments (so ladder
 /// lengths are rarely a multiple of anything); each power an exact zero a
-/// quarter of the time, otherwise log-uniform over 1e-6–1e3 W.
+/// quarter of the time, otherwise log-uniform over 1e-6–1e3 W. Such
+/// kernels keep at most a few hundred nodes, so [`long_kernel_params`]
+/// draws the long ladders whose kernels span several super-blocks.
 #[derive(Debug, Clone)]
 struct KernelParams {
     radius_um: f64,
@@ -54,7 +56,22 @@ struct KernelParams {
 }
 
 fn kernel_params() -> impl Strategy<Value = KernelParams> {
-    let segment = (0usize..4, 0usize..30, 1usize..30);
+    kernel_params_with((0usize..4, 0usize..30, 1usize..30))
+}
+
+/// [`KernelParams`] with hundreds to thousands of segments per ladder:
+/// 0–399 silicon and 100–999 ILD segments per plane, lumped an eighth of
+/// the time, so the hotspot kernel keeps hundreds to thousands of nodes
+/// in many blocks under several super-bounds of its bound tree.
+fn long_kernel_params() -> impl Strategy<Value = KernelParams> {
+    kernel_params_with((0usize..8, 0usize..400, 100usize..1000))
+}
+
+/// Draws [`KernelParams`] whose per-plane `(kind, silicon, ild)` come
+/// from `segment` (kind `0` lumps the plane into one segment).
+fn kernel_params_with(
+    segment: impl Strategy<Value = (usize, usize, usize)>,
+) -> impl Strategy<Value = KernelParams> {
     let power = (0usize..4, -6.0..3.0f64);
     (
         1.0..20.0f64,
@@ -313,55 +330,100 @@ proptest! {
     /// `ModelA::max_delta_t`.
     #[test]
     fn model_b_kernel_max_is_bitwise_the_max_over_every_node(p in kernel_params()) {
-        let segmentation = Segmentation::explicit(
-            p.segments[..p.planes]
-                .iter()
-                .map(|&(kind, silicon, ild)| match kind {
-                    0 => PlaneSegments { silicon: 0, ild: 1 },
-                    _ => PlaneSegments { silicon, ild },
-                })
-                .collect(),
-        );
-        let scenario = |watts: &[(usize, f64)]| {
-            let powers = watts[..p.planes]
+        check_kernel_against_every_node(&p)?;
+    }
+
+    /// As `model_b_kernel_max_is_bitwise_the_max_over_every_node`, on
+    /// kernels large enough that the bound tree skips and descends into
+    /// several super-blocks.
+    #[test]
+    fn model_b_kernel_with_several_super_blocks_is_bitwise_the_max_over_every_node(
+        p in long_kernel_params()
+    ) {
+        check_kernel_against_every_node(&p)?;
+    }
+
+    /// The serving geometry: Model B `B(10, 1000)` on the §IV-E case-study
+    /// cell (4,021 ladder nodes, ~2,000 kept), under random non-negative
+    /// plane powers with exact zeros, is bitwise the max over every node.
+    #[test]
+    fn serving_kernel_max_is_bitwise_the_max_over_every_node(
+        watts in prop::collection::vec(prop::collection::vec((0usize..4, -6.0..3.0f64), 3), 12)
+    ) {
+        let cell = CaseStudy::paper().unit_cell_scenario().unwrap();
+        let model = ModelB::with_segments(10, 1000);
+        let kernel = model.factorize(&cell).unwrap();
+        for w in &watts {
+            let powers: Vec<Power> = w
                 .iter()
                 .map(|&(zero, exp)| Power::from_watts(if zero == 0 { 0.0 } else { 10f64.powf(exp) }))
                 .collect();
-            Scenario::paper_block()
-                .with_tsv(TtsvConfig::new(um(p.radius_um), um(p.liner_um)))
-                .with_planes(p.planes)
-                .with_load(HeatLoad::PerPlane(powers))
-                .build()
-                .expect("strategy produces valid scenarios")
-        };
-        let model = ModelB::paper_b100();
-        let kernel = model
-            .factorize_segmented(&scenario(&p.powers[0]), &segmentation)
-            .unwrap();
-        let model_a = ModelA::with_coefficients(FittingCoefficients::paper_block());
-        let kernel_a = model_a.factorize_geometry(&scenario(&p.powers[0])).unwrap();
-        for watts in &p.powers {
-            let s = scenario(watts);
-            let sol = model.solve_segmented(&s, &segmentation).unwrap();
-            let every_node = sol
-                .bulk_profile()
-                .iter()
-                .chain(sol.via_profile())
-                .fold(sol.t0(), |m, &t| m.max(t))
-                .as_kelvin();
+            let s = Scenario::new(cell.stack().clone(), cell.tsv().clone(), &HeatLoad::PerPlane(powers))
+                .unwrap();
+            let every_node = model.solve(&s).unwrap().max_delta_t().as_kelvin();
             let pruned = kernel.max_delta_t(s.plane_powers()).unwrap().as_kelvin();
             prop_assert!(
                 pruned.to_bits() == every_node.to_bits(),
                 "kernel {pruned} vs every node {every_node} at {:?}",
                 s.plane_powers()
             );
-            let pruned_a = kernel_a.max_delta_t(s.plane_powers()).unwrap().as_kelvin();
-            let solved_a = model_a.max_delta_t(&s).unwrap().as_kelvin();
-            prop_assert!(
-                pruned_a.to_bits() == solved_a.to_bits(),
-                "Model A kernel {pruned_a} vs solve {solved_a} at {:?}",
-                s.plane_powers()
-            );
         }
     }
+}
+
+/// Builds `p`'s ladder, factors it once into its hotspot kernel (and the
+/// Model A kernel of the same geometry), and checks every power vector of
+/// `p` against the maximum over the full solve's nodes, bitwise.
+fn check_kernel_against_every_node(p: &KernelParams) -> Result<(), TestCaseError> {
+    let segmentation = Segmentation::explicit(
+        p.segments[..p.planes]
+            .iter()
+            .map(|&(kind, silicon, ild)| match kind {
+                0 => PlaneSegments { silicon: 0, ild: 1 },
+                _ => PlaneSegments { silicon, ild },
+            })
+            .collect(),
+    );
+    let scenario = |watts: &[(usize, f64)]| {
+        let powers = watts[..p.planes]
+            .iter()
+            .map(|&(zero, exp)| Power::from_watts(if zero == 0 { 0.0 } else { 10f64.powf(exp) }))
+            .collect();
+        Scenario::paper_block()
+            .with_tsv(TtsvConfig::new(um(p.radius_um), um(p.liner_um)))
+            .with_planes(p.planes)
+            .with_load(HeatLoad::PerPlane(powers))
+            .build()
+            .expect("strategy produces valid scenarios")
+    };
+    let model = ModelB::paper_b100();
+    let kernel = model
+        .factorize_segmented(&scenario(&p.powers[0]), &segmentation)
+        .unwrap();
+    let model_a = ModelA::with_coefficients(FittingCoefficients::paper_block());
+    let kernel_a = model_a.factorize_geometry(&scenario(&p.powers[0])).unwrap();
+    for watts in &p.powers {
+        let s = scenario(watts);
+        let sol = model.solve_segmented(&s, &segmentation).unwrap();
+        let every_node = sol
+            .bulk_profile()
+            .iter()
+            .chain(sol.via_profile())
+            .fold(sol.t0(), |m, &t| m.max(t))
+            .as_kelvin();
+        let pruned = kernel.max_delta_t(s.plane_powers()).unwrap().as_kelvin();
+        prop_assert!(
+            pruned.to_bits() == every_node.to_bits(),
+            "kernel {pruned} vs every node {every_node} at {:?}",
+            s.plane_powers()
+        );
+        let pruned_a = kernel_a.max_delta_t(s.plane_powers()).unwrap().as_kelvin();
+        let solved_a = model_a.max_delta_t(&s).unwrap().as_kelvin();
+        prop_assert!(
+            pruned_a.to_bits() == solved_a.to_bits(),
+            "Model A kernel {pruned_a} vs solve {solved_a} at {:?}",
+            s.plane_powers()
+        );
+    }
+    Ok(())
 }

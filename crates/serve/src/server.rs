@@ -508,9 +508,11 @@ impl ServerState {
         // session the client was never told about — harmless — whereas
         // the reverse order could lose an acknowledged session.
         self.journal.record_register(id, body);
-        let json = live.report().to_json();
+        let mut body = format!("{{\"session\":{id},\"report\":");
+        serde::json::write_to(&mut body, live.report());
+        body.push('}');
         self.publish(id, Session::new(live));
-        Response::json(201, format!("{{\"session\":{id},\"report\":{json}}}"))
+        Response::json(201, body)
     }
 
     fn power_update(
@@ -1121,7 +1123,10 @@ fn run_event_loop(
     // at high fanout).
     let mut slots: HashMap<u64, usize> = HashMap::new();
     let mut next_conn_id: u64 = 0;
-    let mut chunk = [0u8; 4096];
+    // One `read(2)` takes up to 64 KB, so a 32×32 registration body
+    // (≈ 63 KB) arrives in one or two reads rather than sixteen, and the
+    // parser's buffer grows once instead of doubling its way up.
+    let mut chunk = vec![0u8; 64 * 1024];
     let mut interests: Vec<PollInterest> = Vec::new();
     let mut spin_until = Instant::now();
     // Set when the last blocked poll reported socket readiness; if the
