@@ -103,6 +103,8 @@ pub mod pool;
 pub mod protocol;
 pub mod server;
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 pub use client::{Client, RetryPolicy};
 pub use faults::{FaultConfig, FaultyStream, ServerFaults, SplitMix64};
 pub use http::{HttpError, Request, RequestParser, Response};
@@ -110,3 +112,11 @@ pub use lru::LruCache;
 pub use metrics::Metrics;
 pub use persist::{FsyncPolicy, PersistConfig};
 pub use server::{Server, ServerConfig};
+
+/// Locks a mutex, recovering from poisoning. Every structure this crate
+/// guards (session table and state, loop inboxes, pool queue, journal
+/// bookkeeping) stays valid wherever a panic can interrupt it, so one bad
+/// request must not brick every later lock.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -53,7 +53,14 @@
 //!
 //! Off and degraded behave alike: each `record_*` call returns after one
 //! relaxed load of [`PersistStats::is_enabled`], before anything is
-//! copied, and no sync deadline is pending for the event loops.
+//! copied, and nothing is synced any more.
+//!
+//! # Fsync clock
+//!
+//! Under `interval:MS` an append only writes, and a live journal's one
+//! clock thread fsyncs MS after the oldest unsynced append, traffic or
+//! not. Its failed sync degrades the journal as a failed write does.
+//! Dropping the journal joins the clock without a final sync: a crash.
 //!
 //! # Compaction
 //!
@@ -78,11 +85,12 @@ use std::fs::{self, File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::faults::{FaultyJournal, JournalFaultConfig, JournalFaultPlan};
+use crate::lock;
 use crate::metrics::PersistStats;
 use crate::protocol::{self, SessionSpec};
 
@@ -283,11 +291,10 @@ pub fn scan(bytes: &[u8]) -> (Vec<Record>, usize) {
 pub enum FsyncPolicy {
     /// fsync after every appended record (most durable, slowest).
     Always,
-    /// fsync at most once per interval, yet every appended record within
-    /// the interval of its append: by the next append past the deadline,
-    /// or by an event loop when the server goes quiet
-    /// ([`Journal::sync_if_due`]) — the default, at 100 ms: bounded
-    /// power-loss exposure at near-`Never` latency.
+    /// fsync every appended record within the interval of its append,
+    /// at most once per interval, on the journal's own clock thread (see
+    /// the module docs) — the default, at 100 ms: bounded power-loss
+    /// exposure at near-`Never` append latency, on a quiet server too.
     Interval(Duration),
     /// Never fsync (the OS decides; fastest).
     Never,
@@ -477,9 +484,10 @@ fn fold(records: &[Record]) -> Folded {
                 folded.next_id = folded.next_id.max(id + 1);
             }
             Record::PowerUpdate { id, body } => {
-                // An update for an unknown id can only come from silent
-                // corruption that beat the CRC; drop it rather than
-                // fail the whole recovery.
+                // An update for a dead id is expected: a power update
+                // holds its session while a `DELETE` or an LRU eviction
+                // removes it, so the tombstone can be journaled first.
+                // The session stays dead.
                 if let Some(i) = position(&folded.sessions, *id) {
                     let mut entry = folded.sessions.remove(i);
                     entry.1.updates.push(body.clone());
@@ -543,16 +551,21 @@ fn rebuild_sessions<'a>(
 }
 
 /// An open journal file and its bookkeeping: everything the compaction
-/// trigger needs without re-reading the file.
+/// trigger and the fsync clock need without re-reading the file.
 struct Inner {
     config: PersistConfig,
+    stats: Arc<PersistStats>,
     media: Box<dyn JournalMedia>,
     /// Records in the file, live or dead.
     total_records: u64,
     /// Live sessions → planes their surviving updates touch; a
     /// session's live-record count is `1 + planes.len()` after a fold.
     sessions: HashMap<u64, BTreeSet<usize>>,
-    last_sync: Instant,
+    /// When the oldest unsynced record was appended; `None` when every
+    /// appended record is synced.
+    unsynced_since: Option<Instant>,
+    /// Set when the journal drops: the clock exits without syncing.
+    closing: bool,
 }
 
 impl Inner {
@@ -575,13 +588,12 @@ impl std::fmt::Debug for Inner {
     }
 }
 
-/// Mutex poisoning must not take the journal down: a panic elsewhere
-/// while holding the lock leaves bookkeeping merely stale, and every
-/// append re-validates against it loosely.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+/// A live journal's state, shared with its fsync clock.
+#[derive(Debug)]
+struct Live {
+    inner: Mutex<Inner>,
+    /// Wakes the clock: on the first unsynced append, and on drop.
+    tick: Condvar,
 }
 
 /// The per-server write-ahead journal: off, live or degraded (see the
@@ -596,22 +608,10 @@ pub struct Journal {
     /// The on/off flag and counters `/metrics` reports.
     stats: Arc<PersistStats>,
     /// The open file; `None` when the journal is off.
-    inner: Option<Mutex<Inner>>,
-    /// The epoch `sync_deadline_ns` counts from.
-    opened: Instant,
-    /// Under `interval:MS`, nanoseconds after `opened` by which the
-    /// unsynced records must be fsynced; [`NO_DEADLINE`] when nothing is
-    /// unsynced. Written under the journal lock and read without it, so
-    /// an idle event loop never contends for the lock. `Relaxed` suffices:
-    /// a reader that finds a deadline re-checks it under the lock, and an
-    /// event loop learns of each request's append through its inbox
-    /// mutex (or appends itself), which orders the store before its next
-    /// load.
-    sync_deadline_ns: AtomicU64,
+    live: Option<Arc<Live>>,
+    /// The `interval:MS` fsync clock ([`run_clock`]).
+    clock: Option<JoinHandle<()>>,
 }
-
-/// `Journal::sync_deadline_ns` when every appended record is synced.
-const NO_DEADLINE: u64 = u64::MAX;
 
 impl Journal {
     /// Opens (or creates) the journal under `config.state_dir` and
@@ -661,22 +661,36 @@ impl Journal {
             .into_iter()
             .map(|(id, _, spec)| RecoveredSession { id, spec })
             .collect();
+
+        let fsync = config.fsync;
+        let live = Arc::new(Live {
+            inner: Mutex::new(Inner {
+                media: config.wrap_media(file),
+                config,
+                stats: Arc::clone(&stats),
+                total_records: records.len() as u64,
+                sessions: bookkeeping,
+                unsynced_since: None,
+                closing: false,
+            }),
+            tick: Condvar::new(),
+        });
+        // Spawned before the journal is enabled, so a failed spawn
+        // leaves it off.
+        let clock = if let FsyncPolicy::Interval(interval) = fsync {
+            let live = Arc::clone(&live);
+            let clock = std::thread::Builder::new().name("ttsv-journal-clock".into());
+            Some(clock.spawn(move || run_clock(&live, interval))?)
+        } else {
+            None
+        };
         stats.add_replayed(records.len() as u64);
         stats.add_recovered_sessions(sessions.len() as u64);
         stats.set_enabled(true);
-
-        let opened = Instant::now();
         let journal = Journal {
-            inner: Some(Mutex::new(Inner {
-                media: config.wrap_media(file),
-                config,
-                total_records: records.len() as u64,
-                sessions: bookkeeping,
-                last_sync: opened,
-            })),
             stats,
-            opened,
-            sync_deadline_ns: AtomicU64::new(NO_DEADLINE),
+            live: Some(live),
+            clock,
         };
         let recovery = Recovery {
             sessions,
@@ -706,9 +720,8 @@ impl Journal {
         }
         let off = Journal {
             stats,
-            inner: None,
-            opened: Instant::now(),
-            sync_deadline_ns: AtomicU64::new(NO_DEADLINE),
+            live: None,
+            clock: None,
         };
         let recovery = Recovery {
             sessions: Vec::new(),
@@ -755,15 +768,17 @@ impl Journal {
         });
     }
 
-    /// The journal lock, or `None` when the journal is off or degraded.
-    /// The flag is read before the lock and again once it is held: a
-    /// write error may have degraded the journal while this call waited.
-    fn lock_live(&self) -> Option<MutexGuard<'_, Inner>> {
+    /// The live state and its lock, or `None` when the journal is off or
+    /// degraded. The flag is read before the lock and again once it is
+    /// held: a write error may have degraded the journal while this call
+    /// waited.
+    fn lock_live(&self) -> Option<(&Live, MutexGuard<'_, Inner>)> {
         if !self.stats.is_enabled() {
             return None;
         }
-        let inner = lock(self.inner.as_ref()?);
-        self.stats.is_enabled().then_some(inner)
+        let live = self.live.as_deref()?;
+        let inner = lock(&live.inner);
+        self.stats.is_enabled().then_some((live, inner))
     }
 
     /// Appends one record; `track` updates the live-session bookkeeping
@@ -775,101 +790,109 @@ impl Journal {
         body: &[u8],
         track: impl FnOnce(&mut HashMap<u64, BTreeSet<usize>>),
     ) {
-        let Some(mut inner) = self.lock_live() else {
+        let Some((live, mut inner)) = self.lock_live() else {
             return;
         };
         let frame = frame(kind, id, body);
         if let Err(e) = inner.media.write_all(&frame) {
-            self.degrade("write", &e);
+            inner.degrade("write", &e);
             return;
         }
         inner.total_records += 1;
         track(&mut inner.sessions);
         self.stats.add_written(1, frame.len() as u64);
 
-        let due = match inner.config.fsync {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::Interval(interval) => match inner.last_sync.checked_add(interval) {
-                Some(deadline) => {
-                    let ns = deadline.duration_since(self.opened).as_nanos();
-                    let ns = u64::try_from(ns).unwrap_or(NO_DEADLINE - 1);
-                    self.sync_deadline_ns.store(ns, Ordering::Relaxed);
-                    Instant::now() >= deadline
-                }
-                // An interval past the clock's range never comes due.
-                None => false,
-            },
-            FsyncPolicy::Never => false,
-        };
-        if due {
-            if let Err(e) = self.sync_locked(&mut inner) {
-                self.degrade("fsync", &e);
+        if inner.config.fsync == FsyncPolicy::Always {
+            if let Err(e) = inner.sync() {
+                inner.degrade("fsync", &e);
                 return;
             }
         } else {
             self.stats.add_unsynced();
+            if inner.unsynced_since.is_none() {
+                inner.unsynced_since = Some(Instant::now());
+                // Starts the interval clock; under `never` no one waits.
+                live.tick.notify_one();
+            }
         }
 
         if inner.total_records >= inner.config.compact_min_records
             && inner.live_records() * 2 < inner.total_records
         {
-            if let Err(e) = self.compact_locked(&mut inner) {
-                self.degrade("compaction", &e);
+            if let Err(e) = inner.compact() {
+                inner.degrade("compaction", &e);
             }
         }
     }
 
-    /// When the unsynced records must be fsynced under `interval:MS`;
-    /// `None` when nothing is unsynced (or the policy is not an
-    /// interval, or the journal is off). The event loops fold it into
-    /// their poll timeout.
-    #[must_use]
-    pub fn sync_deadline(&self) -> Option<Instant> {
-        match self.sync_deadline_ns.load(Ordering::Relaxed) {
-            NO_DEADLINE => None,
-            ns => Some(self.opened + Duration::from_nanos(ns)),
-        }
-    }
-
-    /// Fsyncs the journal if [`Journal::sync_deadline`] has passed, so a
-    /// record acknowledged just before the server went quiet is still
-    /// synced within the interval. Takes the journal lock only when a
-    /// sync is due.
-    pub fn sync_if_due(&self) {
-        if self.sync_deadline().is_none_or(|d| d > Instant::now()) {
-            return;
-        }
-        let Some(mut inner) = self.lock_live() else {
+    /// Graceful-shutdown hook: compacts a live journal (the snapshot is
+    /// fsynced before it replaces the file); does nothing when the
+    /// journal is off or degraded. Crash simulation (`Server::abort`)
+    /// skips this — that is the whole difference between the two
+    /// shutdowns.
+    pub fn clean_shutdown(&self) {
+        let Some((_, mut inner)) = self.lock_live() else {
             return;
         };
-        // Another loop may have synced while this one waited for the lock.
-        if self.sync_deadline().is_none() {
-            return;
-        }
-        if let Err(e) = self.sync_locked(&mut inner) {
-            self.degrade("fsync", &e);
+        if let Err(e) = inner.compact() {
+            inner.degrade("shutdown compaction", &e);
         }
     }
+}
 
+impl Drop for Journal {
+    /// Stops and joins the fsync clock without a final sync, so a
+    /// dropped journal leaves what a crash would.
+    fn drop(&mut self) {
+        if let (Some(live), Some(clock)) = (&self.live, self.clock.take()) {
+            lock(&live.inner).closing = true;
+            live.tick.notify_one();
+            let _ = clock.join();
+        }
+    }
+}
+
+/// The `interval:MS` fsync clock: syncs `interval` after the oldest
+/// unsynced append. It exits on drop, on its own failed sync, and at the
+/// first deadline after a degrade; it reads the on/off flag only there,
+/// since the journal is enabled after the clock is spawned.
+fn run_clock(live: &Live, interval: Duration) {
+    let mut inner = lock(&live.inner);
+    while !inner.closing {
+        let left = inner.unsynced_since.map_or(Duration::MAX, |since| {
+            interval.saturating_sub(since.elapsed())
+        });
+        if !left.is_zero() {
+            let woken = live.tick.wait_timeout(inner, left);
+            inner = woken.unwrap_or_else(PoisonError::into_inner).0;
+        } else if !inner.stats.is_enabled() {
+            return;
+        } else if let Err(e) = inner.sync() {
+            inner.degrade("fsync", &e);
+            return;
+        }
+    }
+}
+
+impl Inner {
     /// Fsyncs the media and records that nothing is left unsynced.
-    fn sync_locked(&self, inner: &mut Inner) -> io::Result<()> {
-        inner.media.sync()?;
-        self.synced(inner);
+    fn sync(&mut self) -> io::Result<()> {
+        self.media.sync()?;
+        self.synced();
         Ok(())
     }
 
     /// Everything appended so far is durable.
-    fn synced(&self, inner: &mut Inner) {
-        inner.last_sync = Instant::now();
-        self.sync_deadline_ns.store(NO_DEADLINE, Ordering::Relaxed);
+    fn synced(&mut self) {
+        self.unsynced_since = None;
         self.stats.clear_unsynced();
     }
 
     /// Folds the journal file into its live snapshot (see the module
     /// docs). Runs with the journal lock held and touches nothing else.
-    fn compact_locked(&self, inner: &mut Inner) -> io::Result<()> {
-        inner.media.flush()?;
-        let journal_path = inner.config.journal_path();
+    fn compact(&mut self) -> io::Result<()> {
+        self.media.flush()?;
+        let journal_path = self.config.journal_path();
         let bytes = fs::read(&journal_path)?;
         let (records, _) = scan(&bytes);
         let folded = fold(&records);
@@ -888,45 +911,28 @@ impl Journal {
             }
         }
 
-        let tmp = inner.config.state_dir.join("journal.tmp");
+        let tmp = self.config.state_dir.join("journal.tmp");
         {
             let mut f = File::create(&tmp)?;
             f.write_all(&out)?;
             f.sync_data()?;
         }
         fs::rename(&tmp, &journal_path)?;
-        sync_dir(&inner.config.state_dir);
+        sync_dir(&self.config.state_dir);
 
         let file = OpenOptions::new().append(true).open(&journal_path)?;
-        inner.media = inner.config.wrap_media(file);
-        inner.total_records = out_records;
-        inner.sessions = bookkeeping;
+        self.media = self.config.wrap_media(file);
+        self.total_records = out_records;
+        self.sessions = bookkeeping;
         // The snapshot was fsynced before the rename: every live record
         // is durable.
-        self.synced(inner);
+        self.synced();
         self.stats.add_compaction();
         Ok(())
     }
 
-    /// Graceful-shutdown hook: compacts a live journal (the snapshot is
-    /// fsynced before it replaces the file); does nothing when the
-    /// journal is off or degraded. Crash simulation (`Server::abort`)
-    /// skips this — that is the whole difference between the two
-    /// shutdowns.
-    pub fn clean_shutdown(&self) {
-        let Some(mut inner) = self.lock_live() else {
-            return;
-        };
-        if let Err(e) = self.compact_locked(&mut inner) {
-            self.degrade("shutdown compaction", &e);
-        }
-    }
-
     fn degrade(&self, what: &str, err: &io::Error) {
         self.stats.set_enabled(false);
-        // Nothing will be synced any more; a stale deadline would keep
-        // the event loops' poll timeout at zero.
-        self.sync_deadline_ns.store(NO_DEADLINE, Ordering::Relaxed);
         self.stats.add_write_error();
         eprintln!(
             "ttsv-serve: persistence disabled after journal {what} error: {err} \
@@ -945,6 +951,7 @@ fn sync_dir(dir: &Path) {
 mod tests {
     use super::*;
     use crate::metrics::PersistSnapshot;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn test_dir(tag: &str) -> PathBuf {
         static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -1093,6 +1100,24 @@ mod tests {
         assert_eq!(folded.sessions[0].0, 3);
         assert_eq!(folded.sessions[0].1.updates.len(), 1);
         assert_eq!(folded.next_id, 4, "max id + 1 without a meta record");
+
+        // A power update holds its session while a `DELETE` or an LRU
+        // eviction removes it, so the tombstone can be journaled first.
+        for tombstone in [Record::Delete { id: 5 }, Record::Evict { id: 5 }] {
+            let folded = fold(&[
+                Record::Register {
+                    id: 5,
+                    body: register_body(2, 2),
+                },
+                tombstone.clone(),
+                Record::PowerUpdate {
+                    id: 5,
+                    body: b"{\"plane\":0,\"updates\":[[0,0,9.5]]}".to_vec(),
+                },
+            ]);
+            assert!(folded.sessions.is_empty(), "{tombstone:?} then an update");
+            assert_eq!(folded.next_id, 6, "{tombstone:?}: the id is never reused");
+        }
     }
 
     #[test]
@@ -1253,8 +1278,8 @@ mod tests {
     }
 
     /// Drives every entry point of an off or degraded journal: nothing
-    /// is written or counted, no sync deadline is left for the event
-    /// loops, and shutdown creates no file in `dir`.
+    /// is written, synced or counted, and shutdown creates no file in
+    /// `dir`.
     fn assert_records_nothing(journal: &Journal, dir: &Path) {
         let before = journal.stats().snapshot();
         let files = listing(dir);
@@ -1262,8 +1287,6 @@ mod tests {
         journal.record_update(1, 0, b"{\"plane\":0,\"updates\":[[0,0,9.5]]}");
         journal.record_delete(1);
         journal.record_evict(2);
-        journal.sync_if_due();
-        assert_eq!(journal.sync_deadline(), None);
         journal.clean_shutdown();
         assert!(!journal.stats().is_enabled());
         assert_eq!(journal.stats().snapshot(), before, "no counter moved");
@@ -1289,6 +1312,113 @@ mod tests {
         assert_eq!(recovery.next_id, 1);
         assert_eq!(journal.stats().snapshot().write_errors, 1);
         assert_records_nothing(&journal, &dir);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Polls `done` until it holds or `limit` has passed; whether it held.
+    fn eventually(limit: Duration, done: impl Fn() -> bool) -> bool {
+        let give_up = Instant::now() + limit;
+        while !done() {
+            if Instant::now() >= give_up {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
+    #[test]
+    fn interval_clock_syncs_a_journal_nobody_else_calls() {
+        const INTERVAL: Duration = Duration::from_millis(20);
+        let dir = test_dir("clock");
+        let config = PersistConfig::new(&dir).with_fsync(FsyncPolicy::Interval(INTERVAL));
+        let stats = Arc::new(PersistStats::default());
+        let (journal, _) = Journal::open(config, Arc::clone(&stats)).unwrap();
+        journal.record_register(1, &register_body(2, 2));
+        journal.record_update(1, 0, b"{\"plane\":0,\"updates\":[[0,0,9.5]]}");
+        assert_eq!(stats.snapshot().records_written, 2);
+        assert!(
+            eventually(20 * INTERVAL, || stats.snapshot().unsynced_records == 0),
+            "{} record(s) still unsynced {:?} after the last append",
+            stats.snapshot().unsynced_records,
+            20 * INTERVAL
+        );
+        drop(journal);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn interval_appends_do_not_wait_for_the_fsync() {
+        const INTERVAL: Duration = Duration::from_millis(10);
+        const SYNC_DELAY: Duration = Duration::from_millis(300);
+        let dir = test_dir("slow-sync");
+        let stats = Arc::new(PersistStats::default());
+        let config = PersistConfig::new(&dir)
+            .with_fsync(FsyncPolicy::Interval(INTERVAL))
+            .with_faults(
+                JournalFaultConfig {
+                    sync_delay: Some(SYNC_DELAY),
+                    ..JournalFaultConfig::default()
+                },
+                3,
+            );
+        let (journal, _) = Journal::open(config, Arc::clone(&stats)).unwrap();
+        // Two intervals after open: a sync is due as soon as this appends.
+        std::thread::sleep(2 * INTERVAL);
+        let started = Instant::now();
+        journal.record_register(1, &register_body(2, 2));
+        let took = started.elapsed();
+        assert!(
+            took < SYNC_DELAY / 3,
+            "an interval append took {took:?} against a {SYNC_DELAY:?} fsync"
+        );
+        assert!(
+            eventually(10 * SYNC_DELAY, || stats.snapshot().unsynced_records == 0),
+            "the clock synced the record"
+        );
+        drop(journal);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_clock_sync_degrades_the_journal() {
+        let dir = test_dir("clock-fault");
+        let stats = Arc::new(PersistStats::default());
+        let config = PersistConfig::new(&dir)
+            .with_fsync(FsyncPolicy::Interval(Duration::from_millis(10)))
+            .with_faults(
+                JournalFaultConfig {
+                    sync_error: 1.0,
+                    ..JournalFaultConfig::default()
+                },
+                11,
+            );
+        let (journal, _) = Journal::open(config, Arc::clone(&stats)).unwrap();
+        journal.record_register(1, &register_body(2, 2));
+        assert!(
+            eventually(Duration::from_secs(5), || !journal.stats().is_enabled()),
+            "the clock's failed sync degrades the journal with no further call"
+        );
+        assert_eq!(stats.snapshot().write_errors, 1);
+        assert_records_nothing(&journal, &dir);
+        assert_eq!(stats.snapshot().write_errors, 1);
+        drop(journal);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_journal_with_a_pending_deadline_drops_promptly_without_syncing() {
+        let dir = test_dir("clock-drop");
+        let stats = Arc::new(PersistStats::default());
+        let config =
+            PersistConfig::new(&dir).with_fsync(FsyncPolicy::Interval(Duration::from_secs(3600)));
+        let (journal, _) = Journal::open(config, Arc::clone(&stats)).unwrap();
+        journal.record_register(1, &register_body(2, 2));
+        let started = Instant::now();
+        drop(journal);
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "drop took {took:?}");
+        assert_eq!(stats.snapshot().unsynced_records, 1, "drop is a crash");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -7,21 +7,13 @@
 //! [`scoped_batch`](ttsv_core::batch::scoped_batch) instead.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, Weak};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 use std::thread::JoinHandle;
+
+use crate::lock;
 
 /// A job the persistent pool can run: owned, sendable work.
 type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Locks the pool state, recovering from poisoning: every mutation of
-/// `PoolState` is a handful of counter/queue updates that are valid at
-/// any interleaving, so a panic while holding the lock (only possible
-/// outside the catch_unwind-wrapped job body) never leaves the state
-/// half-written — discarding the poison flag is sound and keeps one bad
-/// thread from bricking the whole pool.
-fn lock_state(shared: &PoolShared) -> MutexGuard<'_, PoolState> {
-    shared.state.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// What the queue holds between a submitter and the workers.
 struct PoolState {
@@ -114,7 +106,7 @@ impl WorkerPool {
     where
         F: FnOnce() + Send + 'static,
     {
-        let mut state = lock_state(&self.shared);
+        let mut state = lock(&self.shared.state);
         if state.shutting_down || state.queue.len() >= self.shared.capacity {
             return Err(job);
         }
@@ -154,7 +146,7 @@ impl PoolMonitor {
     pub fn queue_depth(&self) -> usize {
         self.shared
             .upgrade()
-            .map_or(0, |shared| lock_state(&shared).queue.len())
+            .map_or(0, |shared| lock(&shared.state).queue.len())
     }
 
     /// Jobs currently running on a worker.
@@ -162,14 +154,14 @@ impl PoolMonitor {
     pub fn in_flight(&self) -> usize {
         self.shared
             .upgrade()
-            .map_or(0, |shared| lock_state(&shared).in_flight)
+            .map_or(0, |shared| lock(&shared.state).in_flight)
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         {
-            let mut state = lock_state(&self.shared);
+            let mut state = lock(&self.shared.state);
             state.shutting_down = true;
         }
         self.shared.job_ready.notify_all();
@@ -184,7 +176,7 @@ impl Drop for WorkerPool {
 fn worker_loop(shared: &PoolShared) {
     loop {
         let job = {
-            let mut state = lock_state(shared);
+            let mut state = lock(&shared.state);
             loop {
                 if let Some(job) = state.queue.pop_front() {
                     state.in_flight += 1;
@@ -193,7 +185,7 @@ fn worker_loop(shared: &PoolShared) {
                 if state.shutting_down {
                     return;
                 }
-                // Same poison recovery as `lock_state`.
+                // Same poison recovery as `crate::lock`.
                 state = shared
                     .job_ready
                     .wait(state)
@@ -203,7 +195,7 @@ fn worker_loop(shared: &PoolShared) {
         // A panicking job must not take the worker thread (or the pool's
         // `in_flight` accounting) down with it — the server keeps serving.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-        let mut state = lock_state(shared);
+        let mut state = lock(&shared.state);
         state.in_flight -= 1;
         drop(state);
         if let Err(payload) = outcome {

@@ -18,7 +18,10 @@
 //! non-finite numbers, out-of-range indices, and floorplan constraint
 //! violations all land here; nothing panics on client input.
 
+use std::fmt::Write as _;
+
 use serde::json::Value;
+use serde::Serialize;
 use ttsv_chip::{ChipReport, Floorplan, PowerMap, ViaDensityMap};
 use ttsv_core::full_chip::CaseStudy;
 use ttsv_core::model_b::ModelB;
@@ -344,33 +347,37 @@ pub fn render_delta(prev: &ChipReport, next: &ChipReport) -> String {
 /// Panics if an index in `changed` is outside the report.
 #[must_use]
 pub fn render_delta_tiles(next: &ChipReport, changed: &[usize]) -> String {
-    let mut body = format!(
-        "{{\"delta\":true,\"model\":{},\"nx\":{},\"ny\":{},\"tiles\":{},\"changed\":[",
-        serde::json::to_string(&next.model),
-        next.nx,
-        next.ny,
-        next.tiles,
-    );
+    let mut body = String::with_capacity(320 + 32 * changed.len());
+    body.push_str("{\"delta\":true");
+    push_field(&mut body, "model", &next.model);
+    push_field(&mut body, "nx", &next.nx);
+    push_field(&mut body, "ny", &next.ny);
+    push_field(&mut body, "tiles", &next.tiles);
+    body.push_str(",\"changed\":[");
     for (k, &i) in changed.iter().enumerate() {
         if k > 0 {
             body.push(',');
         }
-        body.push_str(&format!(
-            "[{i},{}]",
-            serde::json::to_string(&next.delta_t[i])
-        ));
+        write!(body, "[{i},").expect("writing to a String");
+        serde::json::write_to(&mut body, &next.delta_t[i]);
+        body.push(']');
     }
-    body.push_str(&format!(
-        "],\"max_delta_t\":{},\"mean_delta_t\":{},\"p99_delta_t\":{},\"argmax_ix\":{},\"argmax_iy\":{},\"total_vias\":{},\"distinct_cells\":{}}}",
-        serde::json::to_string(&next.max_delta_t),
-        serde::json::to_string(&next.mean_delta_t),
-        serde::json::to_string(&next.p99_delta_t),
-        next.argmax_ix,
-        next.argmax_iy,
-        serde::json::to_string(&next.total_vias),
-        next.distinct_cells,
-    ));
+    body.push(']');
+    push_field(&mut body, "max_delta_t", &next.max_delta_t);
+    push_field(&mut body, "mean_delta_t", &next.mean_delta_t);
+    push_field(&mut body, "p99_delta_t", &next.p99_delta_t);
+    push_field(&mut body, "argmax_ix", &next.argmax_ix);
+    push_field(&mut body, "argmax_iy", &next.argmax_iy);
+    push_field(&mut body, "total_vias", &next.total_vias);
+    push_field(&mut body, "distinct_cells", &next.distinct_cells);
+    body.push('}');
     body
+}
+
+/// Appends `,"key":value` to an object being written into `body`.
+fn push_field(body: &mut String, key: &str, value: &impl Serialize) {
+    write!(body, ",\"{key}\":").expect("writing to a String");
+    serde::json::write_to(body, value);
 }
 
 fn f64_at(doc: &Value, name: &str) -> Result<f64, ProtocolError> {
@@ -434,34 +441,26 @@ pub fn apply_delta(prev_full: &str, delta: &str) -> Result<String, ProtocolError
         delta_t[i] = v;
     }
 
-    let model = field(&doc, "model")?
-        .as_str()
-        .ok_or_else(|| err("field \"model\" must be a string"))?
-        .to_string();
-    let mut body = format!(
-        "{{\"model\":{},\"nx\":{},\"ny\":{},\"delta_t\":[",
-        serde::json::to_string(&model),
-        usize_field(&doc, "nx")?,
-        usize_field(&doc, "ny")?,
-    );
-    for (i, v) in delta_t.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&serde::json::to_string(v));
-    }
-    body.push_str(&format!(
-        "],\"max_delta_t\":{},\"mean_delta_t\":{},\"p99_delta_t\":{},\"argmax_ix\":{},\"argmax_iy\":{},\"total_vias\":{},\"distinct_cells\":{},\"tiles\":{}}}",
-        serde::json::to_string(&f64_at(&doc, "max_delta_t")?),
-        serde::json::to_string(&f64_at(&doc, "mean_delta_t")?),
-        serde::json::to_string(&f64_at(&doc, "p99_delta_t")?),
-        usize_field(&doc, "argmax_ix")?,
-        usize_field(&doc, "argmax_iy")?,
-        serde::json::to_string(&f64_at(&doc, "total_vias")?),
-        usize_field(&doc, "distinct_cells")?,
-        usize_field(&doc, "tiles")?,
-    ));
-    Ok(body)
+    // `to_json` writes the fields in `ChipReport`'s order: exactly the
+    // full report the server renders.
+    let next = ChipReport {
+        model: field(&doc, "model")?
+            .as_str()
+            .ok_or_else(|| err("field \"model\" must be a string"))?
+            .to_string(),
+        nx: usize_field(&doc, "nx")?,
+        ny: usize_field(&doc, "ny")?,
+        delta_t,
+        max_delta_t: f64_at(&doc, "max_delta_t")?,
+        mean_delta_t: f64_at(&doc, "mean_delta_t")?,
+        p99_delta_t: f64_at(&doc, "p99_delta_t")?,
+        argmax_ix: usize_field(&doc, "argmax_ix")?,
+        argmax_iy: usize_field(&doc, "argmax_iy")?,
+        total_vias: f64_at(&doc, "total_vias")?,
+        distinct_cells: usize_field(&doc, "distinct_cells")?,
+        tiles: usize_field(&doc, "tiles")?,
+    };
+    Ok(next.to_json())
 }
 
 /// Renders a register body for `grid × grid` tiles with explicit
@@ -612,6 +611,40 @@ mod tests {
         assert_eq!(
             apply_delta(&report.to_json(), &delta).unwrap(),
             report.to_json()
+        );
+    }
+
+    #[test]
+    fn delta_bytes_of_a_literal_report_are_pinned() {
+        let next = ChipReport {
+            model: "B(10,1000)".to_string(),
+            nx: 3,
+            ny: 1,
+            delta_t: vec![1.5, 0.1 + 0.2, 1e21],
+            max_delta_t: 1e21,
+            mean_delta_t: 0.9000000000000001,
+            p99_delta_t: 1e21,
+            argmax_ix: 2,
+            argmax_iy: 0,
+            total_vias: 1.25e-7,
+            distinct_cells: 1,
+            tiles: 3,
+        };
+        let delta = render_delta_tiles(&next, &[0, 2]);
+        assert_eq!(
+            delta,
+            "{\"delta\":true,\"model\":\"B(10,1000)\",\"nx\":3,\"ny\":1,\"tiles\":3,\
+             \"changed\":[[0,1.5],[2,1e21]],\"max_delta_t\":1e21,\
+             \"mean_delta_t\":0.9000000000000001,\"p99_delta_t\":1e21,\"argmax_ix\":2,\
+             \"argmax_iy\":0,\"total_vias\":1.25e-7,\"distinct_cells\":1}"
+        );
+        let prev = ChipReport {
+            delta_t: vec![0.0, 0.1 + 0.2, 0.0],
+            ..next.clone()
+        };
+        assert_eq!(
+            apply_delta(&prev.to_json(), &delta).unwrap(),
+            next.to_json()
         );
     }
 

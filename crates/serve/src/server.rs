@@ -26,11 +26,11 @@
 //! its connections' fds plus a self-pipe that the accept thread and
 //! worker completions write to, so inbox activity interrupts the block
 //! immediately. The poll timeout is derived from the nearest connection
-//! deadline and the journal's pending `interval:MS` fsync deadline
-//! ([`Journal::sync_deadline`]), so an idle server makes *zero* wakeups
-//! instead of ticking every millisecond (the `/metrics` `readiness` block
-//! counts wakeups), yet still syncs a write acknowledged just before it
-//! went quiet.
+//! deadline alone, so an idle server makes *zero* wakeups instead of
+//! ticking every millisecond (the `/metrics` `readiness` block counts
+//! wakeups). The loops never schedule journal work: under
+//! `interval:MS` the [`Journal`] keeps its own fsync clock, which also
+//! syncs a write acknowledged just before the server went quiet.
 //!
 //! A session's whole mutable state is one [`LiveChip<ModelB>`]: it owns
 //! the registered floorplan, the model and the Model B kernels of its
@@ -114,7 +114,7 @@ use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ttsv_chip::{ChipEngine, LiveChip};
@@ -123,6 +123,7 @@ use ttsv_core::CoreError;
 
 use crate::faults::{FaultDirective, ServerFaults};
 use crate::http::{Method, Request, RequestParser, Response, WriteBuffer};
+use crate::lock;
 use crate::lru::LruCache;
 use crate::metrics::{self, Metrics, MetricsDoc};
 use crate::persist::{Journal, PersistConfig};
@@ -140,16 +141,6 @@ const SPIN_WINDOW: Duration = Duration::from_micros(200);
 /// How long a loop parks when `poll(2)` itself fails, so the error
 /// path cannot spin the thread.
 const IDLE_TICK: Duration = Duration::from_millis(1);
-
-/// Locks a mutex, recovering from poisoning. Handler panics are caught
-/// at the request boundary, but a panic *while holding* a lock still
-/// poisons it; every protected structure here (session table, session
-/// state, loop inboxes) is valid at every await-free interleaving, so
-/// recovery is sound — and the alternative is one bad request bricking
-/// every later `.lock().expect(…)` call.
-fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -1198,9 +1189,6 @@ fn run_event_loop(
                 slots.insert(conn.id, slot);
             }
         }
-        // One atomic load when nothing is unsynced; the journal lock only
-        // once an `interval:MS` deadline has passed.
-        state.journal.sync_if_due();
         if poll_reported_ready {
             poll_reported_ready = false;
             if !progress {
@@ -1228,7 +1216,6 @@ fn run_event_loop(
         let timeout = conns
             .iter()
             .filter_map(|c| c.next_deadline(&deadlines).map(|(at, _)| at))
-            .chain(state.journal.sync_deadline())
             .min()
             .map(|t| t.saturating_duration_since(now));
         match poller.wait(&interests, timeout) {
