@@ -46,7 +46,7 @@ fn bench_floorplan(c: &mut Criterion) {
     group.bench_function("gradient_32x32/model_b100/warm_cache", |b| {
         let engine = ChipEngine::new();
         let _held = engine
-            .evaluate_live(gradient.clone(), model.clone())
+            .evaluate_live(gradient.clone(), &model)
             .expect("solvable");
         b.iter(|| {
             engine

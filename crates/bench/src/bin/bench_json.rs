@@ -339,7 +339,7 @@ fn main() {
     let gradient64 = gradient_floorplan(64);
     let warm_engine = ChipEngine::new();
     let _held = warm_engine
-        .evaluate_live(gradient64.clone(), b100.clone())
+        .evaluate_live(gradient64.clone(), &b100)
         .expect("solvable");
     sampler.bench("floorplan_chip/full64/factored", || {
         warm_engine
@@ -576,6 +576,49 @@ fn main() {
         drop(journaled);
         journaled_server.shutdown();
         let _ = std::fs::remove_dir_all(&state_dir);
+
+        // §IV-E's per-tile via densities: a 32×32 registration with 1,024
+        // distinct densities (1,024 kernels), never seen before in each
+        // sample, and a two-tile delta update on such a session. Both run
+        // on a dedicated server that first holds one ordinary session, so
+        // the dense registration meets the default kernel budget of
+        // 1,024: it evicts the least-recently-used sessions until it fits,
+        // and its updates call its held kernels.
+        let register_dense = |session: usize| -> String {
+            let body = register_grid(32, session);
+            let (head, rest) = body.split_once("\"via_density\":").expect("via_density");
+            let (_, tail) = rest.split_once(',').expect("a field after via_density");
+            let densities: Vec<String> = (0..32 * 32)
+                .map(|i| format!("{}", 0.004 + i as f64 * 1e-6 + session as f64 * 1e-9))
+                .collect();
+            format!("{head}\"via_density\":[{}],{tail}", densities.join(","))
+        };
+        let dense_server = Server::start("127.0.0.1:0", ServerConfig::default().with_workers(2))
+            .expect("bind dense server");
+        let mut dense = Client::connect(&dense_server.addr().to_string()).expect("connect");
+        register(&mut dense, &register_body(5000));
+        let mut dense_session = 5000usize;
+        sampler.bench("serve/cold_session/grid32_density", || {
+            dense_session += 1;
+            register(&mut dense, &register_dense(dense_session))
+        });
+        let dense_id = register(&mut dense, &register_dense(dense_session + 1));
+        let dense_path = format!("/sessions/{dense_id}/power");
+        let mut dense_round = 0usize;
+        sampler.bench("serve/warm_delta_response/grid32_density", || {
+            dense_round += 1;
+            let (status, body) = dense
+                .request(
+                    "POST",
+                    &dense_path,
+                    &trace_power_body(32, 5000, dense_round),
+                )
+                .expect("power update");
+            assert_eq!(status, 200, "{body}");
+            body
+        });
+        drop(dense);
+        dense_server.shutdown();
     }
 
     let json = sampler.to_json(pr.unwrap_or(baseline_pr + 1), baseline_pr, &baseline);

@@ -23,11 +23,11 @@
 //! # Kernels live with their chips
 //!
 //! [`ChipEngine::evaluate_live`] runs the factored evaluation once and
-//! returns a [`LiveChip`] that owns the plan, the model and the plan's
-//! kernels; its sparse updates call those kernels for the changed tiles
-//! only, without touching the matrix tier, so a serving update costs
-//! what it changes. Because the chip owns all three, an update cannot
-//! pair kernels with a plan or model they were not built from.
+//! returns a [`LiveChip`] that owns the plan and the plan's kernels; its
+//! sparse updates call those kernels for the changed tiles only, without
+//! touching the matrix tier or factorizing, so a serving update costs
+//! what it changes. Because the chip owns both, an update cannot pair
+//! kernels with a plan they were not built from.
 //!
 //! The **matrix tier** is a weak index of the kernels alive
 //! (`Weak<LadderKernel>`), keyed on the model's cache tag plus the
@@ -36,8 +36,11 @@
 //! the same via density, or an evaluation running while a chip holds the
 //! kernel) share one kernel instead of factorizing their own. A kernel
 //! is freed when the last chip holding it drops, so resident kernels
-//! follow the live chips, not the geometries the engine has seen.
-//! [`ChipEngine::with_matrix_cache_cap`] bounds the kernels alive at once.
+//! follow the live chips, not the geometries the engine has seen. Each
+//! insert prunes the entries whose kernel has died, so the index holds
+//! about as many entries as there are kernels alive. The engine does not
+//! bound them: a serving layer bounds the chips it keeps, and with them
+//! their kernels.
 //!
 //! Sharing is transparent: for deterministic models a shared kernel gives
 //! the bits a fresh factorization would (the property suites compare the
@@ -54,6 +57,7 @@ use ttsv_core::batch::{default_workers, scoped_batch};
 use ttsv_core::ladder::LadderKernel;
 use ttsv_core::scenario::{PowerSeparableModel, ThermalModel};
 use ttsv_core::CoreError;
+use ttsv_units::Power;
 
 use crate::floorplan::{CellKey, Floorplan};
 use crate::live::LiveChip;
@@ -70,16 +74,13 @@ struct MatrixKey {
 /// The matrix tier: geometry → the kernel some holder keeps alive, if any.
 type MatrixTier = HashMap<MatrixKey, Weak<LadderKernel>>;
 
-/// One factored pass over a set of tiles.
+/// One factored pass over every tile of a plan.
 struct KernelPass {
-    /// Each tile's `ΔT`, in the order the tiles were named.
+    /// Each tile's `ΔT`, row-major.
     delta_t: Vec<f64>,
-    /// Per distinct geometry among the tiles: its via-density bits and
+    /// Per distinct geometry of the plan: its via-density bits and
     /// kernel.
     kernels: Vec<(u64, Arc<LadderKernel>)>,
-    /// Whether the matrix tier indexes every kernel, so a chip may hold
-    /// them within the cap.
-    indexed: bool,
 }
 
 /// Evaluates a [`Floorplan`] through any [`ThermalModel`] and scatters
@@ -99,26 +100,17 @@ struct KernelPass {
 #[derive(Debug)]
 pub struct ChipEngine {
     workers: Option<usize>,
-    matrix_cache_cap: usize,
     matrices: Mutex<MatrixTier>,
     solves: AtomicUsize,
     factorizations: AtomicUsize,
     matrix_hits: AtomicUsize,
     matrix_misses: AtomicUsize,
-    evictions: AtomicUsize,
 }
-
-/// Default bound on the kernels alive at once. The tier is keyed on
-/// geometry only, so thousands of distinct live geometries already
-/// indicates a pathological workload — see
-/// [`ChipEngine::with_matrix_cache_cap`].
-const DEFAULT_MATRIX_CACHE_CAP: usize = 1 << 12;
 
 impl Clone for ChipEngine {
     fn clone(&self) -> Self {
         Self {
             workers: self.workers,
-            matrix_cache_cap: self.matrix_cache_cap,
             ..Self::new()
         }
     }
@@ -137,13 +129,11 @@ impl ChipEngine {
     pub fn new() -> Self {
         Self {
             workers: None,
-            matrix_cache_cap: DEFAULT_MATRIX_CACHE_CAP,
             matrices: Mutex::new(MatrixTier::new()),
             solves: AtomicUsize::new(0),
             factorizations: AtomicUsize::new(0),
             matrix_hits: AtomicUsize::new(0),
             matrix_misses: AtomicUsize::new(0),
-            evictions: AtomicUsize::new(0),
         }
     }
 
@@ -168,32 +158,12 @@ impl ChipEngine {
         self
     }
 
-    /// Bounds the kernels alive at once through the matrix tier (default:
-    /// 2¹²) — those [`LiveChip`]s hold, plus those a running evaluation
-    /// is using. Kernels dominate the engine's resident memory, so a
-    /// serving layer sets this to its memory budget.
-    ///
-    /// When the kernels alive plus one evaluation's new kernels would
-    /// pass the cap, the tier indexes none of the new ones (counted into
-    /// [`ChipEngine::evictions`]): the evaluation still uses them and
-    /// drops them when it returns, and the [`LiveChip`] it builds holds
-    /// no kernels — it drops the kernels it shared from live holders
-    /// too, not only the new ones. Each [`LiveChip::apply`] on such a
-    /// chip then factorizes the densities among its changed tiles that no
-    /// live holder shares. A plan with more distinct via densities than
-    /// the cap is therefore never held whole. A declined chip never gets
-    /// its kernels back: its updates do not fill it in, even after other
-    /// chips drop and the cap has room. Results never change — only
-    /// [`ChipEngine::factorizations`] grows (tested bitwise against a
-    /// fresh evaluation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
+    /// Does nothing: the engine no longer bounds its kernels (a serving
+    /// layer bounds the chips that hold them). Kept only so the external
+    /// serving benchmark, which still calls it, compiles.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_matrix_cache_cap(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "the matrix cache cap must be positive");
-        self.matrix_cache_cap = cap;
+    pub fn with_matrix_cache_cap(self, _cap: usize) -> Self {
         self
     }
 
@@ -217,9 +187,8 @@ impl ChipEngine {
     }
 
     /// Matrix-tier hits: one per distinct geometry a factored evaluation
-    /// (or an update of a chip that holds no kernels) needs whose kernel
-    /// a live holder shared, cumulative. An update of a chip that holds
-    /// its kernels never looks the tier up, so it counts nothing here.
+    /// needs whose kernel a live holder shared, cumulative. An update
+    /// never looks the tier up, so it counts nothing here.
     /// The name predates the matrix tier's being the only index; it is
     /// kept for the external serving benchmark.
     #[must_use]
@@ -228,23 +197,19 @@ impl ChipEngine {
     }
 
     /// Matrix-tier misses: one per distinct geometry a factored
-    /// evaluation (or an update of a chip that holds no kernels) needs
-    /// whose kernel had to be factorized, cumulative. Named like
-    /// [`ChipEngine::scenario_hits`], for the same reason.
+    /// evaluation needs whose kernel had to be factorized, cumulative.
+    /// Named like [`ChipEngine::scenario_hits`], for the same reason.
     #[must_use]
     pub fn scenario_misses(&self) -> usize {
         self.matrix_misses.load(Ordering::Relaxed)
     }
 
-    /// New kernels the matrix tier declined to index because the kernels
-    /// alive plus them would pass the cap, cumulative across calls. A
-    /// [`LiveChip`] built by such an evaluation holds no kernels, and
-    /// nothing can share them. Declining never changes results — a
-    /// declined kernel is factorized again on its next use
-    /// (property-tested).
+    /// Always 0: the engine declines no kernel. Kept only so the external
+    /// serving benchmark, which still reads it, compiles.
+    #[doc(hidden)]
     #[must_use]
     pub fn evictions(&self) -> usize {
-        self.evictions.load(Ordering::Relaxed)
+        0
     }
 
     /// Kernels alive in the matrix tier now — those some [`LiveChip`] or
@@ -340,15 +305,13 @@ impl ChipEngine {
         plan: &Floorplan,
         model: &M,
     ) -> Result<ChipReport, CoreError> {
-        let pass = self.kernel_pass(plan, model, 0..plan.tiles())?;
+        let pass = self.kernel_pass(plan, model)?;
         Ok(Self::report(plan, model, pass.delta_t, pass.kernels.len()))
     }
 
     /// [`ChipEngine::evaluate_factored`], held as a [`LiveChip`] that
-    /// owns the plan, the model and the plan's kernels, and that later
-    /// sparse power updates patch in place. The chip holds no kernels
-    /// when the matrix tier declined them for the cap (see
-    /// [`ChipEngine::with_matrix_cache_cap`]).
+    /// owns the plan and one kernel per via density of it, and that later
+    /// sparse power updates patch in place.
     ///
     /// # Errors
     ///
@@ -356,16 +319,11 @@ impl ChipEngine {
     pub fn evaluate_live<M: PowerSeparableModel + Sync>(
         &self,
         plan: Floorplan,
-        model: M,
-    ) -> Result<LiveChip<M>, CoreError> {
-        let KernelPass {
-            delta_t,
-            kernels,
-            indexed,
-        } = self.kernel_pass(&plan, &model, 0..plan.tiles())?;
-        let report = Self::report(&plan, &model, delta_t, kernels.len());
-        let kernels = if indexed { kernels } else { Vec::new() };
-        Ok(LiveChip::new(plan, model, report, kernels))
+        model: &M,
+    ) -> Result<LiveChip, CoreError> {
+        let KernelPass { delta_t, kernels } = self.kernel_pass(&plan, model)?;
+        let report = Self::report(&plan, model, delta_t, kernels.len());
+        Ok(LiveChip::new(plan, report, kernels))
     }
 
     /// The report of a kernel pass over every tile of `plan`.
@@ -385,45 +343,41 @@ impl ChipEngine {
         )
     }
 
-    /// Evaluates `tiles` (row-major indices), returning each tile's `ΔT`
-    /// — the k-tile solve behind [`LiveChip::apply`], counted into
-    /// [`ChipEngine::solves`]. `held` is the kernels of every via density
-    /// of `plan`, sorted by the density bits: a tile calls its kernel
-    /// from there, without the matrix tier. A chip that holds no kernels
-    /// passes an empty slice, and its tiles go through the tier like a
-    /// factored evaluation.
-    pub(crate) fn solve_tiles<M: PowerSeparableModel + Sync>(
+    /// The `ΔT` of each `(tile, watts)` in `updates` (row-major tiles),
+    /// with plane `plane`'s power of that tile read as `watts` instead of
+    /// the plan's — the k-tile solve behind [`LiveChip::apply`], counted
+    /// into [`ChipEngine::solves`]. `held` is the kernels of every via
+    /// density of `plan`, sorted by the density bits: a tile calls its
+    /// kernel from there, without the matrix tier, and nothing is
+    /// factorized.
+    pub(crate) fn solve_tiles(
         &self,
         plan: &Floorplan,
-        model: &M,
-        tiles: &[usize],
+        plane: usize,
+        updates: &[(usize, Power)],
         held: &[(u64, Arc<LadderKernel>)],
     ) -> Result<Vec<f64>, CoreError> {
-        let delta_t = if held.is_empty() {
-            self.kernel_pass(plan, model, tiles.iter().copied())?
-                .delta_t
-        } else {
-            let mut powers = Vec::with_capacity(plan.plane_count());
-            tiles
-                .iter()
-                .map(|&t| {
-                    let bits = plan.matrix_bits(t);
-                    let i = held
-                        .binary_search_by_key(&bits, |&(b, _)| b)
-                        .expect("a chip holds the kernel of every via density in its plan");
-                    plan.fill_tile_cell_powers(t, &mut powers);
-                    held[i].1.max_delta_t(&powers).map(|dt| dt.as_kelvin())
-                })
-                .collect::<Result<Vec<f64>, _>>()?
-        };
-        self.solves.fetch_add(tiles.len(), Ordering::Relaxed);
+        let mut powers = Vec::with_capacity(plan.plane_count());
+        let delta_t = updates
+            .iter()
+            .map(|&(t, watts)| {
+                let bits = plan.matrix_bits(t);
+                let i = held
+                    .binary_search_by_key(&bits, |&(b, _)| b)
+                    .expect("a chip holds the kernel of every via density in its plan");
+                plan.fill_tile_cell_powers(t, &mut powers);
+                powers[plane] = watts * plan.cell_share(t);
+                held[i].1.max_delta_t(&powers).map(|dt| dt.as_kelvin())
+            })
+            .collect::<Result<Vec<f64>, _>>()?;
+        self.solves.fetch_add(updates.len(), Ordering::Relaxed);
         Ok(delta_t)
     }
 
-    /// The factored pipeline over `tiles`: group them by via density,
-    /// share each group's kernel from a live holder through the matrix
-    /// tier or factorize it (in parallel, indexing the new kernels within
-    /// the cap), then call the kernel once per tile, in tile order on the
+    /// The factored pipeline over every tile of `plan`: group the tiles by
+    /// via density, share each group's kernel from a live holder through
+    /// the matrix tier or factorize it (in parallel, then indexing the new
+    /// kernels), then call the kernel once per tile, in tile order on the
     /// calling thread — at ≈ 100 ns a tile on the serving geometry
     /// (`model_b/hotspot_1024/b10_1000`), handing tiles to workers would
     /// cost more than it saves.
@@ -431,14 +385,12 @@ impl ChipEngine {
         &self,
         plan: &Floorplan,
         model: &M,
-        tiles: impl Iterator<Item = usize> + Clone,
     ) -> Result<KernelPass, CoreError> {
         let nx = plan.nx();
         // Per tile its geometry index; per geometry a representative tile.
         let mut index: HashMap<u64, usize> = HashMap::new();
         let mut reps: Vec<usize> = Vec::new();
-        let geometry_of: Vec<usize> = tiles
-            .clone()
+        let geometry_of: Vec<usize> = (0..plan.tiles())
             .map(|t| {
                 *index.entry(plan.matrix_bits(t)).or_insert_with(|| {
                     reps.push(t);
@@ -479,7 +431,9 @@ impl ChipEngine {
         })?;
         self.factorizations
             .fetch_add(missing.len(), Ordering::Relaxed);
-        let indexed = missing.is_empty() || self.index(&keys, &missing, built, &mut kernels);
+        if !missing.is_empty() {
+            self.index(&keys, &missing, built, &mut kernels);
+        }
 
         let kernels: Vec<(u64, Arc<LadderKernel>)> = reps
             .iter()
@@ -490,60 +444,40 @@ impl ChipEngine {
             })
             .collect();
         let mut powers = Vec::with_capacity(plan.plane_count());
-        let delta_t = tiles
-            .zip(&geometry_of)
+        let delta_t = geometry_of
+            .iter()
+            .enumerate()
             .map(|(t, &g)| {
                 plan.fill_tile_cell_powers(t, &mut powers);
                 kernels[g].1.max_delta_t(&powers).map(|dt| dt.as_kelvin())
             })
             .collect::<Result<Vec<f64>, _>>()?;
-        Ok(KernelPass {
-            delta_t,
-            kernels,
-            indexed,
-        })
+        Ok(KernelPass { delta_t, kernels })
     }
 
     /// Indexes the kernels a pass built for the geometries `missing`
-    /// (indices into `keys`) and fills them into `kernels`. Returns
-    /// whether they were indexed: when the kernels alive plus the new
-    /// ones would pass the cap, none are (counted as evictions), and the
-    /// pass only uses them.
-    ///
-    /// Dead entries are pruned only when the tier looks full, so an
-    /// insert costs amortized O(1); a prune that frees nothing comes with
-    /// at least one factorization, which costs far more.
+    /// (indices into `keys`) and fills them into `kernels`. The insert
+    /// first prunes every entry whose kernel has died, so a dead entry
+    /// lasts only until the next cold evaluation: O(live kernels) per
+    /// cold evaluation, next to at least one factorization.
     fn index(
         &self,
         keys: &[MatrixKey],
         missing: &[usize],
         built: Vec<Arc<LadderKernel>>,
         kernels: &mut [Option<Arc<LadderKernel>>],
-    ) -> bool {
-        let cap = self.matrix_cache_cap;
+    ) {
         let mut tier = self.matrices();
-        if tier.len() + missing.len() > cap {
-            tier.retain(|_, kernel| kernel.strong_count() > 0);
-        }
-        let indexed = tier.len() + missing.len() <= cap;
-        if !indexed {
-            self.evictions.fetch_add(missing.len(), Ordering::Relaxed);
-        }
+        tier.retain(|_, kernel| kernel.strong_count() > 0);
         for (&g, kernel) in missing.iter().zip(built) {
             let key = &keys[g];
-            // A concurrent pass may have indexed this geometry since the
+            // A concurrent pass may have inserted this geometry since the
             // lookup: share its kernel rather than keep a second one.
-            kernels[g] = Some(match shared(&tier, key) {
-                Some(live) => live,
-                None => {
-                    if indexed {
-                        tier.insert(key.clone(), Arc::downgrade(&kernel));
-                    }
-                    kernel
-                }
-            });
+            kernels[g] = Some(shared(&tier, key).unwrap_or_else(|| {
+                tier.insert(key.clone(), Arc::downgrade(&kernel));
+                kernel
+            }));
         }
-        indexed
     }
 }
 
@@ -655,7 +589,7 @@ mod tests {
         let cs = CaseStudy::paper();
         let plan = Floorplan::uniform(&cs, 4, 4).unwrap();
         let engine = ChipEngine::new();
-        let mut live = engine.evaluate_live(plan, ModelB::paper_b20()).unwrap();
+        let mut live = engine.evaluate_live(plan, &ModelB::paper_b20()).unwrap();
         assert_eq!(engine.factorizations(), 1);
 
         // Double one tile's power on the top plane.
@@ -680,46 +614,70 @@ mod tests {
         ));
     }
 
+    /// A 2×1 plan at half the paper's plane powers with one via density.
+    fn plan_at(density: f64) -> Floorplan {
+        let cs = CaseStudy::paper();
+        let maps = (0..3)
+            .map(|j| PowerMap::uniform(2, 1, cs.plane_powers[j] * 0.5).unwrap())
+            .collect();
+        let via = ViaDensityMap::uniform(2, 1, density).unwrap();
+        Floorplan::new(&cs, maps, via).unwrap()
+    }
+
+    /// The kernels alive follow the chips that hold them: chips of one
+    /// density share one kernel, it lives while any of them does, and a
+    /// freed kernel re-factorizes bitwise the same.
     #[test]
     fn matrix_cache_is_bounded_and_eviction_preserves_results() {
-        let cs = CaseStudy::paper();
         let model = ModelB::paper_b20();
-        // Two distinct via densities → two distinct kernels, and a cap of
-        // one kernel alive at once.
-        let plan_at = |density: f64| {
-            let maps = (0..3)
-                .map(|j| PowerMap::uniform(2, 1, cs.plane_powers[j] * 0.5).unwrap())
-                .collect();
-            let via = ViaDensityMap::uniform(2, 1, density).unwrap();
-            Floorplan::new(&cs, maps, via).unwrap()
-        };
         let (plan_a, plan_b) = (plan_at(0.005), plan_at(0.01));
         let fresh = |plan: &Floorplan| ChipEngine::new().evaluate_factored(plan, &model).unwrap();
-        let engine = ChipEngine::new().with_matrix_cache_cap(1);
-        let held_a = engine.evaluate_live(plan_a.clone(), model.clone()).unwrap();
-        assert_eq!(engine.cache_entries(), 1, "the chip holds plan_a's kernel");
-        let first = engine.evaluate_factored(&plan_a, &model).unwrap();
-        assert_eq!(engine.factorizations(), 1, "a held kernel is shared");
+        let engine = ChipEngine::new();
+        let held_a = engine.evaluate_live(plan_a.clone(), &model).unwrap();
+        let also_a = engine.evaluate_live(plan_a.clone(), &model).unwrap();
+        assert_eq!(
+            engine.factorizations(),
+            1,
+            "the second chip shares the kernel"
+        );
         assert_eq!((engine.scenario_hits(), engine.scenario_misses()), (1, 1));
-        assert_eq!(first, fresh(&plan_a));
-
-        // plan_a's kernel is alive, so plan_b's would pass the cap: its
-        // chip holds none, and the tier keeps one kernel alive.
-        let held_b = engine.evaluate_live(plan_b.clone(), model.clone()).unwrap();
-        assert_eq!(engine.factorizations(), 2);
-        assert_eq!(engine.evictions(), 1, "plan_b's kernel was declined");
-        assert_eq!(engine.cache_entries(), 1, "the live kernels stay bounded");
+        assert_eq!(engine.cache_entries(), 1);
+        assert_eq!(also_a.report(), &fresh(&plan_a));
+        let held_b = engine.evaluate_live(plan_b.clone(), &model).unwrap();
+        assert_eq!((engine.factorizations(), engine.cache_entries()), (2, 2));
         assert_eq!(held_b.report(), &fresh(&plan_b));
 
-        // Dropping the holder frees plan_a's kernel: the next evaluation
-        // of plan_a factorizes again, bitwise the same.
+        // plan_a's kernel lives while either of its chips does.
         drop(held_a);
-        assert_eq!(engine.cache_entries(), 0);
+        assert_eq!(engine.cache_entries(), 2);
+        drop(also_a);
+        assert_eq!(
+            engine.cache_entries(),
+            1,
+            "only plan_b's chip holds a kernel"
+        );
         let refac = engine.evaluate_factored(&plan_a, &model).unwrap();
         assert_eq!(engine.factorizations(), 3, "a freed kernel re-factorizes");
         assert_eq!((engine.scenario_hits(), engine.scenario_misses()), (1, 3));
-        assert_eq!(refac.delta_t, first.delta_t);
-        assert_eq!(engine.cache_entries(), 0, "nothing holds plan_a's kernel");
+        assert_eq!(refac, fresh(&plan_a));
+        assert_eq!(engine.cache_entries(), 1, "nothing holds plan_a's kernel");
+    }
+
+    /// Each insert prunes the entries whose kernel died, so after chips of
+    /// several densities drop, one more cold evaluation leaves the tier
+    /// holding only live entries.
+    #[test]
+    fn an_insert_prunes_dead_tier_entries() {
+        let model = ModelB::paper_b20();
+        let engine = ChipEngine::new().with_workers(1);
+        let kept = engine.evaluate_live(plan_at(0.004), &model).unwrap();
+        for density in [0.005, 0.006, 0.007, 0.008] {
+            drop(engine.evaluate_live(plan_at(density), &model).unwrap());
+        }
+        let last = engine.evaluate_live(plan_at(0.009), &model).unwrap();
+        assert_eq!(engine.cache_entries(), 2);
+        assert_eq!(engine.matrices().len(), 2, "the dead entries were pruned");
+        drop((kept, last));
     }
 
     #[test]

@@ -251,13 +251,18 @@ impl Floorplan {
     /// [`Floorplan::tile_cell_powers`] of row-major tile `index`, written
     /// into `out` — the factored engine path reuses one buffer per pass.
     pub(crate) fn fill_tile_cell_powers(&self, index: usize, out: &mut Vec<Power>) {
-        let cells = self.tile_area() / self.cell_area_at(self.via_map.tiles()[index]);
+        let share = self.cell_share(index);
         out.clear();
-        out.extend(
-            self.plane_maps
-                .iter()
-                .map(|m| m.tiles()[index] * (1.0 / cells)),
-        );
+        out.extend(self.plane_maps.iter().map(|m| m.tiles()[index] * share));
+    }
+
+    /// `1 / cells` of row-major tile `index`: the factor
+    /// [`Floorplan::fill_tile_cell_powers`] turns a tile's watts into one
+    /// cell's with, so a power update can price a tile's new watts
+    /// bitwise before the plan holds them.
+    pub(crate) fn cell_share(&self, index: usize) -> f64 {
+        let cells = self.tile_area() / self.cell_area_at(self.via_map.tiles()[index]);
+        1.0 / cells
     }
 
     /// Replaces one plane's power map. A power update leaves the geometry
@@ -295,10 +300,10 @@ impl Floorplan {
     }
 
     /// Overwrites one tile (row-major `index`) of plane `plane` with an
-    /// already validated power, returning the previous value — the
-    /// in-place move behind [`LiveChip::apply`](crate::LiveChip::apply).
-    pub(crate) fn replace_tile_power(&mut self, plane: usize, index: usize, p: Power) -> Power {
-        self.plane_maps[plane].replace(index, p)
+    /// already validated power — the in-place commit behind
+    /// [`LiveChip::apply`](crate::LiveChip::apply).
+    pub(crate) fn replace_tile_power(&mut self, plane: usize, index: usize, p: Power) {
+        self.plane_maps[plane].replace(index, p);
     }
 
     /// The exact bit patterns of everything geometric the tile-cell

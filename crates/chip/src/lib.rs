@@ -41,8 +41,8 @@
 //!   ([`LadderKernel`](ttsv_core::ladder::LadderKernel)). Every tile then
 //!   costs one kernel call of about a hundred nanoseconds, so an
 //!   all-distinct gradient map collapses to a single factorization.
-//!   [`ChipEngine::evaluate_live`] takes the plan and model by value and
-//!   keeps them, with the kernels, in the [`LiveChip`] it returns; the
+//!   [`ChipEngine::evaluate_live`] takes the plan by value and keeps it,
+//!   with one kernel per via density, in the [`LiveChip`] it returns; the
 //!   **matrix tier** indexes the kernels weakly (keyed on exact
 //!   geometry bits plus the model's
 //!   [`cache_tag`](ttsv_core::scenario::PowerSeparableModel::cache_tag)), so a

@@ -1,14 +1,14 @@
-//! Held evaluation state for serving: a [`LiveChip`] owns a plan, its
-//! model and the model's kernels, and keeps the plan's [`ChipReport`]
-//! current under sparse power updates, at a cost that scales with the
-//! tiles an update names rather than the tiles the chip holds. An update
-//! is three steps: stage the changed tiles in the plan, evaluate those
-//! tiles against the chip's own kernels, patch the report.
+//! Held evaluation state for serving: a [`LiveChip`] owns a plan and its
+//! model kernels, and keeps the plan's [`ChipReport`] current under sparse
+//! power updates, at a cost that scales with the tiles an update names
+//! rather than the tiles the chip holds. An update
+//! is three steps: validate it, evaluate the changed tiles against the
+//! chip's own kernels, then commit the new watts to the plan and patch the
+//! report.
 
 use std::sync::Arc;
 
 use ttsv_core::ladder::LadderKernel;
-use ttsv_core::scenario::PowerSeparableModel;
 use ttsv_core::CoreError;
 use ttsv_units::Power;
 
@@ -18,9 +18,9 @@ use crate::map::PowerMap;
 use crate::report::ChipReport;
 
 /// A floorplan's evaluated report held across power updates, built by
-/// [`ChipEngine::evaluate_live`]. The chip owns the plan, the model and
-/// the model's kernels of the plan's distinct via densities, so an update
-/// names only a plane and the tiles it changes.
+/// [`ChipEngine::evaluate_live`]. The chip owns the plan and the model's
+/// kernels of the plan's distinct via densities, so an update names only
+/// a plane and the tiles it changes.
 ///
 /// ```
 /// use ttsv_chip::{ChipEngine, Floorplan};
@@ -30,7 +30,7 @@ use crate::report::ChipReport;
 /// fn main() -> Result<(), CoreError> {
 ///     let plan = Floorplan::uniform(&CaseStudy::paper(), 16, 16)?;
 ///     let engine = ChipEngine::new();
-///     let mut live = engine.evaluate_live(plan, ModelB::paper_b100())?; // one kernel pass
+///     let mut live = engine.evaluate_live(plan, &ModelB::paper_b100())?; // one kernel pass
 ///     let changed = live.apply(&engine, 2, &[(5, Power::from_watts(0.5))])?; // re-solves tile 5 only
 ///     assert_eq!((changed, engine.solves()), (vec![5], 1));
 ///     Ok(())
@@ -40,38 +40,32 @@ use crate::report::ChipReport;
 /// The kernels stay alive exactly as long as some chip holds them, and
 /// the engine's matrix tier only indexes them so that chips of one
 /// geometry share one kernel. Dropping the chip frees every kernel no
-/// other chip holds.
-///
-/// A chip built past the engine's cap
-/// ([`ChipEngine::with_matrix_cache_cap`]) holds no kernels — neither
-/// the new ones the tier declined nor those it shared from live holders —
-/// and its updates factorize the densities they touch through the
-/// engine. It stays that way for its whole life: an update never fills
-/// it in, even once other chips have dropped and the cap has room.
+/// other chip holds. A chip holds one kernel per distinct via density
+/// (its report's `distinct_cells`) for its whole life, since an update
+/// never changes a density; that count is what a serving layer budgets.
 ///
 /// [`LiveChip::apply`] re-solves only the tiles an update changes (one
 /// kernel call each, against the held kernels, without locking the
-/// engine) and patches the report in place. After every update the held
-/// report is bit-identical to [`ChipEngine::evaluate_factored`] on a
-/// fresh engine for the same plan: same `ΔT` bits, `distinct_cells`,
-/// `total_vias`, row-major `mean`, nearest-rank p99 and first-hit argmax.
+/// engine; it never factorizes) and patches the report in place. After
+/// every update the held report is bit-identical to
+/// [`ChipEngine::evaluate_factored`] on a fresh engine for the same plan:
+/// same `ΔT` bits, `distinct_cells`, `total_vias`, row-major `mean`,
+/// nearest-rank p99 and first-hit argmax.
 /// A power update never changes a tile's via density, so
 /// `distinct_cells` (the plan's distinct geometries) and `total_vias`
 /// hold without any bookkeeping.
 ///
-/// Equality compares the reports, the plans and kernel identity; the
-/// models are not compared.
+/// Equality compares the reports, the plans and kernel identity.
 #[derive(Debug, Clone)]
-pub struct LiveChip<M> {
+pub struct LiveChip {
     plan: Floorplan,
-    model: M,
     report: ChipReport,
-    /// `(via-density bits, kernel)`, sorted by the bits; empty when the
-    /// matrix tier declined the kernels for its cap.
+    /// `(via-density bits, kernel)`, one per via density of the plan,
+    /// sorted by the bits.
     kernels: Vec<(u64, Arc<LadderKernel>)>,
 }
 
-impl<M> PartialEq for LiveChip<M> {
+impl PartialEq for LiveChip {
     fn eq(&self, other: &Self) -> bool {
         self.report == other.report
             && self.plan == other.plan
@@ -84,42 +78,19 @@ impl<M> PartialEq for LiveChip<M> {
     }
 }
 
-/// A power update's staged tiles: the plan already holds the new watts,
-/// and dropping the guard while `armed` — an early error return or an
-/// unwinding panic — writes the old ones back.
-struct Staged<'a> {
-    plan: &'a mut Floorplan,
-    plane: usize,
-    /// `(tile, previous watts)` for every tile whose power bits changed.
-    old: Vec<(usize, Power)>,
-    armed: bool,
-}
-
-impl Drop for Staged<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            for &(tile, watts) in self.old.iter().rev() {
-                self.plan.replace_tile_power(self.plane, tile, watts);
-            }
-        }
-    }
-}
-
 fn invalid(reason: String) -> CoreError {
     CoreError::InvalidFloorplan { reason }
 }
 
-impl<M: PowerSeparableModel + Sync> LiveChip<M> {
+impl LiveChip {
     pub(crate) fn new(
         plan: Floorplan,
-        model: M,
         report: ChipReport,
         mut kernels: Vec<(u64, Arc<LadderKernel>)>,
     ) -> Self {
         kernels.sort_unstable_by_key(|&(bits, _)| bits);
         Self {
             plan,
-            model,
             report,
             kernels,
         }
@@ -146,17 +117,18 @@ impl<M: PowerSeparableModel + Sync> LiveChip<M> {
     /// current map are no-ops. Returns the tiles whose `ΔT` changed
     /// bitwise, in ascending order.
     ///
-    /// The update is transactional: the plan's changed tiles are staged
-    /// and written back if any solve fails (or panics), and the report is
-    /// patched only after every solve succeeded. On `Err` the chip is
-    /// exactly as it was.
+    /// The update validates, computes, then commits: each changed tile's
+    /// `ΔT` is computed from the held kernel with the new watts in its
+    /// cell powers, and only then are the watts written into the plan and
+    /// the report patched. Nothing changes before the last step that can
+    /// fail, so on `Err` the chip is exactly as it was. An update never
+    /// factorizes.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidFloorplan`] for a plane or tile out of
     /// range, tiles out of order, or watts [`PowerMap::check_power`]
-    /// rejects; on a chip that holds no kernels, propagates tile
-    /// validation and factorization failures.
+    /// rejects.
     pub fn apply(
         &mut self,
         engine: &ChipEngine,
@@ -165,7 +137,6 @@ impl<M: PowerSeparableModel + Sync> LiveChip<M> {
     ) -> Result<Vec<usize>, CoreError> {
         let Self {
             plan,
-            model,
             report,
             kernels,
         } = self;
@@ -192,33 +163,27 @@ impl<M: PowerSeparableModel + Sync> LiveChip<M> {
             PowerMap::check_power(watts)?;
         }
 
-        let mut staged = Staged {
-            plan,
-            plane,
-            old: Vec::with_capacity(updates.len()),
-            armed: true,
-        };
-        for &(tile, watts) in updates {
-            let current = staged.plan.plane_maps()[plane].tiles()[tile];
-            if current.as_watts().to_bits() != watts.as_watts().to_bits() {
-                staged.plan.replace_tile_power(plane, tile, watts);
-                staged.old.push((tile, current));
-            }
-        }
-        let touched: Vec<usize> = staged.old.iter().map(|&(tile, _)| tile).collect();
-        let delta_t = engine.solve_tiles(staged.plan, model, &touched, kernels)?;
+        let current = plan.plane_maps()[plane].tiles();
+        let touched: Vec<(usize, Power)> = updates
+            .iter()
+            .copied()
+            .filter(|&(tile, watts)| {
+                current[tile].as_watts().to_bits() != watts.as_watts().to_bits()
+            })
+            .collect();
+        let delta_t = engine.solve_tiles(plan, plane, &touched, kernels)?;
 
         // Every solve succeeded: commit the plan and patch the report.
-        let changed = report.patch(&touched, &delta_t);
-        staged.armed = false;
-        Ok(changed)
+        let indices: Vec<usize> = touched.iter().map(|&(tile, _)| tile).collect();
+        for &(tile, watts) in &touched {
+            plan.replace_tile_power(plane, tile, watts);
+        }
+        Ok(report.patch(&indices, &delta_t))
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicU8, Ordering};
-
     use ttsv_core::full_chip::CaseStudy;
     use ttsv_core::model_b::ModelB;
     use ttsv_core::prelude::*;
@@ -259,45 +224,10 @@ mod tests {
             .collect()
     }
 
-    /// Model B whose factorizations succeed, fail or panic on demand.
-    #[derive(Debug, Clone)]
-    struct Flaky {
-        inner: ModelB,
-        mode: Arc<AtomicU8>,
-    }
-
-    const OK: u8 = 0;
-    const FAIL: u8 = 1;
-    const PANIC: u8 = 2;
-
-    impl ThermalModel for Flaky {
-        fn name(&self) -> String {
-            self.inner.name()
-        }
-        fn max_delta_t(&self, scenario: &Scenario) -> Result<TemperatureDelta, CoreError> {
-            self.inner.max_delta_t(scenario)
-        }
-    }
-
-    impl PowerSeparableModel for Flaky {
-        fn factorize_geometry(&self, scenario: &Scenario) -> Result<LadderKernel, CoreError> {
-            match self.mode.load(Ordering::SeqCst) {
-                FAIL => Err(CoreError::InvalidScenario {
-                    reason: "synthetic factorization failure".into(),
-                }),
-                PANIC => panic!("synthetic factorization panic"),
-                _ => self.inner.factorize_geometry(scenario),
-            }
-        }
-        fn cache_tag(&self) -> String {
-            self.inner.cache_tag()
-        }
-    }
-
     #[test]
     fn sparse_updates_match_a_fresh_full_evaluation() {
         let engine = ChipEngine::new().with_workers(1);
-        let mut live = engine.evaluate_live(plan(), ModelB::paper_b20()).unwrap();
+        let mut live = engine.evaluate_live(plan(), &ModelB::paper_b20()).unwrap();
         assert_eq!(live.report().to_json(), fresh_json(live.plan()));
         let w = Power::from_watts;
         for (plane, updates) in [
@@ -323,7 +253,7 @@ mod tests {
         let cs = CaseStudy::paper();
         let plan = Floorplan::uniform(&cs, 16, 16).unwrap();
         let engine = ChipEngine::new().with_workers(1);
-        let mut live = engine.evaluate_live(plan, ModelB::paper_b20()).unwrap();
+        let mut live = engine.evaluate_live(plan, &ModelB::paper_b20()).unwrap();
         let work = || (engine.solves(), engine.factorizations());
         let lookups = || (engine.scenario_hits(), engine.scenario_misses());
         let ((solved, factored), looked_up) = (work(), lookups());
@@ -349,108 +279,10 @@ mod tests {
         assert_eq!(live, held);
     }
 
-    /// On a chip past the kernel cap an update factorizes the densities it
-    /// touches; a factorization that fails — or panics — leaves the plan's
-    /// power maps and the chip bitwise as they were, and a clean retry
-    /// lands the fault-free result.
-    #[test]
-    fn failed_and_panicking_solves_roll_back() {
-        let mode = Arc::new(AtomicU8::new(OK));
-        let model = Flaky {
-            inner: ModelB::paper_b20(),
-            mode: Arc::clone(&mode),
-        };
-        let engine = ChipEngine::new().with_workers(1).with_matrix_cache_cap(1);
-        let mut live = engine.evaluate_live(plan(), model).unwrap();
-        assert_eq!(engine.evictions(), 2, "the chip holds neither kernel");
-        assert_eq!(engine.cache_entries(), 0);
-        let update = [(2, Power::from_watts(6.0)), (9, Power::from_watts(0.5))];
-        let (held_plan, held_live) = (watts(live.plan()), live.clone());
-
-        mode.store(FAIL, Ordering::SeqCst);
-        let err = live.apply(&engine, 1, &update);
-        assert!(err.is_err());
-        assert_eq!(
-            watts(live.plan()),
-            held_plan,
-            "failed solve rolled the plan back"
-        );
-        assert_eq!(live, held_live, "failed solve left the chip untouched");
-
-        mode.store(PANIC, Ordering::SeqCst);
-        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            live.apply(&engine, 1, &update)
-        }));
-        assert!(unwound.is_err());
-        assert_eq!(
-            watts(live.plan()),
-            held_plan,
-            "panicking solve rolled the plan back"
-        );
-        assert_eq!(live, held_live, "panicking solve left the chip untouched");
-
-        mode.store(OK, Ordering::SeqCst);
-        let changed = live.apply(&engine, 1, &update).unwrap();
-        assert_eq!(changed, [2, 9]);
-        assert_eq!(live.report().to_json(), fresh_json(live.plan()));
-    }
-
-    /// Past the live-kernel cap a chip holds no kernels: each update
-    /// factorizes the densities among its changed tiles that no live chip
-    /// shares, and stays bitwise equal to a fresh evaluation.
-    #[test]
-    fn updates_past_the_matrix_cap_factorize_only_the_changed_densities() {
-        // 4×3 grid, one via density per column: 4 geometries. The cap
-        // allows one kernel alive, and a neighbour chip holds column 2's.
-        let cs = CaseStudy::paper();
-        let maps = || {
-            (0..3)
-                .map(|j| PowerMap::uniform(4, 3, cs.plane_powers[j]).unwrap())
-                .collect::<Vec<_>>()
-        };
-        let densities = [0.004, 0.005, 0.008, 0.01];
-        let via = ViaDensityMap::new(4, 3, (0..12).map(|t| densities[t % 4]).collect()).unwrap();
-        let plan = Floorplan::new(&cs, maps(), via).unwrap();
-        let neighbour_via = ViaDensityMap::uniform(4, 3, densities[2]).unwrap();
-        let neighbour_plan = Floorplan::new(&cs, maps(), neighbour_via).unwrap();
-        let model = ModelB::paper_b20();
-        let engine = ChipEngine::new().with_workers(1).with_matrix_cache_cap(1);
-        let neighbour = engine.evaluate_live(neighbour_plan, model.clone()).unwrap();
-        assert_eq!((engine.factorizations(), engine.cache_entries()), (1, 1));
-        let mut live = engine.evaluate_live(plan, model).unwrap();
-        assert_eq!(live.report().distinct_cells, 4);
-        assert_eq!(engine.factorizations(), 4, "column 2's kernel is shared");
-        assert_eq!(engine.evictions(), 3, "3 new kernels never fit beside it");
-        assert_eq!(engine.cache_entries(), 1);
-        let w = Power::from_watts;
-        // (updates, columns they touch other than column 2).
-        for (updates, columns) in [
-            (vec![(0, w(1.0)), (5, w(2.0))], 2),
-            (vec![(2, w(1.0)), (6, w(1.5))], 0),
-            (vec![(3, w(0.5)), (7, w(0.5))], 1),
-            (vec![(4, w(3.0)), (9, w(0.25)), (10, w(0.1))], 2),
-        ] {
-            let (solved, factored) = (engine.solves(), engine.factorizations());
-            live.apply(&engine, 0, &updates).unwrap();
-            assert_eq!(engine.factorizations() - factored, columns);
-            assert_eq!(engine.solves() - solved, updates.len());
-            assert_eq!(engine.cache_entries(), 1, "only the neighbour's kernel");
-            assert_eq!(live.report().to_json(), fresh_json(live.plan()));
-        }
-        // Once the neighbour drops, column 2's kernel has no holder.
-        drop(neighbour);
-        assert_eq!(engine.cache_entries(), 0);
-        let factored = engine.factorizations();
-        live.apply(&engine, 0, &[(6, w(0.75))]).unwrap();
-        assert_eq!(engine.factorizations() - factored, 1);
-        assert_eq!(engine.cache_entries(), 0);
-        assert_eq!(live.report().to_json(), fresh_json(live.plan()));
-    }
-
     #[test]
     fn dropping_the_chip_frees_its_kernels() {
         let engine = ChipEngine::new().with_workers(1);
-        let live = engine.evaluate_live(plan(), ModelB::paper_b20()).unwrap();
+        let live = engine.evaluate_live(plan(), &ModelB::paper_b20()).unwrap();
         assert_eq!(engine.cache_entries(), 2, "one kernel per via density");
         let copy = live.clone();
         drop(live);
@@ -462,7 +294,7 @@ mod tests {
     #[test]
     fn invalid_updates_are_rejected_before_staging() {
         let engine = ChipEngine::new().with_workers(1);
-        let mut live = engine.evaluate_live(plan(), ModelB::paper_b20()).unwrap();
+        let mut live = engine.evaluate_live(plan(), &ModelB::paper_b20()).unwrap();
         let (held_plan, held_live) = (watts(live.plan()), live.clone());
         let w = Power::from_watts;
         for (plane, updates, needle) in [

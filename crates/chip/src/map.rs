@@ -133,10 +133,9 @@ impl PowerMap {
         &self.tiles
     }
 
-    /// Overwrites row-major tile `index` with an already validated power,
-    /// returning the previous value.
-    pub(crate) fn replace(&mut self, index: usize, p: Power) -> Power {
-        std::mem::replace(&mut self.tiles[index], p)
+    /// Overwrites row-major tile `index` with an already validated power.
+    pub(crate) fn replace(&mut self, index: usize, p: Power) {
+        self.tiles[index] = p;
     }
 }
 

@@ -20,11 +20,11 @@
 //!   to a bounded long-lived
 //!   [`WorkerPool`](pool::WorkerPool), one shared
 //!   [`ChipEngine`](ttsv_chip::ChipEngine) indexing the live kernels,
-//!   one exact-LRU session table with quotas, one
+//!   one exact-LRU session table with quotas and a kernel budget, one
 //!   [`LiveChip`](ttsv_chip::LiveChip) per session (owning its plan,
-//!   model, kernels and held report) that power updates patch in place —
-//!   re-solving only the changed
-//!   tiles, staged and rolled back on failure — and `GET /metrics`,
+//!   kernels and held report) that power updates patch in place —
+//!   re-solving only the changed tiles against the held kernels and
+//!   writing nothing until every solve succeeded — and `GET /metrics`,
 //! * [`poller`] — real `poll(2)` readiness for the event loops (a
 //!   hand-rolled std-only binding plus a self-pipe waker; the crate
 //!   builds only on Unix),

@@ -1,5 +1,7 @@
 //! An exact least-recently-used cache with hit/miss/eviction counters —
-//! the session table's quota enforcement.
+//! the session table's quota enforcement. The count bound is the cache's
+//! own; a caller with a second bound (the server's kernel budget) evicts
+//! for it through [`LruCache::pop_lru`].
 //!
 //! Sessions are few, long-lived, and expensive to rebuild (each holds its
 //! Model B kernels, freed with it), so the session table wants exact LRU:
@@ -70,8 +72,8 @@ impl<K: Eq + Clone, V> LruCache<K, V> {
         self.misses
     }
 
-    /// Entries evicted by capacity pressure (explicit [`LruCache::remove`]
-    /// calls are not evictions).
+    /// Entries evicted by capacity pressure or [`LruCache::pop_lru`]
+    /// (explicit [`LruCache::remove`] calls are not evictions).
     #[must_use]
     pub fn evictions(&self) -> u64 {
         self.evictions
@@ -108,11 +110,18 @@ impl<K: Eq + Clone, V> LruCache<K, V> {
         }
         self.entries.push_back((key, value));
         if self.entries.len() > self.capacity {
-            self.evictions += 1;
-            self.entries.pop_front()
+            self.pop_lru()
         } else {
             None
         }
+    }
+
+    /// Evicts the least-recently-used entry, counted as an eviction, or
+    /// returns `None` when the cache is empty.
+    pub fn pop_lru(&mut self) -> Option<(K, V)> {
+        let entry = self.entries.pop_front()?;
+        self.evictions += 1;
+        Some(entry)
     }
 
     /// Removes `key`, returning its value (not counted as an eviction).
@@ -121,9 +130,9 @@ impl<K: Eq + Clone, V> LruCache<K, V> {
         self.entries.remove(i).map(|(_, v)| v)
     }
 
-    /// Keys from least- to most-recently used (the eviction order).
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
-        self.entries.iter().map(|(k, _)| k)
+    /// Entries from least- to most-recently used (the eviction order).
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+        self.entries.iter().map(|(k, v)| (k, v))
     }
 }
 
@@ -142,7 +151,9 @@ mod tests {
         assert_eq!(evicted, ("b", 2));
         assert_eq!(lru.len(), 2);
         assert_eq!(lru.evictions(), 1);
-        assert_eq!(lru.keys().collect::<Vec<_>>(), [&"a", &"c"]);
+        assert_eq!(lru.iter().collect::<Vec<_>>(), [(&"a", &1), (&"c", &3)]);
+        assert_eq!(lru.pop_lru(), Some(("a", 1)), "pop_lru takes the LRU entry");
+        assert_eq!(lru.evictions(), 2, "and counts it");
     }
 
     #[test]

@@ -146,7 +146,8 @@ pub struct Sessions {
     pub hits: u64,
     /// Lookups that missed their id.
     pub misses: u64,
-    /// Sessions evicted by quota pressure (a `DELETE` is not one).
+    /// Sessions evicted by the session quota or the kernel budget (a
+    /// `DELETE` is not one).
     pub evictions: u64,
 }
 
@@ -161,8 +162,6 @@ pub struct Engine {
     pub scenario_hits: usize,
     /// Matrix-tier lookups that missed.
     pub scenario_misses: usize,
-    /// New kernels the matrix tier declined at its cap.
-    pub evictions: usize,
     /// Kernels alive now.
     pub matrix_entries: usize,
 }

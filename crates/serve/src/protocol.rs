@@ -745,7 +745,7 @@ mod tests {
     fn a_same_watts_update_answers_an_empty_delta() {
         let engine = ttsv_chip::ChipEngine::new().with_workers(1);
         let spec = parse_register(register_body(3, 3).as_bytes()).unwrap();
-        let mut live = engine.evaluate_live(spec.plan, spec.model).unwrap();
+        let mut live = engine.evaluate_live(spec.plan, &spec.model).unwrap();
         let before = live.report().to_json();
         let same = live.plan().plane_maps()[2].get(1, 2).as_watts();
         let body = format!("{{\"plane\":2,\"updates\":[[1,2,{same}]]}}");

@@ -32,20 +32,24 @@
 //! `interval:MS` the [`Journal`] keeps its own fsync clock, which also
 //! syncs a write acknowledged just before the server went quiet.
 //!
-//! A session's whole mutable state is one [`LiveChip<ModelB>`]: it owns
-//! the registered floorplan, the model and the Model B kernels of its
-//! via densities. A warm power-delta request parses against the chip's
-//! own plan and re-solves only the tiles whose bits changed against the
-//! chip's own kernels — without touching the shared engine's index,
+//! A session's whole mutable state is one [`LiveChip`]: it owns the
+//! registered floorplan and the Model B kernels of its via densities. A
+//! warm power-delta request parses against the chip's own plan and
+//! re-solves only the tiles whose bits changed against the chip's own
+//! kernels — without touching the shared engine's index or factorizing,
 //! which is the entire point of serving sessions instead of stateless
 //! requests. Kernels live exactly as long as the sessions that use them:
 //! when the LRU evicts or a `DELETE` removes a session, every kernel no
 //! other session shares is freed. The one shared [`ChipEngine`] only
 //! indexes the live kernels, so sessions with the same via density (and
-//! journal recovery) share one kernel, and it bounds the kernels alive
-//! at once by the config's `matrix_cache_cap`. A session registered when
-//! its kernels would pass that cap holds none for its whole life; each
-//! of its updates factorizes the densities it touches.
+//! journal recovery) share one kernel.
+//!
+//! The session table bounds the kernels. A session weighs its distinct
+//! via densities (its report's `distinct_cells`, fixed for its life) and
+//! the live sessions' weights may sum to at most the config's
+//! `matrix_cache_cap`. A registration heavier than that alone is answered
+//! `413`; otherwise publishing it evicts least-recently-used sessions
+//! until both the count quota and the kernel budget hold.
 //! By default a warm update also *answers* with only what changed: a
 //! delta response carrying the changed tiles and updated summary
 //! statistics (`?full=1` opts back into the full report; see
@@ -95,11 +99,10 @@
 //!   progress for [`ServerConfig::write_timeout`]. Each connection's
 //!   `next_deadline` is the one rule for all of these: the poll timeout
 //!   sleeps until the nearest one and the service pass acts on it.
-//! * **Failed updates roll back** — a power update stages the tiles it
-//!   names and writes the previous watts back if their re-solve fails
-//!   (engine error *or* contained panic); the held report is patched
-//!   only after every solve succeeded. A 500 leaves the session exactly
-//!   as it was and a retry evaluates the same pre-update state.
+//! * **Failed updates change nothing** — a power update computes every
+//!   changed tile's `ΔT` before it writes the plan or the report, so an
+//!   error (or a contained panic) leaves the session exactly as it was
+//!   and a retry evaluates the same pre-update state.
 //! * **Panic containment** — every request handler runs under
 //!   `catch_unwind`; a panic maps to a typed `500` with the connection,
 //!   session table, and metrics left healthy. All shared locks are
@@ -118,7 +121,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ttsv_chip::{ChipEngine, LiveChip};
-use ttsv_core::model_b::ModelB;
 use ttsv_core::CoreError;
 
 use crate::faults::{FaultDirective, ServerFaults};
@@ -157,13 +159,12 @@ pub struct ServerConfig {
     /// so the external serving benchmark, which still reads it, compiles.
     #[doc(hidden)]
     pub scenario_cache_cap: usize,
-    /// Bound on the Model B kernels alive at once across every session
-    /// (the shared engine's
-    /// [`with_matrix_cache_cap`](ChipEngine::with_matrix_cache_cap)).
-    /// Each session holds one kernel per distinct via density, so memory
-    /// follows the live sessions; a registration whose new kernels would
-    /// pass the cap gets a session that holds none, whose updates
-    /// factorize the densities they touch. Results never change.
+    /// The session table's kernel budget. A session holds one Model B
+    /// kernel per distinct via density (its report's `distinct_cells`),
+    /// and the live sessions' counts may sum to at most this. A
+    /// registration whose count alone exceeds it is answered 413;
+    /// otherwise registering evicts least-recently-used sessions until
+    /// the sum fits. Sessions sharing a density count it once each.
     pub matrix_cache_cap: usize,
     /// Per-connection read timeout (an idle keep-alive connection is
     /// dropped after this; a mid-request stall this long answers 408).
@@ -371,23 +372,16 @@ struct ConnDeadlines {
 }
 
 /// One registered session: its serialized state — the held evaluation
-/// that owns the floorplan, the model and its kernels, whose report
-/// `GET` returns and power updates patch in place — plus the
-/// flood-control gauge counting requests currently targeting it.
+/// that owns the floorplan and its kernels, whose report `GET` returns
+/// and power updates patch in place — plus its weight against the kernel
+/// budget and the flood-control gauge counting requests currently
+/// targeting it.
 struct Session {
-    live: Mutex<LiveChip<ModelB>>,
+    live: Mutex<LiveChip>,
+    /// The kernels `live` holds, one per distinct via density: fixed for
+    /// the session's life, since an update never changes a density.
+    kernels: usize,
     pending: AtomicUsize,
-}
-
-impl Session {
-    /// A session holding `live`, with no request pending against it —
-    /// how both registration and journal recovery publish one.
-    fn new(live: LiveChip<ModelB>) -> Arc<Self> {
-        Arc::new(Self {
-            live: Mutex::new(live),
-            pending: AtomicUsize::new(0),
-        })
-    }
 }
 
 /// Decrements a session's pending-request gauge on drop — panic-safe,
@@ -407,6 +401,8 @@ struct ServerState {
     next_id: AtomicU64,
     metrics: Metrics,
     max_tiles: usize,
+    /// Bound on the summed [`Session::kernels`] of the live sessions.
+    kernel_budget: usize,
     max_pending_updates: usize,
     pool_monitor: PoolMonitor,
     faults: Option<Arc<ServerFaults>>,
@@ -459,12 +455,44 @@ impl ServerState {
         })
     }
 
-    /// Inserts `session` as most-recently used. Past the quota this
-    /// evicts the least-recently-used session, whose tombstone is
-    /// journaled after the table lock drops.
+    /// A session holding `live`, with no request pending against it, or
+    /// the reason its kernels alone exceed the budget — how registration
+    /// (which answers the reason with 413) and journal recovery (which
+    /// drops the session) both admit one.
+    fn admit(&self, live: LiveChip) -> Result<Arc<Session>, String> {
+        let kernels = live.report().distinct_cells;
+        if kernels > self.kernel_budget {
+            return Err(format!(
+                "floorplan of {kernels} distinct via densities exceeds the kernel budget of {}",
+                self.kernel_budget
+            ));
+        }
+        Ok(Arc::new(Session {
+            live: Mutex::new(live),
+            kernels,
+            pending: AtomicUsize::new(0),
+        }))
+    }
+
+    /// Inserts an admitted `session` as most-recently used, then evicts
+    /// least-recently-used sessions until both the count quota and the
+    /// kernel budget hold; each eviction's tombstone is journaled after
+    /// the table lock drops.
     fn publish(&self, id: u64, session: Arc<Session>) {
-        let evicted = lock(&self.sessions).insert(id, session);
-        if let Some((victim, _)) = evicted {
+        let mut evicted = Vec::new();
+        {
+            let mut table = lock(&self.sessions);
+            evicted.extend(table.insert(id, session).map(|(victim, _)| victim));
+            let mut kernels: usize = table.iter().map(|(_, s)| s.kernels).sum();
+            while kernels > self.kernel_budget {
+                let (victim, dropped) = table
+                    .pop_lru()
+                    .expect("an admitted session fits the budget alone");
+                kernels -= dropped.kernels;
+                evicted.push(victim);
+            }
+        }
+        for victim in evicted {
             self.journal.record_evict(victim);
         }
     }
@@ -489,8 +517,11 @@ impl ServerState {
         if let Err(resp) = inject(directive) {
             return resp;
         }
-        let live = match self.engine.evaluate_live(spec.plan, spec.model) {
-            Ok(live) => live,
+        let session = match self.engine.evaluate_live(spec.plan, &spec.model) {
+            Ok(live) => match self.admit(live) {
+                Ok(session) => session,
+                Err(reason) => return Response::error(413, &reason),
+            },
             Err(e) => return evaluation_failed(&e),
         };
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -500,9 +531,9 @@ impl ServerState {
         // the reverse order could lose an acknowledged session.
         self.journal.record_register(id, body);
         let mut body = format!("{{\"session\":{id},\"report\":");
-        serde::json::write_to(&mut body, live.report());
+        serde::json::write_to(&mut body, lock(&session.live).report());
         body.push('}');
-        self.publish(id, Session::new(live));
+        self.publish(id, session);
         Response::json(201, body)
     }
 
@@ -544,8 +575,8 @@ impl ServerState {
             return resp;
         }
         // Re-solves only the changed tiles and patches the held report;
-        // any failure (or panic) leaves the plan and report exactly as
-        // they were, so a retry evaluates the same pre-update state.
+        // it writes nothing before every solve succeeded, so a failure
+        // leaves the plan and report exactly as they were.
         let changed = match live.apply(&self.engine, plane, &updates) {
             Ok(changed) => changed,
             Err(e) => return evaluation_failed(&e),
@@ -614,7 +645,6 @@ impl ServerState {
                 factorizations: self.engine.factorizations(),
                 scenario_hits: self.engine.scenario_hits(),
                 scenario_misses: self.engine.scenario_misses(),
-                evictions: self.engine.evictions(),
                 matrix_entries: self.engine.cache_entries(),
             },
             ..snap
@@ -1335,13 +1365,12 @@ impl Server {
         // open is off, never a startup failure.
         let (journal, recovery) = Journal::open_or_off(config.persist.clone());
         let state = Arc::new(ServerState {
-            engine: ChipEngine::new()
-                .with_workers(1)
-                .with_matrix_cache_cap(config.matrix_cache_cap),
+            engine: ChipEngine::new().with_workers(1),
             sessions: Mutex::new(LruCache::new(config.max_sessions)),
             next_id: AtomicU64::new(recovery.next_id),
             metrics: Metrics::new(),
             max_tiles: config.max_tiles,
+            kernel_budget: config.matrix_cache_cap,
             max_pending_updates: config.max_pending_updates,
             pool_monitor: pool.monitor(),
             faults: config.faults.clone(),
@@ -1354,18 +1383,26 @@ impl Server {
         // therefore its next delta response — is bitwise what the
         // never-crashed server would have answered. Insertion order is
         // the journal's touch order, so LRU recency survives too (and an
-        // over-quota recovery evicts the *stalest* sessions, journaling
-        // their tombstones like any other eviction).
+        // over-quota or over-budget recovery evicts the *stalest*
+        // sessions, journaling their tombstones like any other eviction).
+        // A session over the kernel budget on its own is dropped with a
+        // tombstone, so a later start does not evaluate it again.
         for session in recovery.sessions {
+            let id = session.id;
             match state
                 .engine
-                .evaluate_live(session.spec.plan, session.spec.model)
+                .evaluate_live(session.spec.plan, &session.spec.model)
             {
-                Ok(live) => state.publish(session.id, Session::new(live)),
+                Ok(live) => match state.admit(live) {
+                    Ok(admitted) => state.publish(id, admitted),
+                    Err(reason) => {
+                        eprintln!("ttsv-serve: warning: dropping recovered session {id}: {reason}");
+                        state.journal.record_evict(id);
+                    }
+                },
                 Err(e) => eprintln!(
-                    "ttsv-serve: warning: dropping recovered session {}: \
-                     evaluation failed: {e}",
-                    session.id
+                    "ttsv-serve: warning: dropping recovered session {id}: \
+                     evaluation failed: {e}"
                 ),
             }
         }

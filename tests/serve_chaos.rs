@@ -15,9 +15,8 @@
 //!   byte-identical to a fault-free run.
 //! * **Rollback** — a power update whose evaluation fails (injected
 //!   engine error or contained panic) leaves the session bitwise
-//!   unchanged. Injected faults fire before the engine runs; the
-//!   staged-tile rollback of a failing or panicking solve itself is
-//!   pinned by the `ttsv-chip` `live` unit tests.
+//!   unchanged. Injected faults fire before the engine runs; an update
+//!   itself computes every changed tile before it writes anything.
 //! * **Overload control** — a saturated pool sheds new connections with
 //!   `503` + `Retry-After` promptly; one session flooded past its
 //!   pending cap answers `429` + `Retry-After`; a slowloris half-request

@@ -14,9 +14,10 @@
 //!   journal at *every byte offset* still opens: never a panic, always
 //!   a valid prefix, with the replayed record count monotone in the
 //!   truncation point.
-//! * **Tombstones are respected** — a session that was LRU-evicted or
-//!   explicitly `DELETE`d before the crash, or evicted by a recovery
-//!   into a smaller quota, stays gone after the next recovery.
+//! * **Tombstones are respected** — a session that was LRU-evicted (by
+//!   the session quota or the kernel budget) or explicitly `DELETE`d
+//!   before the crash, or evicted by a recovery into a smaller quota or
+//!   budget, stays gone after the next recovery.
 //! * **Write faults degrade, not kill** — a journal whose writes fail,
 //!   or whose state dir cannot be opened, disables persistence (counted
 //!   in `/metrics`) while serving continues bitwise-correct.
@@ -36,9 +37,11 @@ use ttsv::serve::client::{trace_power_body, trace_register_body, Client};
 use ttsv::serve::faults::JournalFaultConfig;
 use ttsv::serve::metrics::PersistStats;
 use ttsv::serve::persist::{self, FsyncPolicy, Journal, PersistConfig};
+use ttsv::serve::protocol::parse_register;
 use ttsv::serve::server::{Server, ServerConfig};
+use ttsv_chip::ChipEngine;
 
-use common::{direct_session, GRID, ROUNDS};
+use common::{direct_session, with_densities, GRID, ROUNDS};
 
 /// A fresh state directory under the system temp dir, unique per test
 /// *and* per process so concurrent `cargo test` runs never collide.
@@ -337,6 +340,75 @@ fn over_quota_recovery_journals_its_evictions() {
     }
     drop(client);
     server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sessions the kernel budget evicts journal their tombstones, so a
+/// restart with room for every session still recovers only the
+/// survivors; and a recovered session over a smaller budget on its own is
+/// dropped with a tombstone too, staying gone after the next restart.
+#[test]
+fn kernel_budget_evictions_stay_gone_after_a_restart() {
+    let dir = state_dir("budget");
+    let start = |budget: usize| {
+        Server::start(
+            "127.0.0.1:0",
+            ServerConfig {
+                matrix_cache_cap: budget,
+                ..ServerConfig::default().with_workers(1).with_state_dir(&dir)
+            },
+        )
+        .expect("bind ephemeral port")
+    };
+    let server = start(4);
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    for s in 0..3 {
+        seed_session(&mut client, s, 0);
+    }
+    // Three kernels beside the three live sessions' evict sessions 1 and 2.
+    let register = with_densities(&trace_register_body(GRID, 3), 3);
+    let (status, body) = client
+        .request("POST", "/sessions", &register)
+        .expect("register");
+    assert!(
+        status == 201 && body.starts_with("{\"session\":4,"),
+        "{body}"
+    );
+    drop(client);
+    server.abort();
+
+    let spec = parse_register(register.as_bytes()).expect("register");
+    let dense = ChipEngine::new()
+        .with_workers(1)
+        .evaluate_factored(&spec.plan, &spec.model)
+        .expect("solvable")
+        .to_json();
+    let survivor = direct_session(2).swap_remove(0);
+    // (budget, the sessions that answer 200; the rest answer 404).
+    for (budget, live) in [(1 << 10, vec![3, 4]), (2, vec![3]), (1 << 10, vec![3])] {
+        let server = start(budget);
+        let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+        for id in 1..=4u64 {
+            let (status, body) = client
+                .request("GET", &format!("/sessions/{id}"), "")
+                .expect("read session");
+            if live.contains(&id) {
+                let expected = if id == 3 { &survivor } else { &dense };
+                assert_eq!(
+                    (status, &body),
+                    (200, expected),
+                    "budget {budget}, session {id}"
+                );
+            } else {
+                assert_eq!(
+                    status, 404,
+                    "budget {budget}: session {id} must stay gone: {body}"
+                );
+            }
+        }
+        drop(client);
+        server.abort();
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -9,12 +9,13 @@
 //!   `/metrics`), and oversized registrations bounce with 413.
 //! * An LRU property test against a naive reference model (eviction
 //!   order, counter bookkeeping, capacity enforcement).
-//! * Post-eviction correctness: an engine squeezed to 1-entry caches
-//!   returns byte-identical responses (evictions change cost, never
-//!   results).
+//! * Kernel sharing changes cost, never results: sessions of one via
+//!   density share one kernel and answer byte-identically.
 //! * Kernels live with their sessions: an evicted session's kernel is
-//!   freed, so the live kernels never outnumber the live sessions, and a
-//!   session past the kernel cap holds none and factorizes per update.
+//!   freed, so the live kernels never outnumber the live sessions. The
+//!   kernel budget is a session-table rule: a session heavier than the
+//!   budget alone bounces with 413, and a registration past it evicts
+//!   least-recently-used sessions until it fits.
 
 pub mod common;
 
@@ -25,7 +26,7 @@ use ttsv::serve::protocol::{apply_delta, parse_power_update, parse_register};
 use ttsv::serve::server::{Server, ServerConfig};
 use ttsv_chip::ChipEngine;
 
-use common::{direct_session, GRID, ROUNDS};
+use common::{direct_session, field, metrics, with_densities, GRID, ROUNDS};
 
 const CLIENTS: usize = 4;
 
@@ -317,22 +318,43 @@ fn quota_counts_live_sessions_and_evicts_the_least_recently_used() {
     }
 }
 
+/// Kernel sharing changes cost, never results: a second session with the
+/// first one's via density shares its kernel instead of factorizing, both
+/// answer byte-identically to the direct evaluation, and the kernel lives
+/// until the last session holding it is deleted.
 #[test]
 fn tiny_engine_caches_change_cost_never_results() {
-    // Squeeze the engine's matrix tier to one kernel: every request
-    // thrashes it, yet the responses must stay byte-identical to the
-    // default-cap server and the direct evaluation.
     let expected = direct_session(0);
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServerConfig {
-            matrix_cache_cap: 1,
-            ..ServerConfig::default().with_workers(1)
-        },
-    )
-    .expect("bind ephemeral port");
-    let got = drive_session(&server.addr().to_string(), 0);
-    assert_eq!(got, expected, "eviction pressure changed a response");
+    let server = Server::start("127.0.0.1:0", ServerConfig::default().with_workers(1))
+        .expect("bind ephemeral port");
+    let addr = server.addr().to_string();
+    let mut client = Client::connect(&addr).expect("connect");
+    assert_eq!(drive_session(&addr, 0), expected);
+    let factored = field(&metrics(&mut client), "engine", "factorizations");
+    assert_eq!(
+        drive_session(&addr, 0),
+        expected,
+        "sharing changed a response"
+    );
+    let doc = metrics(&mut client);
+    assert_eq!(
+        field(&doc, "engine", "factorizations"),
+        factored,
+        "the second session shares the first one's kernel"
+    );
+    assert_eq!(field(&doc, "engine", "matrix_entries"), 1);
+    for (id, kernels) in [(1, 1), (2, 0)] {
+        let (status, body) = client
+            .request("DELETE", &format!("/sessions/{id}"), "")
+            .expect("delete");
+        assert_eq!(status, 204, "{body}");
+        let doc = metrics(&mut client);
+        assert_eq!(
+            field(&doc, "engine", "matrix_entries"),
+            kernels,
+            "after deleting {id}"
+        );
+    }
     server.shutdown();
 }
 
@@ -396,77 +418,112 @@ fn evicted_sessions_free_their_kernels() {
     server.shutdown();
 }
 
-/// A session past the kernel cap: a 4×4 session with 16 distinct via
-/// densities on a server that keeps at most 4 kernels alive holds none,
-/// so each update factorizes exactly the densities its changed tiles
-/// carry, and still answers bitwise what a fresh evaluation gives.
-#[test]
-fn a_session_past_the_kernel_cap_factorizes_what_each_update_touches() {
-    let server = Server::start(
+/// A server whose kernel budget is 4.
+fn budget_4_server() -> Server {
+    Server::start(
         "127.0.0.1:0",
         ServerConfig {
             matrix_cache_cap: 4,
             ..ServerConfig::default().with_workers(1)
         },
     )
-    .expect("bind ephemeral port");
-    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
-    let engine_count = |client: &mut Client, key: &str| {
-        let (_, metrics) = client.request("GET", "/metrics", "").expect("metrics");
-        let doc = serde::json::from_str(&metrics).expect("metrics endpoint emits valid JSON");
-        doc.get("engine")
-            .and_then(|e| e.get(key))
-            .and_then(|v| v.as_usize())
-            .unwrap_or_else(|| panic!("engine.{key} in {metrics}"))
-    };
+    .expect("bind ephemeral port")
+}
 
-    // Every tile its own density, so a tile's density is touched iff its
-    // watts change.
-    let densities: Vec<String> = (0..GRID * GRID)
-        .map(|i| format!("{}", 0.004 + i as f64 * 1e-4))
-        .collect();
-    let register = trace_register_body(GRID, 0).replace(
-        "\"via_density\":0.005,",
-        &format!("\"via_density\":[{}],", densities.join(",")),
+/// A session weighs one kernel per distinct via density. A 4×4 session
+/// with 16 densities weighs more than a budget of 4 on its own: it is
+/// answered 413 and neither journaled nor published, and the session
+/// already live keeps serving.
+#[test]
+fn a_registration_over_the_kernel_budget_is_answered_413() {
+    let server = budget_4_server();
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let register = trace_register_body(GRID, 0);
+    assert_eq!(
+        client
+            .request("POST", "/sessions", &register)
+            .expect("register")
+            .0,
+        201
     );
-    let mut mirror = parse_register(register.as_bytes()).expect("register");
+    let before = metrics(&mut client);
+    let (status, body) = client
+        .request("POST", "/sessions", &with_densities(&register, GRID * GRID))
+        .expect("register");
+    assert_eq!(status, 413, "{body}");
+    assert!(body.contains("kernel budget"), "{body}");
+    let after = metrics(&mut client);
+    for (block, name) in [("sessions", "live"), ("persistence", "records_written")] {
+        assert_eq!(
+            field(&after, block, name),
+            field(&before, block, name),
+            "{block}.{name}"
+        );
+    }
+    assert_eq!(field(&after, "sessions", "live"), 1);
+    let (status, body) = client.request("GET", "/sessions/1", "").expect("read");
+    assert_eq!((status, body), (200, direct_session(0)[0].clone()));
+    server.shutdown();
+}
+
+/// A registration that pushes the live sessions' kernels past the budget
+/// evicts least-recently-used sessions until it fits: the evicted ids
+/// answer 404, the survivors answer bitwise what a fresh evaluation
+/// gives (a power update included, which factorizes nothing), and
+/// `/metrics` counts the evictions and at most 4 kernels alive.
+#[test]
+fn a_registration_past_the_kernel_budget_evicts_until_it_fits() {
+    let server = budget_4_server();
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    for s in 0..3 {
+        let (status, body) = client
+            .request("POST", "/sessions", &trace_register_body(GRID, s))
+            .expect("register");
+        assert_eq!(status, 201, "{body}");
+    }
+    // Reading session 1 leaves 2 and 3 the least recently used.
+    assert_eq!(
+        client.request("GET", "/sessions/1", "").expect("read").0,
+        200
+    );
+    // Three kernels beside the three live ones: 2 and 3 must go.
+    let register = with_densities(&trace_register_body(GRID, 3), 3);
     let (status, body) = client
         .request("POST", "/sessions", &register)
         .expect("register");
     assert!(
-        status == 201 && body.starts_with("{\"session\":1,"),
+        status == 201 && body.starts_with("{\"session\":4,"),
         "{body}"
     );
-    assert_eq!(engine_count(&mut client, "evictions"), GRID * GRID);
-    assert_eq!(engine_count(&mut client, "matrix_entries"), 0);
-
-    for round in 0..3 {
-        let update = trace_power_body(GRID, 0, round);
-        let (plane, map) = parse_power_update(update.as_bytes(), &mirror.plan).expect("update");
-        let touched = (map.tiles().iter())
-            .zip(mirror.plan.plane_maps()[plane].tiles())
-            .filter(|(new, old)| new.as_watts().to_bits() != old.as_watts().to_bits())
-            .count();
-        assert_eq!(touched, 2, "round {round} changes two tiles");
-        mirror.plan.update_power_map(plane, map).expect("same grid");
-
-        let factored = engine_count(&mut client, "factorizations");
+    for id in [2, 3] {
         let (status, body) = client
-            .request("POST", "/sessions/1/power?full=1", &update)
-            .expect("power update");
-        assert_eq!(status, 200, "{body}");
-        let fresh = ChipEngine::new()
-            .with_workers(1)
-            .evaluate_factored(&mirror.plan, &mirror.model)
-            .expect("solvable");
-        assert_eq!(body, fresh.to_json(), "round {round}");
-        assert_eq!(
-            engine_count(&mut client, "factorizations") - factored,
-            touched,
-            "round {round} factorizes the densities it touches"
-        );
-        assert_eq!(engine_count(&mut client, "matrix_entries"), 0);
+            .request("GET", &format!("/sessions/{id}"), "")
+            .expect("read");
+        assert_eq!(status, 404, "session {id}: {body}");
     }
+    let (status, body) = client.request("GET", "/sessions/1", "").expect("read");
+    assert_eq!((status, body), (200, direct_session(0)[0].clone()));
+
+    let mut mirror = parse_register(register.as_bytes()).expect("register");
+    let update = trace_power_body(GRID, 3, 0);
+    let (plane, map) = parse_power_update(update.as_bytes(), &mirror.plan).expect("update");
+    mirror.plan.update_power_map(plane, map).expect("same grid");
+    let factored = field(&metrics(&mut client), "engine", "factorizations");
+    let (status, body) = client
+        .request("POST", "/sessions/4/power?full=1", &update)
+        .expect("power update");
+    assert_eq!(status, 200, "{body}");
+    let fresh = ChipEngine::new()
+        .with_workers(1)
+        .evaluate_factored(&mirror.plan, &mirror.model)
+        .expect("solvable");
+    assert_eq!(body, fresh.to_json());
+
+    let doc = metrics(&mut client);
+    assert_eq!(field(&doc, "engine", "factorizations"), factored);
+    assert_eq!(field(&doc, "sessions", "live"), 2);
+    assert_eq!(field(&doc, "sessions", "evictions"), 2);
+    assert!(field(&doc, "engine", "matrix_entries") <= 4);
     server.shutdown();
 }
 
@@ -511,6 +568,14 @@ impl ModelLru {
         let i = self.entries.iter().position(|(k, _)| *k == key)?;
         Some(self.entries.remove(i).1)
     }
+
+    fn pop_lru(&mut self) -> Option<(u8, u32)> {
+        if self.entries.is_empty() {
+            return None;
+        }
+        self.evictions += 1;
+        Some(self.entries.remove(0))
+    }
 }
 
 proptest! {
@@ -521,7 +586,7 @@ proptest! {
     #[test]
     fn lru_matches_the_reference_model(
         capacity in 1usize..6,
-        ops in prop::collection::vec((0usize..3, 0u8..8, 0u32..100), 1..60),
+        ops in prop::collection::vec((0usize..4, 0u8..8, 0u32..100), 1..60),
     ) {
         let mut real = LruCache::new(capacity);
         let mut model = ModelLru { capacity, ..ModelLru::default() };
@@ -529,11 +594,12 @@ proptest! {
             match op {
                 0 => prop_assert_eq!(real.get(&key).copied(), model.get(key)),
                 1 => prop_assert_eq!(real.insert(key, value), model.insert(key, value)),
-                _ => prop_assert_eq!(real.remove(&key), model.remove(key)),
+                2 => prop_assert_eq!(real.remove(&key), model.remove(key)),
+                _ => prop_assert_eq!(real.pop_lru(), model.pop_lru()),
             }
             prop_assert_eq!(real.len(), model.entries.len());
             prop_assert!(real.len() <= capacity, "capacity violated");
-            let real_order: Vec<u8> = real.keys().copied().collect();
+            let real_order: Vec<u8> = real.iter().map(|(k, _)| *k).collect();
             let model_order: Vec<u8> = model.entries.iter().map(|(k, _)| *k).collect();
             prop_assert_eq!(real_order, model_order);
             prop_assert_eq!(
