@@ -619,6 +619,75 @@ fn main() {
         });
         drop(dense);
         dense_server.shutdown();
+
+        // The `warm_delta_response/grid64` update while two more
+        // connections loop dense 32×32 registrations (1,024 kernels, a few
+        // hundred ms of factorization each) on both pool workers: what a
+        // heavy registration costs a warm update on another session. Each
+        // lane deletes what it registers, so the kernel budget always
+        // holds the timed session and no session is ever evicted. Sampling
+        // starts once both lanes are on their second registration; a lane
+        // stops after 64, so a failed sample cannot hang the run.
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        let busy_server = Server::start(
+            "127.0.0.1:0",
+            ServerConfig {
+                matrix_cache_cap: 2 * 1024 + 1,
+                ..ServerConfig::default().with_workers(2)
+            },
+        )
+        .expect("bind busy server");
+        let busy_addr = busy_server.addr().to_string();
+        let mut timed = Client::connect(&busy_addr).expect("connect");
+        let busy_session = 3064;
+        let busy_id = register(&mut timed, &register_grid(64, busy_session));
+        let busy_path = format!("/sessions/{busy_id}/power");
+        let stop = AtomicBool::new(false);
+        let registered = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for lane in 0..2 {
+                let (stop, registered) = (&stop, &registered);
+                let (addr, register_dense) = (&busy_addr, &register_dense);
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect registration lane");
+                    for n in 0..64 {
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        let id = register(&mut client, &register_dense(7000 + 2 * n + lane));
+                        registered.fetch_add(1, Ordering::Relaxed);
+                        let (status, body) = client
+                            .request("DELETE", &format!("/sessions/{id}"), "")
+                            .expect("delete");
+                        assert_eq!(status, 204, "{body}");
+                    }
+                });
+            }
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while registered.load(Ordering::Relaxed) < 2 {
+                assert!(Instant::now() < deadline, "the registration lanes stalled");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let mut round = 0usize;
+            sampler.bench(
+                "serve/warm_delta_response/grid64_under_registrations",
+                || {
+                    round += 1;
+                    let (status, body) = timed
+                        .request(
+                            "POST",
+                            &busy_path,
+                            &trace_power_body(64, busy_session, round),
+                        )
+                        .expect("power update");
+                    assert_eq!(status, 200, "{body}");
+                    body
+                },
+            );
+            stop.store(true, Ordering::Relaxed);
+        });
+        drop(timed);
+        busy_server.shutdown();
     }
 
     let json = sampler.to_json(pr.unwrap_or(baseline_pr + 1), baseline_pr, &baseline);

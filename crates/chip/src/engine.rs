@@ -49,7 +49,7 @@
 //! cost observable — the serving tests assert that a power update
 //! factorizes nothing and re-solves exactly the changed tiles.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
@@ -271,13 +271,12 @@ impl ChipEngine {
             model.max_delta_t(&scenarios[k]).map(|t| t.as_kelvin())
         })?;
         self.solves.fetch_add(solved.len(), Ordering::Relaxed);
-        let geometries: HashSet<u64> = cells.iter().map(|&t| plan.matrix_bits(t)).collect();
         Ok(ChipReport::from_tiles(
             model.name(),
             nx,
             plan.ny(),
             cell_of.iter().map(|&i| solved[i]).collect(),
-            geometries.len(),
+            plan.distinct_densities(),
             plan.via_count(),
         ))
     }

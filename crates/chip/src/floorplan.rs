@@ -155,6 +155,18 @@ impl Floorplan {
         &self.via_map
     }
 
+    /// The distinct via densities in the plan, compared bit for bit: the
+    /// Model B kernels a chip holding this plan needs, and so its report's
+    /// `distinct_cells`. Counted from the plan alone, so a caller can
+    /// weigh a plan's kernels before evaluating it.
+    #[must_use]
+    pub fn distinct_densities(&self) -> usize {
+        (0..self.tiles())
+            .map(|t| self.matrix_bits(t))
+            .collect::<std::collections::HashSet<u64>>()
+            .len()
+    }
+
     /// Chip footprint area.
     #[must_use]
     pub fn footprint(&self) -> Area {
@@ -409,6 +421,30 @@ mod tests {
         assert_eq!(plan.cell_key(0), plan.cell_key(2));
         assert_eq!(plan.cell_key(1), plan.cell_key(3));
         assert_ne!(plan.cell_key(0), plan.cell_key(1));
+    }
+
+    #[test]
+    fn distinct_densities_is_the_reports_distinct_cells() {
+        let cs = CaseStudy::paper();
+        let model = ttsv_core::model_b::ModelB::paper_b20();
+        let engine = crate::ChipEngine::new().with_workers(1);
+        let uniform = Floorplan::uniform(&cs, 4, 4).unwrap();
+        // Three densities, each repeated across the grid.
+        let mut dense = uniform.clone();
+        dense.via_map = ViaDensityMap::new(
+            4,
+            4,
+            (0..16).map(|t| 0.004 + (t % 3) as f64 * 1e-3).collect(),
+        )
+        .unwrap();
+        for (plan, kernels) in [(uniform, 1), (dense, 3)] {
+            let report = engine
+                .evaluate_live(plan.clone(), &model)
+                .unwrap()
+                .report()
+                .distinct_cells;
+            assert_eq!((plan.distinct_densities(), report), (kernels, kernels));
+        }
     }
 
     #[test]

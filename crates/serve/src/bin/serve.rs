@@ -4,7 +4,7 @@
 //! cargo run --release -p ttsv-serve --bin serve -- \
 //!     [--addr 127.0.0.1:7071] [--workers N] [--event-loops N] \
 //!     [--max-sessions N] [--max-tiles N] \
-//!     [--queue-capacity N] [--max-connections N] [--max-pending-updates N] \
+//!     [--queue-capacity N] [--max-connections N] \
 //!     [--request-deadline-ms MS] [--write-timeout-ms MS] \
 //!     [--state-dir PATH] [--fsync always|interval[:MS]|never]
 //! ```
@@ -29,7 +29,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--workers N] [--event-loops N] \
          [--max-sessions N] [--max-tiles N] \
-         [--queue-capacity N] [--max-connections N] [--max-pending-updates N] \
+         [--queue-capacity N] [--max-connections N] \
          [--request-deadline-ms MS] [--write-timeout-ms MS] \
          [--state-dir PATH] [--fsync always|interval[:MS]|never]"
     );
@@ -79,10 +79,6 @@ fn main() {
             }
             "--max-connections" => {
                 config = config.with_max_connections(parse_count(&mut args, "--max-connections"));
-            }
-            "--max-pending-updates" => {
-                config = config
-                    .with_max_pending_updates(parse_count(&mut args, "--max-pending-updates"));
             }
             "--request-deadline-ms" => {
                 config = config.with_request_deadline(Duration::from_millis(parse_flag(

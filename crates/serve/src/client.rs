@@ -199,7 +199,7 @@ impl Client {
     /// * a transport error **before any request byte was written**
     ///   (e.g. the server reset a stale keep-alive connection): the
     ///   client backs off, reconnects, and resends;
-    /// * a **503/429** response: the protocol guarantees the request
+    /// * a **503** response: the protocol guarantees the request
     ///   was *not* applied, so the client honors `Retry-After` (clamped
     ///   to `max_backoff`, exponential backoff when absent) and
     ///   resends, reconnecting first if the server said
@@ -223,7 +223,7 @@ impl Client {
             let retries_left = attempt < self.retry.max_retries;
             match self.try_request(wire.as_bytes()) {
                 Ok(response) => {
-                    if (response.status == 503 || response.status == 429) && retries_left {
+                    if response.status == 503 && retries_left {
                         let wait = response
                             .retry_after
                             .map_or_else(|| self.retry.backoff(attempt), Duration::from_secs)

@@ -328,7 +328,6 @@ pub fn reason_phrase(status: u16) -> &'static str {
         408 => "Request Timeout",
         411 => "Length Required",
         413 => "Content Too Large",
-        429 => "Too Many Requests",
         431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         501 => "Not Implemented",
@@ -347,8 +346,8 @@ pub struct Response {
     pub body: String,
     /// Whether the connection persists after writing this response.
     pub keep_alive: bool,
-    /// Seconds for a `Retry-After` header (overload responses: 503 when
-    /// the pool sheds, 429 when a session floods).
+    /// Seconds for a `Retry-After` header (the `503` of a shed connection
+    /// or registration).
     pub retry_after: Option<u64>,
 }
 
@@ -388,7 +387,7 @@ impl Response {
         }
     }
 
-    /// An overload rejection (`503` shed / `429` flood) carrying a
+    /// An overload rejection (a `503` shed) carrying a
     /// `Retry-After` hint so well-behaved clients back off instead of
     /// hammering a saturated server.
     #[must_use]

@@ -16,9 +16,9 @@
 //!   renderer and its client-side `apply_delta` inverse
 //!   (`docs/PROTOCOL.md` is the wire reference),
 //! * [`server`] — the session server: nonblocking connections
-//!   multiplexed across a few event-loop threads that hand evaluations
-//!   to a bounded long-lived
-//!   [`WorkerPool`](pool::WorkerPool), one shared
+//!   multiplexed across a few event-loop threads that answer power
+//!   updates and reads themselves and hand registrations to a bounded
+//!   long-lived [`WorkerPool`](pool::WorkerPool), one shared
 //!   [`ChipEngine`](ttsv_chip::ChipEngine) indexing the live kernels,
 //!   one exact-LRU session table with quotas and a kernel budget, one
 //!   [`LiveChip`](ttsv_chip::LiveChip) per session (owning its plan,
@@ -29,7 +29,7 @@
 //!   hand-rolled std-only binding plus a self-pipe waker; the crate
 //!   builds only on Unix),
 //! * [`pool`] — the bounded pool of long-lived worker threads the event
-//!   loops hand evaluations to,
+//!   loops hand registrations to,
 //! * [`persist`] — the per-server write-ahead journal (`--state-dir`):
 //!   CRC32-framed records for registrations, power updates, deletions,
 //!   and eviction tombstones; torn-tail-tolerant crash recovery that

@@ -13,9 +13,9 @@
 //! one status class and one histogram bucket, so once no request is
 //! mid-record `requests == responses.ok_2xx + responses.client_4xx +
 //! responses.server_5xx == latency_ns.samples` in the [`MetricsDoc`].
-//! The attributions `overload.shed_503`, `.rate_limited_429`,
-//! `.timeouts_408` and `.panics` cross-cut those classes: a shed request
-//! is *also* a 5xx, a deadline expiry *also* a 4xx — never double-counted.
+//! The attributions `overload.shed_503`, `.timeouts_408` and `.panics`
+//! cross-cut those classes: a shed request is *also* a 5xx, a deadline
+//! expiry *also* a 4xx — never double-counted.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -41,7 +41,6 @@ struct Counters {
     client_4xx: AtomicU64,
     server_5xx: AtomicU64,
     shed: AtomicU64,
-    rate_limited: AtomicU64,
     timeouts: AtomicU64,
     panics: AtomicU64,
     accept_errors: AtomicU64,
@@ -106,8 +105,6 @@ pub struct LatencyNs {
 pub struct Overload {
     /// 503s shed at admission (subset of `server_5xx`).
     pub shed_503: u64,
-    /// 429s from per-session update floods (subset of `client_4xx`).
-    pub rate_limited_429: u64,
     /// 408s from blown request deadlines (subset of `client_4xx`).
     pub timeouts_408: u64,
     /// Contained handler panics answered as 500 (subset of `server_5xx`).
@@ -203,12 +200,6 @@ impl Metrics {
         self.counters.shed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a per-session flood rejection (a 429 + `Retry-After`).
-    pub fn record_rate_limited(&self, elapsed: Duration) {
-        self.record(429, elapsed);
-        self.counters.rate_limited.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records a blown request deadline (a 408, connection closed).
     pub fn record_timeout(&self, elapsed: Duration) {
         self.record(408, elapsed);
@@ -294,7 +285,6 @@ impl Metrics {
             },
             overload: Overload {
                 shed_503: c.shed.load(Ordering::Relaxed),
-                rate_limited_429: c.rate_limited.load(Ordering::Relaxed),
                 timeouts_408: c.timeouts.load(Ordering::Relaxed),
                 panics: c.panics.load(Ordering::Relaxed),
                 accept_errors: c.accept_errors.load(Ordering::Relaxed),
@@ -474,14 +464,13 @@ mod tests {
         let t = Duration::from_nanos(500);
         m.record(200, t);
         m.record_shed(t);
-        m.record_rate_limited(t);
         m.record_timeout(t);
         m.record(500, t);
         m.note_panic();
         let snap = m.snapshot();
-        assert_eq!(snap.requests, 5);
+        assert_eq!(snap.requests, 4);
         assert_eq!(snap.responses.ok_2xx, 1);
-        assert_eq!(snap.responses.client_4xx, 2, "429 + 408");
+        assert_eq!(snap.responses.client_4xx, 1, "408");
         assert_eq!(snap.responses.server_5xx, 2, "503 + 500");
         assert_eq!(
             snap.requests,
@@ -489,8 +478,8 @@ mod tests {
         );
         assert_eq!(snap.latency_ns.samples, snap.requests);
         let o = &snap.overload;
-        let attributions = (o.shed_503, o.rate_limited_429, o.timeouts_408, o.panics);
-        assert_eq!(attributions, (1, 1, 1, 1));
+        let attributions = (o.shed_503, o.timeouts_408, o.panics);
+        assert_eq!(attributions, (1, 1, 1));
     }
 
     #[test]

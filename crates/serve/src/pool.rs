@@ -1,6 +1,6 @@
 //! The server's bounded pool of **long-lived** worker threads behind a
 //! bounded job queue. Submitting is cheap (one queue push, no thread
-//! spawn), so it is the executor the event loops hand evaluations to,
+//! spawn), so it is the executor the event loops hand registrations to,
 //! spawned once at startup. Jobs must own their data (`'static`): safe
 //! Rust cannot loan a caller's stack borrow to a thread that outlives the
 //! call, which is why borrowed batches run on

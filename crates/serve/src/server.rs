@@ -1,7 +1,7 @@
 //! The session server: readiness-based connection multiplexing over a
 //! small worker pool, routing, and the shared serving state.
 //!
-//! # Architecture: event loops own connections, workers own evaluations
+//! # Architecture: event loops own connections, workers own registrations
 //!
 //! One `std::net::TcpListener` accept thread admits connections (with a
 //! live-connection cap and a backoff on accept errors) and hands them
@@ -9,28 +9,38 @@
 //! owns its connections outright: sockets are `set_nonblocking(true)`,
 //! incoming bytes feed the incremental [`RequestParser`] (whose state is
 //! a pure function of the buffered bytes — exactly what a readiness loop
-//! needs), and responses drain from per-connection
-//! [`WriteBuffer`]s as the sockets accept
-//! them. Cheap requests (`/metrics`, `/healthz`, deletes, routing
-//! errors) are answered inline on the loop; only **evaluation** work —
-//! registration, power updates, session reads — is handed to the
-//! long-lived bounded [`WorkerPool`], one request in flight per
-//! connection, with completions delivered back to the owning loop.
-//! (One latency exception: when the whole server is idle — nothing
-//! queued, in flight, or already inline — the loop evaluates right on
-//! its own thread, skipping two thread handoffs; concurrent load
-//! immediately shifts evaluation back to the pool.)
-//! Readiness comes from `poll(2)`: a short yield-spin window after the
-//! last progress keeps hot traffic at near-blocking latency, then the
-//! loop blocks in real `poll(2)` (via [`crate::poller`], std-only) over
-//! its connections' fds plus a self-pipe that the accept thread and
-//! worker completions write to, so inbox activity interrupts the block
-//! immediately. The poll timeout is derived from the nearest connection
+//! needs), and responses drain from per-connection [`WriteBuffer`]s as
+//! the sockets accept them. Readiness comes from `poll(2)`: a short
+//! yield-spin window after the last progress keeps hot traffic at
+//! near-blocking latency, then the loop blocks in real `poll(2)` (via
+//! [`crate::poller`], std-only) over its connections' fds plus a
+//! self-pipe that the accept thread and worker completions write to, so
+//! inbox activity interrupts the block immediately. The poll timeout is derived from the nearest connection
 //! deadline alone, so an idle server makes *zero* wakeups instead of
 //! ticking every millisecond (the `/metrics` `readiness` block counts
 //! wakeups). The loops never schedule journal work: under
 //! `interval:MS` the [`Journal`] keeps its own fsync clock, which also
 //! syncs a write acknowledged just before the server went quiet.
+//!
+//! Where a request runs is a property of its route alone. A
+//! registration (`POST /sessions`) parses a floorplan and factorizes its
+//! kernels, so it is handed to the long-lived bounded [`WorkerPool`], one
+//! request in flight per connection, with its completion delivered back
+//! to the owning loop. Every other request — power updates (`?full=1`
+//! too), session reads, deletes, `/metrics`, `/healthz`, routing errors —
+//! is answered by `ServerState::handle` on the loop that parsed it. A
+//! power update or read never factorizes: it costs at most `max_tiles`
+//! kernel calls plus one render, so a heavy registration on the pool
+//! never queues ahead of it. A loop never blocks on a session lock that
+//! a worker holds, because a worker only locks the session it is
+//! registering, before anyone else can see it; two loops can contend for
+//! one session's lock, and each waits at most one bounded update.
+//!
+//! One caveat: an update's journal append also runs on its loop. Under
+//! `--fsync always` that includes the fsync, and the append that crosses
+//! [`PersistConfig::compact_min_records`] compacts the journal right
+//! there. Either stalls that loop's other connections, as does waiting
+//! for the journal's lock while a registration's append holds it.
 //!
 //! A session's whole mutable state is one [`LiveChip`]: it owns the
 //! registered floorplan and the Model B kernels of its via densities. A
@@ -45,11 +55,13 @@
 //! journal recovery) share one kernel.
 //!
 //! The session table bounds the kernels. A session weighs its distinct
-//! via densities (its report's `distinct_cells`, fixed for its life) and
-//! the live sessions' weights may sum to at most the config's
-//! `matrix_cache_cap`. A registration heavier than that alone is answered
-//! `413`; otherwise publishing it evicts least-recently-used sessions
-//! until both the count quota and the kernel budget hold.
+//! via densities (its report's `distinct_cells`, fixed for its life,
+//! counted from the plan before it is evaluated) and the live sessions'
+//! weights may sum to at most the config's `matrix_cache_cap`. A
+//! registration heavier than that alone is answered `413` before
+//! anything is factorized; otherwise publishing it evicts
+//! least-recently-used sessions until both the count quota and the
+//! kernel budget hold.
 //! By default a warm update also *answers* with only what changed: a
 //! delta response carrying the changed tiles and updated summary
 //! statistics (`?full=1` opts back into the full report; see
@@ -72,7 +84,7 @@
 //!
 //! * **Admission control** — connections past
 //!   [`ServerConfig::max_connections`] (default: workers + job-queue
-//!   capacity, i.e. exactly the evaluation slots available) are
+//!   capacity, i.e. exactly the registration slots available) are
 //!   answered `503 Service Unavailable` with a `Retry-After` hint and
 //!   closed, so tail latency stays bounded instead of queue depth
 //!   growing without limit. The 503 is written *nonblocking by an event
@@ -84,10 +96,10 @@
 //!   aborted handshakes) counts an `accept_errors` metric and backs the
 //!   accept thread off exponentially (1 ms doubling to ~128 ms) instead
 //!   of spinning the thread at 100% CPU until the condition clears.
-//! * **Per-session flood control** — more than
-//!   [`ServerConfig::max_pending_updates`] concurrent requests against
-//!   one session answer `429 Too Many Requests` + `Retry-After` instead
-//!   of piling onto the session's serialization lock.
+//! * **No per-session queue** — requests against one session serialize
+//!   on its lock, but only the event loops take that lock, each for one
+//!   bounded update or read, so at most one request per loop ever waits
+//!   on it.
 //! * **Deadlines** — once a request's first byte arrives (for a
 //!   pipelined request: once its predecessor is popped), the whole
 //!   request must parse within [`ServerConfig::request_deadline`] (and
@@ -133,7 +145,7 @@ use crate::poller::{self, PollInterest, Poller, Waker};
 use crate::pool::{PoolMonitor, WorkerPool};
 use crate::protocol;
 
-/// The `Retry-After` hint (seconds) on overload responses (503/429).
+/// The `Retry-After` hint (seconds) on a `503` overload response.
 pub const RETRY_AFTER_SECS: u64 = 1;
 
 /// How long an event loop keeps yield-spinning after its last progress
@@ -147,7 +159,8 @@ const IDLE_TICK: Duration = Duration::from_millis(1);
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Evaluation workers (the pool event loops dispatch into).
+    /// Registration workers (the pool event loops hand `POST /sessions`
+    /// to).
     pub workers: usize,
     /// Event-loop threads owning the nonblocking connections.
     pub event_loops: usize,
@@ -162,9 +175,10 @@ pub struct ServerConfig {
     /// The session table's kernel budget. A session holds one Model B
     /// kernel per distinct via density (its report's `distinct_cells`),
     /// and the live sessions' counts may sum to at most this. A
-    /// registration whose count alone exceeds it is answered 413;
-    /// otherwise registering evicts least-recently-used sessions until
-    /// the sum fits. Sessions sharing a density count it once each.
+    /// registration whose count alone exceeds it is answered 413 before
+    /// it is evaluated; otherwise registering evicts least-recently-used
+    /// sessions until the sum fits. Sessions sharing a density count it
+    /// once each.
     pub matrix_cache_cap: usize,
     /// Per-connection read timeout (an idle keep-alive connection is
     /// dropped after this; a mid-request stall this long answers 408).
@@ -175,17 +189,15 @@ pub struct ServerConfig {
     /// Total time a request may take from first byte to fully parsed;
     /// past it the connection is answered 408 and closed.
     pub request_deadline: Duration,
-    /// Evaluation-job queue bound; `None` keeps the pool default
-    /// (4 × workers). Requests past it are shed with 503.
+    /// Registration queue bound; `None` keeps the pool default
+    /// (4 × workers). Registrations past it are shed with 503.
     pub queue_capacity: Option<usize>,
     /// Live-connection cap; admission sheds with 503 past it. `None`
-    /// derives workers + queue capacity — one request in flight per
-    /// connection then fills the pool exactly. Raise it to multiplex
-    /// more connections than evaluation slots.
+    /// derives workers + queue capacity — one registration in flight per
+    /// connection then fills the pool exactly. Power updates and reads
+    /// run on the event loops and take no pool slot. Raise it to
+    /// multiplex more connections than registration slots.
     pub max_connections: Option<usize>,
-    /// Concurrent requests allowed per session before 429 (flood
-    /// control on the per-session serialization lock).
-    pub max_pending_updates: usize,
     /// Deterministic fault schedule for chaos testing (`None` in
     /// production: one `Option` check per request).
     pub faults: Option<Arc<ServerFaults>>,
@@ -216,7 +228,6 @@ impl Default for ServerConfig {
             request_deadline: Duration::from_secs(60),
             queue_capacity: None,
             max_connections: None,
-            max_pending_updates: 8,
             faults: None,
             persist: std::env::var_os("TTSV_SERVE_STATE_DIR").map(|root| {
                 static UNIQUE: AtomicU64 = AtomicU64::new(0);
@@ -301,8 +312,8 @@ impl ServerConfig {
         self
     }
 
-    /// Overrides the evaluation-job queue bound (requests are shed with
-    /// 503 past it).
+    /// Overrides the registration queue bound (registrations are shed
+    /// with 503 past it).
     ///
     /// # Panics
     ///
@@ -324,18 +335,6 @@ impl ServerConfig {
     pub fn with_max_connections(mut self, cap: usize) -> Self {
         assert!(cap > 0, "need room for at least one connection");
         self.max_connections = Some(cap);
-        self
-    }
-
-    /// Overrides the per-session concurrent-request cap (429 past it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    #[must_use]
-    pub fn with_max_pending_updates(mut self, cap: usize) -> Self {
-        assert!(cap > 0, "need room for at least one pending update");
-        self.max_pending_updates = cap;
         self
     }
 
@@ -374,24 +373,12 @@ struct ConnDeadlines {
 /// One registered session: its serialized state — the held evaluation
 /// that owns the floorplan and its kernels, whose report `GET` returns
 /// and power updates patch in place — plus its weight against the kernel
-/// budget and the flood-control gauge counting requests currently
-/// targeting it.
+/// budget.
 struct Session {
     live: Mutex<LiveChip>,
     /// The kernels `live` holds, one per distinct via density: fixed for
     /// the session's life, since an update never changes a density.
     kernels: usize,
-    pending: AtomicUsize,
-}
-
-/// Decrements a session's pending-request gauge on drop — panic-safe,
-/// so a contained handler panic can never leak a flood-control slot.
-struct PendingGuard<'a>(&'a AtomicUsize);
-
-impl Drop for PendingGuard<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
 }
 
 /// State shared by the accept thread, event loops, and workers.
@@ -403,27 +390,20 @@ struct ServerState {
     max_tiles: usize,
     /// Bound on the summed [`Session::kernels`] of the live sessions.
     kernel_budget: usize,
-    max_pending_updates: usize,
     pool_monitor: PoolMonitor,
     faults: Option<Arc<ServerFaults>>,
     /// Connections currently owned by event loops (plus those in flight
     /// between accept and adoption) — the admission gauge.
     live_connections: AtomicUsize,
-    /// Evaluations currently running inline on event loops. While the
-    /// whole server is idle (nothing queued, nothing in flight, nothing
-    /// inline) a loop evaluates on its own thread — two thread handoffs
-    /// cheaper, which is most of a warm request's latency — and this
-    /// gauge routes concurrent work to the pool instead.
-    inline_busy: AtomicUsize,
     /// The write-ahead journal: off, live or degraded, and the owner of
     /// the `/metrics` `persistence` block in every state.
     journal: Journal,
 }
 
 /// Runs a request's injected engine faults (stall, panic, error) where
-/// the engine work would start. For power updates and reads that is
-/// while the per-session lock is held, so the chaos suite proves poison
-/// recovery and not just the `catch_unwind` boundary.
+/// the engine work would start. For power updates and reads that is on
+/// the event loop while the per-session lock is held, so the chaos suite
+/// proves poison recovery and not just the `catch_unwind` boundary.
 fn inject(directive: FaultDirective) -> Result<(), Response> {
     if let Some(delay) = directive.engine_delay {
         std::thread::sleep(delay);
@@ -455,23 +435,29 @@ impl ServerState {
         })
     }
 
-    /// A session holding `live`, with no request pending against it, or
-    /// the reason its kernels alone exceed the budget — how registration
-    /// (which answers the reason with 413) and journal recovery (which
-    /// drops the session) both admit one.
-    fn admit(&self, live: LiveChip) -> Result<Arc<Session>, String> {
-        let kernels = live.report().distinct_cells;
+    /// A session evaluated from `spec`, or the status and reason it is
+    /// refused: `413` when its kernels alone exceed the budget — weighed
+    /// from the plan before anything is factorized — and `500` when the
+    /// evaluation fails. Registration answers the refusal; journal
+    /// recovery drops the session.
+    fn admit(&self, spec: protocol::SessionSpec) -> Result<Arc<Session>, (u16, String)> {
+        let kernels = spec.plan.distinct_densities();
         if kernels > self.kernel_budget {
-            return Err(format!(
-                "floorplan of {kernels} distinct via densities exceeds the kernel budget of {}",
-                self.kernel_budget
+            return Err((
+                413,
+                format!(
+                    "floorplan of {kernels} distinct via densities exceeds the kernel budget of {}",
+                    self.kernel_budget
+                ),
             ));
         }
-        Ok(Arc::new(Session {
-            live: Mutex::new(live),
-            kernels,
-            pending: AtomicUsize::new(0),
-        }))
+        match self.engine.evaluate_live(spec.plan, &spec.model) {
+            Ok(live) => Ok(Arc::new(Session {
+                live: Mutex::new(live),
+                kernels,
+            })),
+            Err(e) => Err((500, format!("evaluation failed: {e}"))),
+        }
     }
 
     /// Inserts an admitted `session` as most-recently used, then evicts
@@ -517,12 +503,9 @@ impl ServerState {
         if let Err(resp) = inject(directive) {
             return resp;
         }
-        let session = match self.engine.evaluate_live(spec.plan, &spec.model) {
-            Ok(live) => match self.admit(live) {
-                Ok(session) => session,
-                Err(reason) => return Response::error(413, &reason),
-            },
-            Err(e) => return evaluation_failed(&e),
+        let session = match self.admit(spec) {
+            Ok(session) => session,
+            Err((status, reason)) => return Response::error(status, &reason),
         };
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         // Journal the raw wire body *before* publishing: if we crash
@@ -548,20 +531,6 @@ impl ServerState {
             Ok(s) => s,
             Err(resp) => return resp,
         };
-        // Flood control: past the cap, reject *before* queuing on the
-        // session lock — a client hammering one session gets bounded
-        // latency (429 + Retry-After) instead of unbounded lock queues.
-        let already_pending = session.pending.fetch_add(1, Ordering::SeqCst);
-        let _pending = PendingGuard(&session.pending);
-        if already_pending >= self.max_pending_updates {
-            return Response::overloaded(
-                429,
-                &format!(
-                    "session {id} already has {already_pending} requests in flight; retry shortly"
-                ),
-                RETRY_AFTER_SECS,
-            );
-        }
         // Per-session serialization: deltas from concurrent clients on
         // the same session apply in some total order, and each response
         // reflects exactly the plan it evaluated.
@@ -680,8 +649,8 @@ impl ServerState {
 }
 
 /// What a request asks for, parsed once from its method and target: the
-/// event loop picks inline or pool by it, and [`ServerState::handle`]
-/// picks the handler.
+/// event loop picks pool or loop by it alone ([`Route::on_pool`]), and
+/// [`ServerState::handle`] picks the handler.
 enum Route {
     Metrics,
     Healthz,
@@ -735,16 +704,18 @@ impl Route {
         }
     }
 
-    /// Whether the request carries evaluation work (worth a pool slot)
-    /// or is cheap enough to answer inline on the event loop.
-    fn evaluates(&self) -> bool {
-        matches!(self, Self::Register(_) | Self::Power { .. } | Self::Read(_))
+    /// Whether the request runs on the pool: only a registration, the
+    /// one route that factorizes. Every other route is bounded by
+    /// `max_tiles` kernel calls plus one render and is answered on the
+    /// event loop that parsed it.
+    fn on_pool(&self) -> bool {
+        matches!(self, Self::Register(_))
     }
 }
 
-/// A request dispatched to the pool and not yet answered: its start
-/// instant (the honest latency origin) and the request's keep-alive
-/// disposition.
+/// A request's start instant (the honest latency origin) and keep-alive
+/// disposition; a registration on the pool carries it until its
+/// completion is answered.
 struct Pending {
     started: Instant,
     keep_alive: bool,
@@ -776,7 +747,7 @@ struct Conn {
     /// a pipelined request, when its predecessor is popped. The request
     /// deadline runs from it and its latency is measured from it.
     request_started: Option<Instant>,
-    /// The one request currently evaluating on the pool, if any.
+    /// The one registration currently evaluating on the pool, if any.
     inflight: Option<Pending>,
     /// Close once the write buffer drains (error responses, `Connection:
     /// close`, shed requests).
@@ -906,15 +877,9 @@ fn saturated_response() -> Response {
 /// Records one answered request and stages its response behind the
 /// connection's write queue.
 fn finish_request(conn: &mut Conn, state: &ServerState, response: Response, pending: &Pending) {
-    // 429 only ever means per-session flood control, so the attribution
-    // counter rides the status here.
-    if response.status == 429 {
-        state.metrics.record_rate_limited(pending.started.elapsed());
-    } else {
-        state
-            .metrics
-            .record(response.status, pending.started.elapsed());
-    }
+    state
+        .metrics
+        .record(response.status, pending.started.elapsed());
     stage_response(conn, response, pending.keep_alive);
 }
 
@@ -934,9 +899,9 @@ fn stage_response(conn: &mut Conn, response: Response, request_keep_alive: bool)
     conn.last_write_progress = now;
 }
 
-/// Routes one parsed request: cheap endpoints answer inline on the loop;
-/// evaluation work goes to the pool (one in flight per connection), and
-/// a pool refusal is shed with a counted 503.
+/// Routes one parsed request by its route alone: a registration goes to
+/// the pool (one in flight per connection), and a pool refusal is shed
+/// with a counted 503; everything else is answered here on the loop.
 fn dispatch_request(
     conn: &mut Conn,
     request: Request,
@@ -950,24 +915,8 @@ fn dispatch_request(
         keep_alive: request.keep_alive,
     };
     let route = Route::parse(request);
-    if !route.evaluates() {
+    if !route.on_pool() {
         let response = state.handle(route);
-        finish_request(conn, state, response, &pending);
-        return;
-    }
-    // Fast path: with the whole server idle, two thread handoffs (loop →
-    // worker → loop) dominate a warm request, so evaluate right here.
-    // The gauges race benignly — two loops may both start inline — but
-    // the moment anything is running, new work goes to the pool and the
-    // loop stays free to multiplex.
-    let idle = state.inline_busy.load(Ordering::SeqCst) == 0
-        && state.pool_monitor.queue_depth() == 0
-        && state.pool_monitor.in_flight() == 0;
-    if idle {
-        state.inline_busy.fetch_add(1, Ordering::SeqCst);
-        // `handle` contains its own catch_unwind, so this cannot leak.
-        let response = state.handle(route);
-        state.inline_busy.fetch_sub(1, Ordering::SeqCst);
         finish_request(conn, state, response, &pending);
         return;
     }
@@ -1319,7 +1268,7 @@ pub struct Server {
     accept_handle: Option<std::thread::JoinHandle<()>>,
     loop_handles: Vec<std::thread::JoinHandle<()>>,
     loops: Vec<Arc<LoopShared>>,
-    /// Dropped last in shutdown so queued evaluations drain after the
+    /// Dropped last in shutdown so queued registrations drain after the
     /// loops exit.
     pool: Option<Arc<WorkerPool>>,
     /// Reaches the journal at shutdown.
@@ -1371,11 +1320,9 @@ impl Server {
             metrics: Metrics::new(),
             max_tiles: config.max_tiles,
             kernel_budget: config.matrix_cache_cap,
-            max_pending_updates: config.max_pending_updates,
             pool_monitor: pool.monitor(),
             faults: config.faults.clone(),
             live_connections: AtomicUsize::new(0),
-            inline_busy: AtomicUsize::new(0),
             journal,
         });
         // Re-publish the recovered sessions before any thread can serve:
@@ -1385,25 +1332,18 @@ impl Server {
         // the journal's touch order, so LRU recency survives too (and an
         // over-quota or over-budget recovery evicts the *stalest*
         // sessions, journaling their tombstones like any other eviction).
-        // A session over the kernel budget on its own is dropped with a
-        // tombstone, so a later start does not evaluate it again.
+        // A session over the kernel budget on its own is dropped unevaluated
+        // with a tombstone, so a later start does not weigh it again.
         for session in recovery.sessions {
             let id = session.id;
-            match state
-                .engine
-                .evaluate_live(session.spec.plan, &session.spec.model)
-            {
-                Ok(live) => match state.admit(live) {
-                    Ok(admitted) => state.publish(id, admitted),
-                    Err(reason) => {
-                        eprintln!("ttsv-serve: warning: dropping recovered session {id}: {reason}");
+            match state.admit(session.spec) {
+                Ok(admitted) => state.publish(id, admitted),
+                Err((status, reason)) => {
+                    eprintln!("ttsv-serve: warning: dropping recovered session {id}: {reason}");
+                    if status == 413 {
                         state.journal.record_evict(id);
                     }
-                },
-                Err(e) => eprintln!(
-                    "ttsv-serve: warning: dropping recovered session {id}: \
-                     evaluation failed: {e}"
-                ),
+                }
             }
         }
         let deadlines = ConnDeadlines {
@@ -1464,7 +1404,7 @@ impl Server {
     }
 
     /// Stops accepting, closes the event loops, drains in-flight
-    /// evaluations, and joins every background thread. A live journal
+    /// registrations, and joins every background thread. A live journal
     /// is then compacted, so the next start replays the folded snapshot.
     pub fn shutdown(mut self) {
         self.stop_and_join();
@@ -1496,7 +1436,7 @@ impl Server {
             let _ = handle.join();
         }
         // Last out: dropping the pool joins the workers, so in-flight
-        // evaluations finish (their completions land in dead inboxes)
+        // registrations finish (their completions land in dead inboxes)
         // before shutdown returns.
         self.pool = None;
         // Only after every thread that could append has exited: compact

@@ -12,7 +12,6 @@ fn zero_counts_are_usage_errors_not_panics() {
         "--max-tiles",
         "--queue-capacity",
         "--max-connections",
-        "--max-pending-updates",
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_serve"))
             .args(["--addr", "127.0.0.1:0", flag, "0"])

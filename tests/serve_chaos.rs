@@ -18,9 +18,8 @@
 //!   unchanged. Injected faults fire before the engine runs; an update
 //!   itself computes every changed tile before it writes anything.
 //! * **Overload control** — a saturated pool sheds new connections with
-//!   `503` + `Retry-After` promptly; one session flooded past its
-//!   pending cap answers `429` + `Retry-After`; a slowloris half-request
-//!   is answered `408` at the deadline. All three are counted.
+//!   `503` + `Retry-After` promptly, and a slowloris half-request is
+//!   answered `408` at the deadline. Both are counted.
 //! * **Survival** — a *lossy* storm (hard connection errors + injected
 //!   server panics and engine faults) never takes the server down,
 //!   `/metrics` stays internally consistent, and shutdown mid-storm
@@ -68,7 +67,6 @@ fn assert_metrics_reconcile(doc: &serde::json::Value) {
     );
     assert!(field(doc, "overload", "shed_503") <= field(doc, "responses", "server_5xx"));
     assert!(field(doc, "overload", "panics") <= field(doc, "responses", "server_5xx"));
-    assert!(field(doc, "overload", "rate_limited_429") <= field(doc, "responses", "client_4xx"));
     assert!(field(doc, "overload", "timeouts_408") <= field(doc, "responses", "client_4xx"));
 }
 
@@ -519,55 +517,6 @@ fn retrying_client_rides_out_saturation_503s_until_admitted() {
     server.shutdown();
 }
 
-/// Flooding one session past its pending cap answers `429` +
-/// `Retry-After` instead of queueing on the session lock; the stalled
-/// in-flight update still completes with 200.
-#[test]
-fn per_session_flood_answers_429_with_retry_after() {
-    // Ordinal 1 registers; ordinal 2 (the first power update) stalls
-    // inside evaluation, holding the session busy deterministically.
-    let faults = Arc::new(ServerFaults::new().engine_delay_on(2, Duration::from_millis(600)));
-    let server = Server::start(
-        "127.0.0.1:0",
-        ServerConfig::default()
-            .with_workers(4)
-            .with_max_pending_updates(1)
-            .with_faults(faults),
-    )
-    .expect("bind ephemeral port");
-    let addr = server.addr().to_string();
-
-    let mut client = Client::connect(&addr).expect("connect");
-    let (status, _) = client
-        .request("POST", "/sessions", &trace_register_body(GRID, 0))
-        .expect("register");
-    assert_eq!(status, 201);
-
-    let slow_addr = addr.clone();
-    let slow = std::thread::spawn(move || {
-        let mut client = Client::connect(&slow_addr).expect("connect slow");
-        client
-            .request("POST", "/sessions/1/power", &trace_power_body(GRID, 0, 0))
-            .expect("stalled update")
-    });
-    std::thread::sleep(Duration::from_millis(200));
-
-    // While the stalled update holds the session, a second one floods.
-    let (status, body) = client
-        .request("POST", "/sessions/1/power", &trace_power_body(GRID, 0, 1))
-        .expect("flooding update");
-    assert_eq!(status, 429, "{body}");
-    assert!(body.contains("in flight"), "{body}");
-
-    let (status, body) = slow.join().expect("slow thread");
-    assert_eq!(status, 200, "stalled update still completes: {body}");
-
-    let doc = fetch_metrics(&addr);
-    assert_eq!(field(&doc, "overload", "rate_limited_429"), 1);
-    assert_metrics_reconcile(&doc);
-    server.shutdown();
-}
-
 /// A slowloris half-request — head bytes trickled in, then silence — is
 /// answered `408 Request Timeout` once the request deadline lapses, and
 /// the connection is closed.
@@ -697,13 +646,13 @@ fn lossy_storm_survives_and_shutdown_mid_storm_is_clean() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    // Every terminal path — plain responses, shed 503s, flood 429s,
-    // deadline 408s, contained-panic 500s — increments `requests`,
+    // Every terminal path — plain responses, shed 503s, deadline 408s,
+    // contained-panic 500s — increments `requests`,
     // exactly one status-class counter, and exactly one histogram
     // sample; attributions never exceed their class.
     #[test]
     fn every_terminal_path_keeps_the_accounting_invariant(
-        ops in prop::collection::vec((0usize..7, 1u64..2_000_000), 1..200),
+        ops in prop::collection::vec((0usize..6, 1u64..2_000_000), 1..200),
     ) {
         let m = Metrics::new();
         let (mut ok, mut c4, mut s5) = (0u64, 0u64, 0u64);
@@ -714,8 +663,7 @@ proptest! {
                 1 => { m.record(404, t); c4 += 1; }
                 2 => { m.record(500, t); s5 += 1; }
                 3 => { m.record_shed(t); s5 += 1; }
-                4 => { m.record_rate_limited(t); c4 += 1; }
-                5 => { m.record_timeout(t); c4 += 1; }
+                4 => { m.record_timeout(t); c4 += 1; }
                 // A contained panic: the 500 is recorded like any other
                 // response, the panic counter is a pure attribution.
                 _ => { m.note_panic(); m.record(500, t); s5 += 1; }
@@ -729,6 +677,6 @@ proptest! {
         prop_assert_eq!(r.server_5xx, s5);
         prop_assert_eq!(snap.latency_ns.samples, snap.requests);
         prop_assert!(o.shed_503 + o.panics <= r.server_5xx);
-        prop_assert!(o.rate_limited_429 + o.timeouts_408 <= r.client_4xx);
+        prop_assert!(o.timeouts_408 <= r.client_4xx);
     }
 }

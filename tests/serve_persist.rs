@@ -41,7 +41,7 @@ use ttsv::serve::protocol::parse_register;
 use ttsv::serve::server::{Server, ServerConfig};
 use ttsv_chip::ChipEngine;
 
-use common::{direct_session, with_densities, GRID, ROUNDS};
+use common::{direct_session, field, metrics, with_densities, GRID, ROUNDS};
 
 /// A fresh state directory under the system temp dir, unique per test
 /// *and* per process so concurrent `cargo test` runs never collide.
@@ -346,7 +346,8 @@ fn over_quota_recovery_journals_its_evictions() {
 /// Sessions the kernel budget evicts journal their tombstones, so a
 /// restart with room for every session still recovers only the
 /// survivors; and a recovered session over a smaller budget on its own is
-/// dropped with a tombstone too, staying gone after the next restart.
+/// dropped with a tombstone too, before it is evaluated, staying gone
+/// after the next restart.
 #[test]
 fn kernel_budget_evictions_stay_gone_after_a_restart() {
     let dir = state_dir("budget");
@@ -388,6 +389,14 @@ fn kernel_budget_evictions_stay_gone_after_a_restart() {
     for (budget, live) in [(1 << 10, vec![3, 4]), (2, vec![3]), (1 << 10, vec![3])] {
         let server = start(budget);
         let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+        // Session 4 holds three kernels, session 3 one; a dropped session
+        // is never factorized.
+        let kernels: usize = live.iter().map(|&id| if id == 4 { 3 } else { 1 }).sum();
+        assert_eq!(
+            field(&metrics(&mut client), "engine", "factorizations"),
+            kernels,
+            "budget {budget}"
+        );
         for id in 1..=4u64 {
             let (status, body) = client
                 .request("GET", &format!("/sessions/{id}"), "")

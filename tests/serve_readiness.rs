@@ -20,6 +20,9 @@
 //!   deadline and timed from when its predecessor was popped: a
 //!   partial follower gets its 408, and a follower's latency includes
 //!   its wait behind a slow predecessor.
+//! * **A registration never holds up a warm update** — with the pool's
+//!   only worker stalled in a registration, a two-tile update on another
+//!   session is answered on its event loop before that registration is.
 
 pub mod common;
 
@@ -28,11 +31,11 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ttsv::serve::client::{trace_register_body, Client};
+use ttsv::serve::client::{trace_power_body, trace_register_body, Client};
 use ttsv::serve::faults::ServerFaults;
 use ttsv::serve::server::{Server, ServerConfig, RETRY_AFTER_SECS};
 
-use common::{field, GRID};
+use common::{field, metrics, GRID};
 
 /// The parked-request latency bound: one millisecond, the tick a
 /// timed-park event loop would quantize every parked request to.
@@ -335,5 +338,81 @@ fn stalled_shed_client_does_not_stall_admission() {
         "both over-cap connections were counted"
     );
     assert_eq!(field(&doc, "readiness", "adopt_errors"), 0);
+    server.shutdown();
+}
+
+/// A registration stalled on the pool's only worker does not hold up a
+/// warm two-tile update on another session: the update is answered 200
+/// on its event loop while the stalled registration's socket still holds
+/// no response byte. One event loop serves every connection, so the
+/// update cannot dodge the stall on a second loop. The test orders
+/// events; it times nothing.
+#[test]
+fn warm_update_is_answered_while_a_registration_stalls_the_pool() {
+    // The fault schedule numbers every request, `/metrics` included, in
+    // the order handlers start, and a busy host may start the worker's
+    // registration after the loop has answered many polls. So ordinals
+    // 2..=STALLED all stall (a `/metrics` or `/healthz` handler injects
+    // nothing), and the update is sent as ordinal STALLED + 1.
+    const STALLED: u64 = 500;
+    let faults = (2..=STALLED).fold(ServerFaults::new(), |faults, ordinal| {
+        faults.engine_delay_on(ordinal, Duration::from_secs(2))
+    });
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig::default()
+            .with_workers(1)
+            .with_event_loops(1)
+            .with_faults(Arc::new(faults)),
+    )
+    .expect("bind ephemeral port");
+    let addr = server.addr().to_string();
+
+    let mut client = Client::connect(&addr).expect("connect");
+    let (status, body) = client
+        .request("POST", "/sessions", &trace_register_body(GRID, 0))
+        .expect("register");
+    assert_eq!(status, 201, "{body}");
+    let mut spent = 1;
+
+    let body = trace_register_body(GRID, 1);
+    let mut stalled = TcpStream::connect(&addr).expect("connect stalled");
+    stalled
+        .write_all(
+            format!(
+                "POST /sessions HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+                body.len()
+            )
+            .as_bytes(),
+        )
+        .expect("send the stalled registration");
+    spent += 1;
+    // Wait until the registration occupies the worker. A server that runs
+    // it anywhere else never shows a busy worker; the peek below then
+    // finds its answer.
+    while spent < STALLED {
+        spent += 1;
+        if field(&metrics(&mut client), "overload", "busy_workers") == 1 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    while spent < STALLED {
+        spent += 1;
+        let (status, _) = client.request("GET", "/healthz", "").expect("healthz");
+        assert_eq!(status, 200);
+    }
+
+    let mut updater = Client::connect(&addr).expect("connect updater");
+    let (status, body) = updater
+        .request("POST", "/sessions/1/power", &trace_power_body(GRID, 0, 0))
+        .expect("power update");
+    assert_eq!(status, 200, "{body}");
+    stalled.set_nonblocking(true).expect("nonblocking");
+    let peeked = stalled.peek(&mut [0u8; 1]);
+    assert!(
+        matches!(&peeked, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "the stalled registration was answered before the update (peek: {peeked:?})"
+    );
     server.shutdown();
 }

@@ -14,8 +14,9 @@
 //! * Kernels live with their sessions: an evicted session's kernel is
 //!   freed, so the live kernels never outnumber the live sessions. The
 //!   kernel budget is a session-table rule: a session heavier than the
-//!   budget alone bounces with 413, and a registration past it evicts
-//!   least-recently-used sessions until it fits.
+//!   budget alone bounces with 413 before it is evaluated, and a
+//!   registration past it evicts least-recently-used sessions until it
+//!   fits.
 
 pub mod common;
 
@@ -463,6 +464,26 @@ fn a_registration_over_the_kernel_budget_is_answered_413() {
     assert_eq!(field(&after, "sessions", "live"), 1);
     let (status, body) = client.request("GET", "/sessions/1", "").expect("read");
     assert_eq!((status, body), (200, direct_session(0)[0].clone()));
+    server.shutdown();
+}
+
+/// An over-budget registration is weighed from its parsed plan, before
+/// it is evaluated: its 413 costs no factorization.
+#[test]
+fn an_over_budget_registration_is_refused_before_it_is_evaluated() {
+    let server = budget_4_server();
+    let mut client = Client::connect(&server.addr().to_string()).expect("connect");
+    let before = field(&metrics(&mut client), "engine", "factorizations");
+    let register = with_densities(&trace_register_body(GRID, 0), GRID * GRID);
+    let (status, body) = client
+        .request("POST", "/sessions", &register)
+        .expect("register");
+    assert_eq!(status, 413, "{body}");
+    assert_eq!(
+        field(&metrics(&mut client), "engine", "factorizations"),
+        before,
+        "the refused plan was factorized"
+    );
     server.shutdown();
 }
 
