@@ -74,6 +74,53 @@ impl Sampler {
         self.results.push((name.to_string(), median, samples.len()));
     }
 
+    /// Samples rows `a` and `b` in alternation: one sample of each per
+    /// round, the order flipped every round, so both rows see the same
+    /// host state. Records both medians and prints the median of the
+    /// per-round ratios `b / a`.
+    fn bench_pair<A, B>(
+        &mut self,
+        (name_a, mut a): (&str, impl FnMut() -> A),
+        (name_b, mut b): (&str, impl FnMut() -> B),
+    ) {
+        fn time<O>(f: &mut impl FnMut() -> O) -> u128 {
+            let t = Instant::now();
+            std::hint::black_box(f());
+            t.elapsed().as_nanos()
+        }
+        time(&mut a); // warm-up
+        time(&mut b);
+        let start = Instant::now();
+        let (mut samples_a, mut samples_b, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+        while samples_a.len() < TARGET_SAMPLES && start.elapsed() < 2 * TIME_BUDGET {
+            let (ta, tb) = if samples_a.len() % 2 == 0 {
+                let ta = time(&mut a);
+                (ta, time(&mut b))
+            } else {
+                let tb = time(&mut b);
+                (time(&mut a), tb)
+            };
+            samples_a.push(ta);
+            samples_b.push(tb);
+            ratios.push(tb as f64 / ta as f64);
+        }
+        ratios.sort_by(f64::total_cmp);
+        eprintln!(
+            "{name_b} / {name_a}: paired median ratio {:.3} ({} pairs)",
+            ratios[ratios.len() / 2],
+            ratios.len()
+        );
+        for (name, mut samples) in [(name_a, samples_a), (name_b, samples_b)] {
+            samples.sort_unstable();
+            let median = samples[samples.len() / 2];
+            eprintln!(
+                "{name:<50} median {median:>12} ns ({} samples)",
+                samples.len()
+            );
+            self.results.push((name.to_string(), median, samples.len()));
+        }
+    }
+
     /// Renders the recording for PR `pr`, embedding the medians of the
     /// committed `BENCH_{baseline_pr}.json` as its baseline.
     fn to_json(&self, pr: u64, baseline_pr: u64, baseline: &[(String, u128)]) -> String {
@@ -300,6 +347,19 @@ fn main() {
                 .map(|p| kernel.max_delta_t(p).expect("valid powers").as_kelvin())
                 .sum::<f64>()
         });
+
+        // The registration's two decimal layers on the same 63 KB body:
+        // decoding its 3,072 watts into the floorplan, and rendering the
+        // 32×32 report its evaluation answers (1,024 shortest round-trip
+        // floats).
+        let body = trace_register_body(32, 1);
+        sampler.bench("serve/parse_register/grid32", || {
+            parse_register(body.as_bytes()).expect("valid body")
+        });
+        let live = ChipEngine::new()
+            .evaluate_live(spec.plan, &spec.model)
+            .expect("solvable");
+        sampler.bench("chip/report_to_json/grid32", || live.report().to_json());
     }
 
     // The floorplan engine on the 32×32 §IV-E maps: the hotspot map
@@ -442,6 +502,31 @@ fn main() {
                 .and_then(|id| id.parse().ok())
                 .expect("session id in register response")
         };
+        // Durable sessions: the same warm delta against a server
+        // that journals every mutation to a write-ahead log under a
+        // fresh temp state dir, at the default `interval:100` fsync
+        // policy. Its samples interleave with `serve/warm_delta_response`
+        // (one of each per round, alternating which goes first), so the
+        // pair's gap prices the journal append and not host drift
+        // between two rows sampled minutes apart; the crate's schema test
+        // pins the journaled row to < 2× the unjournaled one same-run.
+        use ttsv::serve::persist::PersistConfig;
+        let state_dir =
+            std::env::temp_dir().join(format!("ttsv-bench-journal-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&state_dir);
+        let journaled_server = Server::start(
+            "127.0.0.1:0",
+            ServerConfig::default()
+                .with_workers(2)
+                .with_persist(PersistConfig::new(&state_dir)),
+        )
+        .expect("bind journaled server");
+        let journaled_addr = journaled_server.addr().to_string();
+        let mut journaled = Client::connect(&journaled_addr).expect("connect journaled client");
+        let journaled_id = register(&mut journaled, &register_body(2000));
+        let journaled_path = format!("/sessions/{journaled_id}/power");
+        let mut journaled_round = 0usize;
+
         let warm_id = register(&mut client, &register_body(session + 1));
         let warm_session = session + 1;
         // `?full=1` keeps warm_delta and sustained_32req on the PR-6
@@ -460,9 +545,26 @@ fn main() {
             body
         };
         sampler.bench("serve/warm_delta", || warm_post(&mut client, &full_path));
-        sampler.bench("serve/warm_delta_response", || {
-            warm_post(&mut client, &delta_path)
-        });
+        sampler.bench_pair(
+            ("serve/warm_delta_response", || {
+                warm_post(&mut client, &delta_path)
+            }),
+            ("serve/warm_delta_journaled", || {
+                journaled_round += 1;
+                let (status, body) = journaled
+                    .request(
+                        "POST",
+                        &journaled_path,
+                        &trace_power_body(GRID, 2000, journaled_round),
+                    )
+                    .expect("journaled power update");
+                assert_eq!(status, 200, "{body}");
+                body
+            }),
+        );
+        drop(journaled);
+        journaled_server.shutdown();
+        let _ = std::fs::remove_dir_all(&state_dir);
         sampler.bench("serve/sustained_32req", || {
             for _ in 0..31 {
                 warm_post(&mut client, &full_path);
@@ -538,44 +640,6 @@ fn main() {
         );
         drop(parked);
         server.shutdown();
-
-        // Durable sessions (PR 10): the same warm delta against a server
-        // that journals every mutation to a write-ahead log under a
-        // fresh temp state dir, at the default `interval:100` fsync
-        // policy. The gap to `serve/warm_delta_response` prices the
-        // journal append on the hot path; the crate's schema test pins
-        // the journaled row to < 2× the unjournaled one same-run.
-        use ttsv::serve::persist::PersistConfig;
-        let state_dir =
-            std::env::temp_dir().join(format!("ttsv-bench-journal-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&state_dir);
-        let journaled_server = Server::start(
-            "127.0.0.1:0",
-            ServerConfig::default()
-                .with_workers(2)
-                .with_persist(PersistConfig::new(&state_dir)),
-        )
-        .expect("bind journaled server");
-        let journaled_addr = journaled_server.addr().to_string();
-        let mut journaled = Client::connect(&journaled_addr).expect("connect journaled client");
-        let journaled_id = register(&mut journaled, &register_body(2000));
-        let journaled_path = format!("/sessions/{journaled_id}/power");
-        let mut journaled_round = 0usize;
-        sampler.bench("serve/warm_delta_journaled", || {
-            journaled_round += 1;
-            let (status, body) = journaled
-                .request(
-                    "POST",
-                    &journaled_path,
-                    &trace_power_body(GRID, 2000, journaled_round),
-                )
-                .expect("journaled power update");
-            assert_eq!(status, 200, "{body}");
-            body
-        });
-        drop(journaled);
-        journaled_server.shutdown();
-        let _ = std::fs::remove_dir_all(&state_dir);
 
         // §IV-E's per-tile via densities: a 32×32 registration with 1,024
         // distinct densities (1,024 kernels), never seen before in each
