@@ -468,8 +468,7 @@ fn main() {
         let config = ServerConfig::default()
             .with_workers(2)
             .with_max_sessions(128)
-            .with_max_connections(2 * FANOUT)
-            .with_queue_capacity(2 * FANOUT);
+            .with_max_connections(2 * FANOUT);
         let server = Server::start("127.0.0.1:0", config).expect("bind ephemeral port");
         let addr = server.addr().to_string();
         let mut client = Client::connect(&addr).expect("connect");

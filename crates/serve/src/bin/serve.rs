@@ -3,8 +3,7 @@
 //! ```text
 //! cargo run --release -p ttsv-serve --bin serve -- \
 //!     [--addr 127.0.0.1:7071] [--workers N] [--event-loops N] \
-//!     [--max-sessions N] [--max-tiles N] \
-//!     [--queue-capacity N] [--max-connections N] \
+//!     [--max-sessions N] [--max-tiles N] [--max-connections N] \
 //!     [--request-deadline-ms MS] [--write-timeout-ms MS] \
 //!     [--state-dir PATH] [--fsync always|interval[:MS]|never]
 //! ```
@@ -28,8 +27,7 @@ use ttsv_serve::server::{Server, ServerConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--workers N] [--event-loops N] \
-         [--max-sessions N] [--max-tiles N] \
-         [--queue-capacity N] [--max-connections N] \
+         [--max-sessions N] [--max-tiles N] [--max-connections N] \
          [--request-deadline-ms MS] [--write-timeout-ms MS] \
          [--state-dir PATH] [--fsync always|interval[:MS]|never]"
     );
@@ -74,9 +72,6 @@ fn main() {
                 config = config.with_max_sessions(parse_count(&mut args, "--max-sessions"));
             }
             "--max-tiles" => config = config.with_max_tiles(parse_count(&mut args, "--max-tiles")),
-            "--queue-capacity" => {
-                config = config.with_queue_capacity(parse_count(&mut args, "--queue-capacity"));
-            }
             "--max-connections" => {
                 config = config.with_max_connections(parse_count(&mut args, "--max-connections"));
             }

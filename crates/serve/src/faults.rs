@@ -17,11 +17,12 @@
 //!   pins.
 //! * [`ServerFaults`] is the server-side hook block:
 //!   [`Server`](crate::server::Server) consults it once per parsed
-//!   request to decide whether that request should **panic** inside the
-//!   handler (proving the `catch_unwind` boundary and poison recovery),
-//!   fail its **engine evaluation** (proving the typed-500 path), or
-//!   **stall** inside evaluation (holding a session busy so admission
-//!   control and per-session flood limits can be exercised
+//!   request, in the order its event loop parses them, to decide whether
+//!   that request should **panic** inside the handler (proving the
+//!   `catch_unwind` boundary and poison recovery), fail its **engine
+//!   evaluation** (proving the typed-500 path), or **stall** inside
+//!   evaluation (holding the pool's worker or an event loop busy, so
+//!   queueing, admission control and request ordering can be exercised
 //!   deterministically).
 //!
 //! Nothing in this module is compiled out in release builds: a fault
@@ -311,13 +312,15 @@ pub struct FaultDirective {
     /// Fail the engine evaluation with an injected error (typed 500).
     pub engine_error: bool,
     /// Stall inside the engine evaluation for this long (holds the
-    /// session's serialization lock — the deterministic way to build a
-    /// per-session update flood or a saturated pool in a test).
+    /// session's serialization lock, and the worker or event loop running
+    /// the request — the deterministic way to fill the registration queue
+    /// or hold requests behind a slow one in a test).
     pub engine_delay: Option<Duration>,
 }
 
 /// One scheduled fault: fires on the `ordinal`-th request the server
-/// parses (1-based, across all connections).
+/// parses (1-based, across all connections, numbered by the event loop
+/// before a registration is handed to the pool).
 #[derive(Debug, Clone, Copy)]
 enum Planned {
     Panic(u64),

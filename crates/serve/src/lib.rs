@@ -17,8 +17,9 @@
 //!   (`docs/PROTOCOL.md` is the wire reference),
 //! * [`server`] — the session server: nonblocking connections
 //!   multiplexed across a few event-loop threads that answer power
-//!   updates and reads themselves and hand registrations to a bounded
-//!   long-lived [`WorkerPool`](pool::WorkerPool), one shared
+//!   updates and reads themselves and hand registrations to a
+//!   long-lived [`WorkerPool`](pool::WorkerPool) whose queue the
+//!   connection cap bounds, one shared
 //!   [`ChipEngine`](ttsv_chip::ChipEngine) indexing the live kernels,
 //!   one exact-LRU session table with quotas and a kernel budget, one
 //!   [`LiveChip`](ttsv_chip::LiveChip) per session (owning its plan,
@@ -28,8 +29,8 @@
 //! * [`poller`] — real `poll(2)` readiness for the event loops (a
 //!   hand-rolled std-only binding plus a self-pipe waker; the crate
 //!   builds only on Unix),
-//! * [`pool`] — the bounded pool of long-lived worker threads the event
-//!   loops hand registrations to,
+//! * [`pool`] — the pool of long-lived worker threads the event loops
+//!   hand registrations to,
 //! * [`persist`] — the per-server write-ahead journal (`--state-dir`):
 //!   CRC32-framed records for registrations, power updates, deletions,
 //!   and eviction tombstones; torn-tail-tolerant crash recovery that

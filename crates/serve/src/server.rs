@@ -24,7 +24,7 @@
 //!
 //! Where a request runs is a property of its route alone. A
 //! registration (`POST /sessions`) parses a floorplan and factorizes its
-//! kernels, so it is handed to the long-lived bounded [`WorkerPool`], one
+//! kernels, so it is handed to the long-lived [`WorkerPool`], one
 //! request in flight per connection, with its completion delivered back
 //! to the owning loop. Every other request — power updates (`?full=1`
 //! too), session reads, deletes, `/metrics`, `/healthz`, routing errors —
@@ -82,16 +82,17 @@
 //! The server is built to survive *mis*behaving traffic, not just
 //! well-formed load (`tests/serve_chaos.rs` pins all of this):
 //!
-//! * **Admission control** — connections past
-//!   [`ServerConfig::max_connections`] (default: workers + job-queue
-//!   capacity, i.e. exactly the registration slots available) are
+//! * **Admission control** — one gate: connections past
+//!   [`ServerConfig::max_connections`] (default 5 × workers) are
 //!   answered `503 Service Unavailable` with a `Retry-After` hint and
-//!   closed, so tail latency stays bounded instead of queue depth
-//!   growing without limit. The 503 is written *nonblocking by an event
-//!   loop* (the stream is handed over uncounted), so a stalled shed
-//!   client can never serialize the accept thread. A request the pool
-//!   itself refuses is shed the same way. Shed requests are counted in
-//!   `/metrics`.
+//!   closed, and shed connections are counted in `/metrics`. The 503 is
+//!   written *nonblocking by an event loop* (the stream is handed over
+//!   uncounted), so a stalled shed client can never serialize the accept
+//!   thread. An admitted connection has at most one registration in
+//!   flight, so the cap also bounds the pool's queue: at most
+//!   `max_connections` − busy workers registrations wait, and the pool
+//!   itself refuses nothing. Raising the cap to multiplex more update
+//!   clients therefore also raises how many registrations can wait.
 //! * **Accept-error backoff** — a failing `accept(2)` (fd exhaustion,
 //!   aborted handshakes) counts an `accept_errors` metric and backs the
 //!   accept thread off exponentially (1 ms doubling to ~128 ms) instead
@@ -122,8 +123,9 @@
 //!   the server.
 //! * **Fault injection** — [`ServerConfig::with_faults`] installs a
 //!   deterministic [`ServerFaults`] schedule (injected panics, engine
-//!   errors, stalls) so the chaos suite can reproduce failure storms
-//!   bit-for-bit.
+//!   errors, stalls, aimed by the ordinal the event loop gives each
+//!   request as it parses it) so the chaos suite can reproduce failure
+//!   storms bit-for-bit.
 
 use std::collections::HashMap;
 use std::io::Read;
@@ -189,14 +191,12 @@ pub struct ServerConfig {
     /// Total time a request may take from first byte to fully parsed;
     /// past it the connection is answered 408 and closed.
     pub request_deadline: Duration,
-    /// Registration queue bound; `None` keeps the pool default
-    /// (4 × workers). Registrations past it are shed with 503.
-    pub queue_capacity: Option<usize>,
-    /// Live-connection cap; admission sheds with 503 past it. `None`
-    /// derives workers + queue capacity — one registration in flight per
-    /// connection then fills the pool exactly. Power updates and reads
-    /// run on the event loops and take no pool slot. Raise it to
-    /// multiplex more connections than registration slots.
+    /// Live-connection cap, the server's one admission gate: a
+    /// connection past it is shed with 503. `None` derives 5 × workers.
+    /// Each connection holds at most one registration in flight, so the
+    /// cap also bounds the registration queue; power updates and reads
+    /// run on the event loops and take no pool slot. Raising it to
+    /// multiplex more update clients also lets more registrations wait.
     pub max_connections: Option<usize>,
     /// Deterministic fault schedule for chaos testing (`None` in
     /// production: one `Option` check per request).
@@ -226,7 +226,6 @@ impl Default for ServerConfig {
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(10),
             request_deadline: Duration::from_secs(60),
-            queue_capacity: None,
             max_connections: None,
             faults: None,
             persist: std::env::var_os("TTSV_SERVE_STATE_DIR").map(|root| {
@@ -309,19 +308,6 @@ impl ServerConfig {
     #[must_use]
     pub fn with_request_deadline(mut self, deadline: Duration) -> Self {
         self.request_deadline = deadline;
-        self
-    }
-
-    /// Overrides the registration queue bound (registrations are shed
-    /// with 503 past it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    #[must_use]
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        assert!(capacity > 0, "the job queue needs capacity");
-        self.queue_capacity = Some(capacity);
         self
     }
 
@@ -621,14 +607,11 @@ impl ServerState {
         serde::json::to_string(&doc)
     }
 
-    /// Answers one routed request, with the panic boundary: an unwinding
-    /// handler (or an injected fault panic) becomes a typed 500 and the
-    /// connection, session table, and metrics stay healthy.
-    fn handle(&self, route: Route) -> Response {
-        let directive = self
-            .faults
-            .as_ref()
-            .map_or_else(FaultDirective::default, |f| f.begin_request());
+    /// Answers one routed request under its fault directive, with the
+    /// panic boundary: an unwinding handler (or an injected fault panic)
+    /// becomes a typed 500 and the connection, session table, and metrics
+    /// stay healthy.
+    fn handle(&self, route: Route, directive: FaultDirective) -> Response {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match route {
             Route::Metrics => Response::json(200, self.metrics_json()),
             Route::Healthz => Response::json(200, "{\"ok\":true}".into()),
@@ -862,14 +845,12 @@ impl LoopShared {
     }
 }
 
-/// The `503` + `Retry-After` for a request or connection the server has
-/// no room for (a full job queue, or the live-connection cap); staged
-/// with the connection closing after it.
+/// The `503` + `Retry-After` for a connection past the live-connection
+/// cap; staged with the connection closing after it.
 fn saturated_response() -> Response {
     Response::overloaded(
         503,
-        "server saturated: every worker is busy and the connection queue is full; \
-         retry shortly",
+        "server saturated: the live-connection cap is reached; retry shortly",
         RETRY_AFTER_SECS,
     )
 }
@@ -900,8 +881,9 @@ fn stage_response(conn: &mut Conn, response: Response, request_keep_alive: bool)
 }
 
 /// Routes one parsed request by its route alone: a registration goes to
-/// the pool (one in flight per connection), and a pool refusal is shed
-/// with a counted 503; everything else is answered here on the loop.
+/// the pool (one in flight per connection), and everything else is
+/// answered here on the loop. The fault schedule numbers the request
+/// here, in parse order, before any handoff.
 fn dispatch_request(
     conn: &mut Conn,
     request: Request,
@@ -915,28 +897,26 @@ fn dispatch_request(
         keep_alive: request.keep_alive,
     };
     let route = Route::parse(request);
+    let directive = state
+        .faults
+        .as_ref()
+        .map_or_else(FaultDirective::default, |f| f.begin_request());
     if !route.on_pool() {
-        let response = state.handle(route);
+        let response = state.handle(route, directive);
         finish_request(conn, state, response, &pending);
         return;
     }
     let conn_id = conn.id;
     let job_state = Arc::clone(state);
     let job_shared = Arc::clone(shared);
-    let submitted = pool.try_submit(move || {
-        let response = job_state.handle(route);
+    pool.submit(move || {
+        let response = job_state.handle(route, directive);
         let mut inbox = lock(&job_shared.inbox);
         inbox.completions.push((conn_id, response));
         drop(inbox);
         job_shared.notify();
     });
-    match submitted {
-        Ok(()) => conn.inflight = Some(pending),
-        Err(_refused) => {
-            state.metrics.record_shed(started.elapsed());
-            stage_response(conn, saturated_response(), false);
-        }
-    }
+    conn.inflight = Some(pending);
 }
 
 /// One service pass over a connection: flush writes, read fresh bytes,
@@ -1296,13 +1276,8 @@ impl Server {
     pub fn start(addr: &str, config: ServerConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let pool = Arc::new(match config.queue_capacity {
-            Some(cap) => WorkerPool::with_queue_capacity(config.workers, cap),
-            None => WorkerPool::new(config.workers),
-        });
-        let max_connections = config
-            .max_connections
-            .unwrap_or(config.workers + pool.queue_capacity());
+        let pool = Arc::new(WorkerPool::new(config.workers));
+        let max_connections = config.max_connections.unwrap_or(5 * config.workers);
         // Build every loop's poller before anything spawns, so a failure
         // leaves no thread behind.
         let pollers = (0..config.event_loops.max(1))
@@ -1437,7 +1412,8 @@ impl Server {
         }
         // Last out: dropping the pool joins the workers, so in-flight
         // registrations finish (their completions land in dead inboxes)
-        // before shutdown returns.
+        // before shutdown returns. The loops, the pool's only submitters,
+        // are already joined, so nothing is submitted to a stopping pool.
         self.pool = None;
         // Only after every thread that could append has exited: compact
         // the journal (skipped by `abort`, by a second call from `drop`,
@@ -1451,5 +1427,68 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.stop_and_join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::{trace_register_body, Client};
+
+    /// The connection cap is the one admission gate: with the only worker
+    /// stalled in one registration and every other slot of an
+    /// eight-connection cap holding another, all seven wait in the pool's
+    /// queue (read from the `/metrics` document while the worker is
+    /// stalled) and each is answered 201. Nothing is shed.
+    #[test]
+    fn the_connection_cap_alone_bounds_the_registration_queue() {
+        const CAP: usize = 8;
+        const STALL: Duration = Duration::from_secs(3);
+        let faults = ServerFaults::new().engine_delay_on(1, STALL);
+        let server = Server::start(
+            "127.0.0.1:0",
+            ServerConfig::default()
+                .with_workers(1)
+                .with_event_loops(1)
+                .with_max_connections(CAP)
+                .with_faults(Arc::new(faults)),
+        )
+        .expect("bind ephemeral port");
+        let addr = server.addr().to_string();
+        let register = |session: usize| {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut client = Client::connect(&addr).expect("connect");
+                client
+                    .request("POST", "/sessions", &trace_register_body(4, session))
+                    .expect("register")
+            })
+        };
+        // Whichever registration the loop parses first takes ordinal 1
+        // and stalls the worker; the other seven queue behind it.
+        let clients: Vec<_> = (0..CAP).map(register).collect();
+        let give_up = Instant::now() + STALL / 2;
+        while server.state.pool_monitor.queue_depth() != CAP - 1 {
+            assert!(Instant::now() < give_up, "never all queued");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        let overload = |key: &str| {
+            let doc: serde::json::Value =
+                serde::json::from_str(&server.state.metrics_json()).expect("metrics JSON");
+            doc.get("overload")
+                .and_then(|block| block.get(key))
+                .and_then(serde::json::Value::as_usize)
+                .expect("an overload counter")
+        };
+        assert_eq!(overload("queue_depth"), CAP - 1);
+        assert_eq!(overload("busy_workers"), 1);
+        assert_eq!(overload("shed_503"), 0);
+        for client in clients {
+            let (status, body) = client.join().expect("client thread");
+            assert_eq!(status, 201, "{body}");
+        }
+        assert_eq!(overload("shed_503"), 0);
+        server.shutdown();
     }
 }

@@ -17,7 +17,7 @@
 //!   engine error or contained panic) leaves the session bitwise
 //!   unchanged. Injected faults fire before the engine runs; an update
 //!   itself computes every changed tile before it writes anything.
-//! * **Overload control** — a saturated pool sheds new connections with
+//! * **Overload control** — connections past the cap are shed with
 //!   `503` + `Retry-After` promptly, and a slowloris half-request is
 //!   answered `408` at the deadline. Both are counted.
 //! * **Survival** — a *lossy* storm (hard connection errors + injected
@@ -308,31 +308,31 @@ fn failed_update_rolls_back_session_state() {
     server.shutdown();
 }
 
-/// With one worker and a one-slot queue, the first connection pins the
-/// worker, the second fills the queue, and the third is shed promptly
-/// with `503` + `Retry-After` — staged by an event loop before a single
-/// request byte is read.
+/// With a two-connection cap, the first connection pins one slot, the
+/// second fills the other, and the third is shed promptly with `503` +
+/// `Retry-After` — staged by an event loop before a single request byte
+/// is read.
 #[test]
 fn saturated_pool_sheds_with_503_and_retry_after() {
     let server = Server::start(
         "127.0.0.1:0",
         ServerConfig::default()
             .with_workers(1)
-            .with_queue_capacity(1)
+            .with_max_connections(2)
             .with_read_timeout(Duration::from_millis(300)),
     )
     .expect("bind ephemeral port");
     let addr = server.addr().to_string();
 
-    // Pin the worker: a full round-trip proves the job left the queue,
-    // and the open keep-alive connection holds the worker after it.
+    // Pin one slot: a full round-trip proves the connection was admitted,
+    // and the open keep-alive connection holds its slot after it.
     let mut pinned = Client::connect(&addr).expect("connect");
     let (status, _) = pinned
         .request("POST", "/sessions", &trace_register_body(GRID, 0))
         .expect("register");
     assert_eq!(status, 201);
 
-    // Fill the one queue slot with a connection that just sits there.
+    // Fill the other slot with a connection that just sits there.
     let queued = TcpStream::connect(&addr).expect("queued connection");
     std::thread::sleep(Duration::from_millis(150));
 
@@ -359,7 +359,7 @@ fn saturated_pool_sheds_with_503_and_retry_after() {
     );
     assert!(response.contains("saturated"), "{response:?}");
 
-    // Free the worker and confirm the shed was counted.
+    // Free both slots and confirm the shed was counted.
     drop(pinned);
     drop(queued);
     std::thread::sleep(Duration::from_millis(100));
@@ -457,7 +457,7 @@ fn retrying_clients_absorb_a_write_error_storm_bitwise() {
 }
 
 /// A retrying client against a fully saturated server: both admission
-/// slots (1 worker + 1 queue slot) are pinned by idle connections, so
+/// slots (a two-connection cap) are pinned by idle connections, so
 /// every attempt is shed with `503` + `Retry-After: 1`. The client
 /// clamps the hint to its own `max_backoff`, reconnects (shed responses
 /// close the connection), and keeps retrying until the slots free up —
@@ -468,13 +468,12 @@ fn retrying_client_rides_out_saturation_503s_until_admitted() {
         "127.0.0.1:0",
         ServerConfig::default()
             .with_workers(1)
-            .with_queue_capacity(1),
+            .with_max_connections(2),
     )
     .expect("bind ephemeral port");
     let addr = server.addr().to_string();
 
-    // max_connections defaults to workers + queue capacity = 2: two
-    // idle connections pin every admission slot.
+    // Two idle connections pin every admission slot.
     let slot_a = TcpStream::connect(&addr).expect("pin slot a");
     let slot_b = TcpStream::connect(&addr).expect("pin slot b");
     std::thread::sleep(Duration::from_millis(100));

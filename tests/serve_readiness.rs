@@ -35,7 +35,7 @@ use ttsv::serve::client::{trace_power_body, trace_register_body, Client};
 use ttsv::serve::faults::ServerFaults;
 use ttsv::serve::server::{Server, ServerConfig, RETRY_AFTER_SECS};
 
-use common::{field, metrics, GRID};
+use common::{field, GRID};
 
 /// The parked-request latency bound: one millisecond, the tick a
 /// timed-park event loop would quantize every parked request to.
@@ -349,21 +349,15 @@ fn stalled_shed_client_does_not_stall_admission() {
 /// events; it times nothing.
 #[test]
 fn warm_update_is_answered_while_a_registration_stalls_the_pool() {
-    // The fault schedule numbers every request, `/metrics` included, in
-    // the order handlers start, and a busy host may start the worker's
-    // registration after the loop has answered many polls. So ordinals
-    // 2..=STALLED all stall (a `/metrics` or `/healthz` handler injects
-    // nothing), and the update is sent as ordinal STALLED + 1.
-    const STALLED: u64 = 500;
-    let faults = (2..=STALLED).fold(ServerFaults::new(), |faults, ordinal| {
-        faults.engine_delay_on(ordinal, Duration::from_secs(2))
-    });
+    // Ordinals follow parse order: the first registration is 1, the
+    // stalled one 2.
+    let faults = Arc::new(ServerFaults::new().engine_delay_on(2, Duration::from_secs(2)));
     let server = Server::start(
         "127.0.0.1:0",
         ServerConfig::default()
             .with_workers(1)
             .with_event_loops(1)
-            .with_faults(Arc::new(faults)),
+            .with_faults(Arc::clone(&faults)),
     )
     .expect("bind ephemeral port");
     let addr = server.addr().to_string();
@@ -373,7 +367,6 @@ fn warm_update_is_answered_while_a_registration_stalls_the_pool() {
         .request("POST", "/sessions", &trace_register_body(GRID, 0))
         .expect("register");
     assert_eq!(status, 201, "{body}");
-    let mut spent = 1;
 
     let body = trace_register_body(GRID, 1);
     let mut stalled = TcpStream::connect(&addr).expect("connect stalled");
@@ -386,21 +379,16 @@ fn warm_update_is_answered_while_a_registration_stalls_the_pool() {
             .as_bytes(),
         )
         .expect("send the stalled registration");
-    spent += 1;
-    // Wait until the registration occupies the worker. A server that runs
-    // it anywhere else never shows a busy worker; the peek below then
-    // finds its answer.
-    while spent < STALLED {
-        spent += 1;
-        if field(&metrics(&mut client), "overload", "busy_workers") == 1 {
-            break;
-        }
+    // Send nothing else until the registration has taken ordinal 2. A
+    // server that then runs it anywhere but the pool stalls the loop, and
+    // the peek below finds its answer.
+    let give_up = Instant::now() + Duration::from_secs(5);
+    while faults.requests_seen() < 2 {
+        assert!(
+            Instant::now() < give_up,
+            "the registration was never parsed"
+        );
         std::thread::sleep(Duration::from_millis(1));
-    }
-    while spent < STALLED {
-        spent += 1;
-        let (status, _) = client.request("GET", "/healthz", "").expect("healthz");
-        assert_eq!(status, 200);
     }
 
     let mut updater = Client::connect(&addr).expect("connect updater");

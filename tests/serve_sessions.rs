@@ -160,8 +160,7 @@ fn thirty_two_concurrent_connections_stay_deterministic() {
             ServerConfig::default()
                 .with_workers(workers)
                 .with_event_loops(event_loops)
-                .with_max_connections(2 * FANOUT)
-                .with_queue_capacity(2 * FANOUT),
+                .with_max_connections(2 * FANOUT),
         )
         .expect("bind ephemeral port");
         let addr = server.addr().to_string();
