@@ -356,6 +356,15 @@ fn main() {
         sampler.bench("serve/parse_register/grid32", || {
             parse_register(body.as_bytes()).expect("valid body")
         });
+        // The registration's evaluation at servebench's cold shape: a
+        // fresh engine per sample, so the one factorization and the 1,024
+        // kernel calls are both paid, with the density grouping and the
+        // report.
+        sampler.bench("chip/evaluate_live/grid32", || {
+            ChipEngine::new()
+                .evaluate_live(spec.plan.clone(), &spec.model)
+                .expect("solvable")
+        });
         let live = ChipEngine::new()
             .evaluate_live(spec.plan, &spec.model)
             .expect("solvable");

@@ -15,7 +15,8 @@
 //!   [`ModelA`](ttsv_core::model_a::ModelA). Each distinct geometry (via
 //!   density) is factorized once, into the ladder's hotspot kernel
 //!   ([`LadderKernel`]: the unit responses of the nodes that can be
-//!   hottest, ≈ 52 KB at the serving `B(1000)` geometry). Every tile then
+//!   hottest, 52,064 bytes at the serving `B(1000)` geometry, built
+//!   from the ladder's closed-form run condensation). Every tile then
 //!   costs one kernel call (≈ 0.1 µs at that geometry) on the calling
 //!   thread — no dedup, since hashing a tile's key costs about as much as
 //!   evaluating it.
@@ -59,7 +60,7 @@ use ttsv_core::scenario::{PowerSeparableModel, ThermalModel};
 use ttsv_core::CoreError;
 use ttsv_units::Power;
 
-use crate::floorplan::{CellKey, Floorplan};
+use crate::floorplan::{CellKey, DensityGroups, Floorplan};
 use crate::live::LiveChip;
 use crate::report::ChipReport;
 
@@ -304,7 +305,7 @@ impl ChipEngine {
         plan: &Floorplan,
         model: &M,
     ) -> Result<ChipReport, CoreError> {
-        let pass = self.kernel_pass(plan, model)?;
+        let pass = self.kernel_pass(plan, &plan.density_groups(), model)?;
         Ok(Self::report(plan, model, pass.delta_t, pass.kernels.len()))
     }
 
@@ -320,7 +321,29 @@ impl ChipEngine {
         plan: Floorplan,
         model: &M,
     ) -> Result<LiveChip, CoreError> {
-        let KernelPass { delta_t, kernels } = self.kernel_pass(&plan, model)?;
+        let groups = plan.density_groups();
+        self.evaluate_live_grouped(plan, &groups, model)
+    }
+
+    /// [`ChipEngine::evaluate_live`] with the plan's
+    /// [`Floorplan::density_groups`] already at hand — a caller that
+    /// weighed the plan's kernels by them does not group its tiles again.
+    ///
+    /// # Errors
+    ///
+    /// As [`ChipEngine::evaluate_factored`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `groups` visibly belongs to another plan: another tile
+    /// count, or a group whose first tile has another density.
+    pub fn evaluate_live_grouped<M: PowerSeparableModel + Sync>(
+        &self,
+        plan: Floorplan,
+        groups: &DensityGroups,
+        model: &M,
+    ) -> Result<LiveChip, CoreError> {
+        let KernelPass { delta_t, kernels } = self.kernel_pass(&plan, groups, model)?;
         let report = Self::report(&plan, model, delta_t, kernels.len());
         Ok(LiveChip::new(plan, report, kernels))
     }
@@ -373,39 +396,37 @@ impl ChipEngine {
         Ok(delta_t)
     }
 
-    /// The factored pipeline over every tile of `plan`: group the tiles by
-    /// via density, share each group's kernel from a live holder through
-    /// the matrix tier or factorize it (in parallel, then indexing the new
-    /// kernels), then call the kernel once per tile, in tile order on the
-    /// calling thread — at ≈ 100 ns a tile on the serving geometry
+    /// The factored pipeline over every tile of `plan`, grouped by via
+    /// density in `groups`: share each group's kernel from a live holder
+    /// through the matrix tier or factorize it (in parallel, then indexing
+    /// the new kernels), then call the kernel once per tile, in tile order
+    /// on the calling thread — at ≈ 100 ns a tile on the serving geometry
     /// (`model_b/hotspot_1024/b10_1000`), handing tiles to workers would
     /// cost more than it saves.
     fn kernel_pass<M: PowerSeparableModel + Sync>(
         &self,
         plan: &Floorplan,
+        groups: &DensityGroups,
         model: &M,
     ) -> Result<KernelPass, CoreError> {
+        assert!(
+            groups.tiles() == plan.tiles()
+                && groups
+                    .groups
+                    .iter()
+                    .all(|group| plan.matrix_bits(group.tile) == group.bits),
+            "density groups of another plan"
+        );
         let nx = plan.nx();
-        // Per tile its geometry index; per geometry a representative tile.
-        let mut index: HashMap<u64, usize> = HashMap::new();
-        let mut reps: Vec<usize> = Vec::new();
-        let geometry_of: Vec<usize> = (0..plan.tiles())
-            .map(|t| {
-                *index.entry(plan.matrix_bits(t)).or_insert_with(|| {
-                    reps.push(t);
-                    reps.len() - 1
-                })
-            })
-            .collect();
-
         let tag: Arc<str> = Arc::from(model.cache_tag());
         let geometry = plan.geometry_bits();
-        let keys: Vec<MatrixKey> = reps
+        let keys: Vec<MatrixKey> = groups
+            .groups
             .iter()
-            .map(|&t| {
+            .map(|group| {
                 let mut bits = Vec::with_capacity(geometry.len() + 1);
                 bits.extend_from_slice(&geometry);
-                bits.push(plan.matrix_bits(t));
+                bits.push(group.bits);
                 MatrixKey {
                     tag: Arc::clone(&tag),
                     bits,
@@ -424,7 +445,7 @@ impl ChipEngine {
 
         let workers = self.workers.unwrap_or_else(default_workers);
         let built = scoped_batch(missing.len(), workers, |k| {
-            let t = reps[missing[k]];
+            let t = groups.groups[missing[k]].tile;
             let cell = plan.tile_cell(t % nx, t / nx)?;
             model.factorize_geometry(&cell.scenario).map(Arc::new)
         })?;
@@ -434,20 +455,23 @@ impl ChipEngine {
             self.index(&keys, &missing, built, &mut kernels);
         }
 
-        let kernels: Vec<(u64, Arc<LadderKernel>)> = reps
+        let kernels: Vec<(u64, Arc<LadderKernel>)> = groups
+            .groups
             .iter()
             .zip(kernels)
-            .map(|(&t, kernel)| {
+            .map(|(group, kernel)| {
                 let kernel = kernel.expect("every kernel was shared or built");
-                (plan.matrix_bits(t), kernel)
+                (group.bits, kernel)
             })
             .collect();
         let mut powers = Vec::with_capacity(plan.plane_count());
-        let delta_t = geometry_of
+        let delta_t = groups
+            .of_tile
             .iter()
             .enumerate()
             .map(|(t, &g)| {
-                plan.fill_tile_cell_powers(t, &mut powers);
+                let g = g as usize;
+                plan.fill_tile_powers_shared(t, groups.groups[g].share, &mut powers);
                 kernels[g].1.max_delta_t(&powers).map(|dt| dt.as_kelvin())
             })
             .collect::<Result<Vec<f64>, _>>()?;

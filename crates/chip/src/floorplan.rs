@@ -10,6 +10,8 @@
 //! — and tiles with the same density share one geometry, whose kernel the
 //! factored path builds once.
 
+use std::collections::HashMap;
+
 use serde::{Deserialize, Serialize};
 use ttsv_core::full_chip::CaseStudy;
 use ttsv_core::geometry::{HeatLoad, Plane, Stack, TtsvConfig};
@@ -42,6 +44,46 @@ pub struct TileCell {
     /// Cells (= vias) in the tile, `A_tile / A_cell`; fractional under the
     /// paper's uniform-density idealization.
     pub cells: f64,
+}
+
+/// A [`Floorplan`]'s tiles grouped by via density
+/// ([`Floorplan::density_groups`]).
+#[derive(Debug, Clone)]
+pub struct DensityGroups {
+    /// Each row-major tile's group.
+    pub(crate) of_tile: Vec<u32>,
+    pub(crate) groups: Vec<DensityGroup>,
+}
+
+/// One via density of a plan.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct DensityGroup {
+    /// The density's bits ([`Floorplan::matrix_bits`]).
+    pub(crate) bits: u64,
+    /// The first tile at this density.
+    pub(crate) tile: usize,
+    /// [`Floorplan::cell_share`] of every tile at this density.
+    pub(crate) share: f64,
+}
+
+impl DensityGroups {
+    /// Distinct densities — the kernels the plan needs.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// Whether the plan has no tiles.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.groups.is_empty()
+    }
+
+    /// Tiles grouped.
+    #[must_use]
+    pub fn tiles(&self) -> usize {
+        self.of_tile.len()
+    }
 }
 
 /// Everything that distinguishes one tile's unit cell from another's,
@@ -161,10 +203,38 @@ impl Floorplan {
     /// weigh a plan's kernels before evaluating it.
     #[must_use]
     pub fn distinct_densities(&self) -> usize {
-        (0..self.tiles())
-            .map(|t| self.matrix_bits(t))
-            .collect::<std::collections::HashSet<u64>>()
-            .len()
+        self.density_groups().len()
+    }
+
+    /// The plan's tiles grouped by via density, compared bit for bit —
+    /// one group per kernel a chip holding this plan needs. A tile whose
+    /// density bits equal the previous tile's joins its group without a
+    /// lookup, so a uniform plan hashes once; each group's per-cell power
+    /// share is computed once.
+    #[must_use]
+    pub fn density_groups(&self) -> DensityGroups {
+        let mut index: HashMap<u64, u32> = HashMap::new();
+        let mut groups: Vec<DensityGroup> = Vec::new();
+        let mut previous = None;
+        let of_tile = (0..self.tiles())
+            .map(|t| {
+                let bits = self.matrix_bits(t);
+                let group = match previous {
+                    Some((b, group)) if b == bits => group,
+                    _ => *index.entry(bits).or_insert_with(|| {
+                        groups.push(DensityGroup {
+                            bits,
+                            tile: t,
+                            share: self.cell_share(t),
+                        });
+                        (groups.len() - 1) as u32
+                    }),
+                };
+                previous = Some((bits, group));
+                group
+            })
+            .collect();
+        DensityGroups { of_tile, groups }
     }
 
     /// Chip footprint area.
@@ -263,7 +333,12 @@ impl Floorplan {
     /// [`Floorplan::tile_cell_powers`] of row-major tile `index`, written
     /// into `out` — the factored engine path reuses one buffer per pass.
     pub(crate) fn fill_tile_cell_powers(&self, index: usize, out: &mut Vec<Power>) {
-        let share = self.cell_share(index);
+        self.fill_tile_powers_shared(index, self.cell_share(index), out);
+    }
+
+    /// [`Floorplan::fill_tile_cell_powers`] with the tile's
+    /// [`Floorplan::cell_share`] already known (from its density group).
+    pub(crate) fn fill_tile_powers_shared(&self, index: usize, share: f64, out: &mut Vec<Power>) {
         out.clear();
         out.extend(self.plane_maps.iter().map(|m| m.tiles()[index] * share));
     }
@@ -444,6 +519,30 @@ mod tests {
                 .report()
                 .distinct_cells;
             assert_eq!((plan.distinct_densities(), report), (kernels, kernels));
+        }
+    }
+
+    /// Grouping by density — runs of equal bits and revisited densities
+    /// alike — puts each tile in the group of its density, with the share
+    /// its own `cell_share` gives, bit for bit.
+    #[test]
+    fn density_groups_carry_each_tiles_density_and_share() {
+        let mut plan = Floorplan::uniform(&CaseStudy::paper(), 5, 4).unwrap();
+        plan.via_map = ViaDensityMap::new(
+            5,
+            4,
+            (0..20)
+                .map(|t| [0.004, 0.004, 0.006, 0.005][(t / 2) % 4])
+                .collect(),
+        )
+        .unwrap();
+        let groups = plan.density_groups();
+        assert_eq!((groups.len(), groups.tiles()), (3, 20));
+        for t in 0..20 {
+            let group = groups.groups[groups.of_tile[t] as usize];
+            assert_eq!(group.bits, plan.matrix_bits(t));
+            assert_eq!(group.share.to_bits(), plan.cell_share(t).to_bits());
+            assert!(group.tile <= t && plan.matrix_bits(group.tile) == group.bits);
         }
     }
 

@@ -83,7 +83,7 @@ pub mod map;
 pub mod report;
 
 pub use engine::ChipEngine;
-pub use floorplan::{Floorplan, TileCell};
+pub use floorplan::{DensityGroups, Floorplan, TileCell};
 pub use live::LiveChip;
 pub use map::{PowerMap, ViaDensityMap};
 pub use report::ChipReport;

@@ -64,9 +64,7 @@ impl ModelA {
     /// factorization fails (cannot happen for validated scenarios).
     pub fn solve(&self, scenario: &Scenario) -> Result<ModelASolution, CoreError> {
         let resistances = model_a_resistances(scenario.stack(), scenario.tsv(), &self.fit);
-        let t = with_ladder(&resistances, |basis| {
-            basis.temperatures(scenario.plane_powers())
-        })??;
+        let t = ladder(&resistances)?.temperatures(scenario.plane_powers())?;
         let n = resistances.planes.len();
         let kelvin = TemperatureDelta::from_kelvin;
         Ok(ModelASolution {
@@ -188,7 +186,7 @@ impl ThermalModel for ModelA {
 impl PowerSeparableModel for ModelA {
     fn factorize_geometry(&self, scenario: &Scenario) -> Result<LadderKernel, CoreError> {
         let resistances = model_a_resistances(scenario.stack(), scenario.tsv(), &self.fit);
-        with_ladder(&resistances, LadderKernel::from_basis)
+        Ok(LadderKernel::from_basis(&ladder(&resistances)?))
     }
 
     fn cache_tag(&self) -> String {
@@ -203,25 +201,30 @@ impl PowerSeparableModel for ModelA {
     }
 }
 
-/// Hands `f` the unit-response basis of Model A's ladder: one segment per
-/// plane with its bulk, fill and liner resistances, grounded through the
-/// fitted `R_s`, each plane's power entering its bulk node.
-fn with_ladder<T>(
-    resistances: &ModelAResistances,
-    f: impl FnOnce(&ResponseBasis<'_>) -> T,
-) -> Result<T, CoreError> {
-    let segments: Vec<Segment> = resistances
+/// The unit-response basis of Model A's ladder, grounded through the
+/// fitted `R_s`, each plane's power entering its bulk node. Every run is
+/// one plane, so the condensed system is the ladder itself.
+fn ladder(resistances: &ModelAResistances) -> Result<ResponseBasis, CoreError> {
+    let pieces = pieces(resistances);
+    let heated: Vec<_> = (0..pieces.len()).map(|p| p..p + 1).collect();
+    ResponseBasis::new(&pieces, resistances.substrate.as_kelvin_per_watt(), &heated)
+}
+
+/// Model A's ladder segments: one per plane with its bulk, fill and liner
+/// resistances.
+fn pieces(resistances: &ModelAResistances) -> Vec<(Segment, usize)> {
+    resistances
         .planes
         .iter()
-        .map(|r| Segment {
-            r_bulk: r.bulk.as_kelvin_per_watt(),
-            r_fill: r.fill.as_kelvin_per_watt(),
-            r_lat: r.liner_lateral.as_kelvin_per_watt(),
+        .map(|r| {
+            let segment = Segment {
+                r_bulk: r.bulk.as_kelvin_per_watt(),
+                r_fill: r.fill.as_kelvin_per_watt(),
+                r_lat: r.liner_lateral.as_kelvin_per_watt(),
+            };
+            (segment, 1)
         })
-        .collect();
-    let heated: Vec<_> = (0..segments.len()).map(|p| p..p + 1).collect();
-    let rs = resistances.substrate.as_kelvin_per_watt();
-    ResponseBasis::with(&segments, rs, &heated, f)
+        .collect()
 }
 
 /// Model A node temperatures and the resistances that produced them.
@@ -282,6 +285,7 @@ impl ModelASolution {
 mod tests {
     use super::*;
     use crate::geometry::{HeatLoad, TtsvConfig};
+    use crate::ladder::superpose;
     use proptest::prelude::*;
     use ttsv_network::{NodeId, Terminal, ThermalNetwork};
     use ttsv_units::Length;
@@ -382,6 +386,42 @@ mod tests {
                     (a, b) => prop_assert!(a.is_none() && b.is_none()),
                 }
             }
+        }
+    }
+
+    /// Model A's runs are its planes, so its condensed system is its
+    /// ladder: every node temperature is bitwise the superposition of
+    /// block Thomas' unit responses over the full ladder.
+    #[test]
+    fn ladder_is_bitwise_the_block_thomas_reference() {
+        for (r, tl) in [(5.0, 0.5), (5.0, 3.0), (10.0, 1.0), (2.0, 0.5)] {
+            let s = fig5_scenario(r, tl);
+            let model = ModelA::with_coefficients(FittingCoefficients::paper_block());
+            let resistances = model_a_resistances(s.stack(), s.tsv(), &model.fit);
+            let segments: Vec<Segment> = pieces(&resistances).iter().map(|&(s, _)| s).collect();
+            let heated: Vec<_> = (0..segments.len()).map(|p| p..p + 1).collect();
+            let rs = resistances.substrate.as_kelvin_per_watt();
+            let t: Vec<f64> = crate::model_b::tests::block_thomas_responses(&segments, rs, &heated)
+                .iter()
+                .map(|u| superpose(s.plane_powers(), u))
+                .collect();
+            let sol = model.solve(&s).unwrap();
+            let n = segments.len();
+            let mut nodes = vec![sol.t0()];
+            for j in 0..n {
+                nodes.push(sol.bulk_temperatures()[j]);
+                nodes.extend(sol.via_temperatures()[j]);
+            }
+            // The top plane's via node is merged away in the solution.
+            let reference = t[..2 * n].to_vec();
+            let got: Vec<f64> = nodes.iter().map(|t| t.as_kelvin()).collect();
+            assert_eq!(
+                got.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+                reference.iter().map(|t| t.to_bits()).collect::<Vec<_>>(),
+                "r={r} tl={tl}: {got:?} vs {reference:?}"
+            );
+            let max = t.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            assert_eq!(sol.max_delta_t().as_kelvin().to_bits(), max.to_bits());
         }
     }
 

@@ -127,8 +127,8 @@ pub trait ThermalModel {
 /// alone. Such a model factorizes each geometry once into the ladder's
 /// hotspot kernel ([`LadderKernel`]) and answers every power vector with
 /// one call on it, [`LadderKernel::max_delta_t`]: a few hundred
-/// multiply-adds, against a kernel of ~52 KB at the serving Model B
-/// geometry. That is what lets the chip engine collapse an all-distinct
+/// multiply-adds, against a kernel of 52,064 bytes at the serving Model B
+/// geometry ([`LadderKernel::heap_bytes`]). That is what lets the chip engine collapse an all-distinct
 /// power map onto a handful of factorizations.
 /// [`ModelA`](crate::model_a::ModelA) and
 /// [`ModelB`](crate::model_b::ModelB) implement it on their shared

@@ -3,11 +3,13 @@
 //! Model B's π-segment ladder couples each segment's bulk and via nodes to
 //! their neighbours one segment below, so with the interleaved numbering
 //! `[T₀, dummy, B₁, V₁, B₂, V₂, …]` the KCL matrix is block tridiagonal
-//! with 2×2 blocks. The dedicated factorization below does one 2×2 inverse
-//! and two 2×2 multiplies per block — a flat `O(n)` pass with none of the
-//! per-entry offset arithmetic of the generic banded LU, which is why it
-//! replaced [`BandedMatrix`](crate::BandedMatrix) as Model B's default
-//! solver.
+//! with 2×2 blocks — and so is the ladder condensed onto its runs' end
+//! nodes, which is what the models solve (one block per run). The
+//! dedicated factorization below does one 2×2 inverse and two 2×2
+//! multiplies per block — a flat `O(n)` pass with none of the per-entry
+//! offset arithmetic of the generic banded LU
+//! ([`BandedMatrix`](crate::BandedMatrix)). Over the full ladder it is the
+//! tests' reference.
 //!
 //! No pivoting is performed (none is needed for the symmetric
 //! positive-definite ladders this is built for); a numerically singular

@@ -7,8 +7,11 @@
 //! * [`DenseMatrix`] with an [LU](DenseMatrix::lu) (partial pivoting)
 //!   factorization — Model A's small KCL systems.
 //! * [`Tridiagonal`] (Thomas algorithm), [`BandedMatrix`] (banded LU), and
-//!   [`BlockTridiagonal`] (2×2 block Thomas) — Model B's π-segment ladders
-//!   are banded SPD systems, solved `O(n)` by the dedicated block kernel.
+//!   [`BlockTridiagonal`] (2×2 block Thomas) — the π-segment ladders are
+//!   banded SPD systems. The models condense each run of identical
+//!   segments in closed form and solve only the condensed system, one
+//!   2×2 block per run, with the block kernel; block Thomas and the
+//!   banded LU over the full ladder remain the tests' references.
 //! * [`CsrMatrix`] sparse storage with [conjugate-gradient](solve_cg)
 //!   solvers ([allocation-free and warm-startable](solve_pcg_into) via
 //!   [`PcgWorkspace`]), [SSOR](SsorPreconditioner) preconditioning, and a

@@ -427,7 +427,8 @@ impl ServerState {
     /// evaluation fails. Registration answers the refusal; journal
     /// recovery drops the session.
     fn admit(&self, spec: protocol::SessionSpec) -> Result<Arc<Session>, (u16, String)> {
-        let kernels = spec.plan.distinct_densities();
+        let groups = spec.plan.density_groups();
+        let kernels = groups.len();
         if kernels > self.kernel_budget {
             return Err((
                 413,
@@ -437,7 +438,10 @@ impl ServerState {
                 ),
             ));
         }
-        match self.engine.evaluate_live(spec.plan, &spec.model) {
+        match self
+            .engine
+            .evaluate_live_grouped(spec.plan, &groups, &spec.model)
+        {
             Ok(live) => Ok(Arc::new(Session {
                 live: Mutex::new(live),
                 kernels,
