@@ -14,10 +14,10 @@
 //!   [`PowerSeparableModel`]: [`ModelB`](ttsv_core::model_b::ModelB) and
 //!   [`ModelA`](ttsv_core::model_a::ModelA). Each distinct geometry (via
 //!   density) is factorized once, into the ladder's hotspot kernel
-//!   ([`LadderKernel`]: the unit responses of the nodes that can be
-//!   hottest, 52,064 bytes at the serving `B(1000)` geometry, built
-//!   from the ladder's closed-form run condensation). Every tile then
-//!   costs one kernel call (≈ 0.1 µs at that geometry) on the calling
+//!   ([`LadderKernel`]: the ladder's closed form per run, with a few
+//!   candidate nodes and a bound per run in front of it, 2,976 bytes at
+//!   the serving `B(1000)` geometry, built in O(runs)). Every tile then
+//!   costs one kernel call (≈ 0.05 µs at that geometry) on the calling
 //!   thread — no dedup, since hashing a tile's key costs about as much as
 //!   evaluating it.
 //!

@@ -39,7 +39,7 @@
 //!   (Model A and Model B). Each distinct geometry (via density) is
 //!   factorized once into the ladder's hotspot kernel
 //!   ([`LadderKernel`](ttsv_core::ladder::LadderKernel)). Every tile then
-//!   costs one kernel call of about a hundred nanoseconds, so an
+//!   costs one kernel call of a few tens of nanoseconds, so an
 //!   all-distinct gradient map collapses to a single factorization.
 //!   [`ChipEngine::evaluate_live`] takes the plan by value and keeps it,
 //!   with one kernel per via density, in the [`LiveChip`] it returns; the

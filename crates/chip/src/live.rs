@@ -102,6 +102,12 @@ impl LiveChip {
         &self.report
     }
 
+    /// The kernels the chip holds, one per distinct via density of its
+    /// plan.
+    pub fn kernels(&self) -> impl ExactSizeIterator<Item = &Arc<LadderKernel>> {
+        self.kernels.iter().map(|(_, kernel)| kernel)
+    }
+
     /// The held plan, with every update applied so far.
     #[must_use]
     pub fn plan(&self) -> &Floorplan {

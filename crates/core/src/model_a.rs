@@ -186,7 +186,7 @@ impl ThermalModel for ModelA {
 impl PowerSeparableModel for ModelA {
     fn factorize_geometry(&self, scenario: &Scenario) -> Result<LadderKernel, CoreError> {
         let resistances = model_a_resistances(scenario.stack(), scenario.tsv(), &self.fit);
-        Ok(LadderKernel::from_basis(&ladder(&resistances)?))
+        Ok(LadderKernel::from_basis(ladder(&resistances)?))
     }
 
     fn cache_tag(&self) -> String {

@@ -219,7 +219,7 @@ impl ModelB {
         scenario: &Scenario,
         segmentation: &Segmentation,
     ) -> Result<LadderKernel, CoreError> {
-        Ok(LadderKernel::from_basis(&ladder(scenario, segmentation)?))
+        Ok(LadderKernel::from_basis(ladder(scenario, segmentation)?))
     }
 
     /// Solves with an explicit segmentation.
@@ -866,8 +866,9 @@ pub(crate) mod tests {
     }
 
     /// The serving kernel — B(10, 1000) on the §IV-E cell, the one every
-    /// resident session holds — is no larger than the 52,096 bytes the
-    /// full-ladder factorization built (2,016 kept responses per plane).
+    /// resident session holds — fits in 4 KB: it keeps the ladder's closed
+    /// form per run, not the 2,006 undominated node responses (52,064
+    /// bytes) the node-wise kernel kept.
     #[test]
     fn serving_kernel_is_no_larger_than_before() {
         let cell = crate::full_chip::CaseStudy::paper()
@@ -875,12 +876,40 @@ pub(crate) mod tests {
             .unwrap();
         let kernel = ModelB::with_segments(10, 1000).factorize(&cell).unwrap();
         let bytes = kernel.heap_bytes();
-        eprintln!(
-            "serving kernel: {bytes} bytes, {} kept responses per plane, {} candidates",
-            kernel.tree[0].len,
-            kernel.candidates.len() / 3
+        eprintln!("serving kernel: {bytes} bytes");
+        assert!(bytes <= 4_096, "{bytes} bytes");
+    }
+
+    /// A kernel is sized by its own ladder, not by what its thread built
+    /// before: after a ladder with ten times the segments and one with
+    /// more planes on this thread, the serving kernel holds the bytes a
+    /// fresh thread's does, within 4 KB.
+    #[test]
+    fn serving_kernel_is_sized_by_its_own_ladder() {
+        let serving = || {
+            let cell = crate::full_chip::CaseStudy::paper()
+                .unit_cell_scenario()
+                .unwrap();
+            ModelB::with_segments(10, 1000)
+                .factorize(&cell)
+                .unwrap()
+                .heap_bytes()
+        };
+        let fresh = std::thread::spawn(serving).join().unwrap();
+        let cell = crate::full_chip::CaseStudy::paper()
+            .unit_cell_scenario()
+            .unwrap();
+        ModelB::with_segments(1000, 10000).factorize(&cell).unwrap();
+        let five_planes = Scenario::paper_block().with_planes(5).build().unwrap();
+        ModelB::with_segments(10, 1000)
+            .factorize(&five_planes)
+            .unwrap();
+        let after = serving();
+        assert_eq!(
+            after, fresh,
+            "{after} bytes after larger ladders, {fresh} fresh"
         );
-        assert!(bytes <= 52_096, "{bytes} bytes");
+        assert!(after <= 4_096, "{after} bytes");
     }
 
     #[test]
@@ -981,25 +1010,38 @@ pub(crate) mod tests {
         }
     }
 
+    /// The max over `T₀` and the top bulk and via nodes of every piece
+    /// (a superset of the run tops, the kernel's end nodes), superposed
+    /// under `powers`.
+    fn end_node_max(s: &Scenario, seg: &Segmentation, powers: &[Power]) -> f64 {
+        let scaled = Scenario::new(
+            s.stack().clone(),
+            s.tsv().clone(),
+            &crate::geometry::HeatLoad::PerPlane(powers.to_vec()),
+        )
+        .unwrap();
+        let sol = ModelB::paper_b100().solve_segmented(&scaled, seg).unwrap();
+        let mut max = sol.t0().as_kelvin();
+        let mut top = 0;
+        for (_, count) in build_pieces(&scaled, seg).unwrap() {
+            top += count;
+            for t in [sol.bulk_profile()[top - 1], sol.via_profile()[top - 1]] {
+                max = max.max(t.as_kelvin());
+            }
+        }
+        max
+    }
+
     #[test]
     fn kernel_block_scan_finds_a_winner_that_is_no_candidate() {
-        // At 1 W / 10 W / 1 W no candidate (per-plane or all-ones argmax)
-        // is the hottest node, so only the bound tree can find it — and
-        // must find exactly the full profile's maximum.
+        // At 0 W / 10 W / 0.1 W no end node is the hottest node (plane 1's
+        // heat peaks inside its run), so only the run analysis can find it
+        // — and must find exactly the full profile's maximum.
         let s = scenario();
         let model = ModelB::paper_b100();
+        let seg = Segmentation::paper_scheme(&s, 10, 100);
         let fact = model.factorize(&s).unwrap();
-        let kernel_nodes = fact.candidates.len() / 3 + fact.tree[0].len;
-        assert!(
-            kernel_nodes < 1 + 2 * fact.segment_count(),
-            "dominance pruning dropped nothing"
-        );
-        let powers: Vec<Power> = [1.0, 10.0, 1.0].map(Power::from_watts).to_vec();
-        let candidates = fact
-            .candidates
-            .chunks_exact(3)
-            .map(|u| superpose(&powers, u))
-            .fold(f64::NEG_INFINITY, f64::max);
+        let powers: Vec<Power> = [0.0, 10.0, 0.1].map(Power::from_watts).to_vec();
         let scaled = Scenario::new(
             s.stack().clone(),
             s.tsv().clone(),
@@ -1007,46 +1049,27 @@ pub(crate) mod tests {
         )
         .unwrap();
         let every_node = model.solve(&scaled).unwrap().max_delta_t().as_kelvin();
-        assert!(candidates < every_node, "{candidates} vs {every_node}");
+        let ends = end_node_max(&s, &seg, &powers);
+        assert!(ends < every_node, "{ends} vs {every_node}");
         let kernel = fact.max_delta_t(&powers).unwrap().as_kelvin();
         assert_eq!(kernel.to_bits(), every_node.to_bits());
     }
 
     #[test]
-    fn kernel_tree_finds_a_winner_past_the_first_super_block() {
+    fn kernel_run_analysis_finds_an_interior_winner_on_the_serving_cell() {
         // On the case-study cell at the serving segmentation, B(10, 1000),
-        // the kernel keeps ~2,000 nodes: over 100 blocks under 8
-        // super-bounds of 16 blocks each. At 0 W / 3 W / 0.1 W no
-        // candidate is the hottest node and the hottest kept node lies
-        // past the first super-block, so only a descent into a later
-        // super-block finds it — and must find exactly the full profile's
-        // maximum. The zero-power plane also superposes the padded `−∞`
-        // bounds to NaN, which the descent must skip.
+        // at 0 W / 3 W / 0.1 W no end node is the hottest node: the winner
+        // is interior to a run, so only the analysis of a run whose bound
+        // beats the end nodes finds it — and must find exactly the full
+        // profile's maximum. The zero-power plane also superposes the
+        // one-segment runs' `−∞` bounds to NaN, which must be skipped.
         let s = crate::full_chip::CaseStudy::paper()
             .unit_cell_scenario()
             .unwrap();
         let model = ModelB::with_segments(10, 1000);
+        let seg = Segmentation::paper_scheme(&s, 10, 1000);
         let fact = model.factorize(&s).unwrap();
         let powers: Vec<Power> = [0.0, 3.0, 0.1].map(Power::from_watts).to_vec();
-        assert_eq!(fact.tree.len(), 3, "kept nodes, U_B and U_SB");
-        let kept = &fact.tree[0];
-        let node = |i: usize| {
-            let u: Vec<f64> = (0..3).map(|p| kept.values[p * kept.len + i]).collect();
-            superpose(&powers, &u)
-        };
-        let winner = (0..kept.len)
-            .max_by(|&a, &b| node(a).total_cmp(&node(b)))
-            .unwrap();
-        assert!(
-            winner >= 16 * 16,
-            "winner {winner} of {} kept lies in the first super-block",
-            kept.len
-        );
-        let candidates = fact
-            .candidates
-            .chunks_exact(3)
-            .map(|u| superpose(&powers, u))
-            .fold(f64::NEG_INFINITY, f64::max);
         let scaled = Scenario::new(
             s.stack().clone(),
             s.tsv().clone(),
@@ -1054,8 +1077,8 @@ pub(crate) mod tests {
         )
         .unwrap();
         let every_node = model.solve(&scaled).unwrap().max_delta_t().as_kelvin();
-        assert!(candidates < every_node, "{candidates} vs {every_node}");
-        assert_eq!(node(winner).to_bits(), every_node.to_bits());
+        let ends = end_node_max(&s, &seg, &powers);
+        assert!(ends < every_node, "{ends} vs {every_node}");
         let kernel = fact.max_delta_t(&powers).unwrap().as_kelvin();
         assert_eq!(kernel.to_bits(), every_node.to_bits());
     }

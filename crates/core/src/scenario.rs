@@ -126,8 +126,8 @@ pub trait ThermalModel {
 /// (stack, TSV, segmentation) — plane powers enter the right-hand side
 /// alone. Such a model factorizes each geometry once into the ladder's
 /// hotspot kernel ([`LadderKernel`]) and answers every power vector with
-/// one call on it, [`LadderKernel::max_delta_t`]: a few hundred
-/// multiply-adds, against a kernel of 52,064 bytes at the serving Model B
+/// one call on it, [`LadderKernel::max_delta_t`]: a few dozen
+/// multiply-adds, against a kernel of 2,976 bytes at the serving Model B
 /// geometry ([`LadderKernel::heap_bytes`]). That is what lets the chip engine collapse an all-distinct
 /// power map onto a handful of factorizations.
 /// [`ModelA`](crate::model_a::ModelA) and

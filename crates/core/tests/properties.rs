@@ -44,8 +44,8 @@ fn block_params() -> impl Strategy<Value = BlockParams> {
 /// of the time, otherwise 0–29 silicon and 1–29 ILD segments (so ladder
 /// lengths are rarely a multiple of anything); each power an exact zero a
 /// quarter of the time, otherwise log-uniform over 1e-6–1e3 W. Such
-/// kernels keep at most a few hundred nodes, so [`long_kernel_params`]
-/// draws the long ladders whose kernels span several super-blocks.
+/// ladders have runs of at most 29 segments, so [`long_kernel_params`]
+/// draws the long ladders whose runs span hundreds of segments.
 #[derive(Debug, Clone)]
 struct KernelParams {
     radius_um: f64,
@@ -61,8 +61,8 @@ fn kernel_params() -> impl Strategy<Value = KernelParams> {
 
 /// [`KernelParams`] with hundreds to thousands of segments per ladder:
 /// 0–399 silicon and 100–999 ILD segments per plane, lumped an eighth of
-/// the time, so the hotspot kernel keeps hundreds to thousands of nodes
-/// in many blocks under several super-bounds of its bound tree.
+/// the time, so the hotspot kernel's run analysis meets runs of hundreds
+/// of segments, whose lanes decay to rounding level inside them.
 fn long_kernel_params() -> impl Strategy<Value = KernelParams> {
     kernel_params_with((0usize..8, 0usize..400, 100usize..1000))
 }
@@ -334,8 +334,7 @@ proptest! {
     }
 
     /// As `model_b_kernel_max_is_bitwise_the_max_over_every_node`, on
-    /// kernels large enough that the bound tree skips and descends into
-    /// several super-blocks.
+    /// ladders whose runs span hundreds of segments.
     #[test]
     fn model_b_kernel_with_several_super_blocks_is_bitwise_the_max_over_every_node(
         p in long_kernel_params()
@@ -344,7 +343,7 @@ proptest! {
     }
 
     /// The serving geometry: Model B `B(10, 1000)` on the §IV-E case-study
-    /// cell (4,021 ladder nodes, ~2,000 kept), under random non-negative
+    /// cell (4,021 ladder nodes in 8 runs), under random non-negative
     /// plane powers with exact zeros, is bitwise the max over every node.
     #[test]
     fn serving_kernel_max_is_bitwise_the_max_over_every_node(

@@ -146,6 +146,9 @@ pub struct Sessions {
     /// Sessions evicted by the session quota or the kernel budget (a
     /// `DELETE` is not one).
     pub evictions: u64,
+    /// Heap bytes of the distinct kernels the live sessions hold
+    /// (`LadderKernel::heap_bytes`, each shared kernel once).
+    pub kernel_bytes: usize,
 }
 
 /// `/metrics` `engine`: the shared `ChipEngine`'s counters.

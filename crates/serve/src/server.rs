@@ -127,7 +127,7 @@
 //!   request as it parses it) so the chaos suite can reproduce failure
 //!   storms bit-for-bit.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -362,9 +362,11 @@ struct ConnDeadlines {
 /// budget.
 struct Session {
     live: Mutex<LiveChip>,
-    /// The kernels `live` holds, one per distinct via density: fixed for
-    /// the session's life, since an update never changes a density.
-    kernels: usize,
+    /// The kernels `live` holds, one per distinct via density, as
+    /// `(address, heap bytes)`: fixed for the session's life, since an
+    /// update never changes a density. Their count is the session's weight
+    /// against the kernel budget.
+    kernels: Vec<(usize, usize)>,
 }
 
 /// State shared by the accept thread, event loops, and workers.
@@ -374,7 +376,8 @@ struct ServerState {
     next_id: AtomicU64,
     metrics: Metrics,
     max_tiles: usize,
-    /// Bound on the summed [`Session::kernels`] of the live sessions.
+    /// Bound on the summed [`Session::kernels`] counts of the live
+    /// sessions.
     kernel_budget: usize,
     pool_monitor: PoolMonitor,
     faults: Option<Arc<ServerFaults>>,
@@ -442,10 +445,16 @@ impl ServerState {
             .engine
             .evaluate_live_grouped(spec.plan, &groups, &spec.model)
         {
-            Ok(live) => Ok(Arc::new(Session {
-                live: Mutex::new(live),
-                kernels,
-            })),
+            Ok(live) => {
+                let kernels = live
+                    .kernels()
+                    .map(|kernel| (Arc::as_ptr(kernel) as usize, kernel.heap_bytes()))
+                    .collect();
+                Ok(Arc::new(Session {
+                    live: Mutex::new(live),
+                    kernels,
+                }))
+            }
             Err(e) => Err((500, format!("evaluation failed: {e}"))),
         }
     }
@@ -459,12 +468,12 @@ impl ServerState {
         {
             let mut table = lock(&self.sessions);
             evicted.extend(table.insert(id, session).map(|(victim, _)| victim));
-            let mut kernels: usize = table.iter().map(|(_, s)| s.kernels).sum();
+            let mut kernels: usize = table.iter().map(|(_, s)| s.kernels.len()).sum();
             while kernels > self.kernel_budget {
                 let (victim, dropped) = table
                     .pop_lru()
                     .expect("an admitted session fits the budget alone");
-                kernels -= dropped.kernels;
+                kernels -= dropped.kernels.len();
                 evicted.push(victim);
             }
         }
@@ -591,12 +600,22 @@ impl ServerState {
             persistence: self.journal.stats().snapshot(),
             sessions: {
                 let table = lock(&self.sessions);
+                // Sessions of one density share its kernel: count each
+                // live kernel once, by address.
+                let mut seen = HashSet::new();
+                let kernel_bytes = table
+                    .iter()
+                    .flat_map(|(_, session)| &session.kernels)
+                    .filter(|(address, _)| seen.insert(*address))
+                    .map(|(_, bytes)| bytes)
+                    .sum();
                 metrics::Sessions {
                     live: table.len(),
                     capacity: table.capacity(),
                     hits: table.hits(),
                     misses: table.misses(),
                     evictions: table.evictions(),
+                    kernel_bytes,
                 }
             },
             engine: metrics::Engine {

@@ -105,6 +105,34 @@ fn metrics_document_matches_the_protocol_listing() {
         field(&doc, "overload", "inflight") >= 1,
         "the asking client's own connection is live"
     );
+
+    // `sessions.kernel_bytes` follows the live sessions' kernels: two
+    // sessions of one via density share one serving kernel, counted once
+    // and in at most 4 KB, and deleting both frees it.
+    let addr = server.addr().to_string();
+    assert_eq!(field(&doc, "sessions", "kernel_bytes"), 0);
+    let mut client = Client::connect(&addr).expect("connect");
+    let mut ids = Vec::new();
+    for _ in 0..2 {
+        let (status, body) = client
+            .request("POST", "/sessions", &trace_register_body(GRID, 1))
+            .expect("register");
+        assert_eq!(status, 201, "{body}");
+        let id = body
+            .strip_prefix("{\"session\":")
+            .and_then(|rest| rest.split(',').next())
+            .expect("session id");
+        ids.push(id.to_string());
+    }
+    let bytes = field(&fetch_metrics(&addr), "sessions", "kernel_bytes");
+    assert!((1..=4_096).contains(&bytes), "{bytes} bytes");
+    for id in &ids {
+        let (status, body) = client
+            .request("DELETE", &format!("/sessions/{id}"), "")
+            .expect("delete");
+        assert_eq!(status, 204, "{body}");
+    }
+    assert_eq!(field(&fetch_metrics(&addr), "sessions", "kernel_bytes"), 0);
     server.shutdown();
 }
 
