@@ -1,14 +1,11 @@
 //! Full-chip floorplan-engine benchmark (§IV-E generalized to
 //! non-uniform maps): a 32×32 hotspot map (3 distinct unit cells after
 //! dedup) and a 32×32 gradient map (every cell distinct) evaluated
-//! through Model B(100), plus the factor-once batched path (one ladder factorization shared by all 1024
-//! distinct-power tiles), and the same path while a held `LiveChip` keeps
-//! the kernel alive for the matrix tier to share (1024 kernel calls, no
-//! factorization). Model A runs the same factored path on its
-//! one-segment-per-plane ladder.
+//! through Model B(100), plus the factor-once batched path (one ladder
+//! factorization shared by all 1024 distinct-power tiles). Model A runs
+//! the same factored path on its one-segment-per-plane ladder.
 //!
-//! Every cold-path row constructs a fresh engine per iteration, so no
-//! kernel can be shared.
+//! Every row constructs a fresh engine per iteration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ttsv::prelude::*;
@@ -39,17 +36,6 @@ fn bench_floorplan(c: &mut Criterion) {
     group.bench_function("gradient_32x32/model_b100/factor_shared", |b| {
         b.iter(|| {
             ChipEngine::new()
-                .evaluate_factored(&gradient, &model)
-                .expect("solvable")
-        });
-    });
-    group.bench_function("gradient_32x32/model_b100/warm_cache", |b| {
-        let engine = ChipEngine::new();
-        let _held = engine
-            .evaluate_live(gradient.clone(), &model)
-            .expect("solvable");
-        b.iter(|| {
-            engine
                 .evaluate_factored(&gradient, &model)
                 .expect("solvable")
         });

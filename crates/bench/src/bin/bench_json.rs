@@ -375,11 +375,10 @@ fn main() {
     // dedups 1024 tiles to 3 Model B solves; the all-distinct gradient
     // map prices the per-tile path itself, and `factor_shared` prices
     // the factored path (one ladder factorization and kernel build +
-    // 1024 kernel evaluations). These rows construct a fresh engine per
-    // sample, so nothing can share a kernel and they measure the cold
-    // path; `full64/factored` is the warm one: the 64×64 gradient map on
-    // an engine whose matrix tier shares the kernel a held `LiveChip` of
-    // the map keeps alive, i.e. 4,096 kernel calls and the report.
+    // 1024 kernel evaluations); `full64/factored` is the 64×64 gradient
+    // map through the factored path: one factorization, 4,096 kernel
+    // calls and the report. Every row constructs a fresh engine per
+    // sample; the engine keeps no kernel between calls anyway.
     let hotspot = hotspot_floorplan(32);
     let gradient = gradient_floorplan(32);
     sampler.bench("floorplan_chip/hotspot32/model_b100", || {
@@ -406,12 +405,8 @@ fn main() {
             .expect("solvable")
     });
     let gradient64 = gradient_floorplan(64);
-    let warm_engine = ChipEngine::new();
-    let _held = warm_engine
-        .evaluate_live(gradient64.clone(), &b100)
-        .expect("solvable");
     sampler.bench("floorplan_chip/full64/factored", || {
-        warm_engine
+        ChipEngine::new()
             .evaluate_factored(&gradient64, &b100)
             .expect("solvable")
     });
@@ -433,8 +428,8 @@ fn main() {
     // server on an ephemeral loopback port, timed through a keep-alive
     // HTTP client. `cold_session` registers a never-seen chip
     // configuration per sample — distinct power maps AND a distinct via
-    // density, so the matrix tier misses (fresh ladder factorization
-    // plus one kernel call per tile); `warm_delta` patches two tiles of
+    // density (a fresh ladder factorization, as every registration
+    // makes, plus one kernel call per tile); `warm_delta` patches two tiles of
     // a live session with power levels from a small cycle, re-solving
     // them against its cached kernel, answered with the full report
     // (`?full=1`, the original wire format, so the row stays comparable
@@ -455,7 +450,7 @@ fn main() {
         const GRID: usize = 12;
         const FANOUT: usize = 32;
         // A never-seen chip configuration per id: per-session power scale
-        // and via density (the matrix tier misses), solved with the
+        // and via density, solved with the
         // paper's deep B(1000) model — the same model warm deltas then
         // reuse, so the cold/warm gap prices the caching, not the model.
         let register_grid = |grid: usize, session: usize| -> String {

@@ -25,7 +25,7 @@
 //! | `ablation_fem_mesh` | — | FEM cost vs mesh resolution (coarse → fine) |
 //! | `ablation_fem_precond` | — | FEM linear solver: smoothed-aggregation multigrid PCG vs direct banded, two mesh resolutions |
 //! | `ablation_mg_reuse` | — | multigrid setup amortization on the one smoothed-aggregation hierarchy: build vs numeric refresh, one V-cycle, sweep with rebuilt vs pooled hierarchies |
-//! | `floorplan_chip` | §IV-E generalized | full-chip 32×32 power-map evaluation through the batch engine: hotspot vs all-distinct gradient maps, factor-once hotspot kernel vs per-tile solves (Model B, and Model A on its one-segment-per-plane ladder), warm matrix tier (via [`hotspot_floorplan`]/[`gradient_floorplan`]) |
+//! | `floorplan_chip` | §IV-E generalized | full-chip 32×32 power-map evaluation through the batch engine: hotspot vs all-distinct gradient maps, factor-once hotspot kernel vs per-tile solves (Model B, and Model A on its one-segment-per-plane ladder) (via [`hotspot_floorplan`]/[`gradient_floorplan`]) |
 //!
 //! # Machine-readable perf tracking
 //!

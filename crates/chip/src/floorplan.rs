@@ -393,33 +393,10 @@ impl Floorplan {
         self.plane_maps[plane].replace(index, p);
     }
 
-    /// The exact bit patterns of everything geometric the tile-cell
-    /// construction reads besides per-tile maps: footprint, layer
-    /// thicknesses, TSV configuration (radius, liner, count, material
-    /// conductivities), the plane count and the tile count. Combined with
-    /// a tile's density bits this forms the engine's matrix-tier key.
-    pub(crate) fn geometry_bits(&self) -> Vec<u64> {
-        vec![
-            self.footprint.as_square_meters().to_bits(),
-            self.t_si.as_meters().to_bits(),
-            self.t_ild.as_meters().to_bits(),
-            self.t_bond.as_meters().to_bits(),
-            self.l_ext.as_meters().to_bits(),
-            self.tsv.radius().as_meters().to_bits(),
-            self.tsv.liner_thickness().as_meters().to_bits(),
-            self.tsv.count() as u64,
-            self.tsv.k_fill().as_watts_per_meter_kelvin().to_bits(),
-            self.tsv.k_liner().as_watts_per_meter_kelvin().to_bits(),
-            self.plane_count() as u64,
-            // Tile area feeds the per-cell power split.
-            (self.tiles() as u64),
-        ]
-    }
-
     /// The *matrix* bits of row-major tile `index`: geometry-relevant
     /// per-tile state (via density) without the powers. Tiles sharing
-    /// these bits share a ladder matrix — with
-    /// [`Floorplan::geometry_bits`], the key of the engine's matrix tier.
+    /// these bits share a ladder matrix, so the engine factorizes one
+    /// kernel per distinct value.
     pub(crate) fn matrix_bits(&self, index: usize) -> u64 {
         self.via_map.tiles()[index].to_bits()
     }

@@ -14,9 +14,8 @@
 //!   [`CaseStudy`](ttsv_core::full_chip::CaseStudy)) + maps → per-tile
 //!   unit-cell scenarios, with
 //!   [`Floorplan::update_power_map`] as the serving-loop delta move,
-//! * [`ChipEngine`] — batched evaluation, with the **matrix tier**: a
-//!   weak index of the live Model B kernels, so chips of one geometry
-//!   share one,
+//! * [`ChipEngine`] — batched evaluation: per-call tile dedup for the
+//!   generic path, one kernel per via density for the factored one,
 //! * [`ChipReport`] — the full-chip `ΔT` map with hotspot statistics
 //!   (max / p99 / mean, argmax tile), JSON-serializable for downstream
 //!   serving,
@@ -42,17 +41,13 @@
 //!   costs one kernel call of a few tens of nanoseconds, so an
 //!   all-distinct gradient map collapses to a single factorization.
 //!   [`ChipEngine::evaluate_live`] takes the plan by value and keeps it,
-//!   with one kernel per via density, in the [`LiveChip`] it returns; the
-//!   **matrix tier** indexes the kernels weakly (keyed on exact
-//!   geometry bits plus the model's
-//!   [`cache_tag`](ttsv_core::scenario::PowerSeparableModel::cache_tag)), so a
-//!   kernel is shared while some chip holds it and freed when the last
-//!   one drops.
+//!   with one kernel per via density, in the [`LiveChip`] it returns;
+//!   the chip owns those kernels, so they are freed with it. The engine
+//!   keeps no kernel between calls.
 //!
-//! Sharing kernels changes cost, never results. The
-//! [`ChipEngine::solves`] and [`ChipEngine::factorizations`] counters
-//! expose what actually ran; the property suites assert the factored
-//! path is bitwise-transparent.
+//! The [`ChipEngine::solves`] and [`ChipEngine::factorizations`]
+//! counters expose what actually ran; the property suites assert the
+//! factored path is bitwise-transparent.
 //!
 //! In the uniform-map limit the engine reproduces the single-unit-cell
 //! case study (the golden suite pins this).

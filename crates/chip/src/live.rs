@@ -6,8 +6,6 @@
 //! chip's own kernels, then commit the new watts to the plan and patch the
 //! report.
 
-use std::sync::Arc;
-
 use ttsv_core::ladder::LadderKernel;
 use ttsv_core::CoreError;
 use ttsv_units::Power;
@@ -37,12 +35,11 @@ use crate::report::ChipReport;
 /// }
 /// ```
 ///
-/// The kernels stay alive exactly as long as some chip holds them, and
-/// the engine's matrix tier only indexes them so that chips of one
-/// geometry share one kernel. Dropping the chip frees every kernel no
-/// other chip holds. A chip holds one kernel per distinct via density
-/// (its report's `distinct_cells`) for its whole life, since an update
-/// never changes a density; that count is what a serving layer budgets.
+/// The chip owns its kernels by value: no other chip or the engine shares
+/// them, and dropping the chip frees them. A chip holds one kernel per
+/// distinct via density (its report's `distinct_cells`) for its whole
+/// life, since an update never changes a density; that count is what a
+/// serving layer budgets.
 ///
 /// [`LiveChip::apply`] re-solves only the tiles an update changes (one
 /// kernel call each, against the held kernels, without locking the
@@ -55,26 +52,19 @@ use crate::report::ChipReport;
 /// `distinct_cells` (the plan's distinct geometries) and `total_vias`
 /// hold without any bookkeeping.
 ///
-/// Equality compares the reports, the plans and kernel identity.
+/// Equality compares the plans and the reports, not the kernels.
 #[derive(Debug, Clone)]
 pub struct LiveChip {
     plan: Floorplan,
     report: ChipReport,
     /// `(via-density bits, kernel)`, one per via density of the plan,
     /// sorted by the bits.
-    kernels: Vec<(u64, Arc<LadderKernel>)>,
+    kernels: Vec<(u64, LadderKernel)>,
 }
 
 impl PartialEq for LiveChip {
     fn eq(&self, other: &Self) -> bool {
-        self.report == other.report
-            && self.plan == other.plan
-            && self.kernels.len() == other.kernels.len()
-            && self
-                .kernels
-                .iter()
-                .zip(&other.kernels)
-                .all(|((a, ka), (b, kb))| a == b && Arc::ptr_eq(ka, kb))
+        self.plan == other.plan && self.report == other.report
     }
 }
 
@@ -86,7 +76,7 @@ impl LiveChip {
     pub(crate) fn new(
         plan: Floorplan,
         report: ChipReport,
-        mut kernels: Vec<(u64, Arc<LadderKernel>)>,
+        mut kernels: Vec<(u64, LadderKernel)>,
     ) -> Self {
         kernels.sort_unstable_by_key(|&(bits, _)| bits);
         Self {
@@ -104,7 +94,7 @@ impl LiveChip {
 
     /// The kernels the chip holds, one per distinct via density of its
     /// plan.
-    pub fn kernels(&self) -> impl ExactSizeIterator<Item = &Arc<LadderKernel>> {
+    pub fn kernels(&self) -> impl ExactSizeIterator<Item = &LadderKernel> {
         self.kernels.iter().map(|(_, kernel)| kernel)
     }
 
@@ -261,8 +251,7 @@ mod tests {
         let engine = ChipEngine::new().with_workers(1);
         let mut live = engine.evaluate_live(plan, &ModelB::paper_b20()).unwrap();
         let work = || (engine.solves(), engine.factorizations());
-        let lookups = || (engine.scenario_hits(), engine.scenario_misses());
-        let ((solved, factored), looked_up) = (work(), lookups());
+        let (solved, factored) = work();
         let w = Power::from_watts;
         let changed = live
             .apply(&engine, 0, &[(3, w(1.0)), (200, w(2.0))])
@@ -273,7 +262,6 @@ mod tests {
             (solved + 2, factored),
             "only the two named tiles are solved, against the held kernel"
         );
-        assert_eq!(lookups(), looked_up, "a held kernel skips the matrix tier");
         assert_eq!(live.report().distinct_cells, 1);
 
         let same = live.plan().plane_maps()[0].tiles()[3];
@@ -283,18 +271,6 @@ mod tests {
         assert!(changed.is_empty());
         assert_eq!(work(), (solved, factored));
         assert_eq!(live, held);
-    }
-
-    #[test]
-    fn dropping_the_chip_frees_its_kernels() {
-        let engine = ChipEngine::new().with_workers(1);
-        let live = engine.evaluate_live(plan(), &ModelB::paper_b20()).unwrap();
-        assert_eq!(engine.cache_entries(), 2, "one kernel per via density");
-        let copy = live.clone();
-        drop(live);
-        assert_eq!(engine.cache_entries(), 2, "the clone still holds them");
-        drop(copy);
-        assert_eq!(engine.cache_entries(), 0);
     }
 
     #[test]

@@ -97,26 +97,21 @@ fn check_factored_matches_per_tile<M: PowerSeparableModel + Sync + Clone>(
     // no solves.
     prop_assert_eq!(engine.factorizations(), distinct_densities(plan));
     prop_assert_eq!(engine.solves(), 0);
-    // While a live chip of the plan holds its kernels, a repeat performs
-    // 0 factorizations and gives a bitwise-equal map.
+    // Each pass factorizes its own kernels, held by a live chip or not:
+    // a live chip and a repeat cost k · distinct_densities factorizations
+    // after k passes and give bitwise-equal maps.
     let live = engine.evaluate_live(plan.clone(), model).expect("solvable");
     prop_assert_eq!(engine.factorizations(), 2 * distinct_densities(plan));
     prop_assert_eq!(&live.report().delta_t, &factored.delta_t);
     let again = engine.evaluate_factored(plan, model).expect("solvable");
-    prop_assert_eq!(engine.factorizations(), 2 * distinct_densities(plan));
-    prop_assert_eq!(&again.delta_t, &factored.delta_t);
-    // Once the chip drops, nothing holds the kernels: a repeat factorizes
-    // again, bitwise the same.
-    drop(live);
-    prop_assert_eq!(engine.cache_entries(), 0);
-    let refactored = engine.evaluate_factored(plan, model).expect("solvable");
     prop_assert_eq!(engine.factorizations(), 3 * distinct_densities(plan));
-    prop_assert_eq!(&refactored.delta_t, &factored.delta_t);
+    prop_assert_eq!(&again.delta_t, &factored.delta_t);
+    prop_assert_eq!(engine.solves(), 0);
     Ok(())
 }
 
 /// Every tile's `ΔT` in kelvin, solved on its own unit cell (row-major) —
-/// the reference the engine's dedup and matrix tier must reproduce
+/// the reference the engine's dedup and factored path must reproduce
 /// bitwise.
 fn per_tile_delta_t(plan: &Floorplan, model: &dyn ThermalModel) -> Vec<f64> {
     let mut out = Vec::with_capacity(plan.tiles());

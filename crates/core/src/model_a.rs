@@ -188,17 +188,6 @@ impl PowerSeparableModel for ModelA {
         let resistances = model_a_resistances(scenario.stack(), scenario.tsv(), &self.fit);
         Ok(LadderKernel::from_basis(ladder(&resistances)?))
     }
-
-    fn cache_tag(&self) -> String {
-        // The display name omits the fitting coefficients, which change
-        // the results — fold their exact bits into the cache identity.
-        format!(
-            "Model A[k1={:016x},k2={:016x},c={:016x}]",
-            self.fit.k1().to_bits(),
-            self.fit.k2().to_bits(),
-            self.fit.lateral_spreading().to_bits()
-        )
-    }
 }
 
 /// The unit-response basis of Model A's ladder, grounded through the

@@ -260,15 +260,6 @@ impl crate::scenario::PowerSeparableModel for ModelB {
     fn factorize_geometry(&self, scenario: &Scenario) -> Result<LadderKernel, CoreError> {
         self.factorize(scenario)
     }
-
-    fn cache_tag(&self) -> String {
-        // The display name omits the first-plane segment count, which
-        // changes the output bits.
-        format!(
-            "Model B[{},{}]",
-            self.first_plane_segments, self.upper_plane_segments
-        )
-    }
 }
 
 /// Unfitted lumped substrate resistance `R_s` (eq. 16 with `k₁ = 1`).

@@ -127,9 +127,10 @@ pub trait ThermalModel {
 /// alone. Such a model factorizes each geometry once into the ladder's
 /// hotspot kernel ([`LadderKernel`]) and answers every power vector with
 /// one call on it, [`LadderKernel::max_delta_t`]: a few dozen
-/// multiply-adds, against a kernel of 2,976 bytes at the serving Model B
-/// geometry ([`LadderKernel::heap_bytes`]). That is what lets the chip engine collapse an all-distinct
-/// power map onto a handful of factorizations.
+/// multiply-adds, against a kernel of 3,280 bytes for the serving
+/// `B(10,1000)` on the §IV-E cell ([`LadderKernel::heap_bytes`]). That is
+/// what lets the chip engine collapse an all-distinct power map onto a
+/// handful of factorizations.
 /// [`ModelA`](crate::model_a::ModelA) and
 /// [`ModelB`](crate::model_b::ModelB) implement it on their shared
 /// ladder.
@@ -147,16 +148,6 @@ pub trait PowerSeparableModel: ThermalModel {
     ///
     /// Returns a [`CoreError`] when the geometry is invalid for the model.
     fn factorize_geometry(&self, scenario: &Scenario) -> Result<LadderKernel, CoreError>;
-
-    /// A string identifying this model *instance's kernels*: two models
-    /// with equal tags must factorize identical geometries into identical
-    /// kernels, because the chip engine's matrix tier keys on it.
-    /// Defaults to [`ThermalModel::name`]; models whose display name
-    /// omits result-relevant knobs (fitting coefficients, segment
-    /// counts) must override it to include them.
-    fn cache_tag(&self) -> String {
-        self.name()
-    }
 }
 
 /// Builder for the paper's §IV block with per-figure knobs; see

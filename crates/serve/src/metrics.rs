@@ -73,7 +73,7 @@ pub struct MetricsDoc {
     pub persistence: PersistSnapshot,
     /// The session table.
     pub sessions: Sessions,
-    /// The shared `ChipEngine`'s work and its matrix tier.
+    /// The shared `ChipEngine`'s work.
     pub engine: Engine,
 }
 
@@ -146,8 +146,8 @@ pub struct Sessions {
     /// Sessions evicted by the session quota or the kernel budget (a
     /// `DELETE` is not one).
     pub evictions: u64,
-    /// Heap bytes of the distinct kernels the live sessions hold
-    /// (`LadderKernel::heap_bytes`, each shared kernel once).
+    /// Heap bytes of the kernels the live sessions hold
+    /// (`LadderKernel::heap_bytes`).
     pub kernel_bytes: usize,
 }
 
@@ -158,12 +158,6 @@ pub struct Engine {
     pub solves: usize,
     /// Kernels built.
     pub factorizations: usize,
-    /// Matrix-tier lookups that found a live kernel.
-    pub scenario_hits: usize,
-    /// Matrix-tier lookups that missed.
-    pub scenario_misses: usize,
-    /// Kernels alive now.
-    pub matrix_entries: usize,
 }
 
 impl Default for Metrics {

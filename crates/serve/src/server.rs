@@ -46,18 +46,18 @@
 //! registered floorplan and the Model B kernels of its via densities. A
 //! warm power-delta request parses against the chip's own plan and
 //! re-solves only the tiles whose bits changed against the chip's own
-//! kernels — without touching the shared engine's index or factorizing,
-//! which is the entire point of serving sessions instead of stateless
-//! requests. Kernels live exactly as long as the sessions that use them:
-//! when the LRU evicts or a `DELETE` removes a session, every kernel no
-//! other session shares is freed. The one shared [`ChipEngine`] only
-//! indexes the live kernels, so sessions with the same via density (and
-//! journal recovery) share one kernel.
+//! kernels — without factorizing, which is the entire point of serving
+//! sessions instead of stateless requests. Kernels live exactly as long
+//! as the session that owns them: when the LRU evicts or a `DELETE`
+//! removes a session, its kernels are freed. No kernel is shared, so two
+//! sessions of one via density hold two kernels; the one shared
+//! [`ChipEngine`] keeps none between registrations.
 //!
 //! The session table bounds the kernels. A session weighs its distinct
 //! via densities (its report's `distinct_cells`, fixed for its life,
 //! counted from the plan before it is evaluated) and the live sessions'
-//! weights may sum to at most the config's `matrix_cache_cap`. A
+//! weights — the kernels held — may sum to at most the config's
+//! `matrix_cache_cap`. A
 //! registration heavier than that alone is answered `413` before
 //! anything is factorized; otherwise publishing it evicts
 //! least-recently-used sessions until both the count quota and the
@@ -127,7 +127,7 @@
 //!   request as it parses it) so the chaos suite can reproduce failure
 //!   storms bit-for-bit.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -135,6 +135,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ttsv_chip::{ChipEngine, LiveChip};
+use ttsv_core::ladder::LadderKernel;
 use ttsv_core::CoreError;
 
 use crate::faults::{FaultDirective, ServerFaults};
@@ -179,8 +180,8 @@ pub struct ServerConfig {
     /// and the live sessions' counts may sum to at most this. A
     /// registration whose count alone exceeds it is answered 413 before
     /// it is evaluated; otherwise registering evicts least-recently-used
-    /// sessions until the sum fits. Sessions sharing a density count it
-    /// once each.
+    /// sessions until the sum fits. The sum is exactly the kernels held:
+    /// no session shares one.
     pub matrix_cache_cap: usize,
     /// Per-connection read timeout (an idle keep-alive connection is
     /// dropped after this; a mid-request stall this long answers 408).
@@ -362,11 +363,12 @@ struct ConnDeadlines {
 /// budget.
 struct Session {
     live: Mutex<LiveChip>,
-    /// The kernels `live` holds, one per distinct via density, as
-    /// `(address, heap bytes)`: fixed for the session's life, since an
-    /// update never changes a density. Their count is the session's weight
-    /// against the kernel budget.
-    kernels: Vec<(usize, usize)>,
+    /// The kernels `live` holds, one per distinct via density: fixed for
+    /// the session's life, since an update never changes a density. The
+    /// session's weight against the kernel budget.
+    kernels: usize,
+    /// Those kernels' summed heap bytes, fixed with them.
+    kernel_bytes: usize,
 }
 
 /// State shared by the accept thread, event loops, and workers.
@@ -445,16 +447,11 @@ impl ServerState {
             .engine
             .evaluate_live_grouped(spec.plan, &groups, &spec.model)
         {
-            Ok(live) => {
-                let kernels = live
-                    .kernels()
-                    .map(|kernel| (Arc::as_ptr(kernel) as usize, kernel.heap_bytes()))
-                    .collect();
-                Ok(Arc::new(Session {
-                    live: Mutex::new(live),
-                    kernels,
-                }))
-            }
+            Ok(live) => Ok(Arc::new(Session {
+                kernels,
+                kernel_bytes: live.kernels().map(LadderKernel::heap_bytes).sum(),
+                live: Mutex::new(live),
+            })),
             Err(e) => Err((500, format!("evaluation failed: {e}"))),
         }
     }
@@ -468,12 +465,12 @@ impl ServerState {
         {
             let mut table = lock(&self.sessions);
             evicted.extend(table.insert(id, session).map(|(victim, _)| victim));
-            let mut kernels: usize = table.iter().map(|(_, s)| s.kernels.len()).sum();
+            let mut kernels: usize = table.iter().map(|(_, s)| s.kernels).sum();
             while kernels > self.kernel_budget {
                 let (victim, dropped) = table
                     .pop_lru()
                     .expect("an admitted session fits the budget alone");
-                kernels -= dropped.kernels.len();
+                kernels -= dropped.kernels;
                 evicted.push(victim);
             }
         }
@@ -600,15 +597,7 @@ impl ServerState {
             persistence: self.journal.stats().snapshot(),
             sessions: {
                 let table = lock(&self.sessions);
-                // Sessions of one density share its kernel: count each
-                // live kernel once, by address.
-                let mut seen = HashSet::new();
-                let kernel_bytes = table
-                    .iter()
-                    .flat_map(|(_, session)| &session.kernels)
-                    .filter(|(address, _)| seen.insert(*address))
-                    .map(|(_, bytes)| bytes)
-                    .sum();
+                let kernel_bytes = table.iter().map(|(_, s)| s.kernel_bytes).sum();
                 metrics::Sessions {
                     live: table.len(),
                     capacity: table.capacity(),
@@ -621,9 +610,6 @@ impl ServerState {
             engine: metrics::Engine {
                 solves: self.engine.solves(),
                 factorizations: self.engine.factorizations(),
-                scenario_hits: self.engine.scenario_hits(),
-                scenario_misses: self.engine.scenario_misses(),
-                matrix_entries: self.engine.cache_entries(),
             },
             ..snap
         };

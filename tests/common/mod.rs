@@ -2,6 +2,7 @@
 //! declares this module `pub mod common;`: a suite uses only some of the
 //! helpers, and the unused items of a public module are not dead code.
 
+use ttsv::core::ladder::LadderKernel;
 use ttsv::serve::client::{trace_power_body, trace_register_body, Client};
 use ttsv::serve::protocol::{parse_power_update, parse_register};
 use ttsv_chip::ChipEngine;
@@ -36,6 +37,19 @@ pub fn direct_session(session: usize) -> Vec<String> {
         );
     }
     reports
+}
+
+/// The heap bytes of the kernels a session registered with `body` holds:
+/// its plan's kernels, factorized on a fresh engine.
+pub fn kernel_bytes(body: &str) -> usize {
+    let spec = parse_register(body.as_bytes()).expect("register");
+    ChipEngine::new()
+        .with_workers(1)
+        .evaluate_live(spec.plan, &spec.model)
+        .expect("solvable")
+        .kernels()
+        .map(LadderKernel::heap_bytes)
+        .sum()
 }
 
 /// `body` (a register body with a scalar `via_density`) with one via

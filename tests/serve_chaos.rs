@@ -106,13 +106,15 @@ fn metrics_document_matches_the_protocol_listing() {
         "the asking client's own connection is live"
     );
 
-    // `sessions.kernel_bytes` follows the live sessions' kernels: two
-    // sessions of one via density share one serving kernel, counted once
-    // and in at most 4 KB, and deleting both frees it.
+    // `sessions.kernel_bytes` follows the live sessions' kernels: each of
+    // two sessions of one via density holds its own serving kernel of at
+    // most 4 KB, so they read exactly 2× one session's bytes, then 1×
+    // and 0 as they are deleted.
     let addr = server.addr().to_string();
     assert_eq!(field(&doc, "sessions", "kernel_bytes"), 0);
     let mut client = Client::connect(&addr).expect("connect");
     let mut ids = Vec::new();
+    let mut held = Vec::new();
     for _ in 0..2 {
         let (status, body) = client
             .request("POST", "/sessions", &trace_register_body(GRID, 1))
@@ -123,16 +125,22 @@ fn metrics_document_matches_the_protocol_listing() {
             .and_then(|rest| rest.split(',').next())
             .expect("session id");
         ids.push(id.to_string());
+        held.push(field(&fetch_metrics(&addr), "sessions", "kernel_bytes"));
     }
-    let bytes = field(&fetch_metrics(&addr), "sessions", "kernel_bytes");
-    assert!((1..=4_096).contains(&bytes), "{bytes} bytes");
-    for id in &ids {
+    let one = held[0];
+    assert!((1..=4_096).contains(&one), "{one} bytes");
+    assert_eq!(held[1], 2 * one, "a second session holds its own kernel");
+    for (id, left) in ids.iter().zip([1, 0]) {
         let (status, body) = client
             .request("DELETE", &format!("/sessions/{id}"), "")
             .expect("delete");
         assert_eq!(status, 204, "{body}");
+        assert_eq!(
+            field(&fetch_metrics(&addr), "sessions", "kernel_bytes"),
+            left * one,
+            "after deleting {id}"
+        );
     }
-    assert_eq!(field(&fetch_metrics(&addr), "sessions", "kernel_bytes"), 0);
     server.shutdown();
 }
 

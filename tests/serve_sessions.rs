@@ -9,10 +9,11 @@
 //!   `/metrics`), and oversized registrations bounce with 413.
 //! * An LRU property test against a naive reference model (eviction
 //!   order, counter bookkeeping, capacity enforcement).
-//! * Kernel sharing changes cost, never results: sessions of one via
-//!   density share one kernel and answer byte-identically.
+//! * Each session owns its kernels: a second session of one via density
+//!   factorizes its own and answers byte-identically.
 //! * Kernels live with their sessions: an evicted session's kernel is
-//!   freed, so the live kernels never outnumber the live sessions. The
+//!   freed, so `/metrics` `sessions.kernel_bytes` is exactly the live
+//!   sessions' kernels. The
 //!   kernel budget is a session-table rule: a session heavier than the
 //!   budget alone bounces with 413 before it is evaluated, and a
 //!   registration past it evicts least-recently-used sessions until it
@@ -27,7 +28,7 @@ use ttsv::serve::protocol::{apply_delta, parse_power_update, parse_register};
 use ttsv::serve::server::{Server, ServerConfig};
 use ttsv_chip::ChipEngine;
 
-use common::{direct_session, field, metrics, with_densities, GRID, ROUNDS};
+use common::{direct_session, field, kernel_bytes, metrics, with_densities, GRID, ROUNDS};
 
 const CLIENTS: usize = 4;
 
@@ -260,7 +261,7 @@ fn lru_quota_evicts_oldest_session_and_metrics_report_it() {
     );
     let engine = doc.get("engine").expect("engine block");
     assert!(engine
-        .get("scenario_hits")
+        .get("factorizations")
         .and_then(|v| v.as_usize())
         .is_some());
     assert!(doc.get("latency_ns").and_then(|l| l.get("p99")).is_some());
@@ -318,10 +319,9 @@ fn quota_counts_live_sessions_and_evicts_the_least_recently_used() {
     }
 }
 
-/// Kernel sharing changes cost, never results: a second session with the
-/// first one's via density shares its kernel instead of factorizing, both
-/// answer byte-identically to the direct evaluation, and the kernel lives
-/// until the last session holding it is deleted.
+/// Each session owns its kernels: a second session with the first one's
+/// via density factorizes its own, both answer byte-identically to the
+/// direct evaluation, and each `DELETE` frees one session's kernel bytes.
 #[test]
 fn tiny_engine_caches_change_cost_never_results() {
     let expected = direct_session(0);
@@ -334,24 +334,25 @@ fn tiny_engine_caches_change_cost_never_results() {
     assert_eq!(
         drive_session(&addr, 0),
         expected,
-        "sharing changed a response"
+        "a second session changed a response"
     );
     let doc = metrics(&mut client);
     assert_eq!(
         field(&doc, "engine", "factorizations"),
-        factored,
-        "the second session shares the first one's kernel"
+        2 * factored,
+        "the second session factorizes its own kernel"
     );
-    assert_eq!(field(&doc, "engine", "matrix_entries"), 1);
-    for (id, kernels) in [(1, 1), (2, 0)] {
+    let one = kernel_bytes(&trace_register_body(GRID, 0));
+    assert_eq!(field(&doc, "sessions", "kernel_bytes"), 2 * one);
+    for (id, sessions) in [(1, 1), (2, 0)] {
         let (status, body) = client
             .request("DELETE", &format!("/sessions/{id}"), "")
             .expect("delete");
         assert_eq!(status, 204, "{body}");
         let doc = metrics(&mut client);
         assert_eq!(
-            field(&doc, "engine", "matrix_entries"),
-            kernels,
+            field(&doc, "sessions", "kernel_bytes"),
+            sessions * one,
             "after deleting {id}"
         );
     }
@@ -359,9 +360,9 @@ fn tiny_engine_caches_change_cost_never_results() {
 }
 
 /// Registering twice the session quota, each session with a via density
-/// no other uses, leaves at most one kernel alive per live session: an
-/// evicted session's kernel goes with it. Every live session still
-/// answers a two-tile update bitwise equal to a fresh evaluation.
+/// no other uses, leaves only the live sessions' kernels: an evicted
+/// session's kernel goes with it. Every live session still answers a
+/// two-tile update bitwise equal to a fresh evaluation.
 #[test]
 fn evicted_sessions_free_their_kernels() {
     const MAX_SESSIONS: usize = 4;
@@ -386,22 +387,16 @@ fn evicted_sessions_free_their_kernels() {
         })
         .collect();
 
-    let (status, metrics) = client.request("GET", "/metrics", "").expect("metrics");
-    assert_eq!(status, 200);
-    let doc = serde::json::from_str(&metrics).expect("metrics endpoint emits valid JSON");
-    let live = doc
-        .get("sessions")
-        .and_then(|s| s.get("live"))
-        .and_then(|v| v.as_usize());
-    assert_eq!(live, Some(MAX_SESSIONS));
-    let kernels = doc
-        .get("engine")
-        .and_then(|e| e.get("matrix_entries"))
-        .and_then(|v| v.as_usize())
-        .expect("engine.matrix_entries");
+    let doc = metrics(&mut client);
+    assert_eq!(field(&doc, "sessions", "live"), MAX_SESSIONS);
+    let live: Vec<usize> = (MAX_SESSIONS..2 * MAX_SESSIONS)
+        .map(|s| kernel_bytes(&trace_register_body(GRID, s)))
+        .collect();
+    let held = field(&doc, "sessions", "kernel_bytes");
+    assert_eq!(held, live.iter().sum::<usize>());
     assert!(
-        kernels <= MAX_SESSIONS,
-        "{kernels} kernels alive for {MAX_SESSIONS} live sessions"
+        held <= MAX_SESSIONS * live.iter().max().expect("live sessions"),
+        "{held} kernel bytes for {MAX_SESSIONS} live one-density sessions"
     );
 
     for (s, id) in ids.iter().enumerate().skip(MAX_SESSIONS) {
@@ -490,7 +485,8 @@ fn an_over_budget_registration_is_refused_before_it_is_evaluated() {
 /// evicts least-recently-used sessions until it fits: the evicted ids
 /// answer 404, the survivors answer bitwise what a fresh evaluation
 /// gives (a power update included, which factorizes nothing), and
-/// `/metrics` counts the evictions and at most 4 kernels alive.
+/// `/metrics` counts the evictions and the bytes of exactly the 4
+/// kernels the survivors hold.
 #[test]
 fn a_registration_past_the_kernel_budget_evicts_until_it_fits() {
     let server = budget_4_server();
@@ -543,7 +539,8 @@ fn a_registration_past_the_kernel_budget_evicts_until_it_fits() {
     assert_eq!(field(&doc, "engine", "factorizations"), factored);
     assert_eq!(field(&doc, "sessions", "live"), 2);
     assert_eq!(field(&doc, "sessions", "evictions"), 2);
-    assert!(field(&doc, "engine", "matrix_entries") <= 4);
+    let survivors = kernel_bytes(&trace_register_body(GRID, 0)) + kernel_bytes(&register);
+    assert_eq!(field(&doc, "sessions", "kernel_bytes"), survivors);
     server.shutdown();
 }
 
