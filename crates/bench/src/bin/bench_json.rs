@@ -49,9 +49,20 @@ impl Sampler {
     /// Like [`Sampler::bench`], but runs `prepare` untimed before every
     /// sample — for rows whose setup (e.g. parking a connection past the
     /// event loops' spin window) must not pollute the measured latency.
-    fn bench_prepared<O>(
+    fn bench_prepared<O>(&mut self, name: &str, prepare: impl FnMut(), f: impl FnMut() -> O) {
+        self.bench_per_op(name, 1, prepare, f);
+    }
+
+    /// Like [`Sampler::bench`], but each call of `f` runs `ops`
+    /// operations, and a sample is the mean time per operation.
+    fn bench_mean<O>(&mut self, name: &str, ops: usize, f: impl FnMut() -> O) {
+        self.bench_per_op(name, ops, || {}, f);
+    }
+
+    fn bench_per_op<O>(
         &mut self,
         name: &str,
+        ops: usize,
         mut prepare: impl FnMut(),
         mut f: impl FnMut() -> O,
     ) {
@@ -63,8 +74,13 @@ impl Sampler {
             prepare();
             let t = Instant::now();
             std::hint::black_box(f());
-            samples.push(t.elapsed().as_nanos());
+            samples.push(t.elapsed().as_nanos() / ops as u128);
         }
+        self.record(name, samples);
+    }
+
+    /// Records the median of `samples` as row `name`.
+    fn record(&mut self, name: &str, mut samples: Vec<u128>) {
         samples.sort_unstable();
         let median = samples[samples.len() / 2];
         eprintln!(
@@ -110,15 +126,8 @@ impl Sampler {
             ratios[ratios.len() / 2],
             ratios.len()
         );
-        for (name, mut samples) in [(name_a, samples_a), (name_b, samples_b)] {
-            samples.sort_unstable();
-            let median = samples[samples.len() / 2];
-            eprintln!(
-                "{name:<50} median {median:>12} ns ({} samples)",
-                samples.len()
-            );
-            self.results.push((name.to_string(), median, samples.len()));
-        }
+        self.record(name_a, samples_a);
+        self.record(name_b, samples_b);
     }
 
     /// Renders the recording for PR `pr`, embedding the medians of the
@@ -369,6 +378,45 @@ fn main() {
             .evaluate_live(spec.plan, &spec.model)
             .expect("solvable");
         sampler.bench("chip/report_to_json/grid32", || live.report().to_json());
+    }
+
+    // A warm update inside the session: `LiveChip::apply` over a seeded
+    // stream of two-tile plane-0 updates (servebench's warm shape: two
+    // distinct tiles, each at its registered watts times U(0.5, 1.5)) on
+    // `trace_register_body` chips of growing size. Each sample applies
+    // the next 10,000 updates of the stream, so a large chip sees few
+    // repeats, and records the mean per update. The rows stay flat when
+    // an update costs what it changes.
+    {
+        use ttsv::serve::client::trace_register_body;
+        use ttsv::serve::protocol::parse_register;
+        use ttsv::serve::SplitMix64;
+        const UPDATES: usize = 10_000;
+        for grid in [12, 64, 256] {
+            let spec = parse_register(trace_register_body(grid, 1).as_bytes()).expect("valid body");
+            let engine = ChipEngine::new();
+            let mut live = engine
+                .evaluate_live(spec.plan, &spec.model)
+                .expect("solvable");
+            let nominal = live.plan().plane_maps()[0].tiles().to_vec();
+            let tiles = nominal.len() as u64;
+            let mut rng = SplitMix64::new(1);
+            let stream: Vec<[(usize, Power); 2]> = (0..(TARGET_SAMPLES + 1) * UPDATES)
+                .map(|_| {
+                    let a = rng.next_u64() % tiles;
+                    let b = (a + 1 + rng.next_u64() % (tiles - 1)) % tiles;
+                    let (a, b) = (a.min(b) as usize, a.max(b) as usize);
+                    let mut watts = |t: usize| (t, nominal[t] * (0.5 + rng.next_f64()));
+                    [watts(a), watts(b)]
+                })
+                .collect();
+            let mut chunks = stream.chunks(UPDATES).cycle();
+            sampler.bench_mean(&format!("chip/live_apply/grid{grid}"), UPDATES, || {
+                for update in chunks.next().expect("a cycle") {
+                    live.apply(&engine, 0, update).expect("solvable");
+                }
+            });
+        }
     }
 
     // The floorplan engine on the 32×32 §IV-E maps: the hotspot map

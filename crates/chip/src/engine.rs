@@ -17,8 +17,9 @@
 //!   kernel ([`LadderKernel`]: the ladder's closed form per run, with a
 //!   few candidate nodes and a bound per run in front of it, 3,280 bytes
 //!   for the serving `B(10,1000)` on the §IV-E cell, built in O(runs)).
-//!   Every tile then costs one kernel call (≈ 0.05 µs at that geometry)
-//!   on the calling thread — no dedup, since hashing a tile's key costs
+//!   Every tile then costs one kernel call (≈ 25 ns at that geometry:
+//!   `model_b/hotspot_1024/b10_1000` ÷ 1,024 in `BENCH_38.json`) on the
+//!   calling thread — no dedup, since hashing a tile's key costs
 //!   about as much as evaluating it.
 //!
 //! # Kernels live with their chips
@@ -250,7 +251,14 @@ impl ChipEngine {
         model: &M,
     ) -> Result<ChipReport, CoreError> {
         let pass = self.kernel_pass(plan, &plan.density_groups(), model)?;
-        Ok(Self::report(plan, model, pass.delta_t, pass.kernels.len()))
+        Ok(ChipReport::from_tiles(
+            model.name(),
+            plan.nx(),
+            plan.ny(),
+            pass.delta_t,
+            pass.kernels.len(),
+            plan.via_count(),
+        ))
     }
 
     /// [`ChipEngine::evaluate_factored`], held as a [`LiveChip`] that
@@ -288,63 +296,58 @@ impl ChipEngine {
         model: &M,
     ) -> Result<LiveChip, CoreError> {
         let KernelPass { delta_t, kernels } = self.kernel_pass(&plan, groups, model)?;
-        let report = Self::report(&plan, model, delta_t, kernels.len());
-        Ok(LiveChip::new(plan, report, kernels))
-    }
-
-    /// The report of a kernel pass over every tile of `plan`.
-    fn report<M: PowerSeparableModel>(
-        plan: &Floorplan,
-        model: &M,
-        delta_t: Vec<f64>,
-        geometries: usize,
-    ) -> ChipReport {
-        ChipReport::from_tiles(
+        let report = ChipReport::with_index(
             model.name(),
             plan.nx(),
             plan.ny(),
             delta_t,
-            geometries,
+            kernels.len(),
             plan.via_count(),
-        )
+        );
+        Ok(LiveChip::new(plan, report, kernels))
     }
 
-    /// The `ΔT` of each `(tile, watts)` in `updates` (row-major tiles),
-    /// with plane `plane`'s power of that tile read as `watts` instead of
-    /// the plan's — the k-tile solve behind [`LiveChip::apply`], counted
-    /// into [`ChipEngine::solves`]. `held` is the kernels of every via
-    /// density of `plan`, sorted by the density bits: a tile calls its
-    /// kernel from there, and nothing is factorized.
+    /// The `(tile, ΔT)` of each `(tile, watts)` in `updates` (row-major
+    /// tiles) whose watts differ bitwise from plane `plane`'s map, with
+    /// that plane's power of the tile read as `watts` instead of the
+    /// plan's — the k-tile solve behind [`LiveChip::apply`], counted into
+    /// [`ChipEngine::solves`]. `held` is the kernels of every via density
+    /// of `plan`, sorted by the density bits: a tile calls its kernel from
+    /// there, and nothing is factorized.
     pub(crate) fn solve_tiles(
         &self,
         plan: &Floorplan,
         plane: usize,
         updates: &[(usize, Power)],
         held: &[(u64, LadderKernel)],
-    ) -> Result<Vec<f64>, CoreError> {
+    ) -> Result<Vec<(usize, f64)>, CoreError> {
+        let current = plan.plane_maps()[plane].tiles();
         let mut powers = Vec::with_capacity(plan.plane_count());
-        let delta_t = updates
+        let solved = updates
             .iter()
+            .filter(|&&(t, watts)| current[t].as_watts().to_bits() != watts.as_watts().to_bits())
             .map(|&(t, watts)| {
                 let bits = plan.matrix_bits(t);
                 let i = held
                     .binary_search_by_key(&bits, |&(b, _)| b)
                     .expect("a chip holds the kernel of every via density in its plan");
-                plan.fill_tile_cell_powers(t, &mut powers);
-                powers[plane] = watts * plan.cell_share(t);
-                held[i].1.max_delta_t(&powers).map(|dt| dt.as_kelvin())
+                let share = plan.cell_share(t);
+                plan.fill_tile_powers_shared(t, share, &mut powers);
+                powers[plane] = watts * share;
+                let dt = held[i].1.max_delta_t(&powers)?;
+                Ok((t, dt.as_kelvin()))
             })
-            .collect::<Result<Vec<f64>, _>>()?;
-        self.solves.fetch_add(updates.len(), Ordering::Relaxed);
-        Ok(delta_t)
+            .collect::<Result<Vec<_>, CoreError>>()?;
+        self.solves.fetch_add(solved.len(), Ordering::Relaxed);
+        Ok(solved)
     }
 
     /// The factored pipeline over every tile of `plan`, grouped by via
     /// density in `groups`: factorize each group's kernel (in parallel),
     /// then call the kernel once per tile, in tile order on the calling
-    /// thread — at ≈ 100 ns a tile on the serving geometry
-    /// (`model_b/hotspot_1024/b10_1000`), handing tiles to workers would
-    /// cost more than it saves.
+    /// thread — at ≈ 25 ns a tile on the serving geometry (the module
+    /// docs' figure), handing tiles to workers would cost more than it
+    /// saves.
     fn kernel_pass<M: PowerSeparableModel + Sync>(
         &self,
         plan: &Floorplan,

@@ -325,26 +325,22 @@ impl Floorplan {
             ix < self.nx() && iy < self.ny(),
             "tile ({ix}, {iy}) outside the grid"
         );
+        let index = iy * self.nx() + ix;
         let mut powers = Vec::with_capacity(self.plane_count());
-        self.fill_tile_cell_powers(iy * self.nx() + ix, &mut powers);
+        self.fill_tile_powers_shared(index, self.cell_share(index), &mut powers);
         powers
     }
 
-    /// [`Floorplan::tile_cell_powers`] of row-major tile `index`, written
-    /// into `out` — the factored engine path reuses one buffer per pass.
-    pub(crate) fn fill_tile_cell_powers(&self, index: usize, out: &mut Vec<Power>) {
-        self.fill_tile_powers_shared(index, self.cell_share(index), out);
-    }
-
-    /// [`Floorplan::fill_tile_cell_powers`] with the tile's
-    /// [`Floorplan::cell_share`] already known (from its density group).
+    /// [`Floorplan::tile_cell_powers`] of row-major tile `index` with its
+    /// [`Floorplan::cell_share`] already known, written into `out` — the
+    /// engine reuses one buffer per pass.
     pub(crate) fn fill_tile_powers_shared(&self, index: usize, share: f64, out: &mut Vec<Power>) {
         out.clear();
         out.extend(self.plane_maps.iter().map(|m| m.tiles()[index] * share));
     }
 
     /// `1 / cells` of row-major tile `index`: the factor
-    /// [`Floorplan::fill_tile_cell_powers`] turns a tile's watts into one
+    /// [`Floorplan::tile_cell_powers`] turns a tile's watts into one
     /// cell's with, so a power update can price a tile's new watts
     /// bitwise before the plan holds them.
     pub(crate) fn cell_share(&self, index: usize) -> f64 {

@@ -4,7 +4,7 @@
 //! rather than the tiles the chip holds. An update
 //! is three steps: validate it, evaluate the changed tiles against the
 //! chip's own kernels, then commit the new watts to the plan and patch the
-//! report.
+//! report and its statistics.
 
 use ttsv_core::ladder::LadderKernel;
 use ttsv_core::CoreError;
@@ -13,7 +13,7 @@ use ttsv_units::Power;
 use crate::engine::ChipEngine;
 use crate::floorplan::Floorplan;
 use crate::map::PowerMap;
-use crate::report::ChipReport;
+use crate::report::{ChipReport, ReportIndex};
 
 /// A floorplan's evaluated report held across power updates, built by
 /// [`ChipEngine::evaluate_live`]. The chip owns the plan and the model's
@@ -43,11 +43,22 @@ use crate::report::ChipReport;
 ///
 /// [`LiveChip::apply`] re-solves only the tiles an update changes (one
 /// kernel call each, against the held kernels, without locking the
-/// engine; it never factorizes) and patches the report in place. After
-/// every update the held report is bit-identical to
+/// engine; it never factorizes) and patches the report in place from
+/// partial statistics the chip keeps beside it, at most a byte a tile: a
+/// tree of sums and maxima over 64-tile blocks of the row-major map, 64
+/// nodes to a node above, and a buffer of the largest tiles for the p99.
+/// A changed tile costs its kernel call and the tree nodes above it, 64
+/// inputs each (two levels at 64×64, three at 256×256). Two cases still
+/// cost the whole map: a change to tile 0, whose value every leaf's
+/// offsets are taken from, and a refill of the p99 buffer when updates
+/// drain it. On random two-tile updates both are rare (tile 0 in 2 of `n`
+/// updates; one refill in 100,000 updates at 64×64), and a two-tile
+/// update reads 216, 218 and 310 ns at 12×12, 64×64 and 256×256
+/// (`chip/live_apply/grid{12,64,256}` in `BENCH_38.json`). After every
+/// update the held report is bit-identical to
 /// [`ChipEngine::evaluate_factored`] on a fresh engine for the same plan:
-/// same `ΔT` bits, `distinct_cells`, `total_vias`, row-major `mean`,
-/// nearest-rank p99 and first-hit argmax.
+/// same `ΔT` bits, `distinct_cells`, `total_vias`, mean, nearest-rank p99
+/// and first-hit argmax.
 /// A power update never changes a tile's via density, so
 /// `distinct_cells` (the plan's distinct geometries) and `total_vias`
 /// hold without any bookkeeping.
@@ -57,6 +68,8 @@ use crate::report::ChipReport;
 pub struct LiveChip {
     plan: Floorplan,
     report: ChipReport,
+    /// The partial statistics `report` is patched from.
+    index: ReportIndex,
     /// `(via-density bits, kernel)`, one per via density of the plan,
     /// sorted by the bits.
     kernels: Vec<(u64, LadderKernel)>,
@@ -75,13 +88,14 @@ fn invalid(reason: String) -> CoreError {
 impl LiveChip {
     pub(crate) fn new(
         plan: Floorplan,
-        report: ChipReport,
+        (report, index): (ChipReport, ReportIndex),
         mut kernels: Vec<(u64, LadderKernel)>,
     ) -> Self {
         kernels.sort_unstable_by_key(|&(bits, _)| bits);
         Self {
             plan,
             report,
+            index,
             kernels,
         }
     }
@@ -134,6 +148,7 @@ impl LiveChip {
         let Self {
             plan,
             report,
+            index,
             kernels,
         } = self;
         let tiles = plan.tiles();
@@ -159,22 +174,13 @@ impl LiveChip {
             PowerMap::check_power(watts)?;
         }
 
-        let current = plan.plane_maps()[plane].tiles();
-        let touched: Vec<(usize, Power)> = updates
-            .iter()
-            .copied()
-            .filter(|&(tile, watts)| {
-                current[tile].as_watts().to_bits() != watts.as_watts().to_bits()
-            })
-            .collect();
-        let delta_t = engine.solve_tiles(plan, plane, &touched, kernels)?;
+        let solved = engine.solve_tiles(plan, plane, updates, kernels)?;
 
         // Every solve succeeded: commit the plan and patch the report.
-        let indices: Vec<usize> = touched.iter().map(|&(tile, _)| tile).collect();
-        for &(tile, watts) in &touched {
+        for &(tile, watts) in updates {
             plan.replace_tile_power(plane, tile, watts);
         }
-        Ok(report.patch(&indices, &delta_t))
+        Ok(report.patch(index, solved))
     }
 }
 

@@ -13,12 +13,15 @@
 //! full-plane `"tiles"` replacements.
 
 use proptest::prelude::*;
-use ttsv_chip::ChipEngine;
+use ttsv_chip::{ChipEngine, ChipReport, LiveChip};
 use ttsv_serve::protocol::{
     parse_power_sparse, parse_power_update, parse_register, render_delta, render_delta_tiles,
+    SessionSpec,
 };
 
-const GRIDS: [(usize, usize); 3] = [(1, 1), (7, 5), (64, 64)];
+/// 8×8 fills one 64-tile leaf of the report's statistics tree exactly,
+/// 9×8 spills into a second; 64×64 has 64 full leaves under one root.
+const GRIDS: [(usize, usize); 5] = [(1, 1), (7, 5), (8, 8), (9, 8), (64, 64)];
 const WATTS: [f64; 5] = [0.0, 0.01, 0.05, 0.2, 1.5];
 const DENSITIES: [f64; 3] = [0.004, 0.005, 0.008];
 const PLANES: usize = 3;
@@ -104,18 +107,35 @@ fn plane_watts(plan: &ttsv_chip::Floorplan) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// One seeded sequence on an `nx × ny` session through `engine`.
-fn run_sequence(engine: &ChipEngine, nx: usize, ny: usize, seed: u64) -> Result<(), TestCaseError> {
-    let mut rng = Rng(seed);
-    let register = register_body(nx, ny, &mut rng);
-    let spec = parse_register(register.as_bytes()).expect("valid register body");
-    // The mirror applies each body through the whole-map fold.
-    let mut mirror = spec.clone();
-    let mut live = engine
-        .evaluate_live(spec.plan, &spec.model)
-        .expect("solvable");
-    for step in 0..STEPS {
-        let body = update_body(&plane_watts(live.plan()), nx, ny, &mut rng);
+/// A live session beside its mirror, which applies each body through the
+/// whole-map fold.
+struct Session<'a> {
+    engine: &'a ChipEngine,
+    live: LiveChip,
+    mirror: SessionSpec,
+    nx: usize,
+    ny: usize,
+}
+
+impl<'a> Session<'a> {
+    fn open(engine: &'a ChipEngine, nx: usize, ny: usize, register: &str) -> Self {
+        let spec = parse_register(register.as_bytes()).expect("valid register body");
+        let live = engine
+            .evaluate_live(spec.plan.clone(), &spec.model)
+            .expect("solvable");
+        Self {
+            engine,
+            live,
+            mirror: spec,
+            nx,
+            ny,
+        }
+    }
+
+    /// Applies `body` to both, checks the held report against a fresh
+    /// evaluation of the mirror, and returns the report before the body.
+    fn step(&mut self, body: &str, step: usize) -> Result<ChipReport, TestCaseError> {
+        let (engine, live, nx, ny) = (self.engine, &mut self.live, self.nx, self.ny);
         let (plane, update) =
             parse_power_sparse(body.as_bytes(), live.plan()).expect("valid update body");
         let entries = update.into_entries(&live.plan().plane_maps()[plane]);
@@ -127,6 +147,7 @@ fn run_sequence(engine: &ChipEngine, nx: usize, ny: usize, seed: u64) -> Result<
             "{nx}x{ny} step {step}: an update factorized"
         );
 
+        let mirror = &mut self.mirror;
         let (mirror_plane, map) =
             parse_power_update(body.as_bytes(), &mirror.plan).expect("valid update body");
         mirror
@@ -153,8 +174,67 @@ fn run_sequence(engine: &ChipEngine, nx: usize, ny: usize, seed: u64) -> Result<
             render_delta_tiles(live.report(), &changed),
             render_delta(&prev, &fresh)
         );
+        Ok(prev)
+    }
+}
+
+/// One seeded sequence on an `nx × ny` session through `engine`.
+fn run_sequence(engine: &ChipEngine, nx: usize, ny: usize, seed: u64) -> Result<(), TestCaseError> {
+    let mut rng = Rng(seed);
+    let register = register_body(nx, ny, &mut rng);
+    let mut session = Session::open(engine, nx, ny, &register);
+    for step in 0..STEPS {
+        let body = update_body(&plane_watts(session.live.plan()), nx, ny, &mut rng);
+        session.step(&body, step)?;
     }
     Ok(())
+}
+
+/// One seeded sequence of extreme jumps on an `nx × ny` session whose
+/// tile 0 has the sparsest vias: each step moves tile 0 to the other of
+/// `WATTS`' extremes on every plane (so at the high one it is the hottest
+/// tile) and sinks the hottest other tile to the low extreme. Every body
+/// thus moves the mean's tile-0 offsets, tile 0 crosses the p99 both
+/// ways, and the sinking tiles drain the p99's buffer of largest tiles.
+/// Returns how often tile 0 fell and rose across the p99.
+fn run_extremes(
+    engine: &ChipEngine,
+    nx: usize,
+    ny: usize,
+    seed: u64,
+) -> Result<(usize, usize), TestCaseError> {
+    let (low, high) = (WATTS[0], WATTS[WATTS.len() - 1]);
+    let mut rng = Rng(seed);
+    let register = register_body(nx, ny, &mut rng);
+    let (head, tail) = register.split_once("\"via_density\":[").expect("densities");
+    let rest = &tail[tail.find([',', ']']).expect("a first density")..];
+    let register = format!("{head}\"via_density\":[{}{rest}", DENSITIES[0]);
+    let mut session = Session::open(engine, nx, ny, &register);
+    let (mut fell, mut rose) = (0, 0);
+    for step in 0..STEPS {
+        let before = session.live.report().clone();
+        let zero = if step % 2 == 0 { low } else { high };
+        let hottest = (1..nx * ny)
+            .reduce(|a, b| {
+                if before.delta_t[b] > before.delta_t[a] {
+                    b
+                } else {
+                    a
+                }
+            })
+            .expect("more than one tile");
+        let (hx, hy) = (hottest % nx, hottest / nx);
+        for plane in 0..PLANES {
+            let body =
+                format!("{{\"plane\":{plane},\"updates\":[[0,0,{zero}],[{hx},{hy},{low}]]}}");
+            session.step(&body, step)?;
+        }
+        let after = session.live.report();
+        let (old, new) = (before.delta_t[0], after.delta_t[0]);
+        fell += usize::from(old >= before.p99_delta_t && new < after.p99_delta_t);
+        rose += usize::from(old < before.p99_delta_t && new >= after.p99_delta_t);
+    }
+    Ok((fell, rose))
 }
 
 proptest! {
@@ -165,6 +245,16 @@ proptest! {
     fn live_updates_track_a_fresh_full_evaluation(seed in 0u64..u64::MAX) {
         for (nx, ny) in GRIDS {
             run_sequence(&ChipEngine::new(), nx, ny, seed)?;
+        }
+    }
+
+    /// Tile-0 changes and p99 crossings both ways, on every grid with
+    /// more than one tile.
+    #[test]
+    fn extreme_jumps_move_tile_zero_and_cross_the_p99(seed in 0u64..u64::MAX) {
+        for (nx, ny) in GRIDS.into_iter().filter(|&(nx, ny)| nx * ny > 1) {
+            let (fell, rose) = run_extremes(&ChipEngine::new(), nx, ny, seed)?;
+            prop_assert!(fell > 0 && rose > 0, "{nx}x{ny}: p99 fell {fell}, rose {rose}");
         }
     }
 }
