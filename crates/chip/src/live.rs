@@ -53,7 +53,7 @@ use crate::report::{ChipReport, ReportIndex};
 /// offsets are taken from, and a refill of the p99 buffer when updates
 /// drain it. On random two-tile updates both are rare (tile 0 in 2 of `n`
 /// updates; one refill in 100,000 updates at 64×64), and a two-tile
-/// update reads 216, 218 and 310 ns at 12×12, 64×64 and 256×256
+/// update reads 245, 263 and 343 ns at 12×12, 64×64 and 256×256
 /// (`chip/live_apply/grid{12,64,256}` in `BENCH_38.json`). After every
 /// update the held report is bit-identical to
 /// [`ChipEngine::evaluate_factored`] on a fresh engine for the same plan:

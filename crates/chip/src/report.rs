@@ -44,8 +44,8 @@ pub struct ChipReport {
     /// Computed as `t₀ + S / n`, with `t₀` the first tile and `S` the sum
     /// of the offsets `tᵢ − t₀` through a fixed tree over the row-major
     /// tiles: each run of 64 tiles is summed, then each run of 64 of those
-    /// sums, and so on up to one, every node in eight interleaved lanes
-    /// added pairwise (see `docs/PROTOCOL.md`). A flat map's mean is
+    /// sums, and so on up to one, every node folded left to right from
+    /// `0.0` (see `docs/PROTOCOL.md`). A flat map's mean is
     /// bitwise its tile value. It differs from the plain `Σᵢ tᵢ / n` only
     /// by rounding.
     pub mean_delta_t: f64,
@@ -247,7 +247,7 @@ impl ChipReport {
 #[derive(Debug, Clone)]
 struct StatsTree {
     /// The node's offsets `tᵢ − t₀` (a leaf) or its children's sums (a
-    /// node above), summed in [`node_sum`]'s shape.
+    /// node above), folded left to right from `0.0`.
     sums: Vec<f64>,
     /// The node's max, `NEG_INFINITY` if no tile exceeds it.
     maxes: Vec<f64>,
@@ -316,10 +316,11 @@ impl StatsTree {
     }
 
     /// Recomputes node `j` of `level` from its inputs: the tiles at the
-    /// leaves, the level below otherwise. `changed` is the changed tiles
-    /// under the node, or `None` to rescan it. The sum is always redone;
-    /// the max is patched from the changed inputs unless the input that
-    /// held it fell.
+    /// leaves, the level below otherwise. The sum is refolded from every
+    /// input. `changed` is the changed tiles under the node, or `None` to
+    /// rescan it. While they leave the input holding the max alone, the
+    /// max stays or moves to one of theirs, so only they are compared
+    /// with it; a patch that changes the holder rescans the node.
     fn set(&mut self, delta_t: &[f64], level: &Level, j: usize, changed: Option<&[usize]>) {
         let start = j * FANOUT;
         let leaf = level.base == 0;
@@ -338,33 +339,27 @@ impl StatsTree {
             }
         };
         let node = level.base + j;
-        let patched = changed.and_then(|changed| {
-            let (max, argmax) = (self.maxes[node], self.argmaxes[node] as usize);
-            let held = argmax >> level.shift;
-            let mut best = if changed.iter().any(|&t| t >> level.shift == held) {
-                // The input that held the max changed: the max moves with
-                // it unless it fell (every input before it is below).
-                let (v, t) = (maxes[held - start], tile_of(held - start));
-                if matches!(v.partial_cmp(&max), None | Some(Ordering::Less)) {
-                    return None;
-                }
-                (v, t)
-            } else {
-                (max, argmax)
-            };
-            for i in changed.iter().map(|&t| (t >> level.shift) - start) {
-                let (v, t) = (maxes[i], tile_of(i));
-                if v > best.0 || (v == best.0 && t < best.1) {
-                    best = (v, t);
-                }
-            }
-            Some(best)
-        });
-        let (max, argmax) = patched.unwrap_or_else(|| match first_max(maxes) {
-            Some(i) => (maxes[i], tile_of(i)),
+        let held = self.argmaxes[node] as usize >> level.shift;
+        let changed = changed.filter(|changed| changed.iter().all(|&t| t >> level.shift != held));
+        let (mut max, mut argmax) = match changed {
+            Some(_) => (self.maxes[node], self.argmaxes[node] as usize),
             None => (f64::NEG_INFINITY, tile_of(0)),
-        });
-        self.sums[node] = node_sum(sums, first);
+        };
+        // The first hit in row-major order wins a tie, as in a scan that
+        // keeps the first strictly greater input (NaN never wins).
+        let mut offer = |i: usize| {
+            let (v, t) = (maxes[i], tile_of(i));
+            if v > max || (v == max && t < argmax) {
+                (max, argmax) = (v, t);
+            }
+        };
+        match changed {
+            Some(changed) => changed
+                .iter()
+                .for_each(|&t| offer((t >> level.shift) - start)),
+            None => (0..maxes.len()).for_each(offer),
+        }
+        self.sums[node] = sums.iter().fold(0.0, |sum, &v| sum + (v - first));
         self.maxes[node] = max;
         #[allow(clippy::cast_possible_truncation)] // `build` bounds the tiles
         let argmax = argmax as u32;
@@ -379,54 +374,6 @@ struct Level {
     below: usize,
     base: usize,
     shift: u32,
-}
-
-/// Lanes of a node's sum and max.
-const LANES: usize = 8;
-
-/// The sum of `values[i] − first` over a node's (at most 64) inputs in
-/// its fixed shape: input `i` goes to lane `i % 8`, each lane sums left
-/// to right from `0.0`, and the lanes add pairwise. Eight independent
-/// chains instead of one keep a patched node from waiting on 64
-/// dependent additions.
-fn node_sum(values: &[f64], first: f64) -> f64 {
-    let mut lanes = [0.0; LANES];
-    let mut chunks = values.chunks_exact(LANES);
-    for chunk in &mut chunks {
-        for (lane, &v) in lanes.iter_mut().zip(chunk) {
-            *lane += v - first;
-        }
-    }
-    for (lane, &v) in lanes.iter_mut().zip(chunks.remainder()) {
-        *lane += v - first;
-    }
-    let [a, b, c, d, e, f, g, h] = lanes;
-    ((a + b) + (c + d)) + ((e + f) + (g + h))
-}
-
-/// The first index holding the max of `values`, or `None` if no value
-/// exceeds `NEG_INFINITY` — what a left-to-right scan keeping the first
-/// strictly greater value finds (NaN never wins). The lanes find the max
-/// without a branch per value; the scan then stops at its first hit.
-fn first_max(values: &[f64]) -> Option<usize> {
-    let greater = |m: f64, v: f64| if v > m { v } else { m };
-    let mut lanes = [f64::NEG_INFINITY; LANES];
-    let mut chunks = values.chunks_exact(LANES);
-    for chunk in &mut chunks {
-        for (lane, &v) in lanes.iter_mut().zip(chunk) {
-            *lane = greater(*lane, v);
-        }
-    }
-    for (lane, &v) in lanes.iter_mut().zip(chunks.remainder()) {
-        *lane = greater(*lane, v);
-    }
-    let max = lanes.into_iter().fold(f64::NEG_INFINITY, greater);
-    (max > f64::NEG_INFINITY).then(|| {
-        values
-            .iter()
-            .position(|&v| v == max)
-            .expect("the max is one of the values")
-    })
 }
 
 /// The nearest-rank p99 as an order statistic under sparse changes: the
